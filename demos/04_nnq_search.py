@@ -2,8 +2,11 @@
 
 A rank factor B is nonnegative-equivalent (nnq) when some invertible
 column subset B1 gives B1^{-1} B >= 0.  The property belongs to the
-matrix, not the factor, and can be read off Gram data directly.  For
-rank at most 4 a witness turns into a certificate with rank many rows.
+matrix, not the factor, and can be read off Gram data directly.  It holds
+exactly when the column cone has exactly rank many extreme rays, which
+then form the basis, so detection reads the extreme-ray report instead of
+trying column subsets.  For rank at most 4 a witness turns into a
+certificate with rank many rows.
 The 4x4 example shows the condition is not necessary: it is completely
 positive at rank 3 yet no basis works.
 """
@@ -15,7 +18,6 @@ from cprank import (
     find_nnq_witness,
     is_nnq_gram,
     nnq_factor,
-    nnq_invariance_check,
     sr_factor,
 )
 from cprank.fixtures import example_factor, example_matrix
@@ -25,23 +27,22 @@ from cprank.fixtures import example_factor, example_matrix
 tol = Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_residual=1e-4)
 A = example_matrix("EX3_9")
 
-scan = is_nnq_gram(A, tol)
-print(f"Gram-route scan: {scan.status}, basis columns "
-      f"{tuple(i + 1 for i in scan.witness.indices)}")
+gram_route = is_nnq_gram(A, tol)
+print(f"Gram route: {gram_route.status}, basis columns "
+      f"{tuple(i + 1 for i in gram_route.witness.indices)}")
 print("coordinate matrix P = A[s,s]^{-1} A[s,:]:")
-print(np.round(scan.witness.P, 4))
+print(np.round(gram_route.witness.P, 4))
 
-factor_scan = find_nnq_witness(sr_factor(A, tol), tol)
-print(f"\nfactor-route scan agrees: {factor_scan.status}, "
-      f"columns {tuple(i + 1 for i in factor_scan.witness.indices)}")
-print(f"factor independence check: {nnq_invariance_check(A, tol)}")
+factor_route = find_nnq_witness(sr_factor(A, tol), tol)
+print(f"\nfactor route agrees: {factor_route.status}, "
+      f"columns {tuple(i + 1 for i in factor_route.witness.indices)}")
 
-cert = nnq_factor(A, scan.witness, tol)
+cert = nnq_factor(A, gram_route.witness, tol)
 print(f"\ncertificate: {cert.rows} rows, residual {cert.residual:.2e}")
 print(np.round(cert.C, 4))
 
 B = example_matrix("EX3_7")
-print(f"\n4x4 counterexample: scan says {find_nnq_witness(sr_factor(B)).status}, "
+print(f"\n4x4 counterexample: nnq detection says {find_nnq_witness(sr_factor(B)).status}, "
       f"yet this published nonnegative factor reconstructs it exactly:")
 C = example_factor("EX3_7_C")
 print(C.astype(int), "   residual:", np.linalg.norm(C.T @ C - B.a))

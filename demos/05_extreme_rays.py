@@ -1,10 +1,10 @@
-"""Extreme rays of the column cone, and the complete rank-3 decision.
+"""Extreme rays of the column cone, and the rank-3 ray decision.
 
 Every column of a DN matrix is a nonnegative combination of the extreme
 columns.  With at most four extreme rays that yields a certificate with
 at most that many rows; and a DN matrix of rank 3 whose cone has exactly
-three extreme rays is completely positive at rank 3 precisely when it is
-nonnegative-equivalent, a genuine yes/no decision.
+three extreme rays has a simplicial cone, so it is nonnegative-equivalent
+and completely positive at rank 3.
 
 Rank equal to cp-rank does not force the ray count down to the rank: the
 second example is certified at 3 rows while all four of its columns are

@@ -59,7 +59,6 @@ from .nnq import (
     find_nnq_witness,
     is_nnq_gram,
     nnq_factor,
-    nnq_invariance_check,
 )
 from .pipeline import (
     AnalysisConfig,

@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative residual bound for certificates")
     common.add_argument("--heuristic", action="store_true",
                         help="attempt rotation certificates for rank 5 and up")
-    common.add_argument("--max-subsets", type=int, default=500_000,
-                        help="budget for the nnq subset scan")
 
     sub.add_parser("analyze", parents=[common], help="run the full decision cascade")
     sub.add_parser("factor", parents=[common], help="report only the certificate")
@@ -80,7 +78,6 @@ def _config(args: argparse.Namespace) -> pipeline.AnalysisConfig:
         seed=args.seed,
         restarts=args.restarts,
         heuristic=args.heuristic,
-        max_subsets=args.max_subsets,
     )
 
 
@@ -126,21 +123,21 @@ def _cmd_factor(args) -> int:
 def _cmd_nnq(args) -> int:
     tol = _tolerances(args)
     S = pipeline.read_matrix(args.input, args.format, tol)
-    scan = nnq.is_nnq_gram(S, tol, args.max_subsets)
+    result = nnq.is_nnq_gram(S, tol)
     if args.report == "json":
-        doc = {"status": scan.status}
-        if scan.found:
-            doc["indices"] = [i + 1 for i in scan.witness.indices]
-            doc["det"] = scan.witness.detval
-            doc["P"] = scan.witness.P
+        doc = {"status": result.status}
+        if result.found:
+            doc["indices"] = [i + 1 for i in result.witness.indices]
+            doc["det"] = result.witness.detval
+            doc["P"] = result.witness.P
         _emit(pipeline._json_value(doc))
     else:
-        if scan.found:
-            idx = ",".join(str(i + 1) for i in scan.witness.indices)
-            _emit(f"FOUND basis columns ({idx}), det {scan.witness.detval:.6g}")
+        if result.found:
+            idx = ",".join(str(i + 1) for i in result.witness.indices)
+            _emit(f"FOUND basis columns ({idx}), det {result.witness.detval:.6g}")
         else:
-            _emit(scan.status)
-    return 2 if scan.status == nnq.NONE_BUDGET else 0
+            _emit(result.status)
+    return 0
 
 
 def _cmd_rays(args) -> int:

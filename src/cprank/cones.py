@@ -3,9 +3,10 @@
 For a doubly nonnegative matrix the cone generated by its columns is
 pointed (once zero columns are dropped), so every column is a nonnegative
 combination of the extreme columns.  When there are at most four extreme
-rays this yields a completely positive factorization, and for rank-3
-matrices with exactly three extreme rays it combines with the nnq test
-into a complete membership decision.
+rays this yields a completely positive factorization.  When there are
+exactly rank many, the cone is simplicial and the matrix is
+nonnegative-equivalent, so a rank-3 matrix with three extreme rays lies
+in CP_{n,3}.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import graphcond
 from .errors import ComputationFailureError, InvalidInputError, PreconditionError
 from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, classify_dn, psd_rank
-from .nnq import NONE_BUDGET, NnqWitness, is_nnq_gram, nnq_factor
+from .nnq import NnqWitness, nnq_factor, nnq_from_rays
 from .rotate import orthant_rotation_search
 from .srfactor import CpCertificate, make_certificate, sr_factor
 
@@ -31,12 +32,10 @@ __all__ = [
     "Rank3RayDecision",
     "decide_rank3_three_rays",
     "IN_CP_N3",
-    "NOT_IN_CP_N3",
     "NOT_APPLICABLE",
 ]
 
 IN_CP_N3 = "IN_CP_N3"
-NOT_IN_CP_N3 = "NOT_IN_CP_N3"
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
 # a deduplicated column is extreme when reconstructing it from the others
@@ -149,15 +148,15 @@ class ConeReport:
     residual: float
 
 
-def extreme_columns(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
-    """Extreme-ray report for the cone generated by the columns of ``M``.
+def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], dict[int, int]]:
+    """Sorted extreme columns of ``M`` and the representative of each
+    nonzero column.
 
     Zero columns are dropped, positive multiples of one ray are collapsed
-    onto their smallest-index representative, and a column is extreme when
-    nonnegative least squares cannot reconstruct it from the remaining
-    representatives.
+    onto their smallest-index representative, and a representative is
+    extreme when nonnegative least squares cannot reconstruct it from the
+    others.
     """
-    M = np.asarray(M, dtype=float)
     n = M.shape[1]
     norms = np.linalg.norm(M, axis=0)
     scale = max(1.0, float(norms.max()) if n else 1.0)
@@ -184,9 +183,15 @@ def extreme_columns(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
         _, resid = nnls(M[:, rep], M[:, others], tol)
         if resid > EXTREME_RESIDUAL_FACTOR * norms[rep]:
             extreme.append(rep)
-    extreme.sort()
-    m = len(extreme)
+    return sorted(extreme), rep_of
 
+
+def _cone_report(
+    M: np.ndarray, extreme: list[int], rep_of: dict[int, int], tol: Tolerances
+) -> ConeReport:
+    """Reconstruct every column of ``M`` from its ``extreme`` columns."""
+    n = M.shape[1]
+    m = len(extreme)
     W = np.zeros((m, n))
     pos = {rep: k for k, rep in enumerate(extreme)}
     for j in range(n):
@@ -211,13 +216,29 @@ def extreme_columns(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
     return ConeReport(m=m, extreme_indices=tuple(extreme), W=W, residual=residual)
 
 
+def extreme_columns(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
+    """Extreme-ray report for the cone generated by the columns of ``M``.
+
+    Zero columns are dropped, positive multiples of one ray are collapsed
+    onto their smallest-index representative, and a column is extreme when
+    nonnegative least squares cannot reconstruct it from the remaining
+    representatives.
+    """
+    M = np.asarray(M, dtype=float)
+    return _cone_report(M, *_extreme_set(M, tol), tol)
+
+
 def extreme_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
     """Extreme rays of the column cone of a DN matrix.
 
     The analysis runs on the rank-truncated spectral reconstruction of the
     input, which is the matrix the working tolerances say the input is;
-    for a matrix of exact numerical rank this changes nothing.  The ray
-    count equals the one computed from the columns of any rank factor.
+    for a matrix of exact numerical rank this changes nothing.  Which
+    columns are extreme is decided on the columns of the rank factor
+    ``B``: a reconstruction residual there scales with the square roots of
+    the eigenvalues, where on the Gram columns it scales with the
+    eigenvalues themselves and an ill-conditioned cone loses rays.  ``W``
+    and ``residual`` describe the Gram columns.
     """
     S = as_symmetric(A, tol)
     verdict = classify_dn(S, tol)
@@ -226,7 +247,7 @@ def extreme_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
     if verdict.rank == 0:
         return ConeReport(m=0, extreme_indices=(), W=np.zeros((0, S.n)), residual=0.0)
     B = sr_factor(S, tol)
-    return extreme_columns(B.gram(), tol)
+    return _cone_report(B.gram(), *_extreme_set(B.B, tol), tol)
 
 
 def few_rays_factor(
@@ -286,11 +307,11 @@ def few_rays_factor(
 
 @dataclass(frozen=True)
 class Rank3RayDecision:
-    """Outcome of the complete rank-3 decision.
+    """Outcome of the rank-3 ray decision.
 
-    ``status`` is ``IN_CP_N3`` (with certificate), ``NOT_IN_CP_N3``, or
+    ``status`` is ``IN_CP_N3`` (with witness and certificate), or
     ``NOT_APPLICABLE`` when the hypotheses (DN, rank 3, exactly three
-    extreme rays, exhaustive nnq scan) do not hold.
+    extreme rays with a verified nnq witness) do not hold.
     """
 
     status: str
@@ -305,28 +326,23 @@ def decide_rank3_three_rays(
     seed: int = 0,
     restarts: int = 200,
     maxiter: int = 2000,
-    max_subsets: int | None = 500_000,
 ) -> Rank3RayDecision:
-    """Complete membership decision for DN matrices of rank 3 whose column
-    cone has exactly three extreme rays.
+    """Membership in CP_{n,3} for DN matrices of rank 3 whose column cone
+    has exactly three extreme rays.
 
-    Under those hypotheses, cp-rank equals rank exactly when the matrix is
-    nonnegative-equivalent; outside them the decision is not applicable.
+    Three rays spanning ``R^3`` make the cone simplicial, so the matrix is
+    nonnegative-equivalent and cp-rank equals rank; outside those
+    hypotheses the decision is not applicable.
     """
     S = as_symmetric(A, tol)
     verdict = classify_dn(S, tol)
     if not verdict.is_dn or verdict.rank != 3:
         return Rank3RayDecision(status=NOT_APPLICABLE)
     report = extreme_rays(S, tol)
-    if report.m != 3:
+    result = nnq_from_rays(S, report, 3, tol)
+    if not result.found:
         return Rank3RayDecision(status=NOT_APPLICABLE, m=report.m)
-    scan = is_nnq_gram(S, tol, max_subsets)
-    if scan.status == NONE_BUDGET:
-        # the equivalence needs an exhaustive scan; a truncated one decides nothing
-        return Rank3RayDecision(status=NOT_APPLICABLE, m=report.m)
-    if not scan.found:
-        return Rank3RayDecision(status=NOT_IN_CP_N3, m=report.m)
-    cert = nnq_factor(S, scan.witness, tol, seed=seed, restarts=restarts, maxiter=maxiter)
+    cert = nnq_factor(S, result.witness, tol, seed=seed, restarts=restarts, maxiter=maxiter)
     return Rank3RayDecision(
-        status=IN_CP_N3, m=report.m, witness=scan.witness, certificate=cert
+        status=IN_CP_N3, m=report.m, witness=result.witness, certificate=cert
     )

@@ -4,39 +4,41 @@ A full-row-rank factor ``B`` is nonnegative-equivalent (nnq) when some
 invertible column submatrix ``B1`` satisfies ``B1^{-1} B >= 0``.  The
 property belongs to the factored matrix, not the factor: any two rank
 factorizations agree on it, and the coordinate matrix ``P = B1^{-1} B``
-can equally be computed from Gram data as ``A[s,s]^{-1} A[s,:]``.  For
-rank at most 4 a witness yields a completely positive factorization with
-cp-rank equal to the rank.
+can equally be computed from Gram data as ``A[s,s]^{-1} A[s,:]``.  The
+only possible basis is one column per extreme ray of the column cone, so
+detection reads the witness off an extreme-ray report.  For rank at most
+4 a witness yields a completely positive factorization with cp-rank equal
+to the rank.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ComputationFailureError, UnsupportedRankError
 from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, psd_rank, sym_eigen
-from .rotate import random_orthogonal, small_orthant_rotation
-from .srfactor import CpCertificate, SrFactor, make_certificate, sr_factor
+from .rotate import small_orthant_rotation
+from .srfactor import CpCertificate, SrFactor, make_certificate
+
+if TYPE_CHECKING:
+    from .cones import ConeReport
 
 __all__ = [
     "FOUND",
     "NONE",
-    "NONE_BUDGET",
     "NnqWitness",
     "NnqSearchResult",
     "find_nnq_witness",
     "is_nnq_gram",
+    "nnq_from_rays",
     "nnq_factor",
-    "nnq_invariance_check",
 ]
 
 FOUND = "FOUND"
 NONE = "NONE"
-NONE_BUDGET = "NONE_BUDGET"
 
 # a basis candidate counts as invertible when |det| exceeds this factor
 # times the product of its column norms (Hadamard scale)
@@ -61,9 +63,7 @@ class NnqWitness:
 
 @dataclass(frozen=True)
 class NnqSearchResult:
-    """Outcome of a witness scan: ``FOUND`` with a witness, ``NONE`` after
-    an exhaustive scan, or ``NONE_BUDGET`` when the subset budget ran out
-    before the scan finished."""
+    """Outcome of nnq detection: ``FOUND`` with a witness, or ``NONE``."""
 
     status: str
     witness: NnqWitness | None = None
@@ -73,93 +73,68 @@ class NnqSearchResult:
         return self.status == FOUND
 
 
-def _subset_order(n: int, r: int, max_subsets: int | None, priority: np.ndarray):
-    """Candidate index tuples and whether the stream is exhaustive.
-
-    Within budget the scan is plain lexicographic, so the first hit is the
-    lexicographically smallest witness.  Over budget, columns are retried
-    in order of descending norm and the stream is truncated.
-    """
-    total = math.comb(n, r)
-    if max_subsets is None or total <= max_subsets:
-        return itertools.combinations(range(n), r), True
-    order = sorted(range(n), key=lambda j: (-priority[j], j))
-    stream = (
-        tuple(sorted(combo))
-        for combo in itertools.islice(itertools.combinations(order, r), max_subsets)
-    )
-    return stream, False
-
-
-def _scan(
-    M: np.ndarray,
-    r: int,
-    gram: bool,
-    tol: Tolerances,
-    max_subsets: int | None,
-    collect_all: bool = False,
-) -> tuple[NnqSearchResult, list[tuple[int, ...]]]:
-    n = M.shape[1]
-    if r == 0:
-        witness = NnqWitness(indices=(), detval=1.0, P=np.zeros((0, n)), B1=np.zeros((0, 0)))
-        return NnqSearchResult(status=FOUND, witness=witness), [()]
-    priority = np.linalg.norm(M, axis=0)
-    stream, exhaustive = _subset_order(n, r, max_subsets, priority)
-    hits: list[tuple[int, ...]] = []
-    first: NnqWitness | None = None
-    for sigma in stream:
-        idx = list(sigma)
-        basis = M[np.ix_(idx, idx)] if gram else M[:, idx]
-        det = float(np.linalg.det(basis))
-        col_scale = float(np.prod(np.linalg.norm(basis, axis=0)))
-        if abs(det) <= EPS_DET_FACTOR * col_scale:
-            continue
-        rows = M[idx, :] if gram else M
-        P = np.linalg.solve(basis, rows)
-        if float(P.min()) >= -tol.eps_nonneg:
-            if first is None:
-                first = NnqWitness(indices=tuple(sigma), detval=det, P=P, B1=basis)
-            hits.append(tuple(sigma))
-            if not collect_all:
-                return NnqSearchResult(status=FOUND, witness=first), hits
-    if first is not None:
-        return NnqSearchResult(status=FOUND, witness=first), hits
-    return NnqSearchResult(status=NONE if exhaustive else NONE_BUDGET), hits
-
-
-def find_nnq_witness(
-    B: SrFactor | np.ndarray,
-    tol: Tolerances = DEFAULT_TOL,
-    max_subsets: int | None = 500_000,
+def _witness(
+    M: np.ndarray, rays: ConeReport, rank: int, gram: bool, tol: Tolerances
 ) -> NnqSearchResult:
-    """Scan the column subsets of a full-row-rank factor for an nnq basis.
+    """The nnq witness read off the extreme rays of the columns of ``M``.
 
-    Subsets are visited lexicographically and the first basis whose
-    coordinate matrix is entrywise nonnegative wins, which makes the
-    witness deterministic.
+    A rank-``r`` column cone spans ``R^r``, so a basis with
+    ``B1^{-1} B >= 0`` exists exactly when the cone is simplicial: it then
+    has exactly ``r`` extreme rays, and their representative columns are
+    the basis.  ``B1`` is ``M[s,s]`` on Gram data and ``M[:, s]`` on a
+    factor; invertibility and the nonnegativity of ``P`` are re-checked.
     """
-    Bm = B.B if isinstance(B, SrFactor) else np.asarray(B, dtype=float)
-    result, _ = _scan(Bm, Bm.shape[0], gram=False, tol=tol, max_subsets=max_subsets)
-    return result
+    if rays.m != rank:
+        return NnqSearchResult(status=NONE)
+    idx = list(rays.extreme_indices)
+    basis = M[np.ix_(idx, idx)] if gram else M[:, idx]
+    det = float(np.linalg.det(basis))
+    col_scale = float(np.prod(np.linalg.norm(basis, axis=0)))
+    if abs(det) <= EPS_DET_FACTOR * col_scale:
+        return NnqSearchResult(status=NONE)
+    P = np.linalg.solve(basis, M[idx, :] if gram else M)
+    # initial=0.0 lets the empty basis of a rank-0 matrix through
+    if float(P.min(initial=0.0)) < -tol.eps_nonneg:
+        return NnqSearchResult(status=NONE)
+    witness = NnqWitness(indices=rays.extreme_indices, detval=det, P=P, B1=basis)
+    return NnqSearchResult(status=FOUND, witness=witness)
 
 
-def is_nnq_gram(
+def nnq_from_rays(
     A: MatrixLike,
+    rays: ConeReport,
+    rank: int,
     tol: Tolerances = DEFAULT_TOL,
-    max_subsets: int | None = 500_000,
 ) -> NnqSearchResult:
-    """Detect nonnegative equivalence straight from Gram data.
+    """Nonnegative equivalence of a PSD matrix of rank ``rank``, read off
+    ``rays``, the extreme-ray report of its column cone (or of the column
+    cone of any rank factor of it); ``B1`` in the witness is ``A[s,s]``."""
+    return _witness(as_symmetric(A, tol).a, rays, rank, gram=True, tol=tol)
 
-    For a PSD matrix of rank ``r`` the scan solves
-    ``A[s,s]^{-1} A[s,:] >= 0`` over ``r``-subsets ``s``, which agrees
-    with :func:`find_nnq_witness` applied to any rank factorization of
-    ``A``; here ``B1`` in the witness is the principal submatrix
+
+def find_nnq_witness(B: SrFactor | np.ndarray, tol: Tolerances = DEFAULT_TOL) -> NnqSearchResult:
+    """Look for an nnq basis among the columns of a full-row-rank factor.
+
+    The only candidate is one column per extreme ray (the smallest index),
+    so the witness is deterministic.
+    """
+    from .cones import extreme_columns
+
+    Bm = B.B if isinstance(B, SrFactor) else np.asarray(B, dtype=float)
+    return _witness(Bm, extreme_columns(Bm, tol), Bm.shape[0], gram=False, tol=tol)
+
+
+def is_nnq_gram(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> NnqSearchResult:
+    """Detect nonnegative equivalence of a DN matrix straight from Gram data.
+
+    Agrees with :func:`find_nnq_witness` applied to any rank factorization
+    of ``A``; here ``B1`` in the witness is the principal submatrix
     ``A[s,s]``.
     """
+    from .cones import extreme_rays
+
     S = as_symmetric(A, tol)
-    r = psd_rank(S, tol).rank
-    result, _ = _scan(S.a, r, gram=True, tol=tol, max_subsets=max_subsets)
-    return result
+    return nnq_from_rays(S, extreme_rays(S, tol), psd_rank(S, tol).rank, tol)
 
 
 def nnq_factor(
@@ -208,24 +183,3 @@ def nnq_factor(
         )
     C = (Q @ B1) @ P
     return make_certificate(S, C, "nnq", tol)
-
-
-def nnq_invariance_check(
-    A: MatrixLike,
-    tol: Tolerances = DEFAULT_TOL,
-    max_subsets: int | None = 500_000,
-    seed: int = 0,
-) -> bool:
-    """Confirm that nnq detection does not depend on the factor chosen.
-
-    Runs the witness scan on the spectral rank factor and on a randomly
-    rotated copy of it and compares both the search status and the full
-    family of qualifying index tuples.
-    """
-    S = as_symmetric(A, tol)
-    B = sr_factor(S, tol)
-    rng = np.random.default_rng(seed)
-    mixed = random_orthogonal(B.r, rng) @ B.B
-    res1, fam1 = _scan(B.B, B.r, gram=False, tol=tol, max_subsets=max_subsets, collect_all=True)
-    res2, fam2 = _scan(mixed, B.r, gram=False, tol=tol, max_subsets=max_subsets, collect_all=True)
-    return res1.status == res2.status and fam1 == fam2

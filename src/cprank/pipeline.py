@@ -63,7 +63,6 @@ class AnalysisConfig:
     restarts: int = 200
     maxiter: int = 2000
     heuristic: bool = False
-    max_subsets: int | None = 500_000
 
 
 @dataclass
@@ -151,9 +150,10 @@ def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> Analysi
     """Run the full decision cascade on a symmetric matrix.
 
     Order: DN classification, trivial ranks, the rank-2 bisector, the
-    small full-rank rotation, the row-sum construction, the nnq search,
-    extreme-ray analysis with the complete rank-3 decision, the graph
-    conditions, and optionally a heuristic rotation for rank 5 and up.
+    small full-rank rotation, the row-sum construction, then from one
+    extreme-ray report the nnq search, the few-rays factorization and the
+    rank-3 ray decision, the graph conditions, and optionally a heuristic
+    rotation for rank 5 and up.
     Every step is logged even after the verdict is settled.
     """
     tol = config.tol
@@ -184,8 +184,7 @@ def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> Analysi
     _rank2_step(cas)
     _small_full_rotation_step(cas)
     _rowsum_step(cas)
-    scan = _nnq_step(cas)
-    _rays_steps(cas, scan)
+    _cone_steps(cas)
     _graph_steps(cas)
     _heuristic_step(cas)
 
@@ -278,16 +277,16 @@ def _rowsum_step(cas: _Cascade) -> None:
     cas.steps[-1].details.update(details)
 
 
-def _nnq_step(cas: _Cascade) -> nnq.NnqSearchResult | None:
+def _nnq_step(cas: _Cascade, rays: cones.ConeReport) -> nnq.NnqSearchResult | None:
     t0 = time.perf_counter()
     if cas.rank > 4:
         cas.step("nnq_search", "UNSUPPORTED_RANK", {"rank": cas.rank}, t0)
         return None
-    scan = nnq.is_nnq_gram(cas.core, cas.tol, cas.config.max_subsets)
-    if not scan.found:
-        cas.step("nnq_search", scan.status, {}, t0)
-        return scan
-    witness = scan.witness
+    nnq_result = nnq.nnq_from_rays(cas.core, rays, cas.rank, cas.tol)
+    if not nnq_result.found:
+        cas.step("nnq_search", nnq_result.status, {}, t0)
+        return nnq_result
+    witness = nnq_result.witness
     details = {
         "indices": [int(i) + 1 for i in witness.indices],
         "det": witness.detval,
@@ -299,25 +298,30 @@ def _nnq_step(cas: _Cascade) -> nnq.NnqSearchResult | None:
         )
     except ComputationFailureError as exc:
         cas.step("nnq_search", "FACTOR_BUDGET_EXHAUSTED", {**details, "error": str(exc)}, t0)
-        return scan
+        return nnq_result
     cas.accept(cert, "nnq_search", t0)
     cas.steps[-1].details.update(details)
-    return scan
+    return nnq_result
 
 
-def _rays_steps(cas: _Cascade, scan: nnq.NnqSearchResult | None) -> None:
+def _cone_steps(cas: _Cascade) -> None:
+    """nnq detection, the extreme-ray report, the few-rays factorization
+    and the rank-3 ray decision, all from one extreme-ray computation."""
     t0 = time.perf_counter()
     report = cones.extreme_rays(cas.core, cas.tol)
-    cas.step(
-        "extreme_rays",
-        f"RAYS({report.m})",
-        {
+    rays_elapsed = time.perf_counter() - t0
+
+    nnq_result = _nnq_step(cas, report)
+    cas.steps.append(StepRecord(
+        name="extreme_rays",
+        outcome=f"RAYS({report.m})",
+        details={
             "m": report.m,
             "extreme_indices": [int(i) + 1 for i in report.extreme_indices],
             "residual": report.residual,
         },
-        t0,
-    )
+        elapsed=rays_elapsed,
+    ))
 
     t0 = time.perf_counter()
     if report.m > 4:
@@ -333,19 +337,10 @@ def _rays_steps(cas: _Cascade, scan: nnq.NnqSearchResult | None) -> None:
         else:
             cas.accept(cert, "few_rays_factor", t0)
 
-    # complete decision: DN of rank 3 with exactly three extreme rays
+    # rank 3 with an nnq witness: three extreme rays, a simplicial cone
     t0 = time.perf_counter()
-    if cas.rank == 3 and report.m == 3 and scan is not None:
-        if scan.found:
-            cas.step("rank3_ray_decision", cones.IN_CP_N3, {"m": report.m}, t0)
-        elif scan.status == nnq.NONE:
-            cas.step("rank3_ray_decision", cones.NOT_IN_CP_N3, {"m": report.m}, t0)
-            cas.settle(NOT_IN_CP_N_R)
-            cas.lower = max(cas.lower or 0, cas.rank + 1)
-        else:
-            cas.step("rank3_ray_decision", "INCONCLUSIVE_BUDGET", {"m": report.m}, t0)
-    else:
-        cas.step("rank3_ray_decision", cones.NOT_APPLICABLE, {"m": report.m}, t0)
+    outcome = cones.IN_CP_N3 if cas.rank == 3 and nnq_result.found else cones.NOT_APPLICABLE
+    cas.step("rank3_ray_decision", outcome, {"m": report.m}, t0)
 
 
 def _graph_steps(cas: _Cascade) -> None:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
+
+from cprank import DEFAULT_TOL, as_symmetric, psd_rank, random_orthogonal, sr_factor
+from cprank.nnq import EPS_DET_FACTOR, FOUND, NONE, NnqSearchResult, NnqWitness
 
 
 def random_symmetric(rng: np.random.Generator, n: int, scale: float = 2.0) -> np.ndarray:
@@ -87,3 +91,54 @@ def hull_extreme_indices(B: np.ndarray) -> list[int]:
     lower = half(order)
     upper = half(order[::-1])
     return sorted(set(lower + upper))
+
+
+def nnq_scan(M, r, gram, tol=DEFAULT_TOL, collect_all=False):
+    """Exhaustive nnq oracle: every ``r``-subset of columns in
+    lexicographic order.
+
+    ``M`` is Gram data (basis ``M[s,s]``) or a factor (basis ``M[:, s]``).
+    Returns the result for the lexicographically first qualifying basis
+    and the list of qualifying index tuples (all of them with
+    ``collect_all``, else only the first).
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[1]
+    hits = []
+    first = None
+    for sigma in itertools.combinations(range(n), r):
+        idx = list(sigma)
+        basis = M[np.ix_(idx, idx)] if gram else M[:, idx]
+        det = float(np.linalg.det(basis))
+        if abs(det) <= EPS_DET_FACTOR * float(np.prod(np.linalg.norm(basis, axis=0))):
+            continue
+        P = np.linalg.solve(basis, M[idx, :] if gram else M)
+        if float(P.min(initial=0.0)) >= -tol.eps_nonneg:
+            if first is None:
+                first = NnqWitness(indices=sigma, detval=det, P=P, B1=basis)
+            hits.append(sigma)
+            if not collect_all:
+                break
+    if first is None:
+        return NnqSearchResult(status=NONE), hits
+    return NnqSearchResult(status=FOUND, witness=first), hits
+
+
+def nnq_scan_gram(A, tol=DEFAULT_TOL):
+    """The exhaustive oracle on Gram data, at the numerical rank of ``A``."""
+    S = as_symmetric(A, tol)
+    return nnq_scan(S.a, psd_rank(S, tol).rank, gram=True, tol=tol)[0]
+
+
+def nnq_invariance_check(A, tol=DEFAULT_TOL, seed=0):
+    """Confirm that nnq detection does not depend on the factor chosen.
+
+    Runs the exhaustive scan on the spectral rank factor and on a randomly
+    rotated copy of it and compares both the status and the full family
+    of qualifying index tuples.
+    """
+    B = sr_factor(as_symmetric(A, tol), tol)
+    mixed = random_orthogonal(B.r, np.random.default_rng(seed)) @ B.B
+    res1, fam1 = nnq_scan(B.B, B.r, gram=False, tol=tol, collect_all=True)
+    res2, fam2 = nnq_scan(mixed, B.r, gram=False, tol=tol, collect_all=True)
+    return res1.status == res2.status and fam1 == fam2

@@ -26,7 +26,6 @@ from cprank import (
     kaykobad_factor,
     make_certificate,
     nnq_factor,
-    nnq_invariance_check,
     random_orthogonal,
     rank2_factor,
     small_orthant_rotation,
@@ -43,7 +42,7 @@ from cprank.fixtures import (
     random_dn,
 )
 from cprank.pipeline import matrix_to_text
-from conftest import dn_rank2_instance, hull_extreme_indices
+from conftest import dn_rank2_instance, hull_extreme_indices, nnq_invariance_check
 from test_graphcond import random_diag_dominant
 
 ROUNDED_TOL = Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_residual=1e-4)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cprank import (
     InvalidInputError,
+    classify_dn,
     PreconditionError,
     Tolerances,
     decide_rank3_three_rays,
@@ -16,7 +19,7 @@ from cprank import (
     verify_certificate,
 )
 from cprank.cones import IN_CP_N3, NOT_APPLICABLE
-from cprank.fixtures import example_matrix, soules_cp
+from cprank.fixtures import GRAM_NONNEG, RANDOM_STYLES, ROTATED_NONNEG, example_matrix, random_dn, soules_cp
 from conftest import hull_extreme_indices
 
 ROUNDED_TOL = Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_residual=1e-4)
@@ -116,6 +119,29 @@ class TestExtremeRays:
             others = [k for k in range(4) if k != j]
             _, resid = nnls(B[:, j], B[:, others])
             assert resid >= 0.1 * np.linalg.norm(B[:, j])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(RANDOM_STYLES),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_ray_count_at_least_rank(self, style, r, extra, seed):
+        A = random_dn(r + extra, r, seed=seed, style=style)
+        assert extreme_rays(A).m >= classify_dn(A).rank
+
+    @pytest.mark.parametrize("style, n, seed", [
+        (ROTATED_NONNEG, 3, 1339038659),
+        (GRAM_NONNEG, 4, 2093711691),
+        (ROTATED_NONNEG, 4, 1770749157),
+    ])
+    def test_ill_conditioned_full_rank_keeps_every_ray(self, style, n, seed):
+        # Gram-column residuals scale with the eigenvalues, so deciding
+        # extremality there dropped a ray of each of these
+        A = random_dn(n, n, seed=seed, style=style)
+        assert classify_dn(A).rank == n
+        assert extreme_rays(A).m == n
 
     def test_duplicate_columns_collapse(self):
         V = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]])  # third = 2x first

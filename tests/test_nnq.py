@@ -2,19 +2,23 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cprank import (
+    AnalysisConfig,
     Tolerances,
     UnsupportedRankError,
+    analyze,
     find_nnq_witness,
     is_nnq_gram,
     nnq_factor,
-    nnq_invariance_check,
     sr_factor,
     verify_certificate,
 )
-from cprank.fixtures import example_factor, example_matrix
-from cprank.nnq import NONE, NONE_BUDGET
+from cprank.fixtures import EXAMPLE_IDS, RANDOM_STYLES, example_factor, example_matrix, random_dn
+from cprank.nnq import NONE
+from conftest import nnq_invariance_check, nnq_scan, nnq_scan_gram
 
 # the printed source matrix carries 4-decimal rounding, so its smallest
 # eigenvalues are only zero to about 1e-4 of the largest one
@@ -45,10 +49,6 @@ class TestFindWitness:
     def test_non_nnq_example(self):
         B = sr_factor(example_matrix("EX3_7"))
         assert find_nnq_witness(B).status == NONE
-
-    def test_budget_status_is_distinct(self):
-        B = sr_factor(example_matrix("EX3_7"))
-        assert find_nnq_witness(B, max_subsets=1).status == NONE_BUDGET
 
     def test_lexicographic_first_and_deterministic(self):
         B = np.hstack([np.eye(3), np.eye(3)])  # many qualifying bases
@@ -83,6 +83,51 @@ class TestIsNnqGram:
             assert gram_res.status == factor_res.status
             if gram_res.found:
                 assert gram_res.witness.indices == factor_res.witness.indices
+
+
+def assert_same_as_oracle(result, oracle):
+    assert result.status == oracle.status
+    if oracle.found:
+        assert result.witness.indices == oracle.witness.indices
+        assert result.witness.detval == oracle.witness.detval
+
+
+class TestRaysMatchScanOracle:
+    """Reading nnq off the extreme rays gives exactly what the exhaustive
+    C(n, r) subset scan gives: status, witness indices and determinant."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(RANDOM_STYLES),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_random_dn(self, style, r, extra, seed):
+        A = random_dn(r + extra, r, seed=seed, style=style)
+        assert_same_as_oracle(is_nnq_gram(A), nnq_scan_gram(A))
+        B = sr_factor(A).B
+        factor_oracle, _ = nnq_scan(B, B.shape[0], gram=False)
+        factor_route = find_nnq_witness(B)
+        assert factor_route.status == factor_oracle.status
+        if factor_oracle.found:
+            assert factor_route.witness.indices == factor_oracle.witness.indices
+
+    @pytest.mark.parametrize("fid", EXAMPLE_IDS)
+    def test_fixtures_and_cascade_step(self, fid):
+        cfg = AnalysisConfig(tol=ROUNDED_TOL) if fid == "EX3_9" else AnalysisConfig()
+        A = example_matrix(fid)
+        oracle = nnq_scan_gram(A, cfg.tol)
+        assert_same_as_oracle(is_nnq_gram(A, cfg.tol), oracle)
+        report = analyze(A, cfg)
+        step = next(s for s in report.steps if s.name == "nnq_search")
+        if report.rank > 4:
+            assert step.outcome == "UNSUPPORTED_RANK"
+        elif oracle.found:
+            assert step.details["indices"] == [i + 1 for i in oracle.witness.indices]
+            assert step.details["det"] == oracle.witness.detval
+        else:
+            assert step.outcome == NONE
 
 
 class TestPInvarianceQuantified:

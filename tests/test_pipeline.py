@@ -148,6 +148,35 @@ class TestAnalyzeVerdicts:
                     assert report.certificate.rows == report.rank
 
 
+class TestConeSteps:
+    def test_extreme_rays_computed_once(self, monkeypatch):
+        from cprank import cones
+
+        calls = []
+        original = cones.extreme_rays
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cones, "extreme_rays", counted)
+        for fid in EXAMPLE_IDS:
+            cfg = ROUNDED_CFG if fid == "EX3_9" else AnalysisConfig()
+            calls.clear()
+            report = analyze(example_matrix(fid), cfg)
+            assert len(calls) == (0 if report.verdict == NOT_DN else 1)
+
+    def test_nnq_has_no_subset_budget(self):
+        # C(80, 4) is about 1.58 million subsets; nnq is read off the rays
+        from cprank.fixtures import GRAM_NONNEG, random_dn
+
+        report = analyze(random_dn(80, 4, seed=2, style=GRAM_NONNEG))
+        nnq_step = step(report, "nnq_search")
+        m = step(report, "extreme_rays").details["m"]
+        assert nnq_step.outcome == ("CERTIFICATE(rows=4)" if m == 4 else "NONE")
+        assert nnq_step.elapsed < 1.0
+
+
 class TestReportRendering:
     def test_json_schema_key_order(self):
         report = analyze(example_matrix("EX2_7"))
