@@ -50,7 +50,6 @@ from .matcore import (
     comparison_matrix,
     psd_rank,
     sym_eigen,
-    unit_diagonal_scaling,
     zero_diagonal_indices,
 )
 from .nnq import (
@@ -70,7 +69,6 @@ from .pipeline import (
     write_report,
 )
 from .rotate import (
-    EConeQuery,
     RotationPlan,
     RowSumData,
     boundary_witness,

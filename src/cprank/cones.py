@@ -50,12 +50,12 @@ def nnls(
     generators: np.ndarray | Sequence[Sequence[float]],
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[np.ndarray, float]:
-    """Nonnegative least squares: minimize ``||target - G c||`` over ``c >= 0``.
+    """Nonnegative least squares: the ``c >= 0`` with least ``||target - G c||``.
 
     ``generators`` holds the generator vectors as columns (a sequence of
     vectors is stacked).  Solved with the classic active-set iteration;
     the problem is convex, so the first-order point it stops at is the
-    global minimizer.  The least-squares subproblems go through a
+    global optimum.  The least-squares subproblems go through a
     minimum-norm solver, which keeps heavily rank-deficient generator
     sets (the normal case for cone columns) stable.
     """
@@ -256,7 +256,6 @@ def few_rays_factor(
     tol: Tolerances = DEFAULT_TOL,
     seed: int = 0,
     restarts: int = 200,
-    maxiter: int = 2000,
 ) -> CpCertificate:
     """Completely positive factorization from at most four extreme rays.
 
@@ -291,11 +290,8 @@ def few_rays_factor(
         padded = np.vstack([Bs, np.zeros((d - Bs.shape[0], m))]) if d > Bs.shape[0] else Bs
         # row counts below m are opportunistic: cp-rank of the block may
         # exceed d, so cap the effort and fall through to the sure case
-        budget = restarts if d == m else min(restarts, 16)
-        iters = maxiter if d == m else min(maxiter, 400)
-        Q = orthant_rotation_search(
-            padded, restarts=budget, maxiter=iters, seed=seed, eps=tol.eps_nonneg
-        )
+        budget = restarts if d == m else min(restarts, 12)
+        Q = orthant_rotation_search(padded, restarts=budget, seed=seed, eps=tol.eps_nonneg)
         if Q is not None:
             C = (Q @ padded) @ report.W
             return make_certificate(S, C, "few_rays", tol)
@@ -325,7 +321,6 @@ def decide_rank3_three_rays(
     tol: Tolerances = DEFAULT_TOL,
     seed: int = 0,
     restarts: int = 200,
-    maxiter: int = 2000,
 ) -> Rank3RayDecision:
     """Membership in CP_{n,3} for DN matrices of rank 3 whose column cone
     has exactly three extreme rays.
@@ -342,7 +337,7 @@ def decide_rank3_three_rays(
     result = nnq_from_rays(S, report, 3, tol)
     if not result.found:
         return Rank3RayDecision(status=NOT_APPLICABLE, m=report.m)
-    cert = nnq_factor(S, result.witness, tol, seed=seed, restarts=restarts, maxiter=maxiter)
+    cert = nnq_factor(S, result.witness, tol, seed=seed, restarts=restarts)
     return Rank3RayDecision(
         status=IN_CP_N3, m=report.m, witness=result.witness, certificate=cert
     )

@@ -12,6 +12,7 @@ per off-diagonal entry plus one per strictly dominant row.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,13 +64,11 @@ class MatrixGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in e)
-
     def adjacency(self) -> np.ndarray:
         adj = np.zeros((self.n, self.n), dtype=int)
-        for i, j in self.edges:
-            adj[i, j] = adj[j, i] = 1
+        ij = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=int,
+                         count=2 * len(self.edges)).reshape(-1, 2)
+        adj[ij[:, 0], ij[:, 1]] = adj[ij[:, 1], ij[:, 0]] = 1
         return adj
 
 
@@ -77,15 +76,10 @@ def graph_of(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> MatrixGraph:
     """Zero-pattern graph with threshold ``eps_nonneg`` relative to the
     largest entry magnitude."""
     S = as_symmetric(A, tol)
-    a = S.a
-    scale = float(np.abs(a).max())
-    edges = set()
-    if scale > 0.0:
-        for i in range(S.n):
-            for j in range(i + 1, S.n):
-                if abs(a[i, j]) > tol.eps_nonneg * scale:
-                    edges.add((i, j))
-    return MatrixGraph(n=S.n, edges=frozenset(edges))
+    a = np.abs(S.a)
+    i, j = np.nonzero(np.triu(a > tol.eps_nonneg * float(a.max()), 1))
+    # Python ints, so that reports print plain numbers
+    return MatrixGraph(n=S.n, edges=frozenset(zip(i.tolist(), j.tolist())))
 
 
 @dataclass(frozen=True)
@@ -97,23 +91,21 @@ class GraphShape:
 
 
 def classify_graph(G: MatrixGraph) -> GraphShape:
-    """Standard predicates: one BFS for connectivity, degrees for the cycle
-    test, the cubed adjacency trace for triangles, edge count for trees."""
-    adj = G.adjacency()
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in np.flatnonzero(adj[i]):
-                if int(j) not in seen:
-                    seen.add(int(j))
-                    nxt.append(int(j))
-        frontier = nxt
-    connected = len(seen) == G.n
+    """Standard predicates: one breadth-first search for connectivity,
+    degrees for the cycle test, ``trace(adj^3)`` for triangles, edge count
+    for trees."""
+    adj = G.adjacency().astype(float)
+    seen = np.zeros(G.n, dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    connected = bool(seen.all())
     degrees = adj.sum(axis=1)
     is_cycle = connected and G.n >= 3 and bool(np.all(degrees == 2))
-    triangle_free = int(np.trace(adj @ adj @ adj)) == 0
+    # trace(adj^3) is the sum of (adj^2)_ij over the edges ij
+    triangle_free = float(((adj @ adj) * adj).sum()) == 0.0
     is_tree = connected and G.edge_count == G.n - 1
     return GraphShape(
         is_cycle=is_cycle,

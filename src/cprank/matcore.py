@@ -3,7 +3,7 @@
 Everything downstream works on symmetric matrices with a tolerance-driven
 notion of nonnegativity, positive semidefiniteness and rank.  This module
 owns those decisions: eigendecomposition, PSD/rank classification, the
-doubly-nonnegative (DN) verdict, diagonal scaling, and the comparison
+doubly-nonnegative (DN) verdict, zero-diagonal rows, and the comparison
 matrix ``2 diag(A) - A``.
 """
 
@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError
+from .errors import InvalidInputError
 
 __all__ = [
     "Tolerances",
@@ -28,7 +28,6 @@ __all__ = [
     "DnVerdict",
     "classify_dn",
     "comparison_matrix",
-    "unit_diagonal_scaling",
     "zero_diagonal_indices",
     "NOT_NONNEGATIVE",
     "NOT_PSD",
@@ -116,11 +115,6 @@ class SymmetricMatrix:
     @property
     def n(self) -> int:
         return self._a.shape[0]
-
-    @property
-    def symmetry_defect(self) -> float:
-        # exact by construction; kept for report plumbing
-        return 0.0
 
     def __repr__(self) -> str:
         return f"SymmetricMatrix(n={self.n})"
@@ -236,30 +230,6 @@ def comparison_matrix(
         )
     M = 2.0 * np.diag(np.diag(S.a)) - S.a
     return SymmetricMatrix(M, tol)
-
-
-def unit_diagonal_scaling(
-    A: MatrixLike, tol: Tolerances = DEFAULT_TOL
-) -> tuple[SymmetricMatrix, np.ndarray]:
-    """Congruence-scale to unit diagonal: ``D^{-1/2} A D^{-1/2}``.
-
-    Returns the scaled matrix and the original diagonal ``d``, so that the
-    input is recoverable as ``D^{1/2} Ascaled D^{1/2}``.  Every diagonal
-    entry must be strictly positive; rows with zero diagonal have to be
-    deflated by the caller first (see :func:`zero_diagonal_indices`).
-    """
-    S = as_symmetric(A, tol)
-    d = np.diag(S.a).copy()
-    if float(d.min()) <= 0.0:
-        raise PreconditionError(
-            f"unit diagonal scaling needs a strictly positive diagonal, min {d.min():.3e}"
-        )
-    inv_sqrt = 1.0 / np.sqrt(d)
-    scaled = inv_sqrt[:, None] * S.a * inv_sqrt[None, :]
-    # pin the diagonal to exact ones; roundoff otherwise leaves 1 +/- ulp
-    np.fill_diagonal(scaled, 1.0)
-    d.flags.writeable = False
-    return SymmetricMatrix(scaled, tol), d
 
 
 def zero_diagonal_indices(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -143,7 +143,6 @@ def nnq_factor(
     tol: Tolerances = DEFAULT_TOL,
     seed: int = 0,
     restarts: int = 200,
-    maxiter: int = 2000,
 ) -> CpCertificate:
     """Build a cp-rank-equals-rank certificate from an nnq witness.
 
@@ -175,7 +174,7 @@ def nnq_factor(
             "witness basis is numerically singular in the rank-r factor"
         )
     P = np.linalg.solve(B1, B)
-    Q = small_orthant_rotation(B1, budget=restarts, seed=seed, tol=tol, maxiter=maxiter)
+    Q = small_orthant_rotation(B1, budget=restarts, seed=seed, tol=tol)
     if Q is None:
         raise ComputationFailureError(
             "rotation search exhausted its budget on the basis block; "

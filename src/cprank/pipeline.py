@@ -23,6 +23,7 @@ from .matcore import (
     MatrixLike,
     SymmetricMatrix,
     Tolerances,
+    as_symmetric,
     classify_dn,
     psd_rank,
     zero_diagonal_indices,
@@ -61,7 +62,6 @@ class AnalysisConfig:
     tol: Tolerances = DEFAULT_TOL
     seed: int = 0
     restarts: int = 200
-    maxiter: int = 2000
     heuristic: bool = False
 
 
@@ -78,21 +78,12 @@ class AnalysisReport:
     order: int
     dn: str
     rank: int
-    symmetry_defect: float
     verdict: str
     steps: list[StepRecord]
     certificate: CpCertificate | None
     cp_rank_lower: int | None
     cp_rank_upper: int | None
     seed: int
-
-
-def _coerce(A: MatrixLike, tol: Tolerances) -> tuple[SymmetricMatrix, float]:
-    if isinstance(A, SymmetricMatrix):
-        return A, 0.0
-    raw = np.asarray(A, dtype=float)
-    defect = float(np.abs(raw - raw.T).max()) if raw.ndim == 2 and raw.shape[0] == raw.shape[1] else 0.0
-    return SymmetricMatrix(raw, tol), defect
 
 
 class _Cascade:
@@ -157,7 +148,7 @@ def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> Analysi
     Every step is logged even after the verdict is settled.
     """
     tol = config.tol
-    S, defect = _coerce(A, tol)
+    S = as_symmetric(A, tol)
     cas = _Cascade(S, config)
 
     t0 = time.perf_counter()
@@ -170,7 +161,7 @@ def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> Analysi
         cas.settle(NOT_DN)
         for name in ("factor_steps", "graph_steps"):
             cas.step(name, "SKIPPED", {"reason": "input is not doubly nonnegative"})
-        return _finish(cas, defect)
+        return _finish(cas)
 
     cas.lower = rank
     zero_rows = zero_diagonal_indices(S, tol)
@@ -188,10 +179,10 @@ def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> Analysi
     _graph_steps(cas)
     _heuristic_step(cas)
 
-    return _finish(cas, defect)
+    return _finish(cas)
 
 
-def _finish(cas: _Cascade, defect: float) -> AnalysisReport:
+def _finish(cas: _Cascade) -> AnalysisReport:
     if cas.terminal is not None:
         verdict = cas.terminal
     elif cas.upper is not None:
@@ -203,7 +194,6 @@ def _finish(cas: _Cascade, defect: float) -> AnalysisReport:
         order=cas.S.n,
         dn="DN" if dn_status.startswith("DN(") else dn_status,
         rank=cas.rank,
-        symmetry_defect=defect,
         verdict=verdict,
         steps=cas.steps,
         certificate=cas.certificate,
@@ -247,8 +237,7 @@ def _small_full_rotation_step(cas: _Cascade) -> None:
         return
     B = sr_factor(cas.core, cas.tol).B
     Q = rotate.small_orthant_rotation(
-        B, budget=cas.config.restarts, seed=cas.config.seed,
-        tol=cas.tol, maxiter=cas.config.maxiter,
+        B, budget=cas.config.restarts, seed=cas.config.seed, tol=cas.tol
     )
     if Q is None:
         cas.step("small_full_rotation", "BUDGET_EXHAUSTED", {}, t0)
@@ -293,8 +282,7 @@ def _nnq_step(cas: _Cascade, rays: cones.ConeReport) -> nnq.NnqSearchResult | No
     }
     try:
         cert = nnq.nnq_factor(
-            cas.core, witness, cas.tol,
-            seed=cas.config.seed, restarts=cas.config.restarts, maxiter=cas.config.maxiter,
+            cas.core, witness, cas.tol, seed=cas.config.seed, restarts=cas.config.restarts
         )
     except ComputationFailureError as exc:
         cas.step("nnq_search", "FACTOR_BUDGET_EXHAUSTED", {**details, "error": str(exc)}, t0)
@@ -329,8 +317,7 @@ def _cone_steps(cas: _Cascade) -> None:
     else:
         try:
             cert = cones.few_rays_factor(
-                cas.core, report, cas.tol,
-                seed=cas.config.seed, restarts=cas.config.restarts, maxiter=cas.config.maxiter,
+                cas.core, report, cas.tol, seed=cas.config.seed, restarts=cas.config.restarts
             )
         except ComputationFailureError as exc:
             cas.step("few_rays_factor", "BUDGET_EXHAUSTED", {"error": str(exc)}, t0)
@@ -401,10 +388,12 @@ def _heuristic_step(cas: _Cascade) -> None:
     if cas.terminal == CP_RANK_EQ_RANK:
         cas.step("heuristic_rotation", "SKIPPED", {"reason": "already certified"}, t0)
         return
+    if cas.terminal in (NOT_CP, NOT_IN_CP_N_R):
+        cas.step("heuristic_rotation", "SKIPPED", {"reason": "negative verdict settled"}, t0)
+        return
     B = sr_factor(cas.core, cas.tol).B
     Q = rotate.orthant_rotation_search(
-        B, restarts=cas.config.restarts, maxiter=cas.config.maxiter,
-        seed=cas.config.seed, eps=cas.tol.eps_nonneg,
+        B, restarts=cas.config.restarts, seed=cas.config.seed, eps=cas.tol.eps_nonneg
     )
     if Q is None:
         cas.step("heuristic_rotation", "NOT_FOUND", {}, t0)

@@ -3,19 +3,17 @@
 The geometric core of the package: membership in the circular cone around
 the all-ones direction, Householder alignment onto that direction, the
 row-sum sufficient condition with its constructive factorization, the
-rank-2 bisector construction, and a seeded multi-start search for an
-orthogonal matrix that makes a small vector family nonnegative.
+rank-2 bisector construction, and a seeded multi-start polar-projection
+search for an orthogonal matrix that makes a vector family nonnegative.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InvalidInputError, PreconditionError
 from .matcore import (
@@ -30,7 +28,6 @@ from .srfactor import CpCertificate, make_certificate, sr_factor
 
 __all__ = [
     "e_cone_threshold",
-    "EConeQuery",
     "in_e_cone",
     "boundary_witness",
     "RotationPlan",
@@ -63,32 +60,19 @@ def e_cone_threshold(r: int) -> float:
     return math.sqrt((r - 1) / r)
 
 
-@dataclass(frozen=True)
-class EConeQuery:
-    """A vector together with the cone data of its dimension."""
-
-    z: np.ndarray
-    r: int
-    threshold: float
-
-    @classmethod
-    def of(cls, z: Sequence[float] | np.ndarray) -> "EConeQuery":
-        z = np.asarray(z, dtype=float).reshape(-1)
-        r = z.shape[0]
-        return cls(z=z, r=r, threshold=e_cone_threshold(r))
-
-
-def in_e_cone(z: EConeQuery | Sequence[float] | np.ndarray) -> bool:
+def in_e_cone(z: Sequence[float] | np.ndarray) -> bool:
     """Whether ``<z, e> >= sqrt((r-1)/r) ||z|| ||e||`` holds (tiny slack).
 
     A ``True`` answer implies the vector is entrywise nonnegative.
     """
-    q = z if isinstance(z, EConeQuery) else EConeQuery.of(z)
-    norm = float(np.linalg.norm(q.z))
+    z = np.asarray(z, dtype=float).reshape(-1)
+    r = z.shape[0]
+    threshold = e_cone_threshold(r)
+    norm = float(np.linalg.norm(z))
     if norm == 0.0:
         raise InvalidInputError("the zero vector has no direction")
-    scale = norm * math.sqrt(q.r)
-    return bool(float(q.z.sum()) >= q.threshold * scale - 1e-14 * scale)
+    scale = norm * math.sqrt(r)
+    return bool(float(z.sum()) >= threshold * scale - 1e-14 * scale)
 
 
 def boundary_witness(r: int, c: float) -> np.ndarray:
@@ -249,19 +233,8 @@ def rank2_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> CpCertificate:
 # ---------------------------------------------------------------------------
 # orthant rotation search
 
-
-def _givens_pairs(k: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(k), 2))
-
-
-def _rotation_from_angles(theta: np.ndarray, pairs: list[tuple[int, int]], k: int) -> np.ndarray:
-    Q = np.eye(k)
-    for (i, j), t in zip(pairs, theta):
-        c, s = math.cos(t), math.sin(t)
-        row_i = c * Q[i] - s * Q[j]
-        row_j = s * Q[i] + c * Q[j]
-        Q[i], Q[j] = row_i, row_j
-    return Q
+# iteration cap of one polar-projection restart
+POLAR_ITERATIONS = 2000
 
 
 def _qr_rotation(B: np.ndarray) -> np.ndarray:
@@ -278,7 +251,6 @@ def _qr_rotation(B: np.ndarray) -> np.ndarray:
 def orthant_rotation_search(
     B: np.ndarray,
     restarts: int = 200,
-    maxiter: int = 2000,
     seed: int = 0,
     eps: float = 1e-11,
 ) -> np.ndarray | None:
@@ -286,10 +258,12 @@ def orthant_rotation_search(
 
     Deterministic given the seed.  Three cheap attempts run first: the
     identity, the QR rotation of ``B``, and the Householder alignment of
-    the column centroid.  After that, multi-start Nelder-Mead minimizes
-    the squared negativity of ``Q(theta) B`` over Givens angles; the
-    result of the lowest-numbered successful restart is returned, or
-    ``None`` once the restart budget is exhausted.
+    the column centroid.  After that, each restart (the first from the
+    identity, the others from a seeded Haar-random rotation) alternates
+    projections onto the orthant and onto the orthogonal group,
+    ``Q <- polar(max(Q B, 0) B^T)`` (Groetzner and Dür, 2020), for at
+    most ``POLAR_ITERATIONS`` steps; the first ``Q`` that passes is
+    returned, or ``None`` once the restart budget is exhausted.
 
     No existence claim is made here; callers restrict the input so that a
     solution is known to exist, or treat ``None`` as inconclusive.
@@ -323,36 +297,15 @@ def orthant_rotation_search(
         if float((Q @ Bn).min()) >= -threshold:
             return Q
 
-    pairs = _givens_pairs(d)
     rng = np.random.default_rng(seed)
-
-    def objective(theta: np.ndarray) -> float:
-        neg = np.minimum(_rotation_from_angles(theta, pairs, d) @ Bn, 0.0)
-        return float(np.sum(neg * neg))
-
     for restart in range(restarts):
-        x0 = np.zeros(len(pairs)) if restart == 0 else rng.uniform(-math.pi, math.pi, len(pairs))
-        found: dict[str, np.ndarray] = {}
-
-        def stop_when_solved(xk: np.ndarray) -> None:
-            if objective(xk) == 0.0:
-                found["x"] = xk
-                raise StopIteration
-
-        try:
-            result = minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                callback=stop_when_solved,
-                options={"maxiter": maxiter, "fatol": 1e-24, "xatol": 1e-14},
-            )
-            best = result.x
-        except StopIteration:
-            best = found["x"]
-        Q = _rotation_from_angles(best, pairs, d)
-        if float((Q @ Bn).min()) >= -threshold:
-            return Q
+        Q = np.eye(d) if restart == 0 else random_orthogonal(d, rng)
+        for _ in range(POLAR_ITERATIONS):
+            X = Q @ Bn
+            if float(X.min()) >= -threshold:
+                return Q
+            U, _, Vt = np.linalg.svd(np.maximum(X, 0.0) @ Bn.T)
+            Q = U @ Vt
     return None
 
 
@@ -361,7 +314,6 @@ def small_orthant_rotation(
     budget: int = 200,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
-    maxiter: int = 2000,
 ) -> np.ndarray | None:
     """Rotate ``k`` vectors in dimension ``k <= 4`` into the nonnegative orthant.
 
@@ -388,6 +340,4 @@ def small_orthant_rotation(
     pair_scale = np.maximum(np.outer(norms, norms), 1e-300)
     if float((gram / pair_scale).min()) < -tol.eps_nonneg:
         raise InvalidInputError("vectors have a negative pairwise inner product")
-    return orthant_rotation_search(
-        B, restarts=budget, maxiter=maxiter, seed=seed, eps=tol.eps_nonneg
-    )
+    return orthant_rotation_search(B, restarts=budget, seed=seed, eps=tol.eps_nonneg)

@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from cprank import DEFAULT_TOL, as_symmetric, psd_rank, random_orthogonal, sr_factor
+from cprank.graphcond import GraphShape, MatrixGraph
 from cprank.nnq import EPS_DET_FACTOR, FOUND, NONE, NnqSearchResult, NnqWitness
 
 
@@ -142,3 +143,49 @@ def nnq_invariance_check(A, tol=DEFAULT_TOL, seed=0):
     res1, fam1 = nnq_scan(B.B, B.r, gram=False, tol=tol, collect_all=True)
     res2, fam2 = nnq_scan(mixed, B.r, gram=False, tol=tol, collect_all=True)
     return res1.status == res2.status and fam1 == fam2
+
+
+def graph_of_loops(A, tol=DEFAULT_TOL):
+    """Zero-pattern graph oracle: one comparison per pair of indices."""
+    S = as_symmetric(A, tol)
+    a = S.a
+    scale = float(np.abs(a).max())
+    edges = set()
+    if scale > 0.0:
+        for i in range(S.n):
+            for j in range(i + 1, S.n):
+                if abs(a[i, j]) > tol.eps_nonneg * scale:
+                    edges.add((i, j))
+    return MatrixGraph(n=S.n, edges=frozenset(edges))
+
+
+def classify_graph_loops(G):
+    """Graph-shape oracle: a set-based breadth-first search, degrees
+    counted edge by edge, and a triangle search over vertex triples."""
+    neighbours = {i: set() for i in range(G.n)}
+    for i, j in G.edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in sorted(neighbours[i]):
+                if j not in seen:
+                    seen.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    connected = len(seen) == G.n
+    is_cycle = connected and G.n >= 3 and all(len(neighbours[i]) == 2 for i in range(G.n))
+    triangle_free = not any(
+        j in neighbours[i] and k in neighbours[i] and k in neighbours[j]
+        for i, j, k in itertools.combinations(range(G.n), 3)
+    )
+    is_tree = connected and len(G.edges) == G.n - 1
+    return GraphShape(
+        is_cycle=is_cycle,
+        is_triangle_free=triangle_free,
+        is_tree=is_tree,
+        is_connected=connected,
+    )

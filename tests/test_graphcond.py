@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cprank import (
     classify_graph,
@@ -8,8 +11,9 @@ from cprank import (
     triangle_free_criterion,
     verify_certificate,
 )
-from cprank.fixtures import example_matrix
-from cprank.graphcond import CP, FAILS, NOT_APPLICABLE, PASSES
+from cprank.fixtures import RANDOM_STYLES, example_matrix, random_dn
+from cprank.graphcond import CP, FAILS, NOT_APPLICABLE, PASSES, MatrixGraph
+from conftest import classify_graph_loops, graph_of_loops
 
 
 def random_diag_dominant(rng, n):
@@ -39,6 +43,70 @@ class TestGraphOf:
 
     def test_diagonal_has_no_edges(self):
         assert graph_of(np.diag([1.0, 2.0, 3.0])).edge_count == 0
+
+
+def pattern_edges(kind, n, rng):
+    """Edge set of a hand-made pattern on ``n`` vertices."""
+    if kind == "cycle":
+        return {tuple(sorted((i, (i + 1) % n))) for i in range(n)} if n >= 3 else set()
+    if kind == "tree":
+        return {(int(rng.integers(0, j)), j) for j in range(1, n)}
+    if kind == "bipartite":  # triangle-free
+        side = rng.random(n) < 0.5
+        return {(i, j) for i in range(n) for j in range(i + 1, n)
+                if side[i] != side[j] and rng.random() < 0.6}
+    if kind == "disconnected":  # two random blocks, no edge between them
+        cut = int(rng.integers(1, n)) if n >= 2 else n
+        return {(i, j) for i in range(n) for j in range(i + 1, n)
+                if (i < cut) == (j < cut) and rng.random() < 0.5}
+    return {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
+
+
+def pattern_matrix(n, edges, rng):
+    A = np.diag(rng.uniform(n, 2.0 * n, size=n))
+    for i, j in edges:
+        A[i, j] = A[j, i] = rng.uniform(0.1, 1.0)
+    return A
+
+
+class TestVectorisedGraphMatchesLoops:
+    """``graph_of`` and ``classify_graph`` against the loop oracles."""
+
+    @staticmethod
+    def check(A):
+        G = graph_of(A)
+        assert G == graph_of_loops(A)
+        assert all(type(i) is int and type(j) is int for i, j in G.edges)
+        assert classify_graph(G) == classify_graph_loops(G)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(RANDOM_STYLES), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_dn(self, style, n, r, seed):
+        self.check(random_dn(n, min(r, n), seed=seed, style=style))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(["cycle", "tree", "bipartite", "disconnected", "random"]),
+           st.integers(min_value=1, max_value=14), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_hand_made_patterns(self, kind, n, seed):
+        rng = np.random.default_rng(seed)
+        edges = pattern_edges(kind, n, rng)
+        self.check(pattern_matrix(n, edges, rng))
+        G = MatrixGraph(n=n, edges=frozenset(edges))
+        shape = classify_graph(G)
+        assert shape == classify_graph_loops(G)
+        if kind == "cycle" and n >= 3:
+            assert shape.is_cycle
+        if kind == "tree":
+            assert shape.is_tree
+        if kind == "bipartite":
+            assert shape.is_triangle_free
+        if kind == "disconnected" and n >= 2:
+            assert not shape.is_connected
+
+    @pytest.mark.parametrize("fid", ["EX1_2", "EX2_7", "EX2_8", "EX3_3", "EX3_7", "EX3_9"])
+    def test_fixtures(self, fid):
+        self.check(example_matrix(fid))
 
 
 class TestClassifyGraph:

@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 
 from cprank import (
     InvalidInputError,
-    PreconditionError,
     SymmetricMatrix,
     Tolerances,
     classify_dn,
     comparison_matrix,
     psd_rank,
     sym_eigen,
-    unit_diagonal_scaling,
     zero_diagonal_indices,
 )
 from cprank.fixtures import example_matrix
@@ -142,43 +140,7 @@ class TestComparisonMatrix:
         assert np.allclose(back.a, A, atol=1e-14)
 
 
-class TestUnitDiagonalScaling:
-    def test_identity(self):
-        scaled, d = unit_diagonal_scaling(np.eye(3))
-        assert np.array_equal(scaled.a, np.eye(3))
-        assert np.array_equal(d, np.ones(3))
-
-    def test_direct_formula(self):
-        scaled, d = unit_diagonal_scaling(np.array([[4.0, 2.0], [2.0, 9.0]]))
-        assert np.allclose(scaled.a, [[1.0, 1.0 / 3.0], [1.0 / 3.0, 1.0]])
-        assert np.array_equal(d, [4.0, 9.0])
-
-    def test_recoverable(self):
-        A = example_matrix("EX2_7").a
-        scaled, d = unit_diagonal_scaling(A)
-        back = np.sqrt(d)[:, None] * scaled.a * np.sqrt(d)[None, :]
-        assert np.allclose(back, A, rtol=0, atol=1e-12 * np.abs(A).max())
-
-    def test_preserves_dn_and_rank(self):
-        A = example_matrix("EX2_8")
-        scaled, _ = unit_diagonal_scaling(A)
-        before, after = classify_dn(A), classify_dn(scaled)
-        assert before.status == after.status and before.rank == after.rank == 3
-
-    def test_preserves_rank_and_pattern_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            n = int(rng.integers(2, 8))
-            G = rng.uniform(0.1, 1.0, size=(n, n))
-            A = G.T @ G + np.diag(rng.uniform(0.5, 2.0, size=n))
-            scaled, _ = unit_diagonal_scaling(A)
-            assert psd_rank(scaled).rank == psd_rank(A).rank
-            assert np.array_equal(np.abs(scaled.a) > 1e-14, np.abs(A) > 1e-14)
-
-    def test_zero_diagonal_rejected(self):
-        with pytest.raises(PreconditionError):
-            unit_diagonal_scaling(np.diag([1.0, 0.0]))
-
+class TestZeroDiagonalIndices:
     def test_zero_diagonal_indices(self):
         A = np.zeros((3, 3))
         A[0, 0] = 2.0

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -107,6 +108,25 @@ class TestAnalyzeVerdicts:
         assert report.verdict == CP_RANK_EQ_RANK
         assert report.certificate.rows == 5
         assert step(report, "heuristic_rotation").outcome == "CERTIFICATE(rows=5)"
+
+    @pytest.mark.parametrize("name", ["EX3_3", "five_cycle"])
+    def test_heuristic_skipped_after_negative_verdict(self, name):
+        # EX3_3: cp-rank 6 > rank 5 (triangle-free); the 5-cycle: NOT_CP
+        if name == "five_cycle":
+            ring = np.roll(np.eye(5), 1, axis=1)
+            A = 1.5 * np.eye(5) + 0.9 * (ring + ring.T)
+        else:
+            A = example_matrix(name)
+        base = analyze(A)
+        t0 = time.perf_counter()
+        report = analyze(A, AnalysisConfig(heuristic=True))
+        assert time.perf_counter() - t0 < 1.0
+        rotation = step(report, "heuristic_rotation")
+        assert rotation.outcome == "SKIPPED"
+        assert rotation.details == {"reason": "negative verdict settled"}
+        assert report.verdict == base.verdict in ("NOT_CP", NOT_IN_CP_N_R)
+        bounds = (report.cp_rank_lower, report.cp_rank_upper)
+        assert bounds == (base.cp_rank_lower, base.cp_rank_upper)
 
     def test_zero_diagonal_rows_deflated(self):
         A = np.zeros((4, 4))

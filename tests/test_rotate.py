@@ -12,6 +12,7 @@ from cprank import (
     e_cone_threshold,
     householder_align,
     in_e_cone,
+    orthant_rotation_search,
     random_orthogonal,
     rank2_factor,
     rowsum_condition,
@@ -244,6 +245,32 @@ class TestSmallOrthantRotation:
         Q1 = small_orthant_rotation(B, seed=5)
         Q2 = small_orthant_rotation(B, seed=5)
         assert np.array_equal(Q1, Q2)
+
+
+class TestOrthantRotationSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_planted_families(self, data):
+        # B = Q0^T N with N >= 0, so Q0 itself rotates B into the orthant
+        d = data.draw(st.integers(min_value=2, max_value=8), label="d")
+        m = data.draw(st.integers(min_value=d, max_value=3 * d), label="m")
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        N = rng.uniform(0.0, 1.0, size=(d, m))
+        B = random_orthogonal(d, rng).T @ N
+        eps = 1e-11
+        Q = orthant_rotation_search(B, seed=seed % 997, eps=eps)
+        assert Q is not None
+        assert np.linalg.norm(Q.T @ Q - np.eye(d)) <= 1e-12
+        assert (Q @ B).min() >= -eps
+        assert np.array_equal(Q, orthant_rotation_search(B, seed=seed % 997, eps=eps))
+
+    def test_more_than_a_quarter_turn_has_no_rotation(self):
+        # two plane vectors 100 degrees apart: their inner product is
+        # negative, so no orthogonal map puts both in the quadrant
+        t = math.radians(100.0)
+        B = np.array([[1.0, math.cos(t)], [0.0, math.sin(t)]])
+        assert orthant_rotation_search(B, restarts=3) is None
 
 
 class TestRandomOrthogonal:
