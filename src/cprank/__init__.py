@@ -86,7 +86,6 @@ from .srfactor import (
     CpCertificate,
     SrFactor,
     VerificationReport,
-    connecting_orthogonal,
     make_certificate,
     sr_factor,
     verify_certificate,

@@ -53,11 +53,10 @@ def nnls(
     """Nonnegative least squares: the ``c >= 0`` with least ``||target - G c||``.
 
     ``generators`` holds the generator vectors as columns (a sequence of
-    vectors is stacked).  Solved with the classic active-set iteration;
-    the problem is convex, so the first-order point it stops at is the
-    global optimum.  The least-squares subproblems go through a
-    minimum-norm solver, which keeps heavily rank-deficient generator
-    sets (the normal case for cone columns) stable.
+    vectors is stacked).  This is a one-problem call of the batched
+    Lawson-Hanson kernel that the cone analysis uses; the problem is
+    convex, so the point where its optimality conditions hold is the
+    global optimum.  The residual is measured on ``G`` itself.
     """
     b = np.asarray(target, dtype=float).reshape(-1)
     G = np.asarray(generators, dtype=float)
@@ -70,65 +69,87 @@ def nnls(
         raise InvalidInputError("need at least one generator")
     if G.shape[0] != b.shape[0]:
         raise InvalidInputError(f"generator length {G.shape[0]} does not match target {b.shape[0]}")
-    coeffs = _active_set_nnls(G, b)
+    coeffs = _batched_nnls(G.T @ G, (G.T @ b)[None, :], np.ones((1, G.shape[1]), dtype=bool))[0]
     return coeffs, float(np.linalg.norm(G @ coeffs - b))
 
 
-def _active_set_nnls(G: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Active-set iteration robust to dependent generator columns.
+def _batched_nnls(K: np.ndarray, C: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Lawson-Hanson active-set solve of ``q`` problems sharing ``K = G^T G``.
 
-    The textbook step (least squares on the passive set, then a feasible
-    step toward it) is preceded by an exact single-coordinate move on the
-    most violating variable, which always decreases the objective by a
-    positive amount; convergence to the global optimum then follows from
-    convexity even when the passive-set subproblems are rank-deficient.
-    The loop runs until the KKT conditions hold within tolerance.
+    Row ``i`` of the result is the ``x >= 0`` with least ``||G x - b_i||``
+    given ``C[i] = G^T b_i``, with ``x_j = 0`` wherever ``allowed[i, j]``
+    is false.  All live problems take each step together (Bro and De
+    Jong, J. Chemometrics 11, 1997): add the column of largest positive
+    gradient to the passive set, solve the normal equations on it, and
+    step back toward the feasible point while a passive coefficient is
+    not positive.  Each problem's passive system is gathered compactly,
+    so its size is that of the passive set; a batch whose blocks are
+    singular is solved by pseudo-inverse instead.
     """
-    m, n = G.shape
-    col2 = np.einsum("ij,ij->j", G, G)
-    usable = col2 > 0.0
-    x = np.zeros(n)
-    dual_tol = 1e-11 * max(1.0, float(np.abs(G.T @ b).max(initial=0.0)))
-    best_x = x.copy()
-    best_resid = float(np.linalg.norm(b))
-
-    for _ in range(40 * n + 200):
-        w = G.T @ (b - G @ x)
-        violation = np.where(usable & (x > 0.0), np.abs(w), np.maximum(w, 0.0))
-        violation[~usable] = 0.0
-        j = int(np.argmax(violation))
-        if violation[j] <= dual_tol:
+    q, k = C.shape
+    allowed = allowed & (np.diag(K) > 0.0)
+    dual_tol = 1e-11 * np.maximum(1.0, np.abs(np.where(allowed, C, 0.0)).max(axis=1, initial=0.0))
+    X = np.zeros((q, k))
+    P = np.zeros((q, k), dtype=bool)
+    rejected = np.zeros((q, k), dtype=bool)
+    live = np.arange(q)
+    for _ in range(3 * k + 30):
+        grad = C[live] - X[live] @ K
+        cand = allowed[live] & ~P[live] & ~rejected[live] & (grad > dual_tol[live, None])
+        has = cand.any(axis=1)
+        live = live[has]
+        if not live.size:
             break
-        # exact minimization along coordinate j: feasible and strictly
-        # decreasing, regardless of any degeneracy in the passive set
-        x[j] = max(0.0, x[j] + w[j] / col2[j])
+        j = np.argmax(np.where(cand[has], grad[has], -np.inf), axis=1)
+        P[live, j] = True
+        S = _passive_solve(K, C, P, live)
+        # a column whose own coefficient comes out nonpositive gained only
+        # roundoff; it leaves again and waits until x moves
+        enters = S[np.arange(live.size), j] > 0.0
+        P[live[~enters], j[~enters]] = False
+        rejected[live[~enters], j[~enters]] = True
+        rejected[live[enters]] = False
+        act, S = live[enters], S[enters]
+        while act.size:
+            Pa, Xa = P[act], X[act]
+            blocked = Pa & (S <= 0.0)
+            done = ~blocked.any(axis=1)
+            X[act[done]] = S[done]
+            act, S, Pa, Xa, blocked = act[~done], S[~done], Pa[~done], Xa[~done], blocked[~done]
+            if not act.size:
+                break
+            ratio = np.full(Xa.shape, np.inf)
+            ratio[blocked] = Xa[blocked] / (Xa[blocked] - S[blocked])
+            first = ratio.argmin(axis=1)
+            Xa += ratio[np.arange(act.size), first][:, None] * (S - Xa)
+            Xa[np.arange(act.size), first] = 0.0
+            Pa &= Xa > 0.0
+            X[act] = np.where(Pa, Xa, 0.0)
+            P[act] = Pa
+            S = _passive_solve(K, C, P, act)
+    return X
 
-        # polish: least squares on the support, stepping back to the
-        # feasible segment whenever a coordinate would cross zero
-        for _ in range(3 * n + 30):
-            idx = np.flatnonzero(x > 0.0)
-            if idx.size == 0:
-                break
-            z = np.zeros(n)
-            z[idx], *_ = np.linalg.lstsq(G[:, idx], b, rcond=None)
-            if z[idx].min() > 0.0:
-                x = z
-                break
-            blocking = idx[z[idx] <= 0.0]
-            denom = x[blocking] - z[blocking]
-            keep = denom > 1e-300
-            if not keep.any():
-                break
-            alpha = float((x[blocking][keep] / denom[keep]).min())
-            x = np.maximum(x + alpha * (z - x), 0.0)
-            x[blocking[x[blocking] <= 1e-14]] = 0.0
-        resid = float(np.linalg.norm(G @ x - b))
-        if resid < best_resid:
-            best_resid = resid
-            best_x = x.copy()
-    if float(np.linalg.norm(G @ x - b)) > best_resid:
-        x = best_x
-    return np.maximum(x, 0.0)
+
+def _passive_solve(K: np.ndarray, C: np.ndarray, P: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Normal-equation solutions on the passive sets ``P[rows]``, zero elsewhere.
+
+    Problems with passive sets of one size are gathered into one stack of
+    compact systems and solved together.
+    """
+    S = np.zeros((rows.size, K.shape[0]))
+    Pr = P[rows]
+    sizes = Pr.sum(axis=1)
+    for p in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
+        sel = np.flatnonzero(sizes == p)
+        idx = np.nonzero(Pr[sel])[1].reshape(sel.size, p)
+        Kp = K[idx[:, :, None], idx[:, None, :]]
+        cp = C[rows[sel, None], idx][:, :, None]
+        try:
+            s = np.linalg.solve(Kp, cp)
+        except np.linalg.LinAlgError:
+            s = np.linalg.pinv(Kp, hermitian=True) @ cp
+        S[sel[:, None], idx] = s[:, :, 0]
+    return S
 
 
 @dataclass(frozen=True)
@@ -155,57 +176,52 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], dict[int, i
     Zero columns are dropped, positive multiples of one ray are collapsed
     onto their smallest-index representative, and a representative is
     extreme when nonnegative least squares cannot reconstruct it from the
-    others.
+    others: one batched solve tests every representative, each against
+    all the others.
     """
     n = M.shape[1]
     norms = np.linalg.norm(M, axis=0)
     scale = max(1.0, float(norms.max()) if n else 1.0)
-    nonzero = [j for j in range(n) if norms[j] > tol.eps_nonneg * scale]
+    nonzero = np.flatnonzero(norms > tol.eps_nonneg * scale)
+    Mz = M[:, nonzero]
+    K = Mz.T @ Mz
+    cos = K / np.outer(norms[nonzero], norms[nonzero])
+    # close[a, b]: column b comes before column a and spans the same ray
+    close = np.tril(cos >= 1.0 - DUPLICATE_RAY_COS_GAP, -1)
+    rep_pos = np.arange(nonzero.size)
+    is_rep = np.ones(nonzero.size, dtype=bool)
+    for a in np.flatnonzero(close.any(axis=1)):
+        hits = np.flatnonzero(close[a] & is_rep)
+        if hits.size:
+            rep_pos[a], is_rep[a] = hits[0], False
+    rep_of = {int(j): int(nonzero[p]) for j, p in zip(nonzero, rep_pos)}
 
-    reps: list[int] = []
-    rep_of: dict[int, int] = {}
-    for j in nonzero:
-        for rep in reps:
-            cos = float(M[:, j] @ M[:, rep]) / (norms[j] * norms[rep])
-            if cos >= 1.0 - DUPLICATE_RAY_COS_GAP:
-                rep_of[j] = rep
-                break
-        else:
-            reps.append(j)
-            rep_of[j] = j
-
-    extreme: list[int] = []
-    for rep in reps:
-        others = [k for k in reps if k != rep]
-        if not others:
-            extreme.append(rep)
-            continue
-        _, resid = nnls(M[:, rep], M[:, others], tol)
-        if resid > EXTREME_RESIDUAL_FACTOR * norms[rep]:
-            extreme.append(rep)
-    return sorted(extreme), rep_of
+    reps = np.flatnonzero(is_rep)
+    Kr = K[np.ix_(reps, reps)]
+    X = _batched_nnls(Kr, Kr, ~np.eye(reps.size, dtype=bool))
+    resid = np.linalg.norm(Mz[:, reps] @ X.T - Mz[:, reps], axis=0)
+    extreme = nonzero[reps[resid > EXTREME_RESIDUAL_FACTOR * norms[nonzero[reps]]]]
+    return extreme.tolist(), rep_of
 
 
-def _cone_report(
-    M: np.ndarray, extreme: list[int], rep_of: dict[int, int], tol: Tolerances
-) -> ConeReport:
-    """Reconstruct every column of ``M`` from its ``extreme`` columns."""
+def _cone_report(M: np.ndarray, extreme: list[int], rep_of: dict[int, int]) -> ConeReport:
+    """Reconstruct every column of ``M`` from its ``extreme`` columns; the
+    columns off the extreme rays are fitted in one batched solve."""
     n = M.shape[1]
     m = len(extreme)
     W = np.zeros((m, n))
     pos = {rep: k for k, rep in enumerate(extreme)}
-    for j in range(n):
-        if j not in rep_of:
-            continue  # zero column reconstructs as zero
-        rep = rep_of[j]
-        if rep in pos:
-            if j == rep:
-                W[pos[rep], j] = 1.0
-            else:
-                W[pos[rep], j] = float(M[:, rep] @ M[:, j]) / float(M[:, rep] @ M[:, rep])
-        elif m:
-            coeffs, _ = nnls(M[:, j], M[:, extreme], tol)
-            W[:, j] = coeffs
+    fit: list[int] = []
+    for j, rep in rep_of.items():  # zero columns reconstruct as zero
+        if rep not in pos:
+            fit.append(j)
+        elif j == rep:
+            W[pos[rep], j] = 1.0
+        else:
+            W[pos[rep], j] = float(M[:, rep] @ M[:, j]) / float(M[:, rep] @ M[:, rep])
+    if m and fit:
+        E = M[:, extreme]
+        W[:, fit] = _batched_nnls(E.T @ E, M[:, fit].T @ E, np.ones((len(fit), m), dtype=bool)).T
 
     if m:
         recon = M[:, extreme] @ W
@@ -225,7 +241,7 @@ def extreme_columns(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
     representatives.
     """
     M = np.asarray(M, dtype=float)
-    return _cone_report(M, *_extreme_set(M, tol), tol)
+    return _cone_report(M, *_extreme_set(M, tol))
 
 
 def extreme_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
@@ -247,7 +263,7 @@ def extreme_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
     if verdict.rank == 0:
         return ConeReport(m=0, extreme_indices=(), W=np.zeros((0, S.n)), residual=0.0)
     B = sr_factor(S, tol)
-    return _cone_report(B.gram(), *_extreme_set(B.B, tol), tol)
+    return _cone_report(B.gram(), *_extreme_set(B.B, tol))
 
 
 def few_rays_factor(

@@ -235,6 +235,12 @@ def rank2_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> CpCertificate:
 
 # iteration cap of one polar-projection restart
 POLAR_ITERATIONS = 2000
+# a restart whose last POLAR_STALL_SPAN steps moved Q by at most
+# POLAR_STALL_STEP (Frobenius norm) has settled on an infeasible fixed
+# point and ends early; checking every step instead would add about a
+# tenth to the cost of a step
+POLAR_STALL_STEP = 1e-13
+POLAR_STALL_SPAN = 10
 
 
 def _qr_rotation(B: np.ndarray) -> np.ndarray:
@@ -262,8 +268,9 @@ def orthant_rotation_search(
     identity, the others from a seeded Haar-random rotation) alternates
     projections onto the orthant and onto the orthogonal group,
     ``Q <- polar(max(Q B, 0) B^T)`` (Groetzner and Dür, 2020), for at
-    most ``POLAR_ITERATIONS`` steps; the first ``Q`` that passes is
-    returned, or ``None`` once the restart budget is exhausted.
+    most ``POLAR_ITERATIONS`` steps, or until ``POLAR_STALL_SPAN`` steps
+    move ``Q`` by no more than ``POLAR_STALL_STEP``; the first ``Q`` that
+    passes is returned, or ``None`` once the restart budget is exhausted.
 
     No existence claim is made here; callers restrict the input so that a
     solution is known to exist, or treat ``None`` as inconclusive.
@@ -300,10 +307,14 @@ def orthant_rotation_search(
     rng = np.random.default_rng(seed)
     for restart in range(restarts):
         Q = np.eye(d) if restart == 0 else random_orthogonal(d, rng)
-        for _ in range(POLAR_ITERATIONS):
+        for step in range(POLAR_ITERATIONS):
             X = Q @ Bn
             if float(X.min()) >= -threshold:
                 return Q
+            if step % POLAR_STALL_SPAN == 0:
+                if step and float(np.linalg.norm(Q - anchor)) <= POLAR_STALL_STEP:
+                    break
+                anchor = Q
             U, _, Vt = np.linalg.svd(np.maximum(X, 0.0) @ Bn.T)
             Q = U @ Vt
     return None

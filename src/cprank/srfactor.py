@@ -17,7 +17,6 @@ from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, psd_rank
 __all__ = [
     "SrFactor",
     "sr_factor",
-    "connecting_orthogonal",
     "CpCertificate",
     "make_certificate",
     "VerificationReport",
@@ -74,40 +73,6 @@ def sr_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> SrFactor:
     w = np.maximum(eig.eigenvalues[:r], 0.0)
     V = eig.eigenvectors[:, :r]
     return SrFactor(B=np.sqrt(w)[:, None] * V.T)
-
-
-def connecting_orthogonal(
-    B: SrFactor | np.ndarray,
-    C: SrFactor | np.ndarray,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
-    """Orthogonal ``Q`` linking two rank factorizations of one matrix.
-
-    For full-row-rank factors with equal Gram matrices the construction
-    ``Q = (B B^T)^{-1} B C^T`` returns the orthogonal matrix satisfying
-    ``B = Q C``.  Note the orientation: ``Q`` maps the second factor onto
-    the first.
-
-    Raises
-    ------
-    InvalidInputError
-        If the shapes differ or the Gram matrices disagree beyond
-        ``eps_residual`` relative to their scale.
-    """
-    Bm = B.B if isinstance(B, SrFactor) else np.asarray(B, dtype=float)
-    Cm = C.B if isinstance(C, SrFactor) else np.asarray(C, dtype=float)
-    if Bm.shape != Cm.shape:
-        raise InvalidInputError(f"factor shapes differ: {Bm.shape} vs {Cm.shape}")
-    gram_b = Bm.T @ Bm
-    gram_c = Cm.T @ Cm
-    scale = max(float(np.linalg.norm(gram_b)), float(np.linalg.norm(gram_c)), 1e-300)
-    mismatch = float(np.linalg.norm(gram_b - gram_c))
-    if mismatch > tol.eps_residual * scale:
-        raise InvalidInputError(
-            f"factors have different Gram matrices: relative mismatch {mismatch / scale:.3e}"
-        )
-    BBt = Bm @ Bm.T
-    return np.linalg.solve(BBt, Bm @ Cm.T)
 
 
 @dataclass(frozen=True)

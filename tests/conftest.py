@@ -7,7 +7,16 @@ import math
 
 import numpy as np
 
-from cprank import DEFAULT_TOL, as_symmetric, psd_rank, random_orthogonal, sr_factor
+from cprank import (
+    DEFAULT_TOL,
+    InvalidInputError,
+    SrFactor,
+    as_symmetric,
+    psd_rank,
+    random_orthogonal,
+    sr_factor,
+)
+from cprank.cones import DUPLICATE_RAY_COS_GAP, EXTREME_RESIDUAL_FACTOR
 from cprank.graphcond import GraphShape, MatrixGraph
 from cprank.nnq import EPS_DET_FACTOR, FOUND, NONE, NnqSearchResult, NnqWitness
 
@@ -189,3 +198,117 @@ def classify_graph_loops(G):
         is_tree=is_tree,
         is_connected=connected,
     )
+
+
+def active_set_nnls(G, b):
+    """Per-problem NNLS oracle: an active-set iteration robust to dependent
+    generator columns.
+
+    The textbook step (least squares on the passive set, then a feasible
+    step toward it) is preceded by an exact single-coordinate move on the
+    most violating variable, which always decreases the objective by a
+    positive amount; convergence to the global optimum then follows from
+    convexity even when the passive-set subproblems are rank-deficient.
+    The loop runs until the KKT conditions hold within tolerance.
+    """
+    m, n = G.shape
+    col2 = np.einsum("ij,ij->j", G, G)
+    usable = col2 > 0.0
+    x = np.zeros(n)
+    dual_tol = 1e-11 * max(1.0, float(np.abs(G.T @ b).max(initial=0.0)))
+    best_x = x.copy()
+    best_resid = float(np.linalg.norm(b))
+
+    for _ in range(40 * n + 200):
+        w = G.T @ (b - G @ x)
+        violation = np.where(usable & (x > 0.0), np.abs(w), np.maximum(w, 0.0))
+        violation[~usable] = 0.0
+        j = int(np.argmax(violation))
+        if violation[j] <= dual_tol:
+            break
+        # exact minimization along coordinate j: feasible and strictly
+        # decreasing, regardless of any degeneracy in the passive set
+        x[j] = max(0.0, x[j] + w[j] / col2[j])
+
+        # polish: least squares on the support, stepping back to the
+        # feasible segment whenever a coordinate would cross zero
+        for _ in range(3 * n + 30):
+            idx = np.flatnonzero(x > 0.0)
+            if idx.size == 0:
+                break
+            z = np.zeros(n)
+            z[idx], *_ = np.linalg.lstsq(G[:, idx], b, rcond=None)
+            if z[idx].min() > 0.0:
+                x = z
+                break
+            blocking = idx[z[idx] <= 0.0]
+            denom = x[blocking] - z[blocking]
+            keep = denom > 1e-300
+            if not keep.any():
+                break
+            alpha = float((x[blocking][keep] / denom[keep]).min())
+            x = np.maximum(x + alpha * (z - x), 0.0)
+            x[blocking[x[blocking] <= 1e-14]] = 0.0
+        resid = float(np.linalg.norm(G @ x - b))
+        if resid < best_resid:
+            best_resid = resid
+            best_x = x.copy()
+    if float(np.linalg.norm(G @ x - b)) > best_resid:
+        x = best_x
+    return np.maximum(x, 0.0)
+
+
+def extreme_indices_oracle(A, tol=DEFAULT_TOL):
+    """Extreme columns of the rank factor of ``A``, one NNLS per column.
+
+    Zero columns are dropped and duplicate rays collapsed onto their first
+    column, as in the library; each representative is then tested on its
+    own with :func:`active_set_nnls` against all the others.
+    """
+    B = sr_factor(as_symmetric(A, tol), tol).B
+    n = B.shape[1]
+    norms = np.linalg.norm(B, axis=0)
+    scale = max(1.0, float(norms.max()) if n else 1.0)
+    reps = []
+    for j in range(n):
+        if norms[j] <= tol.eps_nonneg * scale:
+            continue
+        if all(
+            float(B[:, j] @ B[:, rep]) / (norms[j] * norms[rep]) < 1.0 - DUPLICATE_RAY_COS_GAP
+            for rep in reps
+        ):
+            reps.append(j)
+    extreme = []
+    for rep in reps:
+        others = [k for k in reps if k != rep]
+        if others:
+            x = active_set_nnls(B[:, others], B[:, rep])
+            if np.linalg.norm(B[:, others] @ x - B[:, rep]) <= EXTREME_RESIDUAL_FACTOR * norms[rep]:
+                continue
+        extreme.append(rep)
+    return extreme
+
+
+def connecting_orthogonal(B, C, tol=DEFAULT_TOL):
+    """Orthogonal ``Q`` linking two rank factorizations of one matrix.
+
+    For full-row-rank factors with equal Gram matrices the construction
+    ``Q = (B B^T)^{-1} B C^T`` returns the orthogonal matrix satisfying
+    ``B = Q C``.  Note the orientation: ``Q`` maps the second factor onto
+    the first.  Raises ``InvalidInputError`` if the shapes differ or the
+    Gram matrices disagree beyond ``eps_residual`` relative to their scale.
+    """
+    Bm = B.B if isinstance(B, SrFactor) else np.asarray(B, dtype=float)
+    Cm = C.B if isinstance(C, SrFactor) else np.asarray(C, dtype=float)
+    if Bm.shape != Cm.shape:
+        raise InvalidInputError(f"factor shapes differ: {Bm.shape} vs {Cm.shape}")
+    gram_b = Bm.T @ Bm
+    gram_c = Cm.T @ Cm
+    scale = max(float(np.linalg.norm(gram_b)), float(np.linalg.norm(gram_c)), 1e-300)
+    mismatch = float(np.linalg.norm(gram_b - gram_c))
+    if mismatch > tol.eps_residual * scale:
+        raise InvalidInputError(
+            f"factors have different Gram matrices: relative mismatch {mismatch / scale:.3e}"
+        )
+    BBt = Bm @ Bm.T
+    return np.linalg.solve(BBt, Bm @ Cm.T)

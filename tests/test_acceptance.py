@@ -15,7 +15,6 @@ from cprank import (
     analyze,
     boundary_witness,
     classify_dn,
-    connecting_orthogonal,
     e_cone_threshold,
     extreme_rays,
     find_nnq_witness,
@@ -42,7 +41,12 @@ from cprank.fixtures import (
     random_dn,
 )
 from cprank.pipeline import matrix_to_text
-from conftest import dn_rank2_instance, hull_extreme_indices, nnq_invariance_check
+from conftest import (
+    connecting_orthogonal,
+    dn_rank2_instance,
+    hull_extreme_indices,
+    nnq_invariance_check,
+)
 from test_graphcond import random_diag_dominant
 
 ROUNDED_TOL = Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_residual=1e-4)

@@ -18,9 +18,10 @@ from cprank import (
     sr_factor,
     verify_certificate,
 )
+from cprank import cones
 from cprank.cones import IN_CP_N3, NOT_APPLICABLE
 from cprank.fixtures import GRAM_NONNEG, RANDOM_STYLES, ROTATED_NONNEG, example_matrix, random_dn, soules_cp
-from conftest import hull_extreme_indices
+from conftest import active_set_nnls, extreme_indices_oracle, hull_extreme_indices
 
 ROUNDED_TOL = Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_residual=1e-4)
 
@@ -74,6 +75,36 @@ class TestNnls:
             coeffs, resid = nnls(b, G)
             assert coeffs.min() >= 0.0
             assert resid <= brute(G, b) + 1e-8
+
+    def test_singular_passive_blocks_fall_back_to_pseudo_inverse(self):
+        # passive sets holding two copies of one column make every block
+        # of the batch exactly singular; the solve must still return the
+        # least-squares coefficients instead of raising
+        G = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        K = G.T @ G
+        C = np.array([[2.0, 2.0, 0.0], [4.0, 4.0, 0.0]])
+        P = np.array([[True, True, False], [True, True, False]])
+        S = cones._passive_solve(K, C, P, np.arange(2))
+        assert np.all(np.isfinite(S))
+        assert np.allclose(S, [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
+
+    def test_batched_problems_match_the_per_problem_oracle(self):
+        # one kernel call over many targets, some with columns masked out,
+        # reaches for each problem the optimum the per-problem oracle finds
+        rng = np.random.default_rng(78)
+        for _ in range(60):
+            m, k, q = (int(v) for v in rng.integers(2, 8, size=3))
+            rk = int(rng.integers(1, m + 1))
+            G = rng.standard_normal((m, rk)) @ rng.standard_normal((rk, k))
+            b = rng.standard_normal((q, m))
+            allowed = rng.random((q, k)) < 0.7
+            X = cones._batched_nnls(G.T @ G, b @ G, allowed)
+            assert X.min() >= 0.0 and not X[~allowed].any()
+            for i in range(q):
+                cols = np.flatnonzero(allowed[i])
+                if cols.size:
+                    best = G[:, cols] @ active_set_nnls(G[:, cols], b[i]) - b[i]
+                    assert np.linalg.norm(G @ X[i] - b[i]) <= np.linalg.norm(best) + 1e-9
 
 
 class TestExtremeRays:
@@ -184,12 +215,42 @@ class TestExtremeRays:
     def test_matches_cross_section_hull_oracle(self):
         rng = np.random.default_rng(16)
         for _ in range(40):
-            n = int(rng.integers(4, 9))
+            n = int(rng.integers(4, 61))
             G = rng.uniform(0.05, 1.0, size=(3, n))
             A = G.T @ G
             report = extreme_rays(A)
             oracle = hull_extreme_indices(sr_factor(A).B)
             assert list(report.extreme_indices) == oracle
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(RANDOM_STYLES),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=34),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_matches_per_column_oracle(self, style, r, extra, seed):
+        A = random_dn(r + extra, r, seed=seed, style=style)
+        assert list(extreme_rays(A).extreme_indices) == extreme_indices_oracle(A)
+
+    @pytest.mark.parametrize("n", [12, 40, 100])
+    def test_one_batched_solve_per_question(self, monkeypatch, n):
+        # extremality of every column is one kernel call, and fitting the
+        # columns off the extreme rays is one more, whatever n is
+        calls = []
+
+        def count(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counted
+
+        kernel = getattr(cones, "_batched_nnls", None)
+        monkeypatch.setattr(cones, "_batched_nnls", count("kernel", kernel), raising=False)
+        monkeypatch.setattr(cones, "nnls", count("nnls", cones.nnls))
+        report = extreme_rays(random_dn(n, 3, seed=n, style=GRAM_NONNEG))
+        assert report.m < n  # some columns are fitted, not extreme
+        assert calls == ["kernel", "kernel"]
 
 
 class TestFewRaysFactor:

@@ -18,9 +18,11 @@ from cprank import (
     rowsum_condition,
     rowsum_factor,
     small_orthant_rotation,
+    sr_factor,
     verify_certificate,
 )
 from cprank.fixtures import example_matrix
+from cprank.rotate import POLAR_ITERATIONS
 from conftest import cone_sampled_vectors, dn_rank2_instance
 
 
@@ -271,6 +273,29 @@ class TestOrthantRotationSearch:
         t = math.radians(100.0)
         B = np.array([[1.0, math.cos(t)], [0.0, math.sin(t)]])
         assert orthant_rotation_search(B, restarts=3) is None
+
+    @pytest.mark.parametrize("name", ["quarter_turn_exceeded", "EX1_2"])
+    def test_stalled_restarts_end_early(self, monkeypatch, name):
+        # neither input has a rotation into the orthant: the plane pair is
+        # 100 degrees apart, and EX1_2 has cp-rank 4 above its rank 3, so
+        # every restart settles on an infeasible fixed point of the polar
+        # step and must end there instead of running all its steps
+        if name == "EX1_2":
+            B = sr_factor(example_matrix("EX1_2")).B
+        else:
+            t = math.radians(100.0)
+            B = np.array([[1.0, math.cos(t)], [0.0, math.sin(t)]])
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        restarts = 4
+        assert orthant_rotation_search(B, restarts=restarts) is None
+        assert 0 < len(calls) < restarts * POLAR_ITERATIONS // 2
 
 
 class TestRandomOrthogonal:

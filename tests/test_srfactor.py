@@ -5,13 +5,13 @@ from cprank import (
     InvalidInputError,
     PreconditionError,
     Tolerances,
-    connecting_orthogonal,
     make_certificate,
     random_orthogonal,
     sr_factor,
     verify_certificate,
 )
 from cprank.fixtures import example_factor, example_matrix
+from conftest import connecting_orthogonal
 
 
 class TestSrFactor:

@@ -1,0 +1,119 @@
+"""Compare the JSON reports of two source trees over the benchmark pools.
+
+Usage::
+
+    python3 tools/report_diff.py OLD_TREE NEW_TREE
+
+Each tree is a checkout of this repository (for example the parent
+commit unpacked with ``git archive`` next to the working tree).  For each
+tree a fresh interpreter imports that tree's ``bench/instances.py``,
+which puts the tree's own ``src`` first on the path, builds the seed-1
+pool of every workload, and runs ``analyze`` and then
+``write_report(..., "json")`` on each instance.  The two trees run side
+by side.
+
+Per workload the tool prints the number of instances, how many reports
+differ in meaning (order, rank, DN status, verdict, cp-rank bounds,
+certificate rows, and each step's name, outcome, ``m`` and
+``extreme_indices``), how many differ in their bytes at all, and the
+largest ``extreme_rays`` residual of each tree, and names the first few
+instances that differ.  It exits with status 1 when any report differs
+in meaning.  It reads ``bench/`` and writes nothing there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# differing instance ids listed per workload
+SHOWN = 3
+
+CHILD = """\
+import json, sys
+sys.path.insert(0, {bench!r})
+import instances
+import cprank
+with open({out!r}, "w") as out:
+    for name in instances.WORKLOADS:
+        for inst in instances.build(name, 1):
+            report = cprank.write_report(cprank.analyze(inst.matrix, inst.config), "json")
+            out.write(json.dumps([name, inst.id, report.decode()]) + "\\n")
+"""
+
+
+def meaning(report: str) -> tuple:
+    """The parts of a report that carry a decision."""
+    doc = json.loads(report)
+    steps = tuple(
+        (s["name"], s["outcome"], s["details"].get("m"), tuple(s["details"].get("extreme_indices") or ()))
+        for s in doc.get("steps", ())
+    )
+    cert = doc.get("certificate")
+    return (
+        doc.get("order"), doc.get("rank"), doc.get("dn"), doc.get("verdict"),
+        doc.get("cp_rank_lower"), doc.get("cp_rank_upper"),
+        cert["rows"] if cert else None, steps,
+    )
+
+
+def rays_residual(report: str) -> float:
+    for step in json.loads(report).get("steps", ()):
+        if step["name"] == "extreme_rays" and "residual" in step["details"]:
+            return float(step["details"]["residual"])
+    return 0.0
+
+
+def run_tree(tree: Path, out: Path) -> subprocess.Popen:
+    bench = tree / "bench"
+    if not (bench / "instances.py").is_file():
+        raise SystemExit(f"report_diff: no bench/instances.py under {tree}")
+    code = CHILD.format(bench=str(bench), out=str(out))
+    return subprocess.Popen([sys.executable, "-c", code])
+
+
+def load(path: Path) -> dict[tuple[str, str], str]:
+    with open(path) as f:
+        return {(name, iid): report for name, iid, report in map(json.loads, f)}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [Path(tmp) / "old.jsonl", Path(tmp) / "new.jsonl"]
+        procs = [run_tree(tree.resolve(), out) for tree, out in zip((args.old, args.new), outs)]
+        if any([p.wait() for p in procs]):
+            raise SystemExit("report_diff: a tree failed to analyse its pools")
+        old, new = load(outs[0]), load(outs[1])
+
+    if old.keys() != new.keys():
+        raise SystemExit("report_diff: the trees built different pools")
+    semantic_total = 0
+    for name in dict.fromkeys(key[0] for key in old):
+        keys = [key for key in old if key[0] == name]
+        semantic = [key[1] for key in keys if meaning(old[key]) != meaning(new[key])]
+        byte = [key[1] for key in keys if old[key] != new[key]]
+        rays_old = max(rays_residual(old[key]) for key in keys)
+        rays_new = max(rays_residual(new[key]) for key in keys)
+        semantic_total += len(semantic)
+        print(
+            f"{name}: {len(keys)} instances, {len(semantic)} semantic differences, "
+            f"{len(byte)} byte differences, max rays residual {rays_old:.2e} -> {rays_new:.2e}"
+        )
+        if semantic:
+            print("  semantic:", ", ".join(semantic[:SHOWN]))
+        if byte:
+            print("  bytes:", ", ".join(byte[:SHOWN]))
+    return 1 if semantic_total else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
