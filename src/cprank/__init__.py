@@ -9,7 +9,6 @@ from .cones import (
     extreme_columns,
     extreme_rays,
     few_rays_factor,
-    nnls,
 )
 from .errors import (
     ComputationFailureError,

@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-psd", type=float, default=None,
                         help="relative eigenvalue slack for the PSD decision")
     common.add_argument("--tol-nonneg", type=float, default=None,
-                        help="absolute slack for entrywise nonnegativity")
+                        help="entrywise nonnegativity slack, relative to the largest entry")
     common.add_argument("--tol-residual", type=float, default=None,
                         help="relative residual bound for certificates")
     common.add_argument("--heuristic", action="store_true",

@@ -12,19 +12,17 @@ in CP_{n,3}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import graphcond
-from .errors import ComputationFailureError, InvalidInputError, PreconditionError
-from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, classify_dn, psd_rank
+from .errors import ComputationFailureError, PreconditionError
+from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, classify_dn
 from .nnq import NnqWitness, nnq_factor, nnq_from_rays
 from .rotate import orthant_rotation_search
 from .srfactor import CpCertificate, make_certificate, sr_factor
 
 __all__ = [
-    "nnls",
     "ConeReport",
     "extreme_rays",
     "extreme_columns",
@@ -45,34 +43,6 @@ EXTREME_RESIDUAL_FACTOR = 1e-7
 DUPLICATE_RAY_COS_GAP = 1e-12
 
 
-def nnls(
-    target: Sequence[float] | np.ndarray,
-    generators: np.ndarray | Sequence[Sequence[float]],
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[np.ndarray, float]:
-    """Nonnegative least squares: the ``c >= 0`` with least ``||target - G c||``.
-
-    ``generators`` holds the generator vectors as columns (a sequence of
-    vectors is stacked).  This is a one-problem call of the batched
-    Lawson-Hanson kernel that the cone analysis uses; the problem is
-    convex, so the point where its optimality conditions hold is the
-    global optimum.  The residual is measured on ``G`` itself.
-    """
-    b = np.asarray(target, dtype=float).reshape(-1)
-    G = np.asarray(generators, dtype=float)
-    if G.ndim == 1:
-        G = G.reshape(-1, 1)
-    if G.size and G.shape[0] != b.shape[0] and G.shape[1] == b.shape[0]:
-        # sequence of row vectors: stack them as columns
-        G = G.T
-    if G.ndim != 2 or G.shape[1] == 0:
-        raise InvalidInputError("need at least one generator")
-    if G.shape[0] != b.shape[0]:
-        raise InvalidInputError(f"generator length {G.shape[0]} does not match target {b.shape[0]}")
-    coeffs = _batched_nnls(G.T @ G, (G.T @ b)[None, :], np.ones((1, G.shape[1]), dtype=bool))[0]
-    return coeffs, float(np.linalg.norm(G @ coeffs - b))
-
-
 def _batched_nnls(K: np.ndarray, C: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Lawson-Hanson active-set solve of ``q`` problems sharing ``K = G^T G``.
 
@@ -82,13 +52,14 @@ def _batched_nnls(K: np.ndarray, C: np.ndarray, allowed: np.ndarray) -> np.ndarr
     Jong, J. Chemometrics 11, 1997): add the column of largest positive
     gradient to the passive set, solve the normal equations on it, and
     step back toward the feasible point while a passive coefficient is
-    not positive.  Each problem's passive system is gathered compactly,
-    so its size is that of the passive set; a batch whose blocks are
-    singular is solved by pseudo-inverse instead.
+    not positive, until no gradient exceeds ``1e-11 * max|G^T b_i|``.
+    Each problem's passive system is gathered compactly, so its size is
+    that of the passive set; a batch whose blocks are singular is solved
+    by pseudo-inverse instead.
     """
     q, k = C.shape
     allowed = allowed & (np.diag(K) > 0.0)
-    dual_tol = 1e-11 * np.maximum(1.0, np.abs(np.where(allowed, C, 0.0)).max(axis=1, initial=0.0))
+    dual_tol = 1e-11 * np.abs(np.where(allowed, C, 0.0)).max(axis=1, initial=0.0)
     X = np.zeros((q, k))
     P = np.zeros((q, k), dtype=bool)
     rejected = np.zeros((q, k), dtype=bool)
@@ -179,10 +150,8 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], dict[int, i
     others: one batched solve tests every representative, each against
     all the others.
     """
-    n = M.shape[1]
     norms = np.linalg.norm(M, axis=0)
-    scale = max(1.0, float(norms.max()) if n else 1.0)
-    nonzero = np.flatnonzero(norms > tol.eps_nonneg * scale)
+    nonzero = np.flatnonzero(norms > tol.eps_nonneg * norms.max(initial=0.0))
     Mz = M[:, nonzero]
     K = Mz.T @ Mz
     cos = K / np.outer(norms[nonzero], norms[nonzero])
@@ -260,8 +229,6 @@ def extreme_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
     verdict = classify_dn(S, tol)
     if not verdict.is_dn:
         raise PreconditionError(f"cone analysis requires a DN matrix, got {verdict.status}")
-    if verdict.rank == 0:
-        return ConeReport(m=0, extreme_indices=(), W=np.zeros((0, S.n)), residual=0.0)
     B = sr_factor(S, tol)
     return _cone_report(B.gram(), *_extreme_set(B.B, tol))
 
@@ -287,13 +254,10 @@ def few_rays_factor(
         raise PreconditionError(f"factorization from extreme rays needs m <= 4, got {m}")
     if m == 0:
         return make_certificate(S, np.zeros((0, S.n)), "few_rays", tol)
-    B = sr_factor(S, tol)
-    gram = B.gram()
     ext = list(report.extreme_indices)
-    block = gram[np.ix_(ext, ext)]
-    block_rank = psd_rank(block, tol).rank
-    Bs = sr_factor(block, tol).B
-    d_lo = max(block_rank, 1)
+    block = as_symmetric(sr_factor(S, tol).gram()[np.ix_(ext, ext)], tol)
+    Bs = sr_factor(block, tol).B  # rank(block) rows
+    d_lo = max(Bs.shape[0], 1)
     # exact pattern-based cp-rank information on the block prunes row
     # counts that cannot work, e.g. a 4-cycle block pins the count to 4
     tri = graphcond.triangle_free_criterion(block, tol)
@@ -302,12 +266,13 @@ def few_rays_factor(
     cyc = graphcond.cycle_necessary(block, tol)
     if cyc.status == graphcond.PASSES:
         d_lo = max(d_lo, min(cyc.cprk_lower_bound, m))
+    eps = tol.eps_nonneg * np.sqrt(block.scale)  # the block's certificate floor
     for d in range(d_lo, m + 1):
         padded = np.vstack([Bs, np.zeros((d - Bs.shape[0], m))]) if d > Bs.shape[0] else Bs
         # row counts below m are opportunistic: cp-rank of the block may
         # exceed d, so cap the effort and fall through to the sure case
         budget = restarts if d == m else min(restarts, 12)
-        Q = orthant_rotation_search(padded, restarts=budget, seed=seed, eps=tol.eps_nonneg)
+        Q = orthant_rotation_search(padded, restarts=budget, seed=seed, eps=eps)
         if Q is not None:
             C = (Q @ padded) @ report.W
             return make_certificate(S, C, "few_rays", tol)

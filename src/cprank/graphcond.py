@@ -76,8 +76,7 @@ def graph_of(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> MatrixGraph:
     """Zero-pattern graph with threshold ``eps_nonneg`` relative to the
     largest entry magnitude."""
     S = as_symmetric(A, tol)
-    a = np.abs(S.a)
-    i, j = np.nonzero(np.triu(a > tol.eps_nonneg * float(a.max()), 1))
+    i, j = np.nonzero(np.triu(np.abs(S.a) > tol.eps_nonneg * S.scale, 1))
     # Python ints, so that reports print plain numbers
     return MatrixGraph(n=S.n, edges=frozenset(zip(i.tolist(), j.tolist())))
 
@@ -147,7 +146,7 @@ def cycle_necessary(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> CycleCheck:
         return CycleCheck(
             status=NOT_APPLICABLE, cprk_lower_bound=None, off_diag_sum=off, diag_sum=diag
         )
-    slack = 1e-12 * max(1.0, abs(off), abs(diag))
+    slack = 1e-12 * max(abs(off), abs(diag))
     if off > diag + slack:
         return CycleCheck(status=FAILS, cprk_lower_bound=None, off_diag_sum=off, diag_sum=diag)
     return CycleCheck(status=PASSES, cprk_lower_bound=S.n, off_diag_sum=off, diag_sum=diag)
@@ -197,20 +196,19 @@ def kaykobad_factor(
     """
     S = as_symmetric(A, tol)
     a = S.a
-    if float(a.min()) < -tol.eps_nonneg:
+    if float(a.min()) < -tol.eps_nonneg * S.scale:
         return None
     n = S.n
     off_sums = a.sum(axis=1) - np.diag(a)
     diag = np.diag(a)
-    slack = tol.eps_nonneg * np.maximum(1.0, np.maximum(diag, off_sums))
+    slack = tol.eps_nonneg * np.maximum(diag, off_sums)
     margins = diag - off_sums
     if np.any(margins < -slack):
         return None
-    scale = float(np.abs(a).max())
     rows: list[np.ndarray] = []
     for i in range(n):
         for j in range(i + 1, n):
-            if a[i, j] > tol.eps_nonneg * max(1.0, scale):
+            if a[i, j] > tol.eps_nonneg * S.scale:
                 row = np.zeros(n)
                 row[i] = row[j] = np.sqrt(a[i, j])
                 rows.append(row)

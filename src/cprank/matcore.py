@@ -43,19 +43,23 @@ DN = "DN"
 class Tolerances:
     """Numerical slack used by every decision in the package.
 
+    Every slack is relative to the scale of what it compares, so no
+    decision changes when the matrix is multiplied by a positive factor.
+
     Attributes
     ----------
     eps_sym : float
-        Relative asymmetry allowed on input matrices before they are
-        rejected instead of symmetrized.
+        Asymmetry allowed on input matrices, relative to their largest
+        entry magnitude, before they are rejected instead of symmetrized.
     eps_psd : float
-        Eigenvalue slack relative to ``max(1, |lambda_max|)`` when deciding
+        Eigenvalue slack relative to ``|lambda|_max`` when deciding
         positive semidefiniteness.
     eps_rank : float
         Eigenvalue threshold on the same scale used to count the rank.
     eps_nonneg : float
-        Absolute slack for entrywise-nonnegativity checks and certificate
-        clamping.
+        Slack for entrywise nonnegativity: matrix entries compare against
+        ``eps_nonneg * scale`` (``scale`` the largest entry magnitude),
+        factor and certificate entries against ``eps_nonneg * sqrt(scale)``.
     eps_residual : float
         Relative Frobenius residual allowed for factorization certificates.
     """
@@ -83,10 +87,11 @@ class SymmetricMatrix:
 
     Construction symmetrizes the input as ``(A + A^T) / 2`` provided the
     relative asymmetry does not exceed ``tol.eps_sym``; larger asymmetry is
-    rejected.  The stored array is read-only so values can be shared freely.
+    rejected.  The stored array is read-only so values can be shared freely,
+    and the eigendecomposition is computed once, on first use, and kept.
     """
 
-    __slots__ = ("_a",)
+    __slots__ = ("_a", "_scale", "_eig")
 
     def __init__(self, entries: MatrixLike, tol: Tolerances = DEFAULT_TOL):
         a = np.array(getattr(entries, "a", entries), dtype=float, copy=True)
@@ -96,21 +101,42 @@ class SymmetricMatrix:
             raise InvalidInputError("matrix order must be at least 1")
         if not np.all(np.isfinite(a)):
             raise InvalidInputError("matrix entries must be finite")
-        scale = float(np.abs(a).max())
         defect = float(np.abs(a - a.T).max())
-        if defect > tol.eps_sym * max(1.0, scale):
+        a = (a + a.T) / 2.0
+        scale = float(np.abs(a).max())
+        if defect > tol.eps_sym * scale:
             raise InvalidInputError(
                 f"matrix is not symmetric: asymmetry {defect:.3e} exceeds "
-                f"{tol.eps_sym:.1e} * {max(1.0, scale):.3e}"
+                f"{tol.eps_sym:.1e} * {scale:.3e}"
             )
-        a = (a + a.T) / 2.0
         a.flags.writeable = False
         object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_eig", None)
 
     @property
     def a(self) -> np.ndarray:
         """Read-only ndarray view of the entries."""
         return self._a
+
+    @property
+    def scale(self) -> float:
+        """Largest entry magnitude, the unit every entry tolerance is relative to."""
+        return self._scale
+
+    @property
+    def eigen(self) -> EigenDecomposition:
+        """The eigendecomposition (see :func:`sym_eigen`), computed on first use."""
+        if self._eig is None:
+            w, V = np.linalg.eigh(self._a)
+            order = np.argsort(w, kind="stable")[::-1]
+            w, V = w[order], V[:, order]
+            # flip each column so that its largest-magnitude entry is positive
+            V = np.where(V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] < 0.0, -V, V)
+            w.flags.writeable = False
+            V.flags.writeable = False
+            object.__setattr__(self, "_eig", EigenDecomposition(eigenvalues=w, eigenvectors=V))
+        return self._eig
 
     @property
     def n(self) -> int:
@@ -147,20 +173,10 @@ def sym_eigen(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> EigenDecompositio
 
     Eigenvalues are returned in non-increasing order.  Each eigenvector
     column is flipped so that its largest-magnitude entry is positive,
-    which makes the result deterministic for a fixed input.
+    which makes the result deterministic for a fixed input.  A
+    :class:`SymmetricMatrix` is decomposed once, on first use.
     """
-    S = as_symmetric(A, tol)
-    w, V = np.linalg.eigh(S.a)
-    order = np.argsort(w, kind="stable")[::-1]
-    w = w[order]
-    V = V[:, order]
-    for k in range(V.shape[1]):
-        j = int(np.argmax(np.abs(V[:, k])))
-        if V[j, k] < 0.0:
-            V[:, k] = -V[:, k]
-    w.flags.writeable = False
-    V.flags.writeable = False
-    return EigenDecomposition(eigenvalues=w, eigenvectors=V)
+    return as_symmetric(A, tol).eigen
 
 
 class PsdRank(NamedTuple):
@@ -172,12 +188,12 @@ def psd_rank(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> PsdRank:
     """Decide positive semidefiniteness and count the numerical rank.
 
     ``is_psd`` holds iff the smallest eigenvalue is at least
-    ``-eps_psd * max(1, |lambda_max|)``; the rank is the number of
-    eigenvalues whose magnitude exceeds ``eps_rank`` on the same scale.
+    ``-eps_psd * |lambda|_max``; the rank is the number of eigenvalues
+    whose magnitude exceeds ``eps_rank`` on the same scale, so a nonzero
+    matrix has rank at least 1.
     """
-    eig = sym_eigen(A, tol)
-    w = eig.eigenvalues
-    scale = max(1.0, float(np.abs(w).max()))
+    w = sym_eigen(A, tol).eigenvalues
+    scale = float(np.abs(w).max())
     is_psd = bool(w[-1] >= -tol.eps_psd * scale)
     rank = int(np.count_nonzero(np.abs(w) > tol.eps_rank * scale))
     return PsdRank(is_psd=is_psd, rank=rank)
@@ -202,11 +218,11 @@ class DnVerdict:
 def classify_dn(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> DnVerdict:
     """Classify a symmetric matrix as DN (with rank) or tell why it is not.
 
-    Nonnegativity is checked first with absolute slack ``eps_nonneg``, then
+    Nonnegativity is checked first with slack ``eps_nonneg * scale``, then
     positive semidefiniteness via :func:`psd_rank`.
     """
     S = as_symmetric(A, tol)
-    if float(S.a.min()) < -tol.eps_nonneg:
+    if float(S.a.min()) < -tol.eps_nonneg * S.scale:
         return DnVerdict(status=NOT_NONNEGATIVE)
     is_psd, rank = psd_rank(S, tol)
     if not is_psd:
@@ -220,11 +236,11 @@ def comparison_matrix(
     """Return ``2 diag(A) - A``: the diagonal is kept, off-diagonals are negated.
 
     With ``validate`` (the default) the input must be entrywise nonnegative
-    up to ``eps_nonneg``.  Passing ``validate=False`` allows applying the
-    map to matrices with negative off-diagonals, e.g. to invert it.
+    up to ``eps_nonneg * scale``.  ``validate=False`` applies the map to
+    matrices with negative off-diagonals, e.g. to invert it.
     """
     S = as_symmetric(A, tol)
-    if validate and float(S.a.min()) < -tol.eps_nonneg:
+    if validate and float(S.a.min()) < -tol.eps_nonneg * S.scale:
         raise InvalidInputError(
             f"comparison matrix requires a nonnegative input, min entry {S.a.min():.3e}"
         )
@@ -233,12 +249,10 @@ def comparison_matrix(
 
 
 def zero_diagonal_indices(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Indices of rows whose diagonal entry is numerically zero.
+    """Indices of rows whose diagonal entry is at most ``eps_nonneg * scale``.
 
     For a PSD matrix such rows are entirely zero, so factorizers can drop
     them and reinsert zero columns into certificates afterwards.
     """
     S = as_symmetric(A, tol)
-    d = np.diag(S.a)
-    scale = max(1.0, float(np.abs(S.a).max()))
-    return np.flatnonzero(np.abs(d) <= tol.eps_nonneg * scale)
+    return np.flatnonzero(np.abs(np.diag(S.a)) <= tol.eps_nonneg * S.scale)

@@ -19,9 +19,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ComputationFailureError, UnsupportedRankError
-from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, psd_rank, sym_eigen
+from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, psd_rank
 from .rotate import small_orthant_rotation
-from .srfactor import CpCertificate, SrFactor, make_certificate
+from .srfactor import CpCertificate, SrFactor, make_certificate, sr_factor
 
 if TYPE_CHECKING:
     from .cones import ConeReport
@@ -161,15 +161,13 @@ def nnq_factor(
         )
     if r == 0:
         return make_certificate(S, np.zeros((0, S.n)), "nnq", tol)
-    # rebuild the coordinate matrix from one rank-r spectral factor so that
-    # basis block, P and certificate are mutually consistent even when the
-    # input carries rank noise at the working tolerances
-    eig = sym_eigen(S, tol)
-    w = np.maximum(eig.eigenvalues[:r], 0.0)
-    B = np.sqrt(w)[:, None] * eig.eigenvectors[:, :r].T
+    # rebuild the coordinate matrix from the SR factor so that basis block,
+    # P and certificate are mutually consistent even when the input carries
+    # rank noise at the working tolerances
+    B = sr_factor(S, tol).B
     B1 = B[:, sigma]
     col_scale = float(np.prod(np.linalg.norm(B1, axis=0)))
-    if abs(float(np.linalg.det(B1))) <= EPS_DET_FACTOR * col_scale:
+    if B.shape[0] != r or abs(float(np.linalg.det(B1))) <= EPS_DET_FACTOR * col_scale:
         raise ComputationFailureError(
             "witness basis is numerically singular in the rank-r factor"
         )

@@ -208,12 +208,8 @@ def _trivial_rank_step(cas: _Cascade) -> None:
     if cas.rank > 1:
         cas.step("trivial_rank", "SKIPPED", {"reason": "rank above 1"}, t0)
         return
-    if cas.rank == 0:
-        cert = make_certificate(cas.core, np.zeros((0, cas.core.n)), "rank0", cas.tol)
-    else:
-        B = sr_factor(cas.core, cas.tol).B
-        cert = make_certificate(cas.core, B, "rank1", cas.tol)
-    cas.accept(cert, "trivial_rank", t0)
+    B = sr_factor(cas.core, cas.tol).B  # rank 0 gives no rows
+    cas.accept(make_certificate(cas.core, B, f"rank{cas.rank}", cas.tol), "trivial_rank", t0)
 
 
 def _rank2_step(cas: _Cascade) -> None:
@@ -392,8 +388,9 @@ def _heuristic_step(cas: _Cascade) -> None:
         cas.step("heuristic_rotation", "SKIPPED", {"reason": "negative verdict settled"}, t0)
         return
     B = sr_factor(cas.core, cas.tol).B
+    eps = cas.tol.eps_nonneg * np.sqrt(cas.core.scale)
     Q = rotate.orthant_rotation_search(
-        B, restarts=cas.config.restarts, seed=cas.config.seed, eps=cas.tol.eps_nonneg
+        B, restarts=cas.config.restarts, seed=cas.config.seed, eps=eps
     )
     if Q is None:
         cas.step("heuristic_rotation", "NOT_FOUND", {}, t0)

@@ -166,7 +166,7 @@ def rowsum_condition(
         return True, data
     lhs = r * R * R
     rhs = (r - 1) * diag * total
-    slack = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    slack = 1e-12 * np.maximum(np.abs(lhs), np.abs(rhs))
     return bool(np.all(lhs >= rhs - slack)), data
 
 
@@ -209,8 +209,7 @@ def rank2_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> CpCertificate:
         )
     B = sr_factor(S, tol).B
     norms = np.linalg.norm(B, axis=0)
-    scale = float(norms.max())
-    nonzero = norms > tol.eps_nonneg * max(1.0, scale)
+    nonzero = norms > tol.eps_nonneg * float(norms.max())
     theta = np.arctan2(B[1, nonzero], B[0, nonzero])
     order = np.sort(theta)
     # the fan may straddle the atan2 branch cut: cut at the largest angular gap
@@ -262,6 +261,9 @@ def orthant_rotation_search(
 ) -> np.ndarray | None:
     """Search for an orthogonal ``Q`` with ``Q B >= -eps`` entrywise.
 
+    The search runs on the unit columns of ``B`` with threshold
+    ``eps / max column norm``, so ``eps`` is in the units of ``B``;
+    callers pass the certificate floor ``eps_nonneg * sqrt(scale)``.
     Deterministic given the seed.  Three cheap attempts run first: the
     identity, the QR rotation of ``B``, and the Householder alignment of
     the column centroid.  After that, each restart (the first from the
@@ -278,13 +280,13 @@ def orthant_rotation_search(
     B = np.asarray(B, dtype=float)
     if B.ndim != 2:
         raise InvalidInputError(f"expected a 2-d array of column vectors, got shape {B.shape}")
-    d, m = B.shape
-    if d == 0 or m == 0:
-        return np.eye(d)
+    d = B.shape[0]
     norms = np.linalg.norm(B, axis=0)
+    if d == 0 or not norms.any():
+        return np.eye(d)
     unit = np.where(norms > 0.0, norms, 1.0)
     Bn = B / unit
-    threshold = eps / max(1.0, float(norms.max()))
+    threshold = eps / float(norms.max())
 
     if d == 1:
         if float(Bn.min()) >= -threshold:
@@ -351,4 +353,5 @@ def small_orthant_rotation(
     pair_scale = np.maximum(np.outer(norms, norms), 1e-300)
     if float((gram / pair_scale).min()) < -tol.eps_nonneg:
         raise InvalidInputError("vectors have a negative pairwise inner product")
-    return orthant_rotation_search(B, restarts=budget, seed=seed, eps=tol.eps_nonneg)
+    eps = tol.eps_nonneg * float(norms.max(initial=0.0))  # sqrt(scale) of B^T B
+    return orthant_rotation_search(B, restarts=budget, seed=seed, eps=eps)

@@ -67,8 +67,6 @@ def sr_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> SrFactor:
     is_psd, r = psd_rank(S, tol)
     if not is_psd:
         raise PreconditionError("SR factorization requires a positive semidefinite matrix")
-    if r == 0:
-        return SrFactor(B=np.zeros((0, S.n)))
     eig = sym_eigen(S, tol)
     w = np.maximum(eig.eigenvalues[:r], 0.0)
     V = eig.eigenvectors[:, :r]
@@ -79,9 +77,8 @@ def sr_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> SrFactor:
 class CpCertificate:
     """An entrywise-nonnegative factor ``C`` with ``C^T C = A``.
 
-    ``min_entry`` is the smallest entry before clamping; entries in
-    ``[-eps_nonneg, 0)`` are clamped to zero on construction and both the
-    pre- and post-clamp relative residuals are recorded.
+    ``min_entry`` is the smallest entry before :func:`make_certificate`
+    clamps; both the pre- and post-clamp relative residuals are recorded.
     """
 
     C: np.ndarray
@@ -119,14 +116,15 @@ def make_certificate(
     tol: Tolerances = DEFAULT_TOL,
 ) -> CpCertificate:
     """Package a raw factor as a certificate: record the minimum entry,
-    clamp small negatives to zero and re-measure the residual."""
+    clamp entries in ``[-eps_nonneg * sqrt(scale), 0)`` to zero (factor
+    entries scale as square roots of matrix entries) and re-measure."""
     S = as_symmetric(A, tol)
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[1] != S.n:
         raise InvalidInputError(f"factor shape {C.shape} does not match order {S.n}")
     min_entry = float(C.min()) if C.size else 0.0
     residual_preclamp = _relative_residual(S.a, C)
-    clamped = np.where((C < 0.0) & (C >= -tol.eps_nonneg), 0.0, C)
+    clamped = np.where((C < 0.0) & (C >= -tol.eps_nonneg * np.sqrt(S.scale)), 0.0, C)
     return CpCertificate(
         C=clamped,
         residual=_relative_residual(S.a, clamped),
@@ -149,9 +147,9 @@ def verify_certificate(
 ) -> VerificationReport:
     """Check a certificate against its matrix.
 
-    Passes iff the factor is entrywise nonnegative within ``eps_nonneg``,
-    the relative residual of ``C^T C - A`` is within ``eps_residual``, and
-    the row count is at least the numerical rank of ``A``.
+    Passes iff no entry is below ``-eps_nonneg * sqrt(scale)`` (the clamp
+    of :func:`make_certificate`), the relative residual of ``C^T C - A``
+    is within ``eps_residual``, and the row count is at least the rank.
     """
     S = as_symmetric(A, tol)
     C = cert.C
@@ -161,7 +159,7 @@ def verify_certificate(
     min_entry = float(C.min()) if C.size else 0.0
     rank = psd_rank(S, tol).rank
     passed = (
-        min_entry >= -tol.eps_nonneg
+        min_entry >= -tol.eps_nonneg * np.sqrt(S.scale)
         and residual <= tol.eps_residual
         and C.shape[0] >= rank
     )

@@ -16,6 +16,7 @@ from cprank import (
     random_orthogonal,
     sr_factor,
 )
+from cprank import cones
 from cprank.cones import DUPLICATE_RAY_COS_GAP, EXTREME_RESIDUAL_FACTOR
 from cprank.graphcond import GraphShape, MatrixGraph
 from cprank.nnq import EPS_DET_FACTOR, FOUND, NONE, NnqSearchResult, NnqWitness
@@ -200,6 +201,30 @@ def classify_graph_loops(G):
     )
 
 
+def nnls(target, generators, tol=DEFAULT_TOL):
+    """Nonnegative least squares: the ``c >= 0`` with least ``||target - G c||``.
+
+    ``generators`` holds the generator vectors as columns (a sequence of
+    vectors is stacked).  This is a one-problem call of the batched
+    Lawson-Hanson kernel that the cone analysis uses; the problem is
+    convex, so the point where its optimality conditions hold is the
+    global optimum.  The residual is measured on ``G`` itself.
+    """
+    b = np.asarray(target, dtype=float).reshape(-1)
+    G = np.asarray(generators, dtype=float)
+    if G.ndim == 1:
+        G = G.reshape(-1, 1)
+    if G.size and G.shape[0] != b.shape[0] and G.shape[1] == b.shape[0]:
+        # sequence of row vectors: stack them as columns
+        G = G.T
+    if G.ndim != 2 or G.shape[1] == 0:
+        raise InvalidInputError("need at least one generator")
+    if G.shape[0] != b.shape[0]:
+        raise InvalidInputError(f"generator length {G.shape[0]} does not match target {b.shape[0]}")
+    coeffs = cones._batched_nnls(G.T @ G, (G.T @ b)[None, :], np.ones((1, G.shape[1]), dtype=bool))[0]
+    return coeffs, float(np.linalg.norm(G @ coeffs - b))
+
+
 def active_set_nnls(G, b):
     """Per-problem NNLS oracle: an active-set iteration robust to dependent
     generator columns.
@@ -268,7 +293,7 @@ def extreme_indices_oracle(A, tol=DEFAULT_TOL):
     B = sr_factor(as_symmetric(A, tol), tol).B
     n = B.shape[1]
     norms = np.linalg.norm(B, axis=0)
-    scale = max(1.0, float(norms.max()) if n else 1.0)
+    scale = float(norms.max(initial=0.0))
     reps = []
     for j in range(n):
         if norms[j] <= tol.eps_nonneg * scale:

@@ -14,14 +14,13 @@ from cprank import (
     extreme_columns,
     extreme_rays,
     few_rays_factor,
-    nnls,
     sr_factor,
     verify_certificate,
 )
 from cprank import cones
 from cprank.cones import IN_CP_N3, NOT_APPLICABLE
 from cprank.fixtures import GRAM_NONNEG, RANDOM_STYLES, ROTATED_NONNEG, example_matrix, random_dn, soules_cp
-from conftest import active_set_nnls, extreme_indices_oracle, hull_extreme_indices
+from conftest import active_set_nnls, extreme_indices_oracle, hull_extreme_indices, nnls
 
 ROUNDED_TOL = Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_residual=1e-4)
 
@@ -247,7 +246,6 @@ class TestExtremeRays:
 
         kernel = getattr(cones, "_batched_nnls", None)
         monkeypatch.setattr(cones, "_batched_nnls", count("kernel", kernel), raising=False)
-        monkeypatch.setattr(cones, "nnls", count("nnls", cones.nnls))
         report = extreme_rays(random_dn(n, 3, seed=n, style=GRAM_NONNEG))
         assert report.m < n  # some columns are fitted, not extreme
         assert calls == ["kernel", "kernel"]

@@ -1,0 +1,98 @@
+"""Scale and permutation invariance, and self-consistency of reports.
+
+Every sufficient and necessary condition the cascade applies is
+homogeneous in the matrix, so what a report decides must not depend on
+the units of the matrix or on the order of its rows and columns.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cprank import AnalysisConfig, Tolerances, analyze, extreme_rays
+from cprank.fixtures import EXAMPLE_IDS, GRAM_NONNEG, RANDOM_STYLES, example_matrix, random_dn
+from cprank.pipeline import CP_RANK_EQ_RANK, NOT_DN, NOT_IN_CP_N_R
+
+LOOSE_TOL = Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_residual=1e-4)
+
+fixture_cases = st.builds(
+    lambda fid, tol: (np.array(example_matrix(fid).a), AnalysisConfig(tol=tol)),
+    st.sampled_from(EXAMPLE_IDS),
+    st.sampled_from([Tolerances(), LOOSE_TOL]),
+)
+
+
+@st.composite
+def random_cases(draw):
+    style = draw(st.sampled_from(RANDOM_STYLES))
+    r = draw(st.integers(min_value=1, max_value=6))
+    n = r + draw(st.integers(min_value=0, max_value=5))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    A = np.array(random_dn(n, r, seed=seed, style=style).a)
+    return A, AnalysisConfig(heuristic=r >= 5)
+
+
+# c = 10^k * u with k in [-12, 12] and u in [1, 10)
+scales = st.builds(
+    lambda k, u: 10.0**k * u,
+    st.integers(min_value=-12, max_value=12),
+    st.floats(min_value=1.0, max_value=10.0, exclude_max=True),
+)
+
+
+def decision(report):
+    """What a report decides: verdict, DN status, rank, bounds, certificate rows."""
+    rows = None if report.certificate is None else report.certificate.rows
+    return (report.verdict, report.dn, report.rank,
+            report.cp_rank_lower, report.cp_rank_upper, rows)
+
+
+def assert_consistent(report):
+    """The rules a report of a nonzero matrix keeps; a positive rank also
+    means that no negative verdict rests on rank 0."""
+    lower, upper = report.cp_rank_lower, report.cp_rank_upper
+    if lower is not None and upper is not None:
+        assert lower <= upper
+    if report.verdict == CP_RANK_EQ_RANK:
+        assert report.certificate.rows == report.rank
+    assert report.rank > 0 and upper != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(fixture_cases, random_cases()), scales, st.integers(min_value=0, max_value=2**31 - 1))
+def test_decision_invariant_under_scale_and_permutation(case, c, perm_seed):
+    A, config = case
+    perm = np.random.default_rng(perm_seed).permutation(A.shape[0])
+    base = analyze(A, config)
+    scaled = analyze(c * A, config)
+    permuted = analyze(A[np.ix_(perm, perm)], config)
+    for report in (base, scaled, permuted):
+        assert_consistent(report)
+    assert decision(scaled) == decision(base)
+    assert decision(permuted) == decision(base)
+
+
+@pytest.mark.parametrize("fid, c, rank", [("EX1_2", 1e-12, 3), ("EX3_3", 1e-12, 5)])
+def test_negative_fixture_keeps_its_rank_at_tiny_scale(fid, c, rank):
+    report = analyze(c * example_matrix(fid).a)
+    assert report.rank == rank
+    assert report.verdict == NOT_IN_CP_N_R
+
+
+def test_rounded_fixture_stays_not_dn_at_small_scale():
+    # EX3_9 is stored to four decimals, which default tolerances see
+    assert analyze(1e-6 * example_matrix("EX3_9").a).verdict == NOT_DN
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-8])
+def test_rays_residual_at_small_scale(c):
+    A = random_dn(12, 3, seed=4, style=GRAM_NONNEG).a
+    assert extreme_rays(c * A).residual <= 1e-12
+
+
+def test_tiny_nonzero_matrix_has_positive_rank():
+    report = analyze(np.diag([1e-20, 0.0]))
+    assert_consistent(report)
+    assert report.verdict == CP_RANK_EQ_RANK
+    assert (report.rank, report.cp_rank_lower, report.cp_rank_upper) == (1, 1, 1)

@@ -10,6 +10,7 @@ from cprank import (
     classify_dn,
     comparison_matrix,
     psd_rank,
+    sr_factor,
     sym_eigen,
     zero_diagonal_indices,
 )
@@ -21,6 +22,9 @@ class TestSymmetricMatrix:
     def test_symmetrizes_small_asymmetry(self):
         S = SymmetricMatrix([[1.0, 2.0 + 1e-12], [2.0, 3.0]])
         assert S.a[0, 1] == S.a[1, 0]
+
+    def test_scale_is_largest_entry_magnitude(self):
+        assert SymmetricMatrix([[1.0, -3.0], [-3.0, 2.0]]).scale == 3.0
 
     def test_rejects_large_asymmetry(self):
         with pytest.raises(InvalidInputError):
@@ -63,6 +67,18 @@ class TestSymEigen:
         e1, e2 = sym_eigen(A), sym_eigen(A)
         assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
         assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
+
+    def test_decomposed_once(self, monkeypatch):
+        S = SymmetricMatrix(example_matrix("EX2_7"))
+        calls = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or original(a))
+        eig = sym_eigen(S)
+        psd_rank(S)
+        classify_dn(S)
+        sr_factor(S)
+        assert sym_eigen(S) is eig
+        assert len(calls) == 1
 
     def test_invariants_random(self):
         rng = np.random.default_rng(42)

@@ -9,9 +9,10 @@ from cprank import (
     InvalidInputError,
     Tolerances,
     analyze,
+    extreme_rays,
     verify_certificate,
 )
-from cprank.fixtures import EXAMPLE_IDS, example_matrix
+from cprank.fixtures import EXAMPLE_IDS, GRAM_NONNEG, RANDOM_STYLES, example_matrix, random_dn
 from cprank.pipeline import (
     CP_RANK_EQ_RANK,
     NOT_DN,
@@ -195,6 +196,51 @@ class TestConeSteps:
         m = step(report, "extreme_rays").details["m"]
         assert nnq_step.outcome == ("CERTIFICATE(rows=4)" if m == 4 else "NONE")
         assert nnq_step.elapsed < 1.0
+
+
+class TestOneDecompositionPerMatrix:
+    @pytest.fixture
+    def eigh_inputs(self, monkeypatch):
+        """The arrays handed to ``np.linalg.eigh``, kept alive so that
+        their ids stay distinct."""
+        seen = []
+        original = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            seen.append(a)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return seen
+
+    def test_extreme_rays(self, eigh_inputs):
+        A = random_dn(12, 3, seed=4, style=GRAM_NONNEG).a
+        eigh_inputs.clear()
+        extreme_rays(A)
+        assert len(eigh_inputs) == 1
+
+    def test_heuristic_analysis(self, eigh_inputs):
+        A = random_dn(12, 5, seed=0, style=GRAM_NONNEG).a
+        eigh_inputs.clear()
+        analyze(A, AnalysisConfig(heuristic=True))
+        assert len(eigh_inputs) == 1
+
+    def test_at_most_once_per_derived_matrix(self, eigh_inputs):
+        # the input, the deflated core, the extreme block of the few-rays
+        # step, and the comparison matrices of input and block
+        cases = [(example_matrix(fid), cfg) for fid in EXAMPLE_IDS
+                 for cfg in (AnalysisConfig(), ROUNDED_CFG)]
+        for style in RANDOM_STYLES:
+            for n, r in ((4, 2), (6, 3), (8, 4), (8, 5)):
+                A = random_dn(n, r, seed=n, style=style).a
+                padded = np.zeros((n + 2, n + 2))
+                padded[1:-1, 1:-1] = A
+                cases += [(A, AnalysisConfig(heuristic=True)), (padded, AnalysisConfig())]
+        for A, cfg in cases:
+            eigh_inputs.clear()
+            analyze(A, cfg)
+            assert len({id(a) for a in eigh_inputs}) == len(eigh_inputs)
+            assert len(eigh_inputs) <= 5
 
 
 class TestReportRendering:
