@@ -1,6 +1,11 @@
 """Analysis of symmetric nonnegative matrices: double nonnegativity,
 complete positivity certificates with cp-rank equal to rank, and the
-graph and cone conditions that bound cp-rank when equality fails."""
+graph and cone conditions that bound cp-rank when equality fails.
+
+The package logs to the ``cprank`` logger, which has a ``NullHandler``:
+attach a handler at DEBUG level to trace the rotation searches."""
+
+import logging
 
 from .cones import (
     ConeReport,
@@ -89,5 +94,7 @@ from .srfactor import (
     sr_factor,
     verify_certificate,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"

@@ -3,12 +3,19 @@
 The geometric core of the package: membership in the circular cone around
 the all-ones direction, Householder alignment onto that direction, the
 row-sum sufficient condition with its constructive factorization, the
-rank-2 bisector construction, and a seeded multi-start polar-projection
-search for an orthogonal matrix that makes a vector family nonnegative.
+rank-2 bisector construction, and a seeded multi-start search for an
+orthogonal matrix that makes a vector family nonnegative.
+
+The search is Douglas-Rachford between the rotations of the family and
+the nonnegative orthant (Borwein and Sims, 2011; Elser, Rankenburg and
+Thibault, 2007): one SVD per step for the shadow ``polar(Y B^T)``, the
+reflect-project update ``Y <- Y + max(2X - Y, 0) - X``, and a restart
+ends once its best ``min(Q B)`` stops improving.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,6 +32,8 @@ from .matcore import (
     psd_rank,
 )
 from .srfactor import CpCertificate, make_certificate, sr_factor
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "e_cone_threshold",
@@ -232,14 +241,14 @@ def rank2_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> CpCertificate:
 # ---------------------------------------------------------------------------
 # orthant rotation search
 
-# iteration cap of one polar-projection restart
+# step cap of one Douglas-Rachford restart
 POLAR_ITERATIONS = 2000
-# a restart whose last POLAR_STALL_SPAN steps moved Q by at most
-# POLAR_STALL_STEP (Frobenius norm) has settled on an infeasible fixed
-# point and ends early; checking every step instead would add about a
-# tenth to the cost of a step
-POLAR_STALL_STEP = 1e-13
-POLAR_STALL_SPAN = 10
+# a restart ends once STALL_STEPS consecutive steps have not raised
+# min(Q B) above its best value so far by STALL_GAIN times that value's
+# magnitude: Douglas-Rachford never settles on an infeasible point, so
+# the stop watches the best infeasibility, not the step length
+STALL_GAIN = 1e-3
+STALL_STEPS = 100
 
 
 def _qr_rotation(B: np.ndarray) -> np.ndarray:
@@ -261,18 +270,27 @@ def orthant_rotation_search(
 ) -> np.ndarray | None:
     """Search for an orthogonal ``Q`` with ``Q B >= -eps`` entrywise.
 
-    The search runs on the unit columns of ``B`` with threshold
+    The search runs on the unit columns ``Bn`` of ``B`` with threshold
     ``eps / max column norm``, so ``eps`` is in the units of ``B``;
     callers pass the certificate floor ``eps_nonneg * sqrt(scale)``.
     Deterministic given the seed.  Three cheap attempts run first: the
     identity, the QR rotation of ``B``, and the Householder alignment of
-    the column centroid.  After that, each restart (the first from the
-    identity, the others from a seeded Haar-random rotation) alternates
-    projections onto the orthant and onto the orthogonal group,
-    ``Q <- polar(max(Q B, 0) B^T)`` (Groetzner and Dür, 2020), for at
-    most ``POLAR_ITERATIONS`` steps, or until ``POLAR_STALL_SPAN`` steps
-    move ``Q`` by no more than ``POLAR_STALL_STEP``; the first ``Q`` that
-    passes is returned, or ``None`` once the restart budget is exhausted.
+    the column centroid.  After that, each restart runs Douglas-Rachford
+    on ``Y = Q Bn`` between the orbit ``{Q Bn : Q orthogonal}`` and the
+    nonnegative orthant (Borwein and Sims, 2011; the iterated maps of
+    Elser, Rankenburg and Thibault, 2007), starting from ``Q`` the
+    identity on the first restart and a seeded Haar-random rotation on
+    the others.  A step takes the shadow ``Q = polar(Y Bn^T)`` with one
+    SVD, returns ``Q`` once ``X = Q Bn`` passes, and otherwise updates
+    ``Y <- Y + max(2X - Y, 0) - X``.  A restart ends after
+    ``POLAR_ITERATIONS`` steps, or once ``STALL_STEPS`` consecutive steps
+    have not raised ``min X`` above its best value so far (the start's
+    ``min Y`` included) by ``STALL_GAIN`` times that value's magnitude.  ``None`` means every restart ended
+    without a passing ``Q``.  Douglas-Rachford is used rather than the
+    alternating projections ``Q <- polar(max(Q Bn, 0) Bn^T)`` of Groetzner
+    and Dür (2020) because those settle on infeasible fixed points.  Each
+    call logs one DEBUG line (outcome, restarts used, steps) to the
+    ``cprank.rotate`` logger.
 
     No existence claim is made here; callers restrict the input so that a
     solution is known to exist, or treat ``None`` as inconclusive.
@@ -283,43 +301,57 @@ def orthant_rotation_search(
     d = B.shape[0]
     norms = np.linalg.norm(B, axis=0)
     if d == 0 or not norms.any():
-        return np.eye(d)
+        return _searched(np.eye(d), "identity", 0, 0)
     unit = np.where(norms > 0.0, norms, 1.0)
     Bn = B / unit
     threshold = eps / float(norms.max())
 
     if d == 1:
         if float(Bn.min()) >= -threshold:
-            return np.eye(1)
+            return _searched(np.eye(1), "identity", 0, 0)
         if float(Bn.max()) <= threshold:
-            return -np.eye(1)
-        return None
+            return _searched(-np.eye(1), "reflection", 0, 0)
+        return _searched(None, "none", 0, 0)
 
     if float(Bn.min()) >= -threshold:
-        return np.eye(d)
+        return _searched(np.eye(d), "identity", 0, 0)
     Q = _qr_rotation(Bn)
     if float((Q @ Bn).min()) >= -threshold:
-        return Q
+        return _searched(Q, "qr", 0, 0)
     centroid = Bn[:, norms > 0.0].sum(axis=1)
     if float(np.linalg.norm(centroid)) > 0.0:
         Q = householder_align(centroid).Q
         if float((Q @ Bn).min()) >= -threshold:
-            return Q
+            return _searched(Q, "householder", 0, 0)
 
     rng = np.random.default_rng(seed)
+    steps = 0
     for restart in range(restarts):
-        Q = np.eye(d) if restart == 0 else random_orthogonal(d, rng)
-        for step in range(POLAR_ITERATIONS):
-            X = Q @ Bn
-            if float(X.min()) >= -threshold:
-                return Q
-            if step % POLAR_STALL_SPAN == 0:
-                if step and float(np.linalg.norm(Q - anchor)) <= POLAR_STALL_STEP:
-                    break
-                anchor = Q
-            U, _, Vt = np.linalg.svd(np.maximum(X, 0.0) @ Bn.T)
+        Y = Bn if restart == 0 else random_orthogonal(d, rng) @ Bn
+        best, stalled = float(Y.min()), 0
+        for _ in range(POLAR_ITERATIONS):
+            steps += 1
+            U, _, Vt = np.linalg.svd(Y @ Bn.T)
             Q = U @ Vt
-    return None
+            X = Q @ Bn
+            low = float(X.min())
+            if low >= -threshold:
+                return _searched(Q, "douglas_rachford", restart + 1, steps)
+            if low > best + STALL_GAIN * abs(best):
+                best, stalled = low, 0
+            else:
+                stalled += 1
+                if stalled >= STALL_STEPS:
+                    break
+            Y = Y + np.maximum(2.0 * X - Y, 0.0) - X
+    return _searched(None, "none", restarts, steps)
+
+
+def _searched(Q: np.ndarray | None, outcome: str, restarts: int, steps: int) -> np.ndarray | None:
+    _log.debug(
+        "orthant_rotation_search: outcome=%s restarts=%d steps=%d", outcome, restarts, steps
+    )
+    return Q
 
 
 def small_orthant_rotation(
@@ -351,7 +383,7 @@ def small_orthant_rotation(
     gram = B.T @ B
     norms = np.sqrt(np.maximum(np.diag(gram), 0.0))
     pair_scale = np.maximum(np.outer(norms, norms), 1e-300)
-    if float((gram / pair_scale).min()) < -tol.eps_nonneg:
+    if float((gram / pair_scale).min(initial=0.0)) < -tol.eps_nonneg:
         raise InvalidInputError("vectors have a negative pairwise inner product")
     eps = tol.eps_nonneg * float(norms.max(initial=0.0))  # sqrt(scale) of B^T B
     return orthant_rotation_search(B, restarts=budget, seed=seed, eps=eps)

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -24,6 +25,19 @@ from cprank import (
 from cprank.fixtures import example_matrix
 from cprank.rotate import POLAR_ITERATIONS
 from conftest import cone_sampled_vectors, dn_rank2_instance
+
+
+# the textbook doubly nonnegative 5-cycle matrix that is not completely
+# positive
+FIVE_CYCLE = np.array(
+    [
+        [1.0, 1.0, 0.0, 0.0, 1.0],
+        [1.0, 2.0, 1.0, 0.0, 0.0],
+        [0.0, 1.0, 2.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0, 2.0, 1.0],
+        [1.0, 0.0, 0.0, 1.0, 6.0],
+    ]
+)
 
 
 def sample_in_cone(rng, r, count):
@@ -248,6 +262,11 @@ class TestSmallOrthantRotation:
         Q2 = small_orthant_rotation(B, seed=5)
         assert np.array_equal(Q1, Q2)
 
+    def test_empty_input_returns_the_empty_rotation(self):
+        Q = small_orthant_rotation(np.zeros((0, 0)))
+        assert Q is not None
+        assert Q.shape == (0, 0)
+
 
 class TestOrthantRotationSearch:
     @settings(max_examples=40, deadline=None)
@@ -266,6 +285,24 @@ class TestOrthantRotationSearch:
         assert np.linalg.norm(Q.T @ Q - np.eye(d)) <= 1e-12
         assert (Q @ B).min() >= -eps
         assert np.array_equal(Q, orthant_rotation_search(B, seed=seed % 997, eps=eps))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_planted_cubed_uniform_families(self, data):
+        # N = U^3 entrywise piles mass near the orthant's faces, where
+        # alternating projections stall on infeasible fixed points within
+        # 20 restarts and Douglas-Rachford does not
+        d = data.draw(st.integers(min_value=5, max_value=8), label="d")
+        m = data.draw(st.integers(min_value=d, max_value=3 * d), label="m")
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        N = rng.uniform(0.0, 1.0, size=(d, m)) ** 3
+        B = random_orthogonal(d, rng).T @ N
+        eps = 1e-11
+        Q = orthant_rotation_search(B, restarts=20, seed=seed % 997, eps=eps)
+        assert Q is not None
+        assert np.linalg.norm(Q.T @ Q - np.eye(d)) <= 1e-12
+        assert (Q @ B).min() >= -eps
 
     def test_more_than_a_quarter_turn_has_no_rotation(self):
         # two plane vectors 100 degrees apart: their inner product is
@@ -296,6 +333,44 @@ class TestOrthantRotationSearch:
         restarts = 4
         assert orthant_rotation_search(B, restarts=restarts) is None
         assert 0 < len(calls) < restarts * POLAR_ITERATIONS // 2
+
+    @pytest.mark.parametrize("name", ["EX1_2", "five_cycle_plus_1e-3_J"])
+    def test_failing_path_cost(self, monkeypatch, name):
+        # neither matrix is in CP_{n,r}: EX1_2 has cp-rank 4 above its
+        # rank 3, and the DN 5-cycle matrix A0 + 1e-3 J is not CP at all,
+        # so every restart fails and must stop well before its step cap
+        if name == "EX1_2":
+            A = example_matrix("EX1_2")
+        else:
+            A = FIVE_CYCLE + 1e-3 * np.ones((5, 5))
+        B = sr_factor(A).B
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        restarts = 12
+        assert orthant_rotation_search(B, restarts=restarts) is None
+        assert 0 < len(calls) < restarts * POLAR_ITERATIONS // 8
+
+    def test_one_debug_line_per_call(self, caplog):
+        t = math.radians(100.0)
+        plane_pair = np.array([[1.0, math.cos(t)], [0.0, math.sin(t)]])
+        with caplog.at_level(logging.DEBUG, logger="cprank"):
+            assert orthant_rotation_search(np.eye(3)) is not None
+            assert orthant_rotation_search(plane_pair, restarts=2) is None
+        lines = [r.getMessage() for r in caplog.records if r.name.startswith("cprank")]
+        assert len(lines) == 2
+        assert "outcome=identity restarts=0 steps=0" in lines[0]
+        assert "outcome=none restarts=2 steps=" in lines[1]
+        assert int(lines[1].rsplit("=", 1)[1]) > 0
+
+    def test_library_logger_has_a_null_handler(self):
+        handlers = logging.getLogger("cprank").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
 
 class TestRandomOrthogonal:
