@@ -5,12 +5,13 @@ most a quarter turn, so rotating their bisector onto the diagonal of the
 first quadrant certifies every DN matrix of rank 2.  Full rank up to 4:
 a seeded rotation search (with QR and centroid fast paths) finds an
 orthogonal matrix making the factor nonnegative; a solution always
-exists at these sizes.
+exists at these sizes.  The analysis runs this search once per cone, on
+its at most 4 extreme rays, which at full rank are all the columns.
 """
 
 import numpy as np
 
-from cprank import rank2_factor, small_orthant_rotation, sr_factor, verify_certificate
+from cprank import orthant_rotation_search, rank2_factor, sr_factor, verify_certificate
 from cprank.fixtures import GRAM_NONNEG, random_dn
 
 A = random_dn(8, 2, seed=4, style=GRAM_NONNEG)
@@ -22,7 +23,7 @@ print(f"rank-2 instance (order 8): certificate rows = {cert.rows}, "
 M = np.array([[1.0, 0.1, 0.1], [0.1, 1.0, 0.0], [0.1, 0.0, 1.0]])
 B = np.linalg.cholesky(M).T
 print(f"\nraw Cholesky factor min entry: {B.min():.4f}  (negative)")
-Q = small_orthant_rotation(B, seed=0)
+Q = orthant_rotation_search(B, seed=0)
 rotated = Q @ B
 print(f"after rotation: min entry {rotated.min():.2e}, "
       f"orthogonality defect {np.abs(Q.T @ Q - np.eye(3)).max():.1e}")
@@ -32,6 +33,6 @@ fails = 0
 for seed in range(200):
     A = random_dn(4, 4, seed=seed, style=GRAM_NONNEG)
     B = sr_factor(A).B
-    if small_orthant_rotation(B, seed=seed) is None:
+    if orthant_rotation_search(B, seed=seed) is None:
         fails += 1
 print(f"\n200 random full-rank 4x4 instances: {fails} rotation failures")

@@ -5,8 +5,9 @@ column subset B1 gives B1^{-1} B >= 0.  The property belongs to the
 matrix, not the factor, and can be read off Gram data directly.  It holds
 exactly when the column cone has exactly rank many extreme rays, which
 then form the basis, so detection reads the extreme-ray report instead of
-trying column subsets.  For rank at most 4 a witness turns into a
-certificate with rank many rows.
+trying column subsets.  For rank at most 4 the few-rays factorization
+of those same rays turns a witness into a certificate with rank many
+rows.
 The 4x4 example shows the condition is not necessary: it is completely
 positive at rank 3 yet no basis works.
 """
@@ -15,9 +16,10 @@ import numpy as np
 
 from cprank import (
     Tolerances,
+    extreme_rays,
+    few_rays_factor,
     find_nnq_witness,
     is_nnq_gram,
-    nnq_factor,
     sr_factor,
 )
 from cprank.fixtures import example_factor, example_matrix
@@ -37,7 +39,7 @@ factor_route = find_nnq_witness(sr_factor(A, tol), tol)
 print(f"\nfactor route agrees: {factor_route.status}, "
       f"columns {tuple(i + 1 for i in factor_route.witness.indices)}")
 
-cert = nnq_factor(A, gram_route.witness, tol)
+cert = few_rays_factor(A, extreme_rays(A, tol), tol)
 print(f"\ncertificate: {cert.rows} rows, residual {cert.residual:.2e}")
 print(np.round(cert.C, 4))
 

@@ -20,7 +20,6 @@ from .errors import (
     CprankError,
     InvalidInputError,
     PreconditionError,
-    UnsupportedRankError,
 )
 from .fixtures import (
     EXAMPLE_IDS,
@@ -61,7 +60,6 @@ from .nnq import (
     NnqWitness,
     find_nnq_witness,
     is_nnq_gram,
-    nnq_factor,
 )
 from .pipeline import (
     AnalysisConfig,
@@ -84,7 +82,6 @@ from .rotate import (
     rank2_factor,
     rowsum_condition,
     rowsum_factor,
-    small_orthant_rotation,
 )
 from .srfactor import (
     CpCertificate,

@@ -3,8 +3,11 @@
 For a doubly nonnegative matrix the cone generated by its columns is
 pointed (once zero columns are dropped), so every column is a nonnegative
 combination of the extreme columns.  When there are at most four extreme
-rays this yields a completely positive factorization.  When there are
-exactly rank many, the cone is simplicial and the matrix is
+rays this yields a completely positive factorization, and that one
+rotation search certifies every case the paper proves with at most four
+rays: full rank at order at most 4 (``m = n``) and a basis of
+nonnegative equivalence at rank at most 4 (``m = rank``).  When there are
+exactly rank many rays, the cone is simplicial and the matrix is
 nonnegative-equivalent, so a rank-3 matrix with three extreme rays lies
 in CP_{n,3}.
 """
@@ -18,7 +21,7 @@ import numpy as np
 from . import graphcond
 from .errors import ComputationFailureError, PreconditionError
 from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, classify_dn
-from .nnq import NnqWitness, nnq_factor, nnq_from_rays
+from .nnq import NnqWitness, nnq_from_rays
 from .rotate import orthant_rotation_search
 from .srfactor import CpCertificate, make_certificate, sr_factor
 
@@ -307,8 +310,9 @@ def decide_rank3_three_rays(
     has exactly three extreme rays.
 
     Three rays spanning ``R^3`` make the cone simplicial, so the matrix is
-    nonnegative-equivalent and cp-rank equals rank; outside those
-    hypotheses the decision is not applicable.
+    nonnegative-equivalent and cp-rank equals rank; the certificate is the
+    few-rays factorization of those three rays.  Outside those hypotheses
+    the decision is not applicable.
     """
     S = as_symmetric(A, tol)
     verdict = classify_dn(S, tol)
@@ -318,7 +322,7 @@ def decide_rank3_three_rays(
     result = nnq_from_rays(S, report, 3, tol)
     if not result.found:
         return Rank3RayDecision(status=NOT_APPLICABLE, m=report.m)
-    cert = nnq_factor(S, result.witness, tol, seed=seed, restarts=restarts)
+    cert = few_rays_factor(S, report, tol, seed=seed, restarts=restarts)
     return Rank3RayDecision(
         status=IN_CP_N3, m=report.m, witness=result.witness, certificate=cert
     )

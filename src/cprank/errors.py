@@ -13,9 +13,5 @@ class PreconditionError(CprankError, ValueError):
     """Raised when a caller-established precondition does not hold."""
 
 
-class UnsupportedRankError(PreconditionError):
-    """Raised when an operation is asked to run outside its rank guarantee."""
-
-
 class ComputationFailureError(CprankError, RuntimeError):
     """Raised when an internal numerical procedure fails to converge."""

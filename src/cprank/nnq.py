@@ -1,4 +1,4 @@
-"""Nonnegative-equivalence detection and the resulting factorization.
+"""Nonnegative-equivalence detection.
 
 A full-row-rank factor ``B`` is nonnegative-equivalent (nnq) when some
 invertible column submatrix ``B1`` satisfies ``B1^{-1} B >= 0``.  The
@@ -6,9 +6,10 @@ property belongs to the factored matrix, not the factor: any two rank
 factorizations agree on it, and the coordinate matrix ``P = B1^{-1} B``
 can equally be computed from Gram data as ``A[s,s]^{-1} A[s,:]``.  The
 only possible basis is one column per extreme ray of the column cone, so
-detection reads the witness off an extreme-ray report.  For rank at most
-4 a witness yields a completely positive factorization with cp-rank equal
-to the rank.
+detection reads the witness off an extreme-ray report.  A witness
+leaves exactly rank many extreme rays, so for rank at most 4 the
+few-rays factorization of :mod:`cprank.cones` certifies cp-rank equal to
+the rank from that same report.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ComputationFailureError, UnsupportedRankError
 from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, psd_rank
-from .rotate import small_orthant_rotation
-from .srfactor import CpCertificate, SrFactor, make_certificate, sr_factor
+from .srfactor import SrFactor
 
 if TYPE_CHECKING:
     from .cones import ConeReport
@@ -34,7 +33,6 @@ __all__ = [
     "find_nnq_witness",
     "is_nnq_gram",
     "nnq_from_rays",
-    "nnq_factor",
 ]
 
 FOUND = "FOUND"
@@ -135,48 +133,3 @@ def is_nnq_gram(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> NnqSearchResult
 
     S = as_symmetric(A, tol)
     return nnq_from_rays(S, extreme_rays(S, tol), psd_rank(S, tol).rank, tol)
-
-
-def nnq_factor(
-    A: MatrixLike,
-    witness: NnqWitness,
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = 0,
-    restarts: int = 200,
-) -> CpCertificate:
-    """Build a cp-rank-equals-rank certificate from an nnq witness.
-
-    The basis block ``A[s,s]`` is factored as ``N^T N`` with ``N``
-    nonnegative (guaranteed to exist for rank at most 4) and the
-    certificate is ``C = N P``.  A QR fast path inside the rotation search
-    handles the common case where the triangular factor is already
-    nonnegative.
-    """
-    S = as_symmetric(A, tol)
-    sigma = list(witness.indices)
-    r = len(sigma)
-    if r > 4:
-        raise UnsupportedRankError(
-            f"nnq factorization is guaranteed only up to rank 4, got rank {r}"
-        )
-    if r == 0:
-        return make_certificate(S, np.zeros((0, S.n)), "nnq", tol)
-    # rebuild the coordinate matrix from the SR factor so that basis block,
-    # P and certificate are mutually consistent even when the input carries
-    # rank noise at the working tolerances
-    B = sr_factor(S, tol).B
-    B1 = B[:, sigma]
-    col_scale = float(np.prod(np.linalg.norm(B1, axis=0)))
-    if B.shape[0] != r or abs(float(np.linalg.det(B1))) <= EPS_DET_FACTOR * col_scale:
-        raise ComputationFailureError(
-            "witness basis is numerically singular in the rank-r factor"
-        )
-    P = np.linalg.solve(B1, B)
-    Q = small_orthant_rotation(B1, budget=restarts, seed=seed, tol=tol)
-    if Q is None:
-        raise ComputationFailureError(
-            "rotation search exhausted its budget on the basis block; "
-            "a solution exists, raise the restart budget"
-        )
-    C = (Q @ B1) @ P
-    return make_certificate(S, C, "nnq", tol)

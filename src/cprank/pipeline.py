@@ -141,10 +141,12 @@ def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> Analysi
     """Run the full decision cascade on a symmetric matrix.
 
     Order: DN classification, trivial ranks, the rank-2 bisector, the
-    small full-rank rotation, the row-sum construction, then from one
-    extreme-ray report the nnq search, the few-rays factorization and the
-    rank-3 ray decision, the graph conditions, and optionally a heuristic
-    rotation for rank 5 and up.
+    row-sum construction, then from one extreme-ray report the nnq
+    detection, the few-rays factorization and the rank-3 ray decision,
+    the graph conditions, and optionally a heuristic rotation for rank 5
+    and up.  The few-rays factorization is the one guaranteed rotation
+    certificate: full rank at order at most 4 and an nnq basis at rank at
+    most 4 both leave at most 4 extreme rays.
     Every step is logged even after the verdict is settled.
     """
     tol = config.tol
@@ -173,7 +175,6 @@ def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> Analysi
 
     _trivial_rank_step(cas)
     _rank2_step(cas)
-    _small_full_rotation_step(cas)
     _rowsum_step(cas)
     _cone_steps(cas)
     _graph_steps(cas)
@@ -225,23 +226,6 @@ def _rank2_step(cas: _Cascade) -> None:
     cas.accept(cert, "rank2_bisector", t0)
 
 
-def _small_full_rotation_step(cas: _Cascade) -> None:
-    t0 = time.perf_counter()
-    nd = cas.core.n
-    if not (3 <= cas.rank == nd <= 4):
-        cas.step("small_full_rotation", "SKIPPED", {"reason": "needs full rank 3 or 4"}, t0)
-        return
-    B = sr_factor(cas.core, cas.tol).B
-    Q = rotate.small_orthant_rotation(
-        B, budget=cas.config.restarts, seed=cas.config.seed, tol=cas.tol
-    )
-    if Q is None:
-        cas.step("small_full_rotation", "BUDGET_EXHAUSTED", {}, t0)
-        return
-    cert = make_certificate(cas.core, Q @ B, "small_rotation", cas.tol)
-    cas.accept(cert, "small_full_rotation", t0)
-
-
 def _rowsum_step(cas: _Cascade) -> None:
     t0 = time.perf_counter()
     ok, data = rotate.rowsum_condition(cas.core, cas.rank, cas.tol)
@@ -262,29 +246,16 @@ def _rowsum_step(cas: _Cascade) -> None:
     cas.steps[-1].details.update(details)
 
 
-def _nnq_step(cas: _Cascade, rays: cones.ConeReport) -> nnq.NnqSearchResult | None:
+def _nnq_step(cas: _Cascade, rays: cones.ConeReport) -> nnq.NnqSearchResult:
     t0 = time.perf_counter()
-    if cas.rank > 4:
-        cas.step("nnq_search", "UNSUPPORTED_RANK", {"rank": cas.rank}, t0)
-        return None
     nnq_result = nnq.nnq_from_rays(cas.core, rays, cas.rank, cas.tol)
-    if not nnq_result.found:
-        cas.step("nnq_search", nnq_result.status, {}, t0)
-        return nnq_result
-    witness = nnq_result.witness
-    details = {
-        "indices": [int(i) + 1 for i in witness.indices],
-        "det": witness.detval,
-    }
-    try:
-        cert = nnq.nnq_factor(
-            cas.core, witness, cas.tol, seed=cas.config.seed, restarts=cas.config.restarts
-        )
-    except ComputationFailureError as exc:
-        cas.step("nnq_search", "FACTOR_BUDGET_EXHAUSTED", {**details, "error": str(exc)}, t0)
-        return nnq_result
-    cas.accept(cert, "nnq_search", t0)
-    cas.steps[-1].details.update(details)
+    details = {}
+    if nnq_result.found:
+        details = {
+            "indices": [int(i) + 1 for i in nnq_result.witness.indices],
+            "det": nnq_result.witness.detval,
+        }
+    cas.step("nnq_search", nnq_result.status, details, t0)
     return nnq_result
 
 

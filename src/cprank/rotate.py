@@ -45,7 +45,6 @@ __all__ = [
     "rowsum_condition",
     "rowsum_factor",
     "rank2_factor",
-    "small_orthant_rotation",
     "orthant_rotation_search",
     "random_orthogonal",
 ]
@@ -352,38 +351,3 @@ def _searched(Q: np.ndarray | None, outcome: str, restarts: int, steps: int) -> 
         "orthant_rotation_search: outcome=%s restarts=%d steps=%d", outcome, restarts, steps
     )
     return Q
-
-
-def small_orthant_rotation(
-    vectors: np.ndarray | Sequence[Sequence[float]],
-    budget: int = 200,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray | None:
-    """Rotate ``k`` vectors in dimension ``k <= 4`` into the nonnegative orthant.
-
-    The input is a square array whose columns are the vectors; they must
-    have pairwise nonnegative inner products.  For these sizes a solution
-    always exists, so ``None`` signals an exhausted search budget rather
-    than a disproof.
-    """
-    B = np.asarray(vectors, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise InvalidInputError(
-            f"expected k vectors of dimension k as a square column array, got shape {B.shape}"
-        )
-    k = B.shape[0]
-    if k > 4:
-        raise PreconditionError(
-            f"guaranteed rotation is limited to dimension 4, got {k}; "
-            "use orthant_rotation_search for heuristic attempts"
-        )
-    gram = B.T @ B
-    norms = np.sqrt(np.maximum(np.diag(gram), 0.0))
-    pair_scale = np.maximum(np.outer(norms, norms), 1e-300)
-    if float((gram / pair_scale).min(initial=0.0)) < -tol.eps_nonneg:
-        raise InvalidInputError("vectors have a negative pairwise inner product")
-    eps = tol.eps_nonneg * float(norms.max(initial=0.0))  # sqrt(scale) of B^T B
-    return orthant_rotation_search(B, restarts=budget, seed=seed, eps=eps)

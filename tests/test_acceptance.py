@@ -11,12 +11,14 @@ import numpy as np
 
 from cprank import (
     AnalysisConfig,
+    ComputationFailureError,
     Tolerances,
     analyze,
     boundary_witness,
     classify_dn,
     e_cone_threshold,
     extreme_rays,
+    few_rays_factor,
     find_nnq_witness,
     graph_of,
     householder_align,
@@ -24,10 +26,8 @@ from cprank import (
     is_nnq_gram,
     kaykobad_factor,
     make_certificate,
-    nnq_factor,
     random_orthogonal,
     rank2_factor,
-    small_orthant_rotation,
     sr_factor,
     verify_certificate,
 )
@@ -107,7 +107,7 @@ def test_c03_nnq_witness_on_rounded_example():
     assert gram_scan.found and gram_scan.witness.indices == (0, 1, 2)
     assert np.abs(gram_scan.witness.P - example_factor("EX3_9_P_GRAM")).max() <= 0.15
 
-    cert = nnq_factor(A, gram_scan.witness, ROUNDED_TOL)
+    cert = few_rays_factor(A, extreme_rays(A, ROUNDED_TOL), ROUNDED_TOL)
     assert cert.rows == 3
     # the certificate reproduces the rank-3 part of the input essentially
     # exactly; the 2.7e-5 gap to the printed entries is their rounding floor
@@ -225,12 +225,14 @@ def test_c11_small_rotation_realizability():
         for style in (GRAM_NONNEG, ROTATED_NONNEG):
             for i in range(500):
                 A = random_dn(r, r, seed=10_000 * r + i, style=style)
-                B = sr_factor(A).B
-                Q = small_orthant_rotation(B, seed=i)
-                if Q is None:
+                report = extreme_rays(A)
+                assert report.m == r  # full rank: every column is a ray
+                try:
+                    cert = few_rays_factor(A, report, seed=i)
+                except ComputationFailureError:
                     failures += 1
                     continue
-                cert = make_certificate(A, Q @ B, "small_rotation")
+                assert cert.rows == r
                 assert verify_certificate(A, cert).passed
     assert failures == 0
     _stamp("11 (full-rank rotation, 1e3 instances per rank, 0 failures)", t0)

