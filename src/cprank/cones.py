@@ -143,9 +143,9 @@ class ConeReport:
     residual: float
 
 
-def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], dict[int, int]]:
+def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray]:
     """Sorted extreme columns of ``M`` and the representative of each
-    nonzero column.
+    column (``-1`` for a zero column).
 
     Zero columns are dropped, positive multiples of one ray are collapsed
     onto their smallest-index representative, and a representative is
@@ -155,18 +155,26 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], dict[int, i
     """
     norms = np.linalg.norm(M, axis=0)
     nonzero = np.flatnonzero(norms > tol.eps_nonneg * norms.max(initial=0.0))
+    rep_of = np.full(M.shape[1], -1)
+    if not nonzero.size:
+        return [], rep_of
     Mz = M[:, nonzero]
     K = Mz.T @ Mz
     cos = K / np.outer(norms[nonzero], norms[nonzero])
     # close[a, b]: column b comes before column a and spans the same ray
     close = np.tril(cos >= 1.0 - DUPLICATE_RAY_COS_GAP, -1)
-    rep_pos = np.arange(nonzero.size)
+    # a column represents its ray when no earlier representative is close;
+    # each column depends only on earlier ones, so iterating from "every
+    # column represents" reaches the one fixed point, at most one step per
+    # column
     is_rep = np.ones(nonzero.size, dtype=bool)
-    for a in np.flatnonzero(close.any(axis=1)):
-        hits = np.flatnonzero(close[a] & is_rep)
-        if hits.size:
-            rep_pos[a], is_rep[a] = hits[0], False
-    rep_of = {int(j): int(nonzero[p]) for j, p in zip(nonzero, rep_pos)}
+    while True:
+        hits = close & is_rep
+        nxt = ~hits.any(axis=1)
+        if np.array_equal(nxt, is_rep):
+            break
+        is_rep = nxt
+    rep_of[nonzero] = nonzero[np.where(is_rep, np.arange(nonzero.size), hits.argmax(axis=1))]
 
     reps = np.flatnonzero(is_rep)
     Kr = K[np.ix_(reps, reps)]
@@ -176,24 +184,26 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], dict[int, i
     return extreme.tolist(), rep_of
 
 
-def _cone_report(M: np.ndarray, extreme: list[int], rep_of: dict[int, int]) -> ConeReport:
-    """Reconstruct every column of ``M`` from its ``extreme`` columns; the
+def _cone_report(M: np.ndarray, extreme: list[int], rep_of: np.ndarray) -> ConeReport:
+    """Reconstruct every column of ``M`` from its ``extreme`` columns: a
+    column on an extreme ray is a multiple of its representative, and the
     columns off the extreme rays are fitted in one batched solve."""
     n = M.shape[1]
     m = len(extreme)
     W = np.zeros((m, n))
-    pos = {rep: k for k, rep in enumerate(extreme)}
-    fit: list[int] = []
-    for j, rep in rep_of.items():  # zero columns reconstruct as zero
-        if rep not in pos:
-            fit.append(j)
-        elif j == rep:
-            W[pos[rep], j] = 1.0
-        else:
-            W[pos[rep], j] = float(M[:, rep] @ M[:, j]) / float(M[:, rep] @ M[:, rep])
-    if m and fit:
+    pos = np.full(n, -1)
+    pos[extreme] = np.arange(m)
+    kept = np.flatnonzero(rep_of >= 0)  # zero columns reconstruct as zero
+    k = pos[rep_of[kept]]
+    on = k >= 0
+    cols, reps = kept[on], rep_of[kept[on]]
+    R = M[:, reps]
+    ratio = np.einsum("ij,ij->j", R, M[:, cols]) / np.einsum("ij,ij->j", R, R)
+    W[k[on], cols] = np.where(cols == reps, 1.0, ratio)
+    fit = kept[~on]
+    if m and fit.size:
         E = M[:, extreme]
-        W[:, fit] = _batched_nnls(E.T @ E, M[:, fit].T @ E, np.ones((len(fit), m), dtype=bool)).T
+        W[:, fit] = _batched_nnls(E.T @ E, M[:, fit].T @ E, np.ones((fit.size, m), dtype=bool)).T
 
     if m:
         recon = M[:, extreme] @ W
@@ -261,14 +271,16 @@ def few_rays_factor(
     block = as_symmetric(sr_factor(S, tol).gram()[np.ix_(ext, ext)], tol)
     Bs = sr_factor(block, tol).B  # rank(block) rows
     d_lo = max(Bs.shape[0], 1)
-    # exact pattern-based cp-rank information on the block prunes row
-    # counts that cannot work, e.g. a 4-cycle block pins the count to 4
-    tri = graphcond.triangle_free_criterion(block, tol)
-    if tri.status == graphcond.CP:
-        d_lo = max(d_lo, min(tri.cp_rank, m))
-    cyc = graphcond.cycle_necessary(block, tol)
-    if cyc.status == graphcond.PASSES:
-        d_lo = max(d_lo, min(cyc.cprk_lower_bound, m))
+    if d_lo < m:
+        # exact pattern-based cp-rank information on a rank-deficient block
+        # prunes row counts that cannot work, e.g. a 4-cycle block pins the
+        # count to 4; a full-rank block starts at m already
+        tri = graphcond.triangle_free_criterion(block, tol)
+        if tri.status == graphcond.CP:
+            d_lo = max(d_lo, min(tri.cp_rank, m))
+        cyc = graphcond.cycle_necessary(block, tol)
+        if cyc.status == graphcond.PASSES:
+            d_lo = max(d_lo, min(cyc.cprk_lower_bound, m))
     eps = tol.eps_nonneg * np.sqrt(block.scale)  # the block's certificate floor
     for d in range(d_lo, m + 1):
         padded = np.vstack([Bs, np.zeros((d - Bs.shape[0], m))]) if d > Bs.shape[0] else Bs

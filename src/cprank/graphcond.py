@@ -76,7 +76,7 @@ def graph_of(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> MatrixGraph:
     """Zero-pattern graph with threshold ``eps_nonneg`` relative to the
     largest entry magnitude."""
     S = as_symmetric(A, tol)
-    i, j = np.nonzero(np.triu(np.abs(S.a) > tol.eps_nonneg * S.scale, 1))
+    i, j = np.nonzero(np.triu(S.pattern(tol.eps_nonneg)))
     # Python ints, so that reports print plain numbers
     return MatrixGraph(n=S.n, edges=frozenset(zip(i.tolist(), j.tolist())))
 
@@ -89,27 +89,38 @@ class GraphShape:
     is_connected: bool
 
 
-def classify_graph(G: MatrixGraph) -> GraphShape:
-    """Standard predicates: one breadth-first search for connectivity,
-    degrees for the cycle test, ``trace(adj^3)`` for triangles, edge count
-    for trees."""
-    adj = G.adjacency().astype(float)
-    seen = np.zeros(G.n, dtype=bool)
+def _connected(adj: np.ndarray) -> bool:
+    """Breadth-first search from vertex 0 over a boolean adjacency."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
     seen[0] = True
     frontier = seen.copy()
     while frontier.any():
         frontier = adj[frontier].any(axis=0) & ~seen
         seen |= frontier
-    connected = bool(seen.all())
-    degrees = adj.sum(axis=1)
-    is_cycle = connected and G.n >= 3 and bool(np.all(degrees == 2))
-    # trace(adj^3) is the sum of (adj^2)_ij over the edges ij
-    triangle_free = float(((adj @ adj) * adj).sum()) == 0.0
-    is_tree = connected and G.edge_count == G.n - 1
+    return bool(seen.all())
+
+
+def _is_cycle(adj: np.ndarray) -> bool:
+    """Connected with every degree 2; the degrees are checked first."""
+    return adj.shape[0] >= 3 and bool(np.all(adj.sum(axis=1) == 2)) and _connected(adj)
+
+
+def _triangle_free(adj: np.ndarray) -> bool:
+    """``trace(adj^3) == 0``: the sum of ``(adj^2)_ij`` over the edges ij."""
+    f = adj.astype(float)
+    return float(((f @ f) * f).sum()) == 0.0
+
+
+def classify_graph(G: MatrixGraph) -> GraphShape:
+    """Standard predicates: one breadth-first search for connectivity,
+    degrees for the cycle test, ``trace(adj^3)`` for triangles, edge count
+    for trees."""
+    adj = G.adjacency().astype(bool)
+    connected = _connected(adj)
     return GraphShape(
-        is_cycle=is_cycle,
-        is_triangle_free=triangle_free,
-        is_tree=is_tree,
+        is_cycle=_is_cycle(adj),
+        is_triangle_free=_triangle_free(adj),
+        is_tree=connected and G.edge_count == G.n - 1,
         is_connected=connected,
     )
 
@@ -141,8 +152,7 @@ def cycle_necessary(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> CycleCheck:
     a = S.a
     off = float(a.sum() - np.trace(a))
     diag = float(np.trace(a))
-    shape = classify_graph(graph_of(S, tol))
-    if not shape.is_cycle or S.n < 4:
+    if S.n < 4 or not _is_cycle(S.pattern(tol.eps_nonneg)):
         return CycleCheck(
             status=NOT_APPLICABLE, cprk_lower_bound=None, off_diag_sum=off, diag_sum=diag
         )
@@ -173,13 +183,13 @@ def triangle_free_criterion(
     verdict = classify_dn(S, tol)
     if not verdict.is_dn:
         return TriangleFreeResult(status=NOT_APPLICABLE)
-    G = graph_of(S, tol)
-    if not classify_graph(G).is_triangle_free:
+    adj = S.pattern(tol.eps_nonneg)
+    if not _triangle_free(adj):
         return TriangleFreeResult(status=NOT_APPLICABLE)
     M = comparison_matrix(S, tol)
     if not psd_rank(M, tol).is_psd:
         return TriangleFreeResult(status=NOT_CP)
-    return TriangleFreeResult(status=CP, cp_rank=max(verdict.rank, G.edge_count))
+    return TriangleFreeResult(status=CP, cp_rank=max(verdict.rank, int(adj.sum()) // 2))
 
 
 def kaykobad_factor(
@@ -205,17 +215,12 @@ def kaykobad_factor(
     margins = diag - off_sums
     if np.any(margins < -slack):
         return None
-    rows: list[np.ndarray] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i, j] > tol.eps_nonneg * S.scale:
-                row = np.zeros(n)
-                row[i] = row[j] = np.sqrt(a[i, j])
-                rows.append(row)
-    for i in range(n):
-        if margins[i] > slack[i]:
-            row = np.zeros(n)
-            row[i] = np.sqrt(margins[i])
-            rows.append(row)
-    C = np.vstack(rows) if rows else np.zeros((0, n))
+    # one row per edge of the zero pattern, in row-major order, then one
+    # per strictly dominant row; no negative entry is left past the check
+    i, j = np.nonzero(np.triu(S.pattern(tol.eps_nonneg)))
+    strict = np.flatnonzero(margins > slack)
+    C = np.zeros((i.size + strict.size, n))
+    edge_rows = np.arange(i.size)
+    C[edge_rows, i] = C[edge_rows, j] = np.sqrt(a[i, j])
+    C[i.size + np.arange(strict.size), strict] = np.sqrt(margins[strict])
     return make_certificate(S, C, "kaykobad", tol)

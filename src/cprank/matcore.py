@@ -87,11 +87,12 @@ class SymmetricMatrix:
 
     Construction symmetrizes the input as ``(A + A^T) / 2`` provided the
     relative asymmetry does not exceed ``tol.eps_sym``; larger asymmetry is
-    rejected.  The stored array is read-only so values can be shared freely,
-    and the eigendecomposition is computed once, on first use, and kept.
+    rejected.  The stored array is read-only so values can be shared freely;
+    the eigendecomposition and the off-diagonal zero pattern of each
+    threshold are computed once, on first use, and kept.
     """
 
-    __slots__ = ("_a", "_scale", "_eig")
+    __slots__ = ("_a", "_scale", "_eig", "_patterns")
 
     def __init__(self, entries: MatrixLike, tol: Tolerances = DEFAULT_TOL):
         a = np.array(getattr(entries, "a", entries), dtype=float, copy=True)
@@ -113,6 +114,7 @@ class SymmetricMatrix:
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_eig", None)
+        object.__setattr__(self, "_patterns", {})
 
     @property
     def a(self) -> np.ndarray:
@@ -137,6 +139,17 @@ class SymmetricMatrix:
             V.flags.writeable = False
             object.__setattr__(self, "_eig", EigenDecomposition(eigenvalues=w, eigenvectors=V))
         return self._eig
+
+    def pattern(self, eps: float) -> np.ndarray:
+        """Read-only boolean off-diagonal pattern ``|a_ij| > eps * scale``
+        (``i != j``), computed once per ``eps`` on first use."""
+        P = self._patterns.get(eps)
+        if P is None:
+            P = np.abs(self._a) > eps * self._scale
+            np.fill_diagonal(P, False)
+            P.flags.writeable = False
+            self._patterns[eps] = P
+        return P
 
     @property
     def n(self) -> int:

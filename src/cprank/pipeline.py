@@ -231,7 +231,7 @@ def _rowsum_step(cas: _Cascade) -> None:
     ok, data = rotate.rowsum_condition(cas.core, cas.rank, cas.tol)
     details = {
         "holds": ok,
-        "row_sums": [float(v) for v in data.row_sums],
+        "row_sums": data.row_sums,
         "total": data.total,
     }
     if not ok:
@@ -457,7 +457,23 @@ def _num(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# what ``json.dumps`` does with a string, without its per-call set-up
+_json_string = json.encoder.encode_basestring_ascii
+
+
 def _json_value(value) -> str:
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, dict):
+        inner = ",".join([f"{_json_string(str(k))}:{_json_value(v)}" for k, v in value.items()])
+        return "{" + inner + "}"
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        if value.ndim > 1:
+            return "[" + ",".join(map(_json_value, value)) + "]"
+        return "[" + ",".join([format(v, ".17g") for v in value.tolist()]) + "]"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        seq = value.tolist() if isinstance(value, np.ndarray) else value
+        return "[" + ",".join(map(_json_value, seq)) + "]"
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -466,14 +482,6 @@ def _json_value(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return _num(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{_json_value(v)}" for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        seq = value.tolist() if isinstance(value, np.ndarray) else list(value)
-        return "[" + ",".join(_json_value(v) for v in seq) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -508,7 +516,9 @@ def report_to_text(report: AnalysisReport) -> str:
         "steps:",
     ]
     for s in report.steps:
-        extras = " ".join(f"{k}={v}" for k, v in s.details.items())
+        extras = " ".join(
+            f"{k}={v.tolist() if isinstance(v, np.ndarray) else v}" for k, v in s.details.items()
+        )
         lines.append(f"  {s.name:<22} {s.outcome:<24} {extras}  [{s.elapsed * 1e3:.1f} ms]")
     if report.certificate is not None:
         c = report.certificate

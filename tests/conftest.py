@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -199,6 +200,77 @@ def classify_graph_loops(G):
         is_tree=is_tree,
         is_connected=connected,
     )
+
+
+def kaykobad_rows_loops(A, tol=DEFAULT_TOL):
+    """Kaykobad factor oracle for a nonnegative diagonally dominant matrix:
+    one row per above-diagonal entry above ``eps_nonneg * scale``, found
+    pair by pair in row-major order, then one per strictly dominant row."""
+    S = as_symmetric(A, tol)
+    a, n = S.a, S.n
+    off_sums = a.sum(axis=1) - np.diag(a)
+    diag = np.diag(a)
+    slack = tol.eps_nonneg * np.maximum(diag, off_sums)
+    margins = diag - off_sums
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i, j] > tol.eps_nonneg * S.scale:
+                row = np.zeros(n)
+                row[i] = row[j] = np.sqrt(a[i, j])
+                rows.append(row)
+    for i in range(n):
+        if margins[i] > slack[i]:
+            row = np.zeros(n)
+            row[i] = np.sqrt(margins[i])
+            rows.append(row)
+    return np.vstack(rows) if rows else np.zeros((0, n))
+
+
+def duplicate_rays_loop(M, tol=DEFAULT_TOL):
+    """Duplicate-ray oracle: the columns of ``M`` taken one at a time.
+
+    A nonzero column joins the first earlier representative at cosine
+    ``>= 1 - DUPLICATE_RAY_COS_GAP`` and becomes a representative itself
+    when there is none.  Returns the representatives and the
+    representative of every nonzero column.
+    """
+    M = np.asarray(M, dtype=float)
+    norms = np.linalg.norm(M, axis=0)
+    nonzero = np.flatnonzero(norms > tol.eps_nonneg * norms.max(initial=0.0))
+    Mz = M[:, nonzero]
+    cos = (Mz.T @ Mz) / np.outer(norms[nonzero], norms[nonzero])
+    close = np.tril(cos >= 1.0 - DUPLICATE_RAY_COS_GAP, -1)
+    rep_pos = np.arange(nonzero.size)
+    is_rep = np.ones(nonzero.size, dtype=bool)
+    for a in np.flatnonzero(close.any(axis=1)):
+        hits = np.flatnonzero(close[a] & is_rep)
+        if hits.size:
+            rep_pos[a], is_rep[a] = hits[0], False
+    rep_of = {int(j): int(nonzero[p]) for j, p in zip(nonzero, rep_pos)}
+    return nonzero[is_rep].tolist(), rep_of
+
+
+def json_value_recursive(value) -> str:
+    """Report-rendering oracle: one recursive call per value, numbers at
+    17 significant digits."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        inner = ",".join(f"{json.dumps(str(k))}:{json_value_recursive(v)}" for k, v in value.items())
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        seq = value.tolist() if isinstance(value, np.ndarray) else list(value)
+        return "[" + ",".join(json_value_recursive(v) for v in seq) + "]"
+    raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def nnls(target, generators, tol=DEFAULT_TOL):

@@ -70,7 +70,7 @@ def test_c01_rowsum_certificate_on_4x4_example():
     assert cert.rows == 3 and cert.method_tag == "rowsum"
     assert verify_certificate(A, cert, Tolerances(eps_residual=1e-8)).passed
     assert cert.residual <= 1e-8
-    assert _step(report, "rowsum").details["row_sums"] == [220, 156, 172, 201]
+    assert _step(report, "rowsum").details["row_sums"].tolist() == [220, 156, 172, 201]
     _stamp("1 (4x4 row-sum certificate)", t0)
 
 

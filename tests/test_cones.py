@@ -18,9 +18,15 @@ from cprank import (
     verify_certificate,
 )
 from cprank import cones
-from cprank.cones import IN_CP_N3, NOT_APPLICABLE
+from cprank.cones import DUPLICATE_RAY_COS_GAP, IN_CP_N3, NOT_APPLICABLE
 from cprank.fixtures import GRAM_NONNEG, RANDOM_STYLES, ROTATED_NONNEG, example_matrix, random_dn, soules_cp
-from conftest import active_set_nnls, extreme_indices_oracle, hull_extreme_indices, nnls
+from conftest import (
+    active_set_nnls,
+    duplicate_rays_loop,
+    extreme_indices_oracle,
+    hull_extreme_indices,
+    nnls,
+)
 
 ROUNDED_TOL = Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_residual=1e-4)
 
@@ -251,6 +257,69 @@ class TestExtremeRays:
         assert calls == ["kernel", "kernel"]
 
 
+def planted_duplicates(data):
+    """Columns of a few random base rays plus planted copies: exact
+    duplicates, positive multiples, zero columns, and near-duplicate
+    chains whose steps sit on either side of the cosine gap, all in a
+    random column order."""
+    r = data.draw(st.integers(min_value=2, max_value=5))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((r, data.draw(st.integers(min_value=1, max_value=5))))
+    cols = list(base.T)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
+        kind = data.draw(st.sampled_from(["exact", "multiple", "zero", "chain"]))
+        u = base[:, int(rng.integers(base.shape[1]))]
+        if kind == "exact":
+            cols.append(u.copy())
+        elif kind == "multiple":
+            cols.append(float(rng.uniform(0.1, 10.0)) * u)
+        elif kind == "zero":
+            cols.append(np.zeros(r))
+        else:
+            # each step turns by an angle with 1 - cos = gap, so two steps
+            # turn by about 4 * gap
+            gap = data.draw(st.sampled_from([0.2, 0.5, 0.8, 1.25, 2.0, 5.0])) * DUPLICATE_RAY_COS_GAP
+            w = rng.standard_normal(r)
+            w -= (w @ u) / (u @ u) * u
+            u_hat, w_hat = u / np.linalg.norm(u), w / np.linalg.norm(w)
+            theta = math.acos(1.0 - gap)
+            for k in range(1, data.draw(st.integers(min_value=1, max_value=4)) + 1):
+                cols.append(math.cos(k * theta) * u_hat + math.sin(k * theta) * w_hat)
+    order = rng.permutation(len(cols))
+    return np.column_stack([cols[k] for k in order])
+
+
+class TestDuplicateRays:
+    """The whole-array duplicate collapse against the column-by-column loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_sequential_loop(self, data):
+        M = planted_duplicates(data)
+        extreme, rep_of = cones._extreme_set(M, Tolerances())
+        reps, expected = duplicate_rays_loop(M)
+        assert [j for j, rep in enumerate(rep_of) if rep == j] == reps
+        assert {j: int(rep) for j, rep in enumerate(rep_of) if rep >= 0} == expected
+        assert set(extreme) <= set(reps)
+        # a column on an extreme ray is its representative's multiple; the
+        # sums now run in another order, so they agree to a few roundoffs
+        W = cones._cone_report(M, extreme, rep_of).W
+        for j, rep in expected.items():
+            if rep in extreme:
+                ratio = 1.0 if j == rep else float(M[:, rep] @ M[:, j]) / float(M[:, rep] @ M[:, rep])
+                assert W[extreme.index(rep), j] == pytest.approx(ratio, rel=4 * M.shape[0] * 2.0**-52)
+
+    def test_chain_across_the_gap(self):
+        # 1 joins 0; 2 is close to 1 only, which is not a representative
+        u, w = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        theta = math.acos(1.0 - 0.8 * DUPLICATE_RAY_COS_GAP)
+        M = np.column_stack([math.cos(k * theta) * u + math.sin(k * theta) * w for k in range(3)])
+        _, rep_of = cones._extreme_set(M, Tolerances())
+        assert rep_of.tolist() == [0, 0, 2]
+        assert duplicate_rays_loop(M) == ([0, 2], {0: 0, 1: 0, 2: 2})
+
+
 class TestFewRaysFactor:
     def test_diagonal(self):
         A = np.diag([1.0, 2.0, 3.0])
@@ -284,6 +353,34 @@ class TestFewRaysFactor:
         report = extreme_rays(A)
         with pytest.raises(PreconditionError):
             few_rays_factor(A, report)
+
+    @pytest.fixture
+    def graph_calls(self, monkeypatch):
+        """Calls of the two pattern checks that can raise the first row count."""
+        from cprank import graphcond
+
+        calls = []
+        for name in ("triangle_free_criterion", "cycle_necessary"):
+            def counted(*args, _fn=getattr(graphcond, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(graphcond, name, counted)
+        return calls
+
+    def test_full_rank_block_skips_pattern_checks(self, graph_calls):
+        A = random_dn(4, 4, seed=5, style=GRAM_NONNEG)
+        report = extreme_rays(A)
+        assert report.m == 4
+        cert = few_rays_factor(A, report)
+        assert cert.rows == 4 and verify_certificate(A, cert).passed
+        assert graph_calls == []
+
+    def test_rank_deficient_block_reads_the_cycle(self, graph_calls):
+        # the 4-cycle has rank 3 and four rays; its pattern pins the count to 4
+        A = example_matrix("EX1_2")
+        cert = few_rays_factor(A, extreme_rays(A))
+        assert cert.rows == 4 and verify_certificate(A, cert).passed
+        assert sorted(graph_calls) == ["cycle_necessary", "triangle_free_criterion"]
 
 
 class TestRank3RayDecision:

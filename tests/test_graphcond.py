@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cprank import (
+    as_symmetric,
+    classify_dn,
     classify_graph,
     cycle_necessary,
     graph_of,
@@ -13,7 +15,7 @@ from cprank import (
 )
 from cprank.fixtures import RANDOM_STYLES, example_matrix, random_dn
 from cprank.graphcond import CP, FAILS, NOT_APPLICABLE, PASSES, MatrixGraph
-from conftest import classify_graph_loops, graph_of_loops
+from conftest import classify_graph_loops, graph_of_loops, kaykobad_rows_loops
 
 
 def random_diag_dominant(rng, n):
@@ -70,14 +72,46 @@ def pattern_matrix(n, edges, rng):
 
 
 class TestVectorisedGraphMatchesLoops:
-    """``graph_of`` and ``classify_graph`` against the loop oracles."""
+    """``graph_of``, ``classify_graph`` and the two pattern checks, which
+    read the cached zero pattern, against the loop oracles."""
 
     @staticmethod
     def check(A):
         G = graph_of(A)
         assert G == graph_of_loops(A)
         assert all(type(i) is int and type(j) is int for i, j in G.edges)
-        assert classify_graph(G) == classify_graph_loops(G)
+        shape = classify_graph_loops(G)
+        assert classify_graph(G) == shape
+        S = as_symmetric(A)
+        cycle = cycle_necessary(S)
+        assert (cycle.status != NOT_APPLICABLE) == (shape.is_cycle and S.n >= 4)
+        verdict = classify_dn(S)
+        tri = triangle_free_criterion(S)
+        assert (tri.status != NOT_APPLICABLE) == (verdict.is_dn and shape.is_triangle_free)
+        if tri.status == CP:
+            assert tri.cp_rank == max(verdict.rank, G.edge_count)
+        return cycle, tri
+
+    def test_hundred_cycle(self):
+        n = 100
+        A = pattern_matrix(n, pattern_edges("cycle", n, None), np.random.default_rng(n))
+        cycle, tri = self.check(A)
+        assert cycle.status == PASSES and cycle.cprk_lower_bound == n
+        assert tri.status == CP and tri.cp_rank == n
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 10, 30, 60, 100])
+    def test_complete_bipartite(self, n):
+        # K_{n/2,n/2}: the triangle-free pattern with the most edges
+        half = n // 2
+        edges = {(i, j) for i in range(half) for j in range(half, n)}
+        cycle, tri = self.check(pattern_matrix(n, edges, np.random.default_rng(n)))
+        assert tri.status == CP and tri.cp_rank == max(n, half * half)
+        assert (cycle.status == PASSES) == (n == 4)  # K_{2,2} is the 4-cycle
+
+    def test_k33_plus_one_edge(self):
+        edges = {(i, j) for i in range(3) for j in range(3, 6)} | {(0, 1)}
+        cycle, tri = self.check(pattern_matrix(6, edges, np.random.default_rng(6)))
+        assert cycle.status == NOT_APPLICABLE and tri.status == NOT_APPLICABLE
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(RANDOM_STYLES), st.integers(min_value=1, max_value=12),
@@ -215,6 +249,17 @@ class TestKaykobad:
             assert cert.rows == edges + strict
             assert cert.residual <= 1e-12
             assert verify_certificate(A, cert).passed
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 34, 60])
+    def test_rows_match_the_loop_oracle(self, n):
+        rng = np.random.default_rng(n)
+        A, _ = random_diag_dominant(rng, n)
+        cases = [A, np.diag(np.diag(A)) + np.eye(n)]  # the second has no edge
+        for A in cases:
+            cert = kaykobad_factor(A)
+            expected = kaykobad_rows_loops(A)
+            assert cert.C.shape == expected.shape
+            assert cert.C.tobytes() == expected.tobytes()
 
 
 class TestConsistencyTriangle:

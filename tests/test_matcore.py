@@ -45,6 +45,18 @@ class TestSymmetricMatrix:
         with pytest.raises(InvalidInputError):
             Tolerances(eps_rank=1.5)
 
+    def test_pattern_kept_per_threshold(self):
+        S = SymmetricMatrix([[4.0, 1e-6, -2.0], [1e-6, 0.0, 0.0], [-2.0, 0.0, 1.0]])
+        P = S.pattern(1e-9)
+        assert P.tolist() == [[False, True, True], [True, False, False], [True, False, False]]
+        assert S.pattern(1e-9) is P
+        with pytest.raises(ValueError):
+            P[0, 0] = True
+        # threshold 1e-6 * scale 4 drops the 1e-6 entry
+        assert S.pattern(1e-6).tolist() == [[False, False, True], [False, False, False],
+                                            [True, False, False]]
+        assert S.pattern(1e-9) is P
+
 
 class TestSymEigen:
     def test_identity(self):

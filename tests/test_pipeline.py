@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from cprank import (
+    DEFAULT_TOL,
     AnalysisConfig,
     InvalidInputError,
+    SymmetricMatrix,
     Tolerances,
     analyze,
     extreme_rays,
     verify_certificate,
 )
 from cprank.fixtures import EXAMPLE_IDS, GRAM_NONNEG, RANDOM_STYLES, example_matrix, random_dn
+from cprank import graphcond, pipeline
 from cprank.pipeline import (
     CP_RANK_EQ_RANK,
     NOT_DN,
@@ -24,7 +27,7 @@ from cprank.pipeline import (
     report_to_json,
     write_report,
 )
-from conftest import cone_sampled_vectors
+from conftest import cone_sampled_vectors, json_value_recursive
 
 ROUNDED_CFG = AnalysisConfig(
     tol=Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_residual=1e-4)
@@ -41,7 +44,7 @@ class TestAnalyzeVerdicts:
         assert report.verdict == CP_RANK_EQ_RANK
         assert report.certificate.rows == 3
         assert step(report, "rowsum").outcome == "CERTIFICATE(rows=3)"
-        assert step(report, "rowsum").details["row_sums"] == [220, 156, 172, 201]
+        assert step(report, "rowsum").details["row_sums"].tolist() == [220, 156, 172, 201]
 
     def test_cycle_example(self):
         report = analyze(example_matrix("EX1_2"))
@@ -277,6 +280,74 @@ class TestOneDecompositionPerMatrix:
             analyze(A, cfg)
             assert len({id(a) for a in eigh_inputs}) == len(eigh_inputs)
             assert len(eigh_inputs) <= 5
+
+
+class TestOnePatternPerMatrix:
+    @pytest.mark.parametrize("A", [
+        random_dn(40, 4, seed=3, style=GRAM_NONNEG),
+        SymmetricMatrix(np.ones((40, 40)) + 40.0 * np.eye(40)),  # Kaykobad certifies
+    ], ids=["gram_nonneg", "dominant"])
+    def test_dense_order_40(self, monkeypatch, A):
+        assert np.all(A.a > 0.0)
+        misses = []
+        original = SymmetricMatrix.pattern
+
+        def counted(self, eps):
+            if self is A and eps not in self._patterns:
+                misses.append(eps)
+            return original(self, eps)
+
+        def graph_of(*args, **kwargs):
+            raise AssertionError("analyze builds no MatrixGraph")
+
+        monkeypatch.setattr(SymmetricMatrix, "pattern", counted)
+        monkeypatch.setattr(graphcond, "graph_of", graph_of)
+        analyze(A)
+        assert misses == [DEFAULT_TOL.eps_nonneg]
+
+
+def render_both(monkeypatch, render, value):
+    """``render(value)`` through ``_json_value`` and through the recursive oracle."""
+    fast = render(value)
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_json_value", json_value_recursive)
+        slow = render(value)
+    return fast, slow
+
+
+class TestJsonMatchesRecursiveRenderer:
+    SPECIAL = [-0.0, 0.0, float("inf"), float("-inf"), float("nan"), 5e-324,
+               2.2250738585072014e-308 / 3.0, 1.0 / 3.0, -1e300, 123456789.0]
+
+    @pytest.mark.parametrize("value", [
+        np.array(SPECIAL),
+        np.array(SPECIAL).reshape(2, 5),
+        np.array([0.1, -0.0, 1e-40, np.inf], dtype=np.float32),
+        np.zeros((0, 3)),
+        np.zeros(0),
+        np.arange(4),
+        np.array([True, False]),
+        [np.float64(-0.0), np.int64(7), 5e-324, None, True, (1, 2.5), "q\"é"],
+        {"a": np.array(SPECIAL), 3: [], "k": {"nested": -0.0}},
+        np.float64(float("inf")),
+    ], ids=lambda v: type(v).__name__)
+    def test_values(self, monkeypatch, value):
+        fast, slow = render_both(monkeypatch, lambda v: pipeline._json_value(v), value)
+        assert fast == slow
+
+    @pytest.mark.parametrize("fid", EXAMPLE_IDS)
+    def test_fixture_reports(self, monkeypatch, fid):
+        for cfg in (AnalysisConfig(), ROUNDED_CFG):
+            report = analyze(example_matrix(fid), cfg)
+            fast, slow = render_both(monkeypatch, report_to_json, report)
+            assert fast == slow
+
+    @pytest.mark.parametrize("style", RANDOM_STYLES)
+    def test_random_dn_reports(self, monkeypatch, style):
+        for n, r in ((3, 1), (5, 2), (8, 3), (12, 6), (40, 3), (60, 4)):
+            report = analyze(random_dn(n, r, seed=n + r, style=style))
+            fast, slow = render_both(monkeypatch, report_to_json, report)
+            assert fast == slow
 
 
 class TestReportRendering:

@@ -2,17 +2,17 @@
 
 Usage::
 
-    python3 tools/report_diff.py OLD_TREE NEW_TREE
+    python3 tools/report_diff.py [--seeds 1 2 3] OLD_TREE NEW_TREE
 
 Each tree is a checkout of this repository (for example the parent
 commit unpacked with ``git archive`` next to the working tree).  For each
 tree a fresh interpreter imports that tree's ``bench/instances.py``,
-which puts the tree's own ``src`` first on the path, builds the seed-1
-pool of every workload, and runs ``analyze`` and then
-``write_report(..., "json")`` on each instance.  The two trees run side
-by side.
+which puts the tree's own ``src`` first on the path, builds the pool of
+every workload for each seed in ``--seeds`` (default: seed 1 only), and
+runs ``analyze`` and then ``write_report(..., "json")`` on each instance.
+The two trees run side by side.
 
-Per workload the tool prints the number of instances and how many
+Per workload and seed the tool prints the number of instances and how many
 reports differ in meaning, split in two counts: in their decision (order,
 rank, DN status, verdict, cp-rank bounds and certificate rows) and in
 their steps (each step's name, outcome, ``m`` and ``extreme_indices``).
@@ -40,10 +40,11 @@ sys.path.insert(0, {bench!r})
 import instances
 import cprank
 with open({out!r}, "w") as out:
-    for name in instances.WORKLOADS:
-        for inst in instances.build(name, 1):
-            report = cprank.write_report(cprank.analyze(inst.matrix, inst.config), "json")
-            out.write(json.dumps([name, inst.id, report.decode()]) + "\\n")
+    for seed in {seeds!r}:
+        for name in instances.WORKLOADS:
+            for inst in instances.build(name, seed):
+                report = cprank.write_report(cprank.analyze(inst.matrix, inst.config), "json")
+                out.write(json.dumps([f"{{name}} seed {{seed}}", inst.id, report.decode()]) + "\\n")
 """
 
 
@@ -73,11 +74,11 @@ def rays_residual(report: str) -> float:
     return 0.0
 
 
-def run_tree(tree: Path, out: Path) -> subprocess.Popen:
+def run_tree(tree: Path, out: Path, seeds: list[int]) -> subprocess.Popen:
     bench = tree / "bench"
     if not (bench / "instances.py").is_file():
         raise SystemExit(f"report_diff: no bench/instances.py under {tree}")
-    code = CHILD.format(bench=str(bench), out=str(out))
+    code = CHILD.format(bench=str(bench), out=str(out), seeds=seeds)
     return subprocess.Popen([sys.executable, "-c", code])
 
 
@@ -90,11 +91,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1],
+                        help="pool seeds to analyse (default: 1)")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "--seeds" in argv and "--" not in argv:
+        # the trees may follow the seeds: end the list after its last integer
+        k = argv.index("--seeds") + 1
+        while k < len(argv) and argv[k].isdigit():
+            k += 1
+        if k < len(argv):
+            argv.insert(k, "--")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
         outs = [Path(tmp) / "old.jsonl", Path(tmp) / "new.jsonl"]
-        procs = [run_tree(tree.resolve(), out) for tree, out in zip((args.old, args.new), outs)]
+        procs = [run_tree(tree.resolve(), out, args.seeds)
+                 for tree, out in zip((args.old, args.new), outs)]
         if any([p.wait() for p in procs]):
             raise SystemExit("report_diff: a tree failed to analyse its pools")
         old, new = load(outs[0]), load(outs[1])
