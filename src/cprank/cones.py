@@ -14,6 +14,7 @@ in CP_{n,3}.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,8 @@ from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, classify
 from .nnq import NnqWitness, nnq_from_rays
 from .rotate import orthant_rotation_search
 from .srfactor import CpCertificate, make_certificate, sr_factor
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "ConeReport",
@@ -46,25 +49,45 @@ EXTREME_RESIDUAL_FACTOR = 1e-7
 DUPLICATE_RAY_COS_GAP = 1e-12
 
 
-def _batched_nnls(K: np.ndarray, C: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+def _batched_nnls(
+    K: np.ndarray, C: np.ndarray, allowed: np.ndarray, passive: np.ndarray
+) -> np.ndarray:
     """Lawson-Hanson active-set solve of ``q`` problems sharing ``K = G^T G``.
 
     Row ``i`` of the result is the ``x >= 0`` with least ``||G x - b_i||``
     given ``C[i] = G^T b_i``, with ``x_j = 0`` wherever ``allowed[i, j]``
-    is false.  All live problems take each step together (Bro and De
-    Jong, J. Chemometrics 11, 1997): add the column of largest positive
-    gradient to the passive set, solve the normal equations on it, and
-    step back toward the feasible point while a passive coefficient is
-    not positive, until no gradient exceeds ``1e-11 * max|G^T b_i|``.
-    Each problem's passive system is gathered compactly, so its size is
-    that of the passive set; a batch whose blocks are singular is solved
-    by pseudo-inverse instead.
+    is false.  ``passive[i]`` is the passive set problem ``i`` starts
+    from (all false for a cold start): its normal equations are solved
+    and the columns whose coefficients come out nonpositive are dropped,
+    together, until the solution is feasible (Van Benthem and Keenan,
+    J. Chemometrics 18, 2004).  Then all live problems take each step
+    together (Bro and De Jong, J. Chemometrics 11, 1997): add the column
+    of largest positive gradient to the passive set, solve the normal
+    equations on it, and step back toward the feasible point while a
+    passive coefficient is not positive, until no gradient exceeds
+    ``1e-11 * max|G^T b_i|``.  Each problem's passive system is gathered
+    compactly, so its size is that of the passive set; a batch whose
+    blocks are singular is solved by pseudo-inverse instead.  Each call
+    logs one DEBUG line: problems, columns, seeded columns and passive
+    solves.
     """
     q, k = C.shape
     allowed = allowed & (np.diag(K) > 0.0)
     dual_tol = 1e-11 * np.abs(np.where(allowed, C, 0.0)).max(axis=1, initial=0.0)
     X = np.zeros((q, k))
-    P = np.zeros((q, k), dtype=bool)
+    P = passive & allowed
+    seeded = int(P.sum())
+    solves = 0
+    live = np.flatnonzero(P.any(axis=1))
+    while live.size:
+        S = _passive_solve(K, C, P, live)
+        solves += 1
+        bad = P[live] & (S <= 0.0)
+        done = ~bad.any(axis=1)
+        X[live[done]] = S[done]
+        live = live[~done]
+        P[live] &= ~bad[~done]
+        live = live[P[live].any(axis=1)]
     rejected = np.zeros((q, k), dtype=bool)
     live = np.arange(q)
     for _ in range(3 * k + 30):
@@ -77,6 +100,7 @@ def _batched_nnls(K: np.ndarray, C: np.ndarray, allowed: np.ndarray) -> np.ndarr
         j = np.argmax(np.where(cand[has], grad[has], -np.inf), axis=1)
         P[live, j] = True
         S = _passive_solve(K, C, P, live)
+        solves += 1
         # a column whose own coefficient comes out nonpositive gained only
         # roundoff; it leaves again and waits until x moves
         enters = S[np.arange(live.size), j] > 0.0
@@ -101,6 +125,8 @@ def _batched_nnls(K: np.ndarray, C: np.ndarray, allowed: np.ndarray) -> np.ndarr
             X[act] = np.where(Pa, Xa, 0.0)
             P[act] = Pa
             S = _passive_solve(K, C, P, act)
+            solves += 1
+    _log.debug("_batched_nnls: problems=%d columns=%d seeded=%d solves=%d", q, k, seeded, solves)
     return X
 
 
@@ -134,7 +160,9 @@ class ConeReport:
     ray (0-based, the smallest index when several columns span the same
     ray); ``W`` is the nonnegative coefficient matrix reconstructing every
     column from the extreme ones, and ``residual`` the relative Frobenius
-    error of that reconstruction.
+    error of that reconstruction.  For :func:`extreme_rays` both describe
+    the Gram columns, although ``W`` is fitted on the rank factor's unit
+    columns and rescaled.
     """
 
     m: int
@@ -143,24 +171,28 @@ class ConeReport:
     residual: float
 
 
-def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray]:
-    """Sorted extreme columns of ``M`` and the representative of each
-    column (``-1`` for a zero column).
+def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Sorted extreme columns of ``M``, the representative of each column
+    (``-1`` for a zero column), and the columns each extremality fit used.
 
     Zero columns are dropped, positive multiples of one ray are collapsed
     onto their smallest-index representative, and a representative is
     extreme when nonnegative least squares cannot reconstruct it from the
-    others: one batched solve tests every representative, each against
-    all the others.
+    others: one batched solve on the unit columns tests every
+    representative, each against all the others, so the first column to
+    enter a fit is its most aligned ray and the residual is already
+    relative.  Row ``j`` of the returned mask marks the columns with a
+    positive coefficient in the fit of column ``j``'s representative.
     """
+    n = M.shape[1]
     norms = np.linalg.norm(M, axis=0)
     nonzero = np.flatnonzero(norms > tol.eps_nonneg * norms.max(initial=0.0))
-    rep_of = np.full(M.shape[1], -1)
+    rep_of = np.full(n, -1)
+    used = np.zeros((n, n), dtype=bool)
     if not nonzero.size:
-        return [], rep_of
+        return [], rep_of, used
     Mz = M[:, nonzero]
-    K = Mz.T @ Mz
-    cos = K / np.outer(norms[nonzero], norms[nonzero])
+    cos = (Mz.T @ Mz) / np.outer(norms[nonzero], norms[nonzero])
     # close[a, b]: column b comes before column a and spans the same ray
     close = np.tril(cos >= 1.0 - DUPLICATE_RAY_COS_GAP, -1)
     # a column represents its ray when no earlier representative is close;
@@ -174,21 +206,37 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray]
         if np.array_equal(nxt, is_rep):
             break
         is_rep = nxt
-    rep_of[nonzero] = nonzero[np.where(is_rep, np.arange(nonzero.size), hits.argmax(axis=1))]
+    rep_pos = np.where(is_rep, np.arange(nonzero.size), hits.argmax(axis=1))
+    rep_of[nonzero] = nonzero[rep_pos]
 
     reps = np.flatnonzero(is_rep)
-    Kr = K[np.ix_(reps, reps)]
-    X = _batched_nnls(Kr, Kr, ~np.eye(reps.size, dtype=bool))
-    resid = np.linalg.norm(Mz[:, reps] @ X.T - Mz[:, reps], axis=0)
-    extreme = nonzero[reps[resid > EXTREME_RESIDUAL_FACTOR * norms[nonzero[reps]]]]
-    return extreme.tolist(), rep_of
+    Kr = cos[np.ix_(reps, reps)]
+    X = _batched_nnls(Kr, Kr, ~np.eye(reps.size, dtype=bool), np.zeros(Kr.shape, dtype=bool))
+    U = Mz[:, reps] / norms[nonzero[reps]]
+    resid = np.linalg.norm(U @ X.T - U, axis=0)
+    extreme = nonzero[reps[resid > EXTREME_RESIDUAL_FACTOR]]
+    # X has one row per representative, and each column reads its own
+    # representative's row
+    used[np.ix_(nonzero, nonzero[reps])] = X[(np.cumsum(is_rep) - 1)[rep_pos]] > 0.0
+    return extreme.tolist(), rep_of, used
 
 
-def _cone_report(M: np.ndarray, extreme: list[int], rep_of: np.ndarray) -> ConeReport:
-    """Reconstruct every column of ``M`` from its ``extreme`` columns: a
-    column on an extreme ray is a multiple of its representative, and the
-    columns off the extreme rays are fitted in one batched solve."""
-    n = M.shape[1]
+def _cone_report(
+    G: np.ndarray, F: np.ndarray, extreme: list[int], rep_of: np.ndarray, used: np.ndarray
+) -> ConeReport:
+    """Reconstruct every column of ``G`` from its ``extreme`` columns.
+
+    ``G`` is a linear image of the columns of ``F`` (``F`` itself, or the
+    Gram columns ``F^T F``), so coefficients that rebuild a column of
+    ``F`` rebuild the same column of ``G``.  A column on an extreme ray is
+    a multiple of its representative, measured on ``G``.  The columns off
+    the extreme rays are fitted in one batched solve on the unit columns
+    of ``F``, where the extremality test ran: each fit starts from the
+    extreme columns its representative's extremality fit ``used``, and its
+    coefficients are rescaled to the columns of ``G``.  ``residual`` is
+    measured on ``G``.
+    """
+    n = G.shape[1]
     m = len(extreme)
     W = np.zeros((m, n))
     pos = np.full(n, -1)
@@ -197,18 +245,22 @@ def _cone_report(M: np.ndarray, extreme: list[int], rep_of: np.ndarray) -> ConeR
     k = pos[rep_of[kept]]
     on = k >= 0
     cols, reps = kept[on], rep_of[kept[on]]
-    R = M[:, reps]
-    ratio = np.einsum("ij,ij->j", R, M[:, cols]) / np.einsum("ij,ij->j", R, R)
+    R = G[:, reps]
+    ratio = np.einsum("ij,ij->j", R, G[:, cols]) / np.einsum("ij,ij->j", R, R)
     W[k[on], cols] = np.where(cols == reps, 1.0, ratio)
     fit = kept[~on]
     if m and fit.size:
-        E = M[:, extreme]
-        W[:, fit] = _batched_nnls(E.T @ E, M[:, fit].T @ E, np.ones((fit.size, m), dtype=bool)).T
+        norms = np.linalg.norm(F, axis=0)
+        E = F[:, extreme] / norms[extreme]
+        T = F[:, fit] / norms[fit]
+        seeds = used[np.ix_(fit, extreme)]
+        X = _batched_nnls(E.T @ E, T.T @ E, np.ones(seeds.shape, dtype=bool), seeds)
+        W[:, fit] = X.T * np.outer(1.0 / norms[extreme], norms[fit])
 
     if m:
-        recon = M[:, extreme] @ W
-        denom = float(np.linalg.norm(M))
-        residual = float(np.linalg.norm(M - recon)) / denom if denom else 0.0
+        recon = G[:, extreme] @ W
+        denom = float(np.linalg.norm(G))
+        residual = float(np.linalg.norm(G - recon)) / denom if denom else 0.0
     else:
         residual = 0.0
     return ConeReport(m=m, extreme_indices=tuple(extreme), W=W, residual=residual)
@@ -223,7 +275,7 @@ def extreme_columns(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
     representatives.
     """
     M = np.asarray(M, dtype=float)
-    return _cone_report(M, *_extreme_set(M, tol))
+    return _cone_report(M, M, *_extreme_set(M, tol))
 
 
 def extreme_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
@@ -232,18 +284,21 @@ def extreme_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
     The analysis runs on the rank-truncated spectral reconstruction of the
     input, which is the matrix the working tolerances say the input is;
     for a matrix of exact numerical rank this changes nothing.  Which
-    columns are extreme is decided on the columns of the rank factor
-    ``B``: a reconstruction residual there scales with the square roots of
-    the eigenvalues, where on the Gram columns it scales with the
-    eigenvalues themselves and an ill-conditioned cone loses rays.  ``W``
-    and ``residual`` describe the Gram columns.
+    columns are extreme is decided on the unit columns of the rank factor
+    ``B``, and the columns off the extreme rays are fitted there too, each
+    fit started from the one its extremality test made: a reconstruction
+    residual on ``B`` scales with the square roots of the eigenvalues,
+    where on the Gram columns it scales with the eigenvalues themselves,
+    so an ill-conditioned cone loses rays and its fits stall early.  ``B``
+    maps onto the Gram columns linearly, so ``W`` carries over; ``W`` and
+    ``residual`` describe the Gram columns.
     """
     S = as_symmetric(A, tol)
     verdict = classify_dn(S, tol)
     if not verdict.is_dn:
         raise PreconditionError(f"cone analysis requires a DN matrix, got {verdict.status}")
     B = sr_factor(S, tol)
-    return _cone_report(B.gram(), *_extreme_set(B.B, tol))
+    return _cone_report(B.gram(), B.B, *_extreme_set(B.B, tol))
 
 
 def few_rays_factor(

@@ -293,7 +293,10 @@ def nnls(target, generators, tol=DEFAULT_TOL):
         raise InvalidInputError("need at least one generator")
     if G.shape[0] != b.shape[0]:
         raise InvalidInputError(f"generator length {G.shape[0]} does not match target {b.shape[0]}")
-    coeffs = cones._batched_nnls(G.T @ G, (G.T @ b)[None, :], np.ones((1, G.shape[1]), dtype=bool))[0]
+    k = G.shape[1]
+    coeffs = cones._batched_nnls(
+        G.T @ G, (G.T @ b)[None, :], np.ones((1, k), dtype=bool), np.zeros((1, k), dtype=bool)
+    )[0]
     return coeffs, float(np.linalg.norm(G @ coeffs - b))
 
 

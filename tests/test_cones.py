@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -95,7 +96,10 @@ class TestNnls:
 
     def test_batched_problems_match_the_per_problem_oracle(self):
         # one kernel call over many targets, some with columns masked out,
-        # reaches for each problem the optimum the per-problem oracle finds
+        # reaches for each problem the optimum the per-problem oracle finds,
+        # from a cold start and from seeded passive sets: every column, a
+        # random half, and only columns the optimum leaves at zero, which
+        # must all leave again
         rng = np.random.default_rng(78)
         for _ in range(60):
             m, k, q = (int(v) for v in rng.integers(2, 8, size=3))
@@ -103,13 +107,42 @@ class TestNnls:
             G = rng.standard_normal((m, rk)) @ rng.standard_normal((rk, k))
             b = rng.standard_normal((q, m))
             allowed = rng.random((q, k)) < 0.7
-            X = cones._batched_nnls(G.T @ G, b @ G, allowed)
-            assert X.min() >= 0.0 and not X[~allowed].any()
+            oracle = np.zeros((q, k))
             for i in range(q):
                 cols = np.flatnonzero(allowed[i])
                 if cols.size:
-                    best = G[:, cols] @ active_set_nnls(G[:, cols], b[i]) - b[i]
-                    assert np.linalg.norm(G @ X[i] - b[i]) <= np.linalg.norm(best) + 1e-9
+                    oracle[i, cols] = active_set_nnls(G[:, cols], b[i])
+            best = np.linalg.norm(oracle @ G.T - b, axis=1)
+            seeds = (
+                np.zeros((q, k), dtype=bool),
+                np.ones((q, k), dtype=bool),
+                rng.random((q, k)) < 0.5,
+                allowed & (oracle == 0.0),
+            )
+            for passive in seeds:
+                X = cones._batched_nnls(G.T @ G, b @ G, allowed, passive)
+                assert X.min() >= 0.0 and not X[~allowed].any()
+                assert np.all(np.linalg.norm(X @ G.T - b, axis=1) <= best + 1e-9)
+
+
+def assert_w_fit_matches_oracle(A):
+    """``W >= 0``, and every column fitted off the extreme rays comes, on
+    the unit factor columns, within 1e-9 of the per-problem oracle's
+    residual against the unit extreme columns."""
+    report = extreme_rays(A)
+    assert report.W.min() >= 0.0
+    B = sr_factor(A).B
+    _, rep_of, _ = cones._extreme_set(B, Tolerances())
+    ext = list(report.extreme_indices)
+    norms = np.linalg.norm(B, axis=0)
+    E = B[:, ext] / norms[ext]
+    for j in np.flatnonzero(rep_of >= 0):
+        if rep_of[j] in ext:
+            continue
+        u = B[:, j] / norms[j]
+        fitted = E @ (report.W[:, j] * norms[ext] / norms[j]) - u
+        best = E @ active_set_nnls(E, u) - u
+        assert abs(np.linalg.norm(fitted) - np.linalg.norm(best)) <= 1e-9
 
 
 class TestExtremeRays:
@@ -256,6 +289,72 @@ class TestExtremeRays:
         assert report.m < n  # some columns are fitted, not extreme
         assert calls == ["kernel", "kernel"]
 
+    def test_w_fit_seeded_from_extremality_solves_little(self, monkeypatch):
+        # every column off the extreme rays was already fitted on extreme
+        # columns alone by its extremality test; started from those, the W
+        # fit needs at most two passive solves, and the whole analysis
+        # takes fewer than the 10 + 9 of a cold-started fit on Gram columns
+        A = random_dn(12, 5, seed=6, style=GRAM_NONNEG)
+        B = sr_factor(A).B
+        ext, rep_of, used = cones._extreme_set(B, Tolerances())
+        fit = [j for j in range(12) if rep_of[j] >= 0 and rep_of[j] not in ext]
+        assert fit and all(set(np.flatnonzero(used[j])) <= set(ext) for j in fit)
+
+        solves = []
+        kernel, passive_solve = cones._batched_nnls, cones._passive_solve
+
+        def counted_kernel(*args):
+            solves.append(0)
+            return kernel(*args)
+
+        def counted_solve(*args):
+            solves[-1] += 1
+            return passive_solve(*args)
+
+        monkeypatch.setattr(cones, "_batched_nnls", counted_kernel)
+        monkeypatch.setattr(cones, "_passive_solve", counted_solve)
+        extreme_rays(A)
+        assert len(solves) == 2
+        assert solves[1] <= 2
+        assert sum(solves) < 19
+
+    def test_one_debug_line_per_kernel_call(self, caplog):
+        A = random_dn(12, 5, seed=6, style=GRAM_NONNEG)
+        with caplog.at_level(logging.DEBUG, logger="cprank"):
+            report = extreme_rays(A)
+        lines = [r.getMessage() for r in caplog.records if r.name == "cprank.cones"]
+        assert len(lines) == 2
+        assert all(line.startswith("_batched_nnls: ") for line in lines)
+        ext, fit = (
+            {key: int(value) for key, value in (f.split("=") for f in line.split()[1:])}
+            for line in lines
+        )
+        # the extremality batch starts cold, one problem per column here
+        assert ext["problems"] == ext["columns"] == 12 and ext["seeded"] == 0
+        # the W fit starts from the extremality fit of its one column
+        assert (fit["problems"], fit["columns"]) == (12 - report.m, report.m)
+        assert fit["seeded"] > 0 and 1 <= fit["solves"] <= 2
+        assert ext["solves"] > fit["solves"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(RANDOM_STYLES),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=34),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_w_fit_matches_per_column_oracle(self, style, r, extra, seed):
+        assert_w_fit_matches_oracle(random_dn(r + extra, r, seed=seed, style=style).a)
+
+    def test_w_fit_matches_oracle_on_constructed_nnq_instances(self):
+        # the ill-conditioned family of the nnq factor test (cond(E^T E)
+        # reaches 3e10 on the Gram columns)
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            N = rng.uniform(0.1, 1.0, size=(3, 3))
+            P = np.hstack([np.eye(3), rng.uniform(0.0, 1.0, size=(3, 4))])
+            assert_w_fit_matches_oracle(P.T @ (N.T @ N) @ P)
+
 
 def planted_duplicates(data):
     """Columns of a few random base rays plus planted copies: exact
@@ -297,14 +396,14 @@ class TestDuplicateRays:
     @given(st.data())
     def test_matches_sequential_loop(self, data):
         M = planted_duplicates(data)
-        extreme, rep_of = cones._extreme_set(M, Tolerances())
+        extreme, rep_of, used = cones._extreme_set(M, Tolerances())
         reps, expected = duplicate_rays_loop(M)
         assert [j for j, rep in enumerate(rep_of) if rep == j] == reps
         assert {j: int(rep) for j, rep in enumerate(rep_of) if rep >= 0} == expected
         assert set(extreme) <= set(reps)
         # a column on an extreme ray is its representative's multiple; the
         # sums now run in another order, so they agree to a few roundoffs
-        W = cones._cone_report(M, extreme, rep_of).W
+        W = cones._cone_report(M, M, extreme, rep_of, used).W
         for j, rep in expected.items():
             if rep in extreme:
                 ratio = 1.0 if j == rep else float(M[:, rep] @ M[:, j]) / float(M[:, rep] @ M[:, rep])
@@ -315,7 +414,7 @@ class TestDuplicateRays:
         u, w = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         theta = math.acos(1.0 - 0.8 * DUPLICATE_RAY_COS_GAP)
         M = np.column_stack([math.cos(k * theta) * u + math.sin(k * theta) * w for k in range(3)])
-        _, rep_of = cones._extreme_set(M, Tolerances())
+        _, rep_of, _ = cones._extreme_set(M, Tolerances())
         assert rep_of.tolist() == [0, 0, 2]
         assert duplicate_rays_loop(M) == ([0, 2], {0: 0, 1: 0, 2: 2})
 

@@ -2,7 +2,9 @@
 
 Every sufficient and necessary condition the cascade applies is
 homogeneous in the matrix, so what a report decides must not depend on
-the units of the matrix or on the order of its rows and columns.
+the units of the matrix or on the order of its rows and columns.  The
+extreme rays of the column cone do not depend on a positive diagonal
+scaling of its rows and columns either.
 """
 
 import numpy as np
@@ -96,3 +98,20 @@ def test_tiny_nonzero_matrix_has_positive_rank():
     assert_consistent(report)
     assert report.verdict == CP_RANK_EQ_RANK
     assert (report.rank, report.cp_rank_lower, report.cp_rank_upper) == (1, 1, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(RANDOM_STYLES),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_extreme_rays_invariant_under_diagonal_scaling(style, r, extra, seed, d_seed):
+    # D maps the columns of the rank factor B to those of B D, positive
+    # multiples of the same columns, so D A D has the same extreme rays
+    A = np.array(random_dn(r + extra, r, seed=seed, style=style).a)
+    d = 10.0 ** np.random.default_rng(d_seed).uniform(-1.5, 1.5, size=A.shape[0])
+    base, scaled = extreme_rays(A), extreme_rays(d[:, None] * A * d)
+    assert (scaled.m, scaled.extreme_indices) == (base.m, base.extreme_indices)

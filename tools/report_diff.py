@@ -16,9 +16,11 @@ Per workload and seed the tool prints the number of instances and how many
 reports differ in meaning, split in two counts: in their decision (order,
 rank, DN status, verdict, cp-rank bounds and certificate rows) and in
 their steps (each step's name, outcome, ``m`` and ``extreme_indices``).
-It also prints how many reports differ in their bytes at all and the
-largest ``extreme_rays`` residual of each tree, and names the first few
-instances that differ.  It exits with status 1 when any report differs
+It also prints how many reports differ in their bytes at all, the
+largest ``extreme_rays`` residual of each tree, and how many reports
+differ in each field, named by its path (``extreme_rays.residual`` for a
+step's detail, ``certificate.entries``, ``verdict``), and names the first
+few instances that differ.  It exits with status 1 when any report differs
 in meaning.  It reads ``bench/`` and writes nothing there.
 """
 
@@ -29,6 +31,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 # differing instance ids listed per workload
@@ -65,6 +68,32 @@ def steps(report: str) -> tuple:
         (s["name"], s["outcome"], s["details"].get("m"), tuple(s["details"].get("extreme_indices") or ()))
         for s in json.loads(report).get("steps", ())
     )
+
+
+def fields(report: str) -> dict[str, object]:
+    """Every field of a report by its path: a top-level key, a certificate
+    key as ``certificate.<key>``, and a step's outcome and details as
+    ``<step>.outcome`` and ``<step>.<key>``.  Numbers keep their text, so
+    ``-0`` differs from ``0``."""
+    out: dict[str, object] = {}
+    for key, value in json.loads(report, parse_int=str, parse_float=str).items():
+        if key == "steps":
+            for step in value:
+                out[f"{step['name']}.outcome"] = step["outcome"]
+                out.update((f"{step['name']}.{k}", v) for k, v in step["details"].items())
+        elif key == "certificate" and value is not None:
+            out.update((f"certificate.{k}", v) for k, v in value.items())
+        else:
+            out[key] = value
+    return out
+
+
+def changed_fields(old: str, new: str) -> list[str]:
+    """Paths of the fields that differ between two reports, or that only
+    one of them has."""
+    a, b = fields(old), fields(new)
+    absent = object()
+    return [path for path in dict.fromkeys([*a, *b]) if a.get(path, absent) != b.get(path, absent)]
 
 
 def rays_residual(report: str) -> float:
@@ -127,6 +156,9 @@ def main(argv: list[str] | None = None) -> int:
             f"{len(stepped)} step differences, {len(byte)} byte differences, "
             f"max rays residual {rays_old:.2e} -> {rays_new:.2e}"
         )
+        per_field = Counter(path for key in keys for path in changed_fields(old[key], new[key]))
+        if per_field:
+            print("  fields:", ", ".join(f"{path} {count}" for path, count in per_field.most_common()))
         for label, ids in (("decision", decided), ("steps", stepped), ("bytes", byte)):
             if ids:
                 print(f"  {label}:", ", ".join(ids[:SHOWN]))
