@@ -37,6 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="restart budget for rotation searches")
     common.add_argument("--tol-psd", type=float, default=None,
                         help="relative eigenvalue slack for the PSD decision")
+    common.add_argument("--tol-rank", type=float, default=None,
+                        help="relative eigenvalue threshold for counting the rank")
     common.add_argument("--tol-nonneg", type=float, default=None,
                         help="entrywise nonnegativity slack, relative to the largest entry")
     common.add_argument("--tol-residual", type=float, default=None,
@@ -65,6 +67,8 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
     kwargs = {}
     if args.tol_psd is not None:
         kwargs["eps_psd"] = args.tol_psd
+    if args.tol_rank is not None:
+        kwargs["eps_rank"] = args.tol_rank
     if args.tol_nonneg is not None:
         kwargs["eps_nonneg"] = args.tol_nonneg
     if args.tol_residual is not None:

@@ -10,6 +10,11 @@ nonnegative equivalence at rank at most 4 (``m = rank``).  When there are
 exactly rank many rays, the cone is simplicial and the matrix is
 nonnegative-equivalent, so a rank-3 matrix with three extreme rays lies
 in CP_{n,3}.
+
+Which columns are extreme is settled in two stages: a separating
+functional read off the cosine matrix proves most extreme columns
+extreme with one matrix product, and one batched nonnegative
+least-squares solve tests only the columns it leaves open.
 """
 
 from __future__ import annotations
@@ -67,9 +72,11 @@ def _batched_nnls(
     passive coefficient is not positive, until no gradient exceeds
     ``1e-11 * max|G^T b_i|``.  Each problem's passive system is gathered
     compactly, so its size is that of the passive set; a batch whose
-    blocks are singular is solved by pseudo-inverse instead.  Each call
-    logs one DEBUG line: problems, columns, seeded columns and passive
-    solves.
+    blocks are singular is solved by pseudo-inverse instead.  Problems do
+    not interact (apart from sharing that fallback), so the extremality
+    batch holds only the columns the separation bound left open.  Each
+    call logs one DEBUG line: problems, columns, seeded columns and
+    passive solves.
     """
     q, k = C.shape
     allowed = allowed & (np.diag(K) > 0.0)
@@ -152,6 +159,43 @@ def _passive_solve(K: np.ndarray, C: np.ndarray, P: np.ndarray, rows: np.ndarray
     return S
 
 
+def _separation_bound(U: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Lower bounds on the distance of each unit column of ``U`` from the
+    cone of the others, read off their cosine matrix ``K = U^T U``.
+
+    With ``c`` the sum of the columns and ``t = K 1`` (so ``t_k = c.u_k``),
+    ``y_j = alpha_j c - u_j`` with ``alpha_j = max(0, max_{k != j}
+    K_jk / t_k)`` has ``y_j.u_k >= 0`` for every ``k != j``, so it
+    separates ``u_j`` from the others' cone by at least
+    ``-y_j.u_j / ||y_j||`` (a Farkas functional, as in the frame screen of
+    Dula and Helgason, EJOR 92, 1996).  ``Y`` is built explicitly so that
+    its norms lose nothing to cancellation.
+
+    In floating point ``y_j.u_k`` may fall short of 0 by the rounding
+    ``eta_j`` of ``alpha_j t_k - K_jk``, and the nearest point of the
+    others' cone has coefficients summing to at most ``||c|| / min t``;
+    both shortfalls, and the rounding of ``Y``, are charged against the
+    bound.  Without that charge a column inside a fan of near-parallel
+    columns, where ``y_j`` is pure rounding, can read as separated.  A
+    lone column gets ``alpha = 0`` and a bound of 1 up to that charge;
+    when some ``t_k <= 0`` the sum sees no common side and every bound
+    is 0.
+    """
+    d, k = U.shape
+    t = K.sum(axis=1)
+    if not (t > 0.0).all():
+        return np.zeros(k)
+    ratio = K / t
+    np.fill_diagonal(ratio, 0.0)
+    alpha = ratio.max(axis=1)
+    c = U.sum(axis=1)
+    Y = np.outer(c, alpha) - U
+    # a cosine or a row sum of K carries about d + k roundings
+    eta = (d + k + 4) * np.finfo(float).eps * (1.0 + alpha * k)
+    gap = -np.einsum("ij,ij->j", Y, U) - eta * (1.0 + np.linalg.norm(c) / t.min())
+    return gap / (np.linalg.norm(Y, axis=0) + eta)
+
+
 @dataclass(frozen=True)
 class ConeReport:
     """Extreme rays of a column cone.
@@ -178,11 +222,18 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray,
     Zero columns are dropped, positive multiples of one ray are collapsed
     onto their smallest-index representative, and a representative is
     extreme when nonnegative least squares cannot reconstruct it from the
-    others: one batched solve on the unit columns tests every
-    representative, each against all the others, so the first column to
-    enter a fit is its most aligned ray and the residual is already
-    relative.  Row ``j`` of the returned mask marks the columns with a
-    positive coefficient in the fit of column ``j``'s representative.
+    others.  A representative whose separation bound (see
+    :func:`_separation_bound`) exceeds ``EXTREME_RESIDUAL_FACTOR`` is
+    extreme by that rule without a solve, since the least-squares
+    residual is at least the distance the bound bounds.  One batched
+    solve on the unit columns tests the rest, each against all the other
+    representatives, so the first column to enter a fit is its most
+    aligned ray and the residual is already relative; when the bound
+    settles every representative there is no solve.  Row ``j`` of the
+    returned mask marks the columns with a positive coefficient in the
+    fit of column ``j``'s representative; it stays empty for a separated
+    representative, which is extreme, so no W fit reads it.  Each call
+    logs one DEBUG line: representatives and how many were separated.
     """
     n = M.shape[1]
     norms = np.linalg.norm(M, axis=0)
@@ -211,10 +262,17 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray,
 
     reps = np.flatnonzero(is_rep)
     Kr = cos[np.ix_(reps, reps)]
-    X = _batched_nnls(Kr, Kr, ~np.eye(reps.size, dtype=bool), np.zeros(Kr.shape, dtype=bool))
     U = Mz[:, reps] / norms[nonzero[reps]]
-    resid = np.linalg.norm(U @ X.T - U, axis=0)
-    extreme = nonzero[reps[resid > EXTREME_RESIDUAL_FACTOR]]
+    is_ext = _separation_bound(U, Kr) > EXTREME_RESIDUAL_FACTOR
+    rest = np.flatnonzero(~is_ext)
+    _log.debug("_extreme_set: representatives=%d separated=%d", reps.size, reps.size - rest.size)
+    X = np.zeros(Kr.shape)
+    if rest.size:
+        allowed = ~np.eye(reps.size, dtype=bool)[rest]
+        X[rest] = _batched_nnls(Kr, Kr[rest], allowed, np.zeros(allowed.shape, dtype=bool))
+        resid = np.linalg.norm(U @ X[rest].T - U[:, rest], axis=0)
+        is_ext[rest] = resid > EXTREME_RESIDUAL_FACTOR
+    extreme = nonzero[reps[is_ext]]
     # X has one row per representative, and each column reads its own
     # representative's row
     used[np.ix_(nonzero, nonzero[reps])] = X[(np.cumsum(is_rep) - 1)[rep_pos]] > 0.0

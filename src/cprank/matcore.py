@@ -10,7 +10,7 @@ matrix ``2 diag(A) - A``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, Hashable, NamedTuple, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -81,6 +81,8 @@ DEFAULT_TOL = Tolerances()
 
 MatrixLike = Union["SymmetricMatrix", np.ndarray, Sequence[Sequence[float]]]
 
+T = TypeVar("T")
+
 
 class SymmetricMatrix:
     """An immutable dense symmetric matrix.
@@ -88,11 +90,12 @@ class SymmetricMatrix:
     Construction symmetrizes the input as ``(A + A^T) / 2`` provided the
     relative asymmetry does not exceed ``tol.eps_sym``; larger asymmetry is
     rejected.  The stored array is read-only so values can be shared freely;
-    the eigendecomposition and the off-diagonal zero pattern of each
-    threshold are computed once, on first use, and kept.
+    the eigendecomposition, the off-diagonal zero pattern of each
+    threshold, and the rank decision and rank factor of each tolerance
+    pair are computed once, on first use, and kept.
     """
 
-    __slots__ = ("_a", "_scale", "_eig", "_patterns")
+    __slots__ = ("_a", "_scale", "_eig", "_patterns", "_derived")
 
     def __init__(self, entries: MatrixLike, tol: Tolerances = DEFAULT_TOL):
         a = np.array(getattr(entries, "a", entries), dtype=float, copy=True)
@@ -115,6 +118,7 @@ class SymmetricMatrix:
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_eig", None)
         object.__setattr__(self, "_patterns", {})
+        object.__setattr__(self, "_derived", {})
 
     @property
     def a(self) -> np.ndarray:
@@ -150,6 +154,17 @@ class SymmetricMatrix:
             P.flags.writeable = False
             self._patterns[eps] = P
         return P
+
+    def derived(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """``compute()``, computed once per ``key`` on first use and kept.
+
+        Values kept here must be immutable: :func:`psd_rank` and
+        :func:`~cprank.srfactor.sr_factor` keep their results under their
+        name and the ``(eps_psd, eps_rank)`` pair they depend on.
+        """
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
 
     @property
     def n(self) -> int:
@@ -203,9 +218,16 @@ def psd_rank(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> PsdRank:
     ``is_psd`` holds iff the smallest eigenvalue is at least
     ``-eps_psd * |lambda|_max``; the rank is the number of eigenvalues
     whose magnitude exceeds ``eps_rank`` on the same scale, so a nonzero
-    matrix has rank at least 1.
+    matrix has rank at least 1.  A :class:`SymmetricMatrix` is reduced
+    once per tolerance pair, on first use.
     """
-    w = sym_eigen(A, tol).eigenvalues
+    S = as_symmetric(A, tol)
+    return S.derived(
+        ("psd_rank", tol.eps_psd, tol.eps_rank), lambda: _psd_rank(S.eigen.eigenvalues, tol)
+    )
+
+
+def _psd_rank(w: np.ndarray, tol: Tolerances) -> PsdRank:
     scale = float(np.abs(w).max())
     is_psd = bool(w[-1] >= -tol.eps_psd * scale)
     rank = int(np.count_nonzero(np.abs(w) > tol.eps_rank * scale))

@@ -12,7 +12,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError
-from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, psd_rank, sym_eigen
+from .matcore import (
+    DEFAULT_TOL,
+    MatrixLike,
+    SymmetricMatrix,
+    Tolerances,
+    as_symmetric,
+    psd_rank,
+    sym_eigen,
+)
 
 __all__ = [
     "SrFactor",
@@ -61,9 +69,15 @@ def sr_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> SrFactor:
     eigenpairs, where ``r`` is the numerical rank.  Plain Cholesky would
     fail on singular input, and since all SR factors are orthogonally
     equivalent the eigenvector construction loses nothing.  The
-    eigenvector sign convention makes the result deterministic.
+    eigenvector sign convention makes the result deterministic.  A
+    :class:`~cprank.matcore.SymmetricMatrix` is factored once per
+    tolerance pair, on first use.
     """
     S = as_symmetric(A, tol)
+    return S.derived(("sr_factor", tol.eps_psd, tol.eps_rank), lambda: _sr_factor(S, tol))
+
+
+def _sr_factor(S: SymmetricMatrix, tol: Tolerances) -> SrFactor:
     is_psd, r = psd_rank(S, tol)
     if not is_psd:
         raise PreconditionError("SR factorization requires a positive semidefinite matrix")

@@ -91,6 +91,19 @@ class TestAnalyze:
         assert doc["dn"] == "DN" and doc["rank"] == 5
         assert doc["verdict"] == "UNDECIDED"
 
+    def test_rank_tolerance_flag(self, tmp_path, capsys):
+        # the README's loosened tolerances, all four from the command line:
+        # the rounding noise no longer counts toward the rank
+        path = write_fixture(tmp_path, "EX3_9")
+        code, out, _ = run(capsys, ["analyze", "--input", path, "--report", "json",
+                                    "--tol-psd", "1e-4", "--tol-rank", "1e-4",
+                                    "--tol-nonneg", "1e-6", "--tol-residual", "1e-4"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["dn"] == "DN" and doc["rank"] == 3
+        assert doc["verdict"] == "CP_RANK_EQ_RANK"
+        assert doc["certificate"]["rows"] == 3
+
 
 class TestOtherCommands:
     def test_factor(self, tmp_path, capsys):

@@ -19,7 +19,7 @@ from cprank import (
     verify_certificate,
 )
 from cprank import cones
-from cprank.cones import DUPLICATE_RAY_COS_GAP, IN_CP_N3, NOT_APPLICABLE
+from cprank.cones import DUPLICATE_RAY_COS_GAP, EXTREME_RESIDUAL_FACTOR, IN_CP_N3, NOT_APPLICABLE
 from cprank.fixtures import GRAM_NONNEG, RANDOM_STYLES, ROTATED_NONNEG, example_matrix, random_dn, soules_cp
 from conftest import (
     active_set_nnls,
@@ -323,14 +323,17 @@ class TestExtremeRays:
         with caplog.at_level(logging.DEBUG, logger="cprank"):
             report = extreme_rays(A)
         lines = [r.getMessage() for r in caplog.records if r.name == "cprank.cones"]
-        assert len(lines) == 2
-        assert all(line.startswith("_batched_nnls: ") for line in lines)
-        ext, fit = (
+        names = [line.split(":")[0] for line in lines]
+        assert names == ["_extreme_set", "_batched_nnls", "_batched_nnls"]
+        screen, ext, fit = (
             {key: int(value) for key, value in (f.split("=") for f in line.split()[1:])}
             for line in lines
         )
-        # the extremality batch starts cold, one problem per column here
-        assert ext["problems"] == ext["columns"] == 12 and ext["seeded"] == 0
+        # the separation bound settles some representatives; the extremality
+        # batch starts cold on the others, against every representative
+        assert screen["representatives"] == 12 and screen["separated"] > 0
+        assert ext["problems"] == screen["representatives"] - screen["separated"] > 0
+        assert ext["columns"] == 12 and ext["seeded"] == 0
         # the W fit starts from the extremality fit of its one column
         assert (fit["problems"], fit["columns"]) == (12 - report.m, report.m)
         assert fit["seeded"] > 0 and 1 <= fit["solves"] <= 2
@@ -417,6 +420,107 @@ class TestDuplicateRays:
         _, rep_of, _ = cones._extreme_set(M, Tolerances())
         assert rep_of.tolist() == [0, 0, 2]
         assert duplicate_rays_loop(M) == ([0, 2], {0: 0, 1: 0, 2: 2})
+
+
+def screen_against_oracle(M):
+    """Representatives of ``M`` (as the column loop collapses them) that
+    the separation bound settles as extreme, and those a per-column NNLS
+    against the other unit representatives finds extreme; every bound is
+    checked against that NNLS distance on the way."""
+    M = np.asarray(M, dtype=float)
+    reps, _ = duplicate_rays_loop(M)
+    U = M[:, reps] / np.linalg.norm(M[:, reps], axis=0)
+    bound = cones._separation_bound(U, U.T @ U)
+    dist = np.ones(len(reps))
+    for j in range(len(reps)):
+        others = np.delete(U, j, axis=1)
+        if others.shape[1]:
+            dist[j] = np.linalg.norm(others @ active_set_nnls(others, U[:, j]) - U[:, j])
+    assert np.all(bound <= dist + 1e-12)
+    reps = np.array(reps, dtype=int)
+    return reps[bound > EXTREME_RESIDUAL_FACTOR].tolist(), reps[dist > EXTREME_RESIDUAL_FACTOR].tolist()
+
+
+class TestSeparationBound:
+    """The one-matmul screen that settles extreme representatives before
+    the NNLS kernel runs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(RANDOM_STYLES),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=34),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_never_exceeds_the_distance_on_dn_factors(self, style, r, extra, seed):
+        A = random_dn(r + extra, r, seed=seed, style=style)
+        separated, _ = screen_against_oracle(sr_factor(A).B)
+        assert set(separated) <= set(extreme_indices_oracle(A))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_never_exceeds_the_distance_on_planted_duplicates(self, data):
+        M = planted_duplicates(data)
+        separated, extreme = screen_against_oracle(M)
+        assert set(separated) <= set(extreme)
+        assert set(separated) <= set(cones._extreme_set(M, Tolerances())[0])
+
+    def test_lone_representative_is_separated_by_one(self):
+        # one column is its own fan: alpha = 0, y = -u, and only the
+        # rounding charge keeps the bound below 1
+        U = np.array([[0.6], [0.8]])
+        assert cones._separation_bound(U, U.T @ U)[0] == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("theta", [2e-6, 3e-6, 5e-6, 1e-5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_interior_column_of_a_near_parallel_fan_is_not_separated(self, theta, seed):
+        # the middle of three coplanar unit columns theta apart (distinct
+        # rays: 1 - cos(theta) exceeds the duplicate gap) lies in the cone
+        # of the other two, and its functional y is pure rounding there
+        rng = np.random.default_rng(seed)
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0] if seed else np.eye(3)
+        U = Q @ np.array([[math.cos(k * theta) for k in (0, 1, 2)],
+                          [math.sin(k * theta) for k in (0, 1, 2)],
+                          [0.0, 0.0, 0.0]])
+        bound = cones._separation_bound(U, U.T @ U)
+        assert bound[1] <= 1e-12
+        assert bound[0] > EXTREME_RESIDUAL_FACTOR and bound[2] > EXTREME_RESIDUAL_FACTOR
+
+    @pytest.mark.parametrize("A, tol", [
+        (np.eye(3), Tolerances()),
+        (example_matrix("EX3_7").a, Tolerances()),
+    ], ids=["identity", "EX3_7"])
+    def test_fully_separated_cone_skips_the_kernel(self, monkeypatch, A, tol):
+        calls = []
+        kernel = cones._batched_nnls
+        monkeypatch.setattr(cones, "_batched_nnls", lambda *args: calls.append(1) or kernel(*args))
+        report = extreme_rays(A, tol)
+        assert calls == [] and report.m == A.shape[0]
+        # the same report as when every representative goes to the kernel
+        monkeypatch.setattr(cones, "_separation_bound", lambda U, K: np.zeros(K.shape[0]))
+        kernel_report = extreme_rays(A, tol)
+        assert len(calls) == 1
+        assert report.extreme_indices == kernel_report.extreme_indices
+        assert np.array_equal(report.W, kernel_report.W)
+        assert report.residual == kernel_report.residual
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_negative_cosine_sum_skips_the_bound(self, caplog, seed):
+        # a general factor whose cosine sums are not all positive: the bound
+        # is skipped and every representative goes to the kernel
+        rng = np.random.default_rng(seed)
+        M = np.column_stack([np.eye(3), -np.ones(3), rng.standard_normal((3, 4))])
+        U = M / np.linalg.norm(M, axis=0)
+        assert (U.T @ U).sum(axis=1).min() <= 0.0
+        with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
+            report = extreme_columns(M)
+        screen, ext = (
+            {key: int(value) for key, value in (f.split("=") for f in r.getMessage().split()[1:])}
+            for r in caplog.records[:2]
+        )
+        assert screen == {"representatives": 8, "separated": 0}
+        assert ext["problems"] == 8
+        assert list(report.extreme_indices) == screen_against_oracle(M)[1]
 
 
 class TestFewRaysFactor:

@@ -14,6 +14,7 @@ from cprank import (
     sym_eigen,
     zero_diagonal_indices,
 )
+from cprank import matcore, srfactor
 from cprank.fixtures import example_matrix
 from conftest import random_symmetric
 
@@ -114,6 +115,25 @@ class TestPsdRank:
 
     def test_indefinite(self):
         assert psd_rank(np.array([[1.0, -2.0], [-2.0, 1.0]])) == (False, 2)
+
+    def test_kept_per_tolerance_pair(self, monkeypatch):
+        # a SymmetricMatrix reduces its spectrum and builds its rank factor
+        # once per (eps_psd, eps_rank) pair; an ndarray is never kept
+        reductions, factors = [], []
+        reduce, factor = matcore._psd_rank, srfactor._sr_factor
+        monkeypatch.setattr(matcore, "_psd_rank", lambda *a: reductions.append(1) or reduce(*a))
+        monkeypatch.setattr(srfactor, "_sr_factor", lambda *a: factors.append(1) or factor(*a))
+        S = example_matrix("EX3_9")
+        loose = Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6)
+        assert psd_rank(S) == (False, 5)
+        assert psd_rank(S, loose) == (True, 3)
+        assert classify_dn(S, Tolerances(eps_psd=1e-4, eps_rank=1e-4)).rank == 3
+        B = sr_factor(S, loose)
+        assert sr_factor(S, Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_residual=1e-3)) is B
+        assert B.r == 3
+        assert len(reductions) == 2 and len(factors) == 1
+        assert psd_rank(S.a) == (False, 5) and psd_rank(S.a) == (False, 5)
+        assert len(reductions) == 4
 
 
 class TestClassifyDn:

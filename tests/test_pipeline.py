@@ -16,7 +16,7 @@ from cprank import (
     verify_certificate,
 )
 from cprank.fixtures import EXAMPLE_IDS, GRAM_NONNEG, RANDOM_STYLES, example_matrix, random_dn
-from cprank import graphcond, pipeline
+from cprank import graphcond, matcore, pipeline, srfactor
 from cprank.pipeline import (
     CP_RANK_EQ_RANK,
     NOT_DN,
@@ -280,6 +280,43 @@ class TestOneDecompositionPerMatrix:
             analyze(A, cfg)
             assert len({id(a) for a in eigh_inputs}) == len(eigh_inputs)
             assert len(eigh_inputs) <= 5
+
+
+class TestOneRankDecisionPerMatrix:
+    def test_each_matrix_and_tolerance_pair_reduced_once(self, monkeypatch):
+        # psd_rank and sr_factor run several times per analysis, on the
+        # input, the deflated core and the extreme block; each of those
+        # matrices reduces its spectrum and builds its factor once
+        reduced, factored = [], []
+        reduce, factor = matcore._psd_rank, srfactor._sr_factor
+
+        def counted_reduce(w, tol):
+            reduced.append((w, tol.eps_psd, tol.eps_rank))  # keeps w alive
+            return reduce(w, tol)
+
+        def counted_factor(S, tol):
+            factored.append((S, tol.eps_psd, tol.eps_rank))
+            return factor(S, tol)
+
+        monkeypatch.setattr(matcore, "_psd_rank", counted_reduce)
+        monkeypatch.setattr(srfactor, "_sr_factor", counted_factor)
+        cases = [(example_matrix(fid), cfg) for fid in EXAMPLE_IDS
+                 for cfg in (AnalysisConfig(), ROUNDED_CFG)]
+        for style in RANDOM_STYLES:
+            for n, r in ((4, 2), (6, 3), (8, 4), (8, 5)):
+                A = random_dn(n, r, seed=n, style=style).a
+                padded = np.zeros((n + 2, n + 2))
+                padded[1:-1, 1:-1] = A
+                cases += [(A, AnalysisConfig(heuristic=True)), (padded, AnalysisConfig())]
+        for A, cfg in cases:
+            reduced.clear()
+            factored.clear()
+            analyze(A, cfg)
+            assert reduced
+            keys = [(id(w), psd, rank) for w, psd, rank in reduced]
+            assert len(set(keys)) == len(keys)
+            keys = [(id(S), psd, rank) for S, psd, rank in factored]
+            assert len(set(keys)) == len(keys)
 
 
 class TestOnePatternPerMatrix:
