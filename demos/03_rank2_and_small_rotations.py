@@ -1,22 +1,29 @@
 """Low-rank and small-order cases are fully constructive.
 
-Rank 2: Gram vectors with pairwise nonnegative inner products span at
-most a quarter turn, so rotating their bisector onto the diagonal of the
-first quadrant certifies every DN matrix of rank 2.  Full rank up to 4:
-a seeded rotation search (with QR and centroid fast paths) finds an
-orthogonal matrix making the factor nonnegative; a solution always
-exists at these sizes.  The analysis runs this search once per cone, on
-its at most 4 extreme rays, which at full rank are all the columns.
+Rank 2: the column cone of a DN matrix of rank 2 is a pointed cone in
+the plane, so it has at most two extreme rays, and the few-rays
+factorization certifies it with two rows.  Full rank up to 4: a seeded
+rotation search (with QR and centroid fast paths) finds an orthogonal
+matrix making the factor nonnegative; a solution always exists at these
+sizes.  The analysis runs this search once per cone, on its at most 4
+extreme rays, which at full rank are all the columns.
 """
 
 import numpy as np
 
-from cprank import orthant_rotation_search, rank2_factor, sr_factor, verify_certificate
+from cprank import (
+    extreme_rays,
+    few_rays_factor,
+    orthant_rotation_search,
+    sr_factor,
+    verify_certificate,
+)
 from cprank.fixtures import GRAM_NONNEG, random_dn
 
 A = random_dn(8, 2, seed=4, style=GRAM_NONNEG)
-cert = rank2_factor(A)
-print(f"rank-2 instance (order 8): certificate rows = {cert.rows}, "
+rays = extreme_rays(A)
+cert = few_rays_factor(A, rays)
+print(f"rank-2 instance (order 8): {rays.m} extreme rays, certificate rows = {cert.rows}, "
       f"residual {cert.residual:.2e}, verified = {verify_certificate(A, cert).passed}")
 
 # a full-rank 3x3 whose raw triangular factor has a negative entry

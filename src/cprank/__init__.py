@@ -79,7 +79,6 @@ from .rotate import (
     in_e_cone,
     orthant_rotation_search,
     random_orthogonal,
-    rank2_factor,
     rowsum_condition,
     rowsum_factor,
 )

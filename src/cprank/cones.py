@@ -5,7 +5,8 @@ pointed (once zero columns are dropped), so every column is a nonnegative
 combination of the extreme columns.  When there are at most four extreme
 rays this yields a completely positive factorization, and that one
 rotation search certifies every case the paper proves with at most four
-rays: full rank at order at most 4 (``m = n``) and a basis of
+rays: rank at most 2 (``m = rank``, a pointed cone in the plane has at
+most two rays), full rank at order at most 4 (``m = n``) and a basis of
 nonnegative equivalence at rank at most 4 (``m = rank``).  When there are
 exactly rank many rays, the cone is simplicial and the matrix is
 nonnegative-equivalent, so a rank-3 matrix with three extreme rays lies

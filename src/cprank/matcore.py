@@ -284,10 +284,13 @@ def comparison_matrix(
 
 
 def zero_diagonal_indices(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Indices of rows whose diagonal entry is at most ``eps_nonneg * scale``.
+    """Indices of rows whose entries are all at most ``eps_nonneg * scale``
+    in magnitude.
 
-    For a PSD matrix such rows are entirely zero, so factorizers can drop
-    them and reinsert zero columns into certificates afterwards.
+    Factorizers can drop such rows and reinsert zero columns into
+    certificates afterwards.  A small diagonal alone is not enough: in a
+    PSD matrix ``|a_ij| <= sqrt(a_ii a_jj)``, so a diagonal entry at the
+    threshold allows off-diagonal entries far above it.
     """
     S = as_symmetric(A, tol)
-    return np.flatnonzero(np.abs(np.diag(S.a)) <= tol.eps_nonneg * S.scale)
+    return np.flatnonzero(np.abs(S.a).max(axis=1) <= tol.eps_nonneg * S.scale)

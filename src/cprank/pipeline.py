@@ -99,7 +99,7 @@ class _Cascade:
         self.upper: int | None = None
         self.terminal: str | None = None
         self.certificate: CpCertificate | None = None
-        # deflation of zero-diagonal rows; factor steps run on the core
+        # deflation of zero rows; factor steps run on the core
         self.kept = np.arange(S.n)
         self.core = S
 
@@ -140,13 +140,13 @@ class _Cascade:
 def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> AnalysisReport:
     """Run the full decision cascade on a symmetric matrix.
 
-    Order: DN classification, trivial ranks, the rank-2 bisector, the
-    row-sum construction, then from one extreme-ray report the nnq
-    detection, the few-rays factorization and the rank-3 ray decision,
+    Order: DN classification, the row-sum construction, then from one
+    extreme-ray report the nnq detection and the few-rays factorization,
     the graph conditions, and optionally a heuristic rotation for rank 5
     and up.  The few-rays factorization is the one guaranteed rotation
-    certificate: full rank at order at most 4 and an nnq basis at rank at
-    most 4 both leave at most 4 extreme rays.
+    certificate: rank at most 2, rank 3 with three extreme rays, full rank
+    at order at most 4 and an nnq basis at rank at most 4 all leave at
+    most 4 extreme rays.
     Every step is logged even after the verdict is settled.
     """
     tol = config.tol
@@ -173,8 +173,6 @@ def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> Analysi
         cas.step("deflate_zero_rows", f"DROPPED({zero_rows.size})",
                  {"zero_rows": [int(i) + 1 for i in zero_rows]})
 
-    _trivial_rank_step(cas)
-    _rank2_step(cas)
     _rowsum_step(cas)
     _cone_steps(cas)
     _graph_steps(cas)
@@ -204,28 +202,6 @@ def _finish(cas: _Cascade) -> AnalysisReport:
     )
 
 
-def _trivial_rank_step(cas: _Cascade) -> None:
-    t0 = time.perf_counter()
-    if cas.rank > 1:
-        cas.step("trivial_rank", "SKIPPED", {"reason": "rank above 1"}, t0)
-        return
-    B = sr_factor(cas.core, cas.tol).B  # rank 0 gives no rows
-    cas.accept(make_certificate(cas.core, B, f"rank{cas.rank}", cas.tol), "trivial_rank", t0)
-
-
-def _rank2_step(cas: _Cascade) -> None:
-    t0 = time.perf_counter()
-    if cas.rank != 2:
-        cas.step("rank2_bisector", "SKIPPED", {"reason": "rank is not 2"}, t0)
-        return
-    try:
-        cert = rotate.rank2_factor(cas.core, cas.tol)
-    except CprankError as exc:
-        cas.step("rank2_bisector", "FAILED", {"error": str(exc)}, t0)
-        return
-    cas.accept(cert, "rank2_bisector", t0)
-
-
 def _rowsum_step(cas: _Cascade) -> None:
     t0 = time.perf_counter()
     ok, data = rotate.rowsum_condition(cas.core, cas.rank, cas.tol)
@@ -246,7 +222,7 @@ def _rowsum_step(cas: _Cascade) -> None:
     cas.steps[-1].details.update(details)
 
 
-def _nnq_step(cas: _Cascade, rays: cones.ConeReport) -> nnq.NnqSearchResult:
+def _nnq_step(cas: _Cascade, rays: cones.ConeReport) -> None:
     t0 = time.perf_counter()
     nnq_result = nnq.nnq_from_rays(cas.core, rays, cas.rank, cas.tol)
     details = {}
@@ -256,17 +232,16 @@ def _nnq_step(cas: _Cascade, rays: cones.ConeReport) -> nnq.NnqSearchResult:
             "det": nnq_result.witness.detval,
         }
     cas.step("nnq_search", nnq_result.status, details, t0)
-    return nnq_result
 
 
 def _cone_steps(cas: _Cascade) -> None:
-    """nnq detection, the extreme-ray report, the few-rays factorization
-    and the rank-3 ray decision, all from one extreme-ray computation."""
+    """nnq detection, the extreme-ray report and the few-rays
+    factorization, all from one extreme-ray computation."""
     t0 = time.perf_counter()
     report = cones.extreme_rays(cas.core, cas.tol)
     rays_elapsed = time.perf_counter() - t0
 
-    nnq_result = _nnq_step(cas, report)
+    _nnq_step(cas, report)
     cas.steps.append(StepRecord(
         name="extreme_rays",
         outcome=f"RAYS({report.m})",
@@ -290,11 +265,6 @@ def _cone_steps(cas: _Cascade) -> None:
             cas.step("few_rays_factor", "BUDGET_EXHAUSTED", {"error": str(exc)}, t0)
         else:
             cas.accept(cert, "few_rays_factor", t0)
-
-    # rank 3 with an nnq witness: three extreme rays, a simplicial cone
-    t0 = time.perf_counter()
-    outcome = cones.IN_CP_N3 if cas.rank == 3 and nnq_result.found else cones.NOT_APPLICABLE
-    cas.step("rank3_ray_decision", outcome, {"m": report.m}, t0)
 
 
 def _graph_steps(cas: _Cascade) -> None:

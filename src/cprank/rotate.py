@@ -2,9 +2,9 @@
 
 The geometric core of the package: membership in the circular cone around
 the all-ones direction, Householder alignment onto that direction, the
-row-sum sufficient condition with its constructive factorization, the
-rank-2 bisector construction, and a seeded multi-start search for an
-orthogonal matrix that makes a vector family nonnegative.
+row-sum sufficient condition with its constructive factorization, and a
+seeded multi-start search for an orthogonal matrix that makes a vector
+family nonnegative.
 
 The search is Douglas-Rachford between the rotations of the family and
 the nonnegative orthant (Borwein and Sims, 2011; Elser, Rankenburg and
@@ -28,7 +28,6 @@ from .matcore import (
     MatrixLike,
     Tolerances,
     as_symmetric,
-    classify_dn,
     psd_rank,
 )
 from .srfactor import CpCertificate, make_certificate, sr_factor
@@ -44,7 +43,6 @@ __all__ = [
     "RowSumData",
     "rowsum_condition",
     "rowsum_factor",
-    "rank2_factor",
     "orthant_rotation_search",
     "random_orthogonal",
 ]
@@ -198,43 +196,6 @@ def rowsum_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> CpCertificate
         raise PreconditionError("degenerate row sums: Gram vector sum vanished")
     plan = householder_align(x)
     return make_certificate(S, plan.Q @ B, "rowsum", tol)
-
-
-def rank2_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> CpCertificate:
-    """Certificate for a doubly nonnegative matrix of rank 2.
-
-    The rank-2 Gram vectors have pairwise nonnegative inner products, so
-    their polar angles span at most a quarter turn; rotating the bisector
-    of the extreme pair onto the first-quadrant diagonal places the whole
-    fan inside the first quadrant.
-    """
-    S = as_symmetric(A, tol)
-    verdict = classify_dn(S, tol)
-    if not verdict.is_dn or verdict.rank != 2:
-        raise PreconditionError(
-            f"rank-2 construction needs a DN matrix of rank 2, got {verdict.status}"
-            + (f"({verdict.rank})" if verdict.is_dn else "")
-        )
-    B = sr_factor(S, tol).B
-    norms = np.linalg.norm(B, axis=0)
-    nonzero = norms > tol.eps_nonneg * float(norms.max())
-    theta = np.arctan2(B[1, nonzero], B[0, nonzero])
-    order = np.sort(theta)
-    # the fan may straddle the atan2 branch cut: cut at the largest angular gap
-    gaps = np.diff(order, append=order[0] + 2.0 * math.pi)
-    start = order[(int(np.argmax(gaps)) + 1) % order.size]
-    theta = np.where(theta < start - 1e-15, theta + 2.0 * math.pi, theta)
-    spread = float(theta.max() - theta.min())
-    if spread > math.pi / 2.0 + 1e-7:
-        raise PreconditionError(
-            f"Gram vectors span {spread:.6f} rad, more than a quarter turn"
-        )
-    phi = math.pi / 4.0 - 0.5 * (float(theta.min()) + float(theta.max()))
-    c, s = math.cos(phi), math.sin(phi)
-    rot = np.array([[c, -s], [s, c]])
-    C = rot @ B
-    C[:, ~nonzero] = 0.0
-    return make_certificate(S, C, "rank2_bisector", tol)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from cprank import (
     kaykobad_factor,
     make_certificate,
     random_orthogonal,
-    rank2_factor,
     sr_factor,
     verify_certificate,
 )
@@ -211,11 +210,11 @@ def test_c10_rank2_totality():
     for _ in range(1000):
         n = int(rng.integers(2, 11))
         A = dn_rank2_instance(rng, n)
-        cert = rank2_factor(A, tol)
+        cert = few_rays_factor(A, extreme_rays(A, tol), tol)
         assert cert.rows == 2
         assert cert.residual <= 1e-9
         assert verify_certificate(A, cert, tol).passed
-    _stamp("10 (rank-2 bisector, 1e3 instances)", t0)
+    _stamp("10 (rank-2 few-rays factorization, 1e3 instances)", t0)
 
 
 def test_c11_small_rotation_realizability():

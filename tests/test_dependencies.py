@@ -1,6 +1,12 @@
+import importlib
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import cprank
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -19,3 +25,13 @@ def test_import_loads_no_scipy():
     location, loaded = out.stdout.splitlines()
     assert Path(location).resolve().parent == SRC / "cprank"
     assert loaded == "[]"
+
+
+@pytest.mark.parametrize(
+    "module", sorted(f"cprank.{m.name}" for m in pkgutil.iter_modules(cprank.__path__))
+)
+def test_every_listed_name_resolves(module):
+    # a stale __all__ entry breaks ``from cprank.<module> import *``
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []

@@ -4,8 +4,9 @@ import pytest
 from cprank import (
     InvalidInputError,
     classify_dn,
+    extreme_rays,
+    few_rays_factor,
     psd_rank,
-    rank2_factor,
     soules_basis,
     soules_cp,
     verify_certificate,
@@ -124,7 +125,8 @@ class TestRandomDn:
         A = random_dn(6, 2, seed=0, style=GRAM_NONNEG)
         v = classify_dn(A)
         assert v.is_dn and v.rank == 2
-        cert = rank2_factor(A)
+        cert = few_rays_factor(A, extreme_rays(A))
+        assert cert.rows == 2
         assert verify_certificate(A, cert).passed
 
     def test_rotated_style(self):

@@ -47,48 +47,48 @@ def digest(A, config) -> str:
 
 
 DIGESTS = {
-    "EX1_2": "6864c28829951f08a692279b8d4c8c8f50f6359df18c2a4850359692697a800c",
-    "EX2_7": "7cad9e196e706ff01dacb404d9084977ee092b34e24a5739c7ceb7a3eb0ac927",
-    "EX2_8": "2526af357de370b96c5ab29c3f88a856a0532599c919ece85b07145eedce1eac",
-    "EX3_3": "9f104bde451d539951683612dcd9df9165e67991c3167427e5368c991bfb7d23",
-    "EX3_7": "b200508435ce6c062a29096cc2ef8e385044cad0de393427f45a7d018b9175a0",
-    "EX3_9": "e6a8dde313966ab49bc94d52ce7d5bd4dc9d6cf9f22d4f354f5bac2ec50474ef",
-    "GRAM_NONNEG-n5-r1-s105": "7ce498684018a141f7591c9c9daeff90e5ae332aba38d0b1cf25c93975889d17",
-    "GRAM_NONNEG-n7-r1-s107-heuristic": "b87de38ac998edeb77f3351c345b2fab8d2ea2c9e6212ebdd8a066aaaaf6c0f0",
-    "GRAM_NONNEG-n6-r2-s206": "b06bb8a94a8ba3da51427cab27add9aa128e96fa09f9b407639435a735f80e10",
-    "GRAM_NONNEG-n8-r2-s208-heuristic": "ffe6b8835dc0a679d60b95da060b63095c16a6d5935cd53bd3a80af8b33a1c38",
-    "GRAM_NONNEG-n7-r3-s307": "4f9a192261b38bbe9cf08feee0900b327588aac185daf0186977c9cc4c085944",
-    "GRAM_NONNEG-n9-r3-s309-heuristic": "afb00dce059e6a0e9003c7daa8641f4ca2a3183cfdf574c822f7910fc67d5d75",
-    "GRAM_NONNEG-n8-r4-s408": "13fa38c38fafa22396268536590cd731963854a5c995f0bbb2b3b72f7601d435",
-    "GRAM_NONNEG-n10-r4-s410-heuristic": "612b25d76952bffd317df8fc8e026a0fe5160a0ac36018d61cb630876dd15de9",
-    "GRAM_NONNEG-n9-r5-s509": "7703447fb34c7922955b813206af7ac0b7dec0c64333da44f91905e9f004304b",
-    "GRAM_NONNEG-n11-r5-s511-heuristic": "d4320c663349bf144da64381752066ec71836430378ae76936359dc4ed0fcdcb",
-    "GRAM_NONNEG-n10-r6-s610": "85bd2ffaced666b4d4b33a6b83f5e85e4279abfad828f8abe6fac435e4bf1ca0",
-    "GRAM_NONNEG-n12-r6-s612-heuristic": "c4e42d27fafbb151e58a2d8a7c22fb787fe5db3b095fb72f5a534396bf5d0da5",
-    "ROTATED_NONNEG-n5-r1-s105": "612441da34de9b9769cb7ccb2c4eb514435cbe3144b3684b166448502d51d2cb",
-    "ROTATED_NONNEG-n7-r1-s107-heuristic": "7f7b37a71db7eec8745fb5bf4aa0233051779a60669ece55e8979a8525df8d50",
-    "ROTATED_NONNEG-n6-r2-s206": "b7e0f86fbb0da38b00f7b62fb82614b096c987e4b407a47f7c67885e4f6474f3",
-    "ROTATED_NONNEG-n8-r2-s208-heuristic": "bccf62ae4ec382bcee8e4e3077da9515a9f57e1fa5bc5f81b7c4bffa543a95fe",
-    "ROTATED_NONNEG-n7-r3-s307": "916214aa80a7385c3b890fe85f1b4c8df2f6e457efb3c4aa16d09975aa838cbc",
-    "ROTATED_NONNEG-n9-r3-s309-heuristic": "13d7d411394737f1f2bccbac9fa357b22380d420b19addecdaa77e1fe47bb14c",
-    "ROTATED_NONNEG-n8-r4-s408": "cd636a4af23e785f40296d4a2aafa4aeaa7f3fa4727571e24bae13541ce8e6a6",
-    "ROTATED_NONNEG-n10-r4-s410-heuristic": "844c814c838e09cc2a6ef835b784929badfcf6bf5edf5cd3d97a4148050d88ec",
-    "ROTATED_NONNEG-n9-r5-s509": "423470b4f7ee9246af24ae44db8c8977affda74af58a7c202ca8eeab686e9c97",
-    "ROTATED_NONNEG-n11-r5-s511-heuristic": "58cd0424342a960b43e0204b4b4cc4ed6f1cf5c209d3ee80deecd825814cf90d",
-    "ROTATED_NONNEG-n10-r6-s610": "4fedffd53524a8c2dfc40b8084bb4ff2405bf99ba441365324fdbd997b74d9f1",
-    "ROTATED_NONNEG-n12-r6-s612-heuristic": "7d86cc4ec1fe8ef260ab5dab991b81c0891d662c927a32609f9aac333262f006",
-    "SOULES-n5-r1-s105": "62f1b6b123719af1979856650576c85ddeffa6ea184cb639df65715b59b837ad",
-    "SOULES-n7-r1-s107-heuristic": "288c7d75530b85840c7da7fbe755182dd78921acddbac7d6cdff8fa15e54f1bd",
-    "SOULES-n6-r2-s206": "616403f3be5be6927e2aa3e03d2ff0c12c33827c3839249042f5c0f4c7bb1d0d",
-    "SOULES-n8-r2-s208-heuristic": "6ab485043b0e9f5c25811a6bcbe673da0dc7435f9aa7f0934c4a61f414b1cd3e",
-    "SOULES-n7-r3-s307": "e71840a7a2e9e1e25d57f339f252e3b7bed272ab6fe8f304596e932a64711830",
-    "SOULES-n9-r3-s309-heuristic": "0050d4e100168623a4695e4b0ca8a8e6372ff89a53a997b5930e21e00366a0e8",
-    "SOULES-n8-r4-s408": "e416621be13797d382d9c5e13ca357d0b34131495a071ed2e4c45c62b9682548",
-    "SOULES-n10-r4-s410-heuristic": "da0d3f0009ca8d713d5009c435c0c58420a296056e2a7aecfa467eaffe4c59a4",
-    "SOULES-n9-r5-s509": "338e15aaf8995db4f865c307a4efc8cd567fe9f735fe461c3ba677c75a18c7ec",
-    "SOULES-n11-r5-s511-heuristic": "238e2fbc4a917c0e23027c973ba0138c3f0c3df914b12b9477c51d7198688388",
-    "SOULES-n10-r6-s610": "6fc58b53e71deb89146c7007d6abaeb0e9cb83b6e3c8c67943dad9809382bdf0",
-    "SOULES-n12-r6-s612-heuristic": "165ff16abe07e157d809b39c6352d65cfccfbec87b43928bfcd5334a29c2ce58",
+    "EX1_2": "d6c8a472cddedb643ea0322ee577b1704f69784c6416a8ee0ed7052fb80afe6d",
+    "EX2_7": "f772158944f09c67ec122d32f3ee9b45d844956721d7543deb5a0f3c0e80a586",
+    "EX2_8": "1844314e7390bad2b80ff20b9531cfffd9632714f9dd7612cfab606157399c4d",
+    "EX3_3": "9f9c5fa9f6080fce1b678be34d6082dc6ad5d92919c80fde8ba287f34bc999c4",
+    "EX3_7": "c1d15d202b5d9edaff9cf6daaa135fd34595411946474a2e6fe09bd0a1b6ceff",
+    "EX3_9": "f2bf843fc11305a8933e22825ff02a5dcd82f255d43659260820729dd59d04b8",
+    "GRAM_NONNEG-n5-r1-s105": "11fa1232ab533a56eeb9efbea933e958d70b70a93e48ea51f765458ddd862505",
+    "GRAM_NONNEG-n7-r1-s107-heuristic": "141439c3c4bfcf12041497c1c829f3d6a039b532ebc33325f366fffde0f6e5dc",
+    "GRAM_NONNEG-n6-r2-s206": "e80fee636c18cf6f79664ad5bc7109ac1e54aa1d541d12ea2188d01066fcf9fb",
+    "GRAM_NONNEG-n8-r2-s208-heuristic": "59fb94aa7f334f7233c1285c7781ace10abc1edabcc0180ddf7b4131cfcdfa4f",
+    "GRAM_NONNEG-n7-r3-s307": "e92cffbe672a205361a4ff687519cdab7bfbd7c17d519b7c3a38dfbaa12069fb",
+    "GRAM_NONNEG-n9-r3-s309-heuristic": "d4f63357d0c6147f1261fd28735198dc0ccc39caee7d4bd22df628628e80ae15",
+    "GRAM_NONNEG-n8-r4-s408": "ee1e9c8605c712536d8f734426e499ac6213b10dde825b83426c0444fd29c7a1",
+    "GRAM_NONNEG-n10-r4-s410-heuristic": "5e83c802e9e28b267da1bb836a89a7884162ea2099c8d6bea3c54053b5493e49",
+    "GRAM_NONNEG-n9-r5-s509": "abe14f09b7e41f08648fa9d029eadfc7c50875fffc12b3701bb54b3593595ca2",
+    "GRAM_NONNEG-n11-r5-s511-heuristic": "4bba3f499e28b6851305866cf56c2c8a9e6d0afc95d2453623a911bffb8b7d7b",
+    "GRAM_NONNEG-n10-r6-s610": "15e96db862394f2a06691054d50295cc6bb139ba321613a8b3f11db2aa185ae3",
+    "GRAM_NONNEG-n12-r6-s612-heuristic": "8eb059a537599c842ec8ddb1caeef3cff2cab8e7bca95a0afde398b88b28e147",
+    "ROTATED_NONNEG-n5-r1-s105": "724317bb8e6d7403443c0c101e39a412c0e4da6b1b0e9dd630908f72b31ce8e8",
+    "ROTATED_NONNEG-n7-r1-s107-heuristic": "10294ff3e03bd23f24b17104f0df78d74b44b4022d308bff0318ab14a98ba0f3",
+    "ROTATED_NONNEG-n6-r2-s206": "e6eae3369cc72b09cb12c464946744f778fe18f641cc1ebfd54015a78fb3882d",
+    "ROTATED_NONNEG-n8-r2-s208-heuristic": "44068133e4bc6268d7a06f0fa31c8892a9d478f2c1eb9f32371af60a100c7a16",
+    "ROTATED_NONNEG-n7-r3-s307": "59b1a9d27df79a379b5c53aff8bd0d37201e0fe0a287d2075374f8f031b636a7",
+    "ROTATED_NONNEG-n9-r3-s309-heuristic": "16f8dc311e21cd8e1f2e262636fdebf5e5a3d6a78a3b68e43ae830b9887a3cec",
+    "ROTATED_NONNEG-n8-r4-s408": "a908e29c845e38b1438a03f14249c1465d0d67bdf4fcbfcd064ebe5148d212f3",
+    "ROTATED_NONNEG-n10-r4-s410-heuristic": "b9998d519ba56fb28abf59a5be013a86e7052d98fcd6bb874f040435f5c62fba",
+    "ROTATED_NONNEG-n9-r5-s509": "be9a0c470e22ad6452f21be2969df88e043b92e84106100cf5abfd445538b893",
+    "ROTATED_NONNEG-n11-r5-s511-heuristic": "e2f33462f1ec1838c247e45051731a7ce3ce1ccb7ce8de8935fcf35d28632ebf",
+    "ROTATED_NONNEG-n10-r6-s610": "63acf18e8bb386fcba632a06c706246ea40b95b96c1e0274b7a82de9c30c74f3",
+    "ROTATED_NONNEG-n12-r6-s612-heuristic": "b66e5952247632d480874a22fd190347ac1841e01c580a60b6105cdfec0dab7e",
+    "SOULES-n5-r1-s105": "b9cb05e59b9f0c68d55fbf5c1ffa4c1ca6874d60d6004db58afa692ced0882ad",
+    "SOULES-n7-r1-s107-heuristic": "61bc3496086c1a8c3fb0e2950e1ec0236291410543577743eace9039c760f507",
+    "SOULES-n6-r2-s206": "9011df978b48a438ff53eff28e3f9591692dc34b5ac4114cdca9ec47ac95c1d2",
+    "SOULES-n8-r2-s208-heuristic": "8bfe1a490cfefc1d2f2cbf2531b59fd5a0e10b4a4ba89bd8d19b4ca429641528",
+    "SOULES-n7-r3-s307": "aa948b72a7fca7fe51cd929573442e8db05b826950e0503a147c5a3551d4a0e4",
+    "SOULES-n9-r3-s309-heuristic": "a1a536b79861fc7a03bdbab3fcf2847f775895858615b87149896eaec24bfbf8",
+    "SOULES-n8-r4-s408": "fe5a3d0c2c56ae4acf1ed247591f378da19e8e01f83d12fb78a38bb95ec8a303",
+    "SOULES-n10-r4-s410-heuristic": "774e7b31decfc344dec1016478e6a64a0c302e58a54a280e96ba5a5bb712a015",
+    "SOULES-n9-r5-s509": "c9e0215a85198f4e4e5d37961645324f1002ce7bacda63c237e53490870dcbe9",
+    "SOULES-n11-r5-s511-heuristic": "3420f3a1a28b659c57304d32591ac1286b5a6e63cd903eb05f48b03b447921b0",
+    "SOULES-n10-r6-s610": "e39f743a9e2667db9f169237281ac4c1d687dfd7fd69a3b145feb3cf0c703751",
+    "SOULES-n12-r6-s612-heuristic": "675da74f946f8926767f61fe5d2fc2ae104b02245667fc06ad7322f8738a0e1f",
 }
 
 

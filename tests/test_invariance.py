@@ -9,7 +9,7 @@ scaling of its rows and columns either.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cprank import AnalysisConfig, Tolerances, analyze, extreme_rays
@@ -98,6 +98,21 @@ def test_tiny_nonzero_matrix_has_positive_rank():
     assert_consistent(report)
     assert report.verdict == CP_RANK_EQ_RANK
     assert (report.rank, report.cp_rank_lower, report.cp_rank_upper) == (1, 1, 1)
+    few_rays = next(s for s in report.steps if s.name == "few_rays_factor")
+    assert few_rays.outcome == "CERTIFICATE(rows=1)"
+
+
+# factor by which every eigenvalue ratio |lambda| / |lambda|_max must stay
+# away from eps_rank for the numerical rank to be unambiguous
+RANK_THRESHOLD_MARGIN = 1e3
+
+
+def clear_of_rank_threshold(A):
+    w = np.abs(np.linalg.eigvalsh(A))
+    ratios = w / w.max()
+    eps = Tolerances().eps_rank
+    near = (ratios >= eps / RANK_THRESHOLD_MARGIN) & (ratios <= eps * RANK_THRESHOLD_MARGIN)
+    return not near.any()
 
 
 @settings(max_examples=150, deadline=None)
@@ -110,8 +125,12 @@ def test_tiny_nonzero_matrix_has_positive_rank():
 )
 def test_extreme_rays_invariant_under_diagonal_scaling(style, r, extra, seed, d_seed):
     # D maps the columns of the rank factor B to those of B D, positive
-    # multiples of the same columns, so D A D has the same extreme rays
+    # multiples of the same columns, so D A D has the same extreme rays,
+    # provided both matrices have the same numerical rank: D moves the
+    # eigenvalues, so a ratio near the rank threshold can cross it
     A = np.array(random_dn(r + extra, r, seed=seed, style=style).a)
     d = 10.0 ** np.random.default_rng(d_seed).uniform(-1.5, 1.5, size=A.shape[0])
-    base, scaled = extreme_rays(A), extreme_rays(d[:, None] * A * d)
+    DAD = d[:, None] * A * d
+    assume(clear_of_rank_threshold(A) and clear_of_rank_threshold(DAD))
+    base, scaled = extreme_rays(A), extreme_rays(DAD)
     assert (scaled.m, scaled.extreme_indices) == (base.m, base.extreme_indices)

@@ -193,3 +193,8 @@ class TestZeroDiagonalIndices:
         A = np.zeros((3, 3))
         A[0, 0] = 2.0
         assert list(zero_diagonal_indices(A)) == [1, 2]
+
+    def test_row_with_small_diagonal_and_larger_entries_is_kept(self):
+        # PSD, with a_11 below eps_nonneg * scale but a_01 far above it
+        g = np.array([1.0, 1e-5, 0.0])
+        assert list(zero_diagonal_indices(np.outer(g, g))) == [2]

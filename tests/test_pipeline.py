@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cprank import (
     DEFAULT_TOL,
@@ -71,7 +73,7 @@ class TestAnalyzeVerdicts:
         assert report.verdict == CP_RANK_EQ_RANK
         assert report.rank == 3
         assert step(report, "nnq_search").details["indices"] == [1, 2, 3]
-        assert step(report, "rank3_ray_decision").outcome == "IN_CP_N3"
+        assert step(report, "few_rays_factor").outcome == "CERTIFICATE(rows=3)"
 
     def test_rounded_example_at_default_tolerances(self):
         report = analyze(example_matrix("EX3_9"))
@@ -146,6 +148,7 @@ class TestAnalyzeVerdicts:
         report = analyze(np.zeros((3, 3)))
         assert report.verdict == CP_RANK_EQ_RANK
         assert report.rank == 0 and report.certificate.rows == 0
+        assert step(report, "few_rays_factor").outcome == "CERTIFICATE(rows=0)"
 
     def test_every_reported_certificate_verifies(self):
         for fid in EXAMPLE_IDS:
@@ -235,6 +238,26 @@ class TestConeSteps:
         assert step(report, "nnq_search").outcome == "FOUND"
         assert step(report, "extreme_rays").details["m"] == 3
         assert report.verdict == CP_RANK_EQ_RANK and report.certificate.rows == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(RANDOM_STYLES),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    # a near-zero column: its diagonal is below the zero threshold, its
+    # off-diagonal entries are not
+    @example(GRAM_NONNEG, 1, 11, 1965642201)
+    def test_few_rays_certifies_rank_at_most_2_and_three_rays_at_rank_3(
+        self, style, r, extra, seed
+    ):
+        report = analyze(random_dn(r + extra, r, seed=seed, style=style))
+        assert report.rank == r
+        if r == 3 and step(report, "extreme_rays").details["m"] != 3:
+            return
+        assert report.verdict == CP_RANK_EQ_RANK and report.certificate.rows == r
+        assert step(report, "few_rays_factor").outcome == f"CERTIFICATE(rows={r})"
 
 
 class TestOneDecompositionPerMatrix:

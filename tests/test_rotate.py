@@ -11,11 +11,12 @@ from cprank import (
     PreconditionError,
     boundary_witness,
     e_cone_threshold,
+    extreme_rays,
+    few_rays_factor,
     householder_align,
     in_e_cone,
     orthant_rotation_search,
     random_orthogonal,
-    rank2_factor,
     rowsum_condition,
     rowsum_factor,
     sr_factor,
@@ -188,35 +189,35 @@ class TestRowsum:
 
 
 class TestRank2Factor:
+    """A DN matrix of rank 2 has at most two extreme rays, so the few-rays
+    factorization certifies it with two rows."""
+
     def test_three_vector_fan(self):
         V = np.array([[1.0, 0.0, 1.0 / math.sqrt(2)], [0.0, 1.0, 1.0 / math.sqrt(2)]])
         A = V.T @ V
-        cert = rank2_factor(A)
+        cert = few_rays_factor(A, extreme_rays(A))
         assert cert.rows == 2
         assert verify_certificate(A, cert).passed
 
     def test_diagonal(self):
-        cert = rank2_factor(np.diag([100.0, 1.0]))
+        A = np.diag([100.0, 1.0])
+        cert = few_rays_factor(A, extreme_rays(A))
         rows = sorted(cert.C.tolist())
         assert np.allclose(rows, [[0.0, 1.0], [10.0, 0.0]], atol=1e-12)
 
     def test_fifty_vector_fan(self):
         rng = np.random.default_rng(3)
         A = dn_rank2_instance(rng, 50)
-        cert = rank2_factor(A)
+        cert = few_rays_factor(A, extreme_rays(A))
         assert cert.rows == 2
         assert verify_certificate(A, cert).passed
-
-    def test_requires_rank2(self):
-        with pytest.raises(PreconditionError):
-            rank2_factor(np.eye(3))
 
     def test_totality_random(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
             n = int(rng.integers(2, 11))
             A = dn_rank2_instance(rng, n)
-            cert = rank2_factor(A)
+            cert = few_rays_factor(A, extreme_rays(A))
             assert verify_certificate(A, cert).passed
 
 
