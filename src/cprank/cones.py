@@ -12,10 +12,12 @@ exactly rank many rays, the cone is simplicial and the matrix is
 nonnegative-equivalent, so a rank-3 matrix with three extreme rays lies
 in CP_{n,3}.
 
-Which columns are extreme is settled in two stages: a separating
+Which columns are extreme is settled in three stages: a separating
 functional read off the cosine matrix proves most extreme columns
-extreme with one matrix product, and one batched nonnegative
-least-squares solve tests only the columns it leaves open.
+extreme with one matrix product; a basis then settles the cone whenever
+it decides every column left open (the representatives form one, or the
+separated ones do); and one batched nonnegative least-squares solve
+tests the columns still open.
 """
 
 from __future__ import annotations
@@ -63,100 +65,151 @@ def _batched_nnls(
     Row ``i`` of the result is the ``x >= 0`` with least ``||G x - b_i||``
     given ``C[i] = G^T b_i``, with ``x_j = 0`` wherever ``allowed[i, j]``
     is false.  ``passive[i]`` is the passive set problem ``i`` starts
-    from (all false for a cold start): its normal equations are solved
-    and the columns whose coefficients come out nonpositive are dropped,
-    together, until the solution is feasible (Van Benthem and Keenan,
-    J. Chemometrics 18, 2004).  Then all live problems take each step
-    together (Bro and De Jong, J. Chemometrics 11, 1997): add the column
-    of largest positive gradient to the passive set, solve the normal
-    equations on it, and step back toward the feasible point while a
-    passive coefficient is not positive, until no gradient exceeds
-    ``1e-11 * max|G^T b_i|``.  Each problem's passive system is gathered
-    compactly, so its size is that of the passive set; a batch whose
-    blocks are singular is solved by pseudo-inverse instead.  Problems do
-    not interact (apart from sharing that fallback), so the extremality
-    batch holds only the columns the separation bound left open.  Each
-    call logs one DEBUG line: problems, columns, seeded columns and
-    passive solves.
+    from (all false for a cold start).  A seed whose block of ``K`` is
+    numerically singular is cleared, so that problem starts cold; the
+    other seeds are solved on their normal equations and the columns
+    whose coefficients come out nonpositive are dropped, together, until
+    the solution is feasible (Van Benthem and Keenan, J. Chemometrics 18,
+    2004).  Then all live problems take each step together (Bro and De
+    Jong, J. Chemometrics 11, 1997): add the open column of largest
+    positive gradient to the passive set, solve the normal equations on
+    it, and step back toward the feasible point while a passive
+    coefficient is not positive, until no gradient exceeds
+    ``1e-11 * max|G^T b_i|``.  A column whose own coefficient comes out
+    nonpositive when it enters is rejected, and stays closed until that
+    problem's ``x`` moves.  The state of the loop (targets, iterates,
+    passive and open columns) is kept compacted to the live problems,
+    and a problem's row of the result is written when it leaves.
+    Problems do not interact (apart from sharing the pseudo-inverse
+    fallback of :func:`_passive_solve`), so the extremality batch holds
+    only the columns the separation bound and the basis certificates
+    left open.  Each call logs one DEBUG line: problems, columns, seeded
+    columns and passive solves.
     """
     q, k = C.shape
     allowed = allowed & (np.diag(K) > 0.0)
     dual_tol = 1e-11 * np.abs(np.where(allowed, C, 0.0)).max(axis=1, initial=0.0)
     X = np.zeros((q, k))
     P = passive & allowed
-    seeded = int(P.sum())
-    solves = 0
     live = np.flatnonzero(P.any(axis=1))
-    while live.size:
-        S = _passive_solve(K, C, P, live)
-        solves += 1
-        bad = P[live] & (S <= 0.0)
-        done = ~bad.any(axis=1)
-        X[live[done]] = S[done]
-        live = live[~done]
-        P[live] &= ~bad[~done]
-        live = live[P[live].any(axis=1)]
-    rejected = np.zeros((q, k), dtype=bool)
-    live = np.arange(q)
-    for _ in range(3 * k + 30):
-        grad = C[live] - X[live] @ K
-        cand = allowed[live] & ~P[live] & ~rejected[live] & (grad > dual_tol[live, None])
-        has = cand.any(axis=1)
-        live = live[has]
-        if not live.size:
-            break
-        j = np.argmax(np.where(cand[has], grad[has], -np.inf), axis=1)
-        P[live, j] = True
-        S = _passive_solve(K, C, P, live)
-        solves += 1
-        # a column whose own coefficient comes out nonpositive gained only
-        # roundoff; it leaves again and waits until x moves
-        enters = S[np.arange(live.size), j] > 0.0
-        P[live[~enters], j[~enters]] = False
-        rejected[live[~enters], j[~enters]] = True
-        rejected[live[enters]] = False
-        act, S = live[enters], S[enters]
-        while act.size:
-            Pa, Xa = P[act], X[act]
-            blocked = Pa & (S <= 0.0)
-            done = ~blocked.any(axis=1)
-            X[act[done]] = S[done]
-            act, S, Pa, Xa, blocked = act[~done], S[~done], Pa[~done], Xa[~done], blocked[~done]
-            if not act.size:
+    seeded = solves = 0
+    if live.size:
+        Pl, Cl = P[live], C[live]
+        singular = np.zeros(live.size, dtype=bool)
+        S = _passive_solve(K, Cl, Pl, singular)
+        solves = 1
+        # a numerically singular seed block gives no start: its problem
+        # starts cold
+        Pl[singular], S[singular] = False, 0.0
+        seeded = int(Pl.sum())
+        while True:
+            bad = Pl & (S <= 0.0)
+            done = ~bad.any(axis=1)
+            X[live[done]] = S[done]
+            Pl &= ~bad
+            P[live] = Pl
+            keep = ~done & Pl.any(axis=1)
+            if not keep.any():
                 break
-            ratio = np.full(Xa.shape, np.inf)
-            ratio[blocked] = Xa[blocked] / (Xa[blocked] - S[blocked])
-            first = ratio.argmin(axis=1)
-            Xa += ratio[np.arange(act.size), first][:, None] * (S - Xa)
-            Xa[np.arange(act.size), first] = 0.0
-            Pa &= Xa > 0.0
-            X[act] = np.where(Pa, Xa, 0.0)
-            P[act] = Pa
-            S = _passive_solve(K, C, P, act)
+            live, Pl, Cl = live[keep], Pl[keep], Cl[keep]
+            S = _passive_solve(K, Cl, Pl)
             solves += 1
+
+    live = np.arange(q)
+    rows, Cl, Xl, Pl, Al, tol = live, C, X, P, allowed, dual_tol
+    opened = allowed & ~P
+    for _ in range(3 * k + 30 if q and k else 0):
+        grad = np.where(opened, Cl - Xl @ K, -np.inf)
+        j = grad.argmax(axis=1)
+        has = grad[rows, j] > tol
+        if not has.all():
+            X[live] = Xl
+            live = live[has]
+            if not live.size:
+                break
+            Cl, Xl, Pl, Al, tol, opened, j = (v[has] for v in (Cl, Xl, Pl, Al, tol, opened, j))
+            rows = np.arange(live.size)
+        Pl[rows, j] = True
+        opened[rows, j] = False
+        S = _passive_solve(K, Cl, Pl)
+        solves += 1
+        blocked = Pl & (S <= 0.0)
+        # a column whose own coefficient comes out nonpositive gained only
+        # roundoff; it leaves again and stays closed until x moves
+        enters = S[rows, j] > 0.0
+        if not enters.all():
+            Pl[rows[~enters], j[~enters]] = False
+            blocked[~enters] = False
+        stuck = blocked.any(axis=1)
+        if stuck.any():
+            # step back toward x until every passive coefficient is positive;
+            # each row's final solution is written into S
+            act = np.flatnonzero(stuck)
+            Sa, Pa, Xa, Ca, Ba = S[act], Pl[act], Xl[act], Cl[act], blocked[act]
+            while act.size:
+                ratio = np.full(Xa.shape, np.inf)
+                ratio[Ba] = Xa[Ba] / (Xa[Ba] - Sa[Ba])
+                first = ratio.argmin(axis=1)
+                at = np.arange(act.size)
+                Xa += ratio[at, first][:, None] * (Sa - Xa)
+                Xa[at, first] = 0.0
+                Pa &= Xa > 0.0
+                Xa = np.where(Pa, Xa, 0.0)
+                Sa = _passive_solve(K, Ca, Pa)
+                solves += 1
+                Ba = Pa & (Sa <= 0.0)
+                done = ~Ba.any(axis=1)
+                S[act[done]] = Sa[done]
+                Pl[act[done]] = Pa[done]
+                act, Sa, Pa, Xa, Ca, Ba = (v[~done] for v in (act, Sa, Pa, Xa, Ca, Ba))
+        # x moved: rejected columns reopen, and columns that left are open
+        if enters.all():
+            Xl, opened = S, Al & ~Pl
+        else:
+            Xl[enters] = S[enters]
+            opened[enters] = Al[enters] & ~Pl[enters]
+    else:
+        X[live] = Xl
     _log.debug("_batched_nnls: problems=%d columns=%d seeded=%d solves=%d", q, k, seeded, solves)
     return X
 
 
-def _passive_solve(K: np.ndarray, C: np.ndarray, P: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Normal-equation solutions on the passive sets ``P[rows]``, zero elsewhere.
+def _passive_solve(
+    K: np.ndarray, C: np.ndarray, P: np.ndarray, singular: np.ndarray | None = None
+) -> np.ndarray:
+    """Normal-equation solutions on the passive sets ``P``, zero elsewhere.
 
-    Problems with passive sets of one size are gathered into one stack of
-    compact systems and solved together.
+    Row ``i`` solves ``K[P_i, P_i] s = C[i, P_i]``; ``P`` has at least one
+    row.  The systems of one size are gathered into one stack of compact
+    blocks and solved together, and a stack with a singular block is
+    solved by pseudo-inverse instead.  When every passive set has the
+    same size, one ``np.nonzero`` gathers the whole call and the
+    solutions scatter back through the same ``(row, column)`` pairs.
+    When ``singular`` is given, entry ``i`` is set to whether block ``i``
+    is numerically singular: its least eigenvalue is at most ``p * eps``
+    times its largest, the rank rule of ``np.linalg.matrix_rank``.
     """
-    S = np.zeros((rows.size, K.shape[0]))
-    Pr = P[rows]
-    sizes = Pr.sum(axis=1)
-    for p in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
-        sel = np.flatnonzero(sizes == p)
-        idx = np.nonzero(Pr[sel])[1].reshape(sel.size, p)
-        Kp = K[idx[:, :, None], idx[:, None, :]]
-        cp = C[rows[sel, None], idx][:, :, None]
+    S = np.zeros(P.shape)
+    sizes = P.sum(axis=1)
+    if (sizes == sizes[0]).all():
+        p = sizes[0]
+        groups = [tuple(a.reshape(-1, p) for a in np.nonzero(P))] if p else []
+    else:
+        groups = []
+        for p in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
+            sel = np.flatnonzero(sizes == p)
+            groups.append((sel[:, None], np.nonzero(P[sel])[1].reshape(sel.size, p)))
+    for rows, cols in groups:
+        Kp = K[cols[:, :, None], cols[:, None, :]]
+        cp = C[rows, cols][:, :, None]
+        if singular is not None:
+            w = np.linalg.eigvalsh(Kp)
+            singular[rows[:, 0]] = w[:, 0] <= cols.shape[1] * np.finfo(float).eps * w[:, -1]
         try:
             s = np.linalg.solve(Kp, cp)
         except np.linalg.LinAlgError:
             s = np.linalg.pinv(Kp, hermitian=True) @ cp
-        S[sel[:, None], idx] = s[:, :, 0]
+        S[rows, cols] = s[:, :, 0]
     return S
 
 
@@ -197,6 +250,45 @@ def _separation_bound(U: np.ndarray, K: np.ndarray) -> np.ndarray:
     return gap / (np.linalg.norm(Y, axis=0) + eta)
 
 
+def _span_distance(U: np.ndarray) -> np.ndarray:
+    """Lower bounds on the distance of each unit column of the square
+    ``U`` from the span of the others (0 when ``U`` is singular).
+
+    Row ``j`` of ``U^-1`` has inner product 1 with ``u_j`` and 0 with
+    every other column, so that distance is ``1 / ||row j||``, and it
+    bounds the distance from the others' cone, and so the least-squares
+    residual, from below.  The computed inverse is off by about
+    ``d eps cond(U) ||U^-1||`` with ``cond(U) = ||U||_F ||U^-1||_F =
+    sqrt(d) ||U^-1||_F`` for unit columns; that error is charged against
+    every row norm, so an ill-conditioned basis gets no bound above the
+    extremality factor.
+    """
+    d = U.shape[0]
+    try:
+        V = np.linalg.inv(U)
+    except np.linalg.LinAlgError:
+        return np.zeros(d)
+    row = np.linalg.norm(V, axis=1)
+    return 1.0 / (row + (d + 4) * np.finfo(float).eps * np.sqrt(d) * (row @ row))
+
+
+def _basis_fit(B: np.ndarray, T: np.ndarray) -> np.ndarray | None:
+    """Nonnegative coefficients on the columns of the square ``B`` that
+    rebuild every column of ``T`` within ``EXTREME_RESIDUAL_FACTOR``, or
+    None when some column is not rebuilt (or ``B`` is singular).
+
+    The coefficients are the solution of ``B x = T`` clipped at 0, a
+    feasible point of each column's nonnegative least-squares problem,
+    so a small explicit residual bounds that problem's optimum.
+    """
+    try:
+        x = np.maximum(np.linalg.solve(B, T), 0.0)
+    except np.linalg.LinAlgError:
+        return None
+    resid = np.linalg.norm(B @ x - T, axis=0)
+    return x if (resid <= EXTREME_RESIDUAL_FACTOR).all() else None
+
+
 @dataclass(frozen=True)
 class ConeReport:
     """Extreme rays of a column cone.
@@ -226,15 +318,27 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray,
     others.  A representative whose separation bound (see
     :func:`_separation_bound`) exceeds ``EXTREME_RESIDUAL_FACTOR`` is
     extreme by that rule without a solve, since the least-squares
-    residual is at least the distance the bound bounds.  One batched
-    solve on the unit columns tests the rest, each against all the other
-    representatives, so the first column to enter a fit is its most
-    aligned ray and the residual is already relative; when the bound
-    settles every representative there is no solve.  Row ``j`` of the
-    returned mask marks the columns with a positive coefficient in the
-    fit of column ``j``'s representative; it stays empty for a separated
-    representative, which is extreme, so no W fit reads it.  Each call
-    logs one DEBUG line: representatives and how many were separated.
+    residual is at least the distance the bound bounds.  The open
+    representatives are then settled together by a basis when one
+    decides them all:
+
+    * when the ``d`` representatives of a ``d``-row ``M`` form a basis
+      and each open one lies farther than the factor from the span of
+      the others (:func:`_span_distance`), all are extreme;
+    * when exactly ``d`` are separated and solving on them rebuilds each
+      open one within the factor with nonnegative coefficients
+      (:func:`_basis_fit`), all are not extreme, and those coefficients
+      are their fits.  The separated columns are then the extreme set, a
+      basis, so every W fit has one optimum, whichever fit seeds it.
+
+    Otherwise one batched solve on the unit columns tests every open
+    representative against all the others, so the first column to enter
+    a fit is its most aligned ray and the residual is already relative.
+    Row ``j`` of the returned mask marks the columns with a positive
+    coefficient in the fit of column ``j``'s representative; it stays
+    empty for a representative settled as extreme without a fit, so no W
+    fit reads it.  Each call logs one DEBUG line: representatives, how
+    many were separated and how many the basis settled.
     """
     n = M.shape[1]
     norms = np.linalg.norm(M, axis=0)
@@ -265,9 +369,23 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray,
     Kr = cos[np.ix_(reps, reps)]
     U = Mz[:, reps] / norms[nonzero[reps]]
     is_ext = _separation_bound(U, Kr) > EXTREME_RESIDUAL_FACTOR
+    separated = int(is_ext.sum())
     rest = np.flatnonzero(~is_ext)
-    _log.debug("_extreme_set: representatives=%d separated=%d", reps.size, reps.size - rest.size)
     X = np.zeros(Kr.shape)
+    d = U.shape[0]
+    if rest.size and reps.size == d:
+        if (_span_distance(U)[rest] > EXTREME_RESIDUAL_FACTOR).all():
+            is_ext[rest], rest = True, rest[:0]
+    elif rest.size and separated == d:
+        sep = np.flatnonzero(is_ext)
+        x = _basis_fit(U[:, sep], U[:, rest])
+        if x is not None:
+            X[np.ix_(rest, sep)] = x.T
+            rest = rest[:0]
+    _log.debug(
+        "_extreme_set: representatives=%d separated=%d basis=%d",
+        reps.size, separated, reps.size - separated - rest.size,
+    )
     if rest.size:
         allowed = ~np.eye(reps.size, dtype=bool)[rest]
         X[rest] = _batched_nnls(Kr, Kr[rest], allowed, np.zeros(allowed.shape, dtype=bool))

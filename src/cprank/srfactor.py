@@ -7,7 +7,7 @@ rotation-based construction in this package basis-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,14 +92,14 @@ class CpCertificate:
     """An entrywise-nonnegative factor ``C`` with ``C^T C = A``.
 
     ``min_entry`` is the smallest entry before :func:`make_certificate`
-    clamps; both the pre- and post-clamp relative residuals are recorded.
+    clamps, and ``residual`` the relative residual of ``C^T C - A`` after
+    the clamp.
     """
 
     C: np.ndarray
     residual: float
     min_entry: float
     method_tag: str
-    residual_preclamp: float = field(default=float("nan"))
 
     def __post_init__(self) -> None:
         C = np.asarray(self.C, dtype=float).copy()
@@ -131,20 +131,19 @@ def make_certificate(
 ) -> CpCertificate:
     """Package a raw factor as a certificate: record the minimum entry,
     clamp entries in ``[-eps_nonneg * sqrt(scale), 0)`` to zero (factor
-    entries scale as square roots of matrix entries) and re-measure."""
+    entries scale as square roots of matrix entries) and measure the
+    residual of the clamped factor."""
     S = as_symmetric(A, tol)
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[1] != S.n:
         raise InvalidInputError(f"factor shape {C.shape} does not match order {S.n}")
     min_entry = float(C.min()) if C.size else 0.0
-    residual_preclamp = _relative_residual(S.a, C)
     clamped = np.where((C < 0.0) & (C >= -tol.eps_nonneg * np.sqrt(S.scale)), 0.0, C)
     return CpCertificate(
         C=clamped,
         residual=_relative_residual(S.a, clamped),
         min_entry=min_entry,
         method_tag=method_tag,
-        residual_preclamp=residual_preclamp,
     )
 
 

@@ -1,9 +1,10 @@
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cprank import (
@@ -20,7 +21,15 @@ from cprank import (
 )
 from cprank import cones
 from cprank.cones import DUPLICATE_RAY_COS_GAP, EXTREME_RESIDUAL_FACTOR, IN_CP_N3, NOT_APPLICABLE
-from cprank.fixtures import GRAM_NONNEG, RANDOM_STYLES, ROTATED_NONNEG, example_matrix, random_dn, soules_cp
+from cprank.fixtures import (
+    GRAM_NONNEG,
+    RANDOM_STYLES,
+    ROTATED_NONNEG,
+    SOULES,
+    example_matrix,
+    random_dn,
+    soules_cp,
+)
 from conftest import (
     active_set_nnls,
     duplicate_rays_loop,
@@ -90,7 +99,7 @@ class TestNnls:
         K = G.T @ G
         C = np.array([[2.0, 2.0, 0.0], [4.0, 4.0, 0.0]])
         P = np.array([[True, True, False], [True, True, False]])
-        S = cones._passive_solve(K, C, P, np.arange(2))
+        S = cones._passive_solve(K, C, P)
         assert np.all(np.isfinite(S))
         assert np.allclose(S, [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
 
@@ -123,6 +132,31 @@ class TestNnls:
                 X = cones._batched_nnls(G.T @ G, b @ G, allowed, passive)
                 assert X.min() >= 0.0 and not X[~allowed].any()
                 assert np.all(np.linalg.norm(X @ G.T - b, axis=1) <= best + 1e-9)
+
+    def test_dependent_seed_starts_cold(self):
+        # the least-distance program of a correlation matrix (K = R + J,
+        # C = 1^T) seeded with every column: twelve seed columns in a
+        # seven-dimensional space are dependent, and solving on them gave a
+        # point 0.10 worse than the cold start; a numerically singular seed
+        # block is now cleared, so the problem starts cold
+        B = sr_factor(random_dn(12, 6, seed=709963227, style=SOULES)).B
+        U = B / np.linalg.norm(B, axis=0)
+        K = U.T @ U + 1.0
+        C, allowed = np.ones((1, 12)), np.ones((1, 12), dtype=bool)
+
+        def objective(passive):
+            x = cones._batched_nnls(K, C, allowed, passive)[0]
+            return x @ K @ x - 2.0 * x.sum()
+
+        cold = objective(np.zeros((1, 12), dtype=bool))
+        assert objective(np.ones((1, 12), dtype=bool)) <= cold + 1e-9
+
+    def test_empty_batches(self):
+        K = np.eye(2)
+        for q, k in ((0, 2), (2, 0)):
+            none = np.zeros((q, k), dtype=bool)
+            X = cones._batched_nnls(K[:k, :k], np.ones((q, k)), ~none, none)
+            assert X.shape == (q, k) and not X.any()
 
 
 def assert_w_fit_matches_oracle(A):
@@ -332,6 +366,7 @@ class TestExtremeRays:
         # the separation bound settles some representatives; the extremality
         # batch starts cold on the others, against every representative
         assert screen["representatives"] == 12 and screen["separated"] > 0
+        assert screen["basis"] == 0
         assert ext["problems"] == screen["representatives"] - screen["separated"] > 0
         assert ext["columns"] == 12 and ext["seeded"] == 0
         # the W fit starts from the extremality fit of its one column
@@ -486,20 +521,23 @@ class TestSeparationBound:
         assert bound[1] <= 1e-12
         assert bound[0] > EXTREME_RESIDUAL_FACTOR and bound[2] > EXTREME_RESIDUAL_FACTOR
 
-    @pytest.mark.parametrize("A, tol", [
-        (np.eye(3), Tolerances()),
-        (example_matrix("EX3_7").a, Tolerances()),
+    @pytest.mark.parametrize("A, tol, unscreened_calls", [
+        (np.eye(3), Tolerances(), 0),
+        (example_matrix("EX3_7").a, Tolerances(), 1),
     ], ids=["identity", "EX3_7"])
-    def test_fully_separated_cone_skips_the_kernel(self, monkeypatch, A, tol):
+    def test_fully_separated_cone_skips_the_kernel(self, monkeypatch, A, tol, unscreened_calls):
         calls = []
         kernel = cones._batched_nnls
         monkeypatch.setattr(cones, "_batched_nnls", lambda *args: calls.append(1) or kernel(*args))
         report = extreme_rays(A, tol)
         assert calls == [] and report.m == A.shape[0]
-        # the same report as when every representative goes to the kernel
+        # the same report with the screen off: the identity's three
+        # representatives form a basis, which settles them without the
+        # kernel; EX3_7's four rays in rank 3 go to the kernel
         monkeypatch.setattr(cones, "_separation_bound", lambda U, K: np.zeros(K.shape[0]))
         kernel_report = extreme_rays(A, tol)
-        assert len(calls) == 1
+        assert len(calls) == unscreened_calls
+        assert list(kernel_report.extreme_indices) == extreme_indices_oracle(A, tol)
         assert report.extreme_indices == kernel_report.extreme_indices
         assert np.array_equal(report.W, kernel_report.W)
         assert report.residual == kernel_report.residual
@@ -518,9 +556,97 @@ class TestSeparationBound:
             {key: int(value) for key, value in (f.split("=") for f in r.getMessage().split()[1:])}
             for r in caplog.records[:2]
         )
-        assert screen == {"representatives": 8, "separated": 0}
+        assert screen == {"representatives": 8, "separated": 0, "basis": 0}
         assert ext["problems"] == 8
         assert list(report.extreme_indices) == screen_against_oracle(M)[1]
+
+
+def debug_fields(caplog):
+    """``(name, {key: value})`` of each ``cprank.cones`` DEBUG line."""
+    return [
+        (msg.split(":")[0], {key: int(value) for key, value in (f.split("=") for f in msg.split()[1:])})
+        for msg in (r.getMessage() for r in caplog.records if r.name == "cprank.cones")
+    ]
+
+
+class TestBasisCertificates:
+    """Cones that a basis settles without the extremality kernel: the
+    representatives form one (their distances from each other's span
+    bound the residuals), or the separated representatives do (solving on
+    them rebuilds every open one)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(RANDOM_STYLES),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_matches_per_column_oracle(self, style, r, extra, seed):
+        n = min(r + extra, 12)
+        A = random_dn(n, r, seed=seed, style=style)
+        assert list(extreme_rays(A).extreme_indices) == extreme_indices_oracle(A)
+        assert_w_fit_matches_oracle(A.a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(RANDOM_STYLES),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_full_rank_order_at_most_four_skips_the_kernel(self, style, n, seed):
+        A = random_dn(n, n, seed=seed, style=style)
+        assume(classify_dn(A).rank == n)
+        with mock.patch.object(cones, "_batched_nnls", wraps=cones._batched_nnls) as kernel:
+            report = extreme_rays(A)
+        assert report.m == n and kernel.call_count == 0
+
+    def test_separated_rays_of_a_rank2_cone_settle_the_others(self, caplog):
+        # two separated rays span the plane; the other six columns are
+        # rebuilt from them, and only the W fit calls the kernel
+        A = random_dn(8, 2, seed=208, style=GRAM_NONNEG)
+        with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
+            report = extreme_rays(A)
+        (_, screen), (name, fit) = debug_fields(caplog)
+        assert screen == {"representatives": 8, "separated": 2, "basis": 6}
+        assert name == "_batched_nnls" and (fit["problems"], fit["columns"]) == (6, 2)
+        assert list(report.extreme_indices) == extreme_indices_oracle(A)
+        assert_w_fit_matches_oracle(A.a)
+
+    def test_identity_is_settled_by_its_basis(self, caplog, monkeypatch):
+        monkeypatch.setattr(cones, "_separation_bound", lambda U, K: np.zeros(K.shape[0]))
+        with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
+            report = extreme_rays(np.eye(3))
+        assert debug_fields(caplog) == [
+            ("_extreme_set", {"representatives": 3, "separated": 0, "basis": 3})
+        ]
+        assert report.extreme_indices == (0, 1, 2)
+
+    def test_near_singular_basis_goes_to_the_kernel(self, caplog):
+        # the third column lies 1e-8 off the plane of the first two, inside
+        # their cone: its distance from the others' span is below the
+        # extremality factor, so the kernel decides, and finds it inside
+        M = np.column_stack([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-8 * math.sqrt(2.0)]])
+        assert cones._span_distance(M / np.linalg.norm(M, axis=0))[2] <= EXTREME_RESIDUAL_FACTOR
+        with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
+            report = extreme_columns(M)
+        (_, screen), (name, ext) = debug_fields(caplog)[:2]
+        assert screen == {"representatives": 3, "separated": 2, "basis": 0}
+        assert name == "_batched_nnls" and ext["problems"] == 1
+        assert list(report.extreme_indices) == screen_against_oracle(M)[1] == [0, 1]
+
+    def test_separated_basis_missing_an_open_ray_goes_to_the_kernel(self, caplog):
+        # four rays in rank 3, three of them separated: the fourth is not in
+        # their cone, so solving on them leaves it unbuilt and the kernel
+        # decides every open representative
+        A = random_dn(4, 3, seed=1, style=GRAM_NONNEG)
+        with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
+            report = extreme_rays(A)
+        (_, screen), (name, ext) = debug_fields(caplog)
+        assert screen == {"representatives": 4, "separated": 3, "basis": 0}
+        assert name == "_batched_nnls" and ext["problems"] == 1
+        assert report.m == 4
+        assert list(report.extreme_indices) == extreme_indices_oracle(A)
 
 
 class TestFewRaysFactor:

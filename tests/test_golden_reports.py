@@ -18,7 +18,14 @@ import hashlib
 import pytest
 
 from cprank import DEFAULT_TOL, AnalysisConfig, Tolerances, analyze, write_report
-from cprank.fixtures import EXAMPLE_IDS, RANDOM_STYLES, example_matrix, random_dn
+from cprank.fixtures import (
+    EXAMPLE_IDS,
+    GRAM_NONNEG,
+    RANDOM_STYLES,
+    ROTATED_NONNEG,
+    example_matrix,
+    random_dn,
+)
 
 # EX3_9 is printed to four decimals and needs loosened tolerances
 LOOSE_TOL = Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_residual=1e-4)
@@ -27,7 +34,10 @@ LOOSE_TOL = Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_residua
 def cases():
     """``(id, matrix, config)``: the six fixtures, then per style and rank
     1-6 one ``random_dn`` instance at the default config and one, larger,
-    with ``heuristic=True``."""
+    with ``heuristic=True``; then, at the default config, full-rank
+    ``GRAM_NONNEG`` and ``ROTATED_NONNEG`` instances of order 3 and 4
+    (the representatives form a basis) and a rank-2 ``GRAM_NONNEG``
+    instance of order 8 (its two separated rays form a basis)."""
     out = []
     for fid in EXAMPLE_IDS:
         tol = LOOSE_TOL if fid == "EX3_9" else DEFAULT_TOL
@@ -39,6 +49,11 @@ def cases():
                 A = random_dn(n, r, seed=seed, style=style).a
                 cid = f"{style}-n{n}-r{r}-s{seed}" + ("-heuristic" if heuristic else "")
                 out.append((cid, A, AnalysisConfig(heuristic=heuristic)))
+    basis_cases = [(style, r, r) for style in (GRAM_NONNEG, ROTATED_NONNEG) for r in (3, 4)]
+    for style, n, r in basis_cases + [(GRAM_NONNEG, 8, 2)]:
+        seed = 100 * r + n
+        A = random_dn(n, r, seed=seed, style=style).a
+        out.append((f"{style}-n{n}-r{r}-s{seed}", A, AnalysisConfig()))
     return out
 
 
@@ -89,6 +104,11 @@ DIGESTS = {
     "SOULES-n11-r5-s511-heuristic": "3420f3a1a28b659c57304d32591ac1286b5a6e63cd903eb05f48b03b447921b0",
     "SOULES-n10-r6-s610": "e39f743a9e2667db9f169237281ac4c1d687dfd7fd69a3b145feb3cf0c703751",
     "SOULES-n12-r6-s612-heuristic": "675da74f946f8926767f61fe5d2fc2ae104b02245667fc06ad7322f8738a0e1f",
+    "GRAM_NONNEG-n3-r3-s303": "cf48955ba888addc91ffcfbf94d8392f12209c9aafee76cfd4d0ce6ed8b28632",
+    "GRAM_NONNEG-n4-r4-s404": "a438e26ecca4bfc98ba838ca15754148337721ecd1762797de663a7384443b34",
+    "ROTATED_NONNEG-n3-r3-s303": "3a26bfb09a6b31f755e7b1f7da96ab3279e4f0def27cd944edaa737d23cc2038",
+    "ROTATED_NONNEG-n4-r4-s404": "4695bd3f78459e2cd76721d0f5483a44235612780907dfc2c6bb5ace7d204d7a",
+    "GRAM_NONNEG-n8-r2-s208": "c40b7635fe24243707667df58152ad0511cabaf828944d29957fb8af1fedb835",
 }
 
 
