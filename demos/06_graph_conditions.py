@@ -14,16 +14,14 @@ from cprank import (
     analyze,
     classify_graph,
     cycle_necessary,
-    graph_of,
     kaykobad_factor,
     triangle_free_criterion,
 )
 from cprank.fixtures import example_matrix
 
 A = example_matrix("EX1_2")
-G = graph_of(A)
-shape = classify_graph(G)
-print(f"4-cycle matrix: {G.edge_count} edges, cycle={shape.is_cycle}, "
+shape = classify_graph(A)
+print(f"4-cycle matrix: {len(shape.edges)} edges, cycle={shape.is_cycle}, "
       f"triangle-free={shape.is_triangle_free}")
 
 check = cycle_necessary(A)

@@ -33,11 +33,9 @@ from .fixtures import (
 from .graphcond import (
     CycleCheck,
     GraphShape,
-    MatrixGraph,
     TriangleFreeResult,
     classify_graph,
     cycle_necessary,
-    graph_of,
     kaykobad_factor,
     triangle_free_criterion,
 )

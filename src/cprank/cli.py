@@ -165,15 +165,14 @@ def _cmd_rays(args) -> int:
 def _cmd_graph(args) -> int:
     tol = _tolerances(args)
     S = pipeline.read_matrix(args.input, args.format, tol)
-    G = graphcond.graph_of(S, tol)
-    shape = graphcond.classify_graph(G)
+    shape = graphcond.classify_graph(S, tol)
     cycle = graphcond.cycle_necessary(S, tol)
     tri = graphcond.triangle_free_criterion(S, tol)
     kay = graphcond.kaykobad_factor(S, tol)
     doc = {
-        "n": G.n,
-        "edge_count": G.edge_count,
-        "edges": [[i + 1, j + 1] for i, j in sorted(G.edges)],
+        "n": S.n,
+        "edge_count": len(shape.edges),
+        "edges": [[i + 1, j + 1] for i, j in shape.edges],
         "is_cycle": shape.is_cycle,
         "is_triangle_free": shape.is_triangle_free,
         "is_tree": shape.is_tree,

@@ -504,12 +504,10 @@ def few_rays_factor(
     Bs = sr_factor(block, tol).B  # rank(block) rows
     d_lo = max(Bs.shape[0], 1)
     if d_lo < m:
-        # exact pattern-based cp-rank information on a rank-deficient block
-        # prunes row counts that cannot work, e.g. a 4-cycle block pins the
-        # count to 4; a full-rank block starts at m already
-        tri = graphcond.triangle_free_criterion(block, tol)
-        if tri.status == graphcond.CP:
-            d_lo = max(d_lo, min(tri.cp_rank, m))
+        # a rank-deficient block has rank 3 and four rays; the one pattern
+        # on four vertices that pins its cp-rank above 3 is the 4-cycle,
+        # and the cycle bound prunes its count to 4; a full-rank block
+        # starts at m already
         cyc = graphcond.cycle_necessary(block, tol)
         if cyc.status == graphcond.PASSES:
             d_lo = max(d_lo, min(cyc.cprk_lower_bound, m))

@@ -12,7 +12,6 @@ per off-diagonal entry plus one per strictly dominant row.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,6 @@ from .matcore import (
 from .srfactor import CpCertificate, make_certificate
 
 __all__ = [
-    "MatrixGraph",
-    "graph_of",
     "GraphShape",
     "classify_graph",
     "CycleCheck",
@@ -53,36 +50,12 @@ NOT_CP = "NOT_CP"
 
 
 @dataclass(frozen=True)
-class MatrixGraph:
-    """Undirected graph on the row indices with an edge wherever the
-    off-diagonal entry is numerically nonzero."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n), dtype=int)
-        ij = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=int,
-                         count=2 * len(self.edges)).reshape(-1, 2)
-        adj[ij[:, 0], ij[:, 1]] = adj[ij[:, 1], ij[:, 0]] = 1
-        return adj
-
-
-def graph_of(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> MatrixGraph:
-    """Zero-pattern graph with threshold ``eps_nonneg`` relative to the
-    largest entry magnitude."""
-    S = as_symmetric(A, tol)
-    i, j = np.nonzero(np.triu(S.pattern(tol.eps_nonneg)))
-    # Python ints, so that reports print plain numbers
-    return MatrixGraph(n=S.n, edges=frozenset(zip(i.tolist(), j.tolist())))
-
-
-@dataclass(frozen=True)
 class GraphShape:
+    """Shape of the zero-pattern graph: an edge ``(i, j)``, ``i < j``,
+    wherever the off-diagonal entry is numerically nonzero; ``edges`` in
+    row-major order."""
+
+    edges: tuple[tuple[int, int], ...]
     is_cycle: bool
     is_triangle_free: bool
     is_tree: bool
@@ -111,16 +84,22 @@ def _triangle_free(adj: np.ndarray) -> bool:
     return float(((f @ f) * f).sum()) == 0.0
 
 
-def classify_graph(G: MatrixGraph) -> GraphShape:
-    """Standard predicates: one breadth-first search for connectivity,
-    degrees for the cycle test, ``trace(adj^3)`` for triangles, edge count
-    for trees."""
-    adj = G.adjacency().astype(bool)
+def classify_graph(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> GraphShape:
+    """Standard predicates on the zero pattern with threshold ``eps_nonneg``
+    relative to the largest entry magnitude: one breadth-first search for
+    connectivity, degrees for the cycle test, ``trace(adj^3)`` for
+    triangles, edge count for trees."""
+    S = as_symmetric(A, tol)
+    adj = S.pattern(tol.eps_nonneg)
+    i, j = np.nonzero(np.triu(adj))
+    # Python ints, so that reports print plain numbers
+    edges = tuple(zip(i.tolist(), j.tolist()))
     connected = _connected(adj)
     return GraphShape(
+        edges=edges,
         is_cycle=_is_cycle(adj),
         is_triangle_free=_triangle_free(adj),
-        is_tree=connected and G.edge_count == G.n - 1,
+        is_tree=connected and len(edges) == S.n - 1,
         is_connected=connected,
     )
 

@@ -265,17 +265,13 @@ def classify_dn(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> DnVerdict:
     return DnVerdict(status=DN, rank=rank)
 
 
-def comparison_matrix(
-    A: MatrixLike, tol: Tolerances = DEFAULT_TOL, validate: bool = True
-) -> SymmetricMatrix:
+def comparison_matrix(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> SymmetricMatrix:
     """Return ``2 diag(A) - A``: the diagonal is kept, off-diagonals are negated.
 
-    With ``validate`` (the default) the input must be entrywise nonnegative
-    up to ``eps_nonneg * scale``.  ``validate=False`` applies the map to
-    matrices with negative off-diagonals, e.g. to invert it.
+    The input must be entrywise nonnegative up to ``eps_nonneg * scale``.
     """
     S = as_symmetric(A, tol)
-    if validate and float(S.a.min()) < -tol.eps_nonneg * S.scale:
+    if float(S.a.min()) < -tol.eps_nonneg * S.scale:
         raise InvalidInputError(
             f"comparison matrix requires a nonnegative input, min entry {S.a.min():.3e}"
         )

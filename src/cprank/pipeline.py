@@ -111,12 +111,19 @@ class _Cascade:
         if self.terminal is None:
             self.terminal = verdict
 
-    def accept(self, cert_core: CpCertificate, name: str, t0: float) -> None:
-        """Reinflate a certificate of the deflated core, verify it against
-        the full matrix, and fold it into verdict and bounds."""
-        full = np.zeros((cert_core.rows, self.S.n))
-        full[:, self.kept] = cert_core.C
-        cert = make_certificate(self.S, full, cert_core.method_tag, self.tol)
+    def accept(self, cert: CpCertificate, name: str, t0: float, extra: dict | None = None) -> None:
+        """Verify a step's certificate against the input and fold it into
+        verdict and bounds.
+
+        A certificate of the deflated core is reinflated with zero columns
+        and rebuilt on the input first; without deflation the core is the
+        input, so the step's certificate is verified as built.  ``extra``
+        details follow the verification's in the step record.
+        """
+        if self.core is not self.S:
+            full = np.zeros((cert.rows, self.S.n))
+            full[:, self.kept] = cert.C
+            cert = make_certificate(self.S, full, cert.method_tag, self.tol)
         check = verify_certificate(self.S, cert, self.tol)
         details = {
             "rows": cert.rows,
@@ -124,15 +131,20 @@ class _Cascade:
             "min_entry": check.min_entry,
             "method": cert.method_tag,
             "verified": check.passed,
+            **(extra or {}),
         }
         if not check.passed:
             self.step(name, "FAILED_VERIFICATION", details, t0)
             return
+        self.fold(cert)
+        self.step(name, f"CERTIFICATE(rows={cert.rows})", details, t0)
+
+    def fold(self, cert: CpCertificate) -> None:
+        """Take a verified certificate of the input into the best
+        certificate and the upper bound; rank many rows settle equality."""
         if self.certificate is None or cert.rows < self.certificate.rows:
             self.certificate = cert
         self.upper = cert.rows if self.upper is None else min(self.upper, cert.rows)
-        self.lower = self.rank if self.lower is None else max(self.lower, self.rank)
-        self.step(name, f"CERTIFICATE(rows={cert.rows})", details, t0)
         if cert.rows == self.rank:
             self.settle(CP_RANK_EQ_RANK)
 
@@ -218,8 +230,7 @@ def _rowsum_step(cas: _Cascade) -> None:
     except CprankError as exc:
         cas.step("rowsum", "FAILED", {**details, "error": str(exc)}, t0)
         return
-    cas.accept(cert, "rowsum", t0)
-    cas.steps[-1].details.update(details)
+    cas.accept(cert, "rowsum", t0, details)
 
 
 def _nnq_step(cas: _Cascade, rays: cones.ConeReport) -> None:
@@ -228,7 +239,7 @@ def _nnq_step(cas: _Cascade, rays: cones.ConeReport) -> None:
     details = {}
     if nnq_result.found:
         details = {
-            "indices": [int(i) + 1 for i in nnq_result.witness.indices],
+            "indices": [int(cas.kept[i]) + 1 for i in nnq_result.witness.indices],
             "det": nnq_result.witness.detval,
         }
     cas.step("nnq_search", nnq_result.status, details, t0)
@@ -247,7 +258,7 @@ def _cone_steps(cas: _Cascade) -> None:
         outcome=f"RAYS({report.m})",
         details={
             "m": report.m,
-            "extreme_indices": [int(i) + 1 for i in report.extreme_indices],
+            "extreme_indices": [int(cas.kept[i]) + 1 for i in report.extreme_indices],
             "residual": report.residual,
         },
         elapsed=rays_elapsed,
@@ -305,13 +316,9 @@ def _graph_steps(cas: _Cascade) -> None:
     if not check.passed:
         cas.step("kaykobad", "FAILED_VERIFICATION", {"residual": check.residual}, t0)
         return
-    if cas.certificate is None or kay.rows < cas.certificate.rows:
-        cas.certificate = kay
-    cas.upper = kay.rows if cas.upper is None else min(cas.upper, kay.rows)
+    cas.fold(kay)
     cas.step("kaykobad", f"CERTIFICATE(rows={kay.rows})",
              {"rows": kay.rows, "residual": check.residual}, t0)
-    if kay.rows == cas.rank:
-        cas.settle(CP_RANK_EQ_RANK)
 
 
 def _heuristic_step(cas: _Cascade) -> None:

@@ -19,7 +19,7 @@ from cprank import (
 )
 from cprank import cones
 from cprank.cones import DUPLICATE_RAY_COS_GAP, EXTREME_RESIDUAL_FACTOR
-from cprank.graphcond import GraphShape, MatrixGraph
+from cprank.graphcond import GraphShape
 from cprank.nnq import EPS_DET_FACTOR, FOUND, NONE, NnqSearchResult, NnqWitness
 
 
@@ -157,7 +157,7 @@ def nnq_invariance_check(A, tol=DEFAULT_TOL, seed=0):
 
 
 def graph_of_loops(A, tol=DEFAULT_TOL):
-    """Zero-pattern graph oracle: one comparison per pair of indices."""
+    """Zero-pattern edge oracle: one comparison per pair of indices."""
     S = as_symmetric(A, tol)
     a = S.a
     scale = float(np.abs(a).max())
@@ -167,14 +167,15 @@ def graph_of_loops(A, tol=DEFAULT_TOL):
             for j in range(i + 1, S.n):
                 if abs(a[i, j]) > tol.eps_nonneg * scale:
                     edges.add((i, j))
-    return MatrixGraph(n=S.n, edges=frozenset(edges))
+    return edges
 
 
-def classify_graph_loops(G):
-    """Graph-shape oracle: a set-based breadth-first search, degrees
-    counted edge by edge, and a triangle search over vertex triples."""
-    neighbours = {i: set() for i in range(G.n)}
-    for i, j in G.edges:
+def classify_graph_loops(n, edges):
+    """Graph-shape oracle on ``n`` vertices: a set-based breadth-first
+    search, degrees counted edge by edge, and a triangle search over
+    vertex triples."""
+    neighbours = {i: set() for i in range(n)}
+    for i, j in edges:
         neighbours[i].add(j)
         neighbours[j].add(i)
     seen = {0}
@@ -187,14 +188,15 @@ def classify_graph_loops(G):
                     seen.add(j)
                     nxt.append(j)
         frontier = nxt
-    connected = len(seen) == G.n
-    is_cycle = connected and G.n >= 3 and all(len(neighbours[i]) == 2 for i in range(G.n))
+    connected = len(seen) == n
+    is_cycle = connected and n >= 3 and all(len(neighbours[i]) == 2 for i in range(n))
     triangle_free = not any(
         j in neighbours[i] and k in neighbours[i] and k in neighbours[j]
-        for i, j, k in itertools.combinations(range(G.n), 3)
+        for i, j, k in itertools.combinations(range(n), 3)
     )
-    is_tree = connected and len(G.edges) == G.n - 1
+    is_tree = connected and len(edges) == n - 1
     return GraphShape(
+        edges=tuple(sorted(edges)),
         is_cycle=is_cycle,
         is_triangle_free=triangle_free,
         is_tree=is_tree,

@@ -16,11 +16,11 @@ from cprank import (
     analyze,
     boundary_witness,
     classify_dn,
+    classify_graph,
     e_cone_threshold,
     extreme_rays,
     few_rays_factor,
     find_nnq_witness,
-    graph_of,
     householder_align,
     in_e_cone,
     is_nnq_gram,
@@ -261,7 +261,7 @@ def test_c13_kaykobad_row_count_and_residual():
         A, slack = random_diag_dominant(rng, n)
         cert = kaykobad_factor(A)
         assert cert is not None
-        expected = graph_of(A).edge_count + int(np.count_nonzero(slack > 0))
+        expected = len(classify_graph(A).edges) + int(np.count_nonzero(slack > 0))
         assert cert.rows == expected
         assert cert.residual <= 1e-12
     _stamp("13 (diagonal dominance construction, 200 instances)", t0)

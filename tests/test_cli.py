@@ -142,14 +142,36 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert doc["m"] == 4 and doc["extreme_indices"] == [1, 2, 3, 4]
 
+    GRAPH_DOCS = {
+        "EX1_2": {
+            "n": 4, "edge_count": 4, "edges": [[1, 2], [1, 4], [2, 3], [3, 4]],
+            "is_cycle": True, "is_triangle_free": True, "is_tree": False,
+            "is_connected": True, "dn": "DN",
+            "cycle_check": {"status": "PASSES", "cprk_lower_bound": 4,
+                            "off_diag_sum": 8, "diag_sum": 8},
+            "triangle_free_criterion": {"status": "CP", "cp_rank": 4},
+            "kaykobad_rows": 4,
+        },
+        "EX3_3": {
+            "n": 5, "edge_count": 6,
+            "edges": [[1, 3], [1, 4], [1, 5], [2, 3], [2, 4], [2, 5]],
+            "is_cycle": False, "is_triangle_free": True, "is_tree": False,
+            "is_connected": True, "dn": "DN",
+            "cycle_check": {"status": "NOT_APPLICABLE", "cprk_lower_bound": None,
+                            "off_diag_sum": 14, "diag_sum": 15},
+            "triangle_free_criterion": {"status": "CP", "cp_rank": 6},
+            "kaykobad_rows": None,
+        },
+    }
+
     def test_graph(self, tmp_path, capsys):
-        path = write_fixture(tmp_path, "EX3_3")
-        code, out, _ = run(capsys, ["graph", "--input", path, "--report", "json"])
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["edge_count"] == 6
-        assert doc["is_triangle_free"] is True
-        assert doc["triangle_free_criterion"]["cp_rank"] == 6
+        # the whole document, in key order and with edges in row-major order
+        for fid, expected in self.GRAPH_DOCS.items():
+            path = write_fixture(tmp_path, fid)
+            code, out, _ = run(capsys, ["graph", "--input", path, "--report", "json"])
+            assert code == 0
+            doc = json.loads(out)
+            assert doc == expected and list(doc) == list(expected)
 
     def test_csv_input(self, tmp_path, capsys):
         path = tmp_path / "m.csv"

@@ -8,13 +8,12 @@ from cprank import (
     classify_dn,
     classify_graph,
     cycle_necessary,
-    graph_of,
     kaykobad_factor,
     triangle_free_criterion,
     verify_certificate,
 )
 from cprank.fixtures import RANDOM_STYLES, example_matrix, random_dn
-from cprank.graphcond import CP, FAILS, NOT_APPLICABLE, PASSES, MatrixGraph
+from cprank.graphcond import CP, FAILS, NOT_APPLICABLE, PASSES
 from conftest import classify_graph_loops, graph_of_loops, kaykobad_rows_loops
 
 
@@ -34,17 +33,15 @@ def random_diag_dominant(rng, n):
 
 class TestGraphOf:
     def test_cycle_pattern(self):
-        G = graph_of(example_matrix("EX1_2"))
-        assert G.edge_count == 4
-        assert G.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+        shape = classify_graph(example_matrix("EX1_2"))
+        assert shape.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
 
     def test_k23_pattern(self):
-        G = graph_of(example_matrix("EX3_3"))
-        assert G.edge_count == 6
-        assert G.edges == frozenset({(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)})
+        shape = classify_graph(example_matrix("EX3_3"))
+        assert shape.edges == ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))
 
     def test_diagonal_has_no_edges(self):
-        assert graph_of(np.diag([1.0, 2.0, 3.0])).edge_count == 0
+        assert classify_graph(np.diag([1.0, 2.0, 3.0])).edges == ()
 
 
 def pattern_edges(kind, n, rng):
@@ -72,24 +69,22 @@ def pattern_matrix(n, edges, rng):
 
 
 class TestVectorisedGraphMatchesLoops:
-    """``graph_of``, ``classify_graph`` and the two pattern checks, which
-    read the cached zero pattern, against the loop oracles."""
+    """``classify_graph`` and the two pattern checks, which read the
+    cached zero pattern, against the loop oracles."""
 
     @staticmethod
     def check(A):
-        G = graph_of(A)
-        assert G == graph_of_loops(A)
-        assert all(type(i) is int and type(j) is int for i, j in G.edges)
-        shape = classify_graph_loops(G)
-        assert classify_graph(G) == shape
         S = as_symmetric(A)
+        shape = classify_graph(A)
+        assert shape == classify_graph_loops(S.n, graph_of_loops(A))
+        assert all(type(i) is int and type(j) is int for i, j in shape.edges)
         cycle = cycle_necessary(S)
         assert (cycle.status != NOT_APPLICABLE) == (shape.is_cycle and S.n >= 4)
         verdict = classify_dn(S)
         tri = triangle_free_criterion(S)
         assert (tri.status != NOT_APPLICABLE) == (verdict.is_dn and shape.is_triangle_free)
         if tri.status == CP:
-            assert tri.cp_rank == max(verdict.rank, G.edge_count)
+            assert tri.cp_rank == max(verdict.rank, len(shape.edges))
         return cycle, tri
 
     def test_hundred_cycle(self):
@@ -125,10 +120,10 @@ class TestVectorisedGraphMatchesLoops:
     def test_hand_made_patterns(self, kind, n, seed):
         rng = np.random.default_rng(seed)
         edges = pattern_edges(kind, n, rng)
-        self.check(pattern_matrix(n, edges, rng))
-        G = MatrixGraph(n=n, edges=frozenset(edges))
-        shape = classify_graph(G)
-        assert shape == classify_graph_loops(G)
+        A = pattern_matrix(n, edges, rng)
+        self.check(A)
+        shape = classify_graph(A)
+        assert shape == classify_graph_loops(n, edges)
         if kind == "cycle" and n >= 3:
             assert shape.is_cycle
         if kind == "tree":
@@ -145,22 +140,22 @@ class TestVectorisedGraphMatchesLoops:
 
 class TestClassifyGraph:
     def test_cycle(self):
-        shape = classify_graph(graph_of(example_matrix("EX1_2")))
+        shape = classify_graph(example_matrix("EX1_2"))
         assert shape.is_cycle and shape.is_triangle_free and not shape.is_tree
 
     def test_k23(self):
-        shape = classify_graph(graph_of(example_matrix("EX3_3")))
+        shape = classify_graph(example_matrix("EX3_3"))
         assert not shape.is_cycle and shape.is_triangle_free and not shape.is_tree
         assert shape.is_connected
 
     def test_path(self):
         A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
-        shape = classify_graph(graph_of(A))
+        shape = classify_graph(A)
         assert shape.is_tree and shape.is_triangle_free and not shape.is_cycle
 
     def test_triangle(self):
         A = np.ones((3, 3))
-        shape = classify_graph(graph_of(A))
+        shape = classify_graph(A)
         assert not shape.is_triangle_free
 
 
@@ -244,7 +239,7 @@ class TestKaykobad:
             A, slack = random_diag_dominant(rng, n)
             cert = kaykobad_factor(A)
             assert cert is not None
-            edges = graph_of(A).edge_count
+            edges = len(classify_graph(A).edges)
             strict = int(np.count_nonzero(slack > 0))
             assert cert.rows == edges + strict
             assert cert.residual <= 1e-12

@@ -59,6 +59,12 @@ def assert_consistent(report):
     if report.verdict == CP_RANK_EQ_RANK:
         assert report.certificate.rows == report.rank
     assert report.rank > 0 and upper != 0
+    # ray and nnq indices name columns of the input, never a dropped zero row
+    details = {s.name: s.details for s in report.steps}
+    dropped = set(details.get("deflate_zero_rows", {}).get("zero_rows", []))
+    named = {*details.get("extreme_rays", {}).get("extreme_indices", []),
+             *details.get("nnq_search", {}).get("indices", [])}
+    assert not dropped & named
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,7 +18,7 @@ from cprank import (
     verify_certificate,
 )
 from cprank.fixtures import EXAMPLE_IDS, GRAM_NONNEG, RANDOM_STYLES, example_matrix, random_dn
-from cprank import graphcond, matcore, pipeline, srfactor
+from cprank import matcore, pipeline, srfactor
 from cprank.pipeline import (
     CP_RANK_EQ_RANK,
     NOT_DN,
@@ -141,8 +141,21 @@ class TestAnalyzeVerdicts:
         report = analyze(A)
         assert report.verdict == CP_RANK_EQ_RANK
         assert step(report, "deflate_zero_rows").details["zero_rows"] == [2, 4]
+        assert step(report, "extreme_rays").details["extreme_indices"] == [1, 3]
+        assert step(report, "nnq_search").details["indices"] == [1, 3]
         assert np.all(report.certificate.C[:, [1, 3]] == 0.0)
         assert verify_certificate(A, report.certificate).passed
+
+    @pytest.mark.parametrize("pos", [0, 3, 6])
+    def test_deflated_reports_name_input_columns(self, pos):
+        A = random_dn(6, 3, seed=3, style=GRAM_NONNEG).a
+        padded = np.insert(np.insert(A, pos, 0.0, axis=0), pos, 0.0, axis=1)
+        report = analyze(padded)
+        assert step(report, "deflate_zero_rows").details["zero_rows"] == [pos + 1]
+        kept = np.delete(np.arange(7), pos)
+        unpadded = step(analyze(A), "extreme_rays").details["extreme_indices"]
+        expected = [int(kept[i - 1]) + 1 for i in unpadded]
+        assert step(report, "extreme_rays").details["extreme_indices"] == expected
 
     def test_zero_matrix(self):
         report = analyze(np.zeros((3, 3)))
@@ -260,6 +273,38 @@ class TestConeSteps:
         assert step(report, "few_rays_factor").outcome == f"CERTIFICATE(rows={r})"
 
 
+class TestOneCertificateBuild:
+    @pytest.fixture
+    def residuals(self, monkeypatch):
+        """Calls of ``srfactor._relative_residual``: one per certificate
+        build and one per verification."""
+        calls = []
+        original = srfactor._relative_residual
+
+        def counted(A, C):
+            calls.append(C.shape)
+            return original(A, C)
+
+        monkeypatch.setattr(srfactor, "_relative_residual", counted)
+        return calls
+
+    @pytest.mark.parametrize("A, cfg, steps", [
+        (example_matrix("EX2_7"), AnalysisConfig(), 2),  # rowsum, few_rays_factor
+        (example_matrix("EX1_2"), AnalysisConfig(), 2),  # few_rays_factor, kaykobad
+        (random_dn(12, 5, seed=0, style=GRAM_NONNEG), AnalysisConfig(heuristic=True), 1),
+    ], ids=["EX2_7", "EX1_2", "heuristic"])
+    def test_built_once_and_verified_once(self, residuals, A, cfg, steps):
+        report = analyze(A, cfg)
+        certified = [s for s in report.steps if s.outcome.startswith("CERTIFICATE")]
+        assert len(certified) == steps
+        assert len(residuals) == 2 * steps
+
+    def test_min_entry_is_taken_before_the_clamp(self):
+        cert = analyze(random_dn(6, 3, seed=8, style=GRAM_NONNEG)).certificate
+        assert cert.min_entry < 0.0
+        assert cert.C.min() == 0.0
+
+
 class TestOneDecompositionPerMatrix:
     @pytest.fixture
     def eigh_inputs(self, monkeypatch):
@@ -289,7 +334,7 @@ class TestOneDecompositionPerMatrix:
 
     def test_at_most_once_per_derived_matrix(self, eigh_inputs):
         # the input, the deflated core, the extreme block of the few-rays
-        # step, and the comparison matrices of input and block
+        # step, and the comparison matrix of the input
         cases = [(example_matrix(fid), cfg) for fid in EXAMPLE_IDS
                  for cfg in (AnalysisConfig(), ROUNDED_CFG)]
         for style in RANDOM_STYLES:
@@ -302,7 +347,7 @@ class TestOneDecompositionPerMatrix:
             eigh_inputs.clear()
             analyze(A, cfg)
             assert len({id(a) for a in eigh_inputs}) == len(eigh_inputs)
-            assert len(eigh_inputs) <= 5
+            assert len(eigh_inputs) <= 4
 
 
 class TestOneRankDecisionPerMatrix:
@@ -357,11 +402,7 @@ class TestOnePatternPerMatrix:
                 misses.append(eps)
             return original(self, eps)
 
-        def graph_of(*args, **kwargs):
-            raise AssertionError("analyze builds no MatrixGraph")
-
         monkeypatch.setattr(SymmetricMatrix, "pattern", counted)
-        monkeypatch.setattr(graphcond, "graph_of", graph_of)
         analyze(A)
         assert misses == [DEFAULT_TOL.eps_nonneg]
 
