@@ -308,14 +308,19 @@ class ConeReport:
     residual: float
 
 
-def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _extreme_set(
+    M: np.ndarray, tol: Tolerances
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sorted extreme columns of ``M``, the representative of each column
-    (``-1`` for a zero column), and the columns each extremality fit used.
+    (``-1`` for a zero column), the sorted representatives, their
+    extremality fits and the column norms of ``M``.
 
     Zero columns are dropped, positive multiples of one ray are collapsed
     onto their smallest-index representative, and a representative is
     extreme when nonnegative least squares cannot reconstruct it from the
-    others.  A representative whose separation bound (see
+    others.  The collapse runs only when some pair of columns lies within
+    ``DUPLICATE_RAY_COS_GAP``; otherwise every nonzero column represents
+    its own ray.  A representative whose separation bound (see
     :func:`_separation_bound`) exceeds ``EXTREME_RESIDUAL_FACTOR`` is
     extreme by that rule without a solve, since the least-squares
     residual is at least the distance the bound bounds.  The open
@@ -334,9 +339,9 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray,
     Otherwise one batched solve on the unit columns tests every open
     representative against all the others, so the first column to enter
     a fit is its most aligned ray and the residual is already relative.
-    Row ``j`` of the returned mask marks the columns with a positive
-    coefficient in the fit of column ``j``'s representative; it stays
-    empty for a representative settled as extreme without a fit, so no W
+    Row ``i`` of the fits (representatives by representatives) holds the
+    coefficients of representative ``i``'s fit on the others; it stays
+    zero for a representative settled as extreme without a fit, so no W
     fit reads it.  Each call logs one DEBUG line: representatives, how
     many were separated and how many the basis settled.
     """
@@ -344,30 +349,32 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray,
     norms = np.linalg.norm(M, axis=0)
     nonzero = np.flatnonzero(norms > tol.eps_nonneg * norms.max(initial=0.0))
     rep_of = np.full(n, -1)
-    used = np.zeros((n, n), dtype=bool)
     if not nonzero.size:
-        return [], rep_of, used
-    Mz = M[:, nonzero]
-    cos = (Mz.T @ Mz) / np.outer(norms[nonzero], norms[nonzero])
-    # close[a, b]: column b comes before column a and spans the same ray
-    close = np.tril(cos >= 1.0 - DUPLICATE_RAY_COS_GAP, -1)
-    # a column represents its ray when no earlier representative is close;
-    # each column depends only on earlier ones, so iterating from "every
-    # column represents" reaches the one fixed point, at most one step per
-    # column
-    is_rep = np.ones(nonzero.size, dtype=bool)
-    while True:
-        hits = close & is_rep
-        nxt = ~hits.any(axis=1)
-        if np.array_equal(nxt, is_rep):
-            break
-        is_rep = nxt
-    rep_pos = np.where(is_rep, np.arange(nonzero.size), hits.argmax(axis=1))
-    rep_of[nonzero] = nonzero[rep_pos]
+        return [], rep_of, nonzero, np.zeros((0, 0)), norms
+    Mz, nz = M[:, nonzero], norms[nonzero]  # column-major: the screen's sums depend on it
+    cos = (Mz.T @ Mz) / np.outer(nz, nz)
+    reps, Kr, U = nonzero, cos, Mz / nz
+    rep_of[nonzero] = nonzero
+    # close[a, b]: columns a and b span the same ray
+    close = cos >= 1.0 - DUPLICATE_RAY_COS_GAP
+    np.fill_diagonal(close, False)
+    if close.any():
+        close = np.tril(close)  # only an earlier column b can represent a
+        # a column represents its ray when no earlier representative is
+        # close; each column depends only on earlier ones, so iterating
+        # from "every column represents" reaches the one fixed point, at
+        # most one step per column
+        is_rep = np.ones(nonzero.size, dtype=bool)
+        while True:
+            hits = close & is_rep
+            nxt = ~hits.any(axis=1)
+            if np.array_equal(nxt, is_rep):
+                break
+            is_rep = nxt
+        rep_of[nonzero] = nonzero[np.where(is_rep, np.arange(nonzero.size), hits.argmax(axis=1))]
+        own = np.flatnonzero(is_rep)
+        reps, Kr, U = nonzero[own], cos[np.ix_(own, own)], U[:, own]
 
-    reps = np.flatnonzero(is_rep)
-    Kr = cos[np.ix_(reps, reps)]
-    U = Mz[:, reps] / norms[nonzero[reps]]
     is_ext = _separation_bound(U, Kr) > EXTREME_RESIDUAL_FACTOR
     separated = int(is_ext.sum())
     rest = np.flatnonzero(~is_ext)
@@ -391,48 +398,46 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray,
         X[rest] = _batched_nnls(Kr, Kr[rest], allowed, np.zeros(allowed.shape, dtype=bool))
         resid = np.linalg.norm(U @ X[rest].T - U[:, rest], axis=0)
         is_ext[rest] = resid > EXTREME_RESIDUAL_FACTOR
-    extreme = nonzero[reps[is_ext]]
-    # X has one row per representative, and each column reads its own
-    # representative's row
-    used[np.ix_(nonzero, nonzero[reps])] = X[(np.cumsum(is_rep) - 1)[rep_pos]] > 0.0
-    return extreme.tolist(), rep_of, used
+    return reps[is_ext].tolist(), rep_of, reps, X, norms
 
 
 def _cone_report(
-    G: np.ndarray, F: np.ndarray, extreme: list[int], rep_of: np.ndarray, used: np.ndarray
+    G: np.ndarray, F: np.ndarray, extreme: list[int], rep_of: np.ndarray,
+    reps: np.ndarray, X: np.ndarray, norms: np.ndarray,
 ) -> ConeReport:
-    """Reconstruct every column of ``G`` from its ``extreme`` columns.
+    """Reconstruct every column of ``G`` from its ``extreme`` columns,
+    given what :func:`_extreme_set` returned for ``F``.
 
     ``G`` is a linear image of the columns of ``F`` (``F`` itself, or the
     Gram columns ``F^T F``), so coefficients that rebuild a column of
-    ``F`` rebuild the same column of ``G``.  A column on an extreme ray is
-    a multiple of its representative, measured on ``G``.  The columns off
-    the extreme rays are fitted in one batched solve on the unit columns
-    of ``F``, where the extremality test ran: each fit starts from the
-    extreme columns its representative's extremality fit ``used``, and its
-    coefficients are rescaled to the columns of ``G``.  ``residual`` is
-    measured on ``G``.
+    ``F`` rebuild the same column of ``G``.  An extreme column is its own
+    coefficient 1, and a duplicate of one a multiple of it measured on
+    ``G``.  The other columns are fitted in one batched solve on the unit
+    columns of ``F``, where the extremality test ran: each fit starts from
+    the extreme columns its representative's row of the fits ``X`` uses,
+    and its coefficients are rescaled to the columns of ``G``.
+    ``residual`` is measured on ``G``.
     """
     n = G.shape[1]
     m = len(extreme)
     W = np.zeros((m, n))
     pos = np.full(n, -1)
     pos[extreme] = np.arange(m)
+    W[pos[extreme], extreme] = 1.0
     kept = np.flatnonzero(rep_of >= 0)  # zero columns reconstruct as zero
-    k = pos[rep_of[kept]]
-    on = k >= 0
-    cols, reps = kept[on], rep_of[kept[on]]
-    R = G[:, reps]
-    ratio = np.einsum("ij,ij->j", R, G[:, cols]) / np.einsum("ij,ij->j", R, R)
-    W[k[on], cols] = np.where(cols == reps, 1.0, ratio)
-    fit = kept[~on]
+    owner = rep_of[kept]
+    k = pos[owner]
+    dup = (k >= 0) & (kept != owner)
+    if dup.any():
+        cols, R = kept[dup], G[:, owner[dup]]
+        W[k[dup], cols] = np.einsum("ij,ij->j", R, G[:, cols]) / np.einsum("ij,ij->j", R, R)
+    fit = kept[k < 0]
     if m and fit.size:
-        norms = np.linalg.norm(F, axis=0)
         E = F[:, extreme] / norms[extreme]
         T = F[:, fit] / norms[fit]
-        seeds = used[np.ix_(fit, extreme)]
-        X = _batched_nnls(E.T @ E, T.T @ E, np.ones(seeds.shape, dtype=bool), seeds)
-        W[:, fit] = X.T * np.outer(1.0 / norms[extreme], norms[fit])
+        seeds = X[np.ix_(np.searchsorted(reps, rep_of[fit]), np.searchsorted(reps, extreme))] > 0.0
+        coeffs = _batched_nnls(E.T @ E, T.T @ E, np.ones(seeds.shape, dtype=bool), seeds)
+        W[:, fit] = coeffs.T * np.outer(1.0 / norms[extreme], norms[fit])
 
     if m:
         recon = G[:, extreme] @ W

@@ -226,7 +226,7 @@ def _rowsum_step(cas: _Cascade) -> None:
         cas.step("rowsum", "CONDITION_FALSE", details, t0)
         return
     try:
-        cert = rotate.rowsum_factor(cas.core, cas.tol)
+        cert = rotate._rowsum_certificate(cas.core, cas.tol)
     except CprankError as exc:
         cas.step("rowsum", "FAILED", {**details, "error": str(exc)}, t0)
         return
@@ -439,6 +439,15 @@ _json_string = json.encoder.encode_basestring_ascii
 
 
 def _json_value(value) -> str:
+    """JSON text of a report value, numbers at 17 significant digits.
+
+    Floats and ints are dispatched on their exact type first.  A float row
+    is one ``%`` operation: ``"%.17g" % v`` is ``format(v, ".17g")``."""
+    kind = type(value)
+    if kind is float:
+        return format(value, ".17g")
+    if kind is int:
+        return str(value)
     if isinstance(value, str):
         return _json_string(value)
     if isinstance(value, dict):
@@ -447,7 +456,7 @@ def _json_value(value) -> str:
     if isinstance(value, np.ndarray) and value.dtype.kind == "f":
         if value.ndim > 1:
             return "[" + ",".join(map(_json_value, value)) + "]"
-        return "[" + ",".join([format(v, ".17g") for v in value.tolist()]) + "]"
+        return "[" + ("%.17g," * value.size)[:-1] % tuple(value.tolist()) + "]"
     if isinstance(value, (list, tuple, np.ndarray)):
         seq = value.tolist() if isinstance(value, np.ndarray) else value
         return "[" + ",".join(map(_json_value, seq)) + "]"
@@ -463,26 +472,24 @@ def _json_value(value) -> str:
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    """Stable-order JSON with numbers at 17 significant digits."""
-    doc: dict = {
-        "order": report.order,
-        "rank": report.rank,
-        "dn": report.dn,
-        "verdict": report.verdict,
-        "steps": [
-            {"name": s.name, "outcome": s.outcome, "details": s.details} for s in report.steps
-        ],
-    }
-    if report.certificate is not None:
-        doc["certificate"] = {
-            "rows": report.certificate.rows,
-            "residual": report.certificate.residual,
-            "entries": report.certificate.C,
-        }
-    doc["cp_rank_lower"] = report.cp_rank_lower
-    doc["cp_rank_upper"] = report.cp_rank_upper
-    doc["seed"] = report.seed
-    return _json_value(doc)
+    """Stable-order JSON with numbers at 17 significant digits; format
+    strings write the fixed keys around the values."""
+    steps = ",".join([
+        '{"name":%s,"outcome":%s,"details":%s}'
+        % (_json_string(s.name), _json_string(s.outcome), _json_value(s.details))
+        for s in report.steps
+    ])
+    c = report.certificate
+    certificate = "" if c is None else '"certificate":{"rows":%s,"residual":%s,"entries":%s},' % (
+        _json_value(c.rows), _json_value(c.residual), _json_value(c.C))
+    return (
+        '{"order":%s,"rank":%s,"dn":%s,"verdict":%s,"steps":[%s],%s'
+        '"cp_rank_lower":%s,"cp_rank_upper":%s,"seed":%s}'
+    ) % (
+        _json_value(report.order), _json_value(report.rank), _json_value(report.dn),
+        _json_value(report.verdict), steps, certificate, _json_value(report.cp_rank_lower),
+        _json_value(report.cp_rank_upper), _json_value(report.seed),
+    )
 
 
 def report_to_text(report: AnalysisReport) -> str:

@@ -26,6 +26,7 @@ from .errors import InvalidInputError, PreconditionError
 from .matcore import (
     DEFAULT_TOL,
     MatrixLike,
+    SymmetricMatrix,
     Tolerances,
     as_symmetric,
     psd_rank,
@@ -184,18 +185,21 @@ def rowsum_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> CpCertificate
     orthant, so ``Q B`` is the certificate with exactly ``rank`` rows.
     """
     S = as_symmetric(A, tol)
-    r = psd_rank(S, tol).rank
-    ok, _ = rowsum_condition(S, r, tol)
+    ok, _ = rowsum_condition(S, psd_rank(S, tol).rank, tol)
     if not ok:
         raise PreconditionError("row-sum condition does not hold for this matrix")
+    return _rowsum_certificate(S, tol)
+
+
+def _rowsum_certificate(S: SymmetricMatrix, tol: Tolerances) -> CpCertificate:
+    """:func:`rowsum_factor` for a matrix whose row-sum condition holds."""
     B = sr_factor(S, tol).B
-    if r == 0:
+    if B.shape[0] == 0:
         return make_certificate(S, B, "rowsum", tol)
     x = B @ np.ones(S.n)
     if float(np.linalg.norm(x)) == 0.0:
         raise PreconditionError("degenerate row sums: Gram vector sum vanished")
-    plan = householder_align(x)
-    return make_certificate(S, plan.Q @ B, "rowsum", tol)
+    return make_certificate(S, householder_align(x).Q @ B, "rowsum", tol)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +244,9 @@ def orthant_rotation_search(
     nonnegative orthant (Borwein and Sims, 2011; the iterated maps of
     Elser, Rankenburg and Thibault, 2007), starting from ``Q`` the
     identity on the first restart and a seeded Haar-random rotation on
-    the others.  A step takes the shadow ``Q = polar(Y Bn^T)`` with one
-    SVD, returns ``Q`` once ``X = Q Bn`` passes, and otherwise updates
+    the others, drawn from a generator made when the second restart
+    begins.  A step takes the shadow ``Q = polar(Y Bn^T)`` with one SVD,
+    returns ``Q`` once ``X = Q Bn`` passes, and otherwise updates
     ``Y <- Y + max(2X - Y, 0) - X``.  A restart ends after
     ``POLAR_ITERATIONS`` steps, or once ``STALL_STEPS`` consecutive steps
     have not raised ``min X`` above its best value so far (the start's
@@ -284,9 +289,10 @@ def orthant_rotation_search(
         if float((Q @ Bn).min()) >= -threshold:
             return _searched(Q, "householder", 0, 0)
 
-    rng = np.random.default_rng(seed)
     steps = 0
     for restart in range(restarts):
+        if restart == 1:  # restart 0 draws nothing
+            rng = np.random.default_rng(seed)
         Y = Bn if restart == 0 else random_orthogonal(d, rng) @ Bn
         best, stalled = float(Y.min()), 0
         for _ in range(POLAR_ITERATIONS):

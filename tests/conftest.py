@@ -391,6 +391,89 @@ def extreme_indices_oracle(A, tol=DEFAULT_TOL):
     return extreme
 
 
+def cone_report_oracle(G, F, tol=DEFAULT_TOL):
+    """Extreme-ray report of the columns of ``G`` decided and fitted on
+    ``F``, computed the long way.
+
+    The same stages run on the same kernel, screen and basis
+    certificates as in the library, but the duplicate collapse runs every
+    time, the fits of the representatives are scattered into an ``n`` by
+    ``n`` mask of the columns each column's representative used, the W
+    fit is seeded from that mask, and every column on an extreme ray gets
+    the ratio of its inner product with its representative (1 for the
+    representative itself).  The report must match the library's bit for
+    bit.
+    """
+    M = F
+    n = M.shape[1]
+    norms = np.linalg.norm(M, axis=0)
+    nonzero = np.flatnonzero(norms > tol.eps_nonneg * norms.max(initial=0.0))
+    rep_of = np.full(n, -1)
+    used = np.zeros((n, n), dtype=bool)
+    extreme = []
+    if nonzero.size:
+        Mz = M[:, nonzero]
+        cos = (Mz.T @ Mz) / np.outer(norms[nonzero], norms[nonzero])
+        close = np.tril(cos >= 1.0 - DUPLICATE_RAY_COS_GAP, -1)
+        is_rep = np.ones(nonzero.size, dtype=bool)
+        while True:
+            hits = close & is_rep
+            nxt = ~hits.any(axis=1)
+            if np.array_equal(nxt, is_rep):
+                break
+            is_rep = nxt
+        rep_pos = np.where(is_rep, np.arange(nonzero.size), hits.argmax(axis=1))
+        rep_of[nonzero] = nonzero[rep_pos]
+        reps = np.flatnonzero(is_rep)
+        Kr = cos[np.ix_(reps, reps)]
+        U = Mz[:, reps] / norms[nonzero[reps]]
+        is_ext = cones._separation_bound(U, Kr) > EXTREME_RESIDUAL_FACTOR
+        separated = int(is_ext.sum())
+        rest = np.flatnonzero(~is_ext)
+        X = np.zeros(Kr.shape)
+        d = U.shape[0]
+        if rest.size and reps.size == d:
+            if (cones._span_distance(U)[rest] > EXTREME_RESIDUAL_FACTOR).all():
+                is_ext[rest], rest = True, rest[:0]
+        elif rest.size and separated == d:
+            sep = np.flatnonzero(is_ext)
+            x = cones._basis_fit(U[:, sep], U[:, rest])
+            if x is not None:
+                X[np.ix_(rest, sep)] = x.T
+                rest = rest[:0]
+        if rest.size:
+            allowed = ~np.eye(reps.size, dtype=bool)[rest]
+            X[rest] = cones._batched_nnls(Kr, Kr[rest], allowed, np.zeros(allowed.shape, dtype=bool))
+            resid = np.linalg.norm(U @ X[rest].T - U[:, rest], axis=0)
+            is_ext[rest] = resid > EXTREME_RESIDUAL_FACTOR
+        extreme = nonzero[reps[is_ext]].tolist()
+        used[np.ix_(nonzero, nonzero[reps])] = X[(np.cumsum(is_rep) - 1)[rep_pos]] > 0.0
+
+    m = len(extreme)
+    W = np.zeros((m, n))
+    pos = np.full(n, -1)
+    pos[extreme] = np.arange(m)
+    kept = np.flatnonzero(rep_of >= 0)
+    k = pos[rep_of[kept]]
+    on = k >= 0
+    cols, owners = kept[on], rep_of[kept[on]]
+    R = G[:, owners]
+    ratio = np.einsum("ij,ij->j", R, G[:, cols]) / np.einsum("ij,ij->j", R, R)
+    W[k[on], cols] = np.where(cols == owners, 1.0, ratio)
+    fit = kept[~on]
+    if m and fit.size:
+        E = F[:, extreme] / norms[extreme]
+        T = F[:, fit] / norms[fit]
+        seeds = used[np.ix_(fit, extreme)]
+        X = cones._batched_nnls(E.T @ E, T.T @ E, np.ones(seeds.shape, dtype=bool), seeds)
+        W[:, fit] = X.T * np.outer(1.0 / norms[extreme], norms[fit])
+    residual = 0.0
+    if m:
+        denom = float(np.linalg.norm(G))
+        residual = float(np.linalg.norm(G - G[:, extreme] @ W)) / denom if denom else 0.0
+    return cones.ConeReport(m=m, extreme_indices=tuple(extreme), W=W, residual=residual)
+
+
 def connecting_orthogonal(B, C, tol=DEFAULT_TOL):
     """Orthogonal ``Q`` linking two rank factorizations of one matrix.
 

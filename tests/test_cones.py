@@ -32,6 +32,7 @@ from cprank.fixtures import (
 )
 from conftest import (
     active_set_nnls,
+    cone_report_oracle,
     duplicate_rays_loop,
     extreme_indices_oracle,
     hull_extreme_indices,
@@ -166,7 +167,7 @@ def assert_w_fit_matches_oracle(A):
     report = extreme_rays(A)
     assert report.W.min() >= 0.0
     B = sr_factor(A).B
-    _, rep_of, _ = cones._extreme_set(B, Tolerances())
+    rep_of = cones._extreme_set(B, Tolerances())[1]
     ext = list(report.extreme_indices)
     norms = np.linalg.norm(B, axis=0)
     E = B[:, ext] / norms[ext]
@@ -330,9 +331,12 @@ class TestExtremeRays:
         # takes fewer than the 10 + 9 of a cold-started fit on Gram columns
         A = random_dn(12, 5, seed=6, style=GRAM_NONNEG)
         B = sr_factor(A).B
-        ext, rep_of, used = cones._extreme_set(B, Tolerances())
+        ext, rep_of, reps, X, _ = cones._extreme_set(B, Tolerances())
         fit = [j for j in range(12) if rep_of[j] >= 0 and rep_of[j] not in ext]
-        assert fit and all(set(np.flatnonzero(used[j])) <= set(ext) for j in fit)
+        # the fit row of each such column's representative uses extreme
+        # columns only, and those seed its W fit
+        rows = X[np.searchsorted(reps, rep_of[fit])]
+        assert fit and all(set(reps[row > 0.0]) <= set(ext) for row in rows)
 
         solves = []
         kernel, passive_solve = cones._batched_nnls, cones._passive_solve
@@ -434,14 +438,15 @@ class TestDuplicateRays:
     @given(st.data())
     def test_matches_sequential_loop(self, data):
         M = planted_duplicates(data)
-        extreme, rep_of, used = cones._extreme_set(M, Tolerances())
+        found = cones._extreme_set(M, Tolerances())
+        extreme, rep_of = found[:2]
         reps, expected = duplicate_rays_loop(M)
-        assert [j for j, rep in enumerate(rep_of) if rep == j] == reps
+        assert [j for j, rep in enumerate(rep_of) if rep == j] == reps == found[2].tolist()
         assert {j: int(rep) for j, rep in enumerate(rep_of) if rep >= 0} == expected
         assert set(extreme) <= set(reps)
         # a column on an extreme ray is its representative's multiple; the
         # sums now run in another order, so they agree to a few roundoffs
-        W = cones._cone_report(M, M, extreme, rep_of, used).W
+        W = cones._cone_report(M, M, *found).W
         for j, rep in expected.items():
             if rep in extreme:
                 ratio = 1.0 if j == rep else float(M[:, rep] @ M[:, j]) / float(M[:, rep] @ M[:, rep])
@@ -452,9 +457,62 @@ class TestDuplicateRays:
         u, w = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         theta = math.acos(1.0 - 0.8 * DUPLICATE_RAY_COS_GAP)
         M = np.column_stack([math.cos(k * theta) * u + math.sin(k * theta) * w for k in range(3)])
-        _, rep_of, _ = cones._extreme_set(M, Tolerances())
+        rep_of = cones._extreme_set(M, Tolerances())[1]
         assert rep_of.tolist() == [0, 0, 2]
         assert duplicate_rays_loop(M) == ([0, 2], {0: 0, 1: 0, 2: 2})
+
+
+def assert_matches_cone_oracle(report, G, F):
+    expected = cone_report_oracle(G, F)
+    assert report.m == expected.m
+    assert report.extreme_indices == expected.extreme_indices
+    assert np.array_equal(report.W, expected.W)
+    assert report.residual == expected.residual
+
+
+class TestConeReportOracle:
+    """``extreme_rays`` and ``extreme_columns`` against the cone report
+    built with the duplicate pass always run and an n-by-n mask of the
+    columns each fit used: the same rays, ``W`` and residual, bit for
+    bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(RANDOM_STYLES),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_random_dn(self, style, r, extra, seed):
+        A = random_dn(min(r + extra, 12), r, seed=seed, style=style)
+        factor = sr_factor(A)
+        assert_matches_cone_oracle(extreme_rays(A), factor.gram(), factor.B)
+        assert_matches_cone_oracle(extreme_columns(factor.B), factor.B, factor.B)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_planted_duplicates(self, data):
+        M = planted_duplicates(data)
+        assert_matches_cone_oracle(extreme_columns(M), M, M)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(RANDOM_STYLES),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=4),
+    )
+    def test_zero_columns(self, style, r, extra, seed, at):
+        # zero columns in a factor, and the zero rows and columns they
+        # leave in its Gram matrix, whose rank factor has near-zero columns
+        B = sr_factor(random_dn(min(r + extra, 12), r, seed=seed, style=style)).B
+        for j in at:
+            B = np.insert(B, min(j, B.shape[1]), 0.0, axis=1)
+        assert_matches_cone_oracle(extreme_columns(B), B, B)
+        A = B.T @ B
+        factor = sr_factor(A)
+        assert_matches_cone_oracle(extreme_rays(A), factor.gram(), factor.B)
 
 
 def screen_against_oracle(M):

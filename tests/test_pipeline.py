@@ -407,13 +407,40 @@ class TestOnePatternPerMatrix:
         assert misses == [DEFAULT_TOL.eps_nonneg]
 
 
-def render_both(monkeypatch, render, value):
-    """``render(value)`` through ``_json_value`` and through the recursive oracle."""
-    fast = render(value)
-    with monkeypatch.context() as m:
-        m.setattr(pipeline, "_json_value", json_value_recursive)
-        slow = render(value)
-    return fast, slow
+def report_document(report):
+    """A report as a document in the JSON contract's key order, for the
+    recursive oracle."""
+    doc = {
+        "order": report.order,
+        "rank": report.rank,
+        "dn": report.dn,
+        "verdict": report.verdict,
+        "steps": [{"name": s.name, "outcome": s.outcome, "details": s.details} for s in report.steps],
+    }
+    if report.certificate is not None:
+        doc["certificate"] = {
+            "rows": report.certificate.rows,
+            "residual": report.certificate.residual,
+            "entries": report.certificate.C,
+        }
+    doc["cp_rank_lower"] = report.cp_rank_lower
+    doc["cp_rank_upper"] = report.cp_rank_upper
+    doc["seed"] = report.seed
+    return doc
+
+
+def rounded_renderer(value):
+    """A deliberately wrong renderer: the recursive oracle with floats at
+    16 significant digits."""
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".16g")
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        return rounded_renderer(value.tolist())
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(str(k))}:{rounded_renderer(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(rounded_renderer, value)) + "]"
+    return json_value_recursive(value)
 
 
 class TestJsonMatchesRecursiveRenderer:
@@ -432,23 +459,30 @@ class TestJsonMatchesRecursiveRenderer:
         {"a": np.array(SPECIAL), 3: [], "k": {"nested": -0.0}},
         np.float64(float("inf")),
     ], ids=lambda v: type(v).__name__)
-    def test_values(self, monkeypatch, value):
-        fast, slow = render_both(monkeypatch, lambda v: pipeline._json_value(v), value)
-        assert fast == slow
+    def test_values(self, value):
+        assert pipeline._json_value(value) == json_value_recursive(value)
 
     @pytest.mark.parametrize("fid", EXAMPLE_IDS)
-    def test_fixture_reports(self, monkeypatch, fid):
+    def test_fixture_reports(self, fid):
         for cfg in (AnalysisConfig(), ROUNDED_CFG):
             report = analyze(example_matrix(fid), cfg)
-            fast, slow = render_both(monkeypatch, report_to_json, report)
-            assert fast == slow
+            assert report_to_json(report) == json_value_recursive(report_document(report))
 
     @pytest.mark.parametrize("style", RANDOM_STYLES)
-    def test_random_dn_reports(self, monkeypatch, style):
+    def test_random_dn_reports(self, style):
         for n, r in ((3, 1), (5, 2), (8, 3), (12, 6), (40, 3), (60, 4)):
             report = analyze(random_dn(n, r, seed=n + r, style=style))
-            fast, slow = render_both(monkeypatch, report_to_json, report)
-            assert fast == slow
+            assert report_to_json(report) == json_value_recursive(report_document(report))
+
+    def test_every_report_value_goes_through_the_renderer(self, monkeypatch):
+        # a wrong renderer in place of ``_json_value`` changes the report,
+        # and the comparison with the oracle catches it
+        report = analyze(example_matrix("EX2_7"))
+        expected = json_value_recursive(report_document(report))
+        assert rounded_renderer(report_document(report)) != expected
+        monkeypatch.setattr(pipeline, "_json_value", rounded_renderer)
+        assert report_to_json(report) == rounded_renderer(report_document(report))
+        assert report_to_json(report) != expected
 
 
 class TestReportRendering:
