@@ -39,7 +39,7 @@ print(np.round(rotated, 4))
 fails = 0
 for seed in range(200):
     A = random_dn(4, 4, seed=seed, style=GRAM_NONNEG)
-    B = sr_factor(A).B
+    B = sr_factor(A)
     if orthant_rotation_search(B, seed=seed) is None:
         fails += 1
 print(f"\n200 random full-rank 4x4 instances: {fails} rotation failures")

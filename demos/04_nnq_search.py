@@ -18,9 +18,7 @@ from cprank import (
     Tolerances,
     extreme_rays,
     few_rays_factor,
-    find_nnq_witness,
     is_nnq_gram,
-    sr_factor,
 )
 from cprank.fixtures import example_factor, example_matrix
 
@@ -35,16 +33,18 @@ print(f"Gram route: {gram_route.status}, basis columns "
 print("coordinate matrix P = A[s,s]^{-1} A[s,:]:")
 print(np.round(gram_route.witness.P, 4))
 
-factor_route = find_nnq_witness(sr_factor(A, tol), tol)
-print(f"\nfactor route agrees: {factor_route.status}, "
-      f"columns {tuple(i + 1 for i in factor_route.witness.indices)}")
+# the factor route: the same columns of any rank factor B form the basis
+B = example_factor("EX3_9_B")  # the published factor, printed to 4 decimals
+P = np.linalg.solve(B[:, list(gram_route.witness.indices)], B)
+print("\npublished factor's coordinate matrix P = B[:,s]^{-1} B at the same columns:")
+print(np.round(P, 4) + 0.0)  # + 0.0 prints -0 as 0
 
 cert = few_rays_factor(A, extreme_rays(A, tol), tol)
 print(f"\ncertificate: {cert.rows} rows, residual {cert.residual:.2e}")
 print(np.round(cert.C, 4))
 
-B = example_matrix("EX3_7")
-print(f"\n4x4 counterexample: nnq detection says {find_nnq_witness(sr_factor(B)).status}, "
+M = example_matrix("EX3_7")
+print(f"\n4x4 counterexample: nnq detection says {is_nnq_gram(M).status}, "
       f"yet this published nonnegative factor reconstructs it exactly:")
 C = example_factor("EX3_7_C")
-print(C.astype(int), "   residual:", np.linalg.norm(C.T @ C - B.a))
+print(C.astype(int), "   residual:", np.linalg.norm(C.T @ C - M.a))

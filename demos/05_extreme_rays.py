@@ -24,7 +24,8 @@ from cprank import (
 from cprank.fixtures import example_matrix
 
 tol = Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_residual=1e-4)
-A = sr_factor(example_matrix("EX3_9"), tol).gram()  # rank-3 model of the fixture
+B = sr_factor(example_matrix("EX3_9"), tol)
+A = B.T @ B  # rank-3 model of the fixture
 
 report = extreme_rays(A)
 print(f"5x5 rank-3 instance: {report.m} extreme rays at columns "

@@ -9,9 +9,6 @@ import logging
 
 from .cones import (
     ConeReport,
-    Rank3RayDecision,
-    decide_rank3_three_rays,
-    extreme_columns,
     extreme_rays,
     few_rays_factor,
 )
@@ -50,14 +47,16 @@ from .matcore import (
     classify_dn,
     comparison_matrix,
     psd_rank,
-    sym_eigen,
     zero_diagonal_indices,
 )
 from .nnq import (
+    IN_CP_N3,
     NnqSearchResult,
     NnqWitness,
-    find_nnq_witness,
+    Rank3RayDecision,
+    decide_rank3_three_rays,
     is_nnq_gram,
+    nnq_from_rays,
 )
 from .pipeline import (
     AnalysisConfig,
@@ -82,7 +81,6 @@ from .rotate import (
 )
 from .srfactor import (
     CpCertificate,
-    SrFactor,
     VerificationReport,
     make_certificate,
     sr_factor,

@@ -10,7 +10,7 @@ most two rays), full rank at order at most 4 (``m = n``) and a basis of
 nonnegative equivalence at rank at most 4 (``m = rank``).  When there are
 exactly rank many rays, the cone is simplicial and the matrix is
 nonnegative-equivalent, so a rank-3 matrix with three extreme rays lies
-in CP_{n,3}.
+in CP_{n,3} (:func:`cprank.nnq.decide_rank3_three_rays`).
 
 Which columns are extreme is settled in three stages: a separating
 functional read off the cosine matrix proves most extreme columns
@@ -30,7 +30,6 @@ import numpy as np
 from . import graphcond
 from .errors import ComputationFailureError, PreconditionError
 from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, classify_dn
-from .nnq import NnqWitness, nnq_from_rays
 from .rotate import orthant_rotation_search
 from .srfactor import CpCertificate, make_certificate, sr_factor
 
@@ -39,16 +38,8 @@ _log = logging.getLogger(__name__)
 __all__ = [
     "ConeReport",
     "extreme_rays",
-    "extreme_columns",
     "few_rays_factor",
-    "Rank3RayDecision",
-    "decide_rank3_three_rays",
-    "IN_CP_N3",
-    "NOT_APPLICABLE",
 ]
-
-IN_CP_N3 = "IN_CP_N3"
-NOT_APPLICABLE = "NOT_APPLICABLE"
 
 # a deduplicated column is extreme when reconstructing it from the others
 # leaves at least this fraction of its norm
@@ -448,18 +439,6 @@ def _cone_report(
     return ConeReport(m=m, extreme_indices=tuple(extreme), W=W, residual=residual)
 
 
-def extreme_columns(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
-    """Extreme-ray report for the cone generated by the columns of ``M``.
-
-    Zero columns are dropped, positive multiples of one ray are collapsed
-    onto their smallest-index representative, and a column is extreme when
-    nonnegative least squares cannot reconstruct it from the remaining
-    representatives.
-    """
-    M = np.asarray(M, dtype=float)
-    return _cone_report(M, M, *_extreme_set(M, tol))
-
-
 def extreme_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
     """Extreme rays of the column cone of a DN matrix.
 
@@ -480,7 +459,7 @@ def extreme_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
     if not verdict.is_dn:
         raise PreconditionError(f"cone analysis requires a DN matrix, got {verdict.status}")
     B = sr_factor(S, tol)
-    return _cone_report(B.gram(), B.B, *_extreme_set(B.B, tol))
+    return _cone_report(B.T @ B, B, *_extreme_set(B, tol))
 
 
 def few_rays_factor(
@@ -505,8 +484,9 @@ def few_rays_factor(
     if m == 0:
         return make_certificate(S, np.zeros((0, S.n)), "few_rays", tol)
     ext = list(report.extreme_indices)
-    block = as_symmetric(sr_factor(S, tol).gram()[np.ix_(ext, ext)], tol)
-    Bs = sr_factor(block, tol).B  # rank(block) rows
+    B = sr_factor(S, tol)
+    block = as_symmetric((B.T @ B)[np.ix_(ext, ext)], tol)
+    Bs = sr_factor(block, tol)  # rank(block) rows
     d_lo = max(Bs.shape[0], 1)
     if d_lo < m:
         # a rank-deficient block has rank 3 and four rays; the one pattern
@@ -529,47 +509,4 @@ def few_rays_factor(
     raise ComputationFailureError(
         "rotation search exhausted its budget on the extreme block; "
         "a solution exists for m <= 4, raise the restart budget"
-    )
-
-
-@dataclass(frozen=True)
-class Rank3RayDecision:
-    """Outcome of the rank-3 ray decision.
-
-    ``status`` is ``IN_CP_N3`` (with witness and certificate), or
-    ``NOT_APPLICABLE`` when the hypotheses (DN, rank 3, exactly three
-    extreme rays with a verified nnq witness) do not hold.
-    """
-
-    status: str
-    m: int | None = None
-    witness: NnqWitness | None = None
-    certificate: CpCertificate | None = None
-
-
-def decide_rank3_three_rays(
-    A: MatrixLike,
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = 0,
-    restarts: int = 200,
-) -> Rank3RayDecision:
-    """Membership in CP_{n,3} for DN matrices of rank 3 whose column cone
-    has exactly three extreme rays.
-
-    Three rays spanning ``R^3`` make the cone simplicial, so the matrix is
-    nonnegative-equivalent and cp-rank equals rank; the certificate is the
-    few-rays factorization of those three rays.  Outside those hypotheses
-    the decision is not applicable.
-    """
-    S = as_symmetric(A, tol)
-    verdict = classify_dn(S, tol)
-    if not verdict.is_dn or verdict.rank != 3:
-        return Rank3RayDecision(status=NOT_APPLICABLE)
-    report = extreme_rays(S, tol)
-    result = nnq_from_rays(S, report, 3, tol)
-    if not result.found:
-        return Rank3RayDecision(status=NOT_APPLICABLE, m=report.m)
-    cert = few_rays_factor(S, report, tol, seed=seed, restarts=restarts)
-    return Rank3RayDecision(
-        status=IN_CP_N3, m=report.m, witness=result.witness, certificate=cert
     )

@@ -9,6 +9,7 @@ matrix ``2 diag(A) - A``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, NamedTuple, Sequence, TypeVar, Union
 
@@ -22,7 +23,6 @@ __all__ = [
     "SymmetricMatrix",
     "as_symmetric",
     "EigenDecomposition",
-    "sym_eigen",
     "PsdRank",
     "psd_rank",
     "DnVerdict",
@@ -89,10 +89,11 @@ class SymmetricMatrix:
 
     Construction symmetrizes the input as ``(A + A^T) / 2`` provided the
     relative asymmetry does not exceed ``tol.eps_sym``; larger asymmetry is
-    rejected.  The stored array is read-only so values can be shared freely;
-    the eigendecomposition, the off-diagonal zero pattern of each
-    threshold, and the rank decision and rank factor of each tolerance
-    pair are computed once, on first use, and kept.
+    rejected, and so are entries above ``sqrt(max float / n^3)``, where the
+    row-sum condition would overflow.  The stored array is read-only so
+    values can be shared freely; the eigendecomposition, the off-diagonal
+    zero pattern of each threshold, and the rank decision and rank factor
+    of each tolerance pair are computed once, on first use, and kept.
     """
 
     __slots__ = ("_a", "_scale", "_eig", "_patterns", "_derived")
@@ -108,6 +109,10 @@ class SymmetricMatrix:
         defect = float(np.abs(a - a.T).max())
         a = (a + a.T) / 2.0
         scale = float(np.abs(a).max())
+        # r R_i^2 and (r - 1) a_ii sum(R) of the row-sum condition stay below n^3 scale^2
+        limit = math.sqrt(np.finfo(float).max / a.shape[0] ** 3)
+        if scale > limit:
+            raise InvalidInputError(f"matrix entries must not exceed {limit:.3e} in magnitude")
         if defect > tol.eps_sym * scale:
             raise InvalidInputError(
                 f"matrix is not symmetric: asymmetry {defect:.3e} exceeds "
@@ -132,7 +137,9 @@ class SymmetricMatrix:
 
     @property
     def eigen(self) -> EigenDecomposition:
-        """The eigendecomposition (see :func:`sym_eigen`), computed on first use."""
+        """The eigendecomposition, computed on first use: eigenvalues in
+        non-increasing order, each eigenvector column flipped so that its
+        largest-magnitude entry is positive (deterministic for one input)."""
         if self._eig is None:
             w, V = np.linalg.eigh(self._a)
             order = np.argsort(w, kind="stable")[::-1]
@@ -194,17 +201,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def sym_eigen(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix.
-
-    Eigenvalues are returned in non-increasing order.  Each eigenvector
-    column is flipped so that its largest-magnitude entry is positive,
-    which makes the result deterministic for a fixed input.  A
-    :class:`SymmetricMatrix` is decomposed once, on first use.
-    """
-    return as_symmetric(A, tol).eigen
 
 
 class PsdRank(NamedTuple):

@@ -9,34 +9,37 @@ only possible basis is one column per extreme ray of the column cone, so
 detection reads the witness off an extreme-ray report.  A witness
 leaves exactly rank many extreme rays, so for rank at most 4 the
 few-rays factorization of :mod:`cprank.cones` certifies cp-rank equal to
-the rank from that same report.
+the rank from that same report; at rank 3 that decides membership in
+CP_{n,3} (:func:`decide_rank3_three_rays`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, psd_rank
-from .srfactor import SrFactor
-
-if TYPE_CHECKING:
-    from .cones import ConeReport
+from .cones import ConeReport, extreme_rays, few_rays_factor
+from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, classify_dn, psd_rank
+from .srfactor import CpCertificate
 
 __all__ = [
     "FOUND",
     "NONE",
     "NnqWitness",
     "NnqSearchResult",
-    "find_nnq_witness",
     "is_nnq_gram",
     "nnq_from_rays",
+    "Rank3RayDecision",
+    "decide_rank3_three_rays",
+    "IN_CP_N3",
+    "NOT_APPLICABLE",
 ]
 
 FOUND = "FOUND"
 NONE = "NONE"
+IN_CP_N3 = "IN_CP_N3"
+NOT_APPLICABLE = "NOT_APPLICABLE"
 
 # a basis candidate counts as invertible when |det| exceeds this factor
 # times the product of its column norms (Hadamard scale)
@@ -45,12 +48,12 @@ EPS_DET_FACTOR = 1e-10
 
 @dataclass(frozen=True)
 class NnqWitness:
-    """Evidence that a factor is nonnegative-equivalent.
+    """Evidence that a matrix is nonnegative-equivalent.
 
     ``indices`` is the sorted tuple of basis column indices (0-based here;
-    reports render them 1-based), ``B1`` the basis submatrix, ``detval``
-    its determinant, and ``P`` the nonnegative coordinate matrix with
-    ``P[:, indices]`` equal to the identity.
+    reports render them 1-based), ``B1`` the basis block ``A[s,s]``,
+    ``detval`` its determinant, and ``P`` the nonnegative coordinate matrix
+    with ``P[:, indices]`` equal to the identity.
     """
 
     indices: tuple[int, ...]
@@ -71,26 +74,29 @@ class NnqSearchResult:
         return self.status == FOUND
 
 
-def _witness(
-    M: np.ndarray, rays: ConeReport, rank: int, gram: bool, tol: Tolerances
+def nnq_from_rays(
+    A: MatrixLike, rays: ConeReport, rank: int, tol: Tolerances = DEFAULT_TOL
 ) -> NnqSearchResult:
-    """The nnq witness read off the extreme rays of the columns of ``M``.
+    """Nonnegative equivalence of a PSD matrix of rank ``rank``, read off
+    ``rays``, the extreme-ray report of its column cone (or of the column
+    cone of any rank factor of it).
 
     A rank-``r`` column cone spans ``R^r``, so a basis with
     ``B1^{-1} B >= 0`` exists exactly when the cone is simplicial: it then
     has exactly ``r`` extreme rays, and their representative columns are
-    the basis.  ``B1`` is ``M[s,s]`` on Gram data and ``M[:, s]`` on a
-    factor; invertibility and the nonnegativity of ``P`` are re-checked.
+    the basis.  ``B1`` in the witness is ``A[s,s]``; invertibility and the
+    nonnegativity of ``P`` are re-checked.
     """
     if rays.m != rank:
         return NnqSearchResult(status=NONE)
+    a = as_symmetric(A, tol).a
     idx = list(rays.extreme_indices)
-    basis = M[np.ix_(idx, idx)] if gram else M[:, idx]
+    basis = a[np.ix_(idx, idx)]
     det = float(np.linalg.det(basis))
     col_scale = float(np.prod(np.linalg.norm(basis, axis=0)))
     if abs(det) <= EPS_DET_FACTOR * col_scale:
         return NnqSearchResult(status=NONE)
-    P = np.linalg.solve(basis, M[idx, :] if gram else M)
+    P = np.linalg.solve(basis, a[idx, :])
     # initial=0.0 lets the empty basis of a rank-0 matrix through
     if float(P.min(initial=0.0)) < -tol.eps_nonneg:
         return NnqSearchResult(status=NONE)
@@ -98,38 +104,50 @@ def _witness(
     return NnqSearchResult(status=FOUND, witness=witness)
 
 
-def nnq_from_rays(
-    A: MatrixLike,
-    rays: ConeReport,
-    rank: int,
-    tol: Tolerances = DEFAULT_TOL,
-) -> NnqSearchResult:
-    """Nonnegative equivalence of a PSD matrix of rank ``rank``, read off
-    ``rays``, the extreme-ray report of its column cone (or of the column
-    cone of any rank factor of it); ``B1`` in the witness is ``A[s,s]``."""
-    return _witness(as_symmetric(A, tol).a, rays, rank, gram=True, tol=tol)
-
-
-def find_nnq_witness(B: SrFactor | np.ndarray, tol: Tolerances = DEFAULT_TOL) -> NnqSearchResult:
-    """Look for an nnq basis among the columns of a full-row-rank factor.
-
-    The only candidate is one column per extreme ray (the smallest index),
-    so the witness is deterministic.
-    """
-    from .cones import extreme_columns
-
-    Bm = B.B if isinstance(B, SrFactor) else np.asarray(B, dtype=float)
-    return _witness(Bm, extreme_columns(Bm, tol), Bm.shape[0], gram=False, tol=tol)
-
-
 def is_nnq_gram(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> NnqSearchResult:
     """Detect nonnegative equivalence of a DN matrix straight from Gram data.
 
-    Agrees with :func:`find_nnq_witness` applied to any rank factorization
-    of ``A``; here ``B1`` in the witness is the principal submatrix
-    ``A[s,s]``.
+    The answer is the same for every rank factorization ``B`` of ``A``;
+    ``B1`` in the witness is the principal submatrix ``A[s,s]``, and
+    ``B[:, s]^{-1} B`` is the factor's coordinate matrix.
     """
-    from .cones import extreme_rays
-
     S = as_symmetric(A, tol)
     return nnq_from_rays(S, extreme_rays(S, tol), psd_rank(S, tol).rank, tol)
+
+
+@dataclass(frozen=True)
+class Rank3RayDecision:
+    """Outcome of the rank-3 ray decision.
+
+    ``status`` is ``IN_CP_N3`` (with witness and certificate), or
+    ``NOT_APPLICABLE`` when the hypotheses (DN, rank 3, exactly three
+    extreme rays with a verified nnq witness) do not hold.
+    """
+
+    status: str
+    m: int | None = None
+    witness: NnqWitness | None = None
+    certificate: CpCertificate | None = None
+
+
+def decide_rank3_three_rays(
+    A: MatrixLike, tol: Tolerances = DEFAULT_TOL, seed: int = 0, restarts: int = 200
+) -> Rank3RayDecision:
+    """Membership in CP_{n,3} for DN matrices of rank 3 whose column cone
+    has exactly three extreme rays.
+
+    Three rays spanning ``R^3`` make the cone simplicial, so the matrix is
+    nonnegative-equivalent and cp-rank equals rank; the certificate is the
+    few-rays factorization of those three rays.  Outside those hypotheses
+    the decision is not applicable.
+    """
+    S = as_symmetric(A, tol)
+    verdict = classify_dn(S, tol)
+    if not verdict.is_dn or verdict.rank != 3:
+        return Rank3RayDecision(status=NOT_APPLICABLE)
+    report = extreme_rays(S, tol)
+    result = nnq_from_rays(S, report, 3, tol)
+    if not result.found:
+        return Rank3RayDecision(status=NOT_APPLICABLE, m=report.m)
+    cert = few_rays_factor(S, report, tol, seed=seed, restarts=restarts)
+    return Rank3RayDecision(status=IN_CP_N3, m=report.m, witness=result.witness, certificate=cert)

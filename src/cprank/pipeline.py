@@ -64,6 +64,11 @@ class AnalysisConfig:
     restarts: int = 200
     heuristic: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("seed", "restarts"):
+            if getattr(self, name) < 0:
+                raise InvalidInputError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+
 
 @dataclass
 class StepRecord:
@@ -335,7 +340,7 @@ def _heuristic_step(cas: _Cascade) -> None:
     if cas.terminal in (NOT_CP, NOT_IN_CP_N_R):
         cas.step("heuristic_rotation", "SKIPPED", {"reason": "negative verdict settled"}, t0)
         return
-    B = sr_factor(cas.core, cas.tol).B
+    B = sr_factor(cas.core, cas.tol)
     eps = cas.tol.eps_nonneg * np.sqrt(cas.core.scale)
     Q = rotate.orthant_rotation_search(
         B, restarts=cas.config.restarts, seed=cas.config.seed, eps=eps

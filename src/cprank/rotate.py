@@ -148,7 +148,6 @@ def householder_align(x: Sequence[float] | np.ndarray) -> RotationPlan:
 class RowSumData:
     row_sums: np.ndarray
     total: float
-    diag: np.ndarray
 
 
 def rowsum_condition(
@@ -167,12 +166,11 @@ def rowsum_condition(
         r = psd_rank(S, tol).rank
     R = S.a.sum(axis=1)
     total = float(R.sum())
-    diag = np.diag(S.a).copy()
-    data = RowSumData(row_sums=R, total=total, diag=diag)
+    data = RowSumData(row_sums=R, total=total)
     if r <= 0:
         return True, data
     lhs = r * R * R
-    rhs = (r - 1) * diag * total
+    rhs = (r - 1) * np.diag(S.a) * total
     slack = 1e-12 * np.maximum(np.abs(lhs), np.abs(rhs))
     return bool(np.all(lhs >= rhs - slack)), data
 
@@ -193,7 +191,7 @@ def rowsum_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> CpCertificate
 
 def _rowsum_certificate(S: SymmetricMatrix, tol: Tolerances) -> CpCertificate:
     """:func:`rowsum_factor` for a matrix whose row-sum condition holds."""
-    B = sr_factor(S, tol).B
+    B = sr_factor(S, tol)
     if B.shape[0] == 0:
         return make_certificate(S, B, "rowsum", tol)
     x = B @ np.ones(S.n)

@@ -19,11 +19,9 @@ from .matcore import (
     Tolerances,
     as_symmetric,
     psd_rank,
-    sym_eigen,
 )
 
 __all__ = [
-    "SrFactor",
     "sr_factor",
     "CpCertificate",
     "make_certificate",
@@ -32,44 +30,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SrFactor:
-    """A full-row-rank matrix ``B`` of shape ``(r, n)`` with ``B^T B = A``.
+def sr_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Symmetric rank factorization ``A = B^T B`` from the spectral
+    decomposition.
 
-    Column ``i`` of ``B`` is the Gram vector of row/column ``i`` of the
-    factored matrix.
-    """
-
-    B: np.ndarray
-
-    def __post_init__(self) -> None:
-        B = np.asarray(self.B, dtype=float)
-        if B.ndim != 2:
-            raise InvalidInputError(f"SR factor must be a 2-d array, got shape {B.shape}")
-        B = B.copy()
-        B.flags.writeable = False
-        object.__setattr__(self, "B", B)
-
-    @property
-    def r(self) -> int:
-        return self.B.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.B.shape[1]
-
-    def gram(self) -> np.ndarray:
-        return self.B.T @ self.B
-
-
-def sr_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> SrFactor:
-    """Symmetric rank factorization from the spectral decomposition.
-
-    Builds ``B = diag(sqrt(lambda_k)) V_r^T`` from the leading ``r``
-    eigenpairs, where ``r`` is the numerical rank.  Plain Cholesky would
-    fail on singular input, and since all SR factors are orthogonally
-    equivalent the eigenvector construction loses nothing.  The
-    eigenvector sign convention makes the result deterministic.  A
+    Returns the read-only, C-ordered ``(r, n)`` array
+    ``B = diag(sqrt(lambda_k)) V_r^T`` built from the leading ``r``
+    eigenpairs, where ``r`` is the numerical rank; column ``i`` is the
+    Gram vector of row/column ``i``.  Plain Cholesky would fail on
+    singular input, and since all SR factors are orthogonally equivalent
+    the eigenvector construction loses nothing.  The eigenvector sign
+    convention makes the result deterministic.  A
     :class:`~cprank.matcore.SymmetricMatrix` is factored once per
     tolerance pair, on first use.
     """
@@ -77,14 +48,16 @@ def sr_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> SrFactor:
     return S.derived(("sr_factor", tol.eps_psd, tol.eps_rank), lambda: _sr_factor(S, tol))
 
 
-def _sr_factor(S: SymmetricMatrix, tol: Tolerances) -> SrFactor:
+def _sr_factor(S: SymmetricMatrix, tol: Tolerances) -> np.ndarray:
     is_psd, r = psd_rank(S, tol)
     if not is_psd:
         raise PreconditionError("SR factorization requires a positive semidefinite matrix")
-    eig = sym_eigen(S, tol)
-    w = np.maximum(eig.eigenvalues[:r], 0.0)
-    V = eig.eigenvectors[:, :r]
-    return SrFactor(B=np.sqrt(w)[:, None] * V.T)
+    w = np.maximum(S.eigen.eigenvalues[:r], 0.0)
+    # C order: the sums of the separation screen, and so the reports,
+    # depend on the layout
+    B = (np.sqrt(w)[:, None] * S.eigen.eigenvectors[:, :r].T).copy()
+    B.flags.writeable = False
+    return B
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import numpy as np
 from cprank import (
     DEFAULT_TOL,
     InvalidInputError,
-    SrFactor,
     as_symmetric,
     psd_rank,
     random_orthogonal,
@@ -150,9 +149,10 @@ def nnq_invariance_check(A, tol=DEFAULT_TOL, seed=0):
     of qualifying index tuples.
     """
     B = sr_factor(as_symmetric(A, tol), tol)
-    mixed = random_orthogonal(B.r, np.random.default_rng(seed)) @ B.B
-    res1, fam1 = nnq_scan(B.B, B.r, gram=False, tol=tol, collect_all=True)
-    res2, fam2 = nnq_scan(mixed, B.r, gram=False, tol=tol, collect_all=True)
+    r = B.shape[0]
+    mixed = random_orthogonal(r, np.random.default_rng(seed)) @ B
+    res1, fam1 = nnq_scan(B, r, gram=False, tol=tol, collect_all=True)
+    res2, fam2 = nnq_scan(mixed, r, gram=False, tol=tol, collect_all=True)
     return res1.status == res2.status and fam1 == fam2
 
 
@@ -367,7 +367,7 @@ def extreme_indices_oracle(A, tol=DEFAULT_TOL):
     column, as in the library; each representative is then tested on its
     own with :func:`active_set_nnls` against all the others.
     """
-    B = sr_factor(as_symmetric(A, tol), tol).B
+    B = sr_factor(as_symmetric(A, tol), tol)
     n = B.shape[1]
     norms = np.linalg.norm(B, axis=0)
     scale = float(norms.max(initial=0.0))
@@ -389,6 +389,13 @@ def extreme_indices_oracle(A, tol=DEFAULT_TOL):
                 continue
         extreme.append(rep)
     return extreme
+
+
+def cone_columns(M, tol=DEFAULT_TOL):
+    """The library's extreme-ray report for the cone of the columns of any
+    matrix ``M``, decided and fitted on ``M`` itself."""
+    M = np.asarray(M, dtype=float)
+    return cones._cone_report(M, M, *cones._extreme_set(M, tol))
 
 
 def cone_report_oracle(G, F, tol=DEFAULT_TOL):
@@ -483,8 +490,8 @@ def connecting_orthogonal(B, C, tol=DEFAULT_TOL):
     the first.  Raises ``InvalidInputError`` if the shapes differ or the
     Gram matrices disagree beyond ``eps_residual`` relative to their scale.
     """
-    Bm = B.B if isinstance(B, SrFactor) else np.asarray(B, dtype=float)
-    Cm = C.B if isinstance(C, SrFactor) else np.asarray(C, dtype=float)
+    Bm = np.asarray(B, dtype=float)
+    Cm = np.asarray(C, dtype=float)
     if Bm.shape != Cm.shape:
         raise InvalidInputError(f"factor shapes differ: {Bm.shape} vs {Cm.shape}")
     gram_b = Bm.T @ Bm

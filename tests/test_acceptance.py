@@ -20,7 +20,6 @@ from cprank import (
     e_cone_threshold,
     extreme_rays,
     few_rays_factor,
-    find_nnq_witness,
     householder_align,
     in_e_cone,
     is_nnq_gram,
@@ -41,6 +40,7 @@ from cprank.fixtures import (
 )
 from cprank.pipeline import matrix_to_text
 from conftest import (
+    cone_columns,
     connecting_orthogonal,
     dn_rank2_instance,
     hull_extreme_indices,
@@ -88,20 +88,20 @@ def test_c03_nnq_witness_on_rounded_example():
     t0 = time.perf_counter()
     A = example_matrix("EX3_9")
     B = sr_factor(A, ROUNDED_TOL)
+    model = B.T @ B
 
-    scan = find_nnq_witness(B, ROUNDED_TOL)
+    scan = is_nnq_gram(model, ROUNDED_TOL)
     assert scan.found and scan.witness.indices == (0, 1, 2)  # columns (1,2,3)
 
     # the coordinate matrix is factor-invariant: the factor route and the
     # Gram route agree tightly on mutually consistent data
-    model = B.gram()
-    gram_route = np.linalg.solve(model[np.ix_([0, 1, 2], [0, 1, 2])], model[[0, 1, 2], :])
-    assert np.abs(scan.witness.P - gram_route).max() <= 1e-8
+    factor_route = np.linalg.solve(B[:, [0, 1, 2]], B)
+    assert np.abs(scan.witness.P - factor_route).max() <= 1e-8
 
     # against the published values the match is loose: the source matrix is
     # printed to 4 decimals, and its two published coordinate matrices
     # already differ from each other by 0.167 in one entry
-    assert np.abs(scan.witness.P - example_factor("EX3_9_P_FACTOR")).max() <= 0.15
+    assert np.abs(factor_route - example_factor("EX3_9_P_FACTOR")).max() <= 0.15
     gram_scan = is_nnq_gram(A, ROUNDED_TOL)
     assert gram_scan.found and gram_scan.witness.indices == (0, 1, 2)
     assert np.abs(gram_scan.witness.P - example_factor("EX3_9_P_GRAM")).max() <= 0.15
@@ -147,7 +147,8 @@ def test_c06_published_factor_and_non_nnq():
     cert = make_certificate(A, example_factor("EX3_7_C"), "published")
     report = verify_certificate(A, cert)
     assert report.passed and report.residual == 0.0 and report.rows == 3
-    assert find_nnq_witness(sr_factor(A)).status == "NONE"
+    B = sr_factor(A)
+    assert is_nnq_gram(B.T @ B).status == "NONE"
     assert nnq_invariance_check(A)
     _stamp("6 (published factor verifies; matrix is not nnq)", t0)
 
@@ -246,10 +247,8 @@ def test_c12_extreme_ray_oracle_equivalence():
         A = G.T @ G
         report = extreme_rays(A)
         B = sr_factor(A)
-        assert list(report.extreme_indices) == hull_extreme_indices(B.B)
-        from cprank import extreme_columns
-
-        assert extreme_columns(B.B).extreme_indices == report.extreme_indices
+        assert list(report.extreme_indices) == hull_extreme_indices(B)
+        assert cone_columns(B).extreme_indices == report.extreme_indices
     _stamp("12 (extreme rays match the cross-section hull oracle, 200 instances)", t0)
 
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from cprank.cli import main
 from cprank.fixtures import example_matrix
@@ -72,6 +73,13 @@ class TestAnalyze:
         code, _, err = run(capsys, ["analyze", "--input", "/nonexistent/m.txt"])
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("flag", ["--seed", "--restarts"])
+    def test_negative_seed_or_restarts_exit_one(self, tmp_path, capsys, flag):
+        path = write_fixture(tmp_path, "EX2_7")
+        code, out, err = run(capsys, ["analyze", "--input", path, "--heuristic", flag, "-1"])
+        assert code == 1 and out == ""
+        assert err == f"error: {flag[2:]} must be nonnegative, got -1\n"
 
     def test_text_report_default(self, tmp_path, capsys):
         path = write_fixture(tmp_path, "EX2_7")

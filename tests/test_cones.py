@@ -12,15 +12,13 @@ from cprank import (
     classify_dn,
     PreconditionError,
     Tolerances,
-    decide_rank3_three_rays,
-    extreme_columns,
     extreme_rays,
     few_rays_factor,
     sr_factor,
     verify_certificate,
 )
 from cprank import cones
-from cprank.cones import DUPLICATE_RAY_COS_GAP, EXTREME_RESIDUAL_FACTOR, IN_CP_N3, NOT_APPLICABLE
+from cprank.cones import DUPLICATE_RAY_COS_GAP, EXTREME_RESIDUAL_FACTOR
 from cprank.fixtures import (
     GRAM_NONNEG,
     RANDOM_STYLES,
@@ -32,6 +30,7 @@ from cprank.fixtures import (
 )
 from conftest import (
     active_set_nnls,
+    cone_columns,
     cone_report_oracle,
     duplicate_rays_loop,
     extreme_indices_oracle,
@@ -140,7 +139,7 @@ class TestNnls:
         # seven-dimensional space are dependent, and solving on them gave a
         # point 0.10 worse than the cold start; a numerically singular seed
         # block is now cleared, so the problem starts cold
-        B = sr_factor(random_dn(12, 6, seed=709963227, style=SOULES)).B
+        B = sr_factor(random_dn(12, 6, seed=709963227, style=SOULES))
         U = B / np.linalg.norm(B, axis=0)
         K = U.T @ U + 1.0
         C, allowed = np.ones((1, 12)), np.ones((1, 12), dtype=bool)
@@ -166,7 +165,7 @@ def assert_w_fit_matches_oracle(A):
     residual against the unit extreme columns."""
     report = extreme_rays(A)
     assert report.W.min() >= 0.0
-    B = sr_factor(A).B
+    B = sr_factor(A)
     rep_of = cones._extreme_set(B, Tolerances())[1]
     ext = list(report.extreme_indices)
     norms = np.linalg.norm(B, axis=0)
@@ -218,7 +217,7 @@ class TestExtremeRays:
         assert cert.rows == 3 and verify_certificate(A, cert).passed
         report = extreme_rays(A)
         assert report.m == 4
-        B = sr_factor(A).B
+        B = sr_factor(A)
         for j in range(4):
             others = [k for k in range(4) if k != j]
             _, resid = nnls(B[:, j], B[:, others])
@@ -249,7 +248,7 @@ class TestExtremeRays:
 
     def test_duplicate_columns_collapse(self):
         V = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]])  # third = 2x first
-        report = extreme_columns(V.T @ V)
+        report = cone_columns(V.T @ V)
         assert report.m == 2
         assert report.extreme_indices == (0, 1)
         assert report.W[0, 2] > 0  # duplicate reconstructed from its ray
@@ -281,8 +280,8 @@ class TestExtremeRays:
             G = rng.uniform(0.0, 1.0, size=(r, n))
             A = G.T @ G
             B = sr_factor(A)
-            from_gram = extreme_columns(B.gram())
-            from_factor = extreme_columns(B.B)
+            from_gram = cone_columns(B.T @ B)
+            from_factor = cone_columns(B)
             assert from_gram.extreme_indices == from_factor.extreme_indices
 
     def test_matches_cross_section_hull_oracle(self):
@@ -292,7 +291,7 @@ class TestExtremeRays:
             G = rng.uniform(0.05, 1.0, size=(3, n))
             A = G.T @ G
             report = extreme_rays(A)
-            oracle = hull_extreme_indices(sr_factor(A).B)
+            oracle = hull_extreme_indices(sr_factor(A))
             assert list(report.extreme_indices) == oracle
 
     @settings(max_examples=120, deadline=None)
@@ -330,7 +329,7 @@ class TestExtremeRays:
         # fit needs at most two passive solves, and the whole analysis
         # takes fewer than the 10 + 9 of a cold-started fit on Gram columns
         A = random_dn(12, 5, seed=6, style=GRAM_NONNEG)
-        B = sr_factor(A).B
+        B = sr_factor(A)
         ext, rep_of, reps, X, _ = cones._extreme_set(B, Tolerances())
         fit = [j for j in range(12) if rep_of[j] >= 0 and rep_of[j] not in ext]
         # the fit row of each such column's representative uses extreme
@@ -471,10 +470,10 @@ def assert_matches_cone_oracle(report, G, F):
 
 
 class TestConeReportOracle:
-    """``extreme_rays`` and ``extreme_columns`` against the cone report
-    built with the duplicate pass always run and an n-by-n mask of the
-    columns each fit used: the same rays, ``W`` and residual, bit for
-    bit."""
+    """``extreme_rays`` and the cone report of general columns
+    (``cone_columns``) against the cone report built with the duplicate
+    pass always run and an n-by-n mask of the columns each fit used: the
+    same rays, ``W`` and residual, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -485,15 +484,15 @@ class TestConeReportOracle:
     )
     def test_random_dn(self, style, r, extra, seed):
         A = random_dn(min(r + extra, 12), r, seed=seed, style=style)
-        factor = sr_factor(A)
-        assert_matches_cone_oracle(extreme_rays(A), factor.gram(), factor.B)
-        assert_matches_cone_oracle(extreme_columns(factor.B), factor.B, factor.B)
+        B = sr_factor(A)
+        assert_matches_cone_oracle(extreme_rays(A), B.T @ B, B)
+        assert_matches_cone_oracle(cone_columns(B), B, B)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_planted_duplicates(self, data):
         M = planted_duplicates(data)
-        assert_matches_cone_oracle(extreme_columns(M), M, M)
+        assert_matches_cone_oracle(cone_columns(M), M, M)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -506,13 +505,13 @@ class TestConeReportOracle:
     def test_zero_columns(self, style, r, extra, seed, at):
         # zero columns in a factor, and the zero rows and columns they
         # leave in its Gram matrix, whose rank factor has near-zero columns
-        B = sr_factor(random_dn(min(r + extra, 12), r, seed=seed, style=style)).B
+        B = sr_factor(random_dn(min(r + extra, 12), r, seed=seed, style=style))
         for j in at:
             B = np.insert(B, min(j, B.shape[1]), 0.0, axis=1)
-        assert_matches_cone_oracle(extreme_columns(B), B, B)
+        assert_matches_cone_oracle(cone_columns(B), B, B)
         A = B.T @ B
-        factor = sr_factor(A)
-        assert_matches_cone_oracle(extreme_rays(A), factor.gram(), factor.B)
+        F = sr_factor(A)
+        assert_matches_cone_oracle(extreme_rays(A), F.T @ F, F)
 
 
 def screen_against_oracle(M):
@@ -547,7 +546,7 @@ class TestSeparationBound:
     )
     def test_never_exceeds_the_distance_on_dn_factors(self, style, r, extra, seed):
         A = random_dn(r + extra, r, seed=seed, style=style)
-        separated, _ = screen_against_oracle(sr_factor(A).B)
+        separated, _ = screen_against_oracle(sr_factor(A))
         assert set(separated) <= set(extreme_indices_oracle(A))
 
     @settings(max_examples=150, deadline=None)
@@ -609,7 +608,7 @@ class TestSeparationBound:
         U = M / np.linalg.norm(M, axis=0)
         assert (U.T @ U).sum(axis=1).min() <= 0.0
         with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
-            report = extreme_columns(M)
+            report = cone_columns(M)
         screen, ext = (
             {key: int(value) for key, value in (f.split("=") for f in r.getMessage().split()[1:])}
             for r in caplog.records[:2]
@@ -687,7 +686,7 @@ class TestBasisCertificates:
         M = np.column_stack([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-8 * math.sqrt(2.0)]])
         assert cones._span_distance(M / np.linalg.norm(M, axis=0))[2] <= EXTREME_RESIDUAL_FACTOR
         with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
-            report = extreme_columns(M)
+            report = cone_columns(M)
         (_, screen), (name, ext) = debug_fields(caplog)[:2]
         assert screen == {"representatives": 3, "separated": 2, "basis": 0}
         assert name == "_batched_nnls" and ext["problems"] == 1
@@ -717,7 +716,8 @@ class TestFewRaysFactor:
 
     def test_rounded_example(self):
         A = example_matrix("EX3_9")
-        model = sr_factor(A, ROUNDED_TOL).gram()
+        B = sr_factor(A, ROUNDED_TOL)
+        model = B.T @ B
         report = extreme_rays(model)
         cert = few_rays_factor(model, report)
         assert cert.rows == 3
@@ -769,28 +769,3 @@ class TestFewRaysFactor:
         cert = few_rays_factor(A, extreme_rays(A))
         assert cert.rows == 4 and verify_certificate(A, cert).passed
         assert graph_calls == ["cycle_necessary"]
-
-
-class TestRank3RayDecision:
-    def test_rounded_example_is_member(self):
-        A = sr_factor(example_matrix("EX3_9"), ROUNDED_TOL).gram()
-        decision = decide_rank3_three_rays(A)
-        assert decision.status == IN_CP_N3
-        assert decision.m == 3
-        assert decision.certificate is not None
-        assert verify_certificate(A, decision.certificate).passed
-
-    def test_non_nnq_example_not_applicable(self):
-        decision = decide_rank3_three_rays(example_matrix("EX3_7"))
-        assert decision.status == NOT_APPLICABLE
-        assert decision.m == 4  # four extreme rays break the hypothesis
-
-    def test_rowsum_example_not_applicable(self):
-        decision = decide_rank3_three_rays(example_matrix("EX2_7"))
-        assert decision.status == NOT_APPLICABLE
-        assert decision.m == 4
-        if decision.certificate is not None:
-            assert verify_certificate(example_matrix("EX2_7"), decision.certificate).passed
-
-    def test_wrong_rank_not_applicable(self):
-        assert decide_rank3_three_rays(np.eye(4)).status == NOT_APPLICABLE

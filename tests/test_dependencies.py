@@ -1,7 +1,9 @@
+import ast
 import importlib
 import pkgutil
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,57 @@ def test_every_listed_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+MODULES = {path.stem: ast.parse(path.read_text()) for path in (SRC / "cprank").glob("*.py")}
+
+
+def package_imports(node):
+    """Package modules that an ``import`` statement names."""
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names if a.name.startswith("cprank.")]
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        if node.level == 0:  # the package is flat, so any level > 0 is relative to it
+            if module != "cprank" and not module.startswith("cprank."):
+                return []
+            module = module.partition(".")[2]
+        if module:
+            return [module.split(".")[0]]
+        # ``from . import name`` names a module or the package itself
+        return [a.name if a.name in MODULES else "__init__" for a in node.names]
+    return []
+
+
+def function_bodies(tree):
+    return [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_module_imports_are_acyclic():
+    # every import outside a function body counts, a TYPE_CHECKING block
+    # included: a cycle held together only by deferred imports is still a
+    # cycle
+    graph = {}
+    for name, tree in MODULES.items():
+        inside = {id(n) for f in function_bodies(tree) for n in ast.walk(f)}
+        graph[name] = {
+            target for node in ast.walk(tree) if id(node) not in inside
+            for target in package_imports(node) if target != name
+        }
+    assert set().union(*graph.values()) <= set(MODULES)
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        pytest.fail(f"import cycle among cprank modules: {exc.args[1]}")
+    assert "nnq" not in graph["cones"]
+
+
+def test_no_function_imports_a_package_module():
+    found = [
+        f"{name}.{fn.name}: {ast.unparse(node)}"
+        for name, tree in MODULES.items()
+        for fn in function_bodies(tree)
+        for node in ast.walk(fn)
+        if package_imports(node)
+    ]
+    assert found == []

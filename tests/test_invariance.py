@@ -7,12 +7,14 @@ extreme rays of the column cone do not depend on a positive diagonal
 scaling of its rows and columns either.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cprank import AnalysisConfig, Tolerances, analyze, extreme_rays
+from cprank import AnalysisConfig, InvalidInputError, Tolerances, analyze, extreme_rays
 from cprank.fixtures import EXAMPLE_IDS, GRAM_NONNEG, RANDOM_STYLES, example_matrix, random_dn
 from cprank.pipeline import CP_RANK_EQ_RANK, NOT_DN, NOT_IN_CP_N_R
 
@@ -97,6 +99,25 @@ def test_rounded_fixture_stays_not_dn_at_small_scale():
 def test_rays_residual_at_small_scale(c):
     A = random_dn(12, 3, seed=4, style=GRAM_NONNEG).a
     assert extreme_rays(c * A).residual <= 1e-12
+
+
+def test_largest_accepted_scale_keeps_the_rowsum_certificate():
+    # the largest entry, 9.3e152, is just below the order-4 limit of
+    # sqrt(max float / 4^3), about 1.7e153
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = analyze(1e151 * example_matrix("EX2_7").a)
+    assert report.verdict == CP_RANK_EQ_RANK
+    rowsum = next(s for s in report.steps if s.name == "rowsum")
+    assert rowsum.outcome == "CERTIFICATE(rows=3)"
+
+
+@pytest.mark.parametrize("c", [1e152, 1e200])
+def test_scale_that_overflows_the_rowsum_condition_is_rejected(c):
+    # at 1e152 the row-sum products overflowed and the step read
+    # CONDITION_FALSE; at 1e200 the few-rays certificate failed to verify
+    with pytest.raises(InvalidInputError, match="must not exceed"):
+        analyze(c * example_matrix("EX2_7").a)
 
 
 def test_tiny_nonzero_matrix_has_positive_rank():

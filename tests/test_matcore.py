@@ -10,8 +10,8 @@ from cprank import (
     classify_dn,
     comparison_matrix,
     psd_rank,
+    as_symmetric,
     sr_factor,
-    sym_eigen,
     zero_diagonal_indices,
 )
 from cprank import matcore, srfactor
@@ -59,25 +59,25 @@ class TestSymmetricMatrix:
         assert S.pattern(1e-9) is P
 
 
-class TestSymEigen:
+class TestEigen:
     def test_identity(self):
-        eig = sym_eigen(np.eye(3))
+        eig = as_symmetric(np.eye(3)).eigen
         assert np.allclose(eig.eigenvalues, [1, 1, 1])
 
     def test_cycle_matrix_spectrum(self):
         # circulant 2I + P + P^3: eigenvalues 2 + 2cos(pi k / 2), k = 0..3
         expected = sorted((2.0 + 2.0 * np.cos(np.pi * k / 2.0) for k in range(4)), reverse=True)
-        eig = sym_eigen(example_matrix("EX1_2"))
+        eig = as_symmetric(example_matrix("EX1_2")).eigen
         assert np.allclose(eig.eigenvalues, expected, atol=1e-12)
 
     def test_diagonal(self):
-        eig = sym_eigen(np.diag([100.0, 1.0]))
+        eig = as_symmetric(np.diag([100.0, 1.0])).eigen
         assert np.allclose(eig.eigenvalues, [100.0, 1.0])
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         A = random_symmetric(rng, 7)
-        e1, e2 = sym_eigen(A), sym_eigen(A)
+        e1, e2 = as_symmetric(A).eigen, as_symmetric(A).eigen
         assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
         assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
 
@@ -86,11 +86,11 @@ class TestSymEigen:
         calls = []
         original = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or original(a))
-        eig = sym_eigen(S)
+        eig = S.eigen
         psd_rank(S)
         classify_dn(S)
         sr_factor(S)
-        assert sym_eigen(S) is eig
+        assert S.eigen is eig
         assert len(calls) == 1
 
     def test_invariants_random(self):
@@ -98,7 +98,7 @@ class TestSymEigen:
         for _ in range(1000):
             n = int(rng.integers(1, 13))
             A = random_symmetric(rng, n)
-            eig = sym_eigen(A)
+            eig = as_symmetric(A).eigen
             V, w = eig.eigenvectors, eig.eigenvalues
             assert np.abs(V.T @ V - np.eye(n)).max() <= 1e-12
             recon = V @ np.diag(w) @ V.T
@@ -130,7 +130,7 @@ class TestPsdRank:
         assert classify_dn(S, Tolerances(eps_psd=1e-4, eps_rank=1e-4)).rank == 3
         B = sr_factor(S, loose)
         assert sr_factor(S, Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_residual=1e-3)) is B
-        assert B.r == 3
+        assert B.shape[0] == 3
         assert len(reductions) == 2 and len(factors) == 1
         assert psd_rank(S.a) == (False, 5) and psd_rank(S.a) == (False, 5)
         assert len(reductions) == 4

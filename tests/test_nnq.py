@@ -9,15 +9,15 @@ from cprank import (
     AnalysisConfig,
     Tolerances,
     analyze,
+    decide_rank3_three_rays,
     extreme_rays,
     few_rays_factor,
-    find_nnq_witness,
     is_nnq_gram,
     sr_factor,
     verify_certificate,
 )
 from cprank.fixtures import EXAMPLE_IDS, RANDOM_STYLES, example_factor, example_matrix, random_dn
-from cprank.nnq import NONE
+from cprank.nnq import IN_CP_N3, NONE, NOT_APPLICABLE
 from conftest import nnq_invariance_check, nnq_scan, nnq_scan_gram
 
 # the printed source matrix carries 4-decimal rounding, so its smallest
@@ -28,32 +28,35 @@ ROUNDED_TOL = Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_resid
 def rank3_model(A, tol):
     """Rank-3 spectral reconstruction of a numerically noisy input."""
     B = sr_factor(A, tol)
-    return B.gram(), B
+    return B.T @ B, B
 
 
-class TestFindWitness:
+class TestFactorRoute:
+    """A factor ``B`` is nnq exactly when its Gram matrix is, and the
+    Gram witness's indices give the factor's coordinate matrix."""
+
     def test_identity(self):
-        res = find_nnq_witness(np.eye(3))
+        res = is_nnq_gram(np.eye(3))
         assert res.found and res.witness.indices == (0, 1, 2)
         assert np.allclose(res.witness.P, np.eye(3))
 
-    def test_rounded_example_witness(self):
-        B = sr_factor(example_matrix("EX3_9"), ROUNDED_TOL)
-        res = find_nnq_witness(B, ROUNDED_TOL)
+    def test_published_factor_coordinates(self):
+        B = example_factor("EX3_9_B")
+        res = is_nnq_gram(B.T @ B, ROUNDED_TOL)
         assert res.found and res.witness.indices == (0, 1, 2)
-        # published coordinate values are reproduced only loosely because
-        # the source matrix itself is rounded
-        printed = example_factor("EX3_9_P_FACTOR")
-        assert np.abs(res.witness.P - printed).max() <= 0.15
+        P = np.linalg.solve(B[:, list(res.witness.indices)], B)
+        # the factor and its coordinate matrix are both printed to 4
+        # decimals, and the basis solve amplifies that rounding
+        assert np.abs(P - example_factor("EX3_9_P_FACTOR")).max() <= 0.01
 
     def test_non_nnq_example(self):
         B = sr_factor(example_matrix("EX3_7"))
-        assert find_nnq_witness(B).status == NONE
+        assert is_nnq_gram(B.T @ B).status == NONE
 
     def test_lexicographic_first_and_deterministic(self):
         B = np.hstack([np.eye(3), np.eye(3)])  # many qualifying bases
-        r1 = find_nnq_witness(B)
-        r2 = find_nnq_witness(B)
+        r1 = is_nnq_gram(B.T @ B)
+        r2 = is_nnq_gram(B.T @ B)
         assert r1.witness.indices == r2.witness.indices == (0, 1, 2)
 
 
@@ -79,7 +82,8 @@ class TestIsNnqGram:
             G = rng.uniform(0.0, 1.0, size=(r, n))
             A = G.T @ G
             gram_res = is_nnq_gram(A)
-            factor_res = find_nnq_witness(sr_factor(A))
+            B = sr_factor(A)
+            factor_res = is_nnq_gram(B.T @ B)
             assert gram_res.status == factor_res.status
             if gram_res.found:
                 assert gram_res.witness.indices == factor_res.witness.indices
@@ -106,9 +110,9 @@ class TestRaysMatchScanOracle:
     def test_random_dn(self, style, r, extra, seed):
         A = random_dn(r + extra, r, seed=seed, style=style)
         assert_same_as_oracle(is_nnq_gram(A), nnq_scan_gram(A))
-        B = sr_factor(A).B
+        B = sr_factor(A)
         factor_oracle, _ = nnq_scan(B, B.shape[0], gram=False)
-        factor_route = find_nnq_witness(B)
+        factor_route = is_nnq_gram(B.T @ B)
         assert factor_route.status == factor_oracle.status
         if factor_oracle.found:
             assert factor_route.witness.indices == factor_oracle.witness.indices
@@ -138,7 +142,7 @@ class TestPInvarianceQuantified:
             n = int(rng.integers(r, 9))
             G = rng.standard_normal((r, n))
             A = G.T @ G
-            B1 = sr_factor(A).B
+            B1 = sr_factor(A)
             B2 = random_orthogonal(r, rng) @ B1
             for sigma in itertools.combinations(range(n), r):
                 sub = B1[:, list(sigma)]
@@ -202,3 +206,28 @@ class TestInvarianceCheck:
             n = int(rng.integers(r, 8))
             G = rng.uniform(0.0, 1.0, size=(r, n))
             assert nnq_invariance_check(G.T @ G, seed=int(rng.integers(1 << 31)))
+
+
+class TestRank3RayDecision:
+    def test_rounded_example_is_member(self):
+        A, _ = rank3_model(example_matrix("EX3_9"), ROUNDED_TOL)
+        decision = decide_rank3_three_rays(A)
+        assert decision.status == IN_CP_N3
+        assert decision.m == 3
+        assert decision.certificate is not None
+        assert verify_certificate(A, decision.certificate).passed
+
+    def test_non_nnq_example_not_applicable(self):
+        decision = decide_rank3_three_rays(example_matrix("EX3_7"))
+        assert decision.status == NOT_APPLICABLE
+        assert decision.m == 4  # four extreme rays break the hypothesis
+
+    def test_rowsum_example_not_applicable(self):
+        decision = decide_rank3_three_rays(example_matrix("EX2_7"))
+        assert decision.status == NOT_APPLICABLE
+        assert decision.m == 4
+        if decision.certificate is not None:
+            assert verify_certificate(example_matrix("EX2_7"), decision.certificate).passed
+
+    def test_wrong_rank_not_applicable(self):
+        assert decide_rank3_three_rays(np.eye(4)).status == NOT_APPLICABLE

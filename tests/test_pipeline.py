@@ -40,6 +40,27 @@ def step(report, name):
     return next(s for s in report.steps if s.name == name)
 
 
+class TestAnalysisConfig:
+    # the DN, non-CP 5-cycle matrix plus a small multiple of the all-ones
+    # matrix: rank 5, so the heuristic rotation runs its restarts
+    A0 = np.array([[1, 1, 0, 0, 1], [1, 2, 1, 0, 0], [0, 1, 2, 1, 0],
+                   [0, 0, 1, 2, 1], [1, 0, 0, 1, 6]], dtype=float)
+
+    @pytest.mark.parametrize("field", ["seed", "restarts"])
+    def test_negative_count_rejected(self, field):
+        with pytest.raises(InvalidInputError, match=f"{field} must be nonnegative"):
+            AnalysisConfig(**{field: -1})
+
+    def test_negative_seed_rejected_before_the_rotation_restarts(self):
+        # numpy's generator raised ValueError at the second restart
+        with pytest.raises(InvalidInputError):
+            analyze(self.A0 + 1e-3, AnalysisConfig(heuristic=True, seed=-1, restarts=3))
+
+    def test_zero_seed_and_restarts_accepted(self):
+        report = analyze(self.A0 + 1e-3, AnalysisConfig(heuristic=True, seed=0, restarts=0))
+        assert report.seed == 0
+
+
 class TestAnalyzeVerdicts:
     def test_rowsum_example(self):
         report = analyze(example_matrix("EX2_7"))

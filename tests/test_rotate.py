@@ -312,7 +312,7 @@ class TestOrthantRotationSearch:
         # every restart settles on an infeasible fixed point of the polar
         # step and must end there instead of running all its steps
         if name == "EX1_2":
-            B = sr_factor(example_matrix("EX1_2")).B
+            B = sr_factor(example_matrix("EX1_2"))
         else:
             t = math.radians(100.0)
             B = np.array([[1.0, math.cos(t)], [0.0, math.sin(t)]])
@@ -337,7 +337,7 @@ class TestOrthantRotationSearch:
             A = example_matrix("EX1_2")
         else:
             A = FIVE_CYCLE + 1e-3 * np.ones((5, 5))
-        B = sr_factor(A).B
+        B = sr_factor(A)
         calls = []
         svd = np.linalg.svd
 

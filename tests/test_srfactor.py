@@ -6,6 +6,7 @@ from cprank import (
     PreconditionError,
     Tolerances,
     make_certificate,
+    psd_rank,
     random_orthogonal,
     sr_factor,
     verify_certificate,
@@ -16,20 +17,20 @@ from conftest import connecting_orthogonal
 
 class TestSrFactor:
     def test_identity(self):
-        B = sr_factor(np.eye(2)).B
+        B = sr_factor(np.eye(2))
         assert B.shape == (2, 2)
         assert np.allclose(B.T @ B, np.eye(2), atol=1e-14)
 
     def test_all_ones_rank1(self):
-        B = sr_factor(np.ones((3, 3))).B
+        B = sr_factor(np.ones((3, 3)))
         assert B.shape == (1, 3)
         assert np.allclose(B, np.ones((1, 3)), atol=1e-12)  # sign convention
 
     def test_non_nnq_example(self):
         A = example_matrix("EX3_7")
         B = sr_factor(A)
-        assert B.B.shape == (3, 4)
-        assert np.linalg.norm(B.gram() - A.a) <= 1e-12 * np.linalg.norm(A.a)
+        assert B.shape == (3, 4)
+        assert np.linalg.norm(B.T @ B - A.a) <= 1e-12 * np.linalg.norm(A.a)
 
     def test_rejects_indefinite(self):
         with pytest.raises(PreconditionError):
@@ -43,15 +44,29 @@ class TestSrFactor:
             G = rng.uniform(0.0, 1.0, size=(r, n))
             A = G.T @ G
             B = sr_factor(A)
-            assert B.r == np.linalg.matrix_rank(G, tol=1e-9)
-            assert np.linalg.norm(B.gram() - A) <= 1e-10 * np.linalg.norm(A)
+            assert B.shape == (np.linalg.matrix_rank(G, tol=1e-9), n)
+            assert np.linalg.norm(B.T @ B - A) <= 1e-10 * np.linalg.norm(A)
+
+    @pytest.mark.parametrize("fid", ["EX1_2", "EX2_7", "EX3_7", "EX3_3"])
+    def test_read_only_c_ordered_array(self, fid):
+        # the factor is kept per matrix and shared, so it must not be
+        # writable; the extreme-ray screen sums over its C-ordered columns
+        A = example_matrix(fid)
+        B = sr_factor(A)
+        assert type(B) is np.ndarray and B.dtype == float
+        assert B.shape == (psd_rank(A).rank, A.n)
+        assert B.flags.c_contiguous and not B.flags.writeable
+        with pytest.raises(ValueError):
+            B[0, 0] = 1.0
+        assert np.linalg.norm(B.T @ B - A.a) <= 1e-12 * np.linalg.norm(A.a)
+        assert sr_factor(A) is B
 
 
 class TestConnectingOrthogonal:
     def test_same_factor_gives_identity(self):
         B = sr_factor(example_matrix("EX2_7"))
         Q = connecting_orthogonal(B, B)
-        assert np.abs(Q - np.eye(B.r)).max() <= 1e-10
+        assert np.abs(Q - np.eye(B.shape[0])).max() <= 1e-10
 
     def test_recovers_planted_rotation(self):
         rng = np.random.default_rng(1)
@@ -124,7 +139,7 @@ class TestPInvariance:
             n = int(rng.integers(r, 8))
             G = rng.standard_normal((r, n))
             A = G.T @ G
-            B = sr_factor(A).B
+            B = sr_factor(A)
             sigma = None
             import itertools
 
