@@ -30,7 +30,7 @@ import numpy as np
 from . import graphcond
 from .errors import ComputationFailureError, PreconditionError
 from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, classify_dn
-from .rotate import orthant_rotation_search
+from .rotate import check_seed_restarts, orthant_rotation_search
 from .srfactor import CpCertificate, make_certificate, sr_factor
 
 _log = logging.getLogger(__name__)
@@ -46,6 +46,8 @@ __all__ = [
 EXTREME_RESIDUAL_FACTOR = 1e-7
 # normalized columns at cosine >= 1 - this are treated as the same ray
 DUPLICATE_RAY_COS_GAP = 1e-12
+
+_EPS = np.finfo(float).eps
 
 
 def _batched_nnls(
@@ -76,15 +78,19 @@ def _batched_nnls(
     only the columns the separation bound and the basis certificates
     left open.  Each call logs one DEBUG line: problems, columns, seeded
     columns and passive solves.
+
+    On booleans ``a > b`` is ``a & ~b``, which the loop uses for the open
+    columns (``allowed > passive``) and the passive columns that are not
+    positive (``passive > positive``).
     """
     q, k = C.shape
-    allowed = allowed & (np.diag(K) > 0.0)
-    dual_tol = 1e-11 * np.abs(np.where(allowed, C, 0.0)).max(axis=1, initial=0.0)
+    allowed = allowed & (K.diagonal() > 0.0)
+    dual_tol = 1e-11 * np.maximum.reduce(np.abs(np.where(allowed, C, 0.0)), axis=1, initial=0.0)
     X = np.zeros((q, k))
     P = passive & allowed
-    live = np.flatnonzero(P.any(axis=1))
     seeded = solves = 0
-    if live.size:
+    if P.any():
+        live = P.any(axis=1).nonzero()[0]
         Pl, Cl = P[live], C[live]
         singular = np.zeros(live.size, dtype=bool)
         S = _passive_solve(K, Cl, Pl, singular)
@@ -94,7 +100,10 @@ def _batched_nnls(
         Pl[singular], S[singular] = False, 0.0
         seeded = int(Pl.sum())
         while True:
-            bad = Pl & (S <= 0.0)
+            bad = Pl > (S > 0.0)
+            if not bad.any():
+                X[live], P[live] = S, Pl
+                break
             done = ~bad.any(axis=1)
             X[live[done]] = S[done]
             Pl &= ~bad
@@ -106,9 +115,9 @@ def _batched_nnls(
             S = _passive_solve(K, Cl, Pl)
             solves += 1
 
-    live = np.arange(q)
-    rows, Cl, Xl, Pl, Al, tol = live, C, X, P, allowed, dual_tol
-    opened = allowed & ~P
+    live = rows = np.arange(q)
+    Cl, Xl, Pl, Al, tol = C, X, P, allowed, dual_tol
+    opened = allowed > P
     for _ in range(3 * k + 30 if q and k else 0):
         grad = np.where(opened, Cl - Xl @ K, -np.inf)
         j = grad.argmax(axis=1)
@@ -118,30 +127,37 @@ def _batched_nnls(
             live = live[has]
             if not live.size:
                 break
-            Cl, Xl, Pl, Al, tol, opened, j = (v[has] for v in (Cl, Xl, Pl, Al, tol, opened, j))
+            Cl, Xl, Pl, Al, tol, opened, j = (
+                Cl[has], Xl[has], Pl[has], Al[has], tol[has], opened[has], j[has]
+            )
             rows = np.arange(live.size)
         Pl[rows, j] = True
-        opened[rows, j] = False
         S = _passive_solve(K, Cl, Pl)
         solves += 1
+        positive = S > 0.0
+        if not (Pl > positive).any():
+            # every column entered and x moved: the columns that left are open
+            Xl, opened = S, Al > Pl
+            continue
         blocked = Pl & (S <= 0.0)
         # a column whose own coefficient comes out nonpositive gained only
         # roundoff; it leaves again and stays closed until x moves
-        enters = S[rows, j] > 0.0
-        if not enters.all():
-            Pl[rows[~enters], j[~enters]] = False
-            blocked[~enters] = False
-        stuck = blocked.any(axis=1)
+        enters = positive[rows, j]
+        every = enters.all()
+        if not every:
+            out = rows[~enters], j[~enters]
+            Pl[out] = False
+            opened[out] = False
+        stuck = blocked.any(axis=1) & enters
         if stuck.any():
             # step back toward x until every passive coefficient is positive;
             # each row's final solution is written into S
-            act = np.flatnonzero(stuck)
+            act = stuck.nonzero()[0]
             Sa, Pa, Xa, Ca, Ba = S[act], Pl[act], Xl[act], Cl[act], blocked[act]
-            while act.size:
-                ratio = np.full(Xa.shape, np.inf)
-                ratio[Ba] = Xa[Ba] / (Xa[Ba] - Sa[Ba])
+            at = np.arange(act.size)
+            while True:
+                ratio = np.divide(Xa, Xa - Sa, out=np.full(Xa.shape, np.inf), where=Ba)
                 first = ratio.argmin(axis=1)
-                at = np.arange(act.size)
                 Xa += ratio[at, first][:, None] * (Sa - Xa)
                 Xa[at, first] = 0.0
                 Pa &= Xa > 0.0
@@ -149,16 +165,22 @@ def _batched_nnls(
                 Sa = _passive_solve(K, Ca, Pa)
                 solves += 1
                 Ba = Pa & (Sa <= 0.0)
-                done = ~Ba.any(axis=1)
-                S[act[done]] = Sa[done]
-                Pl[act[done]] = Pa[done]
-                act, Sa, Pa, Xa, Ca, Ba = (v[~done] for v in (act, Sa, Pa, Xa, Ca, Ba))
+                going = Ba.any(axis=1)
+                if not going.any():
+                    S[act], Pl[act] = Sa, Pa
+                    break
+                done = ~going
+                S[act[done]], Pl[act[done]] = Sa[done], Pa[done]
+                act, Sa, Pa, Xa, Ca, Ba = (
+                    act[going], Sa[going], Pa[going], Xa[going], Ca[going], Ba[going]
+                )
+                at = np.arange(act.size)
         # x moved: rejected columns reopen, and columns that left are open
-        if enters.all():
-            Xl, opened = S, Al & ~Pl
+        if every:
+            Xl, opened = S, Al > Pl
         else:
             Xl[enters] = S[enters]
-            opened[enters] = Al[enters] & ~Pl[enters]
+            opened[enters] = Al[enters] > Pl[enters]
     else:
         X[live] = Xl
     _log.debug("_batched_nnls: problems=%d columns=%d seeded=%d solves=%d", q, k, seeded, solves)
@@ -173,35 +195,49 @@ def _passive_solve(
     Row ``i`` solves ``K[P_i, P_i] s = C[i, P_i]``; ``P`` has at least one
     row.  The systems of one size are gathered into one stack of compact
     blocks and solved together, and a stack with a singular block is
-    solved by pseudo-inverse instead.  When every passive set has the
-    same size, one ``np.nonzero`` gathers the whole call and the
-    solutions scatter back through the same ``(row, column)`` pairs.
+    solved by pseudo-inverse instead.  A stack's targets are gathered,
+    and its solutions scattered back, through the mask of its passive
+    sets, in the row-major order ``nonzero`` lists their columns in.
     When ``singular`` is given, entry ``i`` is set to whether block ``i``
     is numerically singular: its least eigenvalue is at most ``p * eps``
     times its largest, the rank rule of ``np.linalg.matrix_rank``.
     """
     S = np.zeros(P.shape)
-    sizes = P.sum(axis=1)
-    if (sizes == sizes[0]).all():
-        p = sizes[0]
-        groups = [tuple(a.reshape(-1, p) for a in np.nonzero(P))] if p else []
+    counts = np.add.reduce(P, axis=1)
+    sizes = counts.tolist()
+    if min(sizes) == max(sizes):
+        groups = [(slice(None), P, sizes[0])] if sizes[0] else []
     else:
         groups = []
-        for p in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
-            sel = np.flatnonzero(sizes == p)
-            groups.append((sel[:, None], np.nonzero(P[sel])[1].reshape(sel.size, p)))
-    for rows, cols in groups:
+        for p in sorted(set(sizes) - {0}):
+            sel = counts == p
+            groups.append((sel, P & sel[:, None], p))
+    for sel, mask, p in groups:
+        cols = mask.nonzero()[1].reshape(-1, p)
         Kp = K[cols[:, :, None], cols[:, None, :]]
-        cp = C[rows, cols][:, :, None]
+        cp = C[mask].reshape(-1, p, 1)
         if singular is not None:
             w = np.linalg.eigvalsh(Kp)
-            singular[rows[:, 0]] = w[:, 0] <= cols.shape[1] * np.finfo(float).eps * w[:, -1]
+            singular[sel] = w[:, 0] <= p * _EPS * w[:, -1]
         try:
             s = np.linalg.solve(Kp, cp)
         except np.linalg.LinAlgError:
             s = np.linalg.pinv(Kp, hermitian=True) @ cp
-        S[rows, cols] = s[:, :, 0]
+        S[mask] = s.ravel()
     return S
+
+
+def _norms(M: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``np.linalg.norm(M, axis=axis)`` of a float matrix, bit for bit,
+    without that function's argument handling."""
+    return np.sqrt(np.add.reduce(M * M, axis=axis))
+
+
+def _norm(M: np.ndarray) -> np.float64:
+    """``np.linalg.norm(M)`` (the Frobenius norm) of a float array, bit
+    for bit: one dot product over its elements in memory order."""
+    v = M.ravel(order="K")
+    return np.sqrt(v.dot(v))
 
 
 def _separation_bound(U: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -227,18 +263,18 @@ def _separation_bound(U: np.ndarray, K: np.ndarray) -> np.ndarray:
     is 0.
     """
     d, k = U.shape
-    t = K.sum(axis=1)
+    t = np.add.reduce(K, axis=1)
     if not (t > 0.0).all():
         return np.zeros(k)
     ratio = K / t
-    np.fill_diagonal(ratio, 0.0)
-    alpha = ratio.max(axis=1)
-    c = U.sum(axis=1)
-    Y = np.outer(c, alpha) - U
+    ratio.flat[:: k + 1] = 0.0
+    alpha = np.maximum.reduce(ratio, axis=1)
+    c = np.add.reduce(U, axis=1)
+    Y = c[:, None] * alpha - U
     # a cosine or a row sum of K carries about d + k roundings
-    eta = (d + k + 4) * np.finfo(float).eps * (1.0 + alpha * k)
-    gap = -np.einsum("ij,ij->j", Y, U) - eta * (1.0 + np.linalg.norm(c) / t.min())
-    return gap / (np.linalg.norm(Y, axis=0) + eta)
+    eta = (d + k + 4) * _EPS * (1.0 + alpha * k)
+    gap = -np.einsum("ij,ij->j", Y, U) - eta * (1.0 + _norm(c) / t.min())
+    return gap / (_norms(Y) + eta)
 
 
 def _span_distance(U: np.ndarray) -> np.ndarray:
@@ -259,8 +295,8 @@ def _span_distance(U: np.ndarray) -> np.ndarray:
         V = np.linalg.inv(U)
     except np.linalg.LinAlgError:
         return np.zeros(d)
-    row = np.linalg.norm(V, axis=1)
-    return 1.0 / (row + (d + 4) * np.finfo(float).eps * np.sqrt(d) * (row @ row))
+    row = _norms(V, axis=1)
+    return 1.0 / (row + (d + 4) * _EPS * np.sqrt(d) * (row @ row))
 
 
 def _basis_fit(B: np.ndarray, T: np.ndarray) -> np.ndarray | None:
@@ -276,7 +312,7 @@ def _basis_fit(B: np.ndarray, T: np.ndarray) -> np.ndarray | None:
         x = np.maximum(np.linalg.solve(B, T), 0.0)
     except np.linalg.LinAlgError:
         return None
-    resid = np.linalg.norm(B @ x - T, axis=0)
+    resid = _norms(B @ x - T)
     return x if (resid <= EXTREME_RESIDUAL_FACTOR).all() else None
 
 
@@ -337,18 +373,18 @@ def _extreme_set(
     many were separated and how many the basis settled.
     """
     n = M.shape[1]
-    norms = np.linalg.norm(M, axis=0)
-    nonzero = np.flatnonzero(norms > tol.eps_nonneg * norms.max(initial=0.0))
+    norms = _norms(M)
+    nonzero = (norms > tol.eps_nonneg * norms.max(initial=0.0)).nonzero()[0]
     rep_of = np.full(n, -1)
     if not nonzero.size:
         return [], rep_of, nonzero, np.zeros((0, 0)), norms
     Mz, nz = M[:, nonzero], norms[nonzero]  # column-major: the screen's sums depend on it
-    cos = (Mz.T @ Mz) / np.outer(nz, nz)
+    cos = (Mz.T @ Mz) / (nz[:, None] * nz)
     reps, Kr, U = nonzero, cos, Mz / nz
     rep_of[nonzero] = nonzero
     # close[a, b]: columns a and b span the same ray
     close = cos >= 1.0 - DUPLICATE_RAY_COS_GAP
-    np.fill_diagonal(close, False)
+    close.flat[:: nonzero.size + 1] = False
     if close.any():
         close = np.tril(close)  # only an earlier column b can represent a
         # a column represents its ray when no earlier representative is
@@ -363,22 +399,22 @@ def _extreme_set(
                 break
             is_rep = nxt
         rep_of[nonzero] = nonzero[np.where(is_rep, np.arange(nonzero.size), hits.argmax(axis=1))]
-        own = np.flatnonzero(is_rep)
-        reps, Kr, U = nonzero[own], cos[np.ix_(own, own)], U[:, own]
+        own = is_rep.nonzero()[0]
+        reps, Kr, U = nonzero[own], cos[own[:, None], own], U[:, own]
 
     is_ext = _separation_bound(U, Kr) > EXTREME_RESIDUAL_FACTOR
     separated = int(is_ext.sum())
-    rest = np.flatnonzero(~is_ext)
+    rest = (~is_ext).nonzero()[0]
     X = np.zeros(Kr.shape)
     d = U.shape[0]
     if rest.size and reps.size == d:
         if (_span_distance(U)[rest] > EXTREME_RESIDUAL_FACTOR).all():
             is_ext[rest], rest = True, rest[:0]
     elif rest.size and separated == d:
-        sep = np.flatnonzero(is_ext)
+        sep = is_ext.nonzero()[0]
         x = _basis_fit(U[:, sep], U[:, rest])
         if x is not None:
-            X[np.ix_(rest, sep)] = x.T
+            X[rest[:, None], sep] = x.T
             rest = rest[:0]
     _log.debug(
         "_extreme_set: representatives=%d separated=%d basis=%d",
@@ -386,9 +422,9 @@ def _extreme_set(
     )
     if rest.size:
         allowed = ~np.eye(reps.size, dtype=bool)[rest]
-        X[rest] = _batched_nnls(Kr, Kr[rest], allowed, np.zeros(allowed.shape, dtype=bool))
-        resid = np.linalg.norm(U @ X[rest].T - U[:, rest], axis=0)
-        is_ext[rest] = resid > EXTREME_RESIDUAL_FACTOR
+        fits = _batched_nnls(Kr, Kr[rest], allowed, np.zeros(allowed.shape, dtype=bool))
+        X[rest] = fits
+        is_ext[rest] = _norms(U @ fits.T - U[:, rest]) > EXTREME_RESIDUAL_FACTOR
     return reps[is_ext].tolist(), rep_of, reps, X, norms
 
 
@@ -411,11 +447,12 @@ def _cone_report(
     """
     n = G.shape[1]
     m = len(extreme)
+    ext = np.array(extreme, dtype=np.intp)
     W = np.zeros((m, n))
     pos = np.full(n, -1)
-    pos[extreme] = np.arange(m)
-    W[pos[extreme], extreme] = 1.0
-    kept = np.flatnonzero(rep_of >= 0)  # zero columns reconstruct as zero
+    pos[ext] = at = np.arange(m)
+    W[at, ext] = 1.0
+    kept = (rep_of >= 0).nonzero()[0]  # zero columns reconstruct as zero
     owner = rep_of[kept]
     k = pos[owner]
     dup = (k >= 0) & (kept != owner)
@@ -424,16 +461,17 @@ def _cone_report(
         W[k[dup], cols] = np.einsum("ij,ij->j", R, G[:, cols]) / np.einsum("ij,ij->j", R, R)
     fit = kept[k < 0]
     if m and fit.size:
-        E = F[:, extreme] / norms[extreme]
-        T = F[:, fit] / norms[fit]
-        seeds = X[np.ix_(np.searchsorted(reps, rep_of[fit]), np.searchsorted(reps, extreme))] > 0.0
+        ne, nf = norms[ext], norms[fit]
+        E = F[:, ext] / ne
+        T = F[:, fit] / nf
+        seeds = X[reps.searchsorted(rep_of[fit])[:, None], reps.searchsorted(ext)] > 0.0
         coeffs = _batched_nnls(E.T @ E, T.T @ E, np.ones(seeds.shape, dtype=bool), seeds)
-        W[:, fit] = coeffs.T * np.outer(1.0 / norms[extreme], norms[fit])
+        W[:, fit] = coeffs.T * ((1.0 / ne)[:, None] * nf)
 
     if m:
-        recon = G[:, extreme] @ W
-        denom = float(np.linalg.norm(G))
-        residual = float(np.linalg.norm(G - recon)) / denom if denom else 0.0
+        recon = G[:, ext] @ W
+        denom = float(_norm(G))
+        residual = float(_norm(G - recon)) / denom if denom else 0.0
     else:
         residual = 0.0
     return ConeReport(m=m, extreme_indices=tuple(extreme), W=W, residual=residual)
@@ -475,8 +513,10 @@ def few_rays_factor(
     factored with a nonnegative ``N``, trying row counts from its rank up
     to ``m``; the full certificate is then ``C = N W``.  Row counts below
     ``m`` are heuristic attempts at the block's cp-rank, while the count
-    ``m`` itself is always reachable.
+    ``m`` itself is always reachable.  A negative ``seed`` or
+    ``restarts`` raises :class:`InvalidInputError`.
     """
+    check_seed_restarts(seed, restarts)
     S = as_symmetric(A, tol)
     m = report.m
     if m > 4:

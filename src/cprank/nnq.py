@@ -21,6 +21,7 @@ import numpy as np
 
 from .cones import ConeReport, extreme_rays, few_rays_factor
 from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, classify_dn, psd_rank
+from .rotate import check_seed_restarts
 from .srfactor import CpCertificate
 
 __all__ = [
@@ -139,8 +140,10 @@ def decide_rank3_three_rays(
     Three rays spanning ``R^3`` make the cone simplicial, so the matrix is
     nonnegative-equivalent and cp-rank equals rank; the certificate is the
     few-rays factorization of those three rays.  Outside those hypotheses
-    the decision is not applicable.
+    the decision is not applicable.  A negative ``seed`` or ``restarts``
+    raises :class:`InvalidInputError`.
     """
+    check_seed_restarts(seed, restarts)
     S = as_symmetric(A, tol)
     verdict = classify_dn(S, tol)
     if not verdict.is_dn or verdict.rank != 3:

@@ -65,9 +65,7 @@ class AnalysisConfig:
     heuristic: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("seed", "restarts"):
-            if getattr(self, name) < 0:
-                raise InvalidInputError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+        rotate.check_seed_restarts(self.seed, self.restarts)
 
 
 @dataclass
@@ -467,7 +465,7 @@ def _json_value(value) -> str:
         return "[" + ",".join(map(_json_value, seq)) + "]"
     if value is None:
         return "null"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))

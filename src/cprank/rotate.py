@@ -224,6 +224,14 @@ def _qr_rotation(B: np.ndarray) -> np.ndarray:
     return signs[:, None] * q.T
 
 
+def check_seed_restarts(seed: int, restarts: int) -> None:
+    """Reject a negative seed or restart count of a rotation search with
+    :class:`InvalidInputError`, before any restart draws from the seed."""
+    for name, value in (("seed", seed), ("restarts", restarts)):
+        if value < 0:
+            raise InvalidInputError(f"{name} must be nonnegative, got {value!r}")
+
+
 def orthant_rotation_search(
     B: np.ndarray,
     restarts: int = 200,
@@ -257,7 +265,9 @@ def orthant_rotation_search(
 
     No existence claim is made here; callers restrict the input so that a
     solution is known to exist, or treat ``None`` as inconclusive.
+    A negative ``restarts`` or ``seed`` raises :class:`InvalidInputError`.
     """
+    check_seed_restarts(seed, restarts)
     B = np.asarray(B, dtype=float)
     if B.ndim != 2:
         raise InvalidInputError(f"expected a 2-d array of column vectors, got shape {B.shape}")

@@ -302,6 +302,129 @@ def nnls(target, generators, tol=DEFAULT_TOL):
     return coeffs, float(np.linalg.norm(G @ coeffs - b))
 
 
+def batched_nnls_reference(
+    K: np.ndarray, C: np.ndarray, allowed: np.ndarray, passive: np.ndarray
+) -> np.ndarray:
+    """The library's Lawson-Hanson kernel ``cones._batched_nnls`` as it
+    stood before its numpy calls were cut: the code is copied unchanged
+    apart from the names and the DEBUG line, so that a property test can
+    hold the library's kernel to it bit for bit."""
+    q, k = C.shape
+    allowed = allowed & (np.diag(K) > 0.0)
+    dual_tol = 1e-11 * np.abs(np.where(allowed, C, 0.0)).max(axis=1, initial=0.0)
+    X = np.zeros((q, k))
+    P = passive & allowed
+    live = np.flatnonzero(P.any(axis=1))
+    seeded = solves = 0
+    if live.size:
+        Pl, Cl = P[live], C[live]
+        singular = np.zeros(live.size, dtype=bool)
+        S = passive_solve_reference(K, Cl, Pl, singular)
+        solves = 1
+        # a numerically singular seed block gives no start: its problem
+        # starts cold
+        Pl[singular], S[singular] = False, 0.0
+        seeded = int(Pl.sum())
+        while True:
+            bad = Pl & (S <= 0.0)
+            done = ~bad.any(axis=1)
+            X[live[done]] = S[done]
+            Pl &= ~bad
+            P[live] = Pl
+            keep = ~done & Pl.any(axis=1)
+            if not keep.any():
+                break
+            live, Pl, Cl = live[keep], Pl[keep], Cl[keep]
+            S = passive_solve_reference(K, Cl, Pl)
+            solves += 1
+
+    live = np.arange(q)
+    rows, Cl, Xl, Pl, Al, tol = live, C, X, P, allowed, dual_tol
+    opened = allowed & ~P
+    for _ in range(3 * k + 30 if q and k else 0):
+        grad = np.where(opened, Cl - Xl @ K, -np.inf)
+        j = grad.argmax(axis=1)
+        has = grad[rows, j] > tol
+        if not has.all():
+            X[live] = Xl
+            live = live[has]
+            if not live.size:
+                break
+            Cl, Xl, Pl, Al, tol, opened, j = (v[has] for v in (Cl, Xl, Pl, Al, tol, opened, j))
+            rows = np.arange(live.size)
+        Pl[rows, j] = True
+        opened[rows, j] = False
+        S = passive_solve_reference(K, Cl, Pl)
+        solves += 1
+        blocked = Pl & (S <= 0.0)
+        # a column whose own coefficient comes out nonpositive gained only
+        # roundoff; it leaves again and stays closed until x moves
+        enters = S[rows, j] > 0.0
+        if not enters.all():
+            Pl[rows[~enters], j[~enters]] = False
+            blocked[~enters] = False
+        stuck = blocked.any(axis=1)
+        if stuck.any():
+            # step back toward x until every passive coefficient is positive;
+            # each row's final solution is written into S
+            act = np.flatnonzero(stuck)
+            Sa, Pa, Xa, Ca, Ba = S[act], Pl[act], Xl[act], Cl[act], blocked[act]
+            while act.size:
+                ratio = np.full(Xa.shape, np.inf)
+                ratio[Ba] = Xa[Ba] / (Xa[Ba] - Sa[Ba])
+                first = ratio.argmin(axis=1)
+                at = np.arange(act.size)
+                Xa += ratio[at, first][:, None] * (Sa - Xa)
+                Xa[at, first] = 0.0
+                Pa &= Xa > 0.0
+                Xa = np.where(Pa, Xa, 0.0)
+                Sa = passive_solve_reference(K, Ca, Pa)
+                solves += 1
+                Ba = Pa & (Sa <= 0.0)
+                done = ~Ba.any(axis=1)
+                S[act[done]] = Sa[done]
+                Pl[act[done]] = Pa[done]
+                act, Sa, Pa, Xa, Ca, Ba = (v[~done] for v in (act, Sa, Pa, Xa, Ca, Ba))
+        # x moved: rejected columns reopen, and columns that left are open
+        if enters.all():
+            Xl, opened = S, Al & ~Pl
+        else:
+            Xl[enters] = S[enters]
+            opened[enters] = Al[enters] & ~Pl[enters]
+    else:
+        X[live] = Xl
+    return X
+
+
+def passive_solve_reference(
+    K: np.ndarray, C: np.ndarray, P: np.ndarray, singular: np.ndarray | None = None
+) -> np.ndarray:
+    """``cones._passive_solve`` as it stood beside
+    :func:`batched_nnls_reference`, copied unchanged apart from its name."""
+    S = np.zeros(P.shape)
+    sizes = P.sum(axis=1)
+    if (sizes == sizes[0]).all():
+        p = sizes[0]
+        groups = [tuple(a.reshape(-1, p) for a in np.nonzero(P))] if p else []
+    else:
+        groups = []
+        for p in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
+            sel = np.flatnonzero(sizes == p)
+            groups.append((sel[:, None], np.nonzero(P[sel])[1].reshape(sel.size, p)))
+    for rows, cols in groups:
+        Kp = K[cols[:, :, None], cols[:, None, :]]
+        cp = C[rows, cols][:, :, None]
+        if singular is not None:
+            w = np.linalg.eigvalsh(Kp)
+            singular[rows[:, 0]] = w[:, 0] <= cols.shape[1] * np.finfo(float).eps * w[:, -1]
+        try:
+            s = np.linalg.solve(Kp, cp)
+        except np.linalg.LinAlgError:
+            s = np.linalg.pinv(Kp, hermitian=True) @ cp
+        S[rows, cols] = s[:, :, 0]
+    return S
+
+
 def active_set_nnls(G, b):
     """Per-problem NNLS oracle: an active-set iteration robust to dependent
     generator columns.

@@ -30,6 +30,7 @@ from cprank.fixtures import (
 )
 from conftest import (
     active_set_nnls,
+    batched_nnls_reference,
     cone_columns,
     cone_report_oracle,
     duplicate_rays_loop,
@@ -150,6 +151,64 @@ class TestNnls:
 
         cold = objective(np.zeros((1, 12), dtype=bool))
         assert objective(np.ones((1, 12), dtype=bool)) <= cold + 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=1, max_value=30),
+        st.sampled_from(["cold", "half", "every", "mixed", "optimum"]),
+        st.sampled_from(["least_squares", "extremality"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_the_reference_kernel_bit_for_bit(self, q, k, start, kind, seed):
+        # the kernel's numpy calls were cut without touching one
+        # floating-point operation: on the same inputs it returns the
+        # reference kernel's output in every bit.  Generators of rank
+        # below k and duplicated columns make singular seed and passive
+        # blocks, columns 1e-8 to 1e-6 apart make nearly singular ones
+        # and entering columns that come out nonpositive, the masks have
+        # holes, seeds of every density give mixed passive sizes, and
+        # targets in and out of the cone finish on different rounds
+        rng = np.random.default_rng(seed)
+        rank = int(rng.integers(1, k + 1))
+        G = rng.standard_normal((rank + int(rng.integers(0, 3)), rank)) @ rng.uniform(
+            -0.2, 1.0, size=(rank, k)
+        )
+        twins = rng.integers(3)  # none, exact copies, near copies
+        gap = (twins - 1) * 10.0 ** -rng.uniform(6.0, 8.0)
+        for c in range(1, k, 2) if twins else ():
+            G[:, c] = G[:, c - 1] + gap * rng.standard_normal(G.shape[0])
+        if kind == "extremality":
+            # the library's extremality batch: unit columns, each tested
+            # against all the others
+            U = G / np.where(np.linalg.norm(G, axis=0) > 0.0, np.linalg.norm(G, axis=0), 1.0)
+            K = U.T @ U
+            rest = rng.permutation(k)[: min(q, k)]
+            C = K[rest]
+            allowed = ~np.eye(k, dtype=bool)[rest]
+            q = rest.size
+        else:
+            K = G.T @ G
+            inside = rng.random(q) < 0.5
+            b = rng.standard_normal((q, G.shape[0]))
+            b[inside] = rng.uniform(0.0, 1.0, size=(int(inside.sum()), k)) @ G.T
+            C = b @ G
+            allowed = rng.random((q, k)) < rng.uniform(0.5, 1.0)
+        if start == "cold":
+            passive = np.zeros((q, k), dtype=bool)
+        elif start == "half":
+            passive = rng.random((q, k)) < 0.5
+        elif start == "every":
+            passive = np.ones((q, k), dtype=bool)
+        elif start == "mixed":
+            passive = rng.random((q, k)) < rng.uniform(0.0, 1.0, size=(q, 1))
+        else:
+            passive = batched_nnls_reference(K, C, allowed, np.zeros((q, k), dtype=bool)) > 0.0
+        args = (K, C, allowed, passive)
+        X = cones._batched_nnls(*(a.copy() for a in args))
+        R = batched_nnls_reference(*(a.copy() for a in args))
+        assert X.dtype == R.dtype
+        assert np.array_equal(X.view(np.int64), R.view(np.int64))
 
     def test_empty_batches(self):
         K = np.eye(2)
@@ -707,6 +766,14 @@ class TestBasisCertificates:
 
 
 class TestFewRaysFactor:
+    @pytest.mark.parametrize("restarts, seed", [(200, -1), (-1, 0)])
+    def test_negative_seed_or_restarts_rejected(self, restarts, seed):
+        # the identity rotation certifies the diagonal before any restart,
+        # so a bad budget went through without a word
+        A = np.diag([1.0, 2.0, 3.0])
+        with pytest.raises(InvalidInputError, match="must be nonnegative"):
+            few_rays_factor(A, extreme_rays(A), seed=seed, restarts=restarts)
+
     def test_diagonal(self):
         A = np.diag([1.0, 2.0, 3.0])
         report = extreme_rays(A)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cprank import (
     AnalysisConfig,
+    InvalidInputError,
     Tolerances,
     analyze,
     decide_rank3_three_rays,
@@ -231,3 +232,10 @@ class TestRank3RayDecision:
 
     def test_wrong_rank_not_applicable(self):
         assert decide_rank3_three_rays(np.eye(4)).status == NOT_APPLICABLE
+
+    @pytest.mark.parametrize("restarts, seed", [(200, -1), (-1, 0)])
+    def test_negative_seed_or_restarts_rejected(self, restarts, seed):
+        # the early return on a matrix of the wrong rank took a bad budget
+        # without a word
+        with pytest.raises(InvalidInputError, match="must be nonnegative"):
+            decide_rank3_three_rays(np.eye(4), seed=seed, restarts=restarts)

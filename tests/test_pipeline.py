@@ -495,6 +495,12 @@ class TestJsonMatchesRecursiveRenderer:
             report = analyze(random_dn(n, r, seed=n + r, style=style))
             assert report_to_json(report) == json_value_recursive(report_document(report))
 
+    def test_numpy_bools_render_as_bools(self):
+        # a detail stored as np.all(...) must not crash write_report
+        details = {"a": np.True_, "b": [np.False_, True]}
+        assert pipeline._json_value(details) == pipeline._json_value({"a": True, "b": [False, True]})
+        assert pipeline._json_value(details) == '{"a":true,"b":[false,true]}'
+
     def test_every_report_value_goes_through_the_renderer(self, monkeypatch):
         # a wrong renderer in place of ``_json_value`` changes the report,
         # and the comparison with the oracle catches it

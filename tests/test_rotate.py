@@ -350,6 +350,15 @@ class TestOrthantRotationSearch:
         assert orthant_rotation_search(B, restarts=restarts) is None
         assert 0 < len(calls) < restarts * POLAR_ITERATIONS // 8
 
+    @pytest.mark.parametrize("restarts, seed", [(3, -1), (-2, 0)])
+    def test_negative_seed_or_restarts_rejected(self, restarts, seed):
+        # a negative seed raised numpy's ValueError at the second restart,
+        # and a negative restart count returned None without a word
+        B = sr_factor(FIVE_CYCLE + 1e-3 * np.ones((5, 5)))
+        name = "seed" if seed < 0 else "restarts"
+        with pytest.raises(InvalidInputError, match=f"{name} must be nonnegative"):
+            orthant_rotation_search(B, restarts=restarts, seed=seed)
+
     def test_one_debug_line_per_call(self, caplog):
         t = math.radians(100.0)
         plane_pair = np.array([[1.0, math.cos(t)], [0.0, math.sin(t)]])
