@@ -93,7 +93,7 @@ class SymmetricMatrix:
     row-sum condition would overflow.  The stored array is read-only so
     values can be shared freely; the eigendecomposition, the off-diagonal
     zero pattern of each threshold, and the rank decision and rank factor
-    of each tolerance pair are computed once, on first use, and kept.
+    of each tolerance key are computed once, on first use, and kept.
     """
 
     __slots__ = ("_a", "_scale", "_eig", "_patterns", "_derived")
@@ -167,7 +167,7 @@ class SymmetricMatrix:
 
         Values kept here must be immutable: :func:`psd_rank` and
         :func:`~cprank.srfactor.sr_factor` keep their results under their
-        name and the ``(eps_psd, eps_rank)`` pair they depend on.
+        name and the tolerances they depend on.
         """
         if key not in self._derived:
             self._derived[key] = compute()
@@ -279,10 +279,10 @@ def zero_diagonal_indices(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> np.nd
     """Indices of rows whose entries are all at most ``eps_nonneg * scale``
     in magnitude.
 
-    Factorizers can drop such rows and reinsert zero columns into
-    certificates afterwards.  A small diagonal alone is not enough: in a
-    PSD matrix ``|a_ij| <= sqrt(a_ii a_jj)``, so a diagonal entry at the
-    threshold allows off-diagonal entries far above it.
+    The rank factor and the row-sum condition treat such a row as exactly
+    zero.  A small diagonal alone is not enough: in a PSD matrix
+    ``|a_ij| <= sqrt(a_ii a_jj)``, so a diagonal entry at the threshold
+    allows off-diagonal entries far above it.
     """
     S = as_symmetric(A, tol)
     return np.flatnonzero(np.abs(S.a).max(axis=1) <= tol.eps_nonneg * S.scale)

@@ -20,7 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import ConeReport, extreme_rays, few_rays_factor
-from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, classify_dn, psd_rank
+from .matcore import (
+    DEFAULT_TOL,
+    MatrixLike,
+    Tolerances,
+    as_symmetric,
+    classify_dn,
+    psd_rank,
+    zero_diagonal_indices,
+)
 from .rotate import check_seed_restarts
 from .srfactor import CpCertificate
 
@@ -86,18 +94,19 @@ def nnq_from_rays(
     ``B1^{-1} B >= 0`` exists exactly when the cone is simplicial: it then
     has exactly ``r`` extreme rays, and their representative columns are
     the basis.  ``B1`` in the witness is ``A[s,s]``; invertibility and the
-    nonnegativity of ``P`` are re-checked.
+    nonnegativity of ``P`` (0 on the columns of zero rows) are re-checked.
     """
     if rays.m != rank:
         return NnqSearchResult(status=NONE)
-    a = as_symmetric(A, tol).a
+    S = as_symmetric(A, tol)
     idx = list(rays.extreme_indices)
-    basis = a[np.ix_(idx, idx)]
+    basis = S.a[np.ix_(idx, idx)]
     det = float(np.linalg.det(basis))
     col_scale = float(np.prod(np.linalg.norm(basis, axis=0)))
     if abs(det) <= EPS_DET_FACTOR * col_scale:
         return NnqSearchResult(status=NONE)
-    P = np.linalg.solve(basis, a[idx, :])
+    P = np.linalg.solve(basis, S.a[idx, :])
+    P[:, zero_diagonal_indices(S, tol)] = 0.0
     # initial=0.0 lets the empty basis of a rank-0 matrix through
     if float(P.min(initial=0.0)) < -tol.eps_nonneg:
         return NnqSearchResult(status=NONE)

@@ -102,9 +102,6 @@ class _Cascade:
         self.upper: int | None = None
         self.terminal: str | None = None
         self.certificate: CpCertificate | None = None
-        # deflation of zero rows; factor steps run on the core
-        self.kept = np.arange(S.n)
-        self.core = S
 
     def step(self, name: str, outcome: str, details: dict | None = None, t0: float | None = None):
         elapsed = time.perf_counter() - t0 if t0 is not None else 0.0
@@ -115,18 +112,10 @@ class _Cascade:
             self.terminal = verdict
 
     def accept(self, cert: CpCertificate, name: str, t0: float, extra: dict | None = None) -> None:
-        """Verify a step's certificate against the input and fold it into
-        verdict and bounds.
-
-        A certificate of the deflated core is reinflated with zero columns
-        and rebuilt on the input first; without deflation the core is the
-        input, so the step's certificate is verified as built.  ``extra``
-        details follow the verification's in the step record.
+        """Verify a step's certificate, built on the input, and fold it
+        into verdict and bounds.  ``extra`` details follow the
+        verification's in the step record.
         """
-        if self.core is not self.S:
-            full = np.zeros((cert.rows, self.S.n))
-            full[:, self.kept] = cert.C
-            cert = make_certificate(self.S, full, cert.method_tag, self.tol)
         check = verify_certificate(self.S, cert, self.tol)
         details = {
             "rows": cert.rows,
@@ -162,6 +151,8 @@ def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> Analysi
     certificate: rank at most 2, rank 3 with three extreme rays, full rank
     at order at most 4 and an nnq basis at rank at most 4 all leave at
     most 4 extreme rays.
+    Every step runs on the input; its rank factor is exactly zero on
+    the zero rows that ``deflate_zero_rows`` lists.
     Every step is logged even after the verdict is settled.
     """
     tol = config.tol
@@ -183,8 +174,6 @@ def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> Analysi
     cas.lower = rank
     zero_rows = zero_diagonal_indices(S, tol)
     if zero_rows.size and zero_rows.size < S.n:
-        cas.kept = np.setdiff1d(np.arange(S.n), zero_rows)
-        cas.core = SymmetricMatrix(S.a[np.ix_(cas.kept, cas.kept)], tol)
         cas.step("deflate_zero_rows", f"DROPPED({zero_rows.size})",
                  {"zero_rows": [int(i) + 1 for i in zero_rows]})
 
@@ -219,7 +208,7 @@ def _finish(cas: _Cascade) -> AnalysisReport:
 
 def _rowsum_step(cas: _Cascade) -> None:
     t0 = time.perf_counter()
-    ok, data = rotate.rowsum_condition(cas.core, cas.rank, cas.tol)
+    ok, data = rotate.rowsum_condition(cas.S, cas.rank, cas.tol)
     details = {
         "holds": ok,
         "row_sums": data.row_sums,
@@ -229,7 +218,7 @@ def _rowsum_step(cas: _Cascade) -> None:
         cas.step("rowsum", "CONDITION_FALSE", details, t0)
         return
     try:
-        cert = rotate._rowsum_certificate(cas.core, cas.tol)
+        cert = rotate._rowsum_certificate(cas.S, cas.tol)
     except CprankError as exc:
         cas.step("rowsum", "FAILED", {**details, "error": str(exc)}, t0)
         return
@@ -238,13 +227,9 @@ def _rowsum_step(cas: _Cascade) -> None:
 
 def _nnq_step(cas: _Cascade, rays: cones.ConeReport) -> None:
     t0 = time.perf_counter()
-    nnq_result = nnq.nnq_from_rays(cas.core, rays, cas.rank, cas.tol)
-    details = {}
-    if nnq_result.found:
-        details = {
-            "indices": [int(cas.kept[i]) + 1 for i in nnq_result.witness.indices],
-            "det": nnq_result.witness.detval,
-        }
+    nnq_result = nnq.nnq_from_rays(cas.S, rays, cas.rank, cas.tol)
+    w = nnq_result.witness
+    details = {"indices": [i + 1 for i in w.indices], "det": w.detval} if w else {}
     cas.step("nnq_search", nnq_result.status, details, t0)
 
 
@@ -252,7 +237,7 @@ def _cone_steps(cas: _Cascade) -> None:
     """nnq detection, the extreme-ray report and the few-rays
     factorization, all from one extreme-ray computation."""
     t0 = time.perf_counter()
-    report = cones.extreme_rays(cas.core, cas.tol)
+    report = cones.extreme_rays(cas.S, cas.tol)
     rays_elapsed = time.perf_counter() - t0
 
     _nnq_step(cas, report)
@@ -261,7 +246,7 @@ def _cone_steps(cas: _Cascade) -> None:
         outcome=f"RAYS({report.m})",
         details={
             "m": report.m,
-            "extreme_indices": [int(cas.kept[i]) + 1 for i in report.extreme_indices],
+            "extreme_indices": [i + 1 for i in report.extreme_indices],
             "residual": report.residual,
         },
         elapsed=rays_elapsed,
@@ -273,7 +258,7 @@ def _cone_steps(cas: _Cascade) -> None:
     else:
         try:
             cert = cones.few_rays_factor(
-                cas.core, report, cas.tol, seed=cas.config.seed, restarts=cas.config.restarts
+                cas.S, report, cas.tol, seed=cas.config.seed, restarts=cas.config.restarts
             )
         except ComputationFailureError as exc:
             cas.step("few_rays_factor", "BUDGET_EXHAUSTED", {"error": str(exc)}, t0)
@@ -338,15 +323,15 @@ def _heuristic_step(cas: _Cascade) -> None:
     if cas.terminal in (NOT_CP, NOT_IN_CP_N_R):
         cas.step("heuristic_rotation", "SKIPPED", {"reason": "negative verdict settled"}, t0)
         return
-    B = sr_factor(cas.core, cas.tol)
-    eps = cas.tol.eps_nonneg * np.sqrt(cas.core.scale)
+    B = sr_factor(cas.S, cas.tol)
+    eps = cas.tol.eps_nonneg * np.sqrt(cas.S.scale)
     Q = rotate.orthant_rotation_search(
         B, restarts=cas.config.restarts, seed=cas.config.seed, eps=eps
     )
     if Q is None:
         cas.step("heuristic_rotation", "NOT_FOUND", {}, t0)
         return
-    cert = make_certificate(cas.core, Q @ B, "heuristic_rotation", cas.tol)
+    cert = make_certificate(cas.S, Q @ B, "heuristic_rotation", cas.tol)
     cas.accept(cert, "heuristic_rotation", t0)
 
 

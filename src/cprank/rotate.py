@@ -30,6 +30,7 @@ from .matcore import (
     Tolerances,
     as_symmetric,
     psd_rank,
+    zero_diagonal_indices,
 )
 from .srfactor import CpCertificate, make_certificate, sr_factor
 
@@ -159,18 +160,20 @@ def rowsum_condition(
     positive with cp-rank equal to ``r`` and :func:`rowsum_factor` builds
     the certificate.  ``r`` defaults to the numerical rank; the inequality
     is checked with a small relative slack so that exact-equality cases do
-    not flip under roundoff.
+    not flip under roundoff, and zero rows and columns count as exactly 0.
     """
     S = as_symmetric(A, tol)
     if r is None:
         r = psd_rank(S, tol).rank
-    R = S.a.sum(axis=1)
+    a, zero = S.a.copy(), zero_diagonal_indices(S, tol)
+    a[zero] = a[:, zero] = 0.0
+    R = a.sum(axis=1)
     total = float(R.sum())
     data = RowSumData(row_sums=R, total=total)
     if r <= 0:
         return True, data
     lhs = r * R * R
-    rhs = (r - 1) * np.diag(S.a) * total
+    rhs = (r - 1) * np.diag(a) * total
     slack = 1e-12 * np.maximum(np.abs(lhs), np.abs(rhs))
     return bool(np.all(lhs >= rhs - slack)), data
 
@@ -242,7 +245,9 @@ def orthant_rotation_search(
 
     The search runs on the unit columns ``Bn`` of ``B`` with threshold
     ``eps / max column norm``, so ``eps`` is in the units of ``B``;
-    callers pass the certificate floor ``eps_nonneg * sqrt(scale)``.
+    callers pass the certificate floor ``eps_nonneg * sqrt(scale)``.  A
+    column of norm at most ``eps``, which every ``Q`` keeps above ``-eps``,
+    is left out.
     Deterministic given the seed.  Three cheap attempts run first: the
     identity, the QR rotation of ``B``, and the Householder alignment of
     the column centroid.  After that, each restart runs Douglas-Rachford
@@ -273,25 +278,22 @@ def orthant_rotation_search(
         raise InvalidInputError(f"expected a 2-d array of column vectors, got shape {B.shape}")
     d = B.shape[0]
     norms = np.linalg.norm(B, axis=0)
-    if d == 0 or not norms.any():
+    live = norms > eps
+    if d == 0 or not live.any():
         return _searched(np.eye(d), "identity", 0, 0)
-    unit = np.where(norms > 0.0, norms, 1.0)
-    Bn = B / unit
+    Bn = B[:, live] / norms[live]
     threshold = eps / float(norms.max())
-
-    if d == 1:
-        if float(Bn.min()) >= -threshold:
-            return _searched(np.eye(1), "identity", 0, 0)
-        if float(Bn.max()) <= threshold:
-            return _searched(-np.eye(1), "reflection", 0, 0)
-        return _searched(None, "none", 0, 0)
 
     if float(Bn.min()) >= -threshold:
         return _searched(np.eye(d), "identity", 0, 0)
+    if d == 1:
+        if float(Bn.max()) <= threshold:
+            return _searched(-np.eye(1), "reflection", 0, 0)
+        return _searched(None, "none", 0, 0)
     Q = _qr_rotation(Bn)
     if float((Q @ Bn).min()) >= -threshold:
         return _searched(Q, "qr", 0, 0)
-    centroid = Bn[:, norms > 0.0].sum(axis=1)
+    centroid = Bn.sum(axis=1)
     if float(np.linalg.norm(centroid)) > 0.0:
         Q = householder_align(centroid).Q
         if float((Q @ Bn).min()) >= -threshold:

@@ -19,6 +19,7 @@ from .matcore import (
     Tolerances,
     as_symmetric,
     psd_rank,
+    zero_diagonal_indices,
 )
 
 __all__ = [
@@ -37,15 +38,17 @@ def sr_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Returns the read-only, C-ordered ``(r, n)`` array
     ``B = diag(sqrt(lambda_k)) V_r^T`` built from the leading ``r``
     eigenpairs, where ``r`` is the numerical rank; column ``i`` is the
-    Gram vector of row/column ``i``.  Plain Cholesky would fail on
-    singular input, and since all SR factors are orthogonally equivalent
-    the eigenvector construction loses nothing.  The eigenvector sign
-    convention makes the result deterministic.  A
+    Gram vector of row/column ``i``, exactly 0 for a zero row
+    (:func:`~cprank.matcore.zero_diagonal_indices`).  Plain Cholesky would
+    fail on singular input, and since all SR factors are orthogonally
+    equivalent the eigenvector construction loses nothing.  The
+    eigenvector sign convention makes the result deterministic.  A
     :class:`~cprank.matcore.SymmetricMatrix` is factored once per
-    tolerance pair, on first use.
+    ``(eps_psd, eps_rank, eps_nonneg)``, on first use.
     """
     S = as_symmetric(A, tol)
-    return S.derived(("sr_factor", tol.eps_psd, tol.eps_rank), lambda: _sr_factor(S, tol))
+    key = ("sr_factor", tol.eps_psd, tol.eps_rank, tol.eps_nonneg)
+    return S.derived(key, lambda: _sr_factor(S, tol))
 
 
 def _sr_factor(S: SymmetricMatrix, tol: Tolerances) -> np.ndarray:
@@ -56,6 +59,7 @@ def _sr_factor(S: SymmetricMatrix, tol: Tolerances) -> np.ndarray:
     # C order: the sums of the separation screen, and so the reports,
     # depend on the layout
     B = (np.sqrt(w)[:, None] * S.eigen.eigenvectors[:, :r].T).copy()
+    B[:, zero_diagonal_indices(S, tol)] = 0.0
     B.flags.writeable = False
     return B
 

@@ -1,8 +1,10 @@
-"""Scale and permutation invariance, and self-consistency of reports.
+"""Scale, permutation and padding invariance, and self-consistency of
+reports.
 
 Every sufficient and necessary condition the cascade applies is
 homogeneous in the matrix, so what a report decides must not depend on
-the units of the matrix or on the order of its rows and columns.  The
+the units of the matrix or on the order of its rows and columns, and a
+zero row adds nothing to a factor.  The
 extreme rays of the column cone do not depend on a positive diagonal
 scaling of its rows and columns either.
 """
@@ -72,15 +74,28 @@ def assert_consistent(report):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(fixture_cases, random_cases()), scales, st.integers(min_value=0, max_value=2**31 - 1))
 def test_decision_invariant_under_scale_and_permutation(case, c, perm_seed):
+    # zero rows and columns inserted at random positions change nothing
+    # either, and get zero certificate columns
     A, config = case
-    perm = np.random.default_rng(perm_seed).permutation(A.shape[0])
+    n = A.shape[0]
+    rng = np.random.default_rng(perm_seed)
+    perm = rng.permutation(n)
+    k = int(rng.integers(1, 4))
+    pos = np.sort(rng.choice(n + k, size=k, replace=False))
+    padded = np.zeros((n + k, n + k))
+    kept = np.setdiff1d(np.arange(n + k), pos)
+    padded[np.ix_(kept, kept)] = A
     base = analyze(A, config)
     scaled = analyze(c * A, config)
     permuted = analyze(A[np.ix_(perm, perm)], config)
-    for report in (base, scaled, permuted):
+    inflated = analyze(padded, config)
+    for report in (base, scaled, permuted, inflated):
         assert_consistent(report)
     assert decision(scaled) == decision(base)
     assert decision(permuted) == decision(base)
+    assert decision(inflated) == decision(base)
+    if inflated.certificate is not None:
+        assert np.all(inflated.certificate.C[:, pos] == 0.0)
 
 
 @pytest.mark.parametrize("fid, c, rank", [("EX1_2", 1e-12, 3), ("EX3_3", 1e-12, 5)])

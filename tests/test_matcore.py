@@ -117,8 +117,9 @@ class TestPsdRank:
         assert psd_rank(np.array([[1.0, -2.0], [-2.0, 1.0]])) == (False, 2)
 
     def test_kept_per_tolerance_pair(self, monkeypatch):
-        # a SymmetricMatrix reduces its spectrum and builds its rank factor
-        # once per (eps_psd, eps_rank) pair; an ndarray is never kept
+        # a SymmetricMatrix reduces its spectrum once per (eps_psd, eps_rank)
+        # pair and builds its rank factor once per (eps_psd, eps_rank,
+        # eps_nonneg); an ndarray is never kept
         reductions, factors = [], []
         reduce, factor = matcore._psd_rank, srfactor._sr_factor
         monkeypatch.setattr(matcore, "_psd_rank", lambda *a: reductions.append(1) or reduce(*a))
@@ -129,7 +130,8 @@ class TestPsdRank:
         assert psd_rank(S, loose) == (True, 3)
         assert classify_dn(S, Tolerances(eps_psd=1e-4, eps_rank=1e-4)).rank == 3
         B = sr_factor(S, loose)
-        assert sr_factor(S, Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_residual=1e-3)) is B
+        same = Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_residual=1e-3)
+        assert sr_factor(S, same) is B
         assert B.shape[0] == 3
         assert len(reductions) == 2 and len(factors) == 1
         assert psd_rank(S.a) == (False, 5) and psd_rank(S.a) == (False, 5)

@@ -17,7 +17,14 @@ from cprank import (
     sr_factor,
     verify_certificate,
 )
-from cprank.fixtures import EXAMPLE_IDS, RANDOM_STYLES, example_factor, example_matrix, random_dn
+from cprank.fixtures import (
+    EXAMPLE_IDS,
+    GRAM_NONNEG,
+    RANDOM_STYLES,
+    example_factor,
+    example_matrix,
+    random_dn,
+)
 from cprank.nnq import IN_CP_N3, NONE, NOT_APPLICABLE
 from conftest import nnq_invariance_check, nnq_scan, nnq_scan_gram
 
@@ -74,6 +81,20 @@ class TestIsNnqGram:
     def test_diagonal(self):
         res = is_nnq_gram(np.diag([3.0, 5.0]))
         assert res.found and res.witness.indices == (0, 1)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_near_zero_row_is_zero(self, seed):
+        # row 2 is within eps_nonneg * scale of zero, with small negative
+        # entries: its coordinates count as exactly 0, as its column in the
+        # rank factor does, instead of failing the nonnegativity check
+        A = random_dn(6, 2, seed=seed, style=GRAM_NONNEG).a
+        s = np.abs(A).max()
+        padded = np.insert(np.insert(A, 2, -5e-10 * s, axis=0), 2, -5e-10 * s, axis=1)
+        padded[2, 2] = 1e-12 * s
+        base, res = is_nnq_gram(A), is_nnq_gram(padded)
+        assert base.found and res.found
+        assert res.witness.indices == tuple(i + (i >= 2) for i in base.witness.indices)
+        assert np.all(res.witness.P[:, 2] == 0.0)
 
     def test_agrees_with_factor_route(self):
         rng = np.random.default_rng(4)

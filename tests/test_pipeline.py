@@ -178,6 +178,25 @@ class TestAnalyzeVerdicts:
         expected = [int(kept[i - 1]) + 1 for i in unpadded]
         assert step(report, "extreme_rays").details["extreme_indices"] == expected
 
+    @pytest.mark.parametrize("seed, r", [(1, 2), (3, 3), (4, 4)])
+    def test_near_zero_row_changes_no_step(self, seed, r):
+        # a row within eps_nonneg * scale of zero, small negative entries
+        # included, is a zero row to every step: same outcomes, and the
+        # indices shift past it
+        A = random_dn(7, r, seed=seed, style=GRAM_NONNEG).a
+        s = np.abs(A).max()
+        padded = np.insert(np.insert(A, 3, -5e-10 * s, axis=0), 3, -5e-10 * s, axis=1)
+        padded[3, 3] = 1e-12 * s
+        base, report = analyze(A), analyze(padded)
+        assert step(report, "deflate_zero_rows").details["zero_rows"] == [4]
+        outcomes = [(x.name, x.outcome) for x in report.steps if x.name != "deflate_zero_rows"]
+        assert outcomes == [(x.name, x.outcome) for x in base.steps]
+        assert report.verdict == base.verdict
+        for name, key in (("extreme_rays", "extreme_indices"), ("nnq_search", "indices")):
+            expected = [i + (i > 3) for i in step(base, name).details.get(key, [])]
+            assert step(report, name).details.get(key, []) == expected
+        assert np.all(report.certificate.C[:, 3] == 0.0)
+
     def test_zero_matrix(self):
         report = analyze(np.zeros((3, 3)))
         assert report.verdict == CP_RANK_EQ_RANK
@@ -354,8 +373,8 @@ class TestOneDecompositionPerMatrix:
         assert len(eigh_inputs) == 1
 
     def test_at_most_once_per_derived_matrix(self, eigh_inputs):
-        # the input, the deflated core, the extreme block of the few-rays
-        # step, and the comparison matrix of the input
+        # the input and the extreme block of the few-rays step, and the
+        # comparison matrix of the triangle-free test
         cases = [(example_matrix(fid), cfg) for fid in EXAMPLE_IDS
                  for cfg in (AnalysisConfig(), ROUNDED_CFG)]
         for style in RANDOM_STYLES:
@@ -368,14 +387,15 @@ class TestOneDecompositionPerMatrix:
             eigh_inputs.clear()
             analyze(A, cfg)
             assert len({id(a) for a in eigh_inputs}) == len(eigh_inputs)
-            assert len(eigh_inputs) <= 4
+            assert len(eigh_inputs) <= 3
 
 
 class TestOneRankDecisionPerMatrix:
     def test_each_matrix_and_tolerance_pair_reduced_once(self, monkeypatch):
         # psd_rank and sr_factor run several times per analysis, on the
-        # input, the deflated core and the extreme block; each of those
-        # matrices reduces its spectrum and builds its factor once
+        # input and the extreme block; each of those matrices reduces its
+        # spectrum once per tolerance pair and builds its factor once per
+        # key
         reduced, factored = [], []
         reduce, factor = matcore._psd_rank, srfactor._sr_factor
 
@@ -384,7 +404,7 @@ class TestOneRankDecisionPerMatrix:
             return reduce(w, tol)
 
         def counted_factor(S, tol):
-            factored.append((S, tol.eps_psd, tol.eps_rank))
+            factored.append((S, tol.eps_psd, tol.eps_rank, tol.eps_nonneg))
             return factor(S, tol)
 
         monkeypatch.setattr(matcore, "_psd_rank", counted_reduce)
@@ -404,7 +424,7 @@ class TestOneRankDecisionPerMatrix:
             assert reduced
             keys = [(id(w), psd, rank) for w, psd, rank in reduced]
             assert len(set(keys)) == len(keys)
-            keys = [(id(S), psd, rank) for S, psd, rank in factored]
+            keys = [(id(S), *eps) for S, *eps in factored]
             assert len(set(keys)) == len(keys)
 
 

@@ -22,7 +22,7 @@ from cprank import (
     sr_factor,
     verify_certificate,
 )
-from cprank.fixtures import example_matrix
+from cprank.fixtures import example_matrix, random_dn
 from cprank.rotate import POLAR_ITERATIONS
 from conftest import cone_sampled_vectors, dn_rank2_instance
 
@@ -152,6 +152,22 @@ class TestRowsum:
     def test_condition_fails_on_spread_diagonal(self):
         ok, _ = rowsum_condition(np.diag([100.0, 1.0]), r=2)
         assert not ok
+
+    @pytest.mark.parametrize("entry", [0.0, 1e-12])
+    def test_zero_rows_hold_and_add_nothing(self, entry):
+        # a row at most eps_nonneg * scale counts as exactly 0, as in the
+        # rank factor: tiny sums would fail r R_i^2 >= (r - 1) a_ii total
+        A = example_matrix("EX2_7").a
+        scale = np.abs(A).max()
+        padded = np.insert(np.insert(A, 2, 0.0, axis=0), 2, 0.0, axis=1)
+        padded[2, 2] = padded[2, 0] = padded[0, 2] = entry * scale
+        ok, data = rowsum_condition(padded, 3)
+        assert ok
+        assert np.array_equal(data.row_sums, [220, 156, 0, 172, 201])
+        assert data.total == 749
+        cert = rowsum_factor(padded)
+        assert cert.rows == 3 and np.all(cert.C[:, 2] == 0.0)
+        assert verify_certificate(padded, cert).passed
 
     def test_factor_rank3_examples(self):
         for fid in ("EX2_7", "EX2_8"):
@@ -297,6 +313,20 @@ class TestOrthantRotationSearch:
         assert Q is not None
         assert np.linalg.norm(Q.T @ Q - np.eye(d)) <= 1e-12
         assert (Q @ B).min() >= -eps
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noise_column_is_left_out(self, seed):
+        # a column of rounding noise stays above -eps under every rotation;
+        # scaled up to a unit vector it would be one more random direction
+        # the rotation has to fit into the orthant
+        A = random_dn(10, 5, seed=seed).a
+        B = sr_factor(A)
+        eps = 1e-9 * math.sqrt(np.abs(A).max())
+        noise = 1e-16 * np.random.default_rng(seed).standard_normal((B.shape[0], 1))
+        padded = np.hstack([B[:, :4], noise, B[:, 4:]])
+        Q = orthant_rotation_search(padded, restarts=20, eps=eps)
+        assert Q is not None
+        assert (Q @ padded).min() >= -eps
 
     def test_more_than_a_quarter_turn_has_no_rotation(self):
         # two plane vectors 100 degrees apart: their inner product is

@@ -4,6 +4,7 @@ import pytest
 from cprank import (
     InvalidInputError,
     PreconditionError,
+    SymmetricMatrix,
     Tolerances,
     make_certificate,
     psd_rank,
@@ -61,6 +62,31 @@ class TestSrFactor:
         assert np.linalg.norm(B.T @ B - A.a) <= 1e-12 * np.linalg.norm(A.a)
         assert sr_factor(A) is B
 
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    def test_zero_row_has_an_exact_zero_column(self, pos):
+        A = example_matrix("EX2_7").a
+        padded = np.insert(np.insert(A, pos, 0.0, axis=0), pos, 0.0, axis=1)
+        B = sr_factor(padded)
+        assert B.shape == (3, 5)
+        assert np.all(B[:, pos] == 0.0)
+        assert np.linalg.norm(B.T @ B - padded) <= 1e-12 * np.linalg.norm(A)
+
+    def test_kept_per_zero_row_threshold(self):
+        # row 2 is the Gram vector of row 0 times 1e-7, so its largest
+        # entry sits between the zero-row thresholds of eps_nonneg 1e-9
+        # and 1e-6: only the looser tolerance zeroes its column
+        A = example_matrix("EX2_7").a
+        t = 1e-7
+        padded = np.insert(np.insert(A, 2, t * A[0], axis=0), 2, 0.0, axis=1)
+        padded[:, 2] = padded[2]
+        padded[2, 2] = t * t * A[0, 0]
+        S = SymmetricMatrix(padded)
+        strict = sr_factor(S)
+        loose = sr_factor(S, Tolerances(eps_nonneg=1e-6))
+        assert strict.shape == loose.shape == (3, 5)
+        assert np.all(strict[:, 2] != 0.0)
+        assert np.all(loose[:, 2] == 0.0)
+        assert sr_factor(S) is strict
 
 class TestConnectingOrthogonal:
     def test_same_factor_gives_identity(self):
