@@ -509,12 +509,13 @@ def few_rays_factor(
 ) -> CpCertificate:
     """Completely positive factorization from at most four extreme rays.
 
-    The extreme block ``A1`` (Gram matrix of the extreme columns) is
-    factored with a nonnegative ``N``, trying row counts from its rank up
-    to ``m``; the full certificate is then ``C = N W``.  Row counts below
-    ``m`` are heuristic attempts at the block's cp-rank, while the count
-    ``m`` itself is always reachable.  A negative ``seed`` or
-    ``restarts`` raises :class:`InvalidInputError`.
+    The extreme block ``A1``, the Gram matrix of the extreme columns
+    ``B[:, ext]`` of the input's rank factor, is factored with a
+    nonnegative ``N``, a rotation of ``B[:, ext]`` padded to row counts
+    from the rank up to ``m``; the full certificate is then ``C = N W``.
+    Row counts below ``m`` are heuristic attempts at the block's cp-rank,
+    while the count ``m`` itself is always reachable.  A negative
+    ``seed`` or ``restarts`` raises :class:`InvalidInputError`.
     """
     check_seed_restarts(seed, restarts)
     S = as_symmetric(A, tol)
@@ -523,11 +524,9 @@ def few_rays_factor(
         raise PreconditionError(f"factorization from extreme rays needs m <= 4, got {m}")
     if m == 0:
         return make_certificate(S, np.zeros((0, S.n)), "few_rays", tol)
-    ext = list(report.extreme_indices)
-    B = sr_factor(S, tol)
-    block = as_symmetric((B.T @ B)[np.ix_(ext, ext)], tol)
-    Bs = sr_factor(block, tol)  # rank(block) rows
-    d_lo = max(Bs.shape[0], 1)
+    Bs = sr_factor(S, tol)[:, list(report.extreme_indices)]
+    block = as_symmetric(Bs.T @ Bs, tol)
+    d_lo = Bs.shape[0]
     if d_lo < m:
         # a rank-deficient block has rank 3 and four rays; the one pattern
         # on four vertices that pins its cp-rank above 3 is the 4-cycle,
@@ -538,7 +537,7 @@ def few_rays_factor(
             d_lo = max(d_lo, min(cyc.cprk_lower_bound, m))
     eps = tol.eps_nonneg * np.sqrt(block.scale)  # the block's certificate floor
     for d in range(d_lo, m + 1):
-        padded = np.vstack([Bs, np.zeros((d - Bs.shape[0], m))]) if d > Bs.shape[0] else Bs
+        padded = np.vstack([Bs, np.zeros((d - Bs.shape[0], m))])
         # row counts below m are opportunistic: cp-rank of the block may
         # exceed d, so cap the effort and fall through to the sure case
         budget = restarts if d == m else min(restarts, 12)

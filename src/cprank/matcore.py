@@ -279,8 +279,8 @@ def zero_diagonal_indices(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> np.nd
     """Indices of rows whose entries are all at most ``eps_nonneg * scale``
     in magnitude.
 
-    The rank factor and the row-sum condition treat such a row as exactly
-    zero.  A small diagonal alone is not enough: in a PSD matrix
+    The rank factor, the row-sum condition and the nnq check treat such a
+    row as exactly zero.  A small diagonal alone is not enough: in a PSD matrix
     ``|a_ij| <= sqrt(a_ii a_jj)``, so a diagonal entry at the threshold
     allows off-diagonal entries far above it.
     """

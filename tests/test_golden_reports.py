@@ -62,18 +62,18 @@ def digest(A, config) -> str:
 
 
 DIGESTS = {
-    "EX1_2": "d6c8a472cddedb643ea0322ee577b1704f69784c6416a8ee0ed7052fb80afe6d",
-    "EX2_7": "f772158944f09c67ec122d32f3ee9b45d844956721d7543deb5a0f3c0e80a586",
+    "EX1_2": "46e98a5306d330ae30930e35c89200809b664e7382f422d52c22c576757e21b0",
+    "EX2_7": "8a721debfbaa8586661b1246c7593cc3ff3a4dfc5e794ba22e630845f79544ee",
     "EX2_8": "1844314e7390bad2b80ff20b9531cfffd9632714f9dd7612cfab606157399c4d",
     "EX3_3": "9f9c5fa9f6080fce1b678be34d6082dc6ad5d92919c80fde8ba287f34bc999c4",
-    "EX3_7": "c1d15d202b5d9edaff9cf6daaa135fd34595411946474a2e6fe09bd0a1b6ceff",
-    "EX3_9": "f2bf843fc11305a8933e22825ff02a5dcd82f255d43659260820729dd59d04b8",
+    "EX3_7": "c62f5d95ca528480b5158ba3af01b49ecacde0e301915b429438c9e54e8a6406",
+    "EX3_9": "2cb9507be919b263bbe68eb4ad0b2eef489cda42c167d8e4d272eb4978b89b47",
     "GRAM_NONNEG-n5-r1-s105": "11fa1232ab533a56eeb9efbea933e958d70b70a93e48ea51f765458ddd862505",
     "GRAM_NONNEG-n7-r1-s107-heuristic": "141439c3c4bfcf12041497c1c829f3d6a039b532ebc33325f366fffde0f6e5dc",
-    "GRAM_NONNEG-n6-r2-s206": "e80fee636c18cf6f79664ad5bc7109ac1e54aa1d541d12ea2188d01066fcf9fb",
-    "GRAM_NONNEG-n8-r2-s208-heuristic": "59fb94aa7f334f7233c1285c7781ace10abc1edabcc0180ddf7b4131cfcdfa4f",
+    "GRAM_NONNEG-n6-r2-s206": "ee3373d5205cc7f5963ce68a7803275ba0f5e0eada3b38d8270a8550b7510de2",
+    "GRAM_NONNEG-n8-r2-s208-heuristic": "5fd70004772696d8516d2a34b7e03c0dfb271c2175337a2e5217f85c70768a00",
     "GRAM_NONNEG-n7-r3-s307": "e92cffbe672a205361a4ff687519cdab7bfbd7c17d519b7c3a38dfbaa12069fb",
-    "GRAM_NONNEG-n9-r3-s309-heuristic": "d4f63357d0c6147f1261fd28735198dc0ccc39caee7d4bd22df628628e80ae15",
+    "GRAM_NONNEG-n9-r3-s309-heuristic": "6ef2d44f0c4fc7cd3075bfb34c8c627e43928d81274f71fe326272222288f512",
     "GRAM_NONNEG-n8-r4-s408": "ee1e9c8605c712536d8f734426e499ac6213b10dde825b83426c0444fd29c7a1",
     "GRAM_NONNEG-n10-r4-s410-heuristic": "5e83c802e9e28b267da1bb836a89a7884162ea2099c8d6bea3c54053b5493e49",
     "GRAM_NONNEG-n9-r5-s509": "abe14f09b7e41f08648fa9d029eadfc7c50875fffc12b3701bb54b3593595ca2",
@@ -82,9 +82,9 @@ DIGESTS = {
     "GRAM_NONNEG-n12-r6-s612-heuristic": "8eb059a537599c842ec8ddb1caeef3cff2cab8e7bca95a0afde398b88b28e147",
     "ROTATED_NONNEG-n5-r1-s105": "724317bb8e6d7403443c0c101e39a412c0e4da6b1b0e9dd630908f72b31ce8e8",
     "ROTATED_NONNEG-n7-r1-s107-heuristic": "10294ff3e03bd23f24b17104f0df78d74b44b4022d308bff0318ab14a98ba0f3",
-    "ROTATED_NONNEG-n6-r2-s206": "e6eae3369cc72b09cb12c464946744f778fe18f641cc1ebfd54015a78fb3882d",
-    "ROTATED_NONNEG-n8-r2-s208-heuristic": "44068133e4bc6268d7a06f0fa31c8892a9d478f2c1eb9f32371af60a100c7a16",
-    "ROTATED_NONNEG-n7-r3-s307": "59b1a9d27df79a379b5c53aff8bd0d37201e0fe0a287d2075374f8f031b636a7",
+    "ROTATED_NONNEG-n6-r2-s206": "9b675cebc0dc3998c7b0cff3642a1066318739f3cc697ee3bb1383ba08523f77",
+    "ROTATED_NONNEG-n8-r2-s208-heuristic": "2f75bbb9171a4a29bf3d0bfffb1b9ae52c1ccdfabdb446ce1295952cae13a717",
+    "ROTATED_NONNEG-n7-r3-s307": "8d9e18775923833b02d19ea4c3b667d2a094d3a54e09260cf19a9bbf9884dc4f",
     "ROTATED_NONNEG-n9-r3-s309-heuristic": "16f8dc311e21cd8e1f2e262636fdebf5e5a3d6a78a3b68e43ae830b9887a3cec",
     "ROTATED_NONNEG-n8-r4-s408": "a908e29c845e38b1438a03f14249c1465d0d67bdf4fcbfcd064ebe5148d212f3",
     "ROTATED_NONNEG-n10-r4-s410-heuristic": "b9998d519ba56fb28abf59a5be013a86e7052d98fcd6bb874f040435f5c62fba",
@@ -94,21 +94,21 @@ DIGESTS = {
     "ROTATED_NONNEG-n12-r6-s612-heuristic": "b66e5952247632d480874a22fd190347ac1841e01c580a60b6105cdfec0dab7e",
     "SOULES-n5-r1-s105": "b9cb05e59b9f0c68d55fbf5c1ffa4c1ca6874d60d6004db58afa692ced0882ad",
     "SOULES-n7-r1-s107-heuristic": "61bc3496086c1a8c3fb0e2950e1ec0236291410543577743eace9039c760f507",
-    "SOULES-n6-r2-s206": "9011df978b48a438ff53eff28e3f9591692dc34b5ac4114cdca9ec47ac95c1d2",
-    "SOULES-n8-r2-s208-heuristic": "8bfe1a490cfefc1d2f2cbf2531b59fd5a0e10b4a4ba89bd8d19b4ca429641528",
-    "SOULES-n7-r3-s307": "aa948b72a7fca7fe51cd929573442e8db05b826950e0503a147c5a3551d4a0e4",
-    "SOULES-n9-r3-s309-heuristic": "a1a536b79861fc7a03bdbab3fcf2847f775895858615b87149896eaec24bfbf8",
-    "SOULES-n8-r4-s408": "fe5a3d0c2c56ae4acf1ed247591f378da19e8e01f83d12fb78a38bb95ec8a303",
-    "SOULES-n10-r4-s410-heuristic": "774e7b31decfc344dec1016478e6a64a0c302e58a54a280e96ba5a5bb712a015",
+    "SOULES-n6-r2-s206": "a9c352ff98c3c92c20e01e5968e3b7a951ae55027be151c38ee8a9bbe3bcc19a",
+    "SOULES-n8-r2-s208-heuristic": "ec3c4069c1a0f9435cbd2860a45206cf50dd1c4915167b3efbbd47d85ecc03df",
+    "SOULES-n7-r3-s307": "8c4614012c9b7c4b20db6db8b75501db1541fe57d526afe34bdf832d6c182670",
+    "SOULES-n9-r3-s309-heuristic": "a314ae8bd57deb427a5c366372ec6bbfc3c93f0f6e9900dce28bed65ecd83432",
+    "SOULES-n8-r4-s408": "08ddd85eec892825b0f8405b540c5c6b626b51a0830f1359857784e4d3f86e58",
+    "SOULES-n10-r4-s410-heuristic": "8d937e2b2dbc28139f632b42b332cc05c36cf8dad2c35fd6048ba87618ed53d9",
     "SOULES-n9-r5-s509": "c9e0215a85198f4e4e5d37961645324f1002ce7bacda63c237e53490870dcbe9",
     "SOULES-n11-r5-s511-heuristic": "3420f3a1a28b659c57304d32591ac1286b5a6e63cd903eb05f48b03b447921b0",
     "SOULES-n10-r6-s610": "e39f743a9e2667db9f169237281ac4c1d687dfd7fd69a3b145feb3cf0c703751",
     "SOULES-n12-r6-s612-heuristic": "675da74f946f8926767f61fe5d2fc2ae104b02245667fc06ad7322f8738a0e1f",
-    "GRAM_NONNEG-n3-r3-s303": "cf48955ba888addc91ffcfbf94d8392f12209c9aafee76cfd4d0ce6ed8b28632",
-    "GRAM_NONNEG-n4-r4-s404": "a438e26ecca4bfc98ba838ca15754148337721ecd1762797de663a7384443b34",
-    "ROTATED_NONNEG-n3-r3-s303": "3a26bfb09a6b31f755e7b1f7da96ab3279e4f0def27cd944edaa737d23cc2038",
-    "ROTATED_NONNEG-n4-r4-s404": "4695bd3f78459e2cd76721d0f5483a44235612780907dfc2c6bb5ace7d204d7a",
-    "GRAM_NONNEG-n8-r2-s208": "c40b7635fe24243707667df58152ad0511cabaf828944d29957fb8af1fedb835",
+    "GRAM_NONNEG-n3-r3-s303": "2bd836c4ebd0070c83070f489e1dddb20fdf2bab4c6630156c30647b6ec8f6c4",
+    "GRAM_NONNEG-n4-r4-s404": "24e9d740855bf248f2ed45148c455ad69ef25f0f4451f36f18be664c65bfdf5a",
+    "ROTATED_NONNEG-n3-r3-s303": "e78b6b2a6cd46a0c4a900c4958a97914e056369ac9507e6c4e22bb6ab9d45e6b",
+    "ROTATED_NONNEG-n4-r4-s404": "9f3c8ed17f679156ca1e46461479bef61d14b3fd4d71bce97356c02a46d49abb",
+    "GRAM_NONNEG-n8-r2-s208": "d806d85f994d6bf954384f993eea0c8fa577ab750882997fd9c5f558c5ddb3f2",
 }
 
 

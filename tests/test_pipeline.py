@@ -15,6 +15,7 @@ from cprank import (
     Tolerances,
     analyze,
     extreme_rays,
+    few_rays_factor,
     verify_certificate,
 )
 from cprank.fixtures import EXAMPLE_IDS, GRAM_NONNEG, RANDOM_STYLES, example_matrix, random_dn
@@ -366,6 +367,19 @@ class TestOneDecompositionPerMatrix:
         extreme_rays(A)
         assert len(eigh_inputs) == 1
 
+    @pytest.mark.parametrize("A", [
+        example_matrix("EX2_7"),  # full rank at order 4: four rays
+        random_dn(8, 2, seed=1, style=GRAM_NONNEG),
+        random_dn(7, 3, seed=3, style=GRAM_NONNEG),  # rank 3, four rays
+    ], ids=["EX2_7", "rank2", "rank3"])
+    def test_few_rays_factor_reuses_the_rank_factor(self, eigh_inputs, A):
+        report = extreme_rays(A)
+        assert report.m <= 4
+        eigh_inputs.clear()
+        cert = few_rays_factor(A, report)
+        assert eigh_inputs == []
+        assert verify_certificate(A, cert).passed
+
     def test_heuristic_analysis(self, eigh_inputs):
         A = random_dn(12, 5, seed=0, style=GRAM_NONNEG).a
         eigh_inputs.clear()
@@ -373,8 +387,8 @@ class TestOneDecompositionPerMatrix:
         assert len(eigh_inputs) == 1
 
     def test_at_most_once_per_derived_matrix(self, eigh_inputs):
-        # the input and the extreme block of the few-rays step, and the
-        # comparison matrix of the triangle-free test
+        # the input, and the comparison matrix of the triangle-free test;
+        # the few-rays step reuses the input's rank factor
         cases = [(example_matrix(fid), cfg) for fid in EXAMPLE_IDS
                  for cfg in (AnalysisConfig(), ROUNDED_CFG)]
         for style in RANDOM_STYLES:
@@ -387,15 +401,15 @@ class TestOneDecompositionPerMatrix:
             eigh_inputs.clear()
             analyze(A, cfg)
             assert len({id(a) for a in eigh_inputs}) == len(eigh_inputs)
-            assert len(eigh_inputs) <= 3
+            assert len(eigh_inputs) <= 2
 
 
 class TestOneRankDecisionPerMatrix:
     def test_each_matrix_and_tolerance_pair_reduced_once(self, monkeypatch):
         # psd_rank and sr_factor run several times per analysis, on the
-        # input and the extreme block; each of those matrices reduces its
-        # spectrum once per tolerance pair and builds its factor once per
-        # key
+        # input and (psd_rank) the comparison matrix; each matrix reduces
+        # its spectrum once per tolerance pair and builds its factor once
+        # per key
         reduced, factored = [], []
         reduce, factor = matcore._psd_rank, srfactor._sr_factor
 
