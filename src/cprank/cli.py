@@ -138,7 +138,9 @@ def _cmd_nnq(args) -> int:
     else:
         if result.found:
             idx = ",".join(str(i + 1) for i in result.witness.indices)
-            _emit(f"FOUND basis columns ({idx}), det {result.witness.detval:.6g}")
+            det = result.witness.detval
+            _emit(f"FOUND basis columns ({idx}), det "
+                  + (f"{det:.6g}" if det is not None else "outside the float range"))
         else:
             _emit(result.status)
     return 0

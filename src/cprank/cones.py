@@ -23,13 +23,22 @@ tests the columns still open.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import graphcond
 from .errors import ComputationFailureError, PreconditionError
-from .matcore import DEFAULT_TOL, MatrixLike, Tolerances, as_symmetric, classify_dn
+from .matcore import (
+    DEFAULT_TOL,
+    MatrixLike,
+    Tolerances,
+    as_symmetric,
+    classify_dn,
+    frobenius_norm,
+    vector_norms,
+)
 from .rotate import check_seed_restarts, orthant_rotation_search
 from .srfactor import CpCertificate, make_certificate, sr_factor
 
@@ -194,8 +203,9 @@ def _passive_solve(
 
     Row ``i`` solves ``K[P_i, P_i] s = C[i, P_i]``; ``P`` has at least one
     row.  The systems of one size are gathered into one stack of compact
-    blocks and solved together, and a stack with a singular block is
-    solved by pseudo-inverse instead.  A stack's targets are gathered,
+    blocks, with one ``take`` on the flat indices of ``K``, and solved
+    together, and a stack with a singular block is solved by
+    pseudo-inverse instead.  A stack's targets are gathered,
     and its solutions scattered back, through the mask of its passive
     sets, in the row-major order ``nonzero`` lists their columns in.
     When ``singular`` is given, entry ``i`` is set to whether block ``i``
@@ -214,7 +224,7 @@ def _passive_solve(
             groups.append((sel, P & sel[:, None], p))
     for sel, mask, p in groups:
         cols = mask.nonzero()[1].reshape(-1, p)
-        Kp = K[cols[:, :, None], cols[:, None, :]]
+        Kp = K.take(cols[:, :, None] * K.shape[1] + cols[:, None, :])
         cp = C[mask].reshape(-1, p, 1)
         if singular is not None:
             w = np.linalg.eigvalsh(Kp)
@@ -225,19 +235,6 @@ def _passive_solve(
             s = np.linalg.pinv(Kp, hermitian=True) @ cp
         S[mask] = s.ravel()
     return S
-
-
-def _norms(M: np.ndarray, axis: int = 0) -> np.ndarray:
-    """``np.linalg.norm(M, axis=axis)`` of a float matrix, bit for bit,
-    without that function's argument handling."""
-    return np.sqrt(np.add.reduce(M * M, axis=axis))
-
-
-def _norm(M: np.ndarray) -> np.float64:
-    """``np.linalg.norm(M)`` (the Frobenius norm) of a float array, bit
-    for bit: one dot product over its elements in memory order."""
-    v = M.ravel(order="K")
-    return np.sqrt(v.dot(v))
 
 
 def _separation_bound(U: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -273,8 +270,8 @@ def _separation_bound(U: np.ndarray, K: np.ndarray) -> np.ndarray:
     Y = c[:, None] * alpha - U
     # a cosine or a row sum of K carries about d + k roundings
     eta = (d + k + 4) * _EPS * (1.0 + alpha * k)
-    gap = -np.einsum("ij,ij->j", Y, U) - eta * (1.0 + _norm(c) / t.min())
-    return gap / (_norms(Y) + eta)
+    gap = -np.einsum("ij,ij->j", Y, U) - eta * (1.0 + frobenius_norm(c) / t.min())
+    return gap / (vector_norms(Y) + eta)
 
 
 def _span_distance(U: np.ndarray) -> np.ndarray:
@@ -295,7 +292,7 @@ def _span_distance(U: np.ndarray) -> np.ndarray:
         V = np.linalg.inv(U)
     except np.linalg.LinAlgError:
         return np.zeros(d)
-    row = _norms(V, axis=1)
+    row = vector_norms(V, axis=1)
     return 1.0 / (row + (d + 4) * _EPS * np.sqrt(d) * (row @ row))
 
 
@@ -312,7 +309,7 @@ def _basis_fit(B: np.ndarray, T: np.ndarray) -> np.ndarray | None:
         x = np.maximum(np.linalg.solve(B, T), 0.0)
     except np.linalg.LinAlgError:
         return None
-    resid = _norms(B @ x - T)
+    resid = vector_norms(B @ x - T)
     return x if (resid <= EXTREME_RESIDUAL_FACTOR).all() else None
 
 
@@ -373,7 +370,7 @@ def _extreme_set(
     many were separated and how many the basis settled.
     """
     n = M.shape[1]
-    norms = _norms(M)
+    norms = vector_norms(M)
     nonzero = (norms > tol.eps_nonneg * norms.max(initial=0.0)).nonzero()[0]
     rep_of = np.full(n, -1)
     if not nonzero.size:
@@ -424,7 +421,7 @@ def _extreme_set(
         allowed = ~np.eye(reps.size, dtype=bool)[rest]
         fits = _batched_nnls(Kr, Kr[rest], allowed, np.zeros(allowed.shape, dtype=bool))
         X[rest] = fits
-        is_ext[rest] = _norms(U @ fits.T - U[:, rest]) > EXTREME_RESIDUAL_FACTOR
+        is_ext[rest] = vector_norms(U @ fits.T - U[:, rest]) > EXTREME_RESIDUAL_FACTOR
     return reps[is_ext].tolist(), rep_of, reps, X, norms
 
 
@@ -470,8 +467,8 @@ def _cone_report(
 
     if m:
         recon = G[:, ext] @ W
-        denom = float(_norm(G))
-        residual = float(_norm(G - recon)) / denom if denom else 0.0
+        denom = frobenius_norm(G)
+        residual = frobenius_norm(G - recon) / denom if denom else 0.0
     else:
         residual = 0.0
     return ConeReport(m=m, extreme_indices=tuple(extreme), W=W, residual=residual)
@@ -525,7 +522,11 @@ def few_rays_factor(
     if m == 0:
         return make_certificate(S, np.zeros((0, S.n)), "few_rays", tol)
     Bs = sr_factor(S, tol)[:, list(report.extreme_indices)]
-    block = as_symmetric(Bs.T @ Bs, tol)
+    # the block's entries may lie far below the input's, under the lower
+    # entry limit: the block of a small input is taken 4**half times
+    # larger, which is exact and changes no decision on it
+    half = max(0, -(math.frexp(S.scale)[1] // 2))
+    block = as_symmetric(np.ldexp(Bs.T @ Bs, 2 * half), tol)
     d_lo = Bs.shape[0]
     if d_lo < m:
         # a rank-deficient block has rank 3 and four rays; the one pattern
@@ -535,7 +536,8 @@ def few_rays_factor(
         cyc = graphcond.cycle_necessary(block, tol)
         if cyc.status == graphcond.PASSES:
             d_lo = max(d_lo, min(cyc.cprk_lower_bound, m))
-    eps = tol.eps_nonneg * np.sqrt(block.scale)  # the block's certificate floor
+    # the block's certificate floor
+    eps = math.ldexp(tol.eps_nonneg * math.sqrt(block.scale), -half)
     for d in range(d_lo, m + 1):
         padded = np.vstack([Bs, np.zeros((d - Bs.shape[0], m))])
         # row counts below m are opportunistic: cp-rank of the block may

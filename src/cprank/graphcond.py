@@ -75,7 +75,7 @@ def _connected(adj: np.ndarray) -> bool:
 
 def _is_cycle(adj: np.ndarray) -> bool:
     """Connected with every degree 2; the degrees are checked first."""
-    return adj.shape[0] >= 3 and bool(np.all(adj.sum(axis=1) == 2)) and _connected(adj)
+    return adj.shape[0] >= 3 and bool((adj.sum(axis=1) == 2).all()) and _connected(adj)
 
 
 def _triangle_free(adj: np.ndarray) -> bool:
@@ -129,8 +129,9 @@ def cycle_necessary(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> CycleCheck:
     """
     S = as_symmetric(A, tol)
     a = S.a
-    off = float(a.sum() - np.trace(a))
-    diag = float(np.trace(a))
+    trace = a.trace()
+    off = float(a.sum() - trace)
+    diag = float(trace)
     if S.n < 4 or not _is_cycle(S.pattern(tol.eps_nonneg)):
         return CycleCheck(
             status=NOT_APPLICABLE, cprk_lower_bound=None, off_diag_sum=off, diag_sum=diag
@@ -188,11 +189,11 @@ def kaykobad_factor(
     if float(a.min()) < -tol.eps_nonneg * S.scale:
         return None
     n = S.n
-    off_sums = a.sum(axis=1) - np.diag(a)
-    diag = np.diag(a)
+    diag = a.diagonal()
+    off_sums = a.sum(axis=1) - diag
     slack = tol.eps_nonneg * np.maximum(diag, off_sums)
     margins = diag - off_sums
-    if np.any(margins < -slack):
+    if (margins < -slack).any():
         return None
     # one row per edge of the zero pattern, in row-major order, then one
     # per strictly dominant row; no negative entry is left past the check

@@ -79,6 +79,9 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+_FLOAT_MAX = float(np.finfo(float).max)
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+
 MatrixLike = Union["SymmetricMatrix", np.ndarray, Sequence[Sequence[float]]]
 
 T = TypeVar("T")
@@ -90,40 +93,50 @@ class SymmetricMatrix:
     Construction symmetrizes the input as ``(A + A^T) / 2`` provided the
     relative asymmetry does not exceed ``tol.eps_sym``; larger asymmetry is
     rejected, and so are entries above ``sqrt(max float / n^3)``, where the
-    row-sum condition would overflow.  The stored array is read-only so
-    values can be shared freely; the eigendecomposition, the off-diagonal
-    zero pattern of each threshold, and the rank decision and rank factor
-    of each tolerance key are computed once, on first use, and kept.
+    row-sum condition would overflow, and a nonzero matrix whose largest
+    entry is below ``sqrt(tiny float) / eps_residual``, where the squares
+    a certificate residual sums would underflow.  The stored array is
+    read-only so values can be shared freely; the eigendecomposition, the
+    off-diagonal zero pattern and the zero rows of each threshold, and the
+    DN verdict, rank decision and rank factor of each tolerance key are
+    computed once, on first use, and kept.
     """
 
     __slots__ = ("_a", "_scale", "_eig", "_patterns", "_derived")
 
     def __init__(self, entries: MatrixLike, tol: Tolerances = DEFAULT_TOL):
-        a = np.array(getattr(entries, "a", entries), dtype=float, copy=True)
+        # not copied: the kept array is the new (a + a^T) / 2
+        a = np.asarray(getattr(entries, "a", entries), dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise InvalidInputError("matrix order must be at least 1")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise InvalidInputError("matrix entries must be finite")
         defect = float(np.abs(a - a.T).max())
         a = (a + a.T) / 2.0
         scale = float(np.abs(a).max())
         # r R_i^2 and (r - 1) a_ii sum(R) of the row-sum condition stay below n^3 scale^2
-        limit = math.sqrt(np.finfo(float).max / a.shape[0] ** 3)
+        limit = math.sqrt(_FLOAT_MAX / a.shape[0] ** 3)
         if scale > limit:
             raise InvalidInputError(f"matrix entries must not exceed {limit:.3e} in magnitude")
+        # a residual at the eps_residual bound still has squares above the tiny float
+        floor = _SQRT_TINY / tol.eps_residual
+        if 0.0 < scale < floor:
+            raise InvalidInputError(
+                f"the largest entry of a nonzero matrix must be at least {floor:.3e} in magnitude"
+            )
         if defect > tol.eps_sym * scale:
             raise InvalidInputError(
                 f"matrix is not symmetric: asymmetry {defect:.3e} exceeds "
                 f"{tol.eps_sym:.1e} * {scale:.3e}"
             )
         a.flags.writeable = False
-        object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_eig", None)
-        object.__setattr__(self, "_patterns", {})
-        object.__setattr__(self, "_derived", {})
+        self._a = a
+        self._scale = scale
+        self._eig = None
+        self._patterns = {}
+        self._derived = {}
 
     @property
     def a(self) -> np.ndarray:
@@ -142,13 +155,13 @@ class SymmetricMatrix:
         largest-magnitude entry is positive (deterministic for one input)."""
         if self._eig is None:
             w, V = np.linalg.eigh(self._a)
-            order = np.argsort(w, kind="stable")[::-1]
-            w, V = w[order], V[:, order]
             # flip each column so that its largest-magnitude entry is positive
-            V = np.where(V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] < 0.0, -V, V)
+            V = np.where(V[np.abs(V).argmax(axis=0), np.arange(V.shape[1])] < 0.0, -V, V)
+            # LAPACK returns the eigenvalues in ascending order
+            w, V = w[::-1], V[:, ::-1]
             w.flags.writeable = False
             V.flags.writeable = False
-            object.__setattr__(self, "_eig", EigenDecomposition(eigenvalues=w, eigenvectors=V))
+            self._eig = EigenDecomposition(eigenvalues=w, eigenvectors=V)
         return self._eig
 
     def pattern(self, eps: float) -> np.ndarray:
@@ -162,10 +175,21 @@ class SymmetricMatrix:
             self._patterns[eps] = P
         return P
 
+    def zero_rows(self, eps: float) -> np.ndarray:
+        """Read-only indices of the rows whose entries are all at most
+        ``eps * scale`` in magnitude, computed once per ``eps`` on first use
+        (see :func:`zero_diagonal_indices`)."""
+        key = ("zero_rows", eps)
+        rows = self._derived.get(key)
+        if rows is None:
+            rows = self._derived[key] = _zero_rows(self._a, eps * self._scale)
+        return rows
+
     def derived(self, key: Hashable, compute: Callable[[], T]) -> T:
         """``compute()``, computed once per ``key`` on first use and kept.
 
-        Values kept here must be immutable: :func:`psd_rank` and
+        Values kept here must be immutable: :meth:`zero_rows`,
+        :func:`classify_dn`, :func:`psd_rank` and
         :func:`~cprank.srfactor.sr_factor` keep their results under their
         name and the tolerances they depend on.
         """
@@ -185,6 +209,20 @@ class SymmetricMatrix:
 
     def __hash__(self) -> int:
         return hash((self.n, self._a.tobytes()))
+
+
+def frobenius_norm(M: np.ndarray) -> float:
+    """``np.linalg.norm(M)`` (the Frobenius norm) of a float array, bit for
+    bit: one dot product over its elements in memory order, without that
+    function's argument handling."""
+    v = M.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
+def vector_norms(M: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``np.linalg.norm(M, axis=axis)`` of a float matrix, bit for bit:
+    the column norms by default, the row norms for ``axis=1``."""
+    return np.sqrt(np.add.reduce(M * M, axis=axis))
 
 
 def as_symmetric(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> SymmetricMatrix:
@@ -250,9 +288,16 @@ def classify_dn(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> DnVerdict:
     """Classify a symmetric matrix as DN (with rank) or tell why it is not.
 
     Nonnegativity is checked first with slack ``eps_nonneg * scale``, then
-    positive semidefiniteness via :func:`psd_rank`.
+    positive semidefiniteness via :func:`psd_rank`.  A
+    :class:`SymmetricMatrix` is classified once per
+    ``(eps_nonneg, eps_psd, eps_rank)``, on first use.
     """
     S = as_symmetric(A, tol)
+    key = ("classify_dn", tol.eps_nonneg, tol.eps_psd, tol.eps_rank)
+    return S.derived(key, lambda: _classify_dn(S, tol))
+
+
+def _classify_dn(S: SymmetricMatrix, tol: Tolerances) -> DnVerdict:
     if float(S.a.min()) < -tol.eps_nonneg * S.scale:
         return DnVerdict(status=NOT_NONNEGATIVE)
     is_psd, rank = psd_rank(S, tol)
@@ -282,7 +327,13 @@ def zero_diagonal_indices(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> np.nd
     The rank factor, the row-sum condition and the nnq check treat such a
     row as exactly zero.  A small diagonal alone is not enough: in a PSD matrix
     ``|a_ij| <= sqrt(a_ii a_jj)``, so a diagonal entry at the threshold
-    allows off-diagonal entries far above it.
+    allows off-diagonal entries far above it.  A :class:`SymmetricMatrix`
+    keeps them per ``eps_nonneg`` (:meth:`SymmetricMatrix.zero_rows`).
     """
-    S = as_symmetric(A, tol)
-    return np.flatnonzero(np.abs(S.a).max(axis=1) <= tol.eps_nonneg * S.scale)
+    return as_symmetric(A, tol).zero_rows(tol.eps_nonneg)
+
+
+def _zero_rows(a: np.ndarray, threshold: float) -> np.ndarray:
+    rows = np.flatnonzero(np.abs(a).max(axis=1) <= threshold)
+    rows.flags.writeable = False
+    return rows

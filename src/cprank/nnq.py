@@ -15,6 +15,7 @@ CP_{n,3} (:func:`decide_rank3_three_rays`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .matcore import (
     as_symmetric,
     classify_dn,
     psd_rank,
-    zero_diagonal_indices,
+    vector_norms,
 )
 from .rotate import check_seed_restarts
 from .srfactor import CpCertificate
@@ -53,6 +54,10 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 # a basis candidate counts as invertible when |det| exceeds this factor
 # times the product of its column norms (Hadamard scale)
 EPS_DET_FACTOR = 1e-10
+LOG_EPS_DET_FACTOR = math.log(EPS_DET_FACTOR)
+# the logarithms of the normal float range
+LOG_TINY = math.log(np.finfo(float).tiny)
+LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -61,12 +66,14 @@ class NnqWitness:
 
     ``indices`` is the sorted tuple of basis column indices (0-based here;
     reports render them 1-based), ``B1`` the basis block ``A[s,s]``,
-    ``detval`` its determinant, and ``P`` the nonnegative coordinate matrix
-    with ``P[:, indices]`` equal to the identity.
+    ``detval`` its determinant (None when that lies outside the normal
+    float range, as an order-``r`` determinant of a matrix at either end
+    of the accepted entry range can), and ``P`` the nonnegative
+    coordinate matrix with ``P[:, indices]`` equal to the identity.
     """
 
     indices: tuple[int, ...]
-    detval: float
+    detval: float | None
     P: np.ndarray
     B1: np.ndarray
 
@@ -95,18 +102,22 @@ def nnq_from_rays(
     has exactly ``r`` extreme rays, and their representative columns are
     the basis.  ``B1`` in the witness is ``A[s,s]``; invertibility and the
     nonnegativity of ``P`` (0 on the columns of zero rows) are re-checked.
+    Invertibility is decided on the logarithms of the determinant and of
+    the column norms, which neither under- nor overflow at any scale.
     """
     if rays.m != rank:
         return NnqSearchResult(status=NONE)
     S = as_symmetric(A, tol)
     idx = list(rays.extreme_indices)
-    basis = S.a[np.ix_(idx, idx)]
-    det = float(np.linalg.det(basis))
-    col_scale = float(np.prod(np.linalg.norm(basis, axis=0)))
-    if abs(det) <= EPS_DET_FACTOR * col_scale:
+    rows = S.a[idx]
+    basis = rows[:, idx]
+    sign, logdet = np.linalg.slogdet(basis)
+    if not sign or logdet <= LOG_EPS_DET_FACTOR + float(np.log(vector_norms(basis)).sum()):
         return NnqSearchResult(status=NONE)
-    P = np.linalg.solve(basis, S.a[idx, :])
-    P[:, zero_diagonal_indices(S, tol)] = 0.0
+    # np.linalg.det(basis), bit for bit, where it is a normal float
+    det = float(sign) * math.exp(logdet) if LOG_TINY <= logdet <= LOG_MAX else None
+    P = np.linalg.solve(basis, rows)
+    P[:, S.zero_rows(tol.eps_nonneg)] = 0.0
     # initial=0.0 lets the empty basis of a rank-0 matrix through
     if float(P.min(initial=0.0)) < -tol.eps_nonneg:
         return NnqSearchResult(status=NONE)

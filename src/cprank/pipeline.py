@@ -26,7 +26,6 @@ from .matcore import (
     as_symmetric,
     classify_dn,
     psd_rank,
-    zero_diagonal_indices,
 )
 from .srfactor import CpCertificate, make_certificate, sr_factor, verify_certificate
 
@@ -172,7 +171,7 @@ def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> Analysi
         return _finish(cas)
 
     cas.lower = rank
-    zero_rows = zero_diagonal_indices(S, tol)
+    zero_rows = S.zero_rows(tol.eps_nonneg)
     if zero_rows.size and zero_rows.size < S.n:
         cas.step("deflate_zero_rows", f"DROPPED({zero_rows.size})",
                  {"zero_rows": [int(i) + 1 for i in zero_rows]})

@@ -29,8 +29,9 @@ from .matcore import (
     SymmetricMatrix,
     Tolerances,
     as_symmetric,
+    frobenius_norm,
     psd_rank,
-    zero_diagonal_indices,
+    vector_norms,
 )
 from .srfactor import CpCertificate, make_certificate, sr_factor
 
@@ -76,7 +77,7 @@ def in_e_cone(z: Sequence[float] | np.ndarray) -> bool:
     z = np.asarray(z, dtype=float).reshape(-1)
     r = z.shape[0]
     threshold = e_cone_threshold(r)
-    norm = float(np.linalg.norm(z))
+    norm = frobenius_norm(z)
     if norm == 0.0:
         raise InvalidInputError("the zero vector has no direction")
     scale = norm * math.sqrt(r)
@@ -134,12 +135,12 @@ def householder_align(x: Sequence[float] | np.ndarray) -> RotationPlan:
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     r = x.shape[0]
-    norm = float(np.linalg.norm(x))
+    norm = frobenius_norm(x)
     if norm == 0.0:
         raise InvalidInputError("cannot align the zero vector")
     target = norm / math.sqrt(r) * np.ones(r)
     v = x - target
-    if float(np.linalg.norm(v)) <= 1e-14 * norm:
+    if frobenius_norm(v) <= 1e-14 * norm:
         return RotationPlan(Q=np.eye(r), v=np.zeros(0), x=x)
     Q = np.eye(r) - (2.0 / float(v @ v)) * np.outer(v, v)
     return RotationPlan(Q=Q, v=v, x=x)
@@ -165,17 +166,19 @@ def rowsum_condition(
     S = as_symmetric(A, tol)
     if r is None:
         r = psd_rank(S, tol).rank
-    a, zero = S.a.copy(), zero_diagonal_indices(S, tol)
-    a[zero] = a[:, zero] = 0.0
+    a, zero = S.a, S.zero_rows(tol.eps_nonneg)
+    if zero.size:
+        a = a.copy()
+        a[zero] = a[:, zero] = 0.0
     R = a.sum(axis=1)
     total = float(R.sum())
     data = RowSumData(row_sums=R, total=total)
     if r <= 0:
         return True, data
     lhs = r * R * R
-    rhs = (r - 1) * np.diag(a) * total
+    rhs = (r - 1) * a.diagonal() * total
     slack = 1e-12 * np.maximum(np.abs(lhs), np.abs(rhs))
-    return bool(np.all(lhs >= rhs - slack)), data
+    return bool((lhs >= rhs - slack).all()), data
 
 
 def rowsum_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> CpCertificate:
@@ -198,7 +201,7 @@ def _rowsum_certificate(S: SymmetricMatrix, tol: Tolerances) -> CpCertificate:
     if B.shape[0] == 0:
         return make_certificate(S, B, "rowsum", tol)
     x = B @ np.ones(S.n)
-    if float(np.linalg.norm(x)) == 0.0:
+    if frobenius_norm(x) == 0.0:
         raise PreconditionError("degenerate row sums: Gram vector sum vanished")
     return make_certificate(S, householder_align(x).Q @ B, "rowsum", tol)
 
@@ -277,7 +280,7 @@ def orthant_rotation_search(
     if B.ndim != 2:
         raise InvalidInputError(f"expected a 2-d array of column vectors, got shape {B.shape}")
     d = B.shape[0]
-    norms = np.linalg.norm(B, axis=0)
+    norms = vector_norms(B)
     live = norms > eps
     if d == 0 or not live.any():
         return _searched(np.eye(d), "identity", 0, 0)
@@ -294,7 +297,7 @@ def orthant_rotation_search(
     if float((Q @ Bn).min()) >= -threshold:
         return _searched(Q, "qr", 0, 0)
     centroid = Bn.sum(axis=1)
-    if float(np.linalg.norm(centroid)) > 0.0:
+    if frobenius_norm(centroid) > 0.0:
         Q = householder_align(centroid).Q
         if float((Q @ Bn).min()) >= -threshold:
             return _searched(Q, "householder", 0, 0)

@@ -18,8 +18,8 @@ from .matcore import (
     SymmetricMatrix,
     Tolerances,
     as_symmetric,
+    frobenius_norm,
     psd_rank,
-    zero_diagonal_indices,
 )
 
 __all__ = [
@@ -39,7 +39,7 @@ def sr_factor(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     ``B = diag(sqrt(lambda_k)) V_r^T`` built from the leading ``r``
     eigenpairs, where ``r`` is the numerical rank; column ``i`` is the
     Gram vector of row/column ``i``, exactly 0 for a zero row
-    (:func:`~cprank.matcore.zero_diagonal_indices`).  Plain Cholesky would
+    (:meth:`~cprank.matcore.SymmetricMatrix.zero_rows`).  Plain Cholesky would
     fail on singular input, and since all SR factors are orthogonally
     equivalent the eigenvector construction loses nothing.  The
     eigenvector sign convention makes the result deterministic.  A
@@ -59,7 +59,7 @@ def _sr_factor(S: SymmetricMatrix, tol: Tolerances) -> np.ndarray:
     # C order: the sums of the separation screen, and so the reports,
     # depend on the layout
     B = (np.sqrt(w)[:, None] * S.eigen.eigenvectors[:, :r].T).copy()
-    B[:, zero_diagonal_indices(S, tol)] = 0.0
+    B[:, S.zero_rows(tol.eps_nonneg)] = 0.0
     B.flags.writeable = False
     return B
 
@@ -93,8 +93,8 @@ class CpCertificate:
 
 
 def _relative_residual(A: np.ndarray, C: np.ndarray) -> float:
-    denom = float(np.linalg.norm(A))
-    num = float(np.linalg.norm(C.T @ C - A))
+    denom = frobenius_norm(A)
+    num = frobenius_norm(C.T @ C - A)
     if denom == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return num / denom

@@ -74,6 +74,15 @@ class TestAnalyze:
         assert code == 1
         assert "error:" in err
 
+    def test_entries_below_the_lower_limit_exit_one(self, tmp_path, capsys):
+        # the residual's squares underflowed: the report read an infinite
+        # residual and a NaN minimum entry, which is not JSON
+        path = tmp_path / "tiny.txt"
+        path.write_text("3\n" + " ".join(["1e-200"] * 9) + "\n")
+        code, out, err = run(capsys, ["analyze", "--input", str(path), "--report", "json"])
+        assert code == 1 and out == ""
+        assert "must be at least" in err
+
     @pytest.mark.parametrize("flag", ["--seed", "--restarts"])
     def test_negative_seed_or_restarts_exit_one(self, tmp_path, capsys, flag):
         path = write_fixture(tmp_path, "EX2_7")

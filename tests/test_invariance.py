@@ -9,6 +9,8 @@ extreme rays of the column cone do not depend on a positive diagonal
 scaling of its rows and columns either.
 """
 
+import json
+import math
 import warnings
 
 import numpy as np
@@ -16,7 +18,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cprank import AnalysisConfig, InvalidInputError, Tolerances, analyze, extreme_rays
+from cprank import (
+    AnalysisConfig,
+    InvalidInputError,
+    SymmetricMatrix,
+    Tolerances,
+    analyze,
+    extreme_rays,
+    make_certificate,
+    verify_certificate,
+    write_report,
+)
 from cprank.fixtures import EXAMPLE_IDS, GRAM_NONNEG, RANDOM_STYLES, example_matrix, random_dn
 from cprank.pipeline import CP_RANK_EQ_RANK, NOT_DN, NOT_IN_CP_N_R
 
@@ -133,6 +145,71 @@ def test_scale_that_overflows_the_rowsum_condition_is_rejected(c):
     # CONDITION_FALSE; at 1e200 the few-rays certificate failed to verify
     with pytest.raises(InvalidInputError, match="must not exceed"):
         analyze(c * example_matrix("EX2_7").a)
+
+
+def accepted_scales(n, tol):
+    """The smallest and the largest accepted largest entry of an order-n
+    matrix, each moved just inside its limit."""
+    smallest = math.sqrt(np.finfo(float).tiny) / tol.eps_residual
+    largest = math.sqrt(np.finfo(float).max / n**3)
+    return smallest * (1.0 + 1e-6), largest * (1.0 - 1e-6)
+
+
+def outcomes(report):
+    """What a report decides, and what each of its steps came to."""
+    return decision(report), [(s.name, s.outcome) for s in report.steps]
+
+
+def strict_json(report):
+    """The JSON report as a document; NaN and infinities are not JSON."""
+    def reject(token):
+        raise ValueError(f"{token} is not a JSON number")
+
+    return json.loads(write_report(report, "json"), parse_constant=reject)
+
+
+@pytest.mark.parametrize("fid", EXAMPLE_IDS)
+@pytest.mark.parametrize("tol", [Tolerances(), LOOSE_TOL], ids=["default", "loose"])
+def test_fixture_reports_are_strict_json(fid, tol):
+    assert strict_json(analyze(example_matrix(fid), AnalysisConfig(tol=tol)))["order"] > 0
+
+
+@pytest.mark.parametrize("A", [[[2.0, 1.0], [1.0, 2.0]], np.ones((3, 3))], ids=["2x2", "ones3"])
+def test_scale_that_underflows_the_certificate_residual_is_rejected(A):
+    # at 1e-200 the squares the residual sums underflowed: a wrong factor
+    # verified with residual 0, and duplicate columns put NaN into the
+    # extreme-ray coefficients and an infinite residual into the report
+    with pytest.raises(InvalidInputError, match="must be at least"):
+        analyze(1e-200 * np.asarray(A))
+
+
+def test_wrong_factor_fails_verification_at_the_smallest_scale():
+    c = accepted_scales(2, Tolerances())[0]
+    A = SymmetricMatrix(c * np.array([[2.0, 1.0], [1.0, 2.0]]))
+    wrong = math.sqrt(c) * np.array([[1.0, 1.0], [1.0, 0.0]])  # C^T C = c [[2, 1], [1, 1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check = verify_certificate(A, make_certificate(A, wrong, "wrong"))
+    assert not check.passed
+    assert check.residual == pytest.approx(1.0 / math.sqrt(10.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["smallest", "largest"])
+@settings(max_examples=40, deadline=None)
+@given(case=st.one_of(fixture_cases, random_cases()))
+def test_outcomes_at_the_ends_of_the_accepted_scale(end, case):
+    # every report is warning-free strict JSON and decides, step by step,
+    # what the matrix at largest entry 1 does
+    A, config = case
+    A = A / np.abs(A).max()
+    c = accepted_scales(A.shape[0], config.tol)[end]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base, scaled = analyze(A, config), analyze(c * A, config)
+        for report in (base, scaled):
+            strict_json(report)
+    assert_consistent(scaled)
+    assert outcomes(scaled) == outcomes(base)
 
 
 def test_tiny_nonzero_matrix_has_positive_rank():

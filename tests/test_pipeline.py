@@ -346,6 +346,20 @@ class TestOneCertificateBuild:
         assert cert.C.min() == 0.0
 
 
+def analysis_cases():
+    """The fixtures under both tolerance sets, and random DN matrices of
+    every style, each with the heuristic on and padded by zero rows."""
+    cases = [(example_matrix(fid), cfg) for fid in EXAMPLE_IDS
+             for cfg in (AnalysisConfig(), ROUNDED_CFG)]
+    for style in RANDOM_STYLES:
+        for n, r in ((4, 2), (6, 3), (8, 4), (8, 5)):
+            A = random_dn(n, r, seed=n, style=style).a
+            padded = np.zeros((n + 2, n + 2))
+            padded[1:-1, 1:-1] = A
+            cases += [(A, AnalysisConfig(heuristic=True)), (padded, AnalysisConfig())]
+    return cases
+
+
 class TestOneDecompositionPerMatrix:
     @pytest.fixture
     def eigh_inputs(self, monkeypatch):
@@ -389,15 +403,7 @@ class TestOneDecompositionPerMatrix:
     def test_at_most_once_per_derived_matrix(self, eigh_inputs):
         # the input, and the comparison matrix of the triangle-free test;
         # the few-rays step reuses the input's rank factor
-        cases = [(example_matrix(fid), cfg) for fid in EXAMPLE_IDS
-                 for cfg in (AnalysisConfig(), ROUNDED_CFG)]
-        for style in RANDOM_STYLES:
-            for n, r in ((4, 2), (6, 3), (8, 4), (8, 5)):
-                A = random_dn(n, r, seed=n, style=style).a
-                padded = np.zeros((n + 2, n + 2))
-                padded[1:-1, 1:-1] = A
-                cases += [(A, AnalysisConfig(heuristic=True)), (padded, AnalysisConfig())]
-        for A, cfg in cases:
+        for A, cfg in analysis_cases():
             eigh_inputs.clear()
             analyze(A, cfg)
             assert len({id(a) for a in eigh_inputs}) == len(eigh_inputs)
@@ -423,15 +429,7 @@ class TestOneRankDecisionPerMatrix:
 
         monkeypatch.setattr(matcore, "_psd_rank", counted_reduce)
         monkeypatch.setattr(srfactor, "_sr_factor", counted_factor)
-        cases = [(example_matrix(fid), cfg) for fid in EXAMPLE_IDS
-                 for cfg in (AnalysisConfig(), ROUNDED_CFG)]
-        for style in RANDOM_STYLES:
-            for n, r in ((4, 2), (6, 3), (8, 4), (8, 5)):
-                A = random_dn(n, r, seed=n, style=style).a
-                padded = np.zeros((n + 2, n + 2))
-                padded[1:-1, 1:-1] = A
-                cases += [(A, AnalysisConfig(heuristic=True)), (padded, AnalysisConfig())]
-        for A, cfg in cases:
+        for A, cfg in analysis_cases():
             reduced.clear()
             factored.clear()
             analyze(A, cfg)
@@ -440,6 +438,44 @@ class TestOneRankDecisionPerMatrix:
             assert len(set(keys)) == len(keys)
             keys = [(id(S), *eps) for S, *eps in factored]
             assert len(set(keys)) == len(keys)
+
+
+class TestOneFactPerMatrix:
+    """The rank factor, the row-sum condition, the nnq check and the report
+    all read a matrix's zero rows, and the cascade, the extreme rays and
+    the triangle-free test all read its DN verdict: each is computed once
+    per matrix and tolerance."""
+
+    def test_one_zero_row_scan_per_threshold(self, monkeypatch):
+        scans = []
+        original = matcore._zero_rows
+
+        def counted(a, threshold):
+            scans.append((a, threshold))  # keeps a alive, so its id stays unique
+            return original(a, threshold)
+
+        monkeypatch.setattr(matcore, "_zero_rows", counted)
+        for A, cfg in analysis_cases():
+            scans.clear()
+            report = analyze(A, cfg)
+            keys = [(id(a), threshold) for a, threshold in scans]
+            assert len(set(keys)) == len(keys)
+            assert len(keys) == (report.dn == "DN")
+
+    def test_one_dn_classification_per_matrix(self, monkeypatch):
+        verdicts = []
+        original = matcore._classify_dn
+
+        def counted(S, tol):
+            verdicts.append((S, tol.eps_nonneg, tol.eps_psd, tol.eps_rank))
+            return original(S, tol)
+
+        monkeypatch.setattr(matcore, "_classify_dn", counted)
+        for A, cfg in analysis_cases():
+            verdicts.clear()
+            analyze(A, cfg)
+            keys = [(id(S), *eps) for S, *eps in verdicts]
+            assert len(set(keys)) == len(keys) == 1
 
 
 class TestOnePatternPerMatrix:
