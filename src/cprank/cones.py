@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -55,6 +57,8 @@ __all__ = [
 EXTREME_RESIDUAL_FACTOR = 1e-7
 # normalized columns at cosine >= 1 - this are treated as the same ray
 DUPLICATE_RAY_COS_GAP = 1e-12
+# most extreme rays a cone may have for few_rays_factor to certify it
+FEW_RAYS_MAX = 4
 
 _EPS = np.finfo(float).eps
 
@@ -313,7 +317,7 @@ def _basis_fit(B: np.ndarray, T: np.ndarray) -> np.ndarray | None:
     return x if (resid <= EXTREME_RESIDUAL_FACTOR).all() else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeReport:
     """Extreme rays of a column cone.
 
@@ -324,12 +328,28 @@ class ConeReport:
     error of that reconstruction.  For :func:`extreme_rays` both describe
     the Gram columns, although ``W`` is fitted on the rank factor's unit
     columns and rescaled.
+
+    ``W`` and ``residual`` are what ``fit()`` returns.  It runs on the
+    first read of either and its result is kept, so a caller that reads
+    only the rays never pays for the fit, and every reader of ``W`` sees
+    the same bits.
     """
 
     m: int
     extreme_indices: tuple[int, ...]
-    W: np.ndarray
-    residual: float
+    fit: Callable[[], tuple[np.ndarray, float]] = field(repr=False)
+
+    @cached_property
+    def _fitted(self) -> tuple[np.ndarray, float]:
+        return self.fit()
+
+    @property
+    def W(self) -> np.ndarray:
+        return self._fitted[0]
+
+    @property
+    def residual(self) -> float:
+        return self._fitted[1]
 
 
 def _extreme_set(
@@ -426,11 +446,25 @@ def _extreme_set(
 
 
 def _cone_report(
-    G: np.ndarray, F: np.ndarray, extreme: list[int], rep_of: np.ndarray,
+    G: np.ndarray | None, F: np.ndarray, extreme: list[int], rep_of: np.ndarray,
     reps: np.ndarray, X: np.ndarray, norms: np.ndarray,
 ) -> ConeReport:
-    """Reconstruct every column of ``G`` from its ``extreme`` columns,
-    given what :func:`_extreme_set` returned for ``F``.
+    """The report of the ``extreme`` columns of ``G``, given what
+    :func:`_extreme_set` returned for ``F``; its ``W`` and ``residual``
+    are fitted by :func:`_cone_fit` on first read.  ``G`` None stands for
+    the Gram columns ``F^T F``, formed only when the fit runs."""
+    def fit() -> tuple[np.ndarray, float]:
+        return _cone_fit(F.T @ F if G is None else G, F, extreme, rep_of, reps, X, norms)
+
+    return ConeReport(m=len(extreme), extreme_indices=tuple(extreme), fit=fit)
+
+
+def _cone_fit(
+    G: np.ndarray, F: np.ndarray, extreme: list[int], rep_of: np.ndarray,
+    reps: np.ndarray, X: np.ndarray, norms: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Reconstruct every column of ``G`` from its ``extreme`` columns:
+    the coefficients ``W`` and the relative residual.
 
     ``G`` is a linear image of the columns of ``F`` (``F`` itself, or the
     Gram columns ``F^T F``), so coefficients that rebuild a column of
@@ -471,7 +505,7 @@ def _cone_report(
         residual = frobenius_norm(G - recon) / denom if denom else 0.0
     else:
         residual = 0.0
-    return ConeReport(m=m, extreme_indices=tuple(extreme), W=W, residual=residual)
+    return W, residual
 
 
 def extreme_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
@@ -488,13 +522,17 @@ def extreme_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
     so an ill-conditioned cone loses rays and its fits stall early.  ``B``
     maps onto the Gram columns linearly, so ``W`` carries over; ``W`` and
     ``residual`` describe the Gram columns.
+
+    The extreme set is decided here; ``W`` and ``residual`` are fitted on
+    their first read (see :class:`ConeReport`), one more batched solve
+    when some column lies off the extreme rays.
     """
     S = as_symmetric(A, tol)
     verdict = classify_dn(S, tol)
     if not verdict.is_dn:
         raise PreconditionError(f"cone analysis requires a DN matrix, got {verdict.status}")
     B = sr_factor(S, tol)
-    return _cone_report(B.T @ B, B, *_extreme_set(B, tol))
+    return _cone_report(None, B, *_extreme_set(B, tol))
 
 
 def few_rays_factor(
@@ -517,8 +555,10 @@ def few_rays_factor(
     check_seed_restarts(seed, restarts)
     S = as_symmetric(A, tol)
     m = report.m
-    if m > 4:
-        raise PreconditionError(f"factorization from extreme rays needs m <= 4, got {m}")
+    if m > FEW_RAYS_MAX:
+        raise PreconditionError(
+            f"factorization from extreme rays needs m <= {FEW_RAYS_MAX}, got {m}"
+        )
     if m == 0:
         return make_certificate(S, np.zeros((0, S.n)), "few_rays", tol)
     Bs = sr_factor(S, tol)[:, list(report.extreme_indices)]
@@ -526,18 +566,19 @@ def few_rays_factor(
     # entry limit: the block of a small input is taken 4**half times
     # larger, which is exact and changes no decision on it
     half = max(0, -(math.frexp(S.scale)[1] // 2))
-    block = as_symmetric(np.ldexp(Bs.T @ Bs, 2 * half), tol)
+    block = np.ldexp(Bs.T @ Bs, 2 * half)
     d_lo = Bs.shape[0]
     if d_lo < m:
         # a rank-deficient block has rank 3 and four rays; the one pattern
         # on four vertices that pins its cp-rank above 3 is the 4-cycle,
         # and the cycle bound prunes its count to 4; a full-rank block
         # starts at m already
-        cyc = graphcond.cycle_necessary(block, tol)
+        cyc = graphcond.cycle_necessary(as_symmetric(block, tol), tol)
         if cyc.status == graphcond.PASSES:
             d_lo = max(d_lo, min(cyc.cprk_lower_bound, m))
-    # the block's certificate floor
-    eps = math.ldexp(tol.eps_nonneg * math.sqrt(block.scale), -half)
+    # the block's certificate floor, from its scale: ``Bs^T Bs`` is exactly
+    # symmetric, so its largest magnitude is the scale of its SymmetricMatrix
+    eps = math.ldexp(tol.eps_nonneg * math.sqrt(float(np.abs(block).max())), -half)
     for d in range(d_lo, m + 1):
         padded = np.vstack([Bs, np.zeros((d - Bs.shape[0], m))])
         # row counts below m are opportunistic: cp-rank of the block may
@@ -549,5 +590,5 @@ def few_rays_factor(
             return make_certificate(S, C, "few_rays", tol)
     raise ComputationFailureError(
         "rotation search exhausted its budget on the extreme block; "
-        "a solution exists for m <= 4, raise the restart budget"
+        f"a solution exists for m <= {FEW_RAYS_MAX}, raise the restart budget"
     )

@@ -601,7 +601,7 @@ def cone_report_oracle(G, F, tol=DEFAULT_TOL):
     if m:
         denom = float(np.linalg.norm(G))
         residual = float(np.linalg.norm(G - G[:, extreme] @ W)) / denom if denom else 0.0
-    return cones.ConeReport(m=m, extreme_indices=tuple(extreme), W=W, residual=residual)
+    return cones.ConeReport(m=m, extreme_indices=tuple(extreme), fit=lambda: (W, residual))
 
 
 def connecting_orthogonal(B, C, tol=DEFAULT_TOL):

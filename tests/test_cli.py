@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from cprank.cli import main
-from cprank.fixtures import example_matrix
+from cprank.fixtures import GRAM_NONNEG, example_matrix, random_dn
 from cprank.pipeline import matrix_to_text
 
 
@@ -158,6 +159,32 @@ class TestOtherCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["m"] == 4 and doc["extreme_indices"] == [1, 2, 3, 4]
+
+    # SHA-256 of ``rays --report json``: the report fits W and its residual
+    # whenever they are read, whatever the number of rays
+    RAYS_DIGESTS = {
+        "EX1_2": "6eda45efb9bfa3147c2b9fd51b845e9d5aa633cfdb151420d90462ce88dbb364",
+        "EX2_7": "6eda45efb9bfa3147c2b9fd51b845e9d5aa633cfdb151420d90462ce88dbb364",
+        "EX2_8": "4fe591dc313f3ce1133b94fb01d063e0ea216044f342b4944552f51330aec98d",
+        "EX3_3": "4fe591dc313f3ce1133b94fb01d063e0ea216044f342b4944552f51330aec98d",
+        "EX3_7": "6eda45efb9bfa3147c2b9fd51b845e9d5aa633cfdb151420d90462ce88dbb364",
+        "EX3_9": "7c6cb59ea2eeb071061a304c7efd2417d09f51bd4d7c939baffe8448b42f3155",
+        # six rays, six columns fitted off them
+        "GRAM_NONNEG-n12-r3-s4": "ab106d2fb4610075e396f0a513bb0dfb6b062c527bd446a15f8d016b7722fc47",
+    }
+
+    @pytest.mark.parametrize("cid", sorted(RAYS_DIGESTS))
+    def test_rays_json_bytes_unchanged(self, tmp_path, capsys, cid):
+        if cid.startswith("EX"):
+            path = write_fixture(tmp_path, cid)
+        else:
+            path = tmp_path / "A.txt"
+            path.write_text(matrix_to_text(random_dn(12, 3, seed=4, style=GRAM_NONNEG)))
+        loose = ["--tol-psd", "1e-4", "--tol-rank", "1e-4", "--tol-nonneg", "1e-6",
+                 "--tol-residual", "1e-4"] if cid == "EX3_9" else []
+        code, out, _ = run(capsys, ["rays", "--input", str(path), "--report", "json", *loose])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.RAYS_DIGESTS[cid]
 
     GRAPH_DOCS = {
         "EX1_2": {

@@ -11,6 +11,7 @@ from cprank import (
     InvalidInputError,
     classify_dn,
     PreconditionError,
+    SymmetricMatrix,
     Tolerances,
     extreme_rays,
     few_rays_factor,
@@ -367,7 +368,8 @@ class TestExtremeRays:
     @pytest.mark.parametrize("n", [12, 40, 100])
     def test_one_batched_solve_per_question(self, monkeypatch, n):
         # extremality of every column is one kernel call, and fitting the
-        # columns off the extreme rays is one more, whatever n is
+        # columns off the extreme rays, on the first read of W, is one
+        # more, whatever n is
         calls = []
 
         def count(name, fn):
@@ -379,6 +381,7 @@ class TestExtremeRays:
         kernel = getattr(cones, "_batched_nnls", None)
         monkeypatch.setattr(cones, "_batched_nnls", count("kernel", kernel), raising=False)
         report = extreme_rays(random_dn(n, 3, seed=n, style=GRAM_NONNEG))
+        report.W
         assert report.m < n  # some columns are fitted, not extreme
         assert calls == ["kernel", "kernel"]
 
@@ -409,7 +412,7 @@ class TestExtremeRays:
 
         monkeypatch.setattr(cones, "_batched_nnls", counted_kernel)
         monkeypatch.setattr(cones, "_passive_solve", counted_solve)
-        extreme_rays(A)
+        extreme_rays(A).W
         assert len(solves) == 2
         assert solves[1] <= 2
         assert sum(solves) < 19
@@ -418,6 +421,7 @@ class TestExtremeRays:
         A = random_dn(12, 5, seed=6, style=GRAM_NONNEG)
         with caplog.at_level(logging.DEBUG, logger="cprank"):
             report = extreme_rays(A)
+            report.W
         lines = [r.getMessage() for r in caplog.records if r.name == "cprank.cones"]
         names = [line.split(":")[0] for line in lines]
         assert names == ["_extreme_set", "_batched_nnls", "_batched_nnls"]
@@ -573,6 +577,23 @@ class TestConeReportOracle:
         assert_matches_cone_oracle(extreme_rays(A), F.T @ F, F)
 
 
+    @pytest.mark.parametrize("n, r, seed", [(12, 3, 4), (9, 5, 1), (8, 2, 208)])
+    def test_fit_runs_once_on_first_read(self, n, r, seed):
+        # deciding the rays is one kernel call; the first read of W or the
+        # residual runs the fit, one more, and later reads keep its result
+        A = random_dn(n, r, seed=seed, style=GRAM_NONNEG)
+        with mock.patch.object(cones, "_batched_nnls", wraps=cones._batched_nnls) as kernel:
+            report = extreme_rays(A)
+            decided = kernel.call_count
+            residual = report.residual
+            assert kernel.call_count == decided + 1
+            W = report.W
+            assert report.W is W and report.residual == residual
+            assert kernel.call_count == decided + 1
+        B = sr_factor(A)
+        assert_matches_cone_oracle(report, B.T @ B, B)
+
+
 def screen_against_oracle(M):
     """Representatives of ``M`` (as the column loop collapses them) that
     the separation bound settles as extreme, and those a per-column NNLS
@@ -723,6 +744,7 @@ class TestBasisCertificates:
         A = random_dn(8, 2, seed=208, style=GRAM_NONNEG)
         with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
             report = extreme_rays(A)
+            report.W
         (_, screen), (name, fit) = debug_fields(caplog)
         assert screen == {"representatives": 8, "separated": 2, "basis": 6}
         assert name == "_batched_nnls" and (fit["problems"], fit["columns"]) == (6, 2)
@@ -805,8 +827,30 @@ class TestFewRaysFactor:
     def test_too_many_rays_rejected(self):
         A = np.eye(5)
         report = extreme_rays(A)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=f"m <= {cones.FEW_RAYS_MAX}, got 5"):
             few_rays_factor(A, report)
+
+    @pytest.mark.parametrize("A, built", [
+        (random_dn(4, 4, seed=5, style=GRAM_NONNEG), 0),  # full rank at order 4
+        (example_matrix("EX2_7"), 1),  # rank 3, four rays
+    ], ids=["full-rank-block", "rank-deficient-block"])
+    def test_block_matrix_built_only_for_the_cycle_bound(self, monkeypatch, A, built):
+        # the certificate floor reads the block's largest entry; only a
+        # rank-deficient block needs a matrix for the cycle bound
+        report = extreme_rays(A)
+        assert report.m == 4
+        blocks = []
+        original = cones.as_symmetric
+
+        def counted(M, *args):
+            if not isinstance(M, SymmetricMatrix):
+                blocks.append(M)
+            return original(M, *args)
+
+        monkeypatch.setattr(cones, "as_symmetric", counted)
+        cert = few_rays_factor(A, report)
+        assert len(blocks) == built
+        assert verify_certificate(A, cert).passed
 
     @pytest.fixture
     def graph_calls(self, monkeypatch):

@@ -64,34 +64,34 @@ def digest(A, config) -> str:
 DIGESTS = {
     "EX1_2": "46e98a5306d330ae30930e35c89200809b664e7382f422d52c22c576757e21b0",
     "EX2_7": "8a721debfbaa8586661b1246c7593cc3ff3a4dfc5e794ba22e630845f79544ee",
-    "EX2_8": "1844314e7390bad2b80ff20b9531cfffd9632714f9dd7612cfab606157399c4d",
-    "EX3_3": "9f9c5fa9f6080fce1b678be34d6082dc6ad5d92919c80fde8ba287f34bc999c4",
+    "EX2_8": "8156f9280dc8bdb4213f26c954ff927b77d8ef31042d5271c65c8d451d1156a8",
+    "EX3_3": "ad73d9a66bd500768319519580fb3f5b05b521605949d56ca430a5b900138acb",
     "EX3_7": "c62f5d95ca528480b5158ba3af01b49ecacde0e301915b429438c9e54e8a6406",
     "EX3_9": "2cb9507be919b263bbe68eb4ad0b2eef489cda42c167d8e4d272eb4978b89b47",
     "GRAM_NONNEG-n5-r1-s105": "11fa1232ab533a56eeb9efbea933e958d70b70a93e48ea51f765458ddd862505",
     "GRAM_NONNEG-n7-r1-s107-heuristic": "141439c3c4bfcf12041497c1c829f3d6a039b532ebc33325f366fffde0f6e5dc",
     "GRAM_NONNEG-n6-r2-s206": "ee3373d5205cc7f5963ce68a7803275ba0f5e0eada3b38d8270a8550b7510de2",
     "GRAM_NONNEG-n8-r2-s208-heuristic": "5fd70004772696d8516d2a34b7e03c0dfb271c2175337a2e5217f85c70768a00",
-    "GRAM_NONNEG-n7-r3-s307": "e92cffbe672a205361a4ff687519cdab7bfbd7c17d519b7c3a38dfbaa12069fb",
+    "GRAM_NONNEG-n7-r3-s307": "b58f3353f238550eea60d22900c54b68e0d8e8c3e11940cf0146d00ec2aa2b0e",
     "GRAM_NONNEG-n9-r3-s309-heuristic": "6ef2d44f0c4fc7cd3075bfb34c8c627e43928d81274f71fe326272222288f512",
-    "GRAM_NONNEG-n8-r4-s408": "ee1e9c8605c712536d8f734426e499ac6213b10dde825b83426c0444fd29c7a1",
-    "GRAM_NONNEG-n10-r4-s410-heuristic": "5e83c802e9e28b267da1bb836a89a7884162ea2099c8d6bea3c54053b5493e49",
-    "GRAM_NONNEG-n9-r5-s509": "abe14f09b7e41f08648fa9d029eadfc7c50875fffc12b3701bb54b3593595ca2",
-    "GRAM_NONNEG-n11-r5-s511-heuristic": "4bba3f499e28b6851305866cf56c2c8a9e6d0afc95d2453623a911bffb8b7d7b",
-    "GRAM_NONNEG-n10-r6-s610": "15e96db862394f2a06691054d50295cc6bb139ba321613a8b3f11db2aa185ae3",
-    "GRAM_NONNEG-n12-r6-s612-heuristic": "8eb059a537599c842ec8ddb1caeef3cff2cab8e7bca95a0afde398b88b28e147",
+    "GRAM_NONNEG-n8-r4-s408": "8546947e3b78c14263a4a99a993ed10ecda2e4da38bcb9de6d168e8ec1b361ef",
+    "GRAM_NONNEG-n10-r4-s410-heuristic": "e0c4ea09719c3d2e2cdeafe091f49e37440857f145255b3609d725799d0b4fb9",
+    "GRAM_NONNEG-n9-r5-s509": "b9ba00b0e4820d7e10dc217e23d3d842b2ed88beb220833a302ed99e5d770a32",
+    "GRAM_NONNEG-n11-r5-s511-heuristic": "e5c95089e3bffb5d223307e47fad5f57aa59d01ccb57f96e3d4edb3ce08dad23",
+    "GRAM_NONNEG-n10-r6-s610": "da5421b9067fcf93cb98497a1ac3f05547cec02c50a9f8a08126f2a605e4e8c3",
+    "GRAM_NONNEG-n12-r6-s612-heuristic": "f1353dfef941242b086a39226439569b9dc8734a9dbb23bdddcb333ad5cb9479",
     "ROTATED_NONNEG-n5-r1-s105": "724317bb8e6d7403443c0c101e39a412c0e4da6b1b0e9dd630908f72b31ce8e8",
     "ROTATED_NONNEG-n7-r1-s107-heuristic": "10294ff3e03bd23f24b17104f0df78d74b44b4022d308bff0318ab14a98ba0f3",
     "ROTATED_NONNEG-n6-r2-s206": "9b675cebc0dc3998c7b0cff3642a1066318739f3cc697ee3bb1383ba08523f77",
     "ROTATED_NONNEG-n8-r2-s208-heuristic": "2f75bbb9171a4a29bf3d0bfffb1b9ae52c1ccdfabdb446ce1295952cae13a717",
     "ROTATED_NONNEG-n7-r3-s307": "8d9e18775923833b02d19ea4c3b667d2a094d3a54e09260cf19a9bbf9884dc4f",
-    "ROTATED_NONNEG-n9-r3-s309-heuristic": "16f8dc311e21cd8e1f2e262636fdebf5e5a3d6a78a3b68e43ae830b9887a3cec",
-    "ROTATED_NONNEG-n8-r4-s408": "a908e29c845e38b1438a03f14249c1465d0d67bdf4fcbfcd064ebe5148d212f3",
-    "ROTATED_NONNEG-n10-r4-s410-heuristic": "b9998d519ba56fb28abf59a5be013a86e7052d98fcd6bb874f040435f5c62fba",
-    "ROTATED_NONNEG-n9-r5-s509": "be9a0c470e22ad6452f21be2969df88e043b92e84106100cf5abfd445538b893",
-    "ROTATED_NONNEG-n11-r5-s511-heuristic": "e2f33462f1ec1838c247e45051731a7ce3ce1ccb7ce8de8935fcf35d28632ebf",
-    "ROTATED_NONNEG-n10-r6-s610": "63acf18e8bb386fcba632a06c706246ea40b95b96c1e0274b7a82de9c30c74f3",
-    "ROTATED_NONNEG-n12-r6-s612-heuristic": "b66e5952247632d480874a22fd190347ac1841e01c580a60b6105cdfec0dab7e",
+    "ROTATED_NONNEG-n9-r3-s309-heuristic": "2ad857c8540e0a3ce87504f2466b6a4ea7221b1309cb3fad40f2526e283c73ab",
+    "ROTATED_NONNEG-n8-r4-s408": "cbdd3aef81cb451307d85246b1bee1eed65bf090e9139a466779cfea1c55aebc",
+    "ROTATED_NONNEG-n10-r4-s410-heuristic": "430eec07e05d416393eb5ec37a993ae1d5f8d6c8da2a1f3c3dfa73d3104f6624",
+    "ROTATED_NONNEG-n9-r5-s509": "08bc8a4cb72b3ad363bb9b54985544602686bed3b284964ae051924fb23b4f6e",
+    "ROTATED_NONNEG-n11-r5-s511-heuristic": "454762e19c0848e99257fc66927419e64526983f417b091d02ca9437bb151470",
+    "ROTATED_NONNEG-n10-r6-s610": "d5bca46747e76a6e3a477fcc957ee76e9e17b057a41d91b214abd55178882819",
+    "ROTATED_NONNEG-n12-r6-s612-heuristic": "d6eb6865ca76107809f4d95fd4b89d2cd747e971639cebdc3640963359a4531c",
     "SOULES-n5-r1-s105": "b9cb05e59b9f0c68d55fbf5c1ffa4c1ca6874d60d6004db58afa692ced0882ad",
     "SOULES-n7-r1-s107-heuristic": "61bc3496086c1a8c3fb0e2950e1ec0236291410543577743eace9039c760f507",
     "SOULES-n6-r2-s206": "a9c352ff98c3c92c20e01e5968e3b7a951ae55027be151c38ee8a9bbe3bcc19a",
@@ -100,10 +100,10 @@ DIGESTS = {
     "SOULES-n9-r3-s309-heuristic": "a314ae8bd57deb427a5c366372ec6bbfc3c93f0f6e9900dce28bed65ecd83432",
     "SOULES-n8-r4-s408": "08ddd85eec892825b0f8405b540c5c6b626b51a0830f1359857784e4d3f86e58",
     "SOULES-n10-r4-s410-heuristic": "8d937e2b2dbc28139f632b42b332cc05c36cf8dad2c35fd6048ba87618ed53d9",
-    "SOULES-n9-r5-s509": "c9e0215a85198f4e4e5d37961645324f1002ce7bacda63c237e53490870dcbe9",
-    "SOULES-n11-r5-s511-heuristic": "3420f3a1a28b659c57304d32591ac1286b5a6e63cd903eb05f48b03b447921b0",
-    "SOULES-n10-r6-s610": "e39f743a9e2667db9f169237281ac4c1d687dfd7fd69a3b145feb3cf0c703751",
-    "SOULES-n12-r6-s612-heuristic": "675da74f946f8926767f61fe5d2fc2ae104b02245667fc06ad7322f8738a0e1f",
+    "SOULES-n9-r5-s509": "2db071f765bb22361426f3f480ff2ebc2774bb3266978618065e23e52e0854d9",
+    "SOULES-n11-r5-s511-heuristic": "28962d5dc2a6b065cbdc4a64121518aff86bfab5bb87a3397b41fcf2727b3428",
+    "SOULES-n10-r6-s610": "e5874a9adb563565ce4947068e3bc1e58d36028df1679841244c69f6db9cfb13",
+    "SOULES-n12-r6-s612-heuristic": "1c5853eda0da2e357bc5c4f4e3ca2c8c54f4638b581ca00f673f223d5cefaf05",
     "GRAM_NONNEG-n3-r3-s303": "2bd836c4ebd0070c83070f489e1dddb20fdf2bab4c6630156c30647b6ec8f6c4",
     "GRAM_NONNEG-n4-r4-s404": "24e9d740855bf248f2ed45148c455ad69ef25f0f4451f36f18be664c65bfdf5a",
     "ROTATED_NONNEG-n3-r3-s303": "e78b6b2a6cd46a0c4a900c4958a97914e056369ac9507e6c4e22bb6ab9d45e6b",

@@ -1,4 +1,5 @@
 import json
+import logging
 import sys
 import time
 
@@ -19,7 +20,7 @@ from cprank import (
     verify_certificate,
 )
 from cprank.fixtures import EXAMPLE_IDS, GRAM_NONNEG, RANDOM_STYLES, example_matrix, random_dn
-from cprank import matcore, pipeline, srfactor
+from cprank import cones, matcore, pipeline, srfactor
 from cprank.pipeline import (
     CP_RANK_EQ_RANK,
     NOT_DN,
@@ -247,6 +248,26 @@ class TestConeSteps:
             calls.clear()
             report = analyze(example_matrix(fid), cfg)
             assert len(calls) == (0 if report.verdict == NOT_DN else 1)
+
+    @pytest.mark.parametrize("n, r, m, kernel_calls", [
+        (8, 4, 7, 1),  # more rays than the few-rays step takes: no W fit
+        (9, 3, 4, 2),  # four rays and five columns off them: the W fit runs
+    ])
+    def test_w_fit_runs_only_for_the_few_rays_step(self, caplog, n, r, m, kernel_calls):
+        A = random_dn(n, r, seed=100 * r + n, style=GRAM_NONNEG)
+        with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
+            report = analyze(A)
+        kernel = [rec for rec in caplog.records if rec.getMessage().startswith("_batched_nnls:")]
+        assert len(kernel) == kernel_calls
+        rays = step(report, "extreme_rays")
+        assert rays.details["m"] == m
+        if m > cones.FEW_RAYS_MAX:
+            assert rays.details["residual"] is None
+            assert '"residual":null' in write_report(report, "json").decode()
+            assert step(report, "few_rays_factor").outcome == "NOT_APPLICABLE"
+        else:
+            assert rays.details["residual"] == extreme_rays(A).residual
+            assert step(report, "few_rays_factor").outcome.startswith("CERTIFICATE")
 
     def test_nnq_has_no_subset_budget(self):
         # C(80, 4) is about 1.58 million subsets; nnq is read off the rays

@@ -17,7 +17,9 @@ reports differ in meaning, split in two counts: in their decision (order,
 rank, DN status, verdict, cp-rank bounds and certificate rows) and in
 their steps (each step's name, outcome, ``m`` and ``extreme_indices``).
 It also prints how many reports differ in their bytes at all, the
-largest ``extreme_rays`` residual of each tree, and how many reports
+largest ``extreme_rays`` residual of each tree over the reports that
+carry one (the residual is null when the cone has more rays than the
+few-rays step reads) and how many carry one, and how many reports
 differ in each field, named by its path (``extreme_rays.residual`` for a
 step's detail, ``certificate.entries``, ``verdict``), and names the first
 few instances that differ.  It exits with status 1 when any report differs
@@ -96,11 +98,21 @@ def changed_fields(old: str, new: str) -> list[str]:
     return [path for path in dict.fromkeys([*a, *b]) if a.get(path, absent) != b.get(path, absent)]
 
 
-def rays_residual(report: str) -> float:
+def rays_residual(report: str) -> float | None:
+    """The ``extreme_rays`` residual of a report, or None when it carries
+    none (no such step, or a null residual)."""
     for step in json.loads(report).get("steps", ()):
-        if step["name"] == "extreme_rays" and "residual" in step["details"]:
+        if step["name"] == "extreme_rays" and step["details"].get("residual") is not None:
             return float(step["details"]["residual"])
-    return 0.0
+    return None
+
+
+def residual_summary(reports: list[str]) -> str:
+    """The largest rays residual over the reports that carry one, and how
+    many of the reports do."""
+    values = [v for v in map(rays_residual, reports) if v is not None]
+    top = f"{max(values):.2e}" if values else "none"
+    return f"{top} ({len(values)} of {len(reports)} reports)"
 
 
 def run_tree(tree: Path, out: Path, seeds: list[int]) -> subprocess.Popen:
@@ -148,13 +160,13 @@ def main(argv: list[str] | None = None) -> int:
         decided = [key[1] for key in keys if decision(old[key]) != decision(new[key])]
         stepped = [key[1] for key in keys if steps(old[key]) != steps(new[key])]
         byte = [key[1] for key in keys if old[key] != new[key]]
-        rays_old = max(rays_residual(old[key]) for key in keys)
-        rays_new = max(rays_residual(new[key]) for key in keys)
+        rays_old = residual_summary([old[key] for key in keys])
+        rays_new = residual_summary([new[key] for key in keys])
         semantic_total += len(decided) + len(stepped)
         print(
             f"{name}: {len(keys)} instances, {len(decided)} decision differences, "
             f"{len(stepped)} step differences, {len(byte)} byte differences, "
-            f"max rays residual {rays_old:.2e} -> {rays_new:.2e}"
+            f"max rays residual {rays_old} -> {rays_new}"
         )
         per_field = Counter(path for key in keys for path in changed_fields(old[key], new[key]))
         if per_field:
