@@ -10,7 +10,10 @@ The search is Douglas-Rachford between the rotations of the family and
 the nonnegative orthant (Borwein and Sims, 2011; Elser, Rankenburg and
 Thibault, 2007): one SVD per step for the shadow ``polar(Y B^T)``, the
 reflect-project update ``Y <- Y + max(2X - Y, 0) - X``, and a restart
-ends once its best ``min(Q B)`` stops improving.
+ends once its best ``min(Q B)`` stops improving.  When every restart has
+ended, a Newton polish runs from each restart's nearest rotation: the
+least-norm skew step of the linearized constraints, one least-distance
+solve (Lawson and Hanson, 1974, ch. 23), and a Cayley retraction.
 """
 
 from __future__ import annotations
@@ -217,6 +220,9 @@ POLAR_ITERATIONS = 2000
 # the stop watches the best infeasibility, not the step length
 STALL_GAIN = 1e-3
 STALL_STEPS = 100
+# step cap of the Newton polish of one restart's nearest rotation; where
+# the linearization holds, each step squares the violation
+POLISH_STEPS = 8
 
 
 def _qr_rotation(B: np.ndarray) -> np.ndarray:
@@ -264,12 +270,17 @@ def orthant_rotation_search(
     ``Y <- Y + max(2X - Y, 0) - X``.  A restart ends after
     ``POLAR_ITERATIONS`` steps, or once ``STALL_STEPS`` consecutive steps
     have not raised ``min X`` above its best value so far (the start's
-    ``min Y`` included) by ``STALL_GAIN`` times that value's magnitude.  ``None`` means every restart ended
-    without a passing ``Q``.  Douglas-Rachford is used rather than the
-    alternating projections ``Q <- polar(max(Q Bn, 0) Bn^T)`` of Groetzner
-    and Dür (2020) because those settle on infeasible fixed points.  Each
-    call logs one DEBUG line (outcome, restarts used, steps) to the
-    ``cprank.rotate`` logger.
+    ``min Y`` included) by ``STALL_GAIN`` times that value's magnitude.
+    Douglas-Rachford is used rather than the alternating projections
+    ``Q <- polar(max(Q Bn, 0) Bn^T)`` of Groetzner and Dür (2020) because
+    those settle on infeasible fixed points.  On a family whose rotations
+    into the orthant are few, it hovers a little outside them, so once
+    every restart has ended, each restart's nearest ``Q`` (its ``X`` at the
+    last raise of the best value), nearest first, is handed to
+    :func:`_polish`; a search whose restarts pass returns exactly as
+    without it.  ``None`` means no restart and no polish gave a passing
+    ``Q``.  Each call logs one DEBUG line (outcome, restarts used,
+    Douglas-Rachford steps) to the ``cprank.rotate`` logger.
 
     No existence claim is made here; callers restrict the input so that a
     solution is known to exist, or treat ``None`` as inconclusive.
@@ -303,11 +314,12 @@ def orthant_rotation_search(
             return _searched(Q, "householder", 0, 0)
 
     steps = 0
+    nearest = []
     for restart in range(restarts):
         if restart == 1:  # restart 0 draws nothing
             rng = np.random.default_rng(seed)
         Y = Bn if restart == 0 else random_orthogonal(d, rng) @ Bn
-        best, stalled = float(Y.min()), 0
+        best, stalled, Qbest = float(Y.min()), 0, None
         for _ in range(POLAR_ITERATIONS):
             steps += 1
             U, _, Vt = np.linalg.svd(Y @ Bn.T)
@@ -317,13 +329,107 @@ def orthant_rotation_search(
             if low >= -threshold:
                 return _searched(Q, "douglas_rachford", restart + 1, steps)
             if low > best + STALL_GAIN * abs(best):
-                best, stalled = low, 0
+                best, stalled, Qbest = low, 0, Q
             else:
                 stalled += 1
                 if stalled >= STALL_STEPS:
                     break
             Y = Y + np.maximum(2.0 * X - Y, 0.0) - X
+        if Qbest is not None:
+            nearest.append((best, Qbest))
+    for _, Q in sorted(nearest, key=lambda item: -item[0]):
+        Q = _polish(Q, Bn, threshold)
+        if Q is not None:
+            return _searched(Q, "polish", restarts, steps)
     return _searched(None, "none", restarts, steps)
+
+
+def _polish(Q: np.ndarray, Bn: np.ndarray, threshold: float) -> np.ndarray | None:
+    """Newton steps from ``Q`` toward ``Q Bn >= -threshold``; ``None``
+    when a step's linearization has no solution or ``POLISH_STEPS`` steps
+    do not pass.
+
+    A step takes ``Q <- cayley(S) Q`` with ``S`` the least-norm skew
+    matrix whose first-order change ``X + S X`` of ``X = Q Bn`` is at
+    least ``threshold`` in every entry, one :func:`_least_distance` solve
+    in the ``d(d-1)/2`` entries above the diagonal of ``S``.  The Cayley
+    map ``(I - S/2)^{-1} (I + S/2)`` is orthogonal and agrees with
+    ``I + S`` to first order.
+    """
+    d = Q.shape[0]
+    a, b = np.triu_indices(d, 1)
+    k = np.arange(a.size)
+    eye = np.eye(d)
+    for _ in range(POLISH_STEPS):
+        X = Q @ Bn
+        if float(X.min()) >= -threshold:
+            return Q
+        # d X[i, j] / d S[a, b] = [i == a] X[b, j] - [i == b] X[a, j]
+        J = np.zeros((d, X.shape[1], a.size))
+        J[a, :, k] = X[b]
+        J[b, :, k] = -X[a]
+        s = _least_distance(J.reshape(X.size, a.size), threshold - X.ravel())
+        if s is None:
+            return None
+        S = np.zeros((d, d))
+        S[a, b] = s
+        S -= S.T
+        Q = np.linalg.solve(eye - 0.5 * S, eye + 0.5 * S) @ Q
+    return Q if float((Q @ Bn).min()) >= -threshold else None
+
+
+def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+    """The least-norm ``s`` with ``G s >= h``, or ``None`` when there is
+    none.
+
+    Lawson and Hanson (Solving Least Squares Problems, 1974, ch. 23): the
+    nonnegative least-squares solve ``u >= 0`` of ``E u ~ f`` with
+    ``E = [G^T; h^T]`` and ``f`` the last unit vector leaves the residual
+    ``r = E u - f``, whose last entry is ``-||r||^2``; it vanishes when the
+    constraints are inconsistent, and otherwise ``s = -r[:-1] / r[-1]``.
+    The solve is their active-set algorithm on one problem: a column whose
+    own coefficient comes out nonpositive as it enters gained only
+    roundoff and ends the loop.
+    """
+    n, M = G.shape[1], G.shape[0]
+    E = np.vstack([G.T, h[None, :]])
+    f = np.zeros(n + 1)
+    f[-1] = 1.0
+    u = np.zeros(M)
+    P = np.zeros(M, dtype=bool)
+
+    def passive_fit() -> np.ndarray:
+        z = np.zeros(M)
+        if P.any():
+            z[P] = np.linalg.lstsq(E[:, P], f, rcond=None)[0]
+        return z
+
+    for _ in range(3 * (n + 1) + 30):
+        w = np.where(P, -np.inf, E.T @ (f - E @ u))
+        j = int(w.argmax())
+        if w[j] <= 1e-12:
+            break
+        P[j] = True
+        z = passive_fit()
+        if z[j] <= 0.0:
+            break
+        while True:
+            bad = P & (z <= 0.0)
+            if not bad.any():
+                u = z
+                break
+            # step back toward u until the first passive coefficient is 0
+            ratio = np.divide(u, u - z, out=np.full(M, np.inf), where=bad)
+            i = int(ratio.argmin())
+            u = u + ratio[i] * (z - u)
+            u[i] = 0.0
+            P &= u > 0.0
+            u[~P] = 0.0
+            z = passive_fit()
+    r = E @ u - f
+    if r[-1] > -1e-12:
+        return None
+    return -r[:-1] / r[-1]
 
 
 def _searched(Q: np.ndarray | None, outcome: str, restarts: int, steps: int) -> np.ndarray | None:

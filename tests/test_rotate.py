@@ -23,7 +23,7 @@ from cprank import (
     verify_certificate,
 )
 from cprank.fixtures import example_matrix, random_dn
-from cprank.rotate import POLAR_ITERATIONS
+from cprank.rotate import POLAR_ITERATIONS, _least_distance
 from conftest import cone_sampled_vectors, dn_rank2_instance
 
 
@@ -313,6 +313,29 @@ class TestOrthantRotationSearch:
         assert Q is not None
         assert np.linalg.norm(Q.T @ Q - np.eye(d)) <= 1e-12
         assert (Q @ B).min() >= -eps
+
+    @pytest.mark.parametrize("d, m, seed", [(5, 14, 142882), (6, 15, 54348)])
+    def test_polish_passes_where_every_restart_hovers(self, caplog, d, m, seed):
+        # two draws of the cubed-uniform family above on which all 20
+        # Douglas-Rachford restarts end 1e-5 to 1e-3 outside the orthant;
+        # the Newton polish of their nearest rotations passes
+        rng = np.random.default_rng(seed)
+        N = rng.uniform(0.0, 1.0, size=(d, m)) ** 3
+        B = random_orthogonal(d, rng).T @ N
+        eps = 1e-11
+        with caplog.at_level(logging.DEBUG, logger="cprank.rotate"):
+            Q = orthant_rotation_search(B, restarts=20, seed=seed % 997, eps=eps)
+        assert "outcome=polish restarts=20" in caplog.records[-1].getMessage()
+        assert np.linalg.norm(Q.T @ Q - np.eye(d)) <= 1e-12
+        assert (Q @ B).min() >= -eps
+
+    def test_least_distance_solves_or_refuses(self):
+        # s >= 1 and s <= -1 in one coordinate have no common point; with
+        # the second row relaxed to s >= -1 the least-norm point is (1, 0)
+        G = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        assert _least_distance(G, np.array([1.0, 1.0])) is None
+        s = _least_distance(G, np.array([1.0, -1.0]))
+        assert np.allclose(s, [1.0, 0.0], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_noise_column_is_left_out(self, seed):
