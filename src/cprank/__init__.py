@@ -10,7 +10,6 @@ import logging
 from .cones import (
     ConeReport,
     extreme_rays,
-    few_rays_factor,
 )
 from .errors import (
     ComputationFailureError,
@@ -72,6 +71,7 @@ from .rotate import (
     RowSumData,
     boundary_witness,
     e_cone_threshold,
+    few_rays_factor,
     householder_align,
     in_e_cone,
     orthant_rotation_search,

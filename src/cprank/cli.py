@@ -32,9 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="matrix file format (default: dense)")
     common.add_argument("--report", choices=("json", "text"), default="text",
                         help="report rendering (default: text)")
-    common.add_argument("--seed", type=int, default=0, help="seed for rotation searches")
-    common.add_argument("--restarts", type=int, default=200,
-                        help="restart budget for rotation searches")
     common.add_argument("--tol-psd", type=float, default=None,
                         help="relative eigenvalue slack for the PSD decision")
     common.add_argument("--tol-rank", type=float, default=None,
@@ -43,11 +40,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="entrywise nonnegativity slack, relative to the largest entry")
     common.add_argument("--tol-residual", type=float, default=None,
                         help="relative residual bound for certificates")
-    common.add_argument("--heuristic", action="store_true",
+
+    # only the cascade runs rotation searches
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--seed", type=int, default=0, help="seed for rotation searches")
+    search.add_argument("--restarts", type=int, default=200,
+                        help="restart budget for rotation searches")
+    search.add_argument("--heuristic", action="store_true",
                         help="attempt rotation certificates for rank 5 and up")
 
-    sub.add_parser("analyze", parents=[common], help="run the full decision cascade")
-    sub.add_parser("factor", parents=[common], help="report only the certificate")
+    sub.add_parser("analyze", parents=[common, search], help="run the full decision cascade")
+    sub.add_parser("factor", parents=[common, search], help="report only the certificate")
     sub.add_parser("nnq", parents=[common], help="search for a nonnegative-equivalence witness")
     sub.add_parser("rays", parents=[common], help="extreme rays of the column cone")
     sub.add_parser("graph", parents=[common], help="zero-pattern graph conditions")

@@ -2,15 +2,12 @@
 
 For a doubly nonnegative matrix the cone generated by its columns is
 pointed (once zero columns are dropped), so every column is a nonnegative
-combination of the extreme columns.  When there are at most four extreme
-rays this yields a completely positive factorization, and that one
-rotation search certifies every case the paper proves with at most four
-rays: rank at most 2 (``m = rank``, a pointed cone in the plane has at
-most two rays), full rank at order at most 4 (``m = n``) and a basis of
-nonnegative equivalence at rank at most 4 (``m = rank``).  When there are
-exactly rank many rays, the cone is simplicial and the matrix is
-nonnegative-equivalent, so a rank-3 matrix with three extreme rays lies
-in CP_{n,3} (:func:`cprank.nnq.decide_rank3_three_rays`).
+combination of the extreme columns; with at most ``FEW_RAYS_MAX`` of them
+:func:`cprank.rotate.few_rays_factor` turns that into a completely
+positive factorization.  When there are exactly rank many rays, the cone
+is simplicial and the matrix is nonnegative-equivalent, so a rank-3
+matrix with three extreme rays lies in CP_{n,3}
+(:func:`cprank.nnq.decide_rank3_three_rays`).
 
 Which columns are extreme is settled in three stages: a separating
 functional read off the cosine matrix proves most extreme columns
@@ -23,15 +20,13 @@ tests the columns still open.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from . import graphcond
-from .errors import ComputationFailureError, PreconditionError
+from .errors import PreconditionError
 from .matcore import (
     DEFAULT_TOL,
     MatrixLike,
@@ -41,15 +36,13 @@ from .matcore import (
     frobenius_norm,
     vector_norms,
 )
-from .rotate import check_seed_restarts, orthant_rotation_search
-from .srfactor import CpCertificate, make_certificate, sr_factor
+from .srfactor import sr_factor
 
 _log = logging.getLogger(__name__)
 
 __all__ = [
     "ConeReport",
     "extreme_rays",
-    "few_rays_factor",
 ]
 
 # a deduplicated column is extreme when reconstructing it from the others
@@ -57,7 +50,7 @@ __all__ = [
 EXTREME_RESIDUAL_FACTOR = 1e-7
 # normalized columns at cosine >= 1 - this are treated as the same ray
 DUPLICATE_RAY_COS_GAP = 1e-12
-# most extreme rays a cone may have for few_rays_factor to certify it
+# most extreme rays a cone may have for rotate.few_rays_factor to certify it
 FEW_RAYS_MAX = 4
 
 _EPS = np.finfo(float).eps
@@ -534,61 +527,3 @@ def extreme_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
     B = sr_factor(S, tol)
     return _cone_report(None, B, *_extreme_set(B, tol))
 
-
-def few_rays_factor(
-    A: MatrixLike,
-    report: ConeReport,
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = 0,
-    restarts: int = 200,
-) -> CpCertificate:
-    """Completely positive factorization from at most four extreme rays.
-
-    The extreme block ``A1``, the Gram matrix of the extreme columns
-    ``B[:, ext]`` of the input's rank factor, is factored with a
-    nonnegative ``N``, a rotation of ``B[:, ext]`` padded to row counts
-    from the rank up to ``m``; the full certificate is then ``C = N W``.
-    Row counts below ``m`` are heuristic attempts at the block's cp-rank,
-    while the count ``m`` itself is always reachable.  A negative
-    ``seed`` or ``restarts`` raises :class:`InvalidInputError`.
-    """
-    check_seed_restarts(seed, restarts)
-    S = as_symmetric(A, tol)
-    m = report.m
-    if m > FEW_RAYS_MAX:
-        raise PreconditionError(
-            f"factorization from extreme rays needs m <= {FEW_RAYS_MAX}, got {m}"
-        )
-    if m == 0:
-        return make_certificate(S, np.zeros((0, S.n)), "few_rays", tol)
-    Bs = sr_factor(S, tol)[:, list(report.extreme_indices)]
-    # the block's entries may lie far below the input's, under the lower
-    # entry limit: the block of a small input is taken 4**half times
-    # larger, which is exact and changes no decision on it
-    half = max(0, -(math.frexp(S.scale)[1] // 2))
-    block = np.ldexp(Bs.T @ Bs, 2 * half)
-    d_lo = Bs.shape[0]
-    if d_lo < m:
-        # a rank-deficient block has rank 3 and four rays; the one pattern
-        # on four vertices that pins its cp-rank above 3 is the 4-cycle,
-        # and the cycle bound prunes its count to 4; a full-rank block
-        # starts at m already
-        cyc = graphcond.cycle_necessary(as_symmetric(block, tol), tol)
-        if cyc.status == graphcond.PASSES:
-            d_lo = max(d_lo, min(cyc.cprk_lower_bound, m))
-    # the block's certificate floor, from its scale: ``Bs^T Bs`` is exactly
-    # symmetric, so its largest magnitude is the scale of its SymmetricMatrix
-    eps = math.ldexp(tol.eps_nonneg * math.sqrt(float(np.abs(block).max())), -half)
-    for d in range(d_lo, m + 1):
-        padded = np.vstack([Bs, np.zeros((d - Bs.shape[0], m))])
-        # row counts below m are opportunistic: cp-rank of the block may
-        # exceed d, so cap the effort and fall through to the sure case
-        budget = restarts if d == m else min(restarts, 12)
-        Q = orthant_rotation_search(padded, restarts=budget, seed=seed, eps=eps)
-        if Q is not None:
-            C = (Q @ padded) @ report.W
-            return make_certificate(S, C, "few_rays", tol)
-    raise ComputationFailureError(
-        "rotation search exhausted its budget on the extreme block; "
-        f"a solution exists for m <= {FEW_RAYS_MAX}, raise the restart budget"
-    )

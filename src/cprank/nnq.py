@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ConeReport, extreme_rays, few_rays_factor
+from .cones import ConeReport, extreme_rays
 from .matcore import (
     DEFAULT_TOL,
     MatrixLike,
@@ -30,7 +30,7 @@ from .matcore import (
     psd_rank,
     vector_norms,
 )
-from .rotate import check_seed_restarts
+from .rotate import check_seed_restarts, few_rays_factor
 from .srfactor import CpCertificate
 
 __all__ = [

@@ -264,7 +264,7 @@ def _cone_steps(cas: _Cascade) -> None:
                  {"reason": f"more than {cones.FEW_RAYS_MAX} extreme rays"}, t0)
     else:
         try:
-            cert = cones.few_rays_factor(
+            cert = rotate.few_rays_factor(
                 cas.S, report, cas.tol, seed=cas.config.seed, restarts=cas.config.restarts
             )
         except ComputationFailureError as exc:

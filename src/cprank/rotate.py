@@ -6,6 +6,14 @@ row-sum sufficient condition with its constructive factorization, and a
 seeded multi-start search for an orthogonal matrix that makes a vector
 family nonnegative.
 
+That search also certifies a DN matrix whose column cone has at most
+``cones.FEW_RAYS_MAX`` (four) extreme rays: every case the paper proves
+with at most four rays, namely rank at most 2 (``m = rank``, a pointed
+cone in the plane has at most two rays), full rank at order at most 4
+(``m = n``) and a basis of nonnegative equivalence at rank at most 4
+(``m = rank``), is one rotation of the extreme columns
+(:func:`few_rays_factor`).
+
 The search is Douglas-Rachford between the rotations of the family and
 the nonnegative orthant (Borwein and Sims, 2011; Elser, Rankenburg and
 Thibault, 2007): one SVD per step for the shadow ``polar(Y B^T)``, the
@@ -13,7 +21,8 @@ reflect-project update ``Y <- Y + max(2X - Y, 0) - X``, and a restart
 ends once its best ``min(Q B)`` stops improving.  When every restart has
 ended, a Newton polish runs from each restart's nearest rotation: the
 least-norm skew step of the linearized constraints, one least-distance
-solve (Lawson and Hanson, 1974, ch. 23), and a Cayley retraction.
+solve (Lawson and Hanson, 1974, ch. 23) on the nonnegative least-squares
+kernel the cone fits use, and a Cayley retraction.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError
+from . import cones, graphcond
+from .errors import ComputationFailureError, InvalidInputError, PreconditionError
 from .matcore import (
     DEFAULT_TOL,
     MatrixLike,
@@ -49,6 +59,7 @@ __all__ = [
     "RowSumData",
     "rowsum_condition",
     "rowsum_factor",
+    "few_rays_factor",
     "orthant_rotation_search",
     "random_orthogonal",
 ]
@@ -209,6 +220,65 @@ def _rowsum_certificate(S: SymmetricMatrix, tol: Tolerances) -> CpCertificate:
     return make_certificate(S, householder_align(x).Q @ B, "rowsum", tol)
 
 
+def few_rays_factor(
+    A: MatrixLike,
+    report: cones.ConeReport,
+    tol: Tolerances = DEFAULT_TOL,
+    seed: int = 0,
+    restarts: int = 200,
+) -> CpCertificate:
+    """Completely positive factorization from at most four extreme rays.
+
+    The extreme block ``A1``, the Gram matrix of the extreme columns
+    ``B[:, ext]`` of the input's rank factor, is factored with a
+    nonnegative ``N``, a rotation of ``B[:, ext]`` padded to row counts
+    from the rank up to ``m``; the full certificate is then ``C = N W``.
+    Row counts below ``m`` are heuristic attempts at the block's cp-rank,
+    while the count ``m`` itself is always reachable.  A negative
+    ``seed`` or ``restarts`` raises :class:`InvalidInputError`.
+    """
+    check_seed_restarts(seed, restarts)
+    S = as_symmetric(A, tol)
+    m = report.m
+    if m > cones.FEW_RAYS_MAX:
+        raise PreconditionError(
+            f"factorization from extreme rays needs m <= {cones.FEW_RAYS_MAX}, got {m}"
+        )
+    if m == 0:
+        return make_certificate(S, np.zeros((0, S.n)), "few_rays", tol)
+    Bs = sr_factor(S, tol)[:, list(report.extreme_indices)]
+    # the block's entries may lie far below the input's, under the lower
+    # entry limit: the block of a small input is taken 4**half times
+    # larger, which is exact and changes no decision on it
+    half = max(0, -(math.frexp(S.scale)[1] // 2))
+    block = np.ldexp(Bs.T @ Bs, 2 * half)
+    d_lo = Bs.shape[0]
+    if d_lo < m:
+        # a rank-deficient block has rank 3 and four rays; the one pattern
+        # on four vertices that pins its cp-rank above 3 is the 4-cycle,
+        # and the cycle bound prunes its count to 4; a full-rank block
+        # starts at m already
+        cyc = graphcond.cycle_necessary(as_symmetric(block, tol), tol)
+        if cyc.status == graphcond.PASSES:
+            d_lo = max(d_lo, min(cyc.cprk_lower_bound, m))
+    # the block's certificate floor, from its scale: ``Bs^T Bs`` is exactly
+    # symmetric, so its largest magnitude is the scale of its SymmetricMatrix
+    eps = math.ldexp(tol.eps_nonneg * math.sqrt(float(np.abs(block).max())), -half)
+    for d in range(d_lo, m + 1):
+        padded = np.vstack([Bs, np.zeros((d - Bs.shape[0], m))])
+        # row counts below m are opportunistic: cp-rank of the block may
+        # exceed d, so cap the effort and fall through to the sure case
+        budget = restarts if d == m else min(restarts, 12)
+        Q = orthant_rotation_search(padded, restarts=budget, seed=seed, eps=eps)
+        if Q is not None:
+            C = (Q @ padded) @ report.W
+            return make_certificate(S, C, "few_rays", tol)
+    raise ComputationFailureError(
+        "rotation search exhausted its budget on the extreme block; "
+        f"a solution exists for m <= {cones.FEW_RAYS_MAX}, raise the restart budget"
+    )
+
+
 # ---------------------------------------------------------------------------
 # orthant rotation search
 
@@ -284,12 +354,15 @@ def orthant_rotation_search(
 
     No existence claim is made here; callers restrict the input so that a
     solution is known to exist, or treat ``None`` as inconclusive.
-    A negative ``restarts`` or ``seed`` raises :class:`InvalidInputError`.
+    A negative ``restarts`` or ``seed``, or a non-finite entry of ``B``,
+    raises :class:`InvalidInputError`.
     """
     check_seed_restarts(seed, restarts)
     B = np.asarray(B, dtype=float)
     if B.ndim != 2:
         raise InvalidInputError(f"expected a 2-d array of column vectors, got shape {B.shape}")
+    if not np.isfinite(B).all():
+        raise InvalidInputError("column vectors must be finite")
     d = B.shape[0]
     norms = vector_norms(B)
     live = norms > eps
@@ -387,46 +460,14 @@ def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     ``E = [G^T; h^T]`` and ``f`` the last unit vector leaves the residual
     ``r = E u - f``, whose last entry is ``-||r||^2``; it vanishes when the
     constraints are inconsistent, and otherwise ``s = -r[:-1] / r[-1]``.
-    The solve is their active-set algorithm on one problem: a column whose
-    own coefficient comes out nonpositive as it enters gained only
-    roundoff and ends the loop.
+    The solve is one cold-start call of the kernel the cone fits use,
+    ``cones._batched_nnls``, on ``E^T E`` and ``E^T f = h``.
     """
-    n, M = G.shape[1], G.shape[0]
     E = np.vstack([G.T, h[None, :]])
-    f = np.zeros(n + 1)
-    f[-1] = 1.0
-    u = np.zeros(M)
-    P = np.zeros(M, dtype=bool)
-
-    def passive_fit() -> np.ndarray:
-        z = np.zeros(M)
-        if P.any():
-            z[P] = np.linalg.lstsq(E[:, P], f, rcond=None)[0]
-        return z
-
-    for _ in range(3 * (n + 1) + 30):
-        w = np.where(P, -np.inf, E.T @ (f - E @ u))
-        j = int(w.argmax())
-        if w[j] <= 1e-12:
-            break
-        P[j] = True
-        z = passive_fit()
-        if z[j] <= 0.0:
-            break
-        while True:
-            bad = P & (z <= 0.0)
-            if not bad.any():
-                u = z
-                break
-            # step back toward u until the first passive coefficient is 0
-            ratio = np.divide(u, u - z, out=np.full(M, np.inf), where=bad)
-            i = int(ratio.argmin())
-            u = u + ratio[i] * (z - u)
-            u[i] = 0.0
-            P &= u > 0.0
-            u[~P] = 0.0
-            z = passive_fit()
-    r = E @ u - f
+    allowed = np.ones((1, G.shape[0]), dtype=bool)
+    u = cones._batched_nnls(E.T @ E, h[None, :], allowed, ~allowed)[0]
+    r = E @ u
+    r[-1] -= 1.0
     if r[-1] > -1e-12:
         return None
     return -r[:-1] / r[-1]

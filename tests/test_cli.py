@@ -91,6 +91,23 @@ class TestAnalyze:
         assert code == 1 and out == ""
         assert err == f"error: {flag[2:]} must be nonnegative, got -1\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "factor"])
+    def test_search_flags_set_the_rotation_searches(self, tmp_path, capsys, command):
+        path = write_fixture(tmp_path, "EX2_7")
+        argv = [command, "--input", path, "--seed", "3", "--restarts", "5", "--heuristic"]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and out and err == ""
+
+    @pytest.mark.parametrize("command", ["nnq", "rays", "graph"])
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--restarts", "1"], ["--heuristic"]])
+    def test_search_flags_are_usage_errors_elsewhere(self, tmp_path, capsys, command, flag):
+        # these subcommands run no rotation search, so the flags would be ignored
+        path = write_fixture(tmp_path, "EX2_7")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", path, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_text_report_default(self, tmp_path, capsys):
         path = write_fixture(tmp_path, "EX2_7")
         code, out, _ = run(capsys, ["analyze", "--input", path])

@@ -18,7 +18,7 @@ from cprank import (
     sr_factor,
     verify_certificate,
 )
-from cprank import cones
+from cprank import cones, rotate
 from cprank.cones import DUPLICATE_RAY_COS_GAP, EXTREME_RESIDUAL_FACTOR
 from cprank.fixtures import (
     GRAM_NONNEG,
@@ -840,14 +840,14 @@ class TestFewRaysFactor:
         report = extreme_rays(A)
         assert report.m == 4
         blocks = []
-        original = cones.as_symmetric
+        original = rotate.as_symmetric
 
         def counted(M, *args):
             if not isinstance(M, SymmetricMatrix):
                 blocks.append(M)
             return original(M, *args)
 
-        monkeypatch.setattr(cones, "as_symmetric", counted)
+        monkeypatch.setattr(rotate, "as_symmetric", counted)
         cert = few_rays_factor(A, report)
         assert len(blocks) == built
         assert verify_certificate(A, cert).passed

@@ -79,7 +79,25 @@ def test_module_imports_are_acyclic():
         TopologicalSorter(graph).prepare()
     except CycleError as exc:
         pytest.fail(f"import cycle among cprank modules: {exc.args[1]}")
-    assert "nnq" not in graph["cones"]
+    # the kernel module stays below its callers: rotate reaches it, not the
+    # other way round
+    assert not {"nnq", "rotate", "graphcond"} & graph["cones"]
+
+
+def test_rotate_reaches_the_kernel_through_the_module():
+    # a patch of cones._batched_nnls then sees the polish's calls too
+    tree = MODULES["rotate"]
+    from_cones = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "cones"
+    ]
+    assert from_cones == []
+    reads = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "cones"
+    }
+    assert "_batched_nnls" in reads
 
 
 def test_no_function_imports_a_package_module():

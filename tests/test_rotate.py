@@ -24,7 +24,7 @@ from cprank import (
 )
 from cprank.fixtures import example_matrix, random_dn
 from cprank.rotate import POLAR_ITERATIONS, _least_distance
-from conftest import cone_sampled_vectors, dn_rank2_instance
+from conftest import active_set_nnls, cone_sampled_vectors, dn_rank2_instance
 
 
 # the textbook doubly nonnegative 5-cycle matrix that is not completely
@@ -337,6 +337,41 @@ class TestOrthantRotationSearch:
         s = _least_distance(G, np.array([1.0, -1.0]))
         assert np.allclose(s, [1.0, 0.0], rtol=0.0, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_least_distance_matches_an_independent_nnls(self, data):
+        # the same reduction to E u ~ f, solved by the per-problem oracle;
+        # a feasible h lies below G s0, an infeasible one asks g s >= a and
+        # -g s >= b with a + b = 1 for one row pair
+        feasible = data.draw(st.booleans(), label="feasible")
+        rows = data.draw(st.integers(min_value=0 if feasible else 2, max_value=40), label="rows")
+        n = data.draw(st.integers(min_value=1, max_value=8), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        G = rng.standard_normal((rows, n))
+        if feasible:
+            slack = np.where(rng.random(rows) < 0.5, 0.0, rng.random(rows))
+            h = G @ rng.standard_normal(n) - slack
+        else:
+            h = rng.standard_normal(rows)
+            G[1] = -G[0]
+            h[1] = 1.0 - h[0]
+        s = _least_distance(G, h)
+        if rows == 0:
+            assert np.array_equal(s, np.zeros(n))
+            return
+        E = np.vstack([G.T, h[None, :]])
+        f = np.zeros(n + 1)
+        f[-1] = 1.0
+        r = E @ active_set_nnls(E, f) - f
+        if r[-1] > -1e-12:
+            assert s is None
+            return
+        want = -r[:-1] / r[-1]
+        assert s is not None
+        assert (G @ s >= h - 1e-9).all()
+        norm, target = np.linalg.norm(s), np.linalg.norm(want)
+        assert abs(norm - target) <= 1e-9 * max(norm, target)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_noise_column_is_left_out(self, seed):
         # a column of rounding noise stays above -eps under every rotation;
@@ -412,13 +447,22 @@ class TestOrthantRotationSearch:
         with pytest.raises(InvalidInputError, match=f"{name} must be nonnegative"):
             orthant_rotation_search(B, restarts=restarts, seed=seed)
 
+    @pytest.mark.parametrize("B", [[[math.nan, 1.0], [1.0, 1.0]], [[math.inf, -1.0], [1.0, 1.0]]])
+    def test_non_finite_columns_rejected(self, B):
+        # a NaN made the QR attempt's SVD fail to converge, and an infinity
+        # warned and then failed the same way
+        with pytest.raises(InvalidInputError, match="finite"):
+            orthant_rotation_search(np.array(B))
+
     def test_one_debug_line_per_call(self, caplog):
         t = math.radians(100.0)
         plane_pair = np.array([[1.0, math.cos(t)], [0.0, math.sin(t)]])
         with caplog.at_level(logging.DEBUG, logger="cprank"):
             assert orthant_rotation_search(np.eye(3)) is not None
             assert orthant_rotation_search(plane_pair, restarts=2) is None
-        lines = [r.getMessage() for r in caplog.records if r.name.startswith("cprank")]
+        # the plane pair's polish solves through cones._batched_nnls, which
+        # logs its own lines to cprank.cones
+        lines = [r.getMessage() for r in caplog.records if r.name == "cprank.rotate"]
         assert len(lines) == 2
         assert "outcome=identity restarts=0 steps=0" in lines[0]
         assert "outcome=none restarts=2 steps=" in lines[1]
