@@ -46,7 +46,6 @@ from .matcore import (
     classify_dn,
     comparison_matrix,
     psd_rank,
-    zero_diagonal_indices,
 )
 from .nnq import (
     IN_CP_N3,

@@ -128,18 +128,24 @@ def cycle_necessary(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> CycleCheck:
     never changes the outcome.
     """
     S = as_symmetric(A, tol)
-    a = S.a
+    return _cycle_check(S.a, S.pattern(tol.eps_nonneg))
+
+
+def _cycle_check(a: np.ndarray, adj: np.ndarray) -> CycleCheck:
+    """:func:`cycle_necessary` of the symmetric array ``a`` with the
+    off-diagonal pattern ``adj``."""
+    n = a.shape[0]
     trace = a.trace()
     off = float(a.sum() - trace)
     diag = float(trace)
-    if S.n < 4 or not _is_cycle(S.pattern(tol.eps_nonneg)):
+    if n < 4 or not _is_cycle(adj):
         return CycleCheck(
             status=NOT_APPLICABLE, cprk_lower_bound=None, off_diag_sum=off, diag_sum=diag
         )
     slack = 1e-12 * max(abs(off), abs(diag))
     if off > diag + slack:
         return CycleCheck(status=FAILS, cprk_lower_bound=None, off_diag_sum=off, diag_sum=diag)
-    return CycleCheck(status=PASSES, cprk_lower_bound=S.n, off_diag_sum=off, diag_sum=diag)
+    return CycleCheck(status=PASSES, cprk_lower_bound=n, off_diag_sum=off, diag_sum=diag)
 
 
 @dataclass(frozen=True)

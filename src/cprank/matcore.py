@@ -3,7 +3,7 @@
 Everything downstream works on symmetric matrices with a tolerance-driven
 notion of nonnegativity, positive semidefiniteness and rank.  This module
 owns those decisions: eigendecomposition, PSD/rank classification, the
-doubly-nonnegative (DN) verdict, zero-diagonal rows, and the comparison
+doubly-nonnegative (DN) verdict, zero rows, and the comparison
 matrix ``2 diag(A) - A``.
 """
 
@@ -28,7 +28,6 @@ __all__ = [
     "DnVerdict",
     "classify_dn",
     "comparison_matrix",
-    "zero_diagonal_indices",
     "NOT_NONNEGATIVE",
     "NOT_PSD",
     "DN",
@@ -96,13 +95,14 @@ class SymmetricMatrix:
     row-sum condition would overflow, and a nonzero matrix whose largest
     entry is below ``sqrt(tiny float) / eps_residual``, where the squares
     a certificate residual sums would underflow.  The stored array is
-    read-only so values can be shared freely; the eigendecomposition, the
-    off-diagonal zero pattern and the zero rows of each threshold, and the
-    DN verdict, rank decision and rank factor of each tolerance key are
-    computed once, on first use, and kept.
+    read-only so values can be shared freely.  Every per-matrix fact is
+    computed once, on first use, and kept in one table (:meth:`derived`):
+    the eigendecomposition, the off-diagonal zero pattern and the zero
+    rows of each threshold, and the DN verdict, rank decision and rank
+    factor of each tolerance key.
     """
 
-    __slots__ = ("_a", "_scale", "_eig", "_patterns", "_derived")
+    __slots__ = ("_a", "_scale", "_derived")
 
     def __init__(self, entries: MatrixLike, tol: Tolerances = DEFAULT_TOL):
         # not copied: the kept array is the new (a + a^T) / 2
@@ -134,8 +134,6 @@ class SymmetricMatrix:
         a.flags.writeable = False
         self._a = a
         self._scale = scale
-        self._eig = None
-        self._patterns = {}
         self._derived = {}
 
     @property
@@ -153,45 +151,33 @@ class SymmetricMatrix:
         """The eigendecomposition, computed on first use: eigenvalues in
         non-increasing order, each eigenvector column flipped so that its
         largest-magnitude entry is positive (deterministic for one input)."""
-        if self._eig is None:
-            w, V = np.linalg.eigh(self._a)
-            # flip each column so that its largest-magnitude entry is positive
-            V = np.where(V[np.abs(V).argmax(axis=0), np.arange(V.shape[1])] < 0.0, -V, V)
-            # LAPACK returns the eigenvalues in ascending order
-            w, V = w[::-1], V[:, ::-1]
-            w.flags.writeable = False
-            V.flags.writeable = False
-            self._eig = EigenDecomposition(eigenvalues=w, eigenvectors=V)
-        return self._eig
+        return self.derived("eigen", lambda: _eigen(self._a))
 
     def pattern(self, eps: float) -> np.ndarray:
         """Read-only boolean off-diagonal pattern ``|a_ij| > eps * scale``
         (``i != j``), computed once per ``eps`` on first use."""
-        P = self._patterns.get(eps)
-        if P is None:
-            P = np.abs(self._a) > eps * self._scale
-            np.fill_diagonal(P, False)
-            P.flags.writeable = False
-            self._patterns[eps] = P
-        return P
+        return self.derived(("pattern", eps), lambda: _pattern(self._a, eps * self._scale))
 
     def zero_rows(self, eps: float) -> np.ndarray:
         """Read-only indices of the rows whose entries are all at most
-        ``eps * scale`` in magnitude, computed once per ``eps`` on first use
-        (see :func:`zero_diagonal_indices`)."""
-        key = ("zero_rows", eps)
-        rows = self._derived.get(key)
-        if rows is None:
-            rows = self._derived[key] = _zero_rows(self._a, eps * self._scale)
-        return rows
+        ``eps * scale`` in magnitude, computed once per ``eps`` on first use.
+
+        The rank factor, the row-sum condition and the nnq check read
+        ``zero_rows(eps_nonneg)`` and treat such a row as exactly zero.  A
+        small diagonal alone is not enough: in a PSD matrix
+        ``|a_ij| <= sqrt(a_ii a_jj)``, so a diagonal entry at the threshold
+        allows off-diagonal entries far above it.
+        """
+        return self.derived(("zero_rows", eps), lambda: _zero_rows(self._a, eps * self._scale))
 
     def derived(self, key: Hashable, compute: Callable[[], T]) -> T:
         """``compute()``, computed once per ``key`` on first use and kept.
 
-        Values kept here must be immutable: :meth:`zero_rows`,
+        Values kept here must be immutable: :attr:`eigen` keeps its
+        result under ``"eigen"``, and :meth:`pattern`, :meth:`zero_rows`,
         :func:`classify_dn`, :func:`psd_rank` and
-        :func:`~cprank.srfactor.sr_factor` keep their results under their
-        name and the tolerances they depend on.
+        :func:`~cprank.srfactor.sr_factor` keep theirs under their name and
+        the threshold or tolerances they depend on.
         """
         if key not in self._derived:
             self._derived[key] = compute()
@@ -203,12 +189,6 @@ class SymmetricMatrix:
 
     def __repr__(self) -> str:
         return f"SymmetricMatrix(n={self.n})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SymmetricMatrix) and np.array_equal(self._a, other._a)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._a.tobytes()))
 
 
 def frobenius_norm(M: np.ndarray) -> float:
@@ -320,17 +300,22 @@ def comparison_matrix(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> Symmetric
     return SymmetricMatrix(M, tol)
 
 
-def zero_diagonal_indices(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Indices of rows whose entries are all at most ``eps_nonneg * scale``
-    in magnitude.
+def _eigen(a: np.ndarray) -> EigenDecomposition:
+    w, V = np.linalg.eigh(a)
+    # flip each column so that its largest-magnitude entry is positive
+    V = np.where(V[np.abs(V).argmax(axis=0), np.arange(V.shape[1])] < 0.0, -V, V)
+    # LAPACK returns the eigenvalues in ascending order
+    w, V = w[::-1], V[:, ::-1]
+    w.flags.writeable = False
+    V.flags.writeable = False
+    return EigenDecomposition(eigenvalues=w, eigenvectors=V)
 
-    The rank factor, the row-sum condition and the nnq check treat such a
-    row as exactly zero.  A small diagonal alone is not enough: in a PSD matrix
-    ``|a_ij| <= sqrt(a_ii a_jj)``, so a diagonal entry at the threshold
-    allows off-diagonal entries far above it.  A :class:`SymmetricMatrix`
-    keeps them per ``eps_nonneg`` (:meth:`SymmetricMatrix.zero_rows`).
-    """
-    return as_symmetric(A, tol).zero_rows(tol.eps_nonneg)
+
+def _pattern(a: np.ndarray, threshold: float) -> np.ndarray:
+    P = np.abs(a) > threshold
+    np.fill_diagonal(P, False)
+    P.flags.writeable = False
+    return P
 
 
 def _zero_rows(a: np.ndarray, threshold: float) -> np.ndarray:

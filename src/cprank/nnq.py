@@ -8,7 +8,7 @@ can equally be computed from Gram data as ``A[s,s]^{-1} A[s,:]``.  The
 only possible basis is one column per extreme ray of the column cone, so
 detection reads the witness off an extreme-ray report.  A witness
 leaves exactly rank many extreme rays, so for rank at most 4 the
-few-rays factorization of :mod:`cprank.cones` certifies cp-rank equal to
+few-rays factorization of :mod:`cprank.rotate` certifies cp-rank equal to
 the rank from that same report; at rank 3 that decides membership in
 CP_{n,3} (:func:`decide_rank3_three_rays`).
 """

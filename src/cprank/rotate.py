@@ -41,6 +41,7 @@ from .matcore import (
     MatrixLike,
     SymmetricMatrix,
     Tolerances,
+    _pattern,
     as_symmetric,
     frobenius_norm,
     psd_rank,
@@ -220,6 +221,10 @@ def _rowsum_certificate(S: SymmetricMatrix, tol: Tolerances) -> CpCertificate:
     return make_certificate(S, householder_align(x).Q @ B, "rowsum", tol)
 
 
+# restart cap of each row count below m in :func:`few_rays_factor`
+SUB_M_RESTARTS = 12
+
+
 def few_rays_factor(
     A: MatrixLike,
     report: cones.ConeReport,
@@ -234,8 +239,9 @@ def few_rays_factor(
     nonnegative ``N``, a rotation of ``B[:, ext]`` padded to row counts
     from the rank up to ``m``; the full certificate is then ``C = N W``.
     Row counts below ``m`` are heuristic attempts at the block's cp-rank,
-    while the count ``m`` itself is always reachable.  A negative
-    ``seed`` or ``restarts`` raises :class:`InvalidInputError`.
+    each with at most ``SUB_M_RESTARTS`` restarts, while the count ``m``
+    itself is always reachable.  A negative ``seed`` or ``restarts``
+    raises :class:`InvalidInputError`.
     """
     check_seed_restarts(seed, restarts)
     S = as_symmetric(A, tol)
@@ -247,28 +253,25 @@ def few_rays_factor(
     if m == 0:
         return make_certificate(S, np.zeros((0, S.n)), "few_rays", tol)
     Bs = sr_factor(S, tol)[:, list(report.extreme_indices)]
-    # the block's entries may lie far below the input's, under the lower
-    # entry limit: the block of a small input is taken 4**half times
-    # larger, which is exact and changes no decision on it
-    half = max(0, -(math.frexp(S.scale)[1] // 2))
-    block = np.ldexp(Bs.T @ Bs, 2 * half)
+    block = Bs.T @ Bs
+    # ``Bs^T Bs`` is exactly symmetric, so its largest magnitude is its
+    # scale, the unit of its zero pattern and of its certificate floor
+    scale = float(np.abs(block).max())
     d_lo = Bs.shape[0]
     if d_lo < m:
         # a rank-deficient block has rank 3 and four rays; the one pattern
         # on four vertices that pins its cp-rank above 3 is the 4-cycle,
         # and the cycle bound prunes its count to 4; a full-rank block
         # starts at m already
-        cyc = graphcond.cycle_necessary(as_symmetric(block, tol), tol)
+        cyc = graphcond._cycle_check(block, _pattern(block, tol.eps_nonneg * scale))
         if cyc.status == graphcond.PASSES:
             d_lo = max(d_lo, min(cyc.cprk_lower_bound, m))
-    # the block's certificate floor, from its scale: ``Bs^T Bs`` is exactly
-    # symmetric, so its largest magnitude is the scale of its SymmetricMatrix
-    eps = math.ldexp(tol.eps_nonneg * math.sqrt(float(np.abs(block).max())), -half)
+    eps = tol.eps_nonneg * math.sqrt(scale)
     for d in range(d_lo, m + 1):
         padded = np.vstack([Bs, np.zeros((d - Bs.shape[0], m))])
         # row counts below m are opportunistic: cp-rank of the block may
         # exceed d, so cap the effort and fall through to the sure case
-        budget = restarts if d == m else min(restarts, 12)
+        budget = restarts if d == m else min(restarts, SUB_M_RESTARTS)
         Q = orthant_rotation_search(padded, restarts=budget, seed=seed, eps=eps)
         if Q is not None:
             C = (Q @ padded) @ report.W

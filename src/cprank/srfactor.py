@@ -87,10 +87,6 @@ class CpCertificate:
     def rows(self) -> int:
         return self.C.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.C.shape[1]
-
 
 def _relative_residual(A: np.ndarray, C: np.ndarray) -> float:
     denom = frobenius_norm(A)

@@ -18,7 +18,7 @@ from cprank import (
     sr_factor,
     verify_certificate,
 )
-from cprank import cones, rotate
+from cprank import cones
 from cprank.cones import DUPLICATE_RAY_COS_GAP, EXTREME_RESIDUAL_FACTOR
 from cprank.fixtures import (
     GRAM_NONNEG,
@@ -830,36 +830,35 @@ class TestFewRaysFactor:
         with pytest.raises(PreconditionError, match=f"m <= {cones.FEW_RAYS_MAX}, got 5"):
             few_rays_factor(A, report)
 
-    @pytest.mark.parametrize("A, built", [
-        (random_dn(4, 4, seed=5, style=GRAM_NONNEG), 0),  # full rank at order 4
-        (example_matrix("EX2_7"), 1),  # rank 3, four rays
+    @pytest.mark.parametrize("A", [
+        random_dn(4, 4, seed=5, style=GRAM_NONNEG),  # full rank at order 4
+        example_matrix("EX2_7"),  # rank 3, four rays
     ], ids=["full-rank-block", "rank-deficient-block"])
-    def test_block_matrix_built_only_for_the_cycle_bound(self, monkeypatch, A, built):
-        # the certificate floor reads the block's largest entry; only a
-        # rank-deficient block needs a matrix for the cycle bound
+    def test_no_block_matrix_is_built(self, monkeypatch, A):
+        # the certificate floor and the cycle bound read the block as an
+        # array: factoring the input builds no second matrix
         report = extreme_rays(A)
         assert report.m == 4
-        blocks = []
-        original = rotate.as_symmetric
+        built = []
+        original = SymmetricMatrix.__init__
 
-        def counted(M, *args):
-            if not isinstance(M, SymmetricMatrix):
-                blocks.append(M)
-            return original(M, *args)
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
 
-        monkeypatch.setattr(rotate, "as_symmetric", counted)
+        monkeypatch.setattr(SymmetricMatrix, "__init__", counted)
         cert = few_rays_factor(A, report)
-        assert len(blocks) == built
+        assert built == []
         assert verify_certificate(A, cert).passed
 
     @pytest.fixture
     def graph_calls(self, monkeypatch):
-        """Calls of the two pattern checks; only the cycle check raises the
-        first row count."""
+        """Calls of the pattern checks, the cycle check on an array
+        included; only the cycle check raises the first row count."""
         from cprank import graphcond
 
         calls = []
-        for name in ("triangle_free_criterion", "cycle_necessary"):
+        for name in ("triangle_free_criterion", "cycle_necessary", "_cycle_check"):
             def counted(*args, _fn=getattr(graphcond, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
@@ -879,4 +878,4 @@ class TestFewRaysFactor:
         A = example_matrix("EX1_2")
         cert = few_rays_factor(A, extreme_rays(A))
         assert cert.rows == 4 and verify_certificate(A, cert).passed
-        assert graph_calls == ["cycle_necessary"]
+        assert graph_calls == ["_cycle_check"]

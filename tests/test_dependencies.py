@@ -40,6 +40,48 @@ def test_every_listed_name_resolves(module):
 
 
 MODULES = {path.stem: ast.parse(path.read_text()) for path in (SRC / "cprank").glob("*.py")}
+DEMOS = [ast.parse(path.read_text()) for path in (SRC.parent / "demos").glob("*.py")]
+
+
+def referenced_names(tree, skip=None):
+    """Names that ``tree`` reads, imports or calls, outside the node
+    ``skip``."""
+    inside = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_listed_function_has_a_library_caller():
+    # a function in a module's __all__ is read by package code outside
+    # its own body (the re-exports of __init__ aside), by a demo, or is
+    # the console entry point; a helper that only tests call does not
+    # belong in the library
+    demo_names = set().union(*(referenced_names(tree) for tree in DEMOS))
+    unused = []
+    for name, tree in MODULES.items():
+        if name == "__init__":
+            continue
+        mod = importlib.import_module(f"cprank.{name}")
+        defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        for fn in getattr(mod, "__all__", ()):
+            # pyproject's ``cprank = "cprank.cli:main"`` calls the entry point
+            if fn not in defs or (name, fn) == ("cli", "main") or fn in demo_names:
+                continue
+            if not any(
+                fn in referenced_names(other, defs[fn] if other is tree else None)
+                for key, other in MODULES.items() if key != "__init__"
+            ):
+                unused.append(f"{name}.{fn}")
+    assert unused == []
 
 
 def package_imports(node):

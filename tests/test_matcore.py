@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cprank import (
+    DEFAULT_TOL,
     InvalidInputError,
     SymmetricMatrix,
     Tolerances,
@@ -12,7 +13,6 @@ from cprank import (
     psd_rank,
     as_symmetric,
     sr_factor,
-    zero_diagonal_indices,
 )
 from cprank import matcore, srfactor
 from cprank.fixtures import example_matrix
@@ -190,13 +190,13 @@ class TestComparisonMatrix:
         assert np.allclose(back, A, atol=1e-14)
 
 
-class TestZeroDiagonalIndices:
-    def test_zero_diagonal_indices(self):
+class TestZeroRows:
+    def test_zero_rows(self):
         A = np.zeros((3, 3))
         A[0, 0] = 2.0
-        assert list(zero_diagonal_indices(A)) == [1, 2]
+        assert list(as_symmetric(A).zero_rows(DEFAULT_TOL.eps_nonneg)) == [1, 2]
 
     def test_row_with_small_diagonal_and_larger_entries_is_kept(self):
         # PSD, with a_11 below eps_nonneg * scale but a_01 far above it
         g = np.array([1.0, 1e-5, 0.0])
-        assert list(zero_diagonal_indices(np.outer(g, g))) == [2]
+        assert list(as_symmetric(np.outer(g, g)).zero_rows(DEFAULT_TOL.eps_nonneg)) == [2]

@@ -403,7 +403,7 @@ class TestOneDecompositionPerMatrix:
         assert len(eigh_inputs) == 1
 
     @pytest.mark.parametrize("A", [
-        example_matrix("EX2_7"),  # full rank at order 4: four rays
+        example_matrix("EX2_7"),  # rank 3, four rays
         random_dn(8, 2, seed=1, style=GRAM_NONNEG),
         random_dn(7, 3, seed=3, style=GRAM_NONNEG),  # rank 3, four rays
     ], ids=["EX2_7", "rank2", "rank3"])
@@ -429,6 +429,34 @@ class TestOneDecompositionPerMatrix:
             analyze(A, cfg)
             assert len({id(a) for a in eigh_inputs}) == len(eigh_inputs)
             assert len(eigh_inputs) <= 2
+
+
+class TestOneMatrixPerAnalysis:
+    @pytest.mark.parametrize("A, cfg", [
+        pytest.param(example_matrix("EX2_7").a, AnalysisConfig(), id="EX2_7"),  # four rays
+        pytest.param(example_matrix("EX2_8").a, AnalysisConfig(), id="EX2_8"),
+        pytest.param(example_matrix("EX3_7").a, AnalysisConfig(), id="EX3_7"),
+        pytest.param(example_matrix("EX3_9").a, ROUNDED_CFG, id="EX3_9"),
+    ] + [
+        pytest.param(random_dn(n, r, seed=1, style=style).a, AnalysisConfig(heuristic=True),
+                     id=f"{style}-n{n}-r{r}")
+        for style in RANDOM_STYLES for n, r in ((4, 3), (6, 3), (8, 4), (8, 5))
+    ])
+    def test_positive_input(self, monkeypatch, A, cfg):
+        # a positive matrix has triangles, so the triangle-free test builds
+        # no comparison matrix: the input is the only matrix, and the
+        # few-rays step reads its extreme block as an array
+        assert np.all(A > 0.0)
+        built = []
+        original = SymmetricMatrix.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SymmetricMatrix, "__init__", counted)
+        analyze(A, cfg)
+        assert len(built) == 1
 
 
 class TestOneRankDecisionPerMatrix:
@@ -510,7 +538,7 @@ class TestOnePatternPerMatrix:
         original = SymmetricMatrix.pattern
 
         def counted(self, eps):
-            if self is A and eps not in self._patterns:
+            if self is A and ("pattern", eps) not in self._derived:
                 misses.append(eps)
             return original(self, eps)
 
