@@ -56,74 +56,39 @@ FEW_RAYS_MAX = 4
 _EPS = np.finfo(float).eps
 
 
-def _batched_nnls(
-    K: np.ndarray, C: np.ndarray, allowed: np.ndarray, passive: np.ndarray
-) -> np.ndarray:
+def _batched_nnls(K: np.ndarray, C: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Lawson-Hanson active-set solve of ``q`` problems sharing ``K = G^T G``.
 
     Row ``i`` of the result is the ``x >= 0`` with least ``||G x - b_i||``
     given ``C[i] = G^T b_i``, with ``x_j = 0`` wherever ``allowed[i, j]``
-    is false.  ``passive[i]`` is the passive set problem ``i`` starts
-    from (all false for a cold start).  A seed whose block of ``K`` is
-    numerically singular is cleared, so that problem starts cold; the
-    other seeds are solved on their normal equations and the columns
-    whose coefficients come out nonpositive are dropped, together, until
-    the solution is feasible (Van Benthem and Keenan, J. Chemometrics 18,
-    2004).  Then all live problems take each step together (Bro and De
-    Jong, J. Chemometrics 11, 1997): add the open column of largest
-    positive gradient to the passive set, solve the normal equations on
-    it, and step back toward the feasible point while a passive
-    coefficient is not positive, until no gradient exceeds
-    ``1e-11 * max|G^T b_i|``.  A column whose own coefficient comes out
-    nonpositive when it enters is rejected, and stays closed until that
-    problem's ``x`` moves.  The state of the loop (targets, iterates,
-    passive and open columns) is kept compacted to the live problems,
-    and a problem's row of the result is written when it leaves.
-    Problems do not interact (apart from sharing the pseudo-inverse
-    fallback of :func:`_passive_solve`), so the extremality batch holds
-    only the columns the separation bound and the basis certificates
-    left open.  Each call logs one DEBUG line: problems, columns, seeded
-    columns and passive solves.
+    is false.  Every problem starts cold, from ``x = 0``, and all live
+    problems take each step together (Bro and De Jong, J. Chemometrics
+    11, 1997): add the open column of largest positive gradient to the
+    passive set, solve the normal equations on it, and step back toward
+    the feasible point while a passive coefficient is not positive, until
+    no gradient exceeds ``1e-11 * max|G^T b_i|``.  A column whose own
+    coefficient comes out nonpositive when it enters is rejected, and
+    stays closed until that problem's ``x`` moves.  The state of the loop
+    (targets, iterates, passive and open columns) is kept compacted to
+    the live problems, and a problem's row of the result is written when
+    it leaves.  Problems do not interact (apart from sharing the
+    pseudo-inverse fallback of :func:`_passive_solve`), so the
+    extremality batch holds only the columns the separation bound and the
+    basis certificates left open.  Each call logs one DEBUG line:
+    problems, columns and passive solves.
 
     On booleans ``a > b`` is ``a & ~b``, which the loop uses for the open
-    columns (``allowed > passive``) and the passive columns that are not
-    positive (``passive > positive``).
+    columns (``Al > Pl``) and the passive columns that are not positive
+    (``Pl > positive``).
     """
     q, k = C.shape
     allowed = allowed & (K.diagonal() > 0.0)
     dual_tol = 1e-11 * np.maximum.reduce(np.abs(np.where(allowed, C, 0.0)), axis=1, initial=0.0)
     X = np.zeros((q, k))
-    P = passive & allowed
-    seeded = solves = 0
-    if P.any():
-        live = P.any(axis=1).nonzero()[0]
-        Pl, Cl = P[live], C[live]
-        singular = np.zeros(live.size, dtype=bool)
-        S = _passive_solve(K, Cl, Pl, singular)
-        solves = 1
-        # a numerically singular seed block gives no start: its problem
-        # starts cold
-        Pl[singular], S[singular] = False, 0.0
-        seeded = int(Pl.sum())
-        while True:
-            bad = Pl > (S > 0.0)
-            if not bad.any():
-                X[live], P[live] = S, Pl
-                break
-            done = ~bad.any(axis=1)
-            X[live[done]] = S[done]
-            Pl &= ~bad
-            P[live] = Pl
-            keep = ~done & Pl.any(axis=1)
-            if not keep.any():
-                break
-            live, Pl, Cl = live[keep], Pl[keep], Cl[keep]
-            S = _passive_solve(K, Cl, Pl)
-            solves += 1
-
+    solves = 0
     live = rows = np.arange(q)
-    Cl, Xl, Pl, Al, tol = C, X, P, allowed, dual_tol
-    opened = allowed > P
+    Cl, Xl, Pl, Al, tol = C, X, np.zeros((q, k), dtype=bool), allowed, dual_tol
+    opened = allowed.copy()
     for _ in range(3 * k + 30 if q and k else 0):
         grad = np.where(opened, Cl - Xl @ K, -np.inf)
         j = grad.argmax(axis=1)
@@ -189,13 +154,11 @@ def _batched_nnls(
             opened[enters] = Al[enters] > Pl[enters]
     else:
         X[live] = Xl
-    _log.debug("_batched_nnls: problems=%d columns=%d seeded=%d solves=%d", q, k, seeded, solves)
+    _log.debug("_batched_nnls: problems=%d columns=%d solves=%d", q, k, solves)
     return X
 
 
-def _passive_solve(
-    K: np.ndarray, C: np.ndarray, P: np.ndarray, singular: np.ndarray | None = None
-) -> np.ndarray:
+def _passive_solve(K: np.ndarray, C: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Normal-equation solutions on the passive sets ``P``, zero elsewhere.
 
     Row ``i`` solves ``K[P_i, P_i] s = C[i, P_i]``; ``P`` has at least one
@@ -205,27 +168,18 @@ def _passive_solve(
     pseudo-inverse instead.  A stack's targets are gathered,
     and its solutions scattered back, through the mask of its passive
     sets, in the row-major order ``nonzero`` lists their columns in.
-    When ``singular`` is given, entry ``i`` is set to whether block ``i``
-    is numerically singular: its least eigenvalue is at most ``p * eps``
-    times its largest, the rank rule of ``np.linalg.matrix_rank``.
     """
     S = np.zeros(P.shape)
     counts = np.add.reduce(P, axis=1)
     sizes = counts.tolist()
     if min(sizes) == max(sizes):
-        groups = [(slice(None), P, sizes[0])] if sizes[0] else []
+        groups = [(P, sizes[0])] if sizes[0] else []
     else:
-        groups = []
-        for p in sorted(set(sizes) - {0}):
-            sel = counts == p
-            groups.append((sel, P & sel[:, None], p))
-    for sel, mask, p in groups:
+        groups = [(P & (counts == p)[:, None], p) for p in sorted(set(sizes) - {0})]
+    for mask, p in groups:
         cols = mask.nonzero()[1].reshape(-1, p)
         Kp = K.take(cols[:, :, None] * K.shape[1] + cols[:, None, :])
         cp = C[mask].reshape(-1, p, 1)
-        if singular is not None:
-            w = np.linalg.eigvalsh(Kp)
-            singular[sel] = w[:, 0] <= p * _EPS * w[:, -1]
         try:
             s = np.linalg.solve(Kp, cp)
         except np.linalg.LinAlgError:
@@ -293,10 +247,10 @@ def _span_distance(U: np.ndarray) -> np.ndarray:
     return 1.0 / (row + (d + 4) * _EPS * np.sqrt(d) * (row @ row))
 
 
-def _basis_fit(B: np.ndarray, T: np.ndarray) -> np.ndarray | None:
-    """Nonnegative coefficients on the columns of the square ``B`` that
-    rebuild every column of ``T`` within ``EXTREME_RESIDUAL_FACTOR``, or
-    None when some column is not rebuilt (or ``B`` is singular).
+def _basis_rebuilds(B: np.ndarray, T: np.ndarray) -> bool:
+    """Whether nonnegative coefficients on the columns of the square
+    ``B`` rebuild every column of ``T`` within ``EXTREME_RESIDUAL_FACTOR``
+    (False when ``B`` is singular).
 
     The coefficients are the solution of ``B x = T`` clipped at 0, a
     feasible point of each column's nonnegative least-squares problem,
@@ -305,9 +259,8 @@ def _basis_fit(B: np.ndarray, T: np.ndarray) -> np.ndarray | None:
     try:
         x = np.maximum(np.linalg.solve(B, T), 0.0)
     except np.linalg.LinAlgError:
-        return None
-    resid = vector_norms(B @ x - T)
-    return x if (resid <= EXTREME_RESIDUAL_FACTOR).all() else None
+        return False
+    return bool((vector_norms(B @ x - T) <= EXTREME_RESIDUAL_FACTOR).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,12 +298,9 @@ class ConeReport:
         return self._fitted[1]
 
 
-def _extreme_set(
-    M: np.ndarray, tol: Tolerances
-) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Sorted extreme columns of ``M``, the representative of each column
-    (``-1`` for a zero column), the sorted representatives, their
-    extremality fits and the column norms of ``M``.
+    (``-1`` for a zero column) and the column norms of ``M``.
 
     Zero columns are dropped, positive multiples of one ray are collapsed
     onto their smallest-index representative, and a representative is
@@ -369,25 +319,20 @@ def _extreme_set(
       the others (:func:`_span_distance`), all are extreme;
     * when exactly ``d`` are separated and solving on them rebuilds each
       open one within the factor with nonnegative coefficients
-      (:func:`_basis_fit`), all are not extreme, and those coefficients
-      are their fits.  The separated columns are then the extreme set, a
-      basis, so every W fit has one optimum, whichever fit seeds it.
+      (:func:`_basis_rebuilds`), all are not extreme.
 
     Otherwise one batched solve on the unit columns tests every open
     representative against all the others, so the first column to enter
     a fit is its most aligned ray and the residual is already relative.
-    Row ``i`` of the fits (representatives by representatives) holds the
-    coefficients of representative ``i``'s fit on the others; it stays
-    zero for a representative settled as extreme without a fit, so no W
-    fit reads it.  Each call logs one DEBUG line: representatives, how
-    many were separated and how many the basis settled.
+    Each call logs one DEBUG line: representatives, how many were
+    separated and how many the basis settled.
     """
     n = M.shape[1]
     norms = vector_norms(M)
     nonzero = (norms > tol.eps_nonneg * norms.max(initial=0.0)).nonzero()[0]
     rep_of = np.full(n, -1)
     if not nonzero.size:
-        return [], rep_of, nonzero, np.zeros((0, 0)), norms
+        return [], rep_of, norms
     Mz, nz = M[:, nonzero], norms[nonzero]  # column-major: the screen's sums depend on it
     cos = (Mz.T @ Mz) / (nz[:, None] * nz)
     reps, Kr, U = nonzero, cos, Mz / nz
@@ -415,46 +360,37 @@ def _extreme_set(
     is_ext = _separation_bound(U, Kr) > EXTREME_RESIDUAL_FACTOR
     separated = int(is_ext.sum())
     rest = (~is_ext).nonzero()[0]
-    X = np.zeros(Kr.shape)
     d = U.shape[0]
     if rest.size and reps.size == d:
         if (_span_distance(U)[rest] > EXTREME_RESIDUAL_FACTOR).all():
             is_ext[rest], rest = True, rest[:0]
-    elif rest.size and separated == d:
-        sep = is_ext.nonzero()[0]
-        x = _basis_fit(U[:, sep], U[:, rest])
-        if x is not None:
-            X[rest[:, None], sep] = x.T
-            rest = rest[:0]
+    elif rest.size and separated == d and _basis_rebuilds(U[:, is_ext], U[:, rest]):
+        rest = rest[:0]
     _log.debug(
         "_extreme_set: representatives=%d separated=%d basis=%d",
         reps.size, separated, reps.size - separated - rest.size,
     )
     if rest.size:
-        allowed = ~np.eye(reps.size, dtype=bool)[rest]
-        fits = _batched_nnls(Kr, Kr[rest], allowed, np.zeros(allowed.shape, dtype=bool))
-        X[rest] = fits
+        fits = _batched_nnls(Kr, Kr[rest], ~np.eye(reps.size, dtype=bool)[rest])
         is_ext[rest] = vector_norms(U @ fits.T - U[:, rest]) > EXTREME_RESIDUAL_FACTOR
-    return reps[is_ext].tolist(), rep_of, reps, X, norms
+    return reps[is_ext].tolist(), rep_of, norms
 
 
 def _cone_report(
-    G: np.ndarray | None, F: np.ndarray, extreme: list[int], rep_of: np.ndarray,
-    reps: np.ndarray, X: np.ndarray, norms: np.ndarray,
+    G: np.ndarray | None, F: np.ndarray, extreme: list[int], rep_of: np.ndarray, norms: np.ndarray
 ) -> ConeReport:
     """The report of the ``extreme`` columns of ``G``, given what
     :func:`_extreme_set` returned for ``F``; its ``W`` and ``residual``
     are fitted by :func:`_cone_fit` on first read.  ``G`` None stands for
     the Gram columns ``F^T F``, formed only when the fit runs."""
     def fit() -> tuple[np.ndarray, float]:
-        return _cone_fit(F.T @ F if G is None else G, F, extreme, rep_of, reps, X, norms)
+        return _cone_fit(F.T @ F if G is None else G, F, extreme, rep_of, norms)
 
     return ConeReport(m=len(extreme), extreme_indices=tuple(extreme), fit=fit)
 
 
 def _cone_fit(
-    G: np.ndarray, F: np.ndarray, extreme: list[int], rep_of: np.ndarray,
-    reps: np.ndarray, X: np.ndarray, norms: np.ndarray,
+    G: np.ndarray, F: np.ndarray, extreme: list[int], rep_of: np.ndarray, norms: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Reconstruct every column of ``G`` from its ``extreme`` columns:
     the coefficients ``W`` and the relative residual.
@@ -464,10 +400,9 @@ def _cone_fit(
     ``F`` rebuild the same column of ``G``.  An extreme column is its own
     coefficient 1, and a duplicate of one a multiple of it measured on
     ``G``.  The other columns are fitted in one batched solve on the unit
-    columns of ``F``, where the extremality test ran: each fit starts from
-    the extreme columns its representative's row of the fits ``X`` uses,
-    and its coefficients are rescaled to the columns of ``G``.
-    ``residual`` is measured on ``G``.
+    columns of ``F``, where the extremality test ran, and their
+    coefficients are rescaled to the columns of ``G``.  ``residual`` is
+    measured on ``G``.
     """
     n = G.shape[1]
     m = len(extreme)
@@ -488,8 +423,7 @@ def _cone_fit(
         ne, nf = norms[ext], norms[fit]
         E = F[:, ext] / ne
         T = F[:, fit] / nf
-        seeds = X[reps.searchsorted(rep_of[fit])[:, None], reps.searchsorted(ext)] > 0.0
-        coeffs = _batched_nnls(E.T @ E, T.T @ E, np.ones(seeds.shape, dtype=bool), seeds)
+        coeffs = _batched_nnls(E.T @ E, T.T @ E, np.ones((fit.size, m), dtype=bool))
         W[:, fit] = coeffs.T * ((1.0 / ne)[:, None] * nf)
 
     if m:
@@ -508,13 +442,13 @@ def extreme_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
     input, which is the matrix the working tolerances say the input is;
     for a matrix of exact numerical rank this changes nothing.  Which
     columns are extreme is decided on the unit columns of the rank factor
-    ``B``, and the columns off the extreme rays are fitted there too, each
-    fit started from the one its extremality test made: a reconstruction
-    residual on ``B`` scales with the square roots of the eigenvalues,
-    where on the Gram columns it scales with the eigenvalues themselves,
-    so an ill-conditioned cone loses rays and its fits stall early.  ``B``
-    maps onto the Gram columns linearly, so ``W`` carries over; ``W`` and
-    ``residual`` describe the Gram columns.
+    ``B``, and the columns off the extreme rays are fitted there too, from
+    a cold start: a reconstruction residual on ``B`` scales with the
+    square roots of the eigenvalues, where on the Gram columns it scales
+    with the eigenvalues themselves, so an ill-conditioned cone loses
+    rays and its fits stall early.  ``B`` maps onto the Gram columns
+    linearly, so ``W`` carries over; ``W`` and ``residual`` describe the
+    Gram columns.
 
     The extreme set is decided here; ``W`` and ``residual`` are fitted on
     their first read (see :class:`ConeReport`), one more batched solve

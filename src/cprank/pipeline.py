@@ -91,12 +91,13 @@ class AnalysisReport:
 class _Cascade:
     """Mutable state threaded through the analysis steps."""
 
-    def __init__(self, S: SymmetricMatrix, config: AnalysisConfig):
+    def __init__(self, S: SymmetricMatrix, config: AnalysisConfig, dn: str, rank: int):
         self.S = S
         self.config = config
         self.tol = config.tol
         self.steps: list[StepRecord] = []
-        self.rank = 0
+        self.dn = dn
+        self.rank = rank
         self.lower: int | None = None
         self.upper: int | None = None
         self.terminal: str | None = None
@@ -156,12 +157,11 @@ def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> Analysi
     """
     tol = config.tol
     S = as_symmetric(A, tol)
-    cas = _Cascade(S, config)
 
     t0 = time.perf_counter()
     dn = classify_dn(S, tol)
     rank = dn.rank if dn.is_dn else psd_rank(S, tol).rank
-    cas.rank = rank
+    cas = _Cascade(S, config, dn.status, rank)
     cas.step("classify_dn", dn.status if not dn.is_dn else f"DN({rank})", {"rank": rank}, t0)
 
     if not dn.is_dn:
@@ -191,10 +191,9 @@ def _finish(cas: _Cascade) -> AnalysisReport:
         verdict = CP_WITH_BOUND
     else:
         verdict = UNDECIDED
-    dn_status = cas.steps[0].outcome
     return AnalysisReport(
         order=cas.S.n,
-        dn="DN" if dn_status.startswith("DN(") else dn_status,
+        dn=cas.dn,
         rank=cas.rank,
         verdict=verdict,
         steps=cas.steps,

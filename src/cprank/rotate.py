@@ -357,10 +357,12 @@ def orthant_rotation_search(
 
     No existence claim is made here; callers restrict the input so that a
     solution is known to exist, or treat ``None`` as inconclusive.
-    A negative ``restarts`` or ``seed``, or a non-finite entry of ``B``,
-    raises :class:`InvalidInputError`.
+    A negative ``restarts`` or ``seed``, a negative or non-finite ``eps``,
+    or a non-finite entry of ``B``, raises :class:`InvalidInputError`.
     """
     check_seed_restarts(seed, restarts)
+    if not 0.0 <= eps < math.inf:
+        raise InvalidInputError(f"eps must be finite and nonnegative, got {eps!r}")
     B = np.asarray(B, dtype=float)
     if B.ndim != 2:
         raise InvalidInputError(f"expected a 2-d array of column vectors, got shape {B.shape}")
@@ -463,12 +465,11 @@ def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     ``E = [G^T; h^T]`` and ``f`` the last unit vector leaves the residual
     ``r = E u - f``, whose last entry is ``-||r||^2``; it vanishes when the
     constraints are inconsistent, and otherwise ``s = -r[:-1] / r[-1]``.
-    The solve is one cold-start call of the kernel the cone fits use,
+    The solve is one call of the kernel the cone fits use,
     ``cones._batched_nnls``, on ``E^T E`` and ``E^T f = h``.
     """
     E = np.vstack([G.T, h[None, :]])
-    allowed = np.ones((1, G.shape[0]), dtype=bool)
-    u = cones._batched_nnls(E.T @ E, h[None, :], allowed, ~allowed)[0]
+    u = cones._batched_nnls(E.T @ E, h[None, :], np.ones((1, G.shape[0]), dtype=bool))[0]
     r = E @ u
     r[-1] -= 1.0
     if r[-1] > -1e-12:

@@ -70,7 +70,7 @@ class CpCertificate:
 
     ``min_entry`` is the smallest entry before :func:`make_certificate`
     clamps, and ``residual`` the relative residual of ``C^T C - A`` after
-    the clamp.
+    the clamp.  A ``C`` that is not 2-D raises :class:`InvalidInputError`.
     """
 
     C: np.ndarray
@@ -80,6 +80,8 @@ class CpCertificate:
 
     def __post_init__(self) -> None:
         C = np.asarray(self.C, dtype=float).copy()
+        if C.ndim != 2:
+            raise InvalidInputError(f"certificate factor must be 2-D, got shape {C.shape}")
         C.flags.writeable = False
         object.__setattr__(self, "C", C)
 

@@ -296,51 +296,24 @@ def nnls(target, generators, tol=DEFAULT_TOL):
     if G.shape[0] != b.shape[0]:
         raise InvalidInputError(f"generator length {G.shape[0]} does not match target {b.shape[0]}")
     k = G.shape[1]
-    coeffs = cones._batched_nnls(
-        G.T @ G, (G.T @ b)[None, :], np.ones((1, k), dtype=bool), np.zeros((1, k), dtype=bool)
-    )[0]
+    coeffs = cones._batched_nnls(G.T @ G, (G.T @ b)[None, :], np.ones((1, k), dtype=bool))[0]
     return coeffs, float(np.linalg.norm(G @ coeffs - b))
 
 
-def batched_nnls_reference(
-    K: np.ndarray, C: np.ndarray, allowed: np.ndarray, passive: np.ndarray
-) -> np.ndarray:
+def batched_nnls_reference(K: np.ndarray, C: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """The library's Lawson-Hanson kernel ``cones._batched_nnls`` as it
     stood before its numpy calls were cut: the code is copied unchanged
-    apart from the names and the DEBUG line, so that a property test can
+    apart from the names, the DEBUG line with its solve count, and the
+    seeded start the kernel no longer has, so that a property test can
     hold the library's kernel to it bit for bit."""
     q, k = C.shape
     allowed = allowed & (np.diag(K) > 0.0)
     dual_tol = 1e-11 * np.abs(np.where(allowed, C, 0.0)).max(axis=1, initial=0.0)
     X = np.zeros((q, k))
-    P = passive & allowed
-    live = np.flatnonzero(P.any(axis=1))
-    seeded = solves = 0
-    if live.size:
-        Pl, Cl = P[live], C[live]
-        singular = np.zeros(live.size, dtype=bool)
-        S = passive_solve_reference(K, Cl, Pl, singular)
-        solves = 1
-        # a numerically singular seed block gives no start: its problem
-        # starts cold
-        Pl[singular], S[singular] = False, 0.0
-        seeded = int(Pl.sum())
-        while True:
-            bad = Pl & (S <= 0.0)
-            done = ~bad.any(axis=1)
-            X[live[done]] = S[done]
-            Pl &= ~bad
-            P[live] = Pl
-            keep = ~done & Pl.any(axis=1)
-            if not keep.any():
-                break
-            live, Pl, Cl = live[keep], Pl[keep], Cl[keep]
-            S = passive_solve_reference(K, Cl, Pl)
-            solves += 1
-
+    P = np.zeros((q, k), dtype=bool)
     live = np.arange(q)
     rows, Cl, Xl, Pl, Al, tol = live, C, X, P, allowed, dual_tol
-    opened = allowed & ~P
+    opened = allowed.copy()
     for _ in range(3 * k + 30 if q and k else 0):
         grad = np.where(opened, Cl - Xl @ K, -np.inf)
         j = grad.argmax(axis=1)
@@ -355,7 +328,6 @@ def batched_nnls_reference(
         Pl[rows, j] = True
         opened[rows, j] = False
         S = passive_solve_reference(K, Cl, Pl)
-        solves += 1
         blocked = Pl & (S <= 0.0)
         # a column whose own coefficient comes out nonpositive gained only
         # roundoff; it leaves again and stays closed until x moves
@@ -379,7 +351,6 @@ def batched_nnls_reference(
                 Pa &= Xa > 0.0
                 Xa = np.where(Pa, Xa, 0.0)
                 Sa = passive_solve_reference(K, Ca, Pa)
-                solves += 1
                 Ba = Pa & (Sa <= 0.0)
                 done = ~Ba.any(axis=1)
                 S[act[done]] = Sa[done]
@@ -396,11 +367,10 @@ def batched_nnls_reference(
     return X
 
 
-def passive_solve_reference(
-    K: np.ndarray, C: np.ndarray, P: np.ndarray, singular: np.ndarray | None = None
-) -> np.ndarray:
+def passive_solve_reference(K: np.ndarray, C: np.ndarray, P: np.ndarray) -> np.ndarray:
     """``cones._passive_solve`` as it stood beside
-    :func:`batched_nnls_reference`, copied unchanged apart from its name."""
+    :func:`batched_nnls_reference`, copied unchanged apart from its name
+    and the singularity screen of the seeded start."""
     S = np.zeros(P.shape)
     sizes = P.sum(axis=1)
     if (sizes == sizes[0]).all():
@@ -414,9 +384,6 @@ def passive_solve_reference(
     for rows, cols in groups:
         Kp = K[cols[:, :, None], cols[:, None, :]]
         cp = C[rows, cols][:, :, None]
-        if singular is not None:
-            w = np.linalg.eigvalsh(Kp)
-            singular[rows[:, 0]] = w[:, 0] <= cols.shape[1] * np.finfo(float).eps * w[:, -1]
         try:
             s = np.linalg.solve(Kp, cp)
         except np.linalg.LinAlgError:
@@ -527,19 +494,16 @@ def cone_report_oracle(G, F, tol=DEFAULT_TOL):
 
     The same stages run on the same kernel, screen and basis
     certificates as in the library, but the duplicate collapse runs every
-    time, the fits of the representatives are scattered into an ``n`` by
-    ``n`` mask of the columns each column's representative used, the W
-    fit is seeded from that mask, and every column on an extreme ray gets
-    the ratio of its inner product with its representative (1 for the
-    representative itself).  The report must match the library's bit for
-    bit.
+    time, the W fit starts cold like every kernel call, and every column
+    on an extreme ray gets the ratio of its inner product with its
+    representative (1 for the representative itself).  The report must
+    match the library's bit for bit.
     """
     M = F
     n = M.shape[1]
     norms = np.linalg.norm(M, axis=0)
     nonzero = np.flatnonzero(norms > tol.eps_nonneg * norms.max(initial=0.0))
     rep_of = np.full(n, -1)
-    used = np.zeros((n, n), dtype=bool)
     extreme = []
     if nonzero.size:
         Mz = M[:, nonzero]
@@ -560,24 +524,17 @@ def cone_report_oracle(G, F, tol=DEFAULT_TOL):
         is_ext = cones._separation_bound(U, Kr) > EXTREME_RESIDUAL_FACTOR
         separated = int(is_ext.sum())
         rest = np.flatnonzero(~is_ext)
-        X = np.zeros(Kr.shape)
         d = U.shape[0]
         if rest.size and reps.size == d:
             if (cones._span_distance(U)[rest] > EXTREME_RESIDUAL_FACTOR).all():
                 is_ext[rest], rest = True, rest[:0]
-        elif rest.size and separated == d:
-            sep = np.flatnonzero(is_ext)
-            x = cones._basis_fit(U[:, sep], U[:, rest])
-            if x is not None:
-                X[np.ix_(rest, sep)] = x.T
-                rest = rest[:0]
+        elif rest.size and separated == d and cones._basis_rebuilds(U[:, is_ext], U[:, rest]):
+            rest = rest[:0]
         if rest.size:
-            allowed = ~np.eye(reps.size, dtype=bool)[rest]
-            X[rest] = cones._batched_nnls(Kr, Kr[rest], allowed, np.zeros(allowed.shape, dtype=bool))
-            resid = np.linalg.norm(U @ X[rest].T - U[:, rest], axis=0)
+            X = cones._batched_nnls(Kr, Kr[rest], ~np.eye(reps.size, dtype=bool)[rest])
+            resid = np.linalg.norm(U @ X.T - U[:, rest], axis=0)
             is_ext[rest] = resid > EXTREME_RESIDUAL_FACTOR
         extreme = nonzero[reps[is_ext]].tolist()
-        used[np.ix_(nonzero, nonzero[reps])] = X[(np.cumsum(is_rep) - 1)[rep_pos]] > 0.0
 
     m = len(extreme)
     W = np.zeros((m, n))
@@ -594,8 +551,7 @@ def cone_report_oracle(G, F, tol=DEFAULT_TOL):
     if m and fit.size:
         E = F[:, extreme] / norms[extreme]
         T = F[:, fit] / norms[fit]
-        seeds = used[np.ix_(fit, extreme)]
-        X = cones._batched_nnls(E.T @ E, T.T @ E, np.ones(seeds.shape, dtype=bool), seeds)
+        X = cones._batched_nnls(E.T @ E, T.T @ E, np.ones((fit.size, m), dtype=bool))
         W[:, fit] = X.T * np.outer(1.0 / norms[extreme], norms[fit])
     residual = 0.0
     if m:

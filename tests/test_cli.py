@@ -187,7 +187,7 @@ class TestOtherCommands:
         "EX3_7": "6eda45efb9bfa3147c2b9fd51b845e9d5aa633cfdb151420d90462ce88dbb364",
         "EX3_9": "7c6cb59ea2eeb071061a304c7efd2417d09f51bd4d7c939baffe8448b42f3155",
         # six rays, six columns fitted off them
-        "GRAM_NONNEG-n12-r3-s4": "ab106d2fb4610075e396f0a513bb0dfb6b062c527bd446a15f8d016b7722fc47",
+        "GRAM_NONNEG-n12-r3-s4": "6dceadae97af79d02435d107b82a93303057494fc6a29191b2628570e6d7bb21",
     }
 
     @pytest.mark.parametrize("cid", sorted(RAYS_DIGESTS))

@@ -73,7 +73,7 @@ DIGESTS = {
     "GRAM_NONNEG-n6-r2-s206": "ee3373d5205cc7f5963ce68a7803275ba0f5e0eada3b38d8270a8550b7510de2",
     "GRAM_NONNEG-n8-r2-s208-heuristic": "5fd70004772696d8516d2a34b7e03c0dfb271c2175337a2e5217f85c70768a00",
     "GRAM_NONNEG-n7-r3-s307": "b58f3353f238550eea60d22900c54b68e0d8e8c3e11940cf0146d00ec2aa2b0e",
-    "GRAM_NONNEG-n9-r3-s309-heuristic": "6ef2d44f0c4fc7cd3075bfb34c8c627e43928d81274f71fe326272222288f512",
+    "GRAM_NONNEG-n9-r3-s309-heuristic": "f65e826c6b06e18cfea1afbf66c08e80b1969f0ccfdcb2788909a3fed9d6a219",
     "GRAM_NONNEG-n8-r4-s408": "8546947e3b78c14263a4a99a993ed10ecda2e4da38bcb9de6d168e8ec1b361ef",
     "GRAM_NONNEG-n10-r4-s410-heuristic": "e0c4ea09719c3d2e2cdeafe091f49e37440857f145255b3609d725799d0b4fb9",
     "GRAM_NONNEG-n9-r5-s509": "b9ba00b0e4820d7e10dc217e23d3d842b2ed88beb220833a302ed99e5d770a32",

@@ -447,6 +447,13 @@ class TestOrthantRotationSearch:
         with pytest.raises(InvalidInputError, match=f"{name} must be nonnegative"):
             orthant_rotation_search(B, restarts=restarts, seed=seed)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-11])
+    def test_non_finite_or_negative_eps_rejected(self, eps):
+        # with eps NaN no column counted as live and the identity came back
+        # as if it passed; a negative eps searched every restart for nothing
+        with pytest.raises(InvalidInputError, match="eps must be finite and nonnegative"):
+            orthant_rotation_search(np.array([[1.0, -1.0], [0.5, 0.5]]), eps=eps)
+
     @pytest.mark.parametrize("B", [[[math.nan, 1.0], [1.0, 1.0]], [[math.inf, -1.0], [1.0, 1.0]]])
     def test_non_finite_columns_rejected(self, B):
         # a NaN made the QR attempt's SVD fail to converge, and an infinity

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cprank import (
+    CpCertificate,
     InvalidInputError,
     PreconditionError,
     SymmetricMatrix,
@@ -155,6 +156,13 @@ class TestCertificates:
     def test_too_few_rows_fails(self):
         cert = make_certificate(np.eye(3), np.zeros((1, 3)), "short")
         assert not verify_certificate(np.eye(3), cert).passed
+
+    @pytest.mark.parametrize("C", [np.ones(3), np.ones((1, 1, 3))], ids=["1-D", "3-D"])
+    def test_factor_that_is_not_2d_rejected(self, C):
+        # a 1-D factor passed and then made verify_certificate raise
+        # IndexError on its column count
+        with pytest.raises(InvalidInputError, match="must be 2-D"):
+            CpCertificate(C=C, residual=0.0, min_entry=1.0, method_tag="manual")
 
 
 class TestPInvariance:

@@ -20,6 +20,11 @@ times over, alternating which kernel goes first from call to call so that
 drift in machine speed falls on both alike.  Each kernel gets its own
 copy of the arguments, made outside the timed region.
 
+Both trees must have the cold-start kernel ``_batched_nnls(K, C,
+allowed)``.  A tree whose kernel still takes the seed argument
+``passive`` (every tree before the seeded start was removed) cannot be
+replayed against it, and the tool exits with a message saying so.
+
 Per workload the tool prints the number of calls, how many calls return
 an output that differs from the other tree's in any bit (shape, sign of
 zero and every mantissa bit count), and the mean process CPU time per
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
 import sys
 import time
 from pathlib import Path
@@ -54,6 +60,16 @@ def load_package(tree: Path):
     return module
 
 
+def check_kernel(kernel, tree: Path) -> None:
+    """Exit unless ``kernel`` takes exactly ``(K, C, allowed)``."""
+    params = list(inspect.signature(kernel).parameters)
+    if params != ["K", "C", "allowed"]:
+        raise SystemExit(
+            f"nnls_replay: the kernel under {tree} takes ({', '.join(params)}), "
+            "not the cold-start (K, C, allowed); it cannot be replayed"
+        )
+
+
 def record(cprank, instances, seeds: list[int]) -> dict[str, list[tuple]]:
     """Every kernel call ``analyze`` makes, by workload, as copies of its
     arguments."""
@@ -61,9 +77,9 @@ def record(cprank, instances, seeds: list[int]) -> dict[str, list[tuple]]:
     kernel = cones._batched_nnls
     calls: list[tuple] = []
 
-    def recorded(*args):
-        calls.append(tuple(a.copy() for a in args))
-        return kernel(*args)
+    def recorded(K, C, allowed):
+        calls.append((K.copy(), C.copy(), allowed.copy()))
+        return kernel(K, C, allowed)
 
     out: dict[str, list[tuple]] = {}
     cones._batched_nnls = recorded
@@ -128,8 +144,10 @@ def main(argv: list[str] | None = None) -> int:
 
     import cprank  # noqa: E402
 
-    recorded = record(cprank, instances, args.seeds)
     kernels = (cprank.cones._batched_nnls, load_package(new).cones._batched_nnls)
+    for kernel, tree in zip(kernels, (old, new)):
+        check_kernel(kernel, tree)
+    recorded = record(cprank, instances, args.seeds)
 
     total = 0
     for name, calls in recorded.items():
