@@ -2,9 +2,9 @@
 
 For a doubly nonnegative matrix the cone generated by its columns is
 pointed (once zero columns are dropped), so every column is a nonnegative
-combination of the extreme columns; with at most ``FEW_RAYS_MAX`` of them
-:func:`cprank.rotate.few_rays_factor` turns that into a completely
-positive factorization.  When there are exactly rank many rays, the cone
+combination of the extreme columns, and a rotation taking them into the
+orthant takes every column there (:func:`cprank.rotate.few_rays_factor`,
+for at most ``FEW_RAYS_MAX`` rays).  With exactly rank many rays the cone
 is simplicial and the matrix is nonnegative-equivalent, so a rank-3
 matrix with three extreme rays lies in CP_{n,3}
 (:func:`cprank.nnq.decide_rank3_three_rays`).
@@ -277,8 +277,8 @@ class ConeReport:
 
     ``W`` and ``residual`` are what ``fit()`` returns.  It runs on the
     first read of either and its result is kept, so a caller that reads
-    only the rays never pays for the fit, and every reader of ``W`` sees
-    the same bits.
+    only the rays, as the analysis does, never pays for the fit, and
+    every reader of ``W`` sees the same bits.
     """
 
     m: int
@@ -450,9 +450,10 @@ def extreme_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
     linearly, so ``W`` carries over; ``W`` and ``residual`` describe the
     Gram columns.
 
-    The extreme set is decided here; ``W`` and ``residual`` are fitted on
-    their first read (see :class:`ConeReport`), one more batched solve
-    when some column lies off the extreme rays.
+    The extreme set is decided here; ``W`` and ``residual``, which no
+    step of the analysis reads, are fitted on their first read (see
+    :class:`ConeReport`), one more batched solve when some column lies
+    off the extreme rays.
     """
     S = as_symmetric(A, tol)
     verdict = classify_dn(S, tol)

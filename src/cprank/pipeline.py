@@ -233,16 +233,11 @@ def _nnq_step(cas: _Cascade, rays: cones.ConeReport) -> None:
 
 def _cone_steps(cas: _Cascade) -> None:
     """nnq detection, the extreme-ray report and the few-rays
-    factorization, all from one extreme-ray computation.  The fit of the
-    columns off the rays runs only when the factorization reads it, at
-    most ``cones.FEW_RAYS_MAX`` rays; otherwise the step's residual is
-    null."""
+    factorization, all from one extreme-ray computation.  No step reads
+    the fit of the columns off the rays, so it never runs, and the
+    extreme-ray step's residual is null."""
     t0 = time.perf_counter()
     report = cones.extreme_rays(cas.S, cas.tol)
-    few_rays = report.m <= cones.FEW_RAYS_MAX
-    # reading the residual runs the fit of W, which only the few-rays
-    # factorization reads; with more rays the report carries no residual
-    residual = report.residual if few_rays else None
     rays_elapsed = time.perf_counter() - t0
 
     _nnq_step(cas, report)
@@ -252,13 +247,13 @@ def _cone_steps(cas: _Cascade) -> None:
         details={
             "m": report.m,
             "extreme_indices": [i + 1 for i in report.extreme_indices],
-            "residual": residual,
+            "residual": None,
         },
         elapsed=rays_elapsed,
     ))
 
     t0 = time.perf_counter()
-    if not few_rays:
+    if report.m > cones.FEW_RAYS_MAX:
         cas.step("few_rays_factor", "NOT_APPLICABLE",
                  {"reason": f"more than {cones.FEW_RAYS_MAX} extreme rays"}, t0)
     else:

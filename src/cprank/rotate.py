@@ -234,14 +234,14 @@ def few_rays_factor(
 ) -> CpCertificate:
     """Completely positive factorization from at most four extreme rays.
 
-    The extreme block ``A1``, the Gram matrix of the extreme columns
-    ``B[:, ext]`` of the input's rank factor, is factored with a
-    nonnegative ``N``, a rotation of ``B[:, ext]`` padded to row counts
-    from the rank up to ``m``; the full certificate is then ``C = N W``.
-    Row counts below ``m`` are heuristic attempts at the block's cp-rank,
-    each with at most ``SUB_M_RESTARTS`` restarts, while the count ``m``
-    itself is always reachable.  A negative ``seed`` or ``restarts``
-    raises :class:`InvalidInputError`.
+    A rotation ``Q`` takes the extreme columns ``B[:, ext]`` of the
+    input's rank factor, padded with zero rows to row counts from the
+    rank up to ``m``, into the orthant.  Every column of ``B`` is a
+    nonnegative combination of those, so the certificate is
+    ``C = Q [B; 0]``.  Row counts below ``m`` are heuristic attempts at
+    the block's cp-rank, each with at most ``SUB_M_RESTARTS`` restarts,
+    while the count ``m`` itself is always reachable.  A negative
+    ``seed`` or ``restarts`` raises :class:`InvalidInputError`.
     """
     check_seed_restarts(seed, restarts)
     S = as_symmetric(A, tol)
@@ -252,7 +252,8 @@ def few_rays_factor(
         )
     if m == 0:
         return make_certificate(S, np.zeros((0, S.n)), "few_rays", tol)
-    Bs = sr_factor(S, tol)[:, list(report.extreme_indices)]
+    B = sr_factor(S, tol)
+    Bs = B[:, list(report.extreme_indices)]
     block = Bs.T @ Bs
     # ``Bs^T Bs`` is exactly symmetric, so its largest magnitude is its
     # scale, the unit of its zero pattern and of its certificate floor
@@ -274,8 +275,8 @@ def few_rays_factor(
         budget = restarts if d == m else min(restarts, SUB_M_RESTARTS)
         Q = orthant_rotation_search(padded, restarts=budget, seed=seed, eps=eps)
         if Q is not None:
-            C = (Q @ padded) @ report.W
-            return make_certificate(S, C, "few_rays", tol)
+            # Q [B; 0], without multiplying the zero rows
+            return make_certificate(S, Q[:, : B.shape[0]] @ B, "few_rays", tol)
     raise ComputationFailureError(
         "rotation search exhausted its budget on the extreme block; "
         f"a solution exists for m <= {cones.FEW_RAYS_MAX}, raise the restart budget"

@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cprank import (
+    DEFAULT_TOL,
+    IN_CP_N3,
     InvalidInputError,
     PreconditionError,
+    as_symmetric,
     boundary_witness,
+    decide_rank3_three_rays,
     e_cone_threshold,
     extreme_rays,
     few_rays_factor,
@@ -22,7 +26,9 @@ from cprank import (
     sr_factor,
     verify_certificate,
 )
-from cprank.fixtures import example_matrix, random_dn
+from cprank.cones import FEW_RAYS_MAX
+from cprank.fixtures import RANDOM_STYLES, example_matrix, random_dn
+from cprank.matcore import frobenius_norm
 from cprank.rotate import POLAR_ITERATIONS, _least_distance
 from conftest import active_set_nnls, cone_sampled_vectors, dn_rank2_instance
 
@@ -235,6 +241,63 @@ class TestRank2Factor:
             A = dn_rank2_instance(rng, n)
             cert = few_rays_factor(A, extreme_rays(A))
             assert verify_certificate(A, cert).passed
+
+
+def assert_rotates_the_rank_factor(A, cert, m, tol=DEFAULT_TOL):
+    """``cert`` verifies, has from rank to ``m`` rows, and its residual
+    exceeds the rank factor's own by at most what the clamp of
+    ``make_certificate`` and rounding can add.
+
+    ``C = Q [B; 0]`` has ``C^T C = B^T B`` and ``||C|| = ||B||``.  The
+    clamp raises entries in ``[-eps, 0)``, ``eps = eps_nonneg *
+    sqrt(scale)``, to 0, so it moves ``C`` by some ``D`` with ``||D|| <=
+    eps sqrt(size)``, and ``C^T C`` by at most ``2 ||B|| ||D|| +
+    ||D||^2``.  Rounding in ``Q`` and in the product adds a few units of
+    ``eps_machine ||B||^2`` per row.
+    """
+    S = as_symmetric(A, tol)
+    B = sr_factor(S, tol)
+    assert verify_certificate(S, cert, tol).passed
+    assert B.shape[0] <= cert.rows <= m
+    norm_a, norm_b = frobenius_norm(S.a), frobenius_norm(B)
+    own = frobenius_norm(B.T @ B - S.a) / norm_a
+    shift = tol.eps_nonneg * math.sqrt(S.scale) * math.sqrt(cert.C.size)
+    clamp = (2.0 * norm_b * shift + shift * shift) / norm_a
+    rounding = 8 * (cert.rows + 1) * np.finfo(float).eps * norm_b**2 / norm_a
+    assert cert.residual <= own + clamp + rounding
+
+
+class TestFewRaysCertificate:
+    """The few-rays certificate is the rotation of the padded extreme
+    block applied to the whole padded rank factor."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(RANDOM_STYLES),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_random_dn(self, style, r, extra, seed):
+        A = random_dn(min(r + extra, 10), r, seed=seed, style=style)
+        report = extreme_rays(A)
+        assume(report.m <= FEW_RAYS_MAX)
+        assert_rotates_the_rank_factor(A, few_rays_factor(A, report), report.m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=2**16))
+    def test_rank3_three_rays(self, k, seed):
+        # three well-conditioned nonnegative rays and k columns strictly
+        # inside their cone, rotated and shuffled
+        rng = np.random.default_rng(seed)
+        X = np.eye(3) + rng.uniform(0.0, 0.5, size=(3, 3))
+        G = np.hstack([X, X @ rng.uniform(0.05, 1.0, size=(3, k))])
+        G = random_orthogonal(3, rng) @ G[:, rng.permutation(3 + k)]
+        A = G.T @ G
+        decision = decide_rank3_three_rays(A)
+        assert decision.status == IN_CP_N3 and decision.m == 3
+        assert decision.certificate.rows == 3
+        assert_rotates_the_rank_factor(A, decision.certificate, 3)
 
 
 class TestSmallOrthantRotation:

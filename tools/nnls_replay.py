@@ -10,10 +10,11 @@ commit unpacked with ``git archive`` next to the working tree).  The tool
 imports ``OLD_TREE``'s ``bench/instances.py``, which pins BLAS to one
 thread and puts that tree's ``src`` first on the path, and records every
 ``cones._batched_nnls`` call that ``analyze`` makes on the pool of every
-workload for each seed in ``--seeds`` (default: seed 1 only): the cone
-fits' calls, and the least-distance solves of the rotation search's
-polish too, since ``rotate`` calls the kernel through that module
-attribute (the benchmark pools' searches pass before any polish).  It then
+workload for each seed in ``--seeds`` (default: seed 1 only): the
+extremality batches of the cone analysis, and the least-distance solves
+of the rotation search's polish, since ``rotate`` calls the kernel
+through that module attribute.  ``analyze`` makes no fit calls, since
+no step reads the coefficients of the columns off the rays.  It then
 loads ``NEW_TREE``'s ``cprank`` into the same interpreter under a second
 package name and replays each recorded call on both kernels, ``PASSES``
 times over, alternating which kernel goes first from call to call so that

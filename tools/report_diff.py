@@ -16,14 +16,15 @@ Per workload and seed the tool prints the number of instances and how many
 reports differ in meaning, split in two counts: in their decision (order,
 rank, DN status, verdict, cp-rank bounds and certificate rows) and in
 their steps (each step's name, outcome, ``m`` and ``extreme_indices``).
-It also prints how many reports differ in their bytes at all, the
-largest ``extreme_rays`` residual of each tree over the reports that
-carry one (the residual is null when the cone has more rays than the
-few-rays step reads) and how many carry one, and how many reports
-differ in each field, named by its path (``extreme_rays.residual`` for a
-step's detail, ``certificate.entries``, ``verdict``), and names the first
-few instances that differ.  It exits with status 1 when any report differs
-in meaning.  It reads ``bench/`` and writes nothing there.
+It also prints how many reports differ in their bytes at all; each
+tree's largest ``certificate.residual`` and least
+``few_rays_factor.min_entry`` over the reports that carry one, with how
+many do (the values a change to a certificate's construction moves); how
+many reports differ in each field, named by its path
+(``few_rays_factor.min_entry`` for a step's detail,
+``certificate.entries``, ``verdict``); and the first few instances that
+differ.  It exits with status 1 when any report differs in meaning.  It
+reads ``bench/`` and writes nothing there.
 """
 
 from __future__ import annotations
@@ -98,20 +99,27 @@ def changed_fields(old: str, new: str) -> list[str]:
     return [path for path in dict.fromkeys([*a, *b]) if a.get(path, absent) != b.get(path, absent)]
 
 
-def rays_residual(report: str) -> float | None:
-    """The ``extreme_rays`` residual of a report, or None when it carries
-    none (no such step, or a null residual)."""
+def certificate_residual(report: str) -> float | None:
+    """The ``certificate.residual`` of a report, or None when it carries
+    no certificate."""
+    cert = json.loads(report).get("certificate")
+    return None if cert is None else float(cert["residual"])
+
+
+def few_rays_min_entry(report: str) -> float | None:
+    """The ``min_entry`` of a report's ``few_rays_factor`` step, or None
+    when that step made no certificate."""
     for step in json.loads(report).get("steps", ()):
-        if step["name"] == "extreme_rays" and step["details"].get("residual") is not None:
-            return float(step["details"]["residual"])
+        if step["name"] == "few_rays_factor" and "min_entry" in step["details"]:
+            return float(step["details"]["min_entry"])
     return None
 
 
-def residual_summary(reports: list[str]) -> str:
-    """The largest rays residual over the reports that carry one, and how
-    many of the reports do."""
-    values = [v for v in map(rays_residual, reports) if v is not None]
-    top = f"{max(values):.2e}" if values else "none"
+def summary(reports: list[str], value, pick) -> str:
+    """``pick`` (max or min) of ``value`` over the reports that carry one,
+    and how many of the reports do."""
+    values = [v for v in map(value, reports) if v is not None]
+    top = f"{pick(values):.2e}" if values else "none"
     return f"{top} ({len(values)} of {len(reports)} reports)"
 
 
@@ -160,13 +168,14 @@ def main(argv: list[str] | None = None) -> int:
         decided = [key[1] for key in keys if decision(old[key]) != decision(new[key])]
         stepped = [key[1] for key in keys if steps(old[key]) != steps(new[key])]
         byte = [key[1] for key in keys if old[key] != new[key]]
-        rays_old = residual_summary([old[key] for key in keys])
-        rays_new = residual_summary([new[key] for key in keys])
+        trees = [[tree[key] for key in keys] for tree in (old, new)]
+        residual = " -> ".join(summary(t, certificate_residual, max) for t in trees)
+        min_entry = " -> ".join(summary(t, few_rays_min_entry, min) for t in trees)
         semantic_total += len(decided) + len(stepped)
         print(
             f"{name}: {len(keys)} instances, {len(decided)} decision differences, "
             f"{len(stepped)} step differences, {len(byte)} byte differences, "
-            f"max rays residual {rays_old} -> {rays_new}"
+            f"max certificate residual {residual}, least few-rays min_entry {min_entry}"
         )
         per_field = Counter(path for key in keys for path in changed_fields(old[key], new[key]))
         if per_field:
