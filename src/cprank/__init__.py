@@ -10,6 +10,7 @@ import logging
 from .cones import (
     ConeReport,
     extreme_rays,
+    fit_rays,
 )
 from .errors import (
     ComputationFailureError,

@@ -152,18 +152,18 @@ def _cmd_nnq(args) -> int:
 def _cmd_rays(args) -> int:
     tol = _tolerances(args)
     S = pipeline.read_matrix(args.input, args.format, tol)
-    report = cones.extreme_rays(S, tol)
+    report, W, residual = cones.fit_rays(S, tol)
     if args.report == "json":
         _emit(pipeline._json_value({
             "m": report.m,
             "extreme_indices": [i + 1 for i in report.extreme_indices],
-            "residual": report.residual,
-            "W": report.W,
+            "residual": residual,
+            "W": W,
         }))
     else:
         idx = ",".join(str(i + 1) for i in report.extreme_indices)
         _emit(f"{report.m} extreme rays at columns ({idx}); reconstruction residual "
-              f"{report.residual:.3e}")
+              f"{residual:.3e}")
     return 0
 
 

@@ -3,26 +3,25 @@
 For a doubly nonnegative matrix the cone generated by its columns is
 pointed (once zero columns are dropped), so every column is a nonnegative
 combination of the extreme columns, and a rotation taking them into the
-orthant takes every column there (:func:`cprank.rotate.few_rays_factor`,
-for at most ``FEW_RAYS_MAX`` rays).  With exactly rank many rays the cone
-is simplicial and the matrix is nonnegative-equivalent, so a rank-3
-matrix with three extreme rays lies in CP_{n,3}
-(:func:`cprank.nnq.decide_rank3_three_rays`).
+orthant takes every column there (:func:`cprank.rotate.few_rays_factor`).
+With exactly rank many rays the cone is simplicial and the matrix is
+nonnegative-equivalent, so a rank-3 matrix with three extreme rays lies
+in CP_{n,3} (:func:`cprank.nnq.decide_rank3_three_rays`).
 
 Which columns are extreme is settled in three stages: a separating
 functional read off the cosine matrix proves most extreme columns
 extreme with one matrix product; a basis then settles the cone whenever
 it decides every column left open (the representatives form one, or the
 separated ones do); and one batched nonnegative least-squares solve
-tests the columns still open.
+tests the columns still open.  :func:`extreme_rays` reports the rays
+alone, which is all the analysis reads; :func:`fit_rays` also fits the
+coefficients that rebuild every column from them.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +42,7 @@ _log = logging.getLogger(__name__)
 __all__ = [
     "ConeReport",
     "extreme_rays",
+    "fit_rays",
 ]
 
 # a deduplicated column is extreme when reconstructing it from the others
@@ -50,8 +50,6 @@ __all__ = [
 EXTREME_RESIDUAL_FACTOR = 1e-7
 # normalized columns at cosine >= 1 - this are treated as the same ray
 DUPLICATE_RAY_COS_GAP = 1e-12
-# most extreme rays a cone may have for rotate.few_rays_factor to certify it
-FEW_RAYS_MAX = 4
 
 _EPS = np.finfo(float).eps
 
@@ -263,44 +261,22 @@ def _basis_rebuilds(B: np.ndarray, T: np.ndarray) -> bool:
     return bool((vector_norms(B @ x - T) <= EXTREME_RESIDUAL_FACTOR).all())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ConeReport:
-    """Extreme rays of a column cone.
-
-    ``extreme_indices`` holds one representative column index per extreme
+    """Extreme rays of a column cone: one representative column index per
     ray (0-based, the smallest index when several columns span the same
-    ray); ``W`` is the nonnegative coefficient matrix reconstructing every
-    column from the extreme ones, and ``residual`` the relative Frobenius
-    error of that reconstruction.  For :func:`extreme_rays` both describe
-    the Gram columns, although ``W`` is fitted on the rank factor's unit
-    columns and rescaled.
+    ray), in increasing order."""
 
-    ``W`` and ``residual`` are what ``fit()`` returns.  It runs on the
-    first read of either and its result is kept, so a caller that reads
-    only the rays, as the analysis does, never pays for the fit, and
-    every reader of ``W`` sees the same bits.
-    """
-
-    m: int
     extreme_indices: tuple[int, ...]
-    fit: Callable[[], tuple[np.ndarray, float]] = field(repr=False)
-
-    @cached_property
-    def _fitted(self) -> tuple[np.ndarray, float]:
-        return self.fit()
 
     @property
-    def W(self) -> np.ndarray:
-        return self._fitted[0]
-
-    @property
-    def residual(self) -> float:
-        return self._fitted[1]
+    def m(self) -> int:
+        return len(self.extreme_indices)
 
 
-def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Sorted extreme columns of ``M``, the representative of each column
-    (``-1`` for a zero column) and the column norms of ``M``.
+def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray]:
+    """Sorted extreme columns of ``M`` and the representative of each
+    column (``-1`` for a zero column).
 
     Zero columns are dropped, positive multiples of one ray are collapsed
     onto their smallest-index representative, and a representative is
@@ -332,7 +308,7 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray,
     nonzero = (norms > tol.eps_nonneg * norms.max(initial=0.0)).nonzero()[0]
     rep_of = np.full(n, -1)
     if not nonzero.size:
-        return [], rep_of, norms
+        return [], rep_of
     Mz, nz = M[:, nonzero], norms[nonzero]  # column-major: the screen's sums depend on it
     cos = (Mz.T @ Mz) / (nz[:, None] * nz)
     reps, Kr, U = nonzero, cos, Mz / nz
@@ -373,37 +349,23 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray,
     if rest.size:
         fits = _batched_nnls(Kr, Kr[rest], ~np.eye(reps.size, dtype=bool)[rest])
         is_ext[rest] = vector_norms(U @ fits.T - U[:, rest]) > EXTREME_RESIDUAL_FACTOR
-    return reps[is_ext].tolist(), rep_of, norms
+    return reps[is_ext].tolist(), rep_of
 
 
-def _cone_report(
-    G: np.ndarray | None, F: np.ndarray, extreme: list[int], rep_of: np.ndarray, norms: np.ndarray
-) -> ConeReport:
-    """The report of the ``extreme`` columns of ``G``, given what
-    :func:`_extreme_set` returned for ``F``; its ``W`` and ``residual``
-    are fitted by :func:`_cone_fit` on first read.  ``G`` None stands for
-    the Gram columns ``F^T F``, formed only when the fit runs."""
-    def fit() -> tuple[np.ndarray, float]:
-        return _cone_fit(F.T @ F if G is None else G, F, extreme, rep_of, norms)
+def _cone_fit(F: np.ndarray, extreme: list[int], rep_of: np.ndarray) -> tuple[np.ndarray, float]:
+    """Reconstruct every Gram column ``G = F^T F`` from its ``extreme``
+    columns, given what :func:`_extreme_set` returned for ``F``: the
+    coefficients ``W`` and the relative residual.
 
-    return ConeReport(m=len(extreme), extreme_indices=tuple(extreme), fit=fit)
-
-
-def _cone_fit(
-    G: np.ndarray, F: np.ndarray, extreme: list[int], rep_of: np.ndarray, norms: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Reconstruct every column of ``G`` from its ``extreme`` columns:
-    the coefficients ``W`` and the relative residual.
-
-    ``G`` is a linear image of the columns of ``F`` (``F`` itself, or the
-    Gram columns ``F^T F``), so coefficients that rebuild a column of
-    ``F`` rebuild the same column of ``G``.  An extreme column is its own
-    coefficient 1, and a duplicate of one a multiple of it measured on
-    ``G``.  The other columns are fitted in one batched solve on the unit
-    columns of ``F``, where the extremality test ran, and their
-    coefficients are rescaled to the columns of ``G``.  ``residual`` is
-    measured on ``G``.
+    ``G`` is a linear image of the columns of ``F``, so coefficients that
+    rebuild a column of ``F`` rebuild the same column of ``G``.  An
+    extreme column is its own coefficient 1, and a duplicate of one a
+    multiple of it measured on ``G``.  The other columns are fitted in
+    one batched solve on the unit columns of ``F``, where the extremality
+    test ran, and their coefficients are rescaled to the columns of
+    ``G``.  ``residual`` is measured on ``G``.
     """
+    G = F.T @ F
     n = G.shape[1]
     m = len(extreme)
     ext = np.array(extreme, dtype=np.intp)
@@ -420,19 +382,26 @@ def _cone_fit(
         W[k[dup], cols] = np.einsum("ij,ij->j", R, G[:, cols]) / np.einsum("ij,ij->j", R, R)
     fit = kept[k < 0]
     if m and fit.size:
+        norms = vector_norms(F)
         ne, nf = norms[ext], norms[fit]
         E = F[:, ext] / ne
         T = F[:, fit] / nf
         coeffs = _batched_nnls(E.T @ E, T.T @ E, np.ones((fit.size, m), dtype=bool))
         W[:, fit] = coeffs.T * ((1.0 / ne)[:, None] * nf)
-
+    residual = 0.0
     if m:
-        recon = G[:, ext] @ W
         denom = frobenius_norm(G)
-        residual = frobenius_norm(G - recon) / denom if denom else 0.0
-    else:
-        residual = 0.0
+        residual = frobenius_norm(G - G[:, ext] @ W) / denom if denom else 0.0
     return W, residual
+
+
+def _rank_factor(A: MatrixLike, tol: Tolerances) -> np.ndarray:
+    """The rank factor of a DN matrix, which the cone analysis runs on."""
+    S = as_symmetric(A, tol)
+    verdict = classify_dn(S, tol)
+    if not verdict.is_dn:
+        raise PreconditionError(f"cone analysis requires a DN matrix, got {verdict.status}")
+    return sr_factor(S, tol)
 
 
 def extreme_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
@@ -442,23 +411,23 @@ def extreme_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> ConeReport:
     input, which is the matrix the working tolerances say the input is;
     for a matrix of exact numerical rank this changes nothing.  Which
     columns are extreme is decided on the unit columns of the rank factor
-    ``B``, and the columns off the extreme rays are fitted there too, from
-    a cold start: a reconstruction residual on ``B`` scales with the
-    square roots of the eigenvalues, where on the Gram columns it scales
-    with the eigenvalues themselves, so an ill-conditioned cone loses
-    rays and its fits stall early.  ``B`` maps onto the Gram columns
-    linearly, so ``W`` carries over; ``W`` and ``residual`` describe the
-    Gram columns.
-
-    The extreme set is decided here; ``W`` and ``residual``, which no
-    step of the analysis reads, are fitted on their first read (see
-    :class:`ConeReport`), one more batched solve when some column lies
-    off the extreme rays.
+    ``B``: a reconstruction residual on ``B`` scales with the square roots
+    of the eigenvalues, where on the Gram columns it scales with the
+    eigenvalues themselves, so an ill-conditioned cone would lose rays.
     """
-    S = as_symmetric(A, tol)
-    verdict = classify_dn(S, tol)
-    if not verdict.is_dn:
-        raise PreconditionError(f"cone analysis requires a DN matrix, got {verdict.status}")
-    B = sr_factor(S, tol)
-    return _cone_report(None, B, *_extreme_set(B, tol))
+    return ConeReport(tuple(_extreme_set(_rank_factor(A, tol), tol)[0]))
 
+
+def fit_rays(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> tuple[ConeReport, np.ndarray, float]:
+    """The rays of :func:`extreme_rays`, the nonnegative coefficients
+    ``W`` that rebuild every column from the extreme ones, and the
+    relative Frobenius residual of that reconstruction.
+
+    ``W`` is fitted on the unit columns of the rank factor ``B``, from a
+    cold start, and rescaled: ``B`` maps onto the Gram columns linearly,
+    so ``W`` and the residual describe the columns of the input's
+    rank-truncated reconstruction.  No step of the analysis reads them.
+    """
+    B = _rank_factor(A, tol)
+    extreme, rep_of = _extreme_set(B, tol)
+    return ConeReport(tuple(extreme)), *_cone_fit(B, extreme, rep_of)

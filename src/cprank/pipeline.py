@@ -233,8 +233,8 @@ def _nnq_step(cas: _Cascade, rays: cones.ConeReport) -> None:
 
 def _cone_steps(cas: _Cascade) -> None:
     """nnq detection, the extreme-ray report and the few-rays
-    factorization, all from one extreme-ray computation.  No step reads
-    the fit of the columns off the rays, so it never runs, and the
+    factorization, all from one extreme-ray computation.  No step needs
+    the fit of the columns off the rays (:func:`cones.fit_rays`), so the
     extreme-ray step's residual is null."""
     t0 = time.perf_counter()
     report = cones.extreme_rays(cas.S, cas.tol)
@@ -253,9 +253,9 @@ def _cone_steps(cas: _Cascade) -> None:
     ))
 
     t0 = time.perf_counter()
-    if report.m > cones.FEW_RAYS_MAX:
+    if report.m > rotate.FEW_RAYS_MAX:
         cas.step("few_rays_factor", "NOT_APPLICABLE",
-                 {"reason": f"more than {cones.FEW_RAYS_MAX} extreme rays"}, t0)
+                 {"reason": f"more than {rotate.FEW_RAYS_MAX} extreme rays"}, t0)
     else:
         try:
             cert = rotate.few_rays_factor(

@@ -7,7 +7,7 @@ seeded multi-start search for an orthogonal matrix that makes a vector
 family nonnegative.
 
 That search also certifies a DN matrix whose column cone has at most
-``cones.FEW_RAYS_MAX`` (four) extreme rays: every case the paper proves
+``FEW_RAYS_MAX`` (four) extreme rays: every case the paper proves
 with at most four rays, namely rank at most 2 (``m = rank``, a pointed
 cone in the plane has at most two rays), full rank at order at most 4
 (``m = n``) and a basis of nonnegative equivalence at rank at most 4
@@ -174,10 +174,13 @@ def rowsum_condition(
 
     When it holds for a PSD matrix of rank ``r``, the matrix is completely
     positive with cp-rank equal to ``r`` and :func:`rowsum_factor` builds
-    the certificate.  ``r`` defaults to the numerical rank; the inequality
+    the certificate.  ``r`` defaults to the numerical rank (anything but a
+    nonnegative integer raises :class:`InvalidInputError`); the inequality
     is checked with a small relative slack so that exact-equality cases do
     not flip under roundoff, and zero rows and columns count as exactly 0.
     """
+    if r is not None and (not isinstance(r, (int, np.integer)) or r < 0):
+        raise InvalidInputError(f"r must be a nonnegative integer, got {r!r}")
     S = as_symmetric(A, tol)
     if r is None:
         r = psd_rank(S, tol).rank
@@ -188,7 +191,7 @@ def rowsum_condition(
     R = a.sum(axis=1)
     total = float(R.sum())
     data = RowSumData(row_sums=R, total=total)
-    if r <= 0:
+    if r == 0:
         return True, data
     lhs = r * R * R
     rhs = (r - 1) * a.diagonal() * total
@@ -221,6 +224,8 @@ def _rowsum_certificate(S: SymmetricMatrix, tol: Tolerances) -> CpCertificate:
     return make_certificate(S, householder_align(x).Q @ B, "rowsum", tol)
 
 
+# most extreme rays a cone may have for :func:`few_rays_factor` to certify it
+FEW_RAYS_MAX = 4
 # restart cap of each row count below m in :func:`few_rays_factor`
 SUB_M_RESTARTS = 12
 
@@ -246,9 +251,9 @@ def few_rays_factor(
     check_seed_restarts(seed, restarts)
     S = as_symmetric(A, tol)
     m = report.m
-    if m > cones.FEW_RAYS_MAX:
+    if m > FEW_RAYS_MAX:
         raise PreconditionError(
-            f"factorization from extreme rays needs m <= {cones.FEW_RAYS_MAX}, got {m}"
+            f"factorization from extreme rays needs m <= {FEW_RAYS_MAX}, got {m}"
         )
     if m == 0:
         return make_certificate(S, np.zeros((0, S.n)), "few_rays", tol)
@@ -279,7 +284,7 @@ def few_rays_factor(
             return make_certificate(S, Q[:, : B.shape[0]] @ B, "few_rays", tol)
     raise ComputationFailureError(
         "rotation search exhausted its budget on the extreme block; "
-        f"a solution exists for m <= {cones.FEW_RAYS_MAX}, raise the restart budget"
+        f"a solution exists for m <= {FEW_RAYS_MAX}, raise the restart budget"
     )
 
 

@@ -482,15 +482,17 @@ def extreme_indices_oracle(A, tol=DEFAULT_TOL):
 
 
 def cone_columns(M, tol=DEFAULT_TOL):
-    """The library's extreme-ray report for the cone of the columns of any
-    matrix ``M``, decided and fitted on ``M`` itself."""
+    """The library's ``(report, W, residual)`` for the cone of the columns
+    of any matrix ``M``, decided and fitted on ``M`` itself, with ``W`` and
+    the residual describing the Gram columns ``M^T M``."""
     M = np.asarray(M, dtype=float)
-    return cones._cone_report(M, M, *cones._extreme_set(M, tol))
+    extreme, rep_of = cones._extreme_set(M, tol)
+    return cones.ConeReport(tuple(extreme)), *cones._cone_fit(M, extreme, rep_of)
 
 
-def cone_report_oracle(G, F, tol=DEFAULT_TOL):
-    """Extreme-ray report of the columns of ``G`` decided and fitted on
-    ``F``, computed the long way.
+def cone_report_oracle(F, tol=DEFAULT_TOL):
+    """``(report, W, residual)`` of the columns of ``G = F^T F`` decided and
+    fitted on ``F``, computed the long way.
 
     The same stages run on the same kernel, screen and basis
     certificates as in the library, but the duplicate collapse runs every
@@ -499,7 +501,7 @@ def cone_report_oracle(G, F, tol=DEFAULT_TOL):
     representative (1 for the representative itself).  The report must
     match the library's bit for bit.
     """
-    M = F
+    M, G = F, F.T @ F
     n = M.shape[1]
     norms = np.linalg.norm(M, axis=0)
     nonzero = np.flatnonzero(norms > tol.eps_nonneg * norms.max(initial=0.0))
@@ -557,7 +559,7 @@ def cone_report_oracle(G, F, tol=DEFAULT_TOL):
     if m:
         denom = float(np.linalg.norm(G))
         residual = float(np.linalg.norm(G - G[:, extreme] @ W)) / denom if denom else 0.0
-    return cones.ConeReport(m=m, extreme_indices=tuple(extreme), fit=lambda: (W, residual))
+    return cones.ConeReport(tuple(extreme)), W, residual
 
 
 def connecting_orthogonal(B, C, tol=DEFAULT_TOL):

@@ -248,7 +248,7 @@ def test_c12_extreme_ray_oracle_equivalence():
         report = extreme_rays(A)
         B = sr_factor(A)
         assert list(report.extreme_indices) == hull_extreme_indices(B)
-        assert cone_columns(B).extreme_indices == report.extreme_indices
+        assert cone_columns(B)[0] == report
     _stamp("12 (extreme rays match the cross-section hull oracle, 200 instances)", t0)
 
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from cprank import as_symmetric
 from cprank.cli import main
 from cprank.fixtures import GRAM_NONNEG, example_matrix, random_dn
 from cprank.pipeline import matrix_to_text
@@ -188,6 +189,8 @@ class TestOtherCommands:
         "EX3_9": "7c6cb59ea2eeb071061a304c7efd2417d09f51bd4d7c939baffe8448b42f3155",
         # six rays, six columns fitted off them
         "GRAM_NONNEG-n12-r3-s4": "6dceadae97af79d02435d107b82a93303057494fc6a29191b2628570e6d7bb21",
+        # rays at columns 1-2, a duplicate at 3, a zero row at 4, columns 5-6 fitted
+        "GRAM-dup-zero": "8274df58f0964b4ad304148a0264ca9882c97ae04907ee4788f49ca558b3c3fe",
     }
 
     @pytest.mark.parametrize("cid", sorted(RAYS_DIGESTS))
@@ -195,8 +198,13 @@ class TestOtherCommands:
         if cid.startswith("EX"):
             path = write_fixture(tmp_path, cid)
         else:
+            if cid == "GRAM-dup-zero":
+                B = np.array([[1, 0, 2, 0, 1, 3], [0, 1, 0, 0, 1, 1]], dtype=float)
+                A = as_symmetric(B.T @ B)
+            else:
+                A = random_dn(12, 3, seed=4, style=GRAM_NONNEG)
             path = tmp_path / "A.txt"
-            path.write_text(matrix_to_text(random_dn(12, 3, seed=4, style=GRAM_NONNEG)))
+            path.write_text(matrix_to_text(A))
         loose = ["--tol-psd", "1e-4", "--tol-rank", "1e-4", "--tol-nonneg", "1e-6",
                  "--tol-residual", "1e-4"] if cid == "EX3_9" else []
         code, out, _ = run(capsys, ["rays", "--input", str(path), "--report", "json", *loose])

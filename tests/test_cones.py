@@ -15,10 +15,11 @@ from cprank import (
     Tolerances,
     extreme_rays,
     few_rays_factor,
+    fit_rays,
     sr_factor,
     verify_certificate,
 )
-from cprank import cones
+from cprank import cones, rotate
 from cprank.cones import DUPLICATE_RAY_COS_GAP, EXTREME_RESIDUAL_FACTOR
 from cprank.fixtures import (
     GRAM_NONNEG,
@@ -184,8 +185,8 @@ def assert_w_fit_matches_oracle(A):
     """``W >= 0``, and every column fitted off the extreme rays comes, on
     the unit factor columns, within 1e-9 of the per-problem oracle's
     residual against the unit extreme columns."""
-    report = extreme_rays(A)
-    assert report.W.min() >= 0.0
+    report, W, _ = fit_rays(A)
+    assert W.min() >= 0.0
     B = sr_factor(A)
     rep_of = cones._extreme_set(B, Tolerances())[1]
     ext = list(report.extreme_indices)
@@ -195,7 +196,7 @@ def assert_w_fit_matches_oracle(A):
         if rep_of[j] in ext:
             continue
         u = B[:, j] / norms[j]
-        fitted = E @ (report.W[:, j] * norms[ext] / norms[j]) - u
+        fitted = E @ (W[:, j] * norms[ext] / norms[j]) - u
         best = E @ active_set_nnls(E, u) - u
         assert abs(np.linalg.norm(fitted) - np.linalg.norm(best)) <= 1e-9
 
@@ -206,10 +207,10 @@ class TestExtremeRays:
         assert report.m == 3 and report.extreme_indices == (0, 1, 2)
 
     def test_rounded_example_has_three_rays(self):
-        report = extreme_rays(example_matrix("EX3_9"), ROUNDED_TOL)
+        report, _, residual = fit_rays(example_matrix("EX3_9"), ROUNDED_TOL)
         assert report.m == 3
         assert report.extreme_indices == (0, 1, 2)
-        assert report.residual <= 1e-8
+        assert residual <= 1e-8
 
     def test_soules_instance_rank3(self):
         A = soules_cp(np.ones(6), [5.0, 2.0, 1.0, 0.0, 0.0, 0.0])
@@ -269,10 +270,10 @@ class TestExtremeRays:
 
     def test_duplicate_columns_collapse(self):
         V = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]])  # third = 2x first
-        report = cone_columns(V.T @ V)
+        report, W, _ = cone_columns(V.T @ V)
         assert report.m == 2
         assert report.extreme_indices == (0, 1)
-        assert report.W[0, 2] > 0  # duplicate reconstructed from its ray
+        assert W[0, 2] > 0  # duplicate reconstructed from its ray
 
     def test_zero_matrix(self):
         report = extreme_rays(np.zeros((3, 3)))
@@ -288,10 +289,10 @@ class TestExtremeRays:
             n = int(rng.integers(3, 8))
             G = rng.uniform(0.0, 1.0, size=(3, n))
             A = G.T @ G
-            report = extreme_rays(A)
+            report, W, residual = fit_rays(A)
             assert report.m >= 3  # extreme rays span the rank-3 column space
-            assert report.residual <= 1e-7
-            assert report.W.min() >= -1e-9
+            assert residual <= 1e-7
+            assert W.min() >= -1e-9
 
     def test_ray_count_matches_factor_columns(self):
         rng = np.random.default_rng(15)
@@ -301,8 +302,8 @@ class TestExtremeRays:
             G = rng.uniform(0.0, 1.0, size=(r, n))
             A = G.T @ G
             B = sr_factor(A)
-            from_gram = cone_columns(B.T @ B)
-            from_factor = cone_columns(B)
+            from_gram = cone_columns(B.T @ B)[0]
+            from_factor = cone_columns(B)[0]
             assert from_gram.extreme_indices == from_factor.extreme_indices
 
     def test_matches_cross_section_hull_oracle(self):
@@ -329,8 +330,7 @@ class TestExtremeRays:
     @pytest.mark.parametrize("n", [12, 40, 100])
     def test_one_batched_solve_per_question(self, monkeypatch, n):
         # extremality of every column is one kernel call, and fitting the
-        # columns off the extreme rays, on the first read of W, is one
-        # more, whatever n is
+        # columns off the extreme rays is one more, whatever n is
         calls = []
 
         def count(name, fn):
@@ -341,16 +341,14 @@ class TestExtremeRays:
 
         kernel = getattr(cones, "_batched_nnls", None)
         monkeypatch.setattr(cones, "_batched_nnls", count("kernel", kernel), raising=False)
-        report = extreme_rays(random_dn(n, 3, seed=n, style=GRAM_NONNEG))
-        report.W
+        report = fit_rays(random_dn(n, 3, seed=n, style=GRAM_NONNEG))[0]
         assert report.m < n  # some columns are fitted, not extreme
         assert calls == ["kernel", "kernel"]
 
     def test_one_debug_line_per_kernel_call(self, caplog):
         A = random_dn(12, 5, seed=6, style=GRAM_NONNEG)
         with caplog.at_level(logging.DEBUG, logger="cprank"):
-            report = extreme_rays(A)
-            report.W
+            report = fit_rays(A)[0]
         lines = [r.getMessage() for r in caplog.records if r.name == "cprank.cones"]
         names = [line.split(":")[0] for line in lines]
         assert names == ["_extreme_set", "_batched_nnls", "_batched_nnls"]
@@ -400,13 +398,13 @@ class TestExtremeRays:
         # each column's residual on the rank factor is still the least
         # one, and the few-rays certificate C = N W verifies
         A = random_dn(n, 3, seed=seed, style=style)
-        report = extreme_rays(A)
+        report, W, _ = fit_rays(A)
         assume(classify_dn(A).rank == 3 and report.m == 4)
         assert verify_certificate(A, few_rays_factor(A, report)).passed
         B = sr_factor(A)
         E = B[:, list(report.extreme_indices)]
         for j, b in enumerate(B.T):
-            fitted = np.linalg.norm(E @ report.W[:, j] - b)
+            fitted = np.linalg.norm(E @ W[:, j] - b)
             best = np.linalg.norm(E @ active_set_nnls(E, b) - b)
             assert abs(fitted - best) <= 1e-9 * np.linalg.norm(b)
 
@@ -451,19 +449,20 @@ class TestDuplicateRays:
     @given(st.data())
     def test_matches_sequential_loop(self, data):
         M = planted_duplicates(data)
-        found = cones._extreme_set(M, Tolerances())
-        extreme, rep_of = found[:2]
+        extreme, rep_of = cones._extreme_set(M, Tolerances())
         reps, expected = duplicate_rays_loop(M)
         assert [j for j, rep in enumerate(rep_of) if rep == j] == reps
         assert {j: int(rep) for j, rep in enumerate(rep_of) if rep >= 0} == expected
         assert set(extreme) <= set(reps)
-        # a column on an extreme ray is its representative's multiple; the
-        # sums now run in another order, so they agree to a few roundoffs
-        W = cones._cone_report(M, M, *found).W
+        # a column on an extreme ray is its representative's multiple,
+        # measured on the Gram columns; the sums now run in another order,
+        # so they agree to a few roundoffs
+        W = cone_columns(M)[1]
+        G = M.T @ M
         for j, rep in expected.items():
             if rep in extreme:
-                ratio = 1.0 if j == rep else float(M[:, rep] @ M[:, j]) / float(M[:, rep] @ M[:, rep])
-                assert W[extreme.index(rep), j] == pytest.approx(ratio, rel=4 * M.shape[0] * 2.0**-52)
+                ratio = 1.0 if j == rep else float(G[:, rep] @ G[:, j]) / float(G[:, rep] @ G[:, rep])
+                assert W[extreme.index(rep), j] == pytest.approx(ratio, rel=4 * M.shape[1] * 2.0**-52)
 
     def test_chain_across_the_gap(self):
         # 1 joins 0; 2 is close to 1 only, which is not a representative
@@ -475,16 +474,16 @@ class TestDuplicateRays:
         assert duplicate_rays_loop(M) == ([0, 2], {0: 0, 1: 0, 2: 2})
 
 
-def assert_matches_cone_oracle(report, G, F):
-    expected = cone_report_oracle(G, F)
-    assert report.m == expected.m
-    assert report.extreme_indices == expected.extreme_indices
-    assert np.array_equal(report.W, expected.W)
-    assert report.residual == expected.residual
+def assert_matches_cone_oracle(found, F):
+    report, W, residual = found
+    expected, W_expected, residual_expected = cone_report_oracle(F)
+    assert report == expected
+    assert np.array_equal(W, W_expected)
+    assert residual == residual_expected
 
 
 class TestConeReportOracle:
-    """``extreme_rays`` and the cone report of general columns
+    """``fit_rays`` and the cone report of general columns
     (``cone_columns``) against the cone report built with the duplicate
     pass always run and an n-by-n mask of the columns each fit used: the
     same rays, ``W`` and residual, bit for bit."""
@@ -499,14 +498,14 @@ class TestConeReportOracle:
     def test_random_dn(self, style, r, extra, seed):
         A = random_dn(min(r + extra, 12), r, seed=seed, style=style)
         B = sr_factor(A)
-        assert_matches_cone_oracle(extreme_rays(A), B.T @ B, B)
-        assert_matches_cone_oracle(cone_columns(B), B, B)
+        assert_matches_cone_oracle(fit_rays(A), B)
+        assert_matches_cone_oracle(cone_columns(B), B)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_planted_duplicates(self, data):
         M = planted_duplicates(data)
-        assert_matches_cone_oracle(cone_columns(M), M, M)
+        assert_matches_cone_oracle(cone_columns(M), M)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -522,27 +521,9 @@ class TestConeReportOracle:
         B = sr_factor(random_dn(min(r + extra, 12), r, seed=seed, style=style))
         for j in at:
             B = np.insert(B, min(j, B.shape[1]), 0.0, axis=1)
-        assert_matches_cone_oracle(cone_columns(B), B, B)
+        assert_matches_cone_oracle(cone_columns(B), B)
         A = B.T @ B
-        F = sr_factor(A)
-        assert_matches_cone_oracle(extreme_rays(A), F.T @ F, F)
-
-
-    @pytest.mark.parametrize("n, r, seed", [(12, 3, 4), (9, 5, 1), (8, 2, 208)])
-    def test_fit_runs_once_on_first_read(self, n, r, seed):
-        # deciding the rays is one kernel call; the first read of W or the
-        # residual runs the fit, one more, and later reads keep its result
-        A = random_dn(n, r, seed=seed, style=GRAM_NONNEG)
-        with mock.patch.object(cones, "_batched_nnls", wraps=cones._batched_nnls) as kernel:
-            report = extreme_rays(A)
-            decided = kernel.call_count
-            residual = report.residual
-            assert kernel.call_count == decided + 1
-            W = report.W
-            assert report.W is W and report.residual == residual
-            assert kernel.call_count == decided + 1
-        B = sr_factor(A)
-        assert_matches_cone_oracle(report, B.T @ B, B)
+        assert_matches_cone_oracle(fit_rays(A), sr_factor(A))
 
 
 def screen_against_oracle(M):
@@ -617,18 +598,18 @@ class TestSeparationBound:
         calls = []
         kernel = cones._batched_nnls
         monkeypatch.setattr(cones, "_batched_nnls", lambda *args: calls.append(1) or kernel(*args))
-        report = extreme_rays(A, tol)
+        report, W, residual = fit_rays(A, tol)
         assert calls == [] and report.m == A.shape[0]
         # the same report with the screen off: the identity's three
         # representatives form a basis, which settles them without the
         # kernel; EX3_7's four rays in rank 3 go to the kernel
         monkeypatch.setattr(cones, "_separation_bound", lambda U, K: np.zeros(K.shape[0]))
-        kernel_report = extreme_rays(A, tol)
+        kernel_report, kernel_W, kernel_residual = fit_rays(A, tol)
         assert len(calls) == unscreened_calls
         assert list(kernel_report.extreme_indices) == extreme_indices_oracle(A, tol)
         assert report.extreme_indices == kernel_report.extreme_indices
-        assert np.array_equal(report.W, kernel_report.W)
-        assert report.residual == kernel_report.residual
+        assert np.array_equal(W, kernel_W)
+        assert residual == kernel_residual
 
     @pytest.mark.parametrize("seed", range(6))
     def test_negative_cosine_sum_skips_the_bound(self, caplog, seed):
@@ -639,7 +620,7 @@ class TestSeparationBound:
         U = M / np.linalg.norm(M, axis=0)
         assert (U.T @ U).sum(axis=1).min() <= 0.0
         with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
-            report = cone_columns(M)
+            report = cone_columns(M)[0]
         screen, ext = (
             {key: int(value) for key, value in (f.split("=") for f in r.getMessage().split()[1:])}
             for r in caplog.records[:2]
@@ -694,8 +675,7 @@ class TestBasisCertificates:
         # rebuilt from them, and only the W fit calls the kernel
         A = random_dn(8, 2, seed=208, style=GRAM_NONNEG)
         with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
-            report = extreme_rays(A)
-            report.W
+            report = fit_rays(A)[0]
         (_, screen), (name, fit) = debug_fields(caplog)
         assert screen == {"representatives": 8, "separated": 2, "basis": 6}
         assert name == "_batched_nnls" and (fit["problems"], fit["columns"]) == (6, 2)
@@ -718,7 +698,7 @@ class TestBasisCertificates:
         M = np.column_stack([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-8 * math.sqrt(2.0)]])
         assert cones._span_distance(M / np.linalg.norm(M, axis=0))[2] <= EXTREME_RESIDUAL_FACTOR
         with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
-            report = cone_columns(M)
+            report = cone_columns(M)[0]
         (_, screen), (name, ext) = debug_fields(caplog)[:2]
         assert screen == {"representatives": 3, "separated": 2, "basis": 0}
         assert name == "_batched_nnls" and ext["problems"] == 1
@@ -778,7 +758,7 @@ class TestFewRaysFactor:
     def test_too_many_rays_rejected(self):
         A = np.eye(5)
         report = extreme_rays(A)
-        with pytest.raises(PreconditionError, match=f"m <= {cones.FEW_RAYS_MAX}, got 5"):
+        with pytest.raises(PreconditionError, match=f"m <= {rotate.FEW_RAYS_MAX}, got 5"):
             few_rays_factor(A, report)
 
     @pytest.mark.parametrize("A", [

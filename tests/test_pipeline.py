@@ -20,7 +20,7 @@ from cprank import (
     verify_certificate,
 )
 from cprank.fixtures import EXAMPLE_IDS, GRAM_NONNEG, RANDOM_STYLES, example_matrix, random_dn
-from cprank import cones, matcore, pipeline, srfactor
+from cprank import cones, matcore, pipeline, rotate, srfactor
 from cprank.pipeline import (
     CP_RANK_EQ_RANK,
     NOT_DN,
@@ -269,7 +269,7 @@ class TestConeSteps:
         assert rays.details["m"] == m
         assert rays.details["residual"] is None
         assert '"residual":null' in write_report(report, "json").decode()
-        if m > cones.FEW_RAYS_MAX:
+        if m > rotate.FEW_RAYS_MAX:
             assert step(report, "few_rays_factor").outcome == "NOT_APPLICABLE"
         else:
             assert step(report, "few_rays_factor").outcome == f"CERTIFICATE(rows={r})"

@@ -26,10 +26,9 @@ from cprank import (
     sr_factor,
     verify_certificate,
 )
-from cprank.cones import FEW_RAYS_MAX
 from cprank.fixtures import RANDOM_STYLES, example_matrix, random_dn
 from cprank.matcore import frobenius_norm
-from cprank.rotate import POLAR_ITERATIONS, _least_distance
+from cprank.rotate import FEW_RAYS_MAX, POLAR_ITERATIONS, _least_distance
 from conftest import active_set_nnls, cone_sampled_vectors, dn_rank2_instance
 
 
@@ -158,6 +157,16 @@ class TestRowsum:
     def test_condition_fails_on_spread_diagonal(self):
         ok, _ = rowsum_condition(np.diag([100.0, 1.0]), r=2)
         assert not ok
+
+    @pytest.mark.parametrize("r", [-2, 2.5, 3.0, "3"])
+    def test_rank_must_be_a_nonnegative_integer(self, r):
+        # EX1_2 is not in CP_{4,3}; a bad r must not answer for it
+        with pytest.raises(InvalidInputError, match="nonnegative integer"):
+            rowsum_condition(example_matrix("EX1_2"), r)
+
+    def test_zero_rank_holds(self):
+        ok, data = rowsum_condition(np.zeros((3, 3)), 0)
+        assert ok and data.total == 0.0
 
     @pytest.mark.parametrize("entry", [0.0, 1e-12])
     def test_zero_rows_hold_and_add_nothing(self, entry):

@@ -13,8 +13,9 @@ thread and puts that tree's ``src`` first on the path, and records every
 workload for each seed in ``--seeds`` (default: seed 1 only): the
 extremality batches of the cone analysis, and the least-distance solves
 of the rotation search's polish, since ``rotate`` calls the kernel
-through that module attribute.  ``analyze`` makes no fit calls, since
-no step reads the coefficients of the columns off the rays.  It then
+through that module attribute.  ``analyze`` makes no fit calls: only
+``cones.fit_rays``, which the ``rays`` command calls, fits the
+coefficients of the columns off the rays.  It then
 loads ``NEW_TREE``'s ``cprank`` into the same interpreter under a second
 package name and replays each recorded call on both kernels, ``PASSES``
 times over, alternating which kernel goes first from call to call so that
