@@ -28,11 +28,14 @@ import numpy as np
 from .errors import PreconditionError
 from .matcore import (
     DEFAULT_TOL,
+    LinAlgError,
     MatrixLike,
     Tolerances,
     as_symmetric,
     classify_dn,
     frobenius_norm,
+    inv,
+    solve,
     vector_norms,
 )
 from .srfactor import sr_factor
@@ -179,8 +182,8 @@ def _passive_solve(K: np.ndarray, C: np.ndarray, P: np.ndarray) -> np.ndarray:
         Kp = K.take(cols[:, :, None] * K.shape[1] + cols[:, None, :])
         cp = C[mask].reshape(-1, p, 1)
         try:
-            s = np.linalg.solve(Kp, cp)
-        except np.linalg.LinAlgError:
+            s = solve(Kp, cp)
+        except LinAlgError:
             s = np.linalg.pinv(Kp, hermitian=True) @ cp
         S[mask] = s.ravel()
     return S
@@ -238,8 +241,8 @@ def _span_distance(U: np.ndarray) -> np.ndarray:
     """
     d = U.shape[0]
     try:
-        V = np.linalg.inv(U)
-    except np.linalg.LinAlgError:
+        V = inv(U)
+    except LinAlgError:
         return np.zeros(d)
     row = vector_norms(V, axis=1)
     return 1.0 / (row + (d + 4) * _EPS * np.sqrt(d) * (row @ row))
@@ -255,8 +258,8 @@ def _basis_rebuilds(B: np.ndarray, T: np.ndarray) -> bool:
     so a small explicit residual bounds that problem's optimum.
     """
     try:
-        x = np.maximum(np.linalg.solve(B, T), 0.0)
-    except np.linalg.LinAlgError:
+        x = np.maximum(solve(B, T), 0.0)
+    except LinAlgError:
         return False
     return bool((vector_norms(B @ x - T) <= EXTREME_RESIDUAL_FACTOR).all())
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationFailureError, InvalidInputError
-from .matcore import DEFAULT_TOL, SymmetricMatrix, Tolerances, psd_rank
-from .rotate import e_cone_threshold, random_orthogonal
+from .matcore import DEFAULT_TOL, SymmetricMatrix, Tolerances, frobenius_norm, psd_rank
+from .rotate import check_seed_restarts, e_cone_threshold, random_orthogonal
 
 __all__ = [
     "EXAMPLE_IDS",
@@ -170,13 +170,13 @@ def soules_basis(w: np.ndarray | list[float]) -> SoulesBasis:
     n = w.shape[0]
     if np.any(w <= 0.0):
         raise InvalidInputError("weight vector must be strictly positive")
-    unit = w / np.linalg.norm(w)
+    unit = w / frobenius_norm(w)
     S = np.zeros((n, n))
     S[:, 0] = unit
     for k in range(2, n + 1):
         p = n - k + 1  # positive prefix length
-        head = float(np.linalg.norm(unit[:p]))
-        full = float(np.linalg.norm(unit[: p + 1]))
+        head = frobenius_norm(unit[:p])
+        full = frobenius_norm(unit[: p + 1])
         col = np.zeros(n)
         col[:p] = unit[:p] * unit[p] / (head * full)
         col[p] = -head / full
@@ -221,12 +221,14 @@ def random_dn(
     around the all-ones direction and applies a random rotation, planting
     a rotation back into the orthant.  ``SOULES`` delegates to
     :func:`soules_cp` with random weights.  Rank deficiency has
-    probability zero; the draw retries if it happens anyway.
+    probability zero; the draw retries if it happens anyway.  A seed that
+    is not a nonnegative integer raises :class:`InvalidInputError`.
     """
     if not (1 <= r <= n):
         raise InvalidInputError(f"need 1 <= r <= n, got r={r}, n={n}")
     if style not in RANDOM_STYLES:
         raise InvalidInputError(f"unknown style {style!r}; valid: {', '.join(RANDOM_STYLES)}")
+    check_seed_restarts(seed, 0)  # the rotation searches' seed rule
     rng = np.random.default_rng(seed)
     for _ in range(50):
         if style == GRAM_NONNEG:
@@ -240,7 +242,7 @@ def random_dn(
             for i in range(n):
                 y = rng.standard_normal(r)
                 y -= (y @ axis) * axis
-                norm = np.linalg.norm(y)
+                norm = frobenius_norm(y)
                 y = y / norm if norm > 0.0 else np.zeros(r)
                 Z[:, i] = radius[i] * (cos[i] * axis + np.sqrt(1.0 - cos[i] ** 2) * y)
             V = random_orthogonal(r, rng) @ Z

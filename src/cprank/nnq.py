@@ -28,6 +28,8 @@ from .matcore import (
     as_symmetric,
     classify_dn,
     psd_rank,
+    slogdet,
+    solve,
     vector_norms,
 )
 from .rotate import check_seed_restarts, few_rays_factor
@@ -111,12 +113,12 @@ def nnq_from_rays(
     idx = list(rays.extreme_indices)
     rows = S.a[idx]
     basis = rows[:, idx]
-    sign, logdet = np.linalg.slogdet(basis)
+    sign, logdet = slogdet(basis)
     if not sign or logdet <= LOG_EPS_DET_FACTOR + float(np.log(vector_norms(basis)).sum()):
         return NnqSearchResult(status=NONE)
-    # np.linalg.det(basis), bit for bit, where it is a normal float
+    # numpy.linalg.det(basis), bit for bit, where it is a normal float
     det = float(sign) * math.exp(logdet) if LOG_TINY <= logdet <= LOG_MAX else None
-    P = np.linalg.solve(basis, rows)
+    P = solve(basis, rows)
     P[:, S.zero_rows(tol.eps_nonneg)] = 0.0
     # initial=0.0 lets the empty basis of a rank-0 matrix through
     if float(P.min(initial=0.0)) < -tol.eps_nonneg:

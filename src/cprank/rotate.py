@@ -45,6 +45,9 @@ from .matcore import (
     as_symmetric,
     frobenius_norm,
     psd_rank,
+    qr,
+    solve,
+    svd,
     vector_norms,
 )
 from .srfactor import CpCertificate, make_certificate, sr_factor
@@ -70,7 +73,7 @@ def random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed orthogonal matrix of order ``k``."""
     if k == 0:
         return np.zeros((0, 0))
-    q, r = np.linalg.qr(rng.standard_normal((k, k)))
+    q, r = qr(rng.standard_normal((k, k)))
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs[None, :]
@@ -307,7 +310,7 @@ POLISH_STEPS = 8
 def _qr_rotation(B: np.ndarray) -> np.ndarray:
     """Orthogonal ``Q`` mapping ``B`` to an upper-triangular matrix with a
     sign-normalized diagonal."""
-    q, rmat = np.linalg.qr(B, mode="complete")
+    q, rmat = qr(B, mode="complete")
     d = min(B.shape)
     signs = np.ones(B.shape[0])
     lead = np.sign(np.diag(rmat[:d, :d]))
@@ -316,9 +319,12 @@ def _qr_rotation(B: np.ndarray) -> np.ndarray:
 
 
 def check_seed_restarts(seed: int, restarts: int) -> None:
-    """Reject a negative seed or restart count of a rotation search with
-    :class:`InvalidInputError`, before any restart draws from the seed."""
+    """Reject a seed or restart count of a rotation search that is not an
+    integer or is negative with :class:`InvalidInputError`, before any
+    restart draws from the seed."""
     for name, value in (("seed", seed), ("restarts", restarts)):
+        if not isinstance(value, (int, np.integer)):
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         if value < 0:
             raise InvalidInputError(f"{name} must be nonnegative, got {value!r}")
 
@@ -406,7 +412,7 @@ def orthant_rotation_search(
         best, stalled, Qbest = float(Y.min()), 0, None
         for _ in range(POLAR_ITERATIONS):
             steps += 1
-            U, _, Vt = np.linalg.svd(Y @ Bn.T)
+            U, _, Vt = svd(Y @ Bn.T)
             Q = U @ Vt
             X = Q @ Bn
             low = float(X.min())
@@ -458,7 +464,7 @@ def _polish(Q: np.ndarray, Bn: np.ndarray, threshold: float) -> np.ndarray | Non
         S = np.zeros((d, d))
         S[a, b] = s
         S -= S.T
-        Q = np.linalg.solve(eye - 0.5 * S, eye + 0.5 * S) @ Q
+        Q = solve(eye - 0.5 * S, eye + 0.5 * S) @ Q
     return Q if float((Q @ Bn).min()) >= -threshold else None
 
 

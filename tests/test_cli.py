@@ -37,6 +37,13 @@ class TestGen:
         assert code == 0
         assert out.split()[0] == "5"
 
+    def test_negative_seed_is_an_error_line(self, capsys):
+        # numpy's ValueError escaped as a traceback
+        code, out, err = run(capsys, ["gen", "--random", "GRAM_NONNEG", "--seed", "-1"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be nonnegative, got -1\n"
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, ["gen", "--fixture", "EX1_2", "--format", "csv"])
         assert code == 0

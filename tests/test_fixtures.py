@@ -152,6 +152,12 @@ class TestRandomDn:
         with pytest.raises(InvalidInputError):
             random_dn(4, 2, style="UNIFORM")
 
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # a negative seed ended in numpy's ValueError
+        with pytest.raises(InvalidInputError, match="seed must be"):
+            random_dn(5, 2, seed=seed)
+
     def test_invalid_rank(self):
         with pytest.raises(InvalidInputError):
             random_dn(3, 4)

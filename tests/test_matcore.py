@@ -200,3 +200,86 @@ class TestZeroRows:
         # PSD, with a_11 below eps_nonneg * scale but a_01 far above it
         g = np.array([1.0, 1e-5, 0.0])
         assert list(as_symmetric(np.outer(g, g)).zero_rows(DEFAULT_TOL.eps_nonneg)) == [2]
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestLapackHelpers:
+    # each helper against the numpy.linalg function of the same name, on
+    # the float64 shapes the package passes; a numpy that renames or
+    # changes a gufunc fails here
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_solve_stacks(self, p):
+        rng = np.random.default_rng(p)
+        K = rng.standard_normal((5, p, p))
+        c = rng.standard_normal((5, p, 1))
+        assert same_bits(matcore.solve(K, c), np.linalg.solve(K, c))
+        # strided views of a stack: every other block, transposed blocks
+        Ks, cs = K[::2], c[::2]
+        assert not Ks.flags.c_contiguous and not cs.flags.c_contiguous
+        assert same_bits(matcore.solve(Ks, cs), np.linalg.solve(Ks, cs))
+        Kt = K.transpose(0, 2, 1)
+        assert same_bits(matcore.solve(Kt, c), np.linalg.solve(Kt, c))
+        B, T = rng.standard_normal((p, p)), rng.standard_normal((p, 2 * p + 1))
+        assert same_bits(matcore.solve(B, T), np.linalg.solve(B, T))
+        assert same_bits(matcore.solve(B.T, T[:, ::2]), np.linalg.solve(B.T, T[:, ::2]))
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_svd(self, d):
+        Y = np.random.default_rng(d).standard_normal((d, d))
+        for got, want in zip(matcore.svd(Y), np.linalg.svd(Y), strict=True):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("m", ["d-1", "d", "d+3"])
+    @pytest.mark.parametrize("mode", ["reduced", "complete"])
+    def test_qr(self, d, m, mode):
+        cols = {"d-1": d - 1, "d": d, "d+3": d + 3}[m]
+        B = np.random.default_rng(10 * d + cols).standard_normal((d, cols))
+        for got, want in zip(matcore.qr(B, mode=mode), np.linalg.qr(B, mode=mode), strict=True):
+            assert same_bits(got, want)
+        assert same_bits(B, np.random.default_rng(10 * d + cols).standard_normal((d, cols)))
+
+    @pytest.mark.parametrize("d", range(0, 7))
+    def test_slogdet_and_inv(self, d):
+        rng = np.random.default_rng(d)
+        basis = rng.uniform(0.0, 1.0, (d, d)) + np.eye(d)
+        sign, logdet = matcore.slogdet(basis)
+        want = np.linalg.slogdet(basis)
+        assert same_bits(sign, want.sign) and same_bits(logdet, want.logabsdet)
+        if d:
+            assert same_bits(matcore.inv(basis), np.linalg.inv(basis))
+
+    def test_singular_raises_without_warning(self, recwarn):
+        K = np.ones((3, 2, 2))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            matcore.solve(K, np.ones((3, 2, 1)))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            matcore.inv(np.zeros((3, 3)))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_error_state_is_restored(self):
+        before = np.geterr(), np.geterrcall()
+        with pytest.raises(np.linalg.LinAlgError):
+            matcore.solve(np.zeros((2, 2)), np.ones((2, 1)))
+        matcore.svd(np.eye(3))
+        assert (np.geterr(), np.geterrcall()) == before
+
+    def test_missing_gufunc_binds_the_public_function(self, monkeypatch):
+        monkeypatch.setattr(matcore, "PUBLIC_FALLBACKS", [])
+
+        def svd(a):
+            raise AssertionError("the gufunc path of a missing gufunc ran")
+
+        assert matcore._lapack_helper("svd_renamed")(svd) is np.linalg.svd
+        assert matcore.PUBLIC_FALLBACKS == ["svd"]
+
+    @pytest.mark.skipif(
+        np.lib.NumpyVersion(np.__version__) < "2.4.0",
+        reason="gufunc names checked on numpy 2.4, the version measured",
+    )
+    def test_no_helper_falls_back_to_the_public_function(self):
+        assert matcore.PUBLIC_FALLBACKS == []

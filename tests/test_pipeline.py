@@ -53,6 +53,13 @@ class TestAnalysisConfig:
         with pytest.raises(InvalidInputError, match=f"{field} must be nonnegative"):
             AnalysisConfig(**{field: -1})
 
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("restarts", 2.5), ("restarts", "3")])
+    def test_non_integer_count_rejected(self, field, value):
+        # restarts=2.5 constructed, and the first rotation search then
+        # raised a bare TypeError from range
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+            AnalysisConfig(**{field: value, "heuristic": True})
+
     def test_negative_seed_rejected_before_the_rotation_restarts(self):
         # numpy's generator raised ValueError at the second restart
         with pytest.raises(InvalidInputError):

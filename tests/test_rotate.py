@@ -26,6 +26,7 @@ from cprank import (
     sr_factor,
     verify_certificate,
 )
+from cprank import rotate
 from cprank.fixtures import RANDOM_STYLES, example_matrix, random_dn
 from cprank.matcore import frobenius_norm
 from cprank.rotate import FEW_RAYS_MAX, POLAR_ITERATIONS, _least_distance
@@ -477,13 +478,14 @@ class TestOrthantRotationSearch:
             t = math.radians(100.0)
             B = np.array([[1.0, math.cos(t)], [0.0, math.sin(t)]])
         calls = []
-        svd = np.linalg.svd
+        svd = rotate.svd
 
         def counting_svd(*args, **kwargs):
             calls.append(1)
             return svd(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        # one SVD per Douglas-Rachford step
+        monkeypatch.setattr(rotate, "svd", counting_svd)
         restarts = 4
         assert orthant_rotation_search(B, restarts=restarts) is None
         assert 0 < len(calls) < restarts * POLAR_ITERATIONS // 2
@@ -499,13 +501,13 @@ class TestOrthantRotationSearch:
             A = FIVE_CYCLE + 1e-3 * np.ones((5, 5))
         B = sr_factor(A)
         calls = []
-        svd = np.linalg.svd
+        svd = rotate.svd
 
         def counting_svd(*args, **kwargs):
             calls.append(1)
             return svd(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(rotate, "svd", counting_svd)
         restarts = 12
         assert orthant_rotation_search(B, restarts=restarts) is None
         assert 0 < len(calls) < restarts * POLAR_ITERATIONS // 8
@@ -518,6 +520,18 @@ class TestOrthantRotationSearch:
         name = "seed" if seed < 0 else "restarts"
         with pytest.raises(InvalidInputError, match=f"{name} must be nonnegative"):
             orthant_rotation_search(B, restarts=restarts, seed=seed)
+
+    @pytest.mark.parametrize("restarts, seed", [(2.5, 0), (3, 1.0), (3, "1"), (None, 0)])
+    def test_non_integer_seed_or_restarts_rejected(self, restarts, seed):
+        # a float restart count raised a bare TypeError from range
+        B = sr_factor(FIVE_CYCLE + 1e-3 * np.ones((5, 5)))
+        name = "restarts" if isinstance(seed, int) else "seed"
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            orthant_rotation_search(B, restarts=restarts, seed=seed)
+
+    def test_numpy_integer_seed_and_restarts_accepted(self):
+        B = sr_factor(FIVE_CYCLE + 1e-3 * np.ones((5, 5)))
+        assert orthant_rotation_search(B, restarts=np.int64(2), seed=np.int32(1)) is None
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-11])
     def test_non_finite_or_negative_eps_rejected(self, eps):
