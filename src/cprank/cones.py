@@ -34,7 +34,6 @@ from .matcore import (
     as_symmetric,
     classify_dn,
     frobenius_norm,
-    inv,
     solve,
     vector_norms,
 )
@@ -241,7 +240,7 @@ def _span_distance(U: np.ndarray) -> np.ndarray:
     """
     d = U.shape[0]
     try:
-        V = inv(U)
+        V = np.linalg.inv(U)
     except LinAlgError:
         return np.zeros(d)
     row = vector_norms(V, axis=1)

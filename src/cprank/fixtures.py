@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ComputationFailureError, InvalidInputError
 from .matcore import DEFAULT_TOL, SymmetricMatrix, Tolerances, frobenius_norm, psd_rank
-from .rotate import check_seed_restarts, e_cone_threshold, random_orthogonal
+from .rotate import check_counts, e_cone_threshold, random_orthogonal
 
 __all__ = [
     "EXAMPLE_IDS",
@@ -168,9 +168,10 @@ def soules_basis(w: np.ndarray | list[float]) -> SoulesBasis:
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     n = w.shape[0]
-    if np.any(w <= 0.0):
-        raise InvalidInputError("weight vector must be strictly positive")
-    unit = w / frobenius_norm(w)
+    norm = frobenius_norm(w)
+    if np.any(w <= 0.0) or not 0.0 < norm < np.inf:
+        raise InvalidInputError("weights must be strictly positive with a finite nonzero norm")
+    unit = w / norm
     S = np.zeros((n, n))
     S[:, 0] = unit
     for k in range(2, n + 1):
@@ -221,14 +222,14 @@ def random_dn(
     around the all-ones direction and applies a random rotation, planting
     a rotation back into the orthant.  ``SOULES`` delegates to
     :func:`soules_cp` with random weights.  Rank deficiency has
-    probability zero; the draw retries if it happens anyway.  A seed that
-    is not a nonnegative integer raises :class:`InvalidInputError`.
+    probability zero; the draw retries if it happens anyway.  An ``n``, ``r``
+    or seed that is not a nonnegative integer raises :class:`InvalidInputError`.
     """
+    check_counts(n=n, r=r, seed=seed)
     if not (1 <= r <= n):
         raise InvalidInputError(f"need 1 <= r <= n, got r={r}, n={n}")
     if style not in RANDOM_STYLES:
         raise InvalidInputError(f"unknown style {style!r}; valid: {', '.join(RANDOM_STYLES)}")
-    check_seed_restarts(seed, 0)  # the rotation searches' seed rule
     rng = np.random.default_rng(seed)
     for _ in range(50):
         if style == GRAM_NONNEG:

@@ -4,8 +4,9 @@ Everything downstream works on symmetric matrices with a tolerance-driven
 notion of nonnegativity, positive semidefiniteness and rank.  This module
 owns those decisions: eigendecomposition, PSD/rank classification, the
 doubly-nonnegative (DN) verdict, zero rows, and the comparison
-matrix ``2 diag(A) - A``.  It also holds the norm and LAPACK helpers
-the other modules call in place of numpy.linalg's functions.
+matrix ``2 diag(A) - A``.  It also holds the norm helpers the other
+modules call in place of ``numpy.linalg.norm``, and ``solve`` and ``svd``,
+which the solver rounds call in place of numpy.linalg's functions.
 """
 
 from __future__ import annotations
@@ -212,21 +213,18 @@ def vector_norms(M: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.sqrt(np.add.reduce(M * M, axis=axis))
 
 
-# The LAPACK helpers below return what the numpy.linalg function of the
-# same name returns for float64 arrays, bit for bit, without its argument
-# handling: each calls the gufunc that function calls, inside the same
-# floating-point error state, so a singular system still raises
-# LinAlgError.  A helper whose gufunc the installed numpy lacks is bound to
-# the public function instead, and its name is listed here.
+# ``solve`` and ``svd``, the solver rounds' per-step LAPACK calls, return
+# the float64 result of the numpy.linalg function of the same name bit for
+# bit, without its argument handling: each calls that function's gufunc in
+# its error state, so a singular system still raises LinAlgError.  A helper
+# whose gufunc numpy lacks is bound to the public function and listed here.
 PUBLIC_FALLBACKS: list[str] = []
-# numpy.linalg's error state around a gufunc; each helper adds the
-# ``call`` that raises its LinAlgError
 _LAPACK_ERRSTATE = dict(invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
-def _lapack_helper(*gufuncs: str) -> Callable:
+def _lapack_helper(gufunc: str) -> Callable:
     def bind(helper: Callable) -> Callable:
-        if all(hasattr(_lapack, name) for name in gufuncs):
+        if hasattr(_lapack, gufunc):
             return helper
         PUBLIC_FALLBACKS.append(helper.__name__)
         return getattr(np.linalg, helper.__name__)
@@ -242,10 +240,6 @@ def _svd_failed(err: str, flag: int) -> None:
     raise LinAlgError("SVD did not converge")
 
 
-def _qr_failed(err: str, flag: int) -> None:
-    raise LinAlgError("Incorrect argument found while performing QR factorization")
-
-
 @_lapack_helper("solve")
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``numpy.linalg.solve(a, b)`` for a stack ``b`` of matrices
@@ -254,37 +248,11 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _lapack.solve(a, b, signature="dd->d")
 
 
-@_lapack_helper("inv")
-def inv(a: np.ndarray) -> np.ndarray:
-    """``numpy.linalg.inv(a)``."""
-    with np.errstate(call=_singular, **_LAPACK_ERRSTATE):
-        return _lapack.inv(a, signature="d->d")
-
-
-@_lapack_helper("slogdet")
-def slogdet(a: np.ndarray) -> tuple[np.floating, np.floating]:
-    """``numpy.linalg.slogdet(a)`` as a plain ``(sign, logabsdet)`` pair."""
-    return _lapack.slogdet(a, signature="d->dd")
-
-
 @_lapack_helper("svd_f")
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``numpy.linalg.svd(a)`` (full matrices) as a plain ``(U, s, Vh)``."""
     with np.errstate(call=_svd_failed, **_LAPACK_ERRSTATE):
         return _lapack.svd_f(a, signature="d->ddd")
-
-
-@_lapack_helper("qr_r_raw", "qr_reduced", "qr_complete")
-def qr(a: np.ndarray, mode: str = "reduced") -> tuple[np.ndarray, np.ndarray]:
-    """``numpy.linalg.qr(a, mode)`` of a matrix for ``mode`` ``"reduced"``
-    or ``"complete"``, as a plain ``(Q, R)``."""
-    a = a.astype(np.float64, copy=True)
-    m, n = a.shape
-    complete = mode == "complete" and m > n
-    with np.errstate(call=_qr_failed, **_LAPACK_ERRSTATE):
-        tau = _lapack.qr_r_raw(a, signature="d->d")
-        q = (_lapack.qr_complete if complete else _lapack.qr_reduced)(a, tau, signature="dd->d")
-    return q, np.triu(a[: m if complete else min(m, n)])
 
 
 def as_symmetric(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> SymmetricMatrix:

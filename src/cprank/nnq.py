@@ -28,11 +28,10 @@ from .matcore import (
     as_symmetric,
     classify_dn,
     psd_rank,
-    slogdet,
     solve,
     vector_norms,
 )
-from .rotate import check_seed_restarts, few_rays_factor
+from .rotate import check_counts, few_rays_factor
 from .srfactor import CpCertificate
 
 __all__ = [
@@ -66,9 +65,9 @@ LOG_MAX = math.log(np.finfo(float).max)
 class NnqWitness:
     """Evidence that a matrix is nonnegative-equivalent.
 
-    ``indices`` is the sorted tuple of basis column indices (0-based here;
-    reports render them 1-based), ``B1`` the basis block ``A[s,s]``,
-    ``detval`` its determinant (None when that lies outside the normal
+    ``indices`` is the sorted tuple ``s`` of basis column indices (0-based
+    here; reports render them 1-based), ``detval`` the determinant of the
+    basis block ``A[s,s]`` (None when that lies outside the normal
     float range, as an order-``r`` determinant of a matrix at either end
     of the accepted entry range can), and ``P`` the nonnegative
     coordinate matrix with ``P[:, indices]`` equal to the identity.
@@ -77,7 +76,6 @@ class NnqWitness:
     indices: tuple[int, ...]
     detval: float | None
     P: np.ndarray
-    B1: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ def nnq_from_rays(
     A rank-``r`` column cone spans ``R^r``, so a basis with
     ``B1^{-1} B >= 0`` exists exactly when the cone is simplicial: it then
     has exactly ``r`` extreme rays, and their representative columns are
-    the basis.  ``B1`` in the witness is ``A[s,s]``; invertibility and the
+    the basis, with basis block ``A[s,s]``; invertibility and the
     nonnegativity of ``P`` (0 on the columns of zero rows) are re-checked.
     Invertibility is decided on the logarithms of the determinant and of
     the column norms, which neither under- nor overflow at any scale.
@@ -113,7 +111,7 @@ def nnq_from_rays(
     idx = list(rays.extreme_indices)
     rows = S.a[idx]
     basis = rows[:, idx]
-    sign, logdet = slogdet(basis)
+    sign, logdet = np.linalg.slogdet(basis)
     if not sign or logdet <= LOG_EPS_DET_FACTOR + float(np.log(vector_norms(basis)).sum()):
         return NnqSearchResult(status=NONE)
     # numpy.linalg.det(basis), bit for bit, where it is a normal float
@@ -123,16 +121,16 @@ def nnq_from_rays(
     # initial=0.0 lets the empty basis of a rank-0 matrix through
     if float(P.min(initial=0.0)) < -tol.eps_nonneg:
         return NnqSearchResult(status=NONE)
-    witness = NnqWitness(indices=rays.extreme_indices, detval=det, P=P, B1=basis)
+    witness = NnqWitness(indices=rays.extreme_indices, detval=det, P=P)
     return NnqSearchResult(status=FOUND, witness=witness)
 
 
 def is_nnq_gram(A: MatrixLike, tol: Tolerances = DEFAULT_TOL) -> NnqSearchResult:
     """Detect nonnegative equivalence of a DN matrix straight from Gram data.
 
-    The answer is the same for every rank factorization ``B`` of ``A``;
-    ``B1`` in the witness is the principal submatrix ``A[s,s]``, and
-    ``B[:, s]^{-1} B`` is the factor's coordinate matrix.
+    The answer is the same for every rank factorization ``B`` of ``A``:
+    the witness's basis block is the principal submatrix ``A[s,s]``, and
+    its ``P`` equals ``B[:, s]^{-1} B``, the factor's coordinate matrix.
     """
     S = as_symmetric(A, tol)
     return nnq_from_rays(S, extreme_rays(S, tol), psd_rank(S, tol).rank, tol)
@@ -165,7 +163,7 @@ def decide_rank3_three_rays(
     the decision is not applicable.  A negative ``seed`` or ``restarts``
     raises :class:`InvalidInputError`.
     """
-    check_seed_restarts(seed, restarts)
+    check_counts(seed=seed, restarts=restarts)
     S = as_symmetric(A, tol)
     verdict = classify_dn(S, tol)
     if not verdict.is_dn or verdict.rank != 3:

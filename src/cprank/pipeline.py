@@ -64,7 +64,9 @@ class AnalysisConfig:
     heuristic: bool = False
 
     def __post_init__(self) -> None:
-        rotate.check_seed_restarts(self.seed, self.restarts)
+        if not isinstance(self.tol, Tolerances):
+            raise InvalidInputError(f"tol must be a Tolerances, got {self.tol!r}")
+        rotate.check_counts(seed=self.seed, restarts=self.restarts)
 
 
 @dataclass

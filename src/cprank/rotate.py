@@ -45,7 +45,6 @@ from .matcore import (
     as_symmetric,
     frobenius_norm,
     psd_rank,
-    qr,
     solve,
     svd,
     vector_norms,
@@ -73,7 +72,7 @@ def random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed orthogonal matrix of order ``k``."""
     if k == 0:
         return np.zeros((0, 0))
-    q, r = qr(rng.standard_normal((k, k)))
+    q, r = np.linalg.qr(rng.standard_normal((k, k)))
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs[None, :]
@@ -96,8 +95,8 @@ def in_e_cone(z: Sequence[float] | np.ndarray) -> bool:
     r = z.shape[0]
     threshold = e_cone_threshold(r)
     norm = frobenius_norm(z)
-    if norm == 0.0:
-        raise InvalidInputError("the zero vector has no direction")
+    if not 0.0 < norm < math.inf:
+        raise InvalidInputError(f"z needs a finite nonzero norm, got {norm!r}")
     scale = norm * math.sqrt(r)
     return bool(float(z.sum()) >= threshold * scale - 1e-14 * scale)
 
@@ -154,8 +153,8 @@ def householder_align(x: Sequence[float] | np.ndarray) -> RotationPlan:
     x = np.asarray(x, dtype=float).reshape(-1)
     r = x.shape[0]
     norm = frobenius_norm(x)
-    if norm == 0.0:
-        raise InvalidInputError("cannot align the zero vector")
+    if not 0.0 < norm < math.inf:
+        raise InvalidInputError(f"the pivot needs a finite nonzero norm, got {norm!r}")
     target = norm / math.sqrt(r) * np.ones(r)
     v = x - target
     if frobenius_norm(v) <= 1e-14 * norm:
@@ -251,7 +250,7 @@ def few_rays_factor(
     while the count ``m`` itself is always reachable.  A negative
     ``seed`` or ``restarts`` raises :class:`InvalidInputError`.
     """
-    check_seed_restarts(seed, restarts)
+    check_counts(seed=seed, restarts=restarts)
     S = as_symmetric(A, tol)
     m = report.m
     if m > FEW_RAYS_MAX:
@@ -310,7 +309,7 @@ POLISH_STEPS = 8
 def _qr_rotation(B: np.ndarray) -> np.ndarray:
     """Orthogonal ``Q`` mapping ``B`` to an upper-triangular matrix with a
     sign-normalized diagonal."""
-    q, rmat = qr(B, mode="complete")
+    q, rmat = np.linalg.qr(B, mode="complete")
     d = min(B.shape)
     signs = np.ones(B.shape[0])
     lead = np.sign(np.diag(rmat[:d, :d]))
@@ -318,11 +317,11 @@ def _qr_rotation(B: np.ndarray) -> np.ndarray:
     return signs[:, None] * q.T
 
 
-def check_seed_restarts(seed: int, restarts: int) -> None:
-    """Reject a seed or restart count of a rotation search that is not an
-    integer or is negative with :class:`InvalidInputError`, before any
-    restart draws from the seed."""
-    for name, value in (("seed", seed), ("restarts", restarts)):
+def check_counts(**counts: int) -> None:
+    """Reject a count (a seed, a restart budget, an order) that is not an
+    integer or is negative with :class:`InvalidInputError`; the rotation
+    searches call it before any restart draws from the seed."""
+    for name, value in counts.items():
         if not isinstance(value, (int, np.integer)):
             raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         if value < 0:
@@ -372,7 +371,7 @@ def orthant_rotation_search(
     A negative ``restarts`` or ``seed``, a negative or non-finite ``eps``,
     or a non-finite entry of ``B``, raises :class:`InvalidInputError`.
     """
-    check_seed_restarts(seed, restarts)
+    check_counts(seed=seed, restarts=restarts)
     if not 0.0 <= eps < math.inf:
         raise InvalidInputError(f"eps must be finite and nonnegative, got {eps!r}")
     B = np.asarray(B, dtype=float)

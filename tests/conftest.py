@@ -126,7 +126,7 @@ def nnq_scan(M, r, gram, tol=DEFAULT_TOL, collect_all=False):
         P = np.linalg.solve(basis, M[idx, :] if gram else M)
         if float(P.min(initial=0.0)) >= -tol.eps_nonneg:
             if first is None:
-                first = NnqWitness(indices=sigma, detval=det, P=P, B1=basis)
+                first = NnqWitness(indices=sigma, detval=det, P=P)
             hits.append(sigma)
             if not collect_all:
                 break

@@ -88,6 +88,12 @@ class TestSoulesBasis:
         with pytest.raises(InvalidInputError):
             soules_basis([1.0, 0.0])
 
+    @pytest.mark.parametrize("w", [[], [np.inf, 1.0], [np.nan, 1.0]])
+    def test_rejects_empty_or_non_finite_weights(self, w):
+        # an IndexError, a RuntimeWarning and a NaN basis before
+        with pytest.raises(InvalidInputError, match="finite nonzero norm"):
+            soules_basis(w)
+
 
 class TestSoulesCp:
     def test_rank_one(self):
@@ -161,3 +167,14 @@ class TestRandomDn:
     def test_invalid_rank(self):
         with pytest.raises(InvalidInputError):
             random_dn(3, 4)
+
+    @pytest.mark.parametrize("n, r", [(5.0, 3), (5, 3.0), ("5", 3)])
+    def test_order_and_rank_must_be_integers(self, n, r):
+        # random_dn(5.0, 3) raised numpy's TypeError
+        name = "n" if not isinstance(n, int) else "r"
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            random_dn(n, r)
+
+    def test_numpy_integer_order_and_rank_accepted(self):
+        A = random_dn(np.int64(5), np.int32(3), seed=np.uint8(4))
+        assert np.array_equal(A.a, random_dn(5, 3, seed=4).a)

@@ -60,6 +60,13 @@ class TestAnalysisConfig:
         with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
             AnalysisConfig(**{field: value, "heuristic": True})
 
+    @pytest.mark.parametrize("tol", [None, 1e-9, {"eps_psd": 1e-9}])
+    def test_tol_must_be_tolerances(self, tol):
+        # AnalysisConfig(tol=None) constructed, and analyze then raised
+        # AttributeError
+        with pytest.raises(InvalidInputError, match="tol must be a Tolerances"):
+            AnalysisConfig(tol=tol)
+
     def test_negative_seed_rejected_before_the_rotation_restarts(self):
         # numpy's generator raised ValueError at the second restart
         with pytest.raises(InvalidInputError):

@@ -82,6 +82,12 @@ class TestECone:
         with pytest.raises(InvalidInputError):
             in_e_cone(np.zeros(3))
 
+    @pytest.mark.parametrize("z", [[], [np.nan, 1.0], [np.inf, 1.0]])
+    def test_empty_or_non_finite_vector_rejected(self, z):
+        # [nan, 1] answered False before
+        with pytest.raises(InvalidInputError):
+            in_e_cone(z)
+
     def test_membership_implies_nonnegative(self):
         rng = np.random.default_rng(0)
         for r in range(2, 9):
@@ -129,6 +135,12 @@ class TestHouseholderAlign:
     def test_zero_rejected(self):
         with pytest.raises(InvalidInputError):
             householder_align(np.zeros(4))
+
+    @pytest.mark.parametrize("x", [[], [np.nan, 1.0], [np.inf, 1.0]])
+    def test_empty_or_non_finite_rejected(self, x):
+        # [nan, 1] returned a NaN Q before
+        with pytest.raises(InvalidInputError, match="finite nonzero norm"):
+            householder_align(x)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0))
@@ -572,3 +584,30 @@ class TestRandomOrthogonal:
         for k in range(1, 6):
             Q = random_orthogonal(k, rng)
             assert np.abs(Q.T @ Q - np.eye(k)).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_rotates_its_draw_to_a_nonnegative_triangle(self, k):
+        # Q is the QR factor of a standard normal draw with each column
+        # signed so that R has a nonnegative diagonal: Q^T G = R
+        Q = random_orthogonal(k, np.random.default_rng(k))
+        G = np.random.default_rng(k).standard_normal((k, k))
+        assert np.abs(Q.T @ Q - np.eye(k)).max() <= 1e-12
+        R = Q.T @ G
+        assert np.abs(np.tril(R, -1)).max(initial=0.0) <= 1e-12 * np.abs(G).max()
+        assert (np.diag(R) >= 0.0).all()
+
+    def test_order_zero(self):
+        assert random_orthogonal(0, np.random.default_rng(0)).shape == (0, 0)
+
+
+class TestQrRotation:
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("extra", [-1, 0, 3])
+    def test_orthogonal_to_an_upper_triangle_with_nonnegative_diagonal(self, d, extra):
+        B = np.random.default_rng(10 * d + extra).standard_normal((d, d + extra))
+        Q = rotate._qr_rotation(B)
+        assert Q.shape == (d, d)
+        assert np.abs(Q @ Q.T - np.eye(d)).max() <= 1e-12
+        R = Q @ B
+        assert np.abs(np.tril(R, -1)).max(initial=0.0) <= 1e-12 * np.abs(B).max(initial=1.0)
+        assert (np.diag(R) >= 0.0).all()

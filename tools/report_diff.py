@@ -17,10 +17,9 @@ reports differ in meaning, split in two counts: in their decision (order,
 rank, DN status, verdict, cp-rank bounds and certificate rows) and in
 their steps (each step's name, outcome, ``m`` and ``extreme_indices``).
 It also prints how many reports differ in their bytes at all; each
-tree's largest ``certificate.residual`` and least
-``few_rays_factor.min_entry`` over the reports that carry one, with how
-many do (the values a change to a certificate's construction moves); how
-many reports differ in each field, named by its path
+tree's largest ``certificate.residual`` over the reports that carry one,
+with how many do (the value a change to a certificate's construction
+moves); how many reports differ in each field, named by its path
 (``few_rays_factor.min_entry`` for a step's detail,
 ``certificate.entries``, ``verdict``); and the first few instances that
 differ.  It exits with status 1 when any report differs in meaning.  It
@@ -106,20 +105,11 @@ def certificate_residual(report: str) -> float | None:
     return None if cert is None else float(cert["residual"])
 
 
-def few_rays_min_entry(report: str) -> float | None:
-    """The ``min_entry`` of a report's ``few_rays_factor`` step, or None
-    when that step made no certificate."""
-    for step in json.loads(report).get("steps", ()):
-        if step["name"] == "few_rays_factor" and "min_entry" in step["details"]:
-            return float(step["details"]["min_entry"])
-    return None
-
-
-def summary(reports: list[str], value, pick) -> str:
-    """``pick`` (max or min) of ``value`` over the reports that carry one,
-    and how many of the reports do."""
-    values = [v for v in map(value, reports) if v is not None]
-    top = f"{pick(values):.2e}" if values else "none"
+def residual_summary(reports: list[str]) -> str:
+    """The largest certificate residual of the reports that carry a
+    certificate, and how many of the reports do."""
+    values = [v for v in map(certificate_residual, reports) if v is not None]
+    top = f"{max(values):.2e}" if values else "none"
     return f"{top} ({len(values)} of {len(reports)} reports)"
 
 
@@ -169,13 +159,12 @@ def main(argv: list[str] | None = None) -> int:
         stepped = [key[1] for key in keys if steps(old[key]) != steps(new[key])]
         byte = [key[1] for key in keys if old[key] != new[key]]
         trees = [[tree[key] for key in keys] for tree in (old, new)]
-        residual = " -> ".join(summary(t, certificate_residual, max) for t in trees)
-        min_entry = " -> ".join(summary(t, few_rays_min_entry, min) for t in trees)
+        residual = " -> ".join(residual_summary(t) for t in trees)
         semantic_total += len(decided) + len(stepped)
         print(
             f"{name}: {len(keys)} instances, {len(decided)} decision differences, "
             f"{len(stepped)} step differences, {len(byte)} byte differences, "
-            f"max certificate residual {residual}, least few-rays min_entry {min_entry}"
+            f"max certificate residual {residual}"
         )
         per_field = Counter(path for key in keys for path in changed_fields(old[key], new[key]))
         if per_field:
