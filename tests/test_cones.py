@@ -718,6 +718,33 @@ class TestBasisCertificates:
         assert list(report.extreme_indices) == extreme_indices_oracle(A)
 
 
+class TestSpanDistance:
+    """``_span_distance`` bounds each unit column's distance from the span
+    of the others from below."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_orthonormal_columns_are_a_unit_apart(self, d):
+        dist = cones._span_distance(rotate.random_orthogonal(d, np.random.default_rng(d)))
+        assert (dist <= 1.0).all() and (dist >= 1.0 - 1e-12).all()
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_bounds_the_least_squares_distance(self, d):
+        U = np.random.default_rng(d).uniform(0.0, 1.0, (d, d)) + np.eye(d)
+        U /= np.linalg.norm(U, axis=0)
+        dist = cones._span_distance(U)
+        for j in range(d):
+            others = np.delete(U, j, axis=1)
+            x = np.linalg.lstsq(others, U[:, j], rcond=None)[0]
+            exact = np.linalg.norm(U[:, j] - others @ x)
+            assert 0.5 * exact <= dist[j] <= exact * (1.0 + 1e-12)
+
+    def test_singular_basis_has_no_distance(self, recwarn):
+        # a zero row makes the inverse fail outright: every bound is 0
+        U = np.column_stack([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert np.array_equal(cones._span_distance(U), np.zeros(3))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 class TestFewRaysFactor:
     @pytest.mark.parametrize("restarts, seed", [(200, -1), (-1, 0)])
     def test_negative_seed_or_restarts_rejected(self, restarts, seed):

@@ -25,7 +25,8 @@ from cprank.fixtures import (
     example_matrix,
     random_dn,
 )
-from cprank.nnq import IN_CP_N3, NONE, NOT_APPLICABLE
+from cprank.cones import ConeReport
+from cprank.nnq import IN_CP_N3, NONE, NOT_APPLICABLE, nnq_from_rays
 from conftest import nnq_invariance_check, nnq_scan, nnq_scan_gram
 
 # the printed source matrix carries 4-decimal rounding, so its smallest
@@ -109,6 +110,25 @@ class TestIsNnqGram:
             assert gram_res.status == factor_res.status
             if gram_res.found:
                 assert gram_res.witness.indices == factor_res.witness.indices
+
+
+class TestNnqFromRays:
+    @pytest.mark.parametrize("scale", [1e-140, 1.0, 1e150])
+    def test_determinant_outside_the_float_range(self, scale):
+        # invertibility is read from the log-determinant, so a basis whose
+        # determinant under- or overflows is still found, with detval None;
+        # inside the range detval is numpy.linalg.det's
+        A = np.diag([3.0, 5.0, 7.0]) * scale
+        res = nnq_from_rays(A, ConeReport((0, 1, 2)), 3)
+        assert res.found and res.witness.indices == (0, 1, 2)
+        assert res.witness.detval == (np.linalg.det(A) if scale == 1.0 else None)
+        assert np.abs(res.witness.P - np.eye(3)).max() <= 1e-15
+
+    def test_singular_basis(self):
+        assert nnq_from_rays(np.ones((2, 2)), ConeReport((0, 1)), 2).status == NONE
+
+    def test_ray_count_other_than_the_rank(self):
+        assert nnq_from_rays(np.eye(3), ConeReport((0, 1)), 3).status == NONE
 
 
 def assert_same_as_oracle(result, oracle):

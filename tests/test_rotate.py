@@ -585,7 +585,7 @@ class TestRandomOrthogonal:
             Q = random_orthogonal(k, rng)
             assert np.abs(Q.T @ Q - np.eye(k)).max() <= 1e-12
 
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 9))
     def test_rotates_its_draw_to_a_nonnegative_triangle(self, k):
         # Q is the QR factor of a standard normal draw with each column
         # signed so that R has a nonnegative diagonal: Q^T G = R
@@ -601,7 +601,7 @@ class TestRandomOrthogonal:
 
 
 class TestQrRotation:
-    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("d", range(1, 9))
     @pytest.mark.parametrize("extra", [-1, 0, 3])
     def test_orthogonal_to_an_upper_triangle_with_nonnegative_diagonal(self, d, extra):
         B = np.random.default_rng(10 * d + extra).standard_normal((d, d + extra))
@@ -611,3 +611,16 @@ class TestQrRotation:
         R = Q @ B
         assert np.abs(np.tril(R, -1)).max(initial=0.0) <= 1e-12 * np.abs(B).max(initial=1.0)
         assert (np.diag(R) >= 0.0).all()
+
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_rank_deficient_input(self, d):
+        # repeated columns leave zeros on R's diagonal, whose sign is taken
+        # as +1, so Q is still a rotation to a nonnegative triangle
+        B = np.repeat(np.random.default_rng(d).standard_normal((d, 1)), d, axis=1)
+        B[:, -1] = 0.0
+        Q = rotate._qr_rotation(B)
+        assert np.abs(Q @ Q.T - np.eye(d)).max() <= 1e-12
+        R = Q @ B
+        assert np.abs(np.tril(R, -1)).max() <= 1e-12 * np.abs(B).max()
+        assert (np.diag(R) >= -1e-12 * np.abs(B).max()).all()
+        assert R[0, 0] > 0.0
