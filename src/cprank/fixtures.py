@@ -164,24 +164,30 @@ def soules_basis(w: np.ndarray | list[float]) -> SoulesBasis:
     ``n - k + 2`` coordinates, proportional to ``w`` on its prefix with a
     single negative entry closing the block.  The partial sums of the
     column projectors are then block-diagonal with nonnegative blocks,
-    which is exactly what the defining property needs.
+    which is exactly what the defining property needs.  Weights that are
+    not positive, or whose norms over- or underflow, raise :class:`InvalidInputError`.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     n = w.shape[0]
-    norm = frobenius_norm(w)
-    if np.any(w <= 0.0) or not 0.0 < norm < np.inf:
-        raise InvalidInputError("weights must be strictly positive with a finite nonzero norm")
-    unit = w / norm
     S = np.zeros((n, n))
-    S[:, 0] = unit
-    for k in range(2, n + 1):
-        p = n - k + 1  # positive prefix length
-        head = frobenius_norm(unit[:p])
-        full = frobenius_norm(unit[: p + 1])
-        col = np.zeros(n)
-        col[:p] = unit[:p] * unit[p] / (head * full)
-        col[p] = -head / full
-        S[:, k - 1] = col
+    try:
+        # a norm that over- or underflows raises here, not as an infinite entry
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            norm = frobenius_norm(w)
+            if np.any(w <= 0.0) or not 0.0 < norm < np.inf:
+                raise InvalidInputError(
+                    "weights must be strictly positive with a finite nonzero norm"
+                )
+            unit = w / norm
+            S[:, 0] = unit
+            for k in range(2, n + 1):
+                p = n - k + 1  # positive prefix length
+                head = frobenius_norm(unit[:p])
+                full = frobenius_norm(unit[: p + 1])
+                S[:p, k - 1] = unit[:p] * unit[p] / (head * full)
+                S[p, k - 1] = -head / full
+    except ArithmeticError:
+        raise InvalidInputError("weights span too wide a range for a finite basis") from None
     S.flags.writeable = False
     return SoulesBasis(S=S, w=unit)
 

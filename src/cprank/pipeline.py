@@ -27,7 +27,7 @@ from .matcore import (
     classify_dn,
     psd_rank,
 )
-from .srfactor import CpCertificate, make_certificate, sr_factor, verify_certificate
+from .srfactor import CpCertificate, verify_certificate
 
 __all__ = [
     "AnalysisConfig",
@@ -104,6 +104,7 @@ class _Cascade:
         self.upper: int | None = None
         self.terminal: str | None = None
         self.certificate: CpCertificate | None = None
+        self.rays: cones.ConeReport | None = None
 
     def step(self, name: str, outcome: str, details: dict | None = None, t0: float | None = None):
         elapsed = time.perf_counter() - t0 if t0 is not None else 0.0
@@ -148,11 +149,11 @@ def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> Analysi
 
     Order: DN classification, the row-sum construction, then from one
     extreme-ray report the nnq detection and the few-rays factorization,
-    the graph conditions, and optionally a heuristic rotation for rank 5
-    and up.  The few-rays factorization is the one guaranteed rotation
-    certificate: rank at most 2, rank 3 with three extreme rays, full rank
-    at order at most 4 and an nnq basis at rank at most 4 all leave at
-    most 4 extreme rays.
+    the graph conditions, and optionally a heuristic rotation of the same
+    extreme block for rank 5 and up.  The few-rays factorization is the
+    guaranteed rotation certificate: rank at most 2, rank 3 with three
+    extreme rays, full rank at order at most 4 and an nnq basis at rank at
+    most 4 all leave at most 4 extreme rays.
     Every step runs on the input; its rank factor is exactly zero on
     the zero rows that ``deflate_zero_rows`` lists.
     Every step is logged even after the verdict is settled.
@@ -239,7 +240,7 @@ def _cone_steps(cas: _Cascade) -> None:
     the fit of the columns off the rays (:func:`cones.fit_rays`), so the
     extreme-ray step's residual is null."""
     t0 = time.perf_counter()
-    report = cones.extreme_rays(cas.S, cas.tol)
+    report = cas.rays = cones.extreme_rays(cas.S, cas.tol)
     rays_elapsed = time.perf_counter() - t0
 
     _nnq_step(cas, report)
@@ -326,15 +327,12 @@ def _heuristic_step(cas: _Cascade) -> None:
     if cas.terminal in (NOT_CP, NOT_IN_CP_N_R):
         cas.step("heuristic_rotation", "SKIPPED", {"reason": "negative verdict settled"}, t0)
         return
-    B = sr_factor(cas.S, cas.tol)
-    eps = cas.tol.eps_nonneg * np.sqrt(cas.S.scale)
-    Q = rotate.orthant_rotation_search(
-        B, restarts=cas.config.restarts, seed=cas.config.seed, eps=eps
+    cert = rotate._rays_rotation(
+        cas.S, cas.rays, cas.rank, "heuristic_rotation", cas.tol, cas.config.seed, cas.config.restarts
     )
-    if Q is None:
+    if cert is None:
         cas.step("heuristic_rotation", "NOT_FOUND", {}, t0)
         return
-    cert = make_certificate(cas.S, Q @ B, "heuristic_rotation", cas.tol)
     cas.accept(cert, "heuristic_rotation", t0)
 
 
@@ -377,14 +375,14 @@ def read_matrix(path: str, fmt: str = "dense", tol: Tolerances = DEFAULT_TOL) ->
         if not lines:
             raise InvalidInputError(f"{path}: empty file")
         for lineno, line in enumerate(lines, start=1):
-            cells = [c.strip() for c in line.split(",")]
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                bad = next(i for i, c in enumerate(cells, start=1) if not _is_float(c))
-                raise InvalidInputError(
-                    f"{path}: line {lineno}, column {bad}: not a number"
-                ) from None
+            rows.append([])
+            for col, cell in enumerate(line.split(","), start=1):
+                try:
+                    rows[-1].append(float(cell))
+                except ValueError:
+                    raise InvalidInputError(
+                        f"{path}: line {lineno}, column {col}: not a number"
+                    ) from None
             if len(rows[-1]) != len(lines):
                 raise InvalidInputError(
                     f"{path}: line {lineno} has {len(rows[-1])} values, expected {len(lines)}"
@@ -396,14 +394,6 @@ def read_matrix(path: str, fmt: str = "dense", tol: Tolerances = DEFAULT_TOL) ->
         return SymmetricMatrix(entries, tol)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
-
-
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
 
 
 def matrix_to_text(S: SymmetricMatrix, fmt: str = "dense") -> str:

@@ -81,6 +81,7 @@ def random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
 def e_cone_threshold(r: int) -> float:
     """Cosine bound ``sqrt((r-1)/r)``: vectors at least this aligned with the
     all-ones direction are entrywise nonnegative."""
+    check_counts(dimension=r)
     if r < 1:
         raise InvalidInputError(f"dimension must be positive, got {r}")
     return math.sqrt((r - 1) / r)
@@ -110,6 +111,7 @@ def boundary_witness(r: int, c: float) -> np.ndarray:
     ``(-eps*sqrt(r-1), sqrt(1-eps^2), ..., sqrt(1-eps^2))`` with ``eps``
     located by bisection on the strict inequality.
     """
+    check_counts(dimension=r)
     if r < 2:
         raise InvalidInputError(f"need dimension at least 2, got {r}")
     threshold = e_cone_threshold(r)
@@ -239,55 +241,57 @@ def few_rays_factor(
     seed: int = 0,
     restarts: int = 200,
 ) -> CpCertificate:
-    """Completely positive factorization from at most four extreme rays.
-
-    A rotation ``Q`` takes the extreme columns ``B[:, ext]`` of the
-    input's rank factor, padded with zero rows to row counts from the
-    rank up to ``m``, into the orthant.  Every column of ``B`` is a
-    nonnegative combination of those, so the certificate is
-    ``C = Q [B; 0]``.  Row counts below ``m`` are heuristic attempts at
-    the block's cp-rank, each with at most ``SUB_M_RESTARTS`` restarts,
-    while the count ``m`` itself is always reachable.  A negative
-    ``seed`` or ``restarts`` raises :class:`InvalidInputError`.
+    """Completely positive factorization from at most four extreme rays:
+    :func:`_rays_rotation` at row counts from the rank up to ``m``.  Row
+    counts below ``m`` are heuristic attempts at the block's cp-rank, each
+    with at most ``SUB_M_RESTARTS`` restarts, while the count ``m`` itself
+    is always reachable.  A negative ``seed`` or ``restarts`` raises
+    :class:`InvalidInputError`.
     """
-    check_counts(seed=seed, restarts=restarts)
     S = as_symmetric(A, tol)
     m = report.m
     if m > FEW_RAYS_MAX:
         raise PreconditionError(
             f"factorization from extreme rays needs m <= {FEW_RAYS_MAX}, got {m}"
         )
-    if m == 0:
-        return make_certificate(S, np.zeros((0, S.n)), "few_rays", tol)
-    B = sr_factor(S, tol)
-    Bs = B[:, list(report.extreme_indices)]
-    block = Bs.T @ Bs
-    # ``Bs^T Bs`` is exactly symmetric, so its largest magnitude is its
-    # scale, the unit of its zero pattern and of its certificate floor
-    scale = float(np.abs(block).max())
+    Bs = sr_factor(S, tol).take(report.extreme_indices, axis=1)
     d_lo = Bs.shape[0]
     if d_lo < m:
         # a rank-deficient block has rank 3 and four rays; the one pattern
         # on four vertices that pins its cp-rank above 3 is the 4-cycle,
         # and the cycle bound prunes its count to 4; a full-rank block
         # starts at m already
-        cyc = graphcond._cycle_check(block, _pattern(block, tol.eps_nonneg * scale))
+        block = Bs.T @ Bs
+        cyc = graphcond._cycle_check(block, _pattern(block, tol.eps_nonneg * np.abs(block).max()))
         if cyc.status == graphcond.PASSES:
             d_lo = max(d_lo, min(cyc.cprk_lower_bound, m))
-    eps = tol.eps_nonneg * math.sqrt(scale)
     for d in range(d_lo, m + 1):
-        padded = np.vstack([Bs, np.zeros((d - Bs.shape[0], m))])
         # row counts below m are opportunistic: cp-rank of the block may
         # exceed d, so cap the effort and fall through to the sure case
         budget = restarts if d == m else min(restarts, SUB_M_RESTARTS)
-        Q = orthant_rotation_search(padded, restarts=budget, seed=seed, eps=eps)
-        if Q is not None:
-            # Q [B; 0], without multiplying the zero rows
-            return make_certificate(S, Q[:, : B.shape[0]] @ B, "few_rays", tol)
+        cert = _rays_rotation(S, report, d, "few_rays", tol, seed, budget)
+        if cert is not None:
+            return cert
     raise ComputationFailureError(
         "rotation search exhausted its budget on the extreme block; "
         f"a solution exists for m <= {FEW_RAYS_MAX}, raise the restart budget"
     )
+
+
+def _rays_rotation(S: SymmetricMatrix, report: cones.ConeReport, d: int, method: str,
+                   tol: Tolerances, seed: int, restarts: int) -> CpCertificate | None:
+    """``Q [B; 0]`` with ``d`` rows, for a ``Q`` that takes the extreme
+    columns ``B[:, ext]`` of the rank factor, padded with zero rows to
+    ``d``, into the orthant, and with them every column of ``B``; ``None``
+    when the search fails.  Its floor is ``eps_nonneg * sqrt(scale)`` of the
+    exactly symmetric block ``B[:, ext]^T B[:, ext]``."""
+    B = sr_factor(S, tol)
+    Bs = B.take(report.extreme_indices, axis=1)
+    eps = tol.eps_nonneg * math.sqrt(float(np.abs(Bs.T @ Bs).max(initial=0.0)))
+    padded = np.concatenate([Bs, np.zeros((d - Bs.shape[0], report.m))])
+    Q = orthant_rotation_search(padded, restarts=restarts, seed=seed, eps=eps)
+    # Q [B; 0], without multiplying the zero rows
+    return None if Q is None else make_certificate(S, Q[:, : B.shape[0]] @ B, method, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,17 @@ from cprank import (
     DEFAULT_TOL,
     InvalidInputError,
     as_symmetric,
+    make_certificate,
+    orthant_rotation_search,
     psd_rank,
     random_orthogonal,
     sr_factor,
+    verify_certificate,
 )
 from cprank import cones
 from cprank.cones import DUPLICATE_RAY_COS_GAP, EXTREME_RESIDUAL_FACTOR
 from cprank.graphcond import GraphShape
+from cprank.matcore import frobenius_norm
 from cprank.nnq import EPS_DET_FACTOR, FOUND, NONE, NnqSearchResult, NnqWitness
 
 
@@ -585,3 +589,44 @@ def connecting_orthogonal(B, C, tol=DEFAULT_TOL):
         )
     BBt = Bm @ Bm.T
     return np.linalg.solve(BBt, Bm @ Cm.T)
+
+
+def assert_rotates_the_rank_factor(A, cert, m, tol=DEFAULT_TOL):
+    """``cert`` verifies, has from rank to ``m`` rows, and its residual
+    exceeds the rank factor's own by at most what the clamp of
+    ``make_certificate`` and rounding can add.
+
+    ``C = Q [B; 0]`` has ``C^T C = B^T B`` and ``||C|| = ||B||``.  The
+    clamp raises entries in ``[-eps, 0)``, ``eps = eps_nonneg *
+    sqrt(scale)``, to 0, so it moves ``C`` by some ``D`` with ``||D|| <=
+    eps sqrt(size)``, and ``C^T C`` by at most ``2 ||B|| ||D|| +
+    ||D||^2``.  Rounding in ``Q`` and in the product adds a few units of
+    ``eps_machine ||B||^2`` per row.
+    """
+    S = as_symmetric(A, tol)
+    B = sr_factor(S, tol)
+    assert verify_certificate(S, cert, tol).passed
+    assert B.shape[0] <= cert.rows <= m
+    norm_a, norm_b = frobenius_norm(S.a), frobenius_norm(B)
+    own = frobenius_norm(B.T @ B - S.a) / norm_a
+    shift = tol.eps_nonneg * math.sqrt(S.scale) * math.sqrt(cert.C.size)
+    clamp = (2.0 * norm_b * shift + shift * shift) / norm_a
+    rounding = 8 * (cert.rows + 1) * np.finfo(float).eps * norm_b**2 / norm_a
+    assert cert.residual <= own + clamp + rounding
+
+
+def full_factor_rotation(A, config):
+    """The heuristic rotation as it ran on the whole rank factor ``B``
+    before it searched only the extreme columns: one search over all ``n``
+    columns with the floor ``eps_nonneg * sqrt(scale)`` of the input, and
+    the certificate ``Q B``.  The certificate when it verifies, else
+    ``None``."""
+    tol = config.tol
+    S = as_symmetric(A, tol)
+    B = sr_factor(S, tol)
+    eps = tol.eps_nonneg * math.sqrt(S.scale)
+    Q = orthant_rotation_search(B, restarts=config.restarts, seed=config.seed, eps=eps)
+    if Q is None:
+        return None
+    cert = make_certificate(S, Q @ B, "heuristic_rotation", tol)
+    return cert if verify_certificate(S, cert, tol).passed else None

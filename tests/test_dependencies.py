@@ -84,6 +84,15 @@ def test_every_listed_function_has_a_library_caller():
     assert unused == []
 
 
+def test_pipeline_has_one_rotation_path():
+    # every rotation certificate of the cascade goes through rotate's one
+    # routine over the extreme columns; a second search over the whole
+    # factor, with its own floor and certificate, would read these names
+    assert referenced_names(MODULES["pipeline"]) & {
+        "orthant_rotation_search", "sr_factor", "make_certificate"
+    } == set()
+
+
 def package_imports(node):
     """Package modules that an ``import`` statement names."""
     if isinstance(node, ast.Import):

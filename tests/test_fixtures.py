@@ -54,6 +54,22 @@ class TestExampleMatrices:
                 assert np.array_equal(back.a, S.a)
 
 
+def unguarded_soules_basis(w):
+    """The Soules basis of positive weights built without any floating-point
+    check, infinite and NaN entries included."""
+    with np.errstate(all="ignore"):
+        unit = w / np.linalg.norm(w)
+        n = w.size
+        S = np.zeros((n, n))
+        S[:, 0] = unit
+        for k in range(2, n + 1):
+            p = n - k + 1
+            head, full = np.linalg.norm(unit[:p]), np.linalg.norm(unit[: p + 1])
+            S[:p, k - 1] = unit[:p] * unit[p] / (head * full)
+            S[p, k - 1] = -head / full
+    return S
+
+
 class TestSoulesBasis:
     def test_two_dim_forced_form(self):
         S = soules_basis([1.0, 1.0]).S
@@ -93,6 +109,33 @@ class TestSoulesBasis:
         # an IndexError, a RuntimeWarning and a NaN basis before
         with pytest.raises(InvalidInputError, match="finite nonzero norm"):
             soules_basis(w)
+
+    @pytest.mark.parametrize("w", [[1e-200, 1.0], [1e200, 1e200, 1e-200], [1e-170, 1e-170, 1.0]])
+    def test_norms_out_of_range_raise_without_warning(self, recwarn, w):
+        # before: an infinite entry after a division by a prefix norm that
+        # underflowed to 0, an overflow warning before the InvalidInputError,
+        # and a ZeroDivisionError after two warnings
+        with pytest.raises(InvalidInputError, match="too wide a range"):
+            soules_basis(w)
+        assert recwarn.list == []
+
+    def test_every_finite_basis_is_built_as_without_the_guard(self):
+        # the guard only turns an infinite or NaN basis into an error: the
+        # bench pools draw their SOULES weights from U(0.2, 2), and every
+        # finite basis keeps its bits
+        rng = np.random.default_rng(4)
+        finite = 0
+        for k in range(3000):
+            n = int(rng.integers(1, 13))
+            w = rng.uniform(0.2, 2.0, n) if k % 2 else 10.0 ** rng.uniform(-170.0, 150.0, n)
+            expected = unguarded_soules_basis(w)
+            if np.isfinite(expected).all():
+                finite += 1
+                assert np.array_equal(soules_basis(w).S, expected)
+            else:
+                with pytest.raises(InvalidInputError):
+                    soules_basis(w)
+        assert 1500 < finite < 3000
 
 
 class TestSoulesCp:

@@ -77,7 +77,7 @@ DIGESTS = {
     "GRAM_NONNEG-n8-r4-s408": "8546947e3b78c14263a4a99a993ed10ecda2e4da38bcb9de6d168e8ec1b361ef",
     "GRAM_NONNEG-n10-r4-s410-heuristic": "e0c4ea09719c3d2e2cdeafe091f49e37440857f145255b3609d725799d0b4fb9",
     "GRAM_NONNEG-n9-r5-s509": "b9ba00b0e4820d7e10dc217e23d3d842b2ed88beb220833a302ed99e5d770a32",
-    "GRAM_NONNEG-n11-r5-s511-heuristic": "e5c95089e3bffb5d223307e47fad5f57aa59d01ccb57f96e3d4edb3ce08dad23",
+    "GRAM_NONNEG-n11-r5-s511-heuristic": "8cf08a352d50967f3e545114e94e07a13446f0147285e5cc55eae79a2be4914d",
     "GRAM_NONNEG-n10-r6-s610": "da5421b9067fcf93cb98497a1ac3f05547cec02c50a9f8a08126f2a605e4e8c3",
     "GRAM_NONNEG-n12-r6-s612-heuristic": "f1353dfef941242b086a39226439569b9dc8734a9dbb23bdddcb333ad5cb9479",
     "ROTATED_NONNEG-n5-r1-s105": "52b2d03544624a07a908b3442c8e81277f150055c95ed28698cd9b90d848274d",
@@ -101,9 +101,9 @@ DIGESTS = {
     "SOULES-n8-r4-s408": "43607bb0b390b90a7c4dc3780bc3ff8e42e0e01c5171d779a66e55e2d6fb1a85",
     "SOULES-n10-r4-s410-heuristic": "88506f1c019ca4c83e86361745c70a04931e1102cb812cce50a48b75f88c7bf8",
     "SOULES-n9-r5-s509": "2db071f765bb22361426f3f480ff2ebc2774bb3266978618065e23e52e0854d9",
-    "SOULES-n11-r5-s511-heuristic": "28962d5dc2a6b065cbdc4a64121518aff86bfab5bb87a3397b41fcf2727b3428",
+    "SOULES-n11-r5-s511-heuristic": "e68715f2bb2d84c5825a354bf111a4768b745d12033b5d81a150206c2b479af4",
     "SOULES-n10-r6-s610": "e5874a9adb563565ce4947068e3bc1e58d36028df1679841244c69f6db9cfb13",
-    "SOULES-n12-r6-s612-heuristic": "1c5853eda0da2e357bc5c4f4e3ca2c8c54f4638b581ca00f673f223d5cefaf05",
+    "SOULES-n12-r6-s612-heuristic": "b49f149c1c1b6318acc4166a267c7ca83ceb1130342fd1c66b219ed892cf9512",
     "GRAM_NONNEG-n3-r3-s303": "6a2332ab9fcb67729ea6437e4e9d11386b91c201313efe1c7147923221e0da80",
     "GRAM_NONNEG-n4-r4-s404": "2c7aea730d574934ed33b22b77985079faad529a9d431481e1e7e048ac5b2585",
     "ROTATED_NONNEG-n3-r3-s303": "422f2ff47e882957ea1a9569cbfadbb448468650c4fcc468c0e3d5a65cef707b",

@@ -19,7 +19,15 @@ from cprank import (
     few_rays_factor,
     verify_certificate,
 )
-from cprank.fixtures import EXAMPLE_IDS, GRAM_NONNEG, RANDOM_STYLES, example_matrix, random_dn
+from cprank.fixtures import (
+    EXAMPLE_IDS,
+    GRAM_NONNEG,
+    RANDOM_STYLES,
+    ROTATED_NONNEG,
+    SOULES,
+    example_matrix,
+    random_dn,
+)
 from cprank import cones, matcore, pipeline, rotate, srfactor
 from cprank.pipeline import (
     CP_RANK_EQ_RANK,
@@ -31,7 +39,12 @@ from cprank.pipeline import (
     report_to_json,
     write_report,
 )
-from conftest import cone_sampled_vectors, json_value_recursive
+from conftest import (
+    assert_rotates_the_rank_factor,
+    cone_sampled_vectors,
+    full_factor_rotation,
+    json_value_recursive,
+)
 
 ROUNDED_CFG = AnalysisConfig(
     tol=Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_residual=1e-4)
@@ -301,16 +314,17 @@ class TestConeSteps:
 
     @pytest.fixture
     def search_calls(self, monkeypatch):
-        """Calls of ``orthant_rotation_search`` through every cprank
-        module that binds it."""
+        """The shape of the family that each call of
+        ``orthant_rotation_search`` gets, through every cprank module that
+        binds it."""
         from cprank import rotate
 
         calls = []
         original = rotate.orthant_rotation_search
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counted(B, *args, **kwargs):
+            calls.append(np.shape(B))
+            return original(B, *args, **kwargs)
 
         for name, module in list(sys.modules.items()):
             bound = getattr(module, "orthant_rotation_search", None)
@@ -334,6 +348,16 @@ class TestConeSteps:
         assert step(report, "extreme_rays").details["m"] == 3
         assert report.verdict == CP_RANK_EQ_RANK and report.certificate.rows == 3
 
+    @pytest.mark.parametrize("style, seed", [(GRAM_NONNEG, 1), (SOULES, 0)])
+    def test_heuristic_searches_the_extreme_columns(self, search_calls, style, seed):
+        # rank 5 with m between 5 and 11: no few-rays search, and the
+        # heuristic rotates the rank factor's m extreme columns, not all 12
+        report = analyze(random_dn(12, 5, seed=seed, style=style), AnalysisConfig(heuristic=True))
+        m = step(report, "extreme_rays").details["m"]
+        assert rotate.FEW_RAYS_MAX < m < 12
+        assert step(report, "heuristic_rotation").outcome == "CERTIFICATE(rows=5)"
+        assert search_calls == [(5, m)]
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.sampled_from(RANDOM_STYLES),
@@ -353,6 +377,37 @@ class TestConeSteps:
             return
         assert report.verdict == CP_RANK_EQ_RANK and report.certificate.rows == r
         assert step(report, "few_rays_factor").outcome == f"CERTIFICATE(rows={r})"
+
+
+class TestHeuristicRotation:
+    """The heuristic step rotates the extreme columns of the rank factor at
+    d = rank, the search the few-rays step runs at d = m."""
+
+    @pytest.mark.parametrize("style, seed", [(GRAM_NONNEG, 1), (ROTATED_NONNEG, 2), (SOULES, 0)])
+    def test_certificate_rotates_the_rank_factor(self, style, seed):
+        A = random_dn(12, 5, seed=seed, style=style)
+        report = analyze(A, AnalysisConfig(heuristic=True))
+        assert step(report, "heuristic_rotation").outcome == "CERTIFICATE(rows=5)"
+        assert report.certificate.method_tag == "heuristic_rotation"
+        assert_rotates_the_rank_factor(A, report.certificate, 5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(RANDOM_STYLES),
+        st.integers(min_value=5, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_certifies_whenever_the_full_factor_search_does(self, style, r, extra, seed):
+        # every column of B is a nonnegative combination of the extreme
+        # ones, so Q B >= 0 exactly when Q B[:, ext] >= 0
+        A = random_dn(r + extra, r, seed=seed, style=style)
+        cfg = AnalysisConfig(heuristic=True)
+        if full_factor_rotation(A, cfg) is None:
+            return
+        report = analyze(A, cfg)
+        assert report.verdict == CP_RANK_EQ_RANK
+        assert report.certificate.rows == r
 
 
 class TestOneCertificateBuild:
@@ -725,6 +780,27 @@ class TestReadMatrix:
         path.write_text("1,x\n2,1\n")
         with pytest.raises(InvalidInputError, match="column 2"):
             read_matrix(str(path), "csv")
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("1, 2\n 2 ,x \n", 2, 2),
+        ("1,2\n,1\n", 2, 1),
+        ("1,2,\n2,1\n", 1, 3),
+    ])
+    def test_each_cell_is_parsed_once(self, tmp_path, monkeypatch, text, line, column):
+        # the bad cell ends the parse: every cell before it, whitespace
+        # around a number included, and the bad one are read once each
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        cells = []
+
+        def counted(cell):
+            cells.append(cell)
+            return float(cell)
+
+        monkeypatch.setattr(pipeline, "float", counted, raising=False)
+        with pytest.raises(InvalidInputError, match=f"line {line}, column {column}: not a number"):
+            read_matrix(str(path), "csv")
+        assert len(cells) == 2 * (line - 1) + column
 
     def test_asymmetric_rejected(self, tmp_path):
         path = tmp_path / "asym.txt"

@@ -7,11 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cprank import (
-    DEFAULT_TOL,
     IN_CP_N3,
     InvalidInputError,
     PreconditionError,
-    as_symmetric,
     boundary_witness,
     decide_rank3_three_rays,
     e_cone_threshold,
@@ -28,9 +26,13 @@ from cprank import (
 )
 from cprank import rotate
 from cprank.fixtures import RANDOM_STYLES, example_matrix, random_dn
-from cprank.matcore import frobenius_norm
 from cprank.rotate import FEW_RAYS_MAX, POLAR_ITERATIONS, _least_distance
-from conftest import active_set_nnls, cone_sampled_vectors, dn_rank2_instance
+from conftest import (
+    active_set_nnls,
+    assert_rotates_the_rank_factor,
+    cone_sampled_vectors,
+    dn_rank2_instance,
+)
 
 
 # the textbook doubly nonnegative 5-cycle matrix that is not completely
@@ -115,6 +117,20 @@ class TestBoundaryWitness:
     def test_at_threshold_rejected(self):
         with pytest.raises(InvalidInputError):
             boundary_witness(3, e_cone_threshold(3))
+
+    @pytest.mark.parametrize("r", [2.5, 3.0, "3", None, float("nan")])
+    def test_dimension_must_be_an_integer(self, r):
+        # boundary_witness(2.5, 0.1) raised numpy's TypeError, and
+        # e_cone_threshold(2.5) answered sqrt(1.5 / 2.5)
+        with pytest.raises(InvalidInputError, match="dimension must be an integer"):
+            boundary_witness(r, 0.1)
+        with pytest.raises(InvalidInputError, match="dimension must be an integer"):
+            e_cone_threshold(r)
+
+    @pytest.mark.parametrize("r", [np.int32(3), np.int64(3), np.uint8(3)])
+    def test_numpy_integer_dimension_accepted(self, r):
+        assert e_cone_threshold(r) == e_cone_threshold(3)
+        assert np.array_equal(boundary_witness(r, 0.5), boundary_witness(3, 0.5))
 
 
 class TestHouseholderAlign:
@@ -263,30 +279,6 @@ class TestRank2Factor:
             A = dn_rank2_instance(rng, n)
             cert = few_rays_factor(A, extreme_rays(A))
             assert verify_certificate(A, cert).passed
-
-
-def assert_rotates_the_rank_factor(A, cert, m, tol=DEFAULT_TOL):
-    """``cert`` verifies, has from rank to ``m`` rows, and its residual
-    exceeds the rank factor's own by at most what the clamp of
-    ``make_certificate`` and rounding can add.
-
-    ``C = Q [B; 0]`` has ``C^T C = B^T B`` and ``||C|| = ||B||``.  The
-    clamp raises entries in ``[-eps, 0)``, ``eps = eps_nonneg *
-    sqrt(scale)``, to 0, so it moves ``C`` by some ``D`` with ``||D|| <=
-    eps sqrt(size)``, and ``C^T C`` by at most ``2 ||B|| ||D|| +
-    ||D||^2``.  Rounding in ``Q`` and in the product adds a few units of
-    ``eps_machine ||B||^2`` per row.
-    """
-    S = as_symmetric(A, tol)
-    B = sr_factor(S, tol)
-    assert verify_certificate(S, cert, tol).passed
-    assert B.shape[0] <= cert.rows <= m
-    norm_a, norm_b = frobenius_norm(S.a), frobenius_norm(B)
-    own = frobenius_norm(B.T @ B - S.a) / norm_a
-    shift = tol.eps_nonneg * math.sqrt(S.scale) * math.sqrt(cert.C.size)
-    clamp = (2.0 * norm_b * shift + shift * shift) / norm_a
-    rounding = 8 * (cert.rows + 1) * np.finfo(float).eps * norm_b**2 / norm_a
-    assert cert.residual <= own + clamp + rounding
 
 
 class TestFewRaysCertificate:
