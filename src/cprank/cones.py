@@ -14,8 +14,11 @@ extreme with one matrix product; a basis then settles the cone whenever
 it decides every column left open (the representatives form one, or the
 separated ones do); and one batched nonnegative least-squares solve
 tests the columns still open.  :func:`extreme_rays` reports the rays
-alone, which is all the analysis reads; :func:`fit_rays` also fits the
-coefficients that rebuild every column from them.
+alone, which is all the analysis reads: its few-rays and heuristic steps
+rotate the extreme block, and the nnq check
+(:func:`cprank.nnq.nnq_from_rays`) reads the same report outside the
+analysis.  :func:`fit_rays` also fits the coefficients that rebuild every
+column from them.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationFailureError, InvalidInputError
-from .matcore import DEFAULT_TOL, SymmetricMatrix, Tolerances, frobenius_norm, psd_rank
+from .matcore import _SQRT_TINY, DEFAULT_TOL, SymmetricMatrix, Tolerances, frobenius_norm, psd_rank
 from .rotate import check_counts, e_cone_threshold, random_orthogonal
 
 __all__ = [
@@ -165,7 +165,9 @@ def soules_basis(w: np.ndarray | list[float]) -> SoulesBasis:
     single negative entry closing the block.  The partial sums of the
     column projectors are then block-diagonal with nonnegative blocks,
     which is exactly what the defining property needs.  Weights that are
-    not positive, or whose norms over- or underflow, raise :class:`InvalidInputError`.
+    not positive, or whose norms over- or underflow (a prefix norm below
+    ``sqrt(tiny float)`` has a subnormal square), raise
+    :class:`InvalidInputError`.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     n = w.shape[0]
@@ -183,11 +185,13 @@ def soules_basis(w: np.ndarray | list[float]) -> SoulesBasis:
             for k in range(2, n + 1):
                 p = n - k + 1  # positive prefix length
                 head = frobenius_norm(unit[:p])
+                if head < _SQRT_TINY:  # its square is subnormal: not orthogonal
+                    raise FloatingPointError
                 full = frobenius_norm(unit[: p + 1])
                 S[:p, k - 1] = unit[:p] * unit[p] / (head * full)
                 S[p, k - 1] = -head / full
     except ArithmeticError:
-        raise InvalidInputError("weights span too wide a range for a finite basis") from None
+        raise InvalidInputError("weights span too wide a range for an orthogonal basis") from None
     S.flags.writeable = False
     return SoulesBasis(S=S, w=unit)
 

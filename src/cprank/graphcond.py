@@ -7,7 +7,10 @@ diagonal sum and the cp-rank up to the order.  On a triangle-free
 pattern, a DN matrix is completely positive exactly when its comparison
 matrix is PSD, with cp-rank ``max(rank, edge count)``.  And a diagonally
 dominant nonnegative symmetric matrix always factors explicitly, one row
-per off-diagonal entry plus one per strictly dominant row.
+per off-diagonal entry plus one per strictly dominant row.  The analysis
+runs the last two: a cycle of length at least 4 is triangle-free, so the
+triangle-free test decides it exactly and keeps the cycle bound's sum
+test, which also serves ``cprank graph`` and the few-rays step's pruning.
 """
 
 from __future__ import annotations
@@ -164,7 +167,12 @@ class TriangleFreeResult:
 def triangle_free_criterion(
     A: MatrixLike, tol: Tolerances = DEFAULT_TOL
 ) -> TriangleFreeResult:
-    """Comparison-matrix test on triangle-free DN matrices."""
+    """Comparison-matrix test on triangle-free DN matrices.
+
+    On a cycle pattern the exact sum test ``1^T M 1 >= 0`` of
+    :func:`cycle_necessary` also runs, since a tolerant PSD test on ``M``
+    can miss a negative sum that is well above rounding.
+    """
     S = as_symmetric(A, tol)
     verdict = classify_dn(S, tol)
     if not verdict.is_dn:
@@ -172,8 +180,9 @@ def triangle_free_criterion(
     adj = S.pattern(tol.eps_nonneg)
     if not _triangle_free(adj):
         return TriangleFreeResult(status=NOT_APPLICABLE)
-    M = comparison_matrix(S, tol)
-    if not psd_rank(M, tol).is_psd:
+    if _cycle_check(S.a, adj).status == FAILS:
+        return TriangleFreeResult(status=NOT_CP)
+    if not psd_rank(comparison_matrix(S, tol), tol).is_psd:
         return TriangleFreeResult(status=NOT_CP)
     return TriangleFreeResult(status=CP, cp_rank=max(verdict.rank, int(adj.sum()) // 2))
 

@@ -10,7 +10,9 @@ detection reads the witness off an extreme-ray report.  A witness
 leaves exactly rank many extreme rays, so for rank at most 4 the
 few-rays factorization of :mod:`cprank.rotate` certifies cp-rank equal to
 the rank from that same report; at rank 3 that decides membership in
-CP_{n,3} (:func:`decide_rank3_three_rays`).
+CP_{n,3} (:func:`decide_rank3_three_rays`).  Detection therefore settles
+nothing that the few-rays step does not, and the analysis runs no nnq
+step: this module serves ``cprank nnq`` and the paper's examples.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 ``analyze`` runs every test battery on a matrix, logs each step, and
 settles on a verdict: the first definitive outcome in cascade order wins,
-cheap constructive wins go before combinatorial search, and the two
-necessary conditions always run so negative verdicts are never missed.
+cheap constructive wins go before combinatorial search, and the exact
+triangle-free criterion always runs, so its negative verdicts are never
+missed.
 ``UNDECIDED`` is an honest terminal state; outside the covered cases no
 complete decision procedure exists.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cones, graphcond, nnq, rotate
+from . import cones, graphcond, rotate
 from .errors import ComputationFailureError, CprankError, InvalidInputError
 from .matcore import (
     DEFAULT_TOL,
@@ -123,7 +124,7 @@ class _Cascade:
         details = {
             "rows": cert.rows,
             "residual": check.residual,
-            "min_entry": check.min_entry,
+            "min_entry": cert.min_entry,
             "method": cert.method_tag,
             "verified": check.passed,
             **(extra or {}),
@@ -147,13 +148,17 @@ class _Cascade:
 def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> AnalysisReport:
     """Run the full decision cascade on a symmetric matrix.
 
-    Order: DN classification, the row-sum construction, then from one
-    extreme-ray report the nnq detection and the few-rays factorization,
-    the graph conditions, and optionally a heuristic rotation of the same
-    extreme block for rank 5 and up.  The few-rays factorization is the
-    guaranteed rotation certificate: rank at most 2, rank 3 with three
-    extreme rays, full rank at order at most 4 and an nnq basis at rank at
-    most 4 all leave at most 4 extreme rays.
+    Order: DN classification, the row-sum construction, the extreme-ray
+    report and the few-rays factorization of its extreme block, the
+    triangle-free criterion and Kaykobad's factorization, and optionally
+    a heuristic rotation of the same extreme block for rank 5 and up.
+    The few-rays factorization is the guaranteed rotation certificate:
+    rank at most 2, rank 3 with three extreme rays, full rank at order at
+    most 4 and an nnq basis at rank at most 4 all leave at most 4 extreme
+    rays.  The triangle-free criterion is the one graph step: it is exact
+    on every cycle of order at least 4, so its ``NOT_CP`` is the only
+    negative graph verdict, and a ``NOT_CP`` report carries no bounds
+    and no certificate.
     Every step runs on the input; its rank factor is exactly zero on
     the zero rows that ``deflate_zero_rows`` lists.
     Every step is logged even after the verdict is settled.
@@ -194,15 +199,19 @@ def _finish(cas: _Cascade) -> AnalysisReport:
         verdict = CP_WITH_BOUND
     else:
         verdict = UNDECIDED
+    # a matrix that is not CP has no cp-rank to bound; a factor that
+    # verified within tolerance before the exact test settled NOT_CP
+    # stays in its step record only
+    lower, upper = (None, None) if verdict == NOT_CP else (cas.lower, cas.upper)
     return AnalysisReport(
         order=cas.S.n,
         dn=cas.dn,
         rank=cas.rank,
         verdict=verdict,
         steps=cas.steps,
-        certificate=cas.certificate,
-        cp_rank_lower=cas.lower,
-        cp_rank_upper=cas.upper,
+        certificate=None if verdict == NOT_CP else cas.certificate,
+        cp_rank_lower=lower,
+        cp_rank_upper=upper,
         seed=cas.config.seed,
     )
 
@@ -226,34 +235,14 @@ def _rowsum_step(cas: _Cascade) -> None:
     cas.accept(cert, "rowsum", t0, details)
 
 
-def _nnq_step(cas: _Cascade, rays: cones.ConeReport) -> None:
-    t0 = time.perf_counter()
-    nnq_result = nnq.nnq_from_rays(cas.S, rays, cas.rank, cas.tol)
-    w = nnq_result.witness
-    details = {"indices": [i + 1 for i in w.indices], "det": w.detval} if w else {}
-    cas.step("nnq_search", nnq_result.status, details, t0)
-
-
 def _cone_steps(cas: _Cascade) -> None:
-    """nnq detection, the extreme-ray report and the few-rays
-    factorization, all from one extreme-ray computation.  No step needs
-    the fit of the columns off the rays (:func:`cones.fit_rays`), so the
-    extreme-ray step's residual is null."""
+    """The extreme-ray report and the few-rays factorization, which
+    rotates the extreme block of the rank factor.  No step needs the fit
+    of the columns off the rays (:func:`cones.fit_rays`)."""
     t0 = time.perf_counter()
     report = cas.rays = cones.extreme_rays(cas.S, cas.tol)
-    rays_elapsed = time.perf_counter() - t0
-
-    _nnq_step(cas, report)
-    cas.steps.append(StepRecord(
-        name="extreme_rays",
-        outcome=f"RAYS({report.m})",
-        details={
-            "m": report.m,
-            "extreme_indices": [i + 1 for i in report.extreme_indices],
-            "residual": None,
-        },
-        elapsed=rays_elapsed,
-    ))
+    cas.step("extreme_rays", f"RAYS({report.m})",
+             {"m": report.m, "extreme_indices": [i + 1 for i in report.extreme_indices]}, t0)
 
     t0 = time.perf_counter()
     if report.m > rotate.FEW_RAYS_MAX:
@@ -272,21 +261,6 @@ def _cone_steps(cas: _Cascade) -> None:
 
 def _graph_steps(cas: _Cascade) -> None:
     tol, S = cas.tol, cas.S
-
-    t0 = time.perf_counter()
-    cycle = graphcond.cycle_necessary(S, tol)
-    details = {
-        "off_diag_sum": cycle.off_diag_sum,
-        "diag_sum": cycle.diag_sum,
-        "cprk_lower_bound": cycle.cprk_lower_bound,
-    }
-    cas.step("cycle_necessary", cycle.status, details, t0)
-    if cycle.status == graphcond.FAILS:
-        cas.settle(NOT_CP)
-    elif cycle.status == graphcond.PASSES:
-        cas.lower = max(cas.lower or 0, cycle.cprk_lower_bound)
-        if cas.rank < cycle.cprk_lower_bound:
-            cas.settle(NOT_IN_CP_N_R)
 
     t0 = time.perf_counter()
     tri = graphcond.triangle_free_criterion(S, tol)

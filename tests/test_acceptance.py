@@ -17,6 +17,7 @@ from cprank import (
     boundary_witness,
     classify_dn,
     classify_graph,
+    cycle_necessary,
     e_cone_threshold,
     extreme_rays,
     few_rays_factor,
@@ -120,10 +121,11 @@ def test_c04_cycle_matrix_bracket():
     A = example_matrix("EX1_2")
     verdict = classify_dn(A)
     assert verdict.is_dn and verdict.rank == 3 and A.n == 4
+    check = cycle_necessary(A)
+    assert check.status == "PASSES" and check.cprk_lower_bound == 4
+    assert check.off_diag_sum == 8.0 and check.diag_sum == 8.0
+    # the analysis reaches the same bracket through the triangle-free criterion
     report = analyze(A)
-    check = _step(report, "cycle_necessary")
-    assert check.outcome == "PASSES"
-    assert check.details["off_diag_sum"] == 8.0 and check.details["diag_sum"] == 8.0
     assert (report.cp_rank_lower, report.cp_rank_upper) == (4, 4)
     assert report.verdict == "NOT_IN_CP_N_R"
     _stamp("4 (4-cycle bracket [4,4] and negative verdict)", t0)

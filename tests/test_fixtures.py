@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from cprank.fixtures import (
     random_dn,
 )
 from cprank.pipeline import matrix_to_text, read_matrix
+
+TINY = np.finfo(float).tiny
 
 
 class TestExampleMatrices:
@@ -119,23 +123,34 @@ class TestSoulesBasis:
             soules_basis(w)
         assert recwarn.list == []
 
-    def test_every_finite_basis_is_built_as_without_the_guard(self):
-        # the guard only turns an infinite or NaN basis into an error: the
-        # bench pools draw their SOULES weights from U(0.2, 2), and every
-        # finite basis keeps its bits
+    @pytest.mark.parametrize("w", [[1e-160, 1e-160, 1.0], [3e-158, 1.0]])
+    def test_subnormal_prefix_square_raises(self, recwarn, w):
+        # before: a finite basis with max|S^T S - I| of 1.3e-4 and 1.3e-10
+        with pytest.raises(InvalidInputError, match="too wide a range"):
+            soules_basis(w)
+        assert recwarn.list == []
+
+    def test_every_other_basis_is_built_as_without_the_guard(self):
+        # the guard only turns an infinite or NaN basis, or one with a
+        # prefix norm below sqrt(tiny), into an error: the bench pools draw
+        # their SOULES weights from U(0.2, 2), and every other basis keeps
+        # its bits
         rng = np.random.default_rng(4)
-        finite = 0
+        built = 0
         for k in range(3000):
             n = int(rng.integers(1, 13))
             w = rng.uniform(0.2, 2.0, n) if k % 2 else 10.0 ** rng.uniform(-170.0, 150.0, n)
             expected = unguarded_soules_basis(w)
-            if np.isfinite(expected).all():
-                finite += 1
+            with np.errstate(all="ignore"):
+                unit = w / np.linalg.norm(w)
+                heads = [np.linalg.norm(unit[:p]) for p in range(1, n)]
+            if np.isfinite(expected).all() and min(heads, default=1.0) >= math.sqrt(TINY):
+                built += 1
                 assert np.array_equal(soules_basis(w).S, expected)
             else:
                 with pytest.raises(InvalidInputError):
                     soules_basis(w)
-        assert 1500 < finite < 3000
+        assert 1500 < built < 3000
 
 
 class TestSoulesCp:

@@ -62,53 +62,53 @@ def digest(A, config) -> str:
 
 
 DIGESTS = {
-    "EX1_2": "be7c084fdc1f20e08471117791ef937a3506c14522b5f4160eac2a3c9c26e433",
-    "EX2_7": "558c2cab1cc24a3a6e02669afef56f8d2c2c0b8819cac46af9e665fcabe4705a",
-    "EX2_8": "8156f9280dc8bdb4213f26c954ff927b77d8ef31042d5271c65c8d451d1156a8",
-    "EX3_3": "ad73d9a66bd500768319519580fb3f5b05b521605949d56ca430a5b900138acb",
-    "EX3_7": "943d47675cfc3df98355bfc94b645b774efad9e591f74bd12d08e8157a2c52cb",
-    "EX3_9": "b2155f9dcac20b621c50437ff97e2fd4c13162a767ed35b1f2ca64a13e47bd13",
-    "GRAM_NONNEG-n5-r1-s105": "41ee39d8d4db3a7607f26954fd6cd1cf5878c84f5d1de916e4638c4664fbc902",
-    "GRAM_NONNEG-n7-r1-s107-heuristic": "6593d2c6dad2c03fef3d37930d98fe273cf1c80252d67e6f74e4796accaaec74",
-    "GRAM_NONNEG-n6-r2-s206": "59cb2a23d79545e6aa2ad0cf5e5d3e223a8cbd96f090e266f066921673fa7335",
-    "GRAM_NONNEG-n8-r2-s208-heuristic": "a223abea6970b5488cdeeec2a3803e9e5d68cffc1722876303e50933137b68d2",
-    "GRAM_NONNEG-n7-r3-s307": "b58f3353f238550eea60d22900c54b68e0d8e8c3e11940cf0146d00ec2aa2b0e",
-    "GRAM_NONNEG-n9-r3-s309-heuristic": "7080c983caefda24382e6edffc8e30241524c5291164ebe3245e2b055d7a21ed",
-    "GRAM_NONNEG-n8-r4-s408": "8546947e3b78c14263a4a99a993ed10ecda2e4da38bcb9de6d168e8ec1b361ef",
-    "GRAM_NONNEG-n10-r4-s410-heuristic": "e0c4ea09719c3d2e2cdeafe091f49e37440857f145255b3609d725799d0b4fb9",
-    "GRAM_NONNEG-n9-r5-s509": "b9ba00b0e4820d7e10dc217e23d3d842b2ed88beb220833a302ed99e5d770a32",
-    "GRAM_NONNEG-n11-r5-s511-heuristic": "8cf08a352d50967f3e545114e94e07a13446f0147285e5cc55eae79a2be4914d",
-    "GRAM_NONNEG-n10-r6-s610": "da5421b9067fcf93cb98497a1ac3f05547cec02c50a9f8a08126f2a605e4e8c3",
-    "GRAM_NONNEG-n12-r6-s612-heuristic": "f1353dfef941242b086a39226439569b9dc8734a9dbb23bdddcb333ad5cb9479",
-    "ROTATED_NONNEG-n5-r1-s105": "52b2d03544624a07a908b3442c8e81277f150055c95ed28698cd9b90d848274d",
-    "ROTATED_NONNEG-n7-r1-s107-heuristic": "e910285aec0d5715ad5243ca0ed29db571144d1ad9cf02e49eb95aa348f1940d",
-    "ROTATED_NONNEG-n6-r2-s206": "79fbc2aa2e89e7666dfcf3523293a84af68c1c321b98d989f3a6eb520ebd274e",
-    "ROTATED_NONNEG-n8-r2-s208-heuristic": "e80884d8065e038d26f19e88179b2a478403435268a83772eb3bbf9cdb9b49d9",
-    "ROTATED_NONNEG-n7-r3-s307": "0776786768dd9268bbc6b1a2f7944fce1ae8a3161235a295ebb1a6badc325d49",
-    "ROTATED_NONNEG-n9-r3-s309-heuristic": "2ad857c8540e0a3ce87504f2466b6a4ea7221b1309cb3fad40f2526e283c73ab",
-    "ROTATED_NONNEG-n8-r4-s408": "cbdd3aef81cb451307d85246b1bee1eed65bf090e9139a466779cfea1c55aebc",
-    "ROTATED_NONNEG-n10-r4-s410-heuristic": "430eec07e05d416393eb5ec37a993ae1d5f8d6c8da2a1f3c3dfa73d3104f6624",
-    "ROTATED_NONNEG-n9-r5-s509": "08bc8a4cb72b3ad363bb9b54985544602686bed3b284964ae051924fb23b4f6e",
-    "ROTATED_NONNEG-n11-r5-s511-heuristic": "454762e19c0848e99257fc66927419e64526983f417b091d02ca9437bb151470",
-    "ROTATED_NONNEG-n10-r6-s610": "d5bca46747e76a6e3a477fcc957ee76e9e17b057a41d91b214abd55178882819",
-    "ROTATED_NONNEG-n12-r6-s612-heuristic": "d6eb6865ca76107809f4d95fd4b89d2cd747e971639cebdc3640963359a4531c",
-    "SOULES-n5-r1-s105": "826ea7faf60aeab07435c842575aaff0c5f1bc66d6dd4cfce3beffc2ec65cdb3",
-    "SOULES-n7-r1-s107-heuristic": "e6a6dbe58a6769bd54bba0a8785b93e2077ca1f52bea7e83f507402685c0e24c",
-    "SOULES-n6-r2-s206": "a02adc7016c4a6131c0e280d6284763d4bd815808acbb956646337154a51a510",
-    "SOULES-n8-r2-s208-heuristic": "cf07e341da20411f7db6ff771bf2caf942dbaea035c7657b673b341305b10d85",
-    "SOULES-n7-r3-s307": "d21aa845bc8c23fe51358d333f3ca7d4207c623b155a9a0ce3b680ab79ea8130",
-    "SOULES-n9-r3-s309-heuristic": "0101001bcbdacca1cb3d5660ea4d2cbd59c80388baf4338a7e242891bb0387b1",
-    "SOULES-n8-r4-s408": "43607bb0b390b90a7c4dc3780bc3ff8e42e0e01c5171d779a66e55e2d6fb1a85",
-    "SOULES-n10-r4-s410-heuristic": "88506f1c019ca4c83e86361745c70a04931e1102cb812cce50a48b75f88c7bf8",
-    "SOULES-n9-r5-s509": "2db071f765bb22361426f3f480ff2ebc2774bb3266978618065e23e52e0854d9",
-    "SOULES-n11-r5-s511-heuristic": "e68715f2bb2d84c5825a354bf111a4768b745d12033b5d81a150206c2b479af4",
-    "SOULES-n10-r6-s610": "e5874a9adb563565ce4947068e3bc1e58d36028df1679841244c69f6db9cfb13",
-    "SOULES-n12-r6-s612-heuristic": "b49f149c1c1b6318acc4166a267c7ca83ceb1130342fd1c66b219ed892cf9512",
-    "GRAM_NONNEG-n3-r3-s303": "6a2332ab9fcb67729ea6437e4e9d11386b91c201313efe1c7147923221e0da80",
-    "GRAM_NONNEG-n4-r4-s404": "2c7aea730d574934ed33b22b77985079faad529a9d431481e1e7e048ac5b2585",
-    "ROTATED_NONNEG-n3-r3-s303": "422f2ff47e882957ea1a9569cbfadbb448468650c4fcc468c0e3d5a65cef707b",
-    "ROTATED_NONNEG-n4-r4-s404": "5f065f036e0348043edb3719c6ca2be2f216675d32d3d7173456b9db1996daac",
-    "GRAM_NONNEG-n8-r2-s208": "c81ed686b020d887376916671452ad8927149a0d0e80fa72cc73ef449f713766",
+    "EX1_2": "3b45288810b512ee0ee02cfbcce53cde89221c6fff5f8da3c3f9dba3f8caf3f3",
+    "EX2_7": "fdbe59887c3caf09d17420b6b8c250a4c76a58c03fe316265e659ae4081df453",
+    "EX2_8": "fca36d724c82bbbd2c61b72852901e143d1223170a83c01ea392d18acc03a41e",
+    "EX3_3": "0020b200da87df44952340e49fe6166ca0a7feefd82ad89aaf54041b6177771f",
+    "EX3_7": "c46eb5384bdfe012e8b4b11acabe68b78f88096cb991ade999e4488d0eaf1a0f",
+    "EX3_9": "e74a87ef23015779858f2baae77052c91f2c2779136a68e65a1933288cacf5ed",
+    "GRAM_NONNEG-n5-r1-s105": "bdeca0d2aafedd7a4c2ec345c6db30f2ca69b62671fc6e4fa71b260e95637ca1",
+    "GRAM_NONNEG-n7-r1-s107-heuristic": "39c928a82a7a0b2a524ec0918269c69b1fbbb42d0dd02f35acbafee40c327d1e",
+    "GRAM_NONNEG-n6-r2-s206": "db410e5deb9fa7f8c22c452d24bdd517ebce09b55f5994f8d2bf3f3f533908a8",
+    "GRAM_NONNEG-n8-r2-s208-heuristic": "820e71a2d496657d4a37cb632027053f63b4b0a5a23a8ec0cd6b44df2a5478c9",
+    "GRAM_NONNEG-n7-r3-s307": "bf8a9d70427d2a0893bfc29185e79c1accfa7c225fd99c6b6025edc416a2dd16",
+    "GRAM_NONNEG-n9-r3-s309-heuristic": "7dc8d4bada80c05ea267ca819a1f1c84c48e7eef5e852ee151f792b5bb188f45",
+    "GRAM_NONNEG-n8-r4-s408": "83a7b2d56d77095b026aae24e9a4a33eb3c83093e18738270c7d794e91ef5f2e",
+    "GRAM_NONNEG-n10-r4-s410-heuristic": "4524fb8b357d0cd0887c5e15133673dfec66b0c9474c8995b5abf7946a9ff768",
+    "GRAM_NONNEG-n9-r5-s509": "276666e5c0246f569d817ab16ef66c272053cad6396e7667bcc153a118db1224",
+    "GRAM_NONNEG-n11-r5-s511-heuristic": "0736c9a02dee6fbfb06fd66000fcd576a2fc477fa6c2aa04025a0f2c760665bb",
+    "GRAM_NONNEG-n10-r6-s610": "a8f68886a9c9b44fd6e80f40b9a00e713785cba66afc6f18fe03ec5bb465c1d4",
+    "GRAM_NONNEG-n12-r6-s612-heuristic": "e89234e220dba936d6178549900ff509008b83dccf9b61c1d56361a6d68d02ed",
+    "ROTATED_NONNEG-n5-r1-s105": "0efbb5cce5299ac5825e12fde2017a5cc46c92634fee6d660710ecc061af0ce1",
+    "ROTATED_NONNEG-n7-r1-s107-heuristic": "4733b7e60514dd7a3b7679f3de29cfcdad9fa3ce83ae67caed6e5e95dd616349",
+    "ROTATED_NONNEG-n6-r2-s206": "2741d39f451d820917d03552bd7e20234fcbc4bb98ecb8b4f0248290049dfeb9",
+    "ROTATED_NONNEG-n8-r2-s208-heuristic": "edb727033908298929a84122b9dc7d30b5c7a3b01690ab4e58e219a617c4e0f3",
+    "ROTATED_NONNEG-n7-r3-s307": "ff17418bc8fcfd09bad03e4e386b2790df070b16314d96704d332793404724f5",
+    "ROTATED_NONNEG-n9-r3-s309-heuristic": "60a5aefec67114c83fd5c5b12d5930f24376dd29754ea2eb9d5db6587022ce50",
+    "ROTATED_NONNEG-n8-r4-s408": "2d69f37dfea1c98620db1de3c28845b02a9710dcc5371a5b75cea736a87c1c94",
+    "ROTATED_NONNEG-n10-r4-s410-heuristic": "cba8d2074c0b41904a8350f3c21a90409fd0b10d000c906259cda218f0b427b2",
+    "ROTATED_NONNEG-n9-r5-s509": "eaeb9220261d57b1c54f12649ce12b9af465583b424dff926eefc4ca3b305e68",
+    "ROTATED_NONNEG-n11-r5-s511-heuristic": "707f687900221d26c8deab293252dc0ca2666d133a72c25d7dbecd8320635f74",
+    "ROTATED_NONNEG-n10-r6-s610": "0cdc5d385f3c085e0611b9b06749407a02984c3773559da86f642e880a68ced3",
+    "ROTATED_NONNEG-n12-r6-s612-heuristic": "3ba00c57822e2cce07b3bf902c88f9bf52fca02667f431c84e37be72dfe2b4e7",
+    "SOULES-n5-r1-s105": "270197ad21e5a0a55a5b0961eec044e5a52d14e3ae78090ed3ada771f5cda9a2",
+    "SOULES-n7-r1-s107-heuristic": "190431fff75a0d090da09020da4f649d82f8d86fe8f41636c53738a942e03ec5",
+    "SOULES-n6-r2-s206": "a04a98584ced8c90f2223da84c5f9983c7f02c531bc6b19f64e884b61e297a20",
+    "SOULES-n8-r2-s208-heuristic": "31d8f20f7ad968c44e154534676b028e25646e597517b6be903f4adfb849d25c",
+    "SOULES-n7-r3-s307": "d132ea9063ea8c83e9efa67df30183f90f75dd7fac688fef751936a0823fea4d",
+    "SOULES-n9-r3-s309-heuristic": "cff8be96e69a1f7300bd12d8b30df0e8031ca20123fbd3926c100ac1171d0fd9",
+    "SOULES-n8-r4-s408": "731dc014cb985891eae0640b5dd430c7bfe2333e3ca08dd9aaf6727858f07f5c",
+    "SOULES-n10-r4-s410-heuristic": "6d51a40d766b2508fb559ea4412a12e76fb4be203a7abe63e90f2557d51d3338",
+    "SOULES-n9-r5-s509": "b8e7e84454b93130c2b4c24305e519c68c88f629cd115a2802f27102b69137d7",
+    "SOULES-n11-r5-s511-heuristic": "5d4e12aa937078d67337e7da3ed992aa59689eae80fd62f87ecd12192cf84f56",
+    "SOULES-n10-r6-s610": "88543cae63b7ecd1d5b0fe9fdcc059e7b538b71d92221acc20d68835d53853ae",
+    "SOULES-n12-r6-s612-heuristic": "312fa30afa273689208a7eda231cf40835103f3350784d945c4abea69b76b765",
+    "GRAM_NONNEG-n3-r3-s303": "278c3ccef91ba5d1f606b4fc72201cc164f16a539feaa951427155b3b42102c7",
+    "GRAM_NONNEG-n4-r4-s404": "eb6eafa71ad1f2f3c159ac64efac753185080efce2a377dc777ec672a4b4209b",
+    "ROTATED_NONNEG-n3-r3-s303": "2f4d72a35663407bdbad30257fcee2e5e305030b5d6c7c8689c6ce8fad2314ae",
+    "ROTATED_NONNEG-n4-r4-s404": "01b0f92e02108cbf1daf1d0a4947fbc6eedca8bc7d562f11b1887fe321a21269",
+    "GRAM_NONNEG-n8-r2-s208": "1a7debb51295514a020f32296877f5f07851d7af03c3b0ced936181da08f2bff",
 }
 
 
@@ -123,4 +123,4 @@ def test_every_case_has_a_digest():
 
 if __name__ == "__main__":
     for cid, A, config in cases():
-        print(f"    {cid!r}: {digest(A, config)!r},")
+        print(f'    "{cid}": "{digest(A, config)}",')

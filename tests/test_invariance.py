@@ -31,7 +31,7 @@ from cprank import (
     write_report,
 )
 from cprank.fixtures import EXAMPLE_IDS, GRAM_NONNEG, RANDOM_STYLES, example_matrix, random_dn
-from cprank.pipeline import CP_RANK_EQ_RANK, NOT_DN, NOT_IN_CP_N_R
+from cprank.pipeline import CP_RANK_EQ_RANK, NOT_CP, NOT_DN, NOT_IN_CP_N_R
 
 LOOSE_TOL = Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_residual=1e-4)
 
@@ -75,12 +75,14 @@ def assert_consistent(report):
         assert lower <= upper
     if report.verdict == CP_RANK_EQ_RANK:
         assert report.certificate.rows == report.rank
+    if report.verdict == NOT_CP:
+        assert lower is None and upper is None and report.certificate is None
     assert report.rank > 0 and upper != 0
-    # ray and nnq indices name columns of the input, never a dropped zero row
+    # ray indices name columns of the input, never a dropped zero row; an
+    # nnq witness (nnq_from_rays) is these same rays
     details = {s.name: s.details for s in report.steps}
     dropped = set(details.get("deflate_zero_rows", {}).get("zero_rows", []))
-    named = {*details.get("extreme_rays", {}).get("extreme_indices", []),
-             *details.get("nnq_search", {}).get("indices", [])}
+    named = set(details.get("extreme_rays", {}).get("extreme_indices", []))
     assert not dropped & named
 
 

@@ -165,13 +165,11 @@ class TestRaysMatchScanOracle:
         A = example_matrix(fid)
         oracle = nnq_scan_gram(A, cfg.tol)
         assert_same_as_oracle(is_nnq_gram(A, cfg.tol), oracle)
+        # the analysis runs no nnq step; the check reads the rays it reports
         report = analyze(A, cfg)
-        step = next(s for s in report.steps if s.name == "nnq_search")
-        if oracle.found:
-            assert step.details["indices"] == [i + 1 for i in oracle.witness.indices]
-            assert step.details["det"] == oracle.witness.detval
-        else:
-            assert step.outcome == NONE
+        rays = next(s for s in report.steps if s.name == "extreme_rays")
+        reported = ConeReport(tuple(i - 1 for i in rays.details["extreme_indices"]))
+        assert_same_as_oracle(nnq_from_rays(A, reported, report.rank, cfg.tol), oracle)
 
 
 class TestPInvarianceQuantified:

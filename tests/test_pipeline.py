@@ -15,8 +15,11 @@ from cprank import (
     SymmetricMatrix,
     Tolerances,
     analyze,
+    cycle_necessary,
     extreme_rays,
     few_rays_factor,
+    nnq_from_rays,
+    triangle_free_criterion,
     verify_certificate,
 )
 from cprank.fixtures import (
@@ -53,6 +56,12 @@ ROUNDED_CFG = AnalysisConfig(
 
 def step(report, name):
     return next(s for s in report.steps if s.name == name)
+
+
+def nnq_of(A, report, tol=DEFAULT_TOL):
+    """The nnq check on the extreme rays that ``report`` names."""
+    indices = step(report, "extreme_rays").details["extreme_indices"]
+    return nnq_from_rays(A, cones.ConeReport(tuple(i - 1 for i in indices)), report.rank, tol)
 
 
 class TestAnalysisConfig:
@@ -102,7 +111,9 @@ class TestAnalyzeVerdicts:
         report = analyze(example_matrix("EX1_2"))
         assert report.verdict == NOT_IN_CP_N_R
         assert (report.cp_rank_lower, report.cp_rank_upper) == (4, 4)
-        assert step(report, "cycle_necessary").outcome == "PASSES"
+        # the 4-cycle's bound is the triangle-free criterion's exact cp-rank
+        assert cycle_necessary(example_matrix("EX1_2")).status == "PASSES"
+        assert step(report, "triangle_free").outcome == "CP"
         assert step(report, "triangle_free").details["cp_rank"] == 4
         assert report.certificate is not None and report.certificate.rows == 4
 
@@ -113,16 +124,18 @@ class TestAnalyzeVerdicts:
         assert step(report, "triangle_free").details["cp_rank"] == 6
 
     def test_non_nnq_example_certified_without_nnq(self):
-        report = analyze(example_matrix("EX3_7"))
+        A = example_matrix("EX3_7")
+        report = analyze(A)
         assert report.verdict == CP_RANK_EQ_RANK
-        assert step(report, "nnq_search").outcome == "NONE"
+        assert nnq_of(A, report).status == "NONE"
         assert report.certificate.method_tag != "nnq"
 
     def test_rounded_example_with_matching_tolerances(self):
-        report = analyze(example_matrix("EX3_9"), ROUNDED_CFG)
+        A = example_matrix("EX3_9")
+        report = analyze(A, ROUNDED_CFG)
         assert report.verdict == CP_RANK_EQ_RANK
         assert report.rank == 3
-        assert step(report, "nnq_search").details["indices"] == [1, 2, 3]
+        assert nnq_of(A, report, ROUNDED_CFG.tol).witness.indices == (0, 1, 2)
         assert step(report, "few_rays_factor").outcome == "CERTIFICATE(rows=3)"
 
     def test_rounded_example_at_default_tolerances(self):
@@ -144,7 +157,9 @@ class TestAnalyzeVerdicts:
         A = 1.5 * np.eye(5) + adj
         report = analyze(A)
         assert report.verdict == "NOT_CP"
-        assert step(report, "cycle_necessary").outcome == "FAILS"
+        assert cycle_necessary(A).status == "FAILS"
+        assert step(report, "triangle_free").outcome == "NOT_CP"
+        assert (report.cp_rank_lower, report.cp_rank_upper) == (None, None)
 
     def test_undecided_is_honest(self):
         A = example_matrix("EX3_3").a.copy()
@@ -192,7 +207,7 @@ class TestAnalyzeVerdicts:
         assert report.verdict == CP_RANK_EQ_RANK
         assert step(report, "deflate_zero_rows").details["zero_rows"] == [2, 4]
         assert step(report, "extreme_rays").details["extreme_indices"] == [1, 3]
-        assert step(report, "nnq_search").details["indices"] == [1, 3]
+        assert nnq_of(A, report).witness.indices == (0, 2)
         assert np.all(report.certificate.C[:, [1, 3]] == 0.0)
         assert verify_certificate(A, report.certificate).passed
 
@@ -221,9 +236,12 @@ class TestAnalyzeVerdicts:
         outcomes = [(x.name, x.outcome) for x in report.steps if x.name != "deflate_zero_rows"]
         assert outcomes == [(x.name, x.outcome) for x in base.steps]
         assert report.verdict == base.verdict
-        for name, key in (("extreme_rays", "extreme_indices"), ("nnq_search", "indices")):
-            expected = [i + (i > 3) for i in step(base, name).details.get(key, [])]
-            assert step(report, name).details.get(key, []) == expected
+        expected = [i + (i > 3) for i in step(base, "extreme_rays").details["extreme_indices"]]
+        assert step(report, "extreme_rays").details["extreme_indices"] == expected
+        base_nnq, padded_nnq = nnq_of(A, base), nnq_of(padded, report)
+        assert padded_nnq.status == base_nnq.status
+        if base_nnq.found:
+            assert padded_nnq.witness.indices == tuple(i + (i >= 3) for i in base_nnq.witness.indices)
         assert np.all(report.certificate.C[:, 3] == 0.0)
 
     def test_zero_matrix(self):
@@ -294,8 +312,7 @@ class TestConeSteps:
         assert len(kernel) == 1
         rays = step(report, "extreme_rays")
         assert rays.details["m"] == m
-        assert rays.details["residual"] is None
-        assert '"residual":null' in write_report(report, "json").decode()
+        assert sorted(rays.details) == ["extreme_indices", "m"]
         if m > rotate.FEW_RAYS_MAX:
             assert step(report, "few_rays_factor").outcome == "NOT_APPLICABLE"
         else:
@@ -306,11 +323,14 @@ class TestConeSteps:
         # C(80, 4) is about 1.58 million subsets; nnq is read off the rays
         from cprank.fixtures import GRAM_NONNEG, random_dn
 
-        report = analyze(random_dn(80, 4, seed=2, style=GRAM_NONNEG))
-        nnq_step = step(report, "nnq_search")
+        A = random_dn(80, 4, seed=2, style=GRAM_NONNEG)
+        report = analyze(A)
+        t0 = time.perf_counter()
+        result = nnq_of(A, report)
+        elapsed = time.perf_counter() - t0
         m = step(report, "extreme_rays").details["m"]
-        assert nnq_step.outcome == ("FOUND" if m == 4 else "NONE")
-        assert nnq_step.elapsed < 1.0
+        assert result.status == ("FOUND" if m == 4 else "NONE")
+        assert elapsed < 1.0
 
     @pytest.fixture
     def search_calls(self, monkeypatch):
@@ -342,9 +362,10 @@ class TestConeSteps:
         rng = np.random.default_rng(2)
         N = rng.uniform(0.1, 1.0, size=(3, 3))
         P = np.hstack([np.eye(3), rng.uniform(0.0, 1.0, size=(3, 4))])
-        report = analyze(P.T @ (N.T @ N) @ P)
+        A = P.T @ (N.T @ N) @ P
+        report = analyze(A)
         assert len(search_calls) == 1
-        assert step(report, "nnq_search").outcome == "FOUND"
+        assert nnq_of(A, report).status == "FOUND"
         assert step(report, "extreme_rays").details["m"] == 3
         assert report.verdict == CP_RANK_EQ_RANK and report.certificate.rows == 3
 
@@ -437,9 +458,118 @@ class TestOneCertificateBuild:
         assert len(residuals) == 2 * steps
 
     def test_min_entry_is_taken_before_the_clamp(self):
-        cert = analyze(random_dn(6, 3, seed=8, style=GRAM_NONNEG)).certificate
+        report = analyze(random_dn(6, 3, seed=8, style=GRAM_NONNEG))
+        cert = report.certificate
         assert cert.min_entry < 0.0
         assert cert.C.min() == 0.0
+        # the step reports the unclamped value, not the clamped factor's 0
+        assert step(report, "few_rays_factor").details["min_entry"] == cert.min_entry
+
+
+def cycle_matrix(weights, diag):
+    """The symmetric matrix with diagonal ``diag`` and ``weights[k]`` on the
+    cycle edge between vertices k and k + 1 (mod n)."""
+    n = len(weights)
+    A = np.diag(np.asarray(diag, dtype=float))
+    k = np.arange(n)
+    A[k, (k + 1) % n] = A[(k + 1) % n, k] = weights
+    return A
+
+
+class TestGraphStep:
+    """``triangle_free`` is the one graph step: every cycle of order at
+    least 4 is triangle-free, so the criterion decides it exactly."""
+
+    # rank 4, and the comparison matrix has eigenvalue -0.0212
+    PINNED = cycle_matrix([0.4, 0.6, 1.6, 1.2, 0.4],
+                          2.5101703672983002 * np.array([1.0, 1.1, 0.5, 1.5, 0.4]))
+
+    def test_pinned_five_cycle_is_not_cp(self):
+        # the cycle bound settled NOT_IN_CP_N_R with lower bound 5 first
+        report = analyze(self.PINNED)
+        assert report.rank == 4
+        assert np.linalg.eigvalsh(2 * np.diag(np.diag(self.PINNED)) - self.PINNED)[0] < -0.02
+        assert report.verdict == "NOT_CP"
+        assert (report.cp_rank_lower, report.cp_rank_upper) == (None, None)
+        assert report.certificate is None
+        assert step(report, "triangle_free").outcome == "NOT_CP"
+
+    @pytest.mark.parametrize(
+        "cfg, delta", [(AnalysisConfig(), 1.5e-9), (ROUNDED_CFG, 1e-5)], ids=["default", "loose"]
+    )
+    def test_sum_test_decides_within_the_psd_slack(self, cfg, delta):
+        # the unit-weight 5-cycle with diagonal 2(1 - delta): its comparison
+        # matrix has eigenvalue -2 delta, inside the eps_psd slack, but the
+        # off-diagonal sum exceeds the trace by 10 delta, far above rounding
+        A = cycle_matrix(np.ones(5), np.full(5, 2.0 * (1.0 - delta)))
+        assert np.linalg.eigvalsh(2 * np.diag(np.diag(A)) - A)[0] > -cfg.tol.eps_psd * 3.62
+        report = analyze(A, cfg)
+        assert report.verdict == "NOT_CP"
+        assert (report.cp_rank_lower, report.cp_rank_upper) == (None, None)
+        assert report.certificate is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=4, max_value=9),
+        st.booleans(),
+        st.booleans(),
+        st.floats(min_value=0.0, max_value=0.05),
+        st.floats(min_value=-20.0, max_value=20.0),
+        st.floats(min_value=-6.0, max_value=6.0),
+        st.sampled_from([AnalysisConfig(), ROUNDED_CFG]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @example(5, False, False, 0.0, 0.0, 0.0, AnalysisConfig(), 1)  # odd cycle at the PSD edge
+    @example(6, False, False, 0.05, 0.0, 0.0, AnalysisConfig(), 1)  # even cycle: cp-rank n
+    @example(5, True, True, 0.0, -1.0, 0.0, AnalysisConfig(), 1)  # inside the PSD slack of M
+    @example(7, True, True, 0.0, -1.0, 3.0, ROUNDED_CFG, 2)
+    def test_not_cp_exactly_when_the_criterion_says_so(
+        self, n, near_m_edge, balanced, above, slacks, log_scale, cfg, seed
+    ):
+        # diagonal t*d0 either at the PSD edge of A or up to 5 % above it,
+        # or within 20 eps_psd of the PSD edge of the comparison matrix M;
+        # odd cycles then fall on both sides of M's edge.  A balanced d0 is
+        # the row sums of the weights: M's edge is then t = 1 with null
+        # vector 1, where the sum test 1^T M 1 >= 0 is sharp
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.2, 2.0, n)
+        d0 = weights + np.roll(weights, 1) if balanced else rng.uniform(0.2, 2.0, n)
+        eigs = np.linalg.eigvalsh(cycle_matrix(weights, np.zeros(n)) / np.sqrt(np.outer(d0, d0)))
+        t = eigs[-1] * (1.0 + slacks * cfg.tol.eps_psd) if near_m_edge else -eigs[0] * (1.0 + above)
+        A = 10.0**log_scale * cycle_matrix(weights, t * d0)
+        perm = rng.permutation(n)
+        A = A[np.ix_(perm, perm)]
+        report = analyze(A, cfg)
+        not_cp = triangle_free_criterion(A, cfg.tol).status == "NOT_CP"
+        assert (report.verdict == "NOT_CP") == not_cp
+        if not_cp:
+            assert (report.cp_rank_lower, report.cp_rank_upper) == (None, None)
+            assert report.certificate is None
+        # checks independent of the criterion: a cycle matrix is CP exactly
+        # when M is PSD, so 1^T M 1 >= 0 is necessary; an even cycle below
+        # the edge of M is not even PSD
+        off, diag = float(A.sum() - A.trace()), float(A.trace())
+        lam = np.linalg.eigvalsh(2 * np.diag(np.diag(A)) - A)
+        if off > diag + 1e-12 * max(off, diag) or lam[0] < -2 * cfg.tol.eps_psd * abs(lam).max():
+            assert report.verdict in ("NOT_CP", NOT_DN)
+        if lam[0] > 1e-12 * abs(lam).max():
+            assert report.verdict != "NOT_CP"
+
+    def test_analysis_never_calls_nnq_or_the_cycle_bound(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze called a step that never decides")
+
+        for name, module in list(sys.modules.items()):
+            for fn in ("nnq_from_rays", "cycle_necessary"):
+                if name.split(".")[0] == "cprank" and hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refuse)
+        cases = [(example_matrix(fid), ROUNDED_CFG if fid == "EX3_9" else AnalysisConfig())
+                 for fid in EXAMPLE_IDS]
+        cases += [(self.PINNED, AnalysisConfig()),
+                  (random_dn(12, 5, seed=0, style=GRAM_NONNEG), AnalysisConfig(heuristic=True))]
+        for A, cfg in cases:
+            names = {s.name for s in analyze(A, cfg).steps}
+            assert not names & {"nnq_search", "cycle_necessary"}
 
 
 def analysis_cases():
