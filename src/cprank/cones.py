@@ -8,14 +8,20 @@ With exactly rank many rays the cone is simplicial and the matrix is
 nonnegative-equivalent, so a rank-3 matrix with three extreme rays lies
 in CP_{n,3} (:func:`cprank.nnq.decide_rank3_three_rays`).
 
-Which columns are extreme is settled in three stages: a separating
+Which columns are extreme is settled by certificates first, and by
+least squares only where they leave a column open.  A rank factor with
+three rows and more than three distinct rays is read off the
+cross-section of its cone, a plane polygon whose vertices are the
+extreme rays: each vertex is proved extreme by a separating functional
+along the polygon's outward normal, and each other point is rebuilt
+from a triangle of a fan of vertices.  Otherwise a separating
 functional read off the cosine matrix proves most extreme columns
-extreme with one matrix product; a basis then settles the cone whenever
-it decides every column left open (the representatives form one, or the
-separated ones do); and one batched nonnegative least-squares solve
-tests the columns still open.  :func:`extreme_rays` reports the rays
-alone, which is all the analysis reads: its few-rays and heuristic steps
-rotate the extreme block, and the nnq check
+extreme with one matrix product, and a basis then settles the cone
+whenever it decides every column left open (the representatives form
+one, or the separated ones do).  One batched nonnegative least-squares
+solve tests the columns still open.  :func:`extreme_rays` reports the
+rays alone, which is all the analysis reads: its few-rays and heuristic
+steps rotate the extreme block, and the nnq check
 (:func:`cprank.nnq.nnq_from_rays`) reads the same report outside the
 analysis.  :func:`fit_rays` also fits the coefficients that rebuild every
 column from them.
@@ -191,40 +197,55 @@ def _passive_solve(K: np.ndarray, C: np.ndarray, P: np.ndarray) -> np.ndarray:
     return S
 
 
-def _separation_bound(U: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Lower bounds on the distance of each unit column of ``U`` from the
-    cone of the others, read off their cosine matrix ``K = U^T U``.
+def _separation_bound(
+    U: np.ndarray, K: np.ndarray, V: np.ndarray | None = None, cols: np.ndarray | None = None
+) -> np.ndarray:
+    """Lower bounds on the distance of unit columns of ``U`` from the cone
+    of the others, read off their cosine matrix ``K = U^T U`` and one unit
+    direction ``v_i = V[:, i]`` for each column ``j = cols[i]`` bounded.
+    By default every column is bounded along itself.
 
     With ``c`` the sum of the columns and ``t = K 1`` (so ``t_k = c.u_k``),
-    ``y_j = alpha_j c - u_j`` with ``alpha_j = max(0, max_{k != j}
-    K_jk / t_k)`` has ``y_j.u_k >= 0`` for every ``k != j``, so it
-    separates ``u_j`` from the others' cone by at least
-    ``-y_j.u_j / ||y_j||`` (a Farkas functional, as in the frame screen of
-    Dula and Helgason, EJOR 92, 1996).  ``Y`` is built explicitly so that
-    its norms lose nothing to cancellation.
+    ``y_i = alpha_i c - v_i`` with ``alpha_i = max(0, max_{k != j}
+    v_i.u_k / t_k)`` has ``y_i.u_k >= 0`` for every ``k != j``, so it
+    separates ``u_j`` from the others' cone by at least ``-y_i.u_j /
+    ||y_i||`` (a Farkas functional; along ``v = u_j`` it is the frame
+    screen of Dula and Helgason, EJOR 92, 1996).  A multiple of ``c``
+    added to ``v_i`` only shifts ``alpha_i``, so the direction counts
+    off ``c`` alone.  ``Y`` is built explicitly so that its norms lose
+    nothing to cancellation.
 
-    In floating point ``y_j.u_k`` may fall short of 0 by the rounding
-    ``eta_j`` of ``alpha_j t_k - K_jk``, and the nearest point of the
+    In floating point ``y_i.u_k`` may fall short of 0 by the rounding
+    ``eta_i`` of ``alpha_i t_k - v_i.u_k``, and the nearest point of the
     others' cone has coefficients summing to at most ``||c|| / min t``;
     both shortfalls, and the rounding of ``Y``, are charged against the
-    bound.  Without that charge a column inside a fan of near-parallel
-    columns, where ``y_j`` is pure rounding, can read as separated.  A
-    lone column gets ``alpha = 0`` and a bound of 1 up to that charge;
-    when some ``t_k <= 0`` the sum sees no common side and every bound
-    is 0.
+    bound.  The charge reads the direction only through ``||v_i|| = 1``
+    and ``|v_i.u_k| <= 1``: that product carries about ``d`` roundings,
+    as a cosine of ``K`` does, a row sum ``t_k`` about ``d + k`` on a sum
+    of at most ``k``, which ``alpha_i`` multiplies, and ``Y`` one on
+    entries up to ``alpha_i k + 1``.  Without that charge a column
+    inside a fan of near-parallel columns, where ``y`` is pure rounding,
+    can read as separated.  A lone column gets ``alpha = 0`` and a bound
+    of 1 up to that charge; when some ``t_k <= 0`` the sum sees no common
+    side and every bound is 0.
     """
     d, k = U.shape
     t = np.add.reduce(K, axis=1)
     if not (t > 0.0).all():
-        return np.zeros(k)
-    ratio = K / t
-    ratio.flat[:: k + 1] = 0.0
+        return np.zeros(k if cols is None else cols.size)
+    if cols is None:
+        V = own = U
+        ratio = K / t
+        ratio.flat[:: k + 1] = 0.0
+    else:
+        own = U[:, cols]
+        ratio = (V.T @ U) / t
+        ratio[np.arange(cols.size), cols] = 0.0
     alpha = np.maximum.reduce(ratio, axis=1)
     c = np.add.reduce(U, axis=1)
-    Y = c[:, None] * alpha - U
-    # a cosine or a row sum of K carries about d + k roundings
+    Y = c[:, None] * alpha - V
     eta = (d + k + 4) * _EPS * (1.0 + alpha * k)
-    gap = -np.einsum("ij,ij->j", Y, U) - eta * (1.0 + frobenius_norm(c) / t.min())
+    gap = -np.einsum("ij,ij->j", Y, own) - eta * (1.0 + frobenius_norm(c) / t.min())
     return gap / (vector_norms(Y) + eta)
 
 
@@ -266,6 +287,112 @@ def _basis_rebuilds(B: np.ndarray, T: np.ndarray) -> bool:
     return bool((vector_norms(B @ x - T) <= EXTREME_RESIDUAL_FACTOR).all())
 
 
+def _strict_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the vertices of the convex hull of the points ``(x_i,
+    y_i)``, counterclockwise from the lowest of the leftmost.
+
+    Andrew's monotone chain (Inf. Process. Lett. 9, 1979) with strict
+    turns: a point on an edge, or on top of another, is no vertex, and
+    points on one line give two vertices or fewer.  Within rounding of a
+    line one point can turn strictly on both chains; then no vertex is
+    returned.
+    """
+    order = np.lexsort((y, x)).tolist()
+    x, y = x.tolist(), y.tolist()
+
+    def chain(seq):
+        out: list[int] = []
+        for i in seq:
+            xi, yi = x[i], y[i]
+            while len(out) > 1:
+                o, a = out[-2], out[-1]
+                if (x[a] - x[o]) * (yi - y[o]) > (y[a] - y[o]) * (xi - x[o]):
+                    break
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    lower, upper = chain(order), chain(order[::-1])
+    if not set(lower).isdisjoint(upper):
+        return np.zeros(0, dtype=np.intp)
+    return np.array(lower + upper, dtype=np.intp)
+
+
+def _planar_certificates(U: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Extreme and open representatives of a cone of unit columns in
+    ``R^3``, read off its cross-section, given their cosine matrix
+    ``K``: ``None`` when some ray misses the plane of the cross-section
+    or it has fewer than three vertices.
+
+    The plane ``c.x = 1`` orthogonal to the sum ``c`` of the columns
+    meets every ray, at ``p_j = u_j / c.u_j``; its points are read in the
+    two coordinates ``a, b`` other than the largest of ``c``, which map
+    the plane onto theirs without folding it.  A ray is extreme exactly
+    when its point is a vertex of the polygon the points span
+    (:func:`_strict_hull`).  Neither the hull nor the projection is
+    trusted: a representative is settled only by a certificate that the
+    extremality rule accepts, and the others stay open.
+
+    * A vertex is extreme when its :func:`_separation_bound` exceeds
+      ``EXTREME_RESIDUAL_FACTOR`` along the hull's outward normal there,
+      the normal ``(dy, -dx)`` of the chord from its predecessor to its
+      successor, lifted to ``R^3`` as ``dy e_a - dx e_b``: on a column
+      that functional is ``c.u`` times the normal's value at its point.
+    * Any other point lies in a triangle of the fan from the first
+      vertex, found by its angle from the first hull edge (seen from a
+      vertex the polygon spans less than a half turn, so no branch cut
+      falls inside it).  It is not extreme when solving on the
+      triangle's three columns, clipped at 0, rebuilds it within the
+      factor, as in :func:`_basis_rebuilds`, with the rounding of the
+      product, at most ``8 eps (1 + sum x)`` on unit columns, charged to
+      the residual; a singular triangle leaves every such point open.
+
+    Returns the extreme mask and the open mask.
+    """
+    c = np.add.reduce(U, axis=1)
+    m = int(np.abs(c).argmax())
+    a, b = (m + 1) % 3, (m + 2) % 3
+    s = c @ U
+    if not (s > 0.0).all():
+        return None
+    x, y = U[a] / s, U[b] / s
+    hull = _strict_hull(x, y)
+    h = hull.size
+    if h < 3:
+        return None
+    k = U.shape[1]
+    is_ext = np.zeros(k, dtype=bool)
+    prev, nxt = hull[np.arange(-1, h - 1)], hull[np.arange(1 - h, 1)]
+    dx, dy = x[nxt] - x[prev], y[nxt] - y[prev]
+    V = np.zeros((3, h))
+    V[a], V[b] = dy, -dx
+    V /= np.sqrt(dx * dx + dy * dy)
+    is_ext[hull] = _separation_bound(U, K, V, hull) > EXTREME_RESIDUAL_FACTOR
+    is_open = ~is_ext
+    inner = np.ones(k, dtype=bool)
+    inner[hull] = False
+    inner = inner.nonzero()[0]
+    if inner.size:
+        v0 = hull[0]
+        ex, ey = x[hull[1]] - x[v0], y[hull[1]] - y[v0]
+
+        def angle(j):
+            px, py = x[j] - x[v0], y[j] - y[v0]
+            return np.arctan2(ex * py - ey * px, ex * px + ey * py)
+
+        fan = (np.searchsorted(angle(hull[1:]), angle(inner), side="right") - 1).clip(0, h - 3)
+        cols = np.array([np.full(inner.size, v0), hull[fan + 1], hull[fan + 2]])
+        B = U.T[cols.T].transpose(0, 2, 1)
+        T = U.T[inner][:, :, None]
+        try:
+            X = np.maximum(solve(B, T), 0.0)
+        except LinAlgError:
+            return is_ext, is_open
+        residual = vector_norms((B @ X - T)[:, :, 0], axis=1) + 8.0 * _EPS * (1.0 + X.sum(axis=(1, 2)))
+        is_open[inner] = residual > EXTREME_RESIDUAL_FACTOR
+    return is_ext, is_open
+
+
 @dataclass(frozen=True)
 class ConeReport:
     """Extreme rays of a column cone: one representative column index per
@@ -288,12 +415,21 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray]
     extreme when nonnegative least squares cannot reconstruct it from the
     others.  The collapse runs only when some pair of columns lies within
     ``DUPLICATE_RAY_COS_GAP``; otherwise every nonzero column represents
-    its own ray.  A representative whose separation bound (see
-    :func:`_separation_bound`) exceeds ``EXTREME_RESIDUAL_FACTOR`` is
-    extreme by that rule without a solve, since the least-squares
-    residual is at least the distance the bound bounds.  The open
-    representatives are then settled together by a basis when one
-    decides them all:
+    its own ray.
+
+    When ``M`` has three rows and more than three representatives, the
+    cross-section of their cone settles them (:func:`_planar_certificates`):
+    each hull vertex whose separation bound along the hull's outward
+    normal exceeds ``EXTREME_RESIDUAL_FACTOR`` is extreme, and each other
+    point that its fan triangle rebuilds within the factor is not.  A
+    cross-section with fewer than three vertices, or a sum that misses a
+    ray, leaves the representatives to the stages below.
+
+    Otherwise a representative whose separation bound along itself (see
+    :func:`_separation_bound`) exceeds the factor is extreme by that rule
+    without a solve, since the least-squares residual is at least the
+    distance the bound bounds.  The open representatives are then
+    settled together by a basis when one decides them all:
 
     * when the ``d`` representatives of a ``d``-row ``M`` form a basis
       and each open one lies farther than the factor from the span of
@@ -302,11 +438,13 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray]
       open one within the factor with nonnegative coefficients
       (:func:`_basis_rebuilds`), all are not extreme.
 
-    Otherwise one batched solve on the unit columns tests every open
-    representative against all the others, so the first column to enter
-    a fit is its most aligned ray and the residual is already relative.
-    Each call logs one DEBUG line: representatives, how many were
-    separated and how many the basis settled.
+    Whatever is still open goes to one batched solve on the unit
+    columns, which tests every open representative against all the
+    others, so the first column to enter a fit is its most aligned ray
+    and the residual is already relative.  Each call logs one DEBUG
+    line: representatives, how many were separated, how many the basis
+    settled and, when the cross-section settled them, ``planar``: how
+    many its certificates settled.
     """
     n = M.shape[1]
     norms = vector_norms(M)
@@ -338,19 +476,28 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray]
         own = is_rep.nonzero()[0]
         reps, Kr, U = nonzero[own], cos[own[:, None], own], U[:, own]
 
-    is_ext = _separation_bound(U, Kr) > EXTREME_RESIDUAL_FACTOR
-    separated = int(is_ext.sum())
-    rest = (~is_ext).nonzero()[0]
     d = U.shape[0]
-    if rest.size and reps.size == d:
-        if (_span_distance(U)[rest] > EXTREME_RESIDUAL_FACTOR).all():
-            is_ext[rest], rest = True, rest[:0]
-    elif rest.size and separated == d and _basis_rebuilds(U[:, is_ext], U[:, rest]):
-        rest = rest[:0]
-    _log.debug(
-        "_extreme_set: representatives=%d separated=%d basis=%d",
-        reps.size, separated, reps.size - separated - rest.size,
-    )
+    planar = _planar_certificates(U, Kr) if d == 3 < reps.size else None
+    if planar is not None:
+        is_ext, is_open = planar
+        rest = is_open.nonzero()[0]
+        _log.debug(
+            "_extreme_set: representatives=%d separated=0 basis=0 planar=%d",
+            reps.size, reps.size - rest.size,
+        )
+    else:
+        is_ext = _separation_bound(U, Kr) > EXTREME_RESIDUAL_FACTOR
+        separated = int(is_ext.sum())
+        rest = (~is_ext).nonzero()[0]
+        if rest.size and reps.size == d:
+            if (_span_distance(U)[rest] > EXTREME_RESIDUAL_FACTOR).all():
+                is_ext[rest], rest = True, rest[:0]
+        elif rest.size and separated == d and _basis_rebuilds(U[:, is_ext], U[:, rest]):
+            rest = rest[:0]
+        _log.debug(
+            "_extreme_set: representatives=%d separated=%d basis=%d",
+            reps.size, separated, reps.size - separated - rest.size,
+        )
     if rest.size:
         fits = _batched_nnls(Kr, Kr[rest], ~np.eye(reps.size, dtype=bool)[rest])
         is_ext[rest] = vector_norms(U @ fits.T - U[:, rest]) > EXTREME_RESIDUAL_FACTOR

@@ -268,8 +268,9 @@ def _graph_steps(cas: _Cascade) -> None:
     if tri.status == graphcond.NOT_CP:
         cas.settle(NOT_CP)
     elif tri.status == graphcond.CP:
+        # no factor comes with the criterion's cp-rank, so it raises only
+        # the lower bound; an upper bound comes from a verified certificate
         cas.lower = max(cas.lower or 0, tri.cp_rank)
-        cas.upper = tri.cp_rank if cas.upper is None else min(cas.upper, tri.cp_rank)
         if tri.cp_rank > cas.rank:
             cas.settle(NOT_IN_CP_N_R)
 

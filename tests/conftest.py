@@ -498,7 +498,7 @@ def cone_report_oracle(F, tol=DEFAULT_TOL):
     """``(report, W, residual)`` of the columns of ``G = F^T F`` decided and
     fitted on ``F``, computed the long way.
 
-    The same stages run on the same kernel, screen and basis
+    The same stages run on the same kernel, screen, basis and planar
     certificates as in the library, but the duplicate collapse runs every
     time, the W fit starts cold like every kernel call, and every column
     on an extreme ray gets the ratio of its inner product with its
@@ -527,15 +527,20 @@ def cone_report_oracle(F, tol=DEFAULT_TOL):
         reps = np.flatnonzero(is_rep)
         Kr = cos[np.ix_(reps, reps)]
         U = Mz[:, reps] / norms[nonzero[reps]]
-        is_ext = cones._separation_bound(U, Kr) > EXTREME_RESIDUAL_FACTOR
-        separated = int(is_ext.sum())
-        rest = np.flatnonzero(~is_ext)
         d = U.shape[0]
-        if rest.size and reps.size == d:
-            if (cones._span_distance(U)[rest] > EXTREME_RESIDUAL_FACTOR).all():
-                is_ext[rest], rest = True, rest[:0]
-        elif rest.size and separated == d and cones._basis_rebuilds(U[:, is_ext], U[:, rest]):
-            rest = rest[:0]
+        planar = cones._planar_certificates(U, Kr) if d == 3 < reps.size else None
+        if planar is not None:
+            is_ext, is_open = planar
+            rest = np.flatnonzero(is_open)
+        else:
+            is_ext = cones._separation_bound(U, Kr) > EXTREME_RESIDUAL_FACTOR
+            separated = int(is_ext.sum())
+            rest = np.flatnonzero(~is_ext)
+            if rest.size and reps.size == d:
+                if (cones._span_distance(U)[rest] > EXTREME_RESIDUAL_FACTOR).all():
+                    is_ext[rest], rest = True, rest[:0]
+            elif rest.size and separated == d and cones._basis_rebuilds(U[:, is_ext], U[:, rest]):
+                rest = rest[:0]
         if rest.size:
             X = cones._batched_nnls(Kr, Kr[rest], ~np.eye(reps.size, dtype=bool)[rest])
             resid = np.linalg.norm(U @ X.T - U[:, rest], axis=0)

@@ -138,7 +138,8 @@ def test_c05_triangle_free_exact_cp_rank():
     report = analyze(A)
     tri = _step(report, "triangle_free")
     assert tri.outcome == "CP" and tri.details["cp_rank"] == 6
-    assert (report.cp_rank_lower, report.cp_rank_upper) == (6, 6)
+    # no factor comes with the criterion's cp-rank, so it is a lower bound only
+    assert (report.cp_rank_lower, report.cp_rank_upper) == (6, None)
     assert report.verdict == "NOT_IN_CP_N_R"  # cp-rank 6 exceeds the rank 5
     _stamp("5 (triangle-free exact cp-rank 6)", t0)
 

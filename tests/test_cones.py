@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 from unittest import mock
@@ -330,7 +331,8 @@ class TestExtremeRays:
     @pytest.mark.parametrize("n", [12, 40, 100])
     def test_one_batched_solve_per_question(self, monkeypatch, n):
         # extremality of every column is one kernel call, and fitting the
-        # columns off the extreme rays is one more, whatever n is
+        # columns off the extreme rays is one more, whatever n is (at
+        # rank 4: the planar certificates spare rank 3 the first call)
         calls = []
 
         def count(name, fn):
@@ -341,7 +343,7 @@ class TestExtremeRays:
 
         kernel = getattr(cones, "_batched_nnls", None)
         monkeypatch.setattr(cones, "_batched_nnls", count("kernel", kernel), raising=False)
-        report = fit_rays(random_dn(n, 3, seed=n, style=GRAM_NONNEG))[0]
+        report = fit_rays(random_dn(n, 4, seed=n, style=GRAM_NONNEG))[0]
         assert report.m < n  # some columns are fitted, not extreme
         assert calls == ["kernel", "kernel"]
 
@@ -595,6 +597,8 @@ class TestSeparationBound:
         (example_matrix("EX3_7").a, Tolerances(), 1),
     ], ids=["identity", "EX3_7"])
     def test_fully_separated_cone_skips_the_kernel(self, monkeypatch, A, tol, unscreened_calls):
+        # the screen, not the planar certificates, settles EX3_7's four rays
+        monkeypatch.setattr(cones, "_planar_certificates", lambda U, K: None)
         calls = []
         kernel = cones._batched_nnls
         monkeypatch.setattr(cones, "_batched_nnls", lambda *args: calls.append(1) or kernel(*args))
@@ -705,16 +709,16 @@ class TestBasisCertificates:
         assert list(report.extreme_indices) == screen_against_oracle(M)[1] == [0, 1]
 
     def test_separated_basis_missing_an_open_ray_goes_to_the_kernel(self, caplog):
-        # four rays in rank 3, three of them separated: the fourth is not in
+        # five rays in rank 4, four of them separated: the fifth is not in
         # their cone, so solving on them leaves it unbuilt and the kernel
         # decides every open representative
-        A = random_dn(4, 3, seed=1, style=GRAM_NONNEG)
+        A = random_dn(5, 4, seed=0, style=GRAM_NONNEG)
         with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
             report = extreme_rays(A)
         (_, screen), (name, ext) = debug_fields(caplog)
-        assert screen == {"representatives": 4, "separated": 3, "basis": 0}
+        assert screen == {"representatives": 5, "separated": 4, "basis": 0}
         assert name == "_batched_nnls" and ext["problems"] == 1
-        assert report.m == 4
+        assert report.m == 5
         assert list(report.extreme_indices) == extreme_indices_oracle(A)
 
 
@@ -743,6 +747,261 @@ class TestSpanDistance:
         U = np.column_stack([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         assert np.array_equal(cones._span_distance(U), np.zeros(3))
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def plane_columns(points, rng, rotate_cone=True):
+    """Columns ``(x, y, 1)`` of plane points, each scaled by a positive
+    factor and, with ``rotate_cone``, all turned by one random rotation:
+    a pointed rank-3 cone whose cross-section is the points' hull."""
+    P = np.vstack([np.asarray(points, dtype=float).T, np.ones(len(points))])
+    P = P * rng.uniform(0.5, 2.0, len(points))
+    return rotate.random_orthogonal(3, rng) @ P if rotate_cone else P
+
+
+def polygon(rng, h, radius=0.5):
+    """``h`` points on a circle, in counterclockwise order."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, h))
+    return radius * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def support_distances(U):
+    """Distance of each unit column of the 3-row ``U`` from the cone of
+    the others, by enumeration: the least residual of the nonnegative
+    fits on every support of one to three other columns (in R^3 some
+    optimal fit has such a support).  Unlike a Lawson-Hanson solve this
+    does not stop short where the gradients of a near-optimal fit fall
+    below its dual tolerance, as on near-parallel columns."""
+    dist = np.ones(U.shape[1])
+    for j in range(U.shape[1]):
+        others = np.delete(np.arange(U.shape[1]), j)
+        for size in (1, 2, 3):
+            S = np.array(list(itertools.combinations(others, size)), dtype=int).reshape(-1, size)
+            G = U[:, S].transpose(1, 0, 2)
+            X = np.maximum(np.linalg.pinv(G) @ U[:, j], 0.0)
+            fits = np.einsum("nij,nj->ni", G, X) - U[:, j]
+            dist[j] = min(dist[j], float(np.linalg.norm(fits, axis=1).min(initial=1.0)))
+    return dist
+
+
+def extreme_by_supports(M):
+    """Extreme representatives of a cone of 3-row columns by
+    :func:`support_distances`."""
+    reps, _ = duplicate_rays_loop(M)
+    dist = support_distances(M[:, reps] / np.linalg.norm(M[:, reps], axis=0))
+    return np.array(reps, dtype=int)[dist > EXTREME_RESIDUAL_FACTOR].tolist()
+
+
+def assert_planar_certificates_hold(M):
+    """Each representative of ``M`` that the planar stage settles lies
+    on the side of the extremality factor its certificate says, by
+    :func:`support_distances`, and ``_extreme_set`` decides it so; the
+    open ones are the kernel's to decide.  Returns the share settled."""
+    reps, _ = duplicate_rays_loop(M)
+    U = M[:, reps] / np.linalg.norm(M[:, reps], axis=0)
+    planar = cones._planar_certificates(U, U.T @ U)
+    if planar is None:
+        return 0.0
+    is_ext, is_open = planar
+    far = support_distances(U) > EXTREME_RESIDUAL_FACTOR
+    settled = ~is_open
+    assert np.array_equal(is_ext[settled], far[settled])
+    extreme = set(cones._extreme_set(M, Tolerances())[0])
+    assert [rep in extreme for rep in np.array(reps)[settled]] == far[settled].tolist()
+    return float(settled.mean())
+
+
+class TestPlanarCertificates:
+    """Rank-3 cones settled from their cross-section polygon: a hull vertex
+    by the separation bound along the hull's outward normal, any other
+    point by its fan triangle, and what neither settles by the kernel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(RANDOM_STYLES),
+        st.integers(min_value=4, max_value=120),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_matches_per_column_oracle(self, style, n, seed):
+        A = random_dn(n, 3, seed=seed, style=style)
+        assert list(extreme_rays(A).extreme_indices) == extreme_indices_oracle(A)
+
+    @pytest.mark.parametrize("style", RANDOM_STYLES)
+    @pytest.mark.parametrize("n", [12, 40, 120])
+    def test_generic_rank3_cone_skips_the_kernel(self, caplog, style, n):
+        for seed in range(3):
+            A = random_dn(n, 3, seed=seed, style=style)
+            caplog.clear()
+            with mock.patch.object(cones, "_batched_nnls", wraps=cones._batched_nnls) as kernel:
+                with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
+                    report = extreme_rays(A)
+            assert kernel.call_count == 0
+            ((_, fields),) = debug_fields(caplog)
+            reps = fields["representatives"]
+            if reps > 3:  # a Soules cone has three rays, which a basis settles
+                assert fields == {"representatives": reps, "separated": 0, "basis": 0, "planar": reps}
+            assert list(report.extreme_indices) == extreme_indices_oracle(A)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=8),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from(["exact", "outward", "inward"]),
+        st.floats(min_value=-9.0, max_value=-6.0),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_points_on_and_near_hull_edges(self, h, count, kind, log_offset, rotate_cone, seed):
+        # a point on an edge is a nonnegative combination of its ends, and
+        # one 1e-9 to 1e-6 outside is extreme only beyond the factor.  A
+        # Lawson-Hanson solve can stop short on a flat chain of such
+        # points, so the certificates are held to enumerated distances
+        rng = np.random.default_rng(seed)
+        V = polygon(rng, h)
+        points = list(V) + list(rng.uniform(-0.2, 0.2, (2, 2)))
+        for _ in range(count):
+            i = int(rng.integers(h))
+            a, b = V[i], V[(i + 1) % h]
+            outward = np.array([b[1] - a[1], a[0] - b[0]]) / np.linalg.norm(b - a)
+            offset = {"exact": 0.0, "outward": 1.0, "inward": -1.0}[kind] * 10.0**log_offset
+            points.append(a + rng.uniform(0.05, 0.95) * (b - a) + offset * outward)
+        M = plane_columns(np.array(points)[rng.permutation(len(points))], rng, rotate_cone)
+        assert assert_planar_certificates_hold(M) > 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.floats(min_value=-13.0, max_value=-6.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_near_duplicate_rays(self, copies, log_gap, seed):
+        # a copy of a column turned by the angle whose cosine is 1 - gap:
+        # below the duplicate gap it joins its column's ray, above it the
+        # pair are two rays that may sit closer than the factor.  A point
+        # between near copies is rebuilt by its fan triangle where the
+        # kernel can stop short, so the certificates are held to
+        # enumerated distances
+        rng = np.random.default_rng(seed)
+        M = plane_columns(np.vstack([polygon(rng, 6), rng.uniform(-0.2, 0.2, (6, 2))]), rng)
+        M /= np.linalg.norm(M, axis=0)
+        theta = math.acos(1.0 - 10.0**log_gap)
+        cols = list(M.T)
+        for _ in range(copies):
+            u = M[:, int(rng.integers(M.shape[1]))]
+            w = rng.standard_normal(3)
+            w -= (w @ u) * u
+            cols.append(math.cos(theta) * u + math.sin(theta) * w / np.linalg.norm(w))
+        M = np.column_stack([cols[k] for k in rng.permutation(len(cols))])
+        assert assert_planar_certificates_hold(M) > 0.0
+
+    @pytest.mark.parametrize("turn", np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False))
+    def test_fan_around_the_branch_cut(self, turn):
+        # 24 vertices on an arc of 300 degrees and a point inside each
+        # triangle of their fan from the first, turned by every twelfth of
+        # a turn: for some turns the fan's absolute angles straddle the
+        # atan2 branch cut, which angles from the first hull edge avoid
+        rng = np.random.default_rng(0)
+        arc = turn + np.linspace(0.0, math.radians(300.0), 24)
+        V = 0.5 * np.column_stack([np.cos(arc), np.sin(arc)])
+        inner = [(V[0] + V[i] + V[i + 1]) / 3.0 for i in range(1, 23)]
+        points = np.vstack([V, inner])
+        order = rng.permutation(len(points))
+        M = plane_columns(points[order], rng, rotate_cone=False)
+        with mock.patch.object(cones, "_batched_nnls", wraps=cones._batched_nnls) as kernel:
+            extreme = cones._extreme_set(M, Tolerances())[0]
+        assert kernel.call_count == 0
+        assert extreme == sorted(np.flatnonzero(order < 24).tolist())
+        assert extreme == screen_against_oracle(M)[1]
+
+    @pytest.mark.parametrize("offset", [2e-7, 1e-6, 1e-5, 1e-3])
+    def test_vertex_missed_by_the_hull_stays_open(self, monkeypatch, offset):
+        # a hull that drops a vertex just outside the chord of its
+        # neighbours sends it to a fan triangle, which leaves it farther
+        # than the factor: only the certificate's residual keeps it open,
+        # and the kernel finds it extreme
+        rng = np.random.default_rng(5)
+        V = polygon(rng, 7)
+        a, b = V[2], V[4]
+        outward = np.array([b[1] - a[1], a[0] - b[0]]) / np.linalg.norm(b - a)
+        V[3] = (a + b) / 2.0 + offset * outward
+        M = plane_columns(np.vstack([V, rng.uniform(-0.2, 0.2, (4, 2))]), rng, rotate_cone=False)
+        hull = cones._strict_hull
+
+        def missing(x, y):
+            vertices = hull(x, y)
+            return vertices[vertices != 3]
+
+        monkeypatch.setattr(cones, "_strict_hull", missing)
+        U = M / np.linalg.norm(M, axis=0)
+        assert cones._planar_certificates(U, U.T @ U)[1][3]
+        assert 3 in cones._extreme_set(M, Tolerances())[0]
+        assert_planar_certificates_hold(M)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    @pytest.mark.parametrize("style", RANDOM_STYLES)
+    def test_scaled_and_permuted(self, scale, style):
+        for seed in range(3):
+            A = random_dn(30, 3, seed=seed, style=style).a
+            perm = np.random.default_rng(seed).permutation(30)
+            expected = extreme_indices_oracle(A)
+            assert list(extreme_rays(scale * A).extreme_indices) == expected
+            # a permuted column keeps its ray, but a ray's representative
+            # is its first column, which may move
+            rep_of = cones._extreme_set(sr_factor(A), Tolerances())[1]
+            moved = extreme_rays(A[np.ix_(perm, perm)]).extreme_indices
+            assert sorted(rep_of[perm[list(moved)]].tolist()) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(RANDOM_STYLES),
+        st.integers(min_value=4, max_value=40),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_direction_bound_never_exceeds_the_distance(self, style, n, seed):
+        # every bound the planar stage reads, along the hull normals it
+        # picks, lies below the vertex's distance from the others' cone
+        seen = []
+        bound = cones._separation_bound
+
+        def recorded(U, K, V=None, cols=None):
+            out = bound(U, K, V, cols)
+            seen.append((U, cols, out))
+            return out
+
+        with mock.patch.object(cones, "_separation_bound", recorded):
+            extreme_rays(random_dn(n, 3, seed=seed, style=style))
+        for U, cols, out in seen:
+            for j, b in zip(range(U.shape[1]) if cols is None else cols, out):
+                others = np.delete(U, j, axis=1)
+                dist = np.linalg.norm(others @ active_set_nnls(others, U[:, j]) - U[:, j])
+                assert b <= dist + 1e-12
+
+    @pytest.mark.parametrize("M", [
+        # every column in the plane of the first two axes: the points of
+        # the cross-section lie on one line, and two of them span it
+        np.array([[1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]]),
+        # a column against the others leaves some cosine sum negative
+        np.array([[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 0.0, -1.0], [0.0, 0.0, 1.0, -1.0]]),
+    ], ids=["one-line", "negative-sum"])
+    def test_degenerate_cross_section_goes_to_the_screen(self, caplog, M):
+        U = M / np.linalg.norm(M, axis=0)
+        assert cones._planar_certificates(U, U.T @ U) is None
+        with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
+            extreme = cones._extreme_set(M, Tolerances())[0]
+        assert set(debug_fields(caplog)[0][1]) == {"representatives", "separated", "basis"}
+        assert extreme == screen_against_oracle(M)[1] == extreme_by_supports(M)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coplanar_columns_certify_no_vertex(self, seed):
+        # columns in a plane through the origin that no axis spans: their
+        # points lie on a line up to rounding, so the hull may have three
+        # vertices or more, but no bound certifies one of them
+        rng = np.random.default_rng(seed)
+        M = np.linalg.qr(rng.standard_normal((3, 2)))[0] @ rng.uniform(0.1, 1.0, (2, 7))
+        U = M / np.linalg.norm(M, axis=0)
+        planar = cones._planar_certificates(U, U.T @ U)
+        if planar is not None:
+            assert not planar[0].any()
+        assert cones._extreme_set(M, Tolerances())[0] == extreme_by_supports(M)
 
 
 class TestFewRaysFactor:

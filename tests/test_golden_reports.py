@@ -65,7 +65,7 @@ DIGESTS = {
     "EX1_2": "3b45288810b512ee0ee02cfbcce53cde89221c6fff5f8da3c3f9dba3f8caf3f3",
     "EX2_7": "fdbe59887c3caf09d17420b6b8c250a4c76a58c03fe316265e659ae4081df453",
     "EX2_8": "fca36d724c82bbbd2c61b72852901e143d1223170a83c01ea392d18acc03a41e",
-    "EX3_3": "0020b200da87df44952340e49fe6166ca0a7feefd82ad89aaf54041b6177771f",
+    "EX3_3": "79adb7e484916791c9a6cad97612b77ca4108e4330be1687a8188c24a2109d34",
     "EX3_7": "c46eb5384bdfe012e8b4b11acabe68b78f88096cb991ade999e4488d0eaf1a0f",
     "EX3_9": "e74a87ef23015779858f2baae77052c91f2c2779136a68e65a1933288cacf5ed",
     "GRAM_NONNEG-n5-r1-s105": "bdeca0d2aafedd7a4c2ec345c6db30f2ca69b62671fc6e4fa71b260e95637ca1",

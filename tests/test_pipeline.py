@@ -118,9 +118,11 @@ class TestAnalyzeVerdicts:
         assert report.certificate is not None and report.certificate.rows == 4
 
     def test_k23_example(self):
+        # the criterion's cp-rank 6 exceeds the rank 5; no factor comes
+        # with it, so it bounds the cp-rank from below only
         report = analyze(example_matrix("EX3_3"))
         assert report.verdict == NOT_IN_CP_N_R
-        assert (report.cp_rank_lower, report.cp_rank_upper) == (6, 6)
+        assert (report.cp_rank_lower, report.cp_rank_upper) == (6, None)
         assert step(report, "triangle_free").details["cp_rank"] == 6
 
     def test_non_nnq_example_certified_without_nnq(self):
@@ -300,7 +302,8 @@ class TestConeSteps:
     ])
     def test_analysis_never_fits_w(self, caplog, monkeypatch, n, r, m):
         # the few-rays certificate rotates the rank factor itself, so the
-        # one kernel call is the extremality batch and no step reads W
+        # only kernel call is the extremality batch, which the planar
+        # certificates spare at rank 3, and no step reads W
         def no_fit(*args):
             raise AssertionError("analyze fitted the columns off the rays")
 
@@ -309,7 +312,7 @@ class TestConeSteps:
         with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
             report = analyze(A)
         kernel = [rec for rec in caplog.records if rec.getMessage().startswith("_batched_nnls:")]
-        assert len(kernel) == 1
+        assert len(kernel) == (0 if r == 3 else 1)
         rays = step(report, "extreme_rays")
         assert rays.details["m"] == m
         assert sorted(rays.details) == ["extreme_indices", "m"]
@@ -476,6 +479,24 @@ def cycle_matrix(weights, diag):
     return A
 
 
+def cycle_family(n, near_m_edge, balanced, above, slacks, log_scale, cfg, seed):
+    """A DN matrix whose pattern is a permuted ``n``-cycle: diagonal
+    ``t d0`` either ``above`` (a fraction) over the PSD edge of the
+    matrix, or within ``slacks`` times ``eps_psd`` of the PSD edge of the
+    comparison matrix ``M`` (``near_m_edge``), scaled by ``10**log_scale``.
+    A balanced ``d0`` is the row sums of the weights: M's edge is then
+    ``t = 1`` with null vector 1, where the sum test ``1^T M 1 >= 0`` is
+    sharp."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.2, 2.0, n)
+    d0 = weights + np.roll(weights, 1) if balanced else rng.uniform(0.2, 2.0, n)
+    eigs = np.linalg.eigvalsh(cycle_matrix(weights, np.zeros(n)) / np.sqrt(np.outer(d0, d0)))
+    t = eigs[-1] * (1.0 + slacks * cfg.tol.eps_psd) if near_m_edge else -eigs[0] * (1.0 + above)
+    A = 10.0**log_scale * cycle_matrix(weights, t * d0)
+    perm = rng.permutation(n)
+    return A[np.ix_(perm, perm)]
+
+
 class TestGraphStep:
     """``triangle_free`` is the one graph step: every cycle of order at
     least 4 is triangle-free, so the criterion decides it exactly."""
@@ -526,25 +547,20 @@ class TestGraphStep:
     def test_not_cp_exactly_when_the_criterion_says_so(
         self, n, near_m_edge, balanced, above, slacks, log_scale, cfg, seed
     ):
-        # diagonal t*d0 either at the PSD edge of A or up to 5 % above it,
-        # or within 20 eps_psd of the PSD edge of the comparison matrix M;
-        # odd cycles then fall on both sides of M's edge.  A balanced d0 is
-        # the row sums of the weights: M's edge is then t = 1 with null
-        # vector 1, where the sum test 1^T M 1 >= 0 is sharp
-        rng = np.random.default_rng(seed)
-        weights = rng.uniform(0.2, 2.0, n)
-        d0 = weights + np.roll(weights, 1) if balanced else rng.uniform(0.2, 2.0, n)
-        eigs = np.linalg.eigvalsh(cycle_matrix(weights, np.zeros(n)) / np.sqrt(np.outer(d0, d0)))
-        t = eigs[-1] * (1.0 + slacks * cfg.tol.eps_psd) if near_m_edge else -eigs[0] * (1.0 + above)
-        A = 10.0**log_scale * cycle_matrix(weights, t * d0)
-        perm = rng.permutation(n)
-        A = A[np.ix_(perm, perm)]
+        # diagonal at the PSD edge of A or up to 5 % above it, or within 20
+        # eps_psd of the PSD edge of the comparison matrix M; odd cycles
+        # then fall on both sides of M's edge
+        A = cycle_family(n, near_m_edge, balanced, above, slacks, log_scale, cfg, seed)
         report = analyze(A, cfg)
         not_cp = triangle_free_criterion(A, cfg.tol).status == "NOT_CP"
         assert (report.verdict == "NOT_CP") == not_cp
         if not_cp:
             assert (report.cp_rank_lower, report.cp_rank_upper) == (None, None)
             assert report.certificate is None
+        # an upper bound is the row count of the certificate reported with it
+        if report.cp_rank_upper is not None:
+            assert report.certificate is not None
+            assert report.certificate.rows == report.cp_rank_upper
         # checks independent of the criterion: a cycle matrix is CP exactly
         # when M is PSD, so 1^T M 1 >= 0 is necessary; an even cycle below
         # the edge of M is not even PSD
@@ -554,6 +570,18 @@ class TestGraphStep:
             assert report.verdict in ("NOT_CP", NOT_DN)
         if lam[0] > 1e-12 * abs(lam).max():
             assert report.verdict != "NOT_CP"
+
+    def test_criterion_cp_rank_is_a_lower_bound_only(self):
+        # the even 6-cycle 5 % above its PSD edge: the criterion gives
+        # cp-rank 6 = rank, but no step builds a factor with 6 rows, so
+        # the report may not claim 6 as an upper bound
+        A = cycle_family(6, False, False, 0.05, 0.0, 0.0, AnalysisConfig(), 1)
+        report = analyze(A)
+        tri = step(report, "triangle_free")
+        assert (tri.outcome, tri.details["cp_rank"], report.rank) == ("CP", 6, 6)
+        assert report.verdict == UNDECIDED
+        assert (report.cp_rank_lower, report.cp_rank_upper) == (6, None)
+        assert report.certificate is None
 
     def test_analysis_never_calls_nnq_or_the_cycle_bound(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -12,6 +12,12 @@ every workload for each seed in ``--seeds`` (default: seed 1 only), and
 runs ``analyze`` and then ``write_report(..., "json")`` on each instance.
 The two trees run side by side.
 
+The trees also analyse one fixed family outside the pools, printed on a
+line of its own as ``rank3_large_n``: ``random_dn`` of rank 3 in every
+style at orders 100, 200 and 400, seeds 0-4, at the default config.  No
+pool holds a ``GRAM_NONNEG`` or ``ROTATED_NONNEG`` matrix of rank 3 above
+order 32, and the extreme-ray step costs the most at large orders.
+
 Per workload and seed the tool prints the number of instances and how many
 reports differ in meaning, split in two counts: in their decision (order,
 rank, DN status, verdict, cp-rank bounds and certificate rows) and in
@@ -39,17 +45,32 @@ from pathlib import Path
 # differing instance ids listed per workload
 SHOWN = 3
 
+# the fixed large-order rank-3 family: orders and seeds of random_dn
+LARGE_RANK3_ORDERS = (100, 200, 400)
+LARGE_RANK3_SEEDS = (0, 1, 2, 3, 4)
+
 CHILD = """\
 import json, sys
 sys.path.insert(0, {bench!r})
 import instances
 import cprank
+from cprank.fixtures import RANDOM_STYLES, random_dn
+
+
+def write(out, label, iid, matrix, config=cprank.AnalysisConfig()):
+    report = cprank.write_report(cprank.analyze(matrix, config), "json")
+    out.write(json.dumps([label, iid, report.decode()]) + "\\n")
+
+
 with open({out!r}, "w") as out:
     for seed in {seeds!r}:
         for name in instances.WORKLOADS:
             for inst in instances.build(name, seed):
-                report = cprank.write_report(cprank.analyze(inst.matrix, inst.config), "json")
-                out.write(json.dumps([f"{{name}} seed {{seed}}", inst.id, report.decode()]) + "\\n")
+                write(out, f"{{name}} seed {{seed}}", inst.id, inst.matrix, inst.config)
+    for style in RANDOM_STYLES:
+        for n in {orders!r}:
+            for seed in {large_seeds!r}:
+                write(out, "rank3_large_n", f"{{style}}-n{{n}}-s{{seed}}", random_dn(n, 3, seed, style))
 """
 
 
@@ -117,7 +138,8 @@ def run_tree(tree: Path, out: Path, seeds: list[int]) -> subprocess.Popen:
     bench = tree / "bench"
     if not (bench / "instances.py").is_file():
         raise SystemExit(f"report_diff: no bench/instances.py under {tree}")
-    code = CHILD.format(bench=str(bench), out=str(out), seeds=seeds)
+    code = CHILD.format(bench=str(bench), out=str(out), seeds=seeds, orders=LARGE_RANK3_ORDERS,
+                        large_seeds=LARGE_RANK3_SEEDS)
     return subprocess.Popen([sys.executable, "-c", code])
 
 
