@@ -15,16 +15,18 @@ cross-section of its cone, a plane polygon whose vertices are the
 extreme rays: each vertex is proved extreme by a separating functional
 along the polygon's outward normal, and each other point is rebuilt
 from a triangle of a fan of vertices.  Otherwise a separating
-functional read off the cosine matrix proves most extreme columns
-extreme with one matrix product, and a basis then settles the cone
-whenever it decides every column left open (the representatives form
-one, or the separated ones do).  One batched nonnegative least-squares
+functional along each column's direction in isotropic position, ``(U
+U^T)^-1 u_j`` for the unit columns ``U``, proves most extreme columns
+extreme with one small solve and one matrix product; on a basis it
+bounds each column's distance from the span of the others.  The
+separated columns then settle the cone when they form a basis that
+rebuilds every column left open.  One batched nonnegative least-squares
 solve tests the columns still open.  :func:`extreme_rays` reports the
 rays alone, which is all the analysis reads: its few-rays and heuristic
 steps rotate the extreme block, and the nnq check
 (:func:`cprank.nnq.nnq_from_rays`) reads the same report outside the
-analysis.  :func:`fit_rays` also fits the coefficients that rebuild every
-column from them.
+analysis.  :func:`fit_rays` also fits the coefficients that rebuild
+every column from them.
 """
 
 from __future__ import annotations
@@ -198,19 +200,23 @@ def _passive_solve(K: np.ndarray, C: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 
 def _separation_bound(
-    U: np.ndarray, K: np.ndarray, V: np.ndarray | None = None, cols: np.ndarray | None = None
+    U: np.ndarray, K: np.ndarray, V: np.ndarray, cols: np.ndarray | None = None
 ) -> np.ndarray:
     """Lower bounds on the distance of unit columns of ``U`` from the cone
     of the others, read off their cosine matrix ``K = U^T U`` and one unit
-    direction ``v_i = V[:, i]`` for each column ``j = cols[i]`` bounded.
-    By default every column is bounded along itself.
+    direction ``v_i = V[:, i]`` for each column ``j = cols[i]`` bounded
+    (by default every column, in order).
 
     With ``c`` the sum of the columns and ``t = K 1`` (so ``t_k = c.u_k``),
     ``y_i = alpha_i c - v_i`` with ``alpha_i = max(0, max_{k != j}
     v_i.u_k / t_k)`` has ``y_i.u_k >= 0`` for every ``k != j``, so it
     separates ``u_j`` from the others' cone by at least ``-y_i.u_j /
     ||y_i||`` (a Farkas functional; along ``v = u_j`` it is the frame
-    screen of Dula and Helgason, EJOR 92, 1996).  A multiple of ``c``
+    screen of Dula and Helgason, EJOR 92, 1996).  :func:`_extreme_set`
+    reads each column along its isotropic direction, where on a basis the
+    bound is the distance from the span of the others
+    (:func:`_isotropic_directions`), and the planar stage reads a hull
+    vertex along the hull's outward normal.  A multiple of ``c``
     added to ``v_i`` only shifts ``alpha_i``, so the direction counts
     off ``c`` alone.  ``Y`` is built explicitly so that its norms lose
     nothing to cancellation.
@@ -223,68 +229,66 @@ def _separation_bound(
     and ``|v_i.u_k| <= 1``: that product carries about ``d`` roundings,
     as a cosine of ``K`` does, a row sum ``t_k`` about ``d + k`` on a sum
     of at most ``k``, which ``alpha_i`` multiplies, and ``Y`` one on
-    entries up to ``alpha_i k + 1``.  Without that charge a column
+    entries up to ``alpha_i k + 1``, so the bound holds along any unit
+    direction however it was computed.  Without that charge a column
     inside a fan of near-parallel columns, where ``y`` is pure rounding,
-    can read as separated.  A lone column gets ``alpha = 0`` and a bound
-    of 1 up to that charge; when some ``t_k <= 0`` the sum sees no common
-    side and every bound is 0.
+    can read as separated.  When some ``t_k <= 0`` the sum sees no
+    common side and every bound is 0.
     """
     d, k = U.shape
     t = np.add.reduce(K, axis=1)
-    if not (t > 0.0).all():
-        return np.zeros(k if cols is None else cols.size)
+    t_min = t.min()
+    if not t_min > 0.0:
+        return np.zeros(V.shape[1])
+    ratio = (V.T @ U) / t
     if cols is None:
-        V = own = U
-        ratio = K / t
+        own = U
         ratio.flat[:: k + 1] = 0.0
     else:
         own = U[:, cols]
-        ratio = (V.T @ U) / t
         ratio[np.arange(cols.size), cols] = 0.0
     alpha = np.maximum.reduce(ratio, axis=1)
     c = np.add.reduce(U, axis=1)
     Y = c[:, None] * alpha - V
     eta = (d + k + 4) * _EPS * (1.0 + alpha * k)
-    gap = -np.einsum("ij,ij->j", Y, own) - eta * (1.0 + frobenius_norm(c) / t.min())
+    gap = -np.einsum("ij,ij->j", Y, own) - eta * (1.0 + frobenius_norm(c) / t_min)
     return gap / (vector_norms(Y) + eta)
 
 
-def _span_distance(U: np.ndarray) -> np.ndarray:
-    """Lower bounds on the distance of each unit column of the square
-    ``U`` from the span of the others (0 when ``U`` is singular).
-
-    Row ``j`` of ``U^-1`` has inner product 1 with ``u_j`` and 0 with
-    every other column, so that distance is ``1 / ||row j||``, and it
-    bounds the distance from the others' cone, and so the least-squares
-    residual, from below.  The computed inverse is off by about
-    ``d eps cond(U) ||U^-1||`` with ``cond(U) = ||U||_F ||U^-1||_F =
-    sqrt(d) ||U^-1||_F`` for unit columns; that error is charged against
-    every row norm, so an ill-conditioned basis gets no bound above the
-    extremality factor.
+def _isotropic_directions(U: np.ndarray) -> np.ndarray | None:
+    """Unit columns of ``(U U^T)^-1 U`` for unit columns ``U`` (``None``
+    when ``U U^T`` is singular or they overflow): the own direction of
+    ``u_j`` in isotropic position, where ``U U^T`` is the identity, read
+    back in these coordinates.  On a basis ``v_j`` is row ``j`` of
+    ``U^-1``, orthogonal to the other columns, so the bound along it is
+    the distance of ``u_j`` from their span.  A basis is solved as ``U^T
+    V = I``: ``U U^T`` would square ``cond(U)`` and tilt ``v_j`` off it.
     """
-    d = U.shape[0]
+    d, k = U.shape
     try:
-        V = np.linalg.inv(U)
+        V = solve(U.T, np.eye(d)) if k == d else solve(U @ U.T, U)
     except LinAlgError:
-        return np.zeros(d)
-    row = vector_norms(V, axis=1)
-    return 1.0 / (row + (d + 4) * _EPS * np.sqrt(d) * (row @ row))
+        return None
+    with np.errstate(over="ignore"):
+        norms = vector_norms(V)
+    return V / norms if np.add.reduce(norms) < np.inf else None
 
 
-def _basis_rebuilds(B: np.ndarray, T: np.ndarray) -> bool:
-    """Whether nonnegative coefficients on the columns of the square
-    ``B`` rebuild every column of ``T`` within ``EXTREME_RESIDUAL_FACTOR``
-    (False when ``B`` is singular).
-
-    The coefficients are the solution of ``B x = T`` clipped at 0, a
-    feasible point of each column's nonnegative least-squares problem,
-    so a small explicit residual bounds that problem's optimum.
+def _rebuilt(B: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Whether the solution of ``B x = T`` clipped at 0, a feasible point
+    of each column's nonnegative least-squares problem on the columns of
+    ``B``, rebuilds it within ``EXTREME_RESIDUAL_FACTOR``; ``B`` is a
+    square matrix or a stack of them, all False when one is singular.
+    On ``d`` unit columns the product rounds by about ``d eps sum x``;
+    ``(d + 5) eps (1 + sum x)`` is charged to the residual.
     """
+    d = B.shape[-1]
     try:
-        x = np.maximum(solve(B, T), 0.0)
+        X = np.maximum(solve(B, T), 0.0)
     except LinAlgError:
-        return False
-    return bool((vector_norms(B @ x - T) <= EXTREME_RESIDUAL_FACTOR).all())
+        return np.zeros(T.shape[:-2] + T.shape[-1:], dtype=bool)
+    charge = (d + 5) * _EPS * (1.0 + np.add.reduce(X, axis=-2))
+    return vector_norms(B @ X - T, axis=-2) + charge <= EXTREME_RESIDUAL_FACTOR
 
 
 def _strict_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -343,9 +347,8 @@ def _planar_certificates(U: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, np.n
       vertex the polygon spans less than a half turn, so no branch cut
       falls inside it).  It is not extreme when solving on the
       triangle's three columns, clipped at 0, rebuilds it within the
-      factor, as in :func:`_basis_rebuilds`, with the rounding of the
-      product, at most ``8 eps (1 + sum x)`` on unit columns, charged to
-      the residual; a singular triangle leaves every such point open.
+      factor (:func:`_rebuilt`); a singular triangle leaves every such
+      point open.
 
     Returns the extreme mask and the open mask.
     """
@@ -383,13 +386,7 @@ def _planar_certificates(U: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, np.n
         fan = (np.searchsorted(angle(hull[1:]), angle(inner), side="right") - 1).clip(0, h - 3)
         cols = np.array([np.full(inner.size, v0), hull[fan + 1], hull[fan + 2]])
         B = U.T[cols.T].transpose(0, 2, 1)
-        T = U.T[inner][:, :, None]
-        try:
-            X = np.maximum(solve(B, T), 0.0)
-        except LinAlgError:
-            return is_ext, is_open
-        residual = vector_norms((B @ X - T)[:, :, 0], axis=1) + 8.0 * _EPS * (1.0 + X.sum(axis=(1, 2)))
-        is_open[inner] = residual > EXTREME_RESIDUAL_FACTOR
+        is_open[inner] = ~_rebuilt(B, U.T[inner][:, :, None])[:, 0]
     return is_ext, is_open
 
 
@@ -425,26 +422,24 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray]
     cross-section with fewer than three vertices, or a sum that misses a
     ray, leaves the representatives to the stages below.
 
-    Otherwise a representative whose separation bound along itself (see
-    :func:`_separation_bound`) exceeds the factor is extreme by that rule
-    without a solve, since the least-squares residual is at least the
-    distance the bound bounds.  The open representatives are then
-    settled together by a basis when one decides them all:
-
-    * when the ``d`` representatives of a ``d``-row ``M`` form a basis
-      and each open one lies farther than the factor from the span of
-      the others (:func:`_span_distance`), all are extreme;
-    * when exactly ``d`` are separated and solving on them rebuilds each
-      open one within the factor with nonnegative coefficients
-      (:func:`_basis_rebuilds`), all are not extreme.
+    Otherwise a representative whose separation bound (see
+    :func:`_separation_bound`) along its isotropic direction ``(U
+    U^T)^-1 u_j`` (:func:`_isotropic_directions`) exceeds the factor is
+    extreme by that rule without a solve, since the least-squares
+    residual is at least the distance the bound bounds.  On a basis that
+    bound is the column's distance from the span of the others.  Without
+    directions every representative stays open.  When exactly
+    ``d`` are separated and solving on them rebuilds each open one within
+    the factor with nonnegative coefficients (:func:`_rebuilt`), all the
+    open ones are not extreme.
 
     Whatever is still open goes to one batched solve on the unit
     columns, which tests every open representative against all the
     others, so the first column to enter a fit is its most aligned ray
     and the residual is already relative.  Each call logs one DEBUG
-    line: representatives, how many were separated, how many the basis
-    settled and, when the cross-section settled them, ``planar``: how
-    many its certificates settled.
+    line: representatives, how many were separated, how many the
+    separated basis rebuilt and, when the cross-section settled them,
+    ``planar``: how many its certificates settled.
     """
     n = M.shape[1]
     norms = vector_norms(M)
@@ -486,13 +481,14 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray]
             reps.size, reps.size - rest.size,
         )
     else:
-        is_ext = _separation_bound(U, Kr) > EXTREME_RESIDUAL_FACTOR
+        V = _isotropic_directions(U)
+        if V is None:
+            is_ext = np.zeros(reps.size, dtype=bool)
+        else:
+            is_ext = _separation_bound(U, Kr, V) > EXTREME_RESIDUAL_FACTOR
         separated = int(is_ext.sum())
         rest = (~is_ext).nonzero()[0]
-        if rest.size and reps.size == d:
-            if (_span_distance(U)[rest] > EXTREME_RESIDUAL_FACTOR).all():
-                is_ext[rest], rest = True, rest[:0]
-        elif rest.size and separated == d and _basis_rebuilds(U[:, is_ext], U[:, rest]):
+        if rest.size and separated == d and _rebuilt(U[:, is_ext], U[:, rest]).all():
             rest = rest[:0]
         _log.debug(
             "_extreme_set: representatives=%d separated=%d basis=%d",

@@ -498,11 +498,12 @@ def cone_report_oracle(F, tol=DEFAULT_TOL):
     """``(report, W, residual)`` of the columns of ``G = F^T F`` decided and
     fitted on ``F``, computed the long way.
 
-    The same stages run on the same kernel, screen, basis and planar
-    certificates as in the library, but the duplicate collapse runs every
-    time, the W fit starts cold like every kernel call, and every column
-    on an extreme ray gets the ratio of its inner product with its
-    representative (1 for the representative itself).  The report must
+    The same stages run on the same kernel, screen (along the same
+    isotropic directions), basis and planar certificates as in the
+    library, but the duplicate collapse runs every time, the W fit starts
+    cold like every kernel call, and every column on an extreme ray gets
+    the ratio of its inner product with its representative (1 for the
+    representative itself).  The report must
     match the library's bit for bit.
     """
     M, G = F, F.T @ F
@@ -533,13 +534,13 @@ def cone_report_oracle(F, tol=DEFAULT_TOL):
             is_ext, is_open = planar
             rest = np.flatnonzero(is_open)
         else:
-            is_ext = cones._separation_bound(U, Kr) > EXTREME_RESIDUAL_FACTOR
-            separated = int(is_ext.sum())
+            V = cones._isotropic_directions(U)
+            if V is None:
+                is_ext = np.zeros(reps.size, dtype=bool)
+            else:
+                is_ext = cones._separation_bound(U, Kr, V) > EXTREME_RESIDUAL_FACTOR
             rest = np.flatnonzero(~is_ext)
-            if rest.size and reps.size == d:
-                if (cones._span_distance(U)[rest] > EXTREME_RESIDUAL_FACTOR).all():
-                    is_ext[rest], rest = True, rest[:0]
-            elif rest.size and separated == d and cones._basis_rebuilds(U[:, is_ext], U[:, rest]):
+            if rest.size and is_ext.sum() == d and cones._rebuilt(U[:, is_ext], U[:, rest]).all():
                 rest = rest[:0]
         if rest.size:
             X = cones._batched_nnls(Kr, Kr[rest], ~np.eye(reps.size, dtype=bool)[rest])
@@ -569,6 +570,29 @@ def cone_report_oracle(F, tol=DEFAULT_TOL):
         denom = float(np.linalg.norm(G))
         residual = float(np.linalg.norm(G - G[:, extreme] @ W)) / denom if denom else 0.0
     return cones.ConeReport(tuple(extreme)), W, residual
+
+
+def span_distance(U):
+    """Lower bounds on the distance of each unit column of the square
+    ``U`` from the span of the others (0 when ``U`` is singular).
+
+    Row ``j`` of ``U^-1`` has inner product 1 with ``u_j`` and 0 with
+    every other column, so that distance is ``1 / ||row j||``, and it
+    bounds the distance from the others' cone, and so the least-squares
+    residual, from below.  The computed inverse is off by about
+    ``d eps cond(U) ||U^-1||`` with ``cond(U) = ||U||_F ||U^-1||_F =
+    sqrt(d) ||U^-1||_F`` for unit columns; that error is charged against
+    every row norm, so an ill-conditioned basis gets no bound above the
+    extremality factor.  The library's separation bound along the
+    isotropic directions of a basis bounds the same distances.
+    """
+    d = U.shape[0]
+    try:
+        V = np.linalg.inv(U)
+    except np.linalg.LinAlgError:
+        return np.zeros(d)
+    row = np.linalg.norm(V, axis=1)
+    return 1.0 / (row + (d + 4) * np.finfo(float).eps * np.sqrt(d) * (row @ row))
 
 
 def connecting_orthogonal(B, C, tol=DEFAULT_TOL):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cprank import (
@@ -40,6 +40,7 @@ from conftest import (
     extreme_indices_oracle,
     hull_extreme_indices,
     nnls,
+    span_distance,
 )
 
 ROUNDED_TOL = Tolerances(eps_psd=1e-4, eps_rank=1e-4, eps_nonneg=1e-6, eps_residual=1e-4)
@@ -528,21 +529,35 @@ class TestConeReportOracle:
         assert_matches_cone_oracle(fit_rays(A), sr_factor(A))
 
 
-def screen_against_oracle(M):
-    """Representatives of ``M`` (as the column loop collapses them) that
-    the separation bound settles as extreme, and those a per-column NNLS
-    against the other unit representatives finds extreme; every bound is
-    checked against that NNLS distance on the way."""
-    M = np.asarray(M, dtype=float)
-    reps, _ = duplicate_rays_loop(M)
-    U = M[:, reps] / np.linalg.norm(M[:, reps], axis=0)
-    bound = cones._separation_bound(U, U.T @ U)
-    dist = np.ones(len(reps))
-    for j in range(len(reps)):
+def nnls_distances(U):
+    """Distance of each unit column of ``U`` from the cone of the others,
+    one NNLS per column."""
+    dist = np.ones(U.shape[1])
+    for j in range(U.shape[1]):
         others = np.delete(U, j, axis=1)
         if others.shape[1]:
             dist[j] = np.linalg.norm(others @ active_set_nnls(others, U[:, j]) - U[:, j])
+    return dist
+
+
+def screen_against_oracle(M):
+    """Representatives of ``M`` (as the column loop collapses them) that
+    the separation bound settles as extreme, along each column itself or
+    along its isotropic direction, and those a per-column NNLS against
+    the other unit representatives finds extreme; every bound, along
+    either direction, is checked against that NNLS distance on the way."""
+    M = np.asarray(M, dtype=float)
+    reps, _ = duplicate_rays_loop(M)
+    U = M[:, reps] / np.linalg.norm(M[:, reps], axis=0)
+    K = U.T @ U
+    bound = cones._separation_bound(U, K, V=U)
+    dist = nnls_distances(U)
     assert np.all(bound <= dist + 1e-12)
+    V = cones._isotropic_directions(U)
+    if V is not None:
+        isotropic = cones._separation_bound(U, K, V)
+        assert np.all(isotropic <= dist + 1e-12)
+        bound = np.maximum(bound, isotropic)
     reps = np.array(reps, dtype=int)
     return reps[bound > EXTREME_RESIDUAL_FACTOR].tolist(), reps[dist > EXTREME_RESIDUAL_FACTOR].tolist()
 
@@ -575,7 +590,7 @@ class TestSeparationBound:
         # one column is its own fan: alpha = 0, y = -u, and only the
         # rounding charge keeps the bound below 1
         U = np.array([[0.6], [0.8]])
-        assert cones._separation_bound(U, U.T @ U)[0] == pytest.approx(1.0, abs=1e-13)
+        assert cones._separation_bound(U, U.T @ U, V=U)[0] == pytest.approx(1.0, abs=1e-13)
 
     @pytest.mark.parametrize("theta", [2e-6, 3e-6, 5e-6, 1e-5])
     @pytest.mark.parametrize("seed", range(4))
@@ -588,15 +603,15 @@ class TestSeparationBound:
         U = Q @ np.array([[math.cos(k * theta) for k in (0, 1, 2)],
                           [math.sin(k * theta) for k in (0, 1, 2)],
                           [0.0, 0.0, 0.0]])
-        bound = cones._separation_bound(U, U.T @ U)
+        bound = cones._separation_bound(U, U.T @ U, V=U)
         assert bound[1] <= 1e-12
         assert bound[0] > EXTREME_RESIDUAL_FACTOR and bound[2] > EXTREME_RESIDUAL_FACTOR
 
-    @pytest.mark.parametrize("A, tol, unscreened_calls", [
-        (np.eye(3), Tolerances(), 0),
-        (example_matrix("EX3_7").a, Tolerances(), 1),
+    @pytest.mark.parametrize("A, tol", [
+        (np.eye(3), Tolerances()),
+        (example_matrix("EX3_7").a, Tolerances()),
     ], ids=["identity", "EX3_7"])
-    def test_fully_separated_cone_skips_the_kernel(self, monkeypatch, A, tol, unscreened_calls):
+    def test_fully_separated_cone_skips_the_kernel(self, monkeypatch, A, tol):
         # the screen, not the planar certificates, settles EX3_7's four rays
         monkeypatch.setattr(cones, "_planar_certificates", lambda U, K: None)
         calls = []
@@ -604,12 +619,11 @@ class TestSeparationBound:
         monkeypatch.setattr(cones, "_batched_nnls", lambda *args: calls.append(1) or kernel(*args))
         report, W, residual = fit_rays(A, tol)
         assert calls == [] and report.m == A.shape[0]
-        # the same report with the screen off: the identity's three
-        # representatives form a basis, which settles them without the
-        # kernel; EX3_7's four rays in rank 3 go to the kernel
-        monkeypatch.setattr(cones, "_separation_bound", lambda U, K: np.zeros(K.shape[0]))
+        # the same report with the screen off: every representative goes
+        # to the kernel, in one call
+        monkeypatch.setattr(cones, "_separation_bound", lambda U, K, V: np.zeros(V.shape[1]))
         kernel_report, kernel_W, kernel_residual = fit_rays(A, tol)
-        assert len(calls) == unscreened_calls
+        assert len(calls) == 1
         assert list(kernel_report.extreme_indices) == extreme_indices_oracle(A, tol)
         assert report.extreme_indices == kernel_report.extreme_indices
         assert np.array_equal(W, kernel_W)
@@ -643,10 +657,11 @@ def debug_fields(caplog):
 
 
 class TestBasisCertificates:
-    """Cones that a basis settles without the extremality kernel: the
-    representatives form one (their distances from each other's span
-    bound the residuals), or the separated representatives do (solving on
-    them rebuilds every open one)."""
+    """Cones settled without the extremality kernel by a basis: the
+    representatives form one, which the screen along the isotropic
+    directions separates (its bounds are their distances from each
+    other's span), or the separated representatives do (solving on them
+    rebuilds every open one)."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -686,33 +701,39 @@ class TestBasisCertificates:
         assert list(report.extreme_indices) == extreme_indices_oracle(A)
         assert_w_fit_matches_oracle(A.a)
 
-    def test_identity_is_settled_by_its_basis(self, caplog, monkeypatch):
-        monkeypatch.setattr(cones, "_separation_bound", lambda U, K: np.zeros(K.shape[0]))
-        with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
-            report = extreme_rays(np.eye(3))
-        assert debug_fields(caplog) == [
-            ("_extreme_set", {"representatives": 3, "separated": 0, "basis": 3})
-        ]
-        assert report.extreme_indices == (0, 1, 2)
-
     def test_near_singular_basis_goes_to_the_kernel(self, caplog):
         # the third column lies 1e-8 off the plane of the first two, inside
-        # their cone: its distance from the others' span is below the
-        # extremality factor, so the kernel decides, and finds it inside
+        # their cone.  On a basis the screen's bound is each column's
+        # distance from the span of the others, and every column here lies
+        # within about 1.4e-8 of the others' span, below the extremality
+        # factor: nothing is separated, and the kernel decides all three,
+        # in one call, and finds the third inside
         M = np.column_stack([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-8 * math.sqrt(2.0)]])
-        assert cones._span_distance(M / np.linalg.norm(M, axis=0))[2] <= EXTREME_RESIDUAL_FACTOR
+        assert (span_distance(M / np.linalg.norm(M, axis=0)) <= EXTREME_RESIDUAL_FACTOR).all()
         with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
             report = cone_columns(M)[0]
         (_, screen), (name, ext) = debug_fields(caplog)[:2]
-        assert screen == {"representatives": 3, "separated": 2, "basis": 0}
-        assert name == "_batched_nnls" and ext["problems"] == 1
+        assert screen == {"representatives": 3, "separated": 0, "basis": 0}
+        assert name == "_batched_nnls" and ext["problems"] == 3
         assert list(report.extreme_indices) == screen_against_oracle(M)[1] == [0, 1]
+
+    def test_five_separated_rays_in_rank_four_skip_the_kernel(self, caplog):
+        # the isotropic directions separate all five rays of this cone
+        A = random_dn(5, 4, seed=0, style=GRAM_NONNEG)
+        with mock.patch.object(cones, "_batched_nnls", wraps=cones._batched_nnls) as kernel:
+            with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
+                report = extreme_rays(A)
+        assert kernel.call_count == 0
+        assert debug_fields(caplog) == [
+            ("_extreme_set", {"representatives": 5, "separated": 5, "basis": 0})
+        ]
+        assert list(report.extreme_indices) == extreme_indices_oracle(A) == [0, 1, 2, 3, 4]
 
     def test_separated_basis_missing_an_open_ray_goes_to_the_kernel(self, caplog):
         # five rays in rank 4, four of them separated: the fifth is not in
         # their cone, so solving on them leaves it unbuilt and the kernel
         # decides every open representative
-        A = random_dn(5, 4, seed=0, style=GRAM_NONNEG)
+        A = random_dn(5, 4, seed=15, style=GRAM_NONNEG)
         with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
             report = extreme_rays(A)
         (_, screen), (name, ext) = debug_fields(caplog)
@@ -722,20 +743,142 @@ class TestBasisCertificates:
         assert list(report.extreme_indices) == extreme_indices_oracle(A)
 
 
+def planted_general_cone(data):
+    """``random_dn`` of rank 4-8 in any style, of order rank + 1 to five
+    times the rank, with columns planted on its rank factor ``B``:
+    near-duplicates ``(1 + s) b_j - s b_i`` (just outside the cone, next
+    to ``b_j``) or ``b_j + s b_i`` (inside it), and near-midpoints ``(b_i
+    + b_j) / 2`` moved by ``s`` away from or toward a third column, with
+    ``s`` from 1e-13 to 1e-6; then scaled by 1e-12 to 1e12 and permuted.
+    The Gram matrix of the planted factor, or ``None`` when it is not DN."""
+    style = data.draw(st.sampled_from(RANDOM_STYLES))
+    r = data.draw(st.integers(min_value=4, max_value=8))
+    n = data.draw(st.integers(min_value=r + 1, max_value=5 * r))
+    seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
+    B = sr_factor(random_dn(n, r, seed=seed, style=style))
+    rng = np.random.default_rng(seed)
+    cols = list(B.T)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
+        kind = data.draw(st.sampled_from(["duplicate", "midpoint"]))
+        sign = data.draw(st.sampled_from([1.0, -1.0]))
+        s = 10.0 ** data.draw(st.floats(min_value=-13.0, max_value=-6.0))
+        i, j, k = rng.choice(n, 3, replace=False)
+        if kind == "duplicate":
+            cols.append(B[:, j] + s * B[:, i] if sign > 0 else (1.0 + s) * B[:, j] - s * B[:, i])
+        else:
+            cols.append((1.0 + s) * (B[:, i] + B[:, j]) / 2.0 + sign * s * B[:, k])
+    F = np.column_stack(cols)
+    A = 10.0 ** data.draw(st.floats(min_value=-12.0, max_value=12.0)) * (F.T @ F)
+    perm = rng.permutation(A.shape[0])
+    A = A[np.ix_(perm, perm)]
+    return A if classify_dn(A).is_dn else None
+
+
+def least_squares_distances(U):
+    """Distance of each column of the square ``U`` from the span of the
+    others."""
+    dist = np.ones(U.shape[1])
+    for j in range(U.shape[1]):
+        others = np.delete(U, j, axis=1)
+        if others.shape[1]:
+            x = np.linalg.lstsq(others, U[:, j], rcond=None)[0]
+            dist[j] = np.linalg.norm(U[:, j] - others @ x)
+    return dist
+
+
+class TestIsotropicScreen:
+    """The screen of ``_extreme_set`` outside the planar stage: the
+    separation bound along each column's isotropic direction ``(U
+    U^T)^-1 u_j``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.floats(min_value=-9.0, max_value=0.0),
+        st.floats(min_value=-12.0, max_value=12.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # a column 2.1e-7 from the others' span, which directions solved
+    # through U U^T (cond(U)^2 = 4e16) left below the factor
+    @example(6, -8.0, 0.0, 1)
+    def test_square_unit_bases(self, d, log_offset, log_scale, seed):
+        # from an orthonormal basis (offset 1) to one whose column j0 lies
+        # 1e-9 off the span of the others, which are orthonormal; columns
+        # scaled and permuted.  On a basis the bound is the span distance
+        # wherever the directions come out accurate.  Where cond(U)^2
+        # nears 1 / eps they do not, and the bound, still a Farkas bound,
+        # may exceed the span distance of a column far from the others'
+        # cone (their span passes near it, their cone does not)
+        rng = np.random.default_rng(seed)
+        Q = rotate.random_orthogonal(d, rng)
+        M = Q.copy()
+        if d > 1:
+            j0 = int(rng.integers(d))
+            w = rng.uniform(0.0, 1.0, d - 1)
+            offset = 10.0**log_offset
+            M[:, j0] = (math.sqrt(1.0 - offset**2) * (np.delete(Q, j0, axis=1) @ w) / np.linalg.norm(w)
+                        + offset * Q[:, j0])
+        M = 10.0**log_scale * M[:, rng.permutation(d)] * rng.uniform(0.5, 2.0, d)
+        U = M / np.linalg.norm(M, axis=0)
+        V = cones._isotropic_directions(U)
+        bound = np.zeros(d) if V is None else cones._separation_bound(U, U.T @ U, V)
+        certified = bound > EXTREME_RESIDUAL_FACTOR
+        assert certified[span_distance(U) > 2.0 * EXTREME_RESIDUAL_FACTOR].all()
+        assert np.all(bound <= nnls_distances(U) + 1e-12)
+        if np.linalg.cond(U) ** 2 * np.finfo(float).eps < 1e-8:
+            span = least_squares_distances(U)
+            assert np.allclose(bound, span, rtol=1e-6, atol=1e-12)
+            assert not certified[span < EXTREME_RESIDUAL_FACTOR].any()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_certified_columns_are_extreme_on_general_cones(self, data):
+        A = planted_general_cone(data)
+        assume(A is not None)
+        B = sr_factor(A)
+        reps = np.array(duplicate_rays_loop(B)[0], dtype=int)
+        U = B[:, reps] / np.linalg.norm(B[:, reps], axis=0)
+        V = cones._isotropic_directions(U)
+        assume(V is not None)
+        bound = cones._separation_bound(U, U.T @ U, V)
+        assert np.all(bound <= nnls_distances(U) + 1e-12)
+        certified = reps[bound > EXTREME_RESIDUAL_FACTOR].tolist()
+        assert set(certified) <= set(extreme_indices_oracle(A))
+
+    @pytest.mark.parametrize("tiny", [1e-155, 1e-160])
+    @pytest.mark.parametrize("M", [
+        np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 2.0, 5.0]]),
+        np.array([[1.0, 0.0, 0.0, 1.0, 0.5], [0.0, 1.0, 0.0, 1.0, 0.3],
+                  [0.0, 0.0, 1.0, 1.0, 0.2], [1.0, 2.0, 3.0, 5.0, 1.0]]),
+    ], ids=["basis", "general"])
+    def test_directions_that_overflow_leave_the_cone_to_the_kernel(self, caplog, M, tiny):
+        # a last row of about 1e-155 leaves U U^T nonsingular to LAPACK,
+        # but the directions overflow (or come out NaN): no representative
+        # is separated, no RuntimeWarning is raised, and the kernel decides
+        M = M.copy()
+        M[-1] *= tiny
+        U = M / np.linalg.norm(M, axis=0)
+        assert cones._isotropic_directions(U) is None
+        with caplog.at_level(logging.DEBUG, logger="cprank.cones"):
+            extreme = cones._extreme_set(M, Tolerances())[0]
+        assert debug_fields(caplog)[0][1]["separated"] == 0
+        assert extreme == screen_against_oracle(M)[1]
+
+
 class TestSpanDistance:
-    """``_span_distance`` bounds each unit column's distance from the span
-    of the others from below."""
+    """The reference ``span_distance`` bounds each unit column's distance
+    from the span of the others from below."""
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_orthonormal_columns_are_a_unit_apart(self, d):
-        dist = cones._span_distance(rotate.random_orthogonal(d, np.random.default_rng(d)))
+        dist = span_distance(rotate.random_orthogonal(d, np.random.default_rng(d)))
         assert (dist <= 1.0).all() and (dist >= 1.0 - 1e-12).all()
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_bounds_the_least_squares_distance(self, d):
         U = np.random.default_rng(d).uniform(0.0, 1.0, (d, d)) + np.eye(d)
         U /= np.linalg.norm(U, axis=0)
-        dist = cones._span_distance(U)
+        dist = span_distance(U)
         for j in range(d):
             others = np.delete(U, j, axis=1)
             x = np.linalg.lstsq(others, U[:, j], rcond=None)[0]
@@ -745,7 +888,7 @@ class TestSpanDistance:
     def test_singular_basis_has_no_distance(self, recwarn):
         # a zero row makes the inverse fail outright: every bound is 0
         U = np.column_stack([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        assert np.array_equal(cones._span_distance(U), np.zeros(3))
+        assert np.array_equal(span_distance(U), np.zeros(3))
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -837,7 +980,7 @@ class TestPlanarCertificates:
             assert kernel.call_count == 0
             ((_, fields),) = debug_fields(caplog)
             reps = fields["representatives"]
-            if reps > 3:  # a Soules cone has three rays, which a basis settles
+            if reps > 3:  # a Soules cone has three rays, which the screen settles
                 assert fields == {"representatives": reps, "separated": 0, "basis": 0, "planar": reps}
             assert list(report.extreme_indices) == extreme_indices_oracle(A)
 

@@ -27,6 +27,7 @@ from cprank import (
     extreme_rays,
     fit_rays,
     make_certificate,
+    psd_rank,
     verify_certificate,
     write_report,
 )
@@ -256,3 +257,23 @@ def test_extreme_rays_invariant_under_diagonal_scaling(style, r, extra, seed, d_
     assume(clear_of_rank_threshold(A) and clear_of_rank_threshold(DAD))
     base, scaled = extreme_rays(A), extreme_rays(DAD)
     assert (scaled.m, scaled.extreme_indices) == (base.m, base.extreme_indices)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(RANDOM_STYLES),
+    st.integers(min_value=4, max_value=8),
+    st.data(),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_general_cone_rays_invariant_under_diagonal_scaling(style, r, data, seed, d_seed):
+    # the same invariance on general cones of rank 4-8, whose rays the
+    # isotropic screen and the kernel decide, with d_i log-uniform in
+    # [1/10, 10]; wider scalings change the rank and, with it, the rays
+    n = data.draw(st.integers(min_value=r + 1, max_value=5 * r))
+    A = np.array(random_dn(n, r, seed=seed, style=style).a)
+    d = 10.0 ** np.random.default_rng(d_seed).uniform(-1.0, 1.0, size=n)
+    DAD = d[:, None] * A * d
+    assume(psd_rank(A).rank == psd_rank(DAD).rank)
+    assert extreme_rays(DAD).extreme_indices == extreme_rays(A).extreme_indices

@@ -16,7 +16,11 @@ The trees also analyse one fixed family outside the pools, printed on a
 line of its own as ``rank3_large_n``: ``random_dn`` of rank 3 in every
 style at orders 100, 200 and 400, seeds 0-4, at the default config.  No
 pool holds a ``GRAM_NONNEG`` or ``ROTATED_NONNEG`` matrix of rank 3 above
-order 32, and the extreme-ray step costs the most at large orders.
+order 32, and the extreme-ray step costs the most at large orders.  A
+second fixed family, printed as ``rank4_8_general``, is ``random_dn`` of
+ranks 4-8 in every style at orders ``r + 1``, ``2r``, ``4r`` and 60,
+seeds 0-2, with the heuristic on: general cones (more columns than the
+rank) above the orders the pools hold at those ranks.
 
 Per workload and seed the tool prints the number of instances and how many
 reports differ in meaning, split in two counts: in their decision (order,
@@ -48,6 +52,10 @@ SHOWN = 3
 # the fixed large-order rank-3 family: orders and seeds of random_dn
 LARGE_RANK3_ORDERS = (100, 200, 400)
 LARGE_RANK3_SEEDS = (0, 1, 2, 3, 4)
+# the fixed rank 4-8 family: ranks, seeds, and the largest order
+GENERAL_RANKS = range(4, 9)
+GENERAL_SEEDS = (0, 1, 2)
+GENERAL_MAX_ORDER = 60
 
 CHILD = """\
 import json, sys
@@ -71,6 +79,12 @@ with open({out!r}, "w") as out:
         for n in {orders!r}:
             for seed in {large_seeds!r}:
                 write(out, "rank3_large_n", f"{{style}}-n{{n}}-s{{seed}}", random_dn(n, 3, seed, style))
+    for style in RANDOM_STYLES:
+        for r in {ranks!r}:
+            for n in (r + 1, 2 * r, 4 * r, {max_order!r}):
+                for seed in {general_seeds!r}:
+                    write(out, "rank4_8_general", f"{{style}}-n{{n}}-r{{r}}-s{{seed}}",
+                          random_dn(n, r, seed, style), cprank.AnalysisConfig(heuristic=True))
 """
 
 
@@ -139,7 +153,8 @@ def run_tree(tree: Path, out: Path, seeds: list[int]) -> subprocess.Popen:
     if not (bench / "instances.py").is_file():
         raise SystemExit(f"report_diff: no bench/instances.py under {tree}")
     code = CHILD.format(bench=str(bench), out=str(out), seeds=seeds, orders=LARGE_RANK3_ORDERS,
-                        large_seeds=LARGE_RANK3_SEEDS)
+                        large_seeds=LARGE_RANK3_SEEDS, ranks=tuple(GENERAL_RANKS),
+                        general_seeds=GENERAL_SEEDS, max_order=GENERAL_MAX_ORDER)
     return subprocess.Popen([sys.executable, "-c", code])
 
 
