@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--restarts", type=int, default=200,
                         help="restart budget for rotation searches")
     search.add_argument("--heuristic", action="store_true",
-                        help="attempt rotation certificates for rank 5 and up")
+                        help="search a rotation certificate for any input left unsettled, at every rank")
 
     sub.add_parser("analyze", parents=[common, search], help="run the full decision cascade")
     sub.add_parser("factor", parents=[common, search], help="report only the certificate")

@@ -77,7 +77,8 @@ def _batched_nnls(K: np.ndarray, C: np.ndarray, allowed: np.ndarray) -> np.ndarr
     11, 1997): add the open column of largest positive gradient to the
     passive set, solve the normal equations on it, and step back toward
     the feasible point while a passive coefficient is not positive, until
-    no gradient exceeds ``1e-11 * max|G^T b_i|``.  A column whose own
+    no gradient exceeds the roundoff ``64 eps max|G^T b_i|`` (a larger stop
+    misfits near-parallel columns) or ``3k + 30`` rounds.  A column whose own
     coefficient comes out nonpositive when it enters is rejected, and
     stays closed until that problem's ``x`` moves.  The state of the loop
     (targets, iterates, passive and open columns) is kept compacted to
@@ -94,7 +95,8 @@ def _batched_nnls(K: np.ndarray, C: np.ndarray, allowed: np.ndarray) -> np.ndarr
     """
     q, k = C.shape
     allowed = allowed & (K.diagonal() > 0.0)
-    dual_tol = 1e-11 * np.maximum.reduce(np.abs(np.where(allowed, C, 0.0)), axis=1, initial=0.0)
+    dual_tol = 64.0 * _EPS * np.maximum.reduce(
+        np.abs(np.where(allowed, C, 0.0)), axis=1, initial=0.0)
     X = np.zeros((q, k))
     solves = 0
     live = rows = np.arange(q)
@@ -412,7 +414,7 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray]
     extreme when nonnegative least squares cannot reconstruct it from the
     others.  The collapse runs only when some pair of columns lies within
     ``DUPLICATE_RAY_COS_GAP``; otherwise every nonzero column represents
-    its own ray.
+    its own ray.  A lone representative is extreme without a screen.
 
     When ``M`` has three rows and more than three representatives, the
     cross-section of their cone settles them (:func:`_planar_certificates`):
@@ -470,6 +472,8 @@ def _extreme_set(M: np.ndarray, tol: Tolerances) -> tuple[list[int], np.ndarray]
         rep_of[nonzero] = nonzero[np.where(is_rep, np.arange(nonzero.size), hits.argmax(axis=1))]
         own = is_rep.nonzero()[0]
         reps, Kr, U = nonzero[own], cos[own[:, None], own], U[:, own]
+    if reps.size == 1:  # a lone ray is extreme without a bound
+        return reps.tolist(), rep_of
 
     d = U.shape[0]
     planar = _planar_certificates(U, Kr) if d == 3 < reps.size else None

@@ -4,7 +4,8 @@
 settles on a verdict: the first definitive outcome in cascade order wins,
 cheap constructive wins go before combinatorial search, and the exact
 triangle-free criterion always runs, so its negative verdicts are never
-missed.
+missed.  With ``heuristic`` on, every input left unsettled, whatever its
+rank, gets one rotation search of its extreme block at rank many rows.
 ``UNDECIDED`` is an honest terminal state; outside the covered cases no
 complete decision procedure exists.
 """
@@ -151,14 +152,14 @@ def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> Analysi
     Order: DN classification, the row-sum construction, the extreme-ray
     report and the few-rays factorization of its extreme block, the
     triangle-free criterion and Kaykobad's factorization, and optionally
-    a heuristic rotation of the same extreme block for rank 5 and up.
-    The few-rays factorization is the guaranteed rotation certificate:
-    rank at most 2, rank 3 with three extreme rays, full rank at order at
-    most 4 and an nnq basis at rank at most 4 all leave at most 4 extreme
-    rays.  The triangle-free criterion is the one graph step: it is exact
-    on every cycle of order at least 4, so its ``NOT_CP`` is the only
-    negative graph verdict, and a ``NOT_CP`` report carries no bounds
-    and no certificate.
+    a heuristic rotation of the same block at rank many rows, at every
+    rank.  The few-rays factorization is the guaranteed rotation
+    certificate: rank at most 2, rank 3 with three extreme rays, full
+    rank at order at most 4 and an nnq basis at rank at most 4 all leave
+    at most 4 extreme rays.  The triangle-free criterion is the one graph
+    step: it is exact on every cycle of order at least 4, so its
+    ``NOT_CP`` is the only negative graph verdict, and a ``NOT_CP``
+    report carries no bounds and no certificate.
     Every step runs on the input; its rank factor is exactly zero on
     the zero rows that ``deflate_zero_rows`` lists.
     Every step is logged even after the verdict is settled.
@@ -293,14 +294,9 @@ def _heuristic_step(cas: _Cascade) -> None:
     if not cas.config.heuristic:
         cas.step("heuristic_rotation", "DISABLED", {}, t0)
         return
-    if cas.rank <= 4:
-        cas.step("heuristic_rotation", "SKIPPED", {"reason": "rank at most 4 is covered"}, t0)
-        return
-    if cas.terminal == CP_RANK_EQ_RANK:
-        cas.step("heuristic_rotation", "SKIPPED", {"reason": "already certified"}, t0)
-        return
-    if cas.terminal in (NOT_CP, NOT_IN_CP_N_R):
-        cas.step("heuristic_rotation", "SKIPPED", {"reason": "negative verdict settled"}, t0)
+    if cas.terminal is not None:  # NOT_DN never reaches the step
+        reason = "already certified" if cas.terminal == CP_RANK_EQ_RANK else "negative verdict settled"
+        cas.step("heuristic_rotation", "SKIPPED", {"reason": reason}, t0)
         return
     cert = rotate._rays_rotation(
         cas.S, cas.rays, cas.rank, "heuristic_rotation", cas.tol, cas.config.seed, cas.config.restarts

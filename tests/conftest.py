@@ -307,12 +307,13 @@ def nnls(target, generators, tol=DEFAULT_TOL):
 def batched_nnls_reference(K: np.ndarray, C: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """The library's Lawson-Hanson kernel ``cones._batched_nnls`` as it
     stood before its numpy calls were cut: the code is copied unchanged
-    apart from the names, the DEBUG line with its solve count, and the
-    seeded start the kernel no longer has, so that a property test can
-    hold the library's kernel to it bit for bit."""
+    apart from the names, the DEBUG line with its solve count, the
+    seeded start the kernel no longer has, and the roundoff stop the
+    kernel took later, so that a property test can hold the library's
+    kernel to it bit for bit."""
     q, k = C.shape
     allowed = allowed & (np.diag(K) > 0.0)
-    dual_tol = 1e-11 * np.abs(np.where(allowed, C, 0.0)).max(axis=1, initial=0.0)
+    dual_tol = 64.0 * np.finfo(float).eps * np.abs(np.where(allowed, C, 0.0)).max(axis=1, initial=0.0)
     X = np.zeros((q, k))
     P = np.zeros((q, k), dtype=bool)
     live = np.arange(q)
@@ -411,7 +412,7 @@ def active_set_nnls(G, b):
     col2 = np.einsum("ij,ij->j", G, G)
     usable = col2 > 0.0
     x = np.zeros(n)
-    dual_tol = 1e-11 * max(1.0, float(np.abs(G.T @ b).max(initial=0.0)))
+    dual_tol = 64.0 * np.finfo(float).eps * max(1.0, float(np.abs(G.T @ b).max(initial=0.0)))
     best_x = x.copy()
     best_resid = float(np.linalg.norm(b))
 

@@ -1147,6 +1147,60 @@ class TestPlanarCertificates:
         assert cones._extreme_set(M, Tolerances())[0] == extreme_by_supports(M)
 
 
+def near_parallel_cone(style, r, n, seed, angle, scale=1.0):
+    """``random_dn`` of order ``n`` and rank ``r``, with two copies of one
+    column ``b_j`` of its rank factor turned by ``+-angle`` about it in a
+    seeded plane appended: the Gram matrix of the widened factor, scaled,
+    and ``j``.  ``b_j`` is the midpoint of the copies, so it is no
+    extreme ray; above 1.5e-6 rad the copies are no duplicates of it."""
+    B = sr_factor(random_dn(n, r, seed=seed, style=style))
+    rng = np.random.default_rng(seed)
+    j = int(rng.integers(n))
+    b = B[:, j]
+    w = rng.standard_normal(r)
+    w -= (w @ b) / (b @ b) * b
+    w *= np.linalg.norm(b) / np.linalg.norm(w)
+    turned = [math.cos(angle) * b + sign * math.sin(angle) * w for sign in (1.0, -1.0)]
+    F = np.column_stack([B, *turned])
+    return scale * (F.T @ F), j
+
+
+class TestNearParallelColumns:
+    """The extremality kernel fits a column between two near-parallel
+    copies of itself to roundoff: a dual tolerance above roundoff stopped
+    it while the fit's residual still exceeded the extremality factor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(RANDOM_STYLES),
+        st.integers(min_value=4, max_value=6),
+        st.integers(min_value=1, max_value=15),
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.floats(min_value=math.log10(1.5e-6), max_value=-4.0),
+        st.floats(min_value=-6.0, max_value=6.0),
+    )
+    # a midpoint that the stop at 1e-11 max|G^T b| listed as extreme
+    @example(GRAM_NONNEG, 4, 1, 0, math.log10(1.5e-6), 0.0)
+    def test_the_midpoint_is_never_extreme(self, style, r, extra, seed, log_angle, log_scale):
+        A, j = near_parallel_cone(style, r, r + extra, seed, 10.0**log_angle, 10.0**log_scale)
+        assume(classify_dn(A).is_dn)
+        assert j not in extreme_rays(A).extreme_indices
+
+
+class TestLoneRay:
+    @pytest.mark.parametrize("v", [[0.0, 0.5, 2.0, 1.0], [3.0, 1e-3, 0.0, 7.0, 2.0]])
+    def test_a_single_representative_skips_the_screen(self, monkeypatch, v):
+        # every nonzero column of a rank-1 matrix spans the one ray, which
+        # is extreme without a separation bound or a solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lone ray needs no screen")
+
+        for name in ("_separation_bound", "_isotropic_directions", "_batched_nnls"):
+            monkeypatch.setattr(cones, name, refuse)
+        v = np.array(v)
+        assert extreme_rays(np.outer(v, v)).extreme_indices == (int(np.flatnonzero(v)[0]),)
+
+
 class TestFewRaysFactor:
     @pytest.mark.parametrize("restarts, seed", [(200, -1), (-1, 0)])
     def test_negative_seed_or_restarts_rejected(self, restarts, seed):

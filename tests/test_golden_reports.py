@@ -69,37 +69,37 @@ DIGESTS = {
     "EX3_7": "c46eb5384bdfe012e8b4b11acabe68b78f88096cb991ade999e4488d0eaf1a0f",
     "EX3_9": "e74a87ef23015779858f2baae77052c91f2c2779136a68e65a1933288cacf5ed",
     "GRAM_NONNEG-n5-r1-s105": "bdeca0d2aafedd7a4c2ec345c6db30f2ca69b62671fc6e4fa71b260e95637ca1",
-    "GRAM_NONNEG-n7-r1-s107-heuristic": "39c928a82a7a0b2a524ec0918269c69b1fbbb42d0dd02f35acbafee40c327d1e",
+    "GRAM_NONNEG-n7-r1-s107-heuristic": "05313310f533b503c0fa640c742e7de757121f27a892007dd2f9094a7ce039db",
     "GRAM_NONNEG-n6-r2-s206": "db410e5deb9fa7f8c22c452d24bdd517ebce09b55f5994f8d2bf3f3f533908a8",
-    "GRAM_NONNEG-n8-r2-s208-heuristic": "820e71a2d496657d4a37cb632027053f63b4b0a5a23a8ec0cd6b44df2a5478c9",
+    "GRAM_NONNEG-n8-r2-s208-heuristic": "56b420f9fdec106f9ae5c09684ca53b1042b51572e25ced5cd0d16a8f6e85245",
     "GRAM_NONNEG-n7-r3-s307": "bf8a9d70427d2a0893bfc29185e79c1accfa7c225fd99c6b6025edc416a2dd16",
-    "GRAM_NONNEG-n9-r3-s309-heuristic": "7dc8d4bada80c05ea267ca819a1f1c84c48e7eef5e852ee151f792b5bb188f45",
+    "GRAM_NONNEG-n9-r3-s309-heuristic": "b5467024fc554671dabdeca860eefbb189c5831783a18da0d9eb7b5b55f5d0ae",
     "GRAM_NONNEG-n8-r4-s408": "83a7b2d56d77095b026aae24e9a4a33eb3c83093e18738270c7d794e91ef5f2e",
-    "GRAM_NONNEG-n10-r4-s410-heuristic": "4524fb8b357d0cd0887c5e15133673dfec66b0c9474c8995b5abf7946a9ff768",
+    "GRAM_NONNEG-n10-r4-s410-heuristic": "93f895a084e9d8d199988399766c8c0ea45a5320eaab83874cfcc6a3da305a9b",
     "GRAM_NONNEG-n9-r5-s509": "276666e5c0246f569d817ab16ef66c272053cad6396e7667bcc153a118db1224",
     "GRAM_NONNEG-n11-r5-s511-heuristic": "0736c9a02dee6fbfb06fd66000fcd576a2fc477fa6c2aa04025a0f2c760665bb",
     "GRAM_NONNEG-n10-r6-s610": "a8f68886a9c9b44fd6e80f40b9a00e713785cba66afc6f18fe03ec5bb465c1d4",
     "GRAM_NONNEG-n12-r6-s612-heuristic": "e89234e220dba936d6178549900ff509008b83dccf9b61c1d56361a6d68d02ed",
     "ROTATED_NONNEG-n5-r1-s105": "0efbb5cce5299ac5825e12fde2017a5cc46c92634fee6d660710ecc061af0ce1",
-    "ROTATED_NONNEG-n7-r1-s107-heuristic": "4733b7e60514dd7a3b7679f3de29cfcdad9fa3ce83ae67caed6e5e95dd616349",
+    "ROTATED_NONNEG-n7-r1-s107-heuristic": "123fe3f25fea49fd8ccd3aadb9b48b81488b0dd70c899aed0e356cafd63bd234",
     "ROTATED_NONNEG-n6-r2-s206": "2741d39f451d820917d03552bd7e20234fcbc4bb98ecb8b4f0248290049dfeb9",
-    "ROTATED_NONNEG-n8-r2-s208-heuristic": "edb727033908298929a84122b9dc7d30b5c7a3b01690ab4e58e219a617c4e0f3",
+    "ROTATED_NONNEG-n8-r2-s208-heuristic": "ad231f36ece27e9a3a31fac7357cef0d2e8e2f889c0f00881f3aa7bb986068ac",
     "ROTATED_NONNEG-n7-r3-s307": "ff17418bc8fcfd09bad03e4e386b2790df070b16314d96704d332793404724f5",
-    "ROTATED_NONNEG-n9-r3-s309-heuristic": "60a5aefec67114c83fd5c5b12d5930f24376dd29754ea2eb9d5db6587022ce50",
+    "ROTATED_NONNEG-n9-r3-s309-heuristic": "cf5412cb436de87bc107a2945014415a1dbd4a28a32a8b9dacdb0cc7106bc470",
     "ROTATED_NONNEG-n8-r4-s408": "2d69f37dfea1c98620db1de3c28845b02a9710dcc5371a5b75cea736a87c1c94",
-    "ROTATED_NONNEG-n10-r4-s410-heuristic": "cba8d2074c0b41904a8350f3c21a90409fd0b10d000c906259cda218f0b427b2",
+    "ROTATED_NONNEG-n10-r4-s410-heuristic": "f365c48c7bd4635be6432c1274ffb10dbbdf22b8f72075277f977f131fe5f953",
     "ROTATED_NONNEG-n9-r5-s509": "eaeb9220261d57b1c54f12649ce12b9af465583b424dff926eefc4ca3b305e68",
     "ROTATED_NONNEG-n11-r5-s511-heuristic": "707f687900221d26c8deab293252dc0ca2666d133a72c25d7dbecd8320635f74",
     "ROTATED_NONNEG-n10-r6-s610": "0cdc5d385f3c085e0611b9b06749407a02984c3773559da86f642e880a68ced3",
     "ROTATED_NONNEG-n12-r6-s612-heuristic": "3ba00c57822e2cce07b3bf902c88f9bf52fca02667f431c84e37be72dfe2b4e7",
     "SOULES-n5-r1-s105": "270197ad21e5a0a55a5b0961eec044e5a52d14e3ae78090ed3ada771f5cda9a2",
-    "SOULES-n7-r1-s107-heuristic": "190431fff75a0d090da09020da4f649d82f8d86fe8f41636c53738a942e03ec5",
+    "SOULES-n7-r1-s107-heuristic": "6dc64a0bc8b343c3057d853a8ff0fb2f6fd36c3be2017ec90daba75de0d720f8",
     "SOULES-n6-r2-s206": "a04a98584ced8c90f2223da84c5f9983c7f02c531bc6b19f64e884b61e297a20",
-    "SOULES-n8-r2-s208-heuristic": "31d8f20f7ad968c44e154534676b028e25646e597517b6be903f4adfb849d25c",
+    "SOULES-n8-r2-s208-heuristic": "b80e32915f18f767c9676252819f15f4da76fd61f6175f92868cd9d8fb510b2a",
     "SOULES-n7-r3-s307": "d132ea9063ea8c83e9efa67df30183f90f75dd7fac688fef751936a0823fea4d",
-    "SOULES-n9-r3-s309-heuristic": "cff8be96e69a1f7300bd12d8b30df0e8031ca20123fbd3926c100ac1171d0fd9",
+    "SOULES-n9-r3-s309-heuristic": "903159711ac461142b0263beefefc10a0d980c8581b2c72021266aece7abde2e",
     "SOULES-n8-r4-s408": "731dc014cb985891eae0640b5dd430c7bfe2333e3ca08dd9aaf6727858f07f5c",
-    "SOULES-n10-r4-s410-heuristic": "6d51a40d766b2508fb559ea4412a12e76fb4be203a7abe63e90f2557d51d3338",
+    "SOULES-n10-r4-s410-heuristic": "871ca254c11f3aff50d189eab762437026dae88753a835755348c1a9af0d027e",
     "SOULES-n9-r5-s509": "b8e7e84454b93130c2b4c24305e519c68c88f629cd115a2802f27102b69137d7",
     "SOULES-n11-r5-s511-heuristic": "5d4e12aa937078d67337e7da3ed992aa59689eae80fd62f87ecd12192cf84f56",
     "SOULES-n10-r6-s610": "88543cae63b7ecd1d5b0fe9fdcc059e7b538b71d92221acc20d68835d53853ae",

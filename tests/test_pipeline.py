@@ -202,6 +202,18 @@ class TestAnalyzeVerdicts:
         bounds = (report.cp_rank_lower, report.cp_rank_upper)
         assert bounds == (base.cp_rank_lower, base.cp_rank_upper)
 
+    def test_kaykobad_factor_that_fails_verification_is_reported(self):
+        # at eps_nonneg = 1e-4 the row margins 3e-5 and 6e-5 count as
+        # equality, so Kaykobad's construction applies, and its residual
+        # exceeds eps_residual; the few-rays step certifies the matrix
+        A = np.array([[1.0, 0.5, 0.49997], [0.5, 1.0, 0.49997], [0.49997, 0.49997, 1.0]])
+        report = analyze(A, AnalysisConfig(tol=Tolerances(eps_nonneg=1e-4)))
+        kaykobad = step(report, "kaykobad")
+        assert kaykobad.outcome == "FAILED_VERIFICATION"
+        assert kaykobad.details["residual"] > DEFAULT_TOL.eps_residual
+        assert report.verdict == CP_RANK_EQ_RANK
+        assert report.certificate.method_tag == "few_rays"
+
     def test_zero_diagonal_rows_deflated(self):
         A = np.zeros((4, 4))
         A[0, 0], A[2, 2], A[0, 2], A[2, 0] = 2.0, 2.0, 1.0, 1.0
@@ -414,6 +426,23 @@ class TestHeuristicRotation:
         assert step(report, "heuristic_rotation").outcome == "CERTIFICATE(rows=5)"
         assert report.certificate.method_tag == "heuristic_rotation"
         assert_rotates_the_rank_factor(A, report.certificate, 5)
+
+    @pytest.mark.parametrize("style, r, n, seed", [
+        (GRAM_NONNEG, 3, 7, 0), (ROTATED_NONNEG, 3, 6, 5),
+        (GRAM_NONNEG, 4, 7, 0), (ROTATED_NONNEG, 4, 7, 5),
+    ])
+    def test_certifies_rank_3_and_4_cones_with_more_than_four_rays(self, style, r, n, seed):
+        # no guaranteed step covers these cones, and the heuristic step
+        # searches them at every rank
+        A = random_dn(n, r, seed=seed, style=style)
+        base = analyze(A)
+        assert base.verdict == UNDECIDED
+        assert step(base, "extreme_rays").details["m"] > rotate.FEW_RAYS_MAX
+        report = analyze(A, AnalysisConfig(heuristic=True))
+        assert report.verdict == CP_RANK_EQ_RANK
+        assert step(report, "heuristic_rotation").outcome == f"CERTIFICATE(rows={r})"
+        assert report.certificate.rows == r
+        assert_rotates_the_rank_factor(A, report.certificate, r)
 
     @settings(max_examples=100, deadline=None)
     @given(

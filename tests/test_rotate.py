@@ -349,6 +349,17 @@ class TestSmallOrthantRotation:
         Q2 = orthant_rotation_search(B, seed=5)
         assert np.array_equal(Q1, Q2)
 
+    def test_one_dimensional_family_reflects_or_refuses(self, caplog):
+        # in dimension 1 the only rotations are +-1: an all-negative row
+        # is reflected, a row of both signs has no rotation, and neither
+        # runs a restart
+        with caplog.at_level(logging.DEBUG, logger="cprank.rotate"):
+            Q = orthant_rotation_search(np.array([[-1.0, -2.0, -0.5]]))
+            assert "outcome=reflection restarts=0 steps=0" in caplog.records[-1].getMessage()
+            assert orthant_rotation_search(np.array([[-1.0, 2.0, -0.5]])) is None
+            assert "outcome=none restarts=0 steps=0" in caplog.records[-1].getMessage()
+        assert np.array_equal(Q, [[-1.0]])
+
     def test_empty_input_returns_the_empty_rotation(self):
         Q = orthant_rotation_search(np.zeros((0, 0)))
         assert Q is not None

@@ -20,7 +20,17 @@ order 32, and the extreme-ray step costs the most at large orders.  A
 second fixed family, printed as ``rank4_8_general``, is ``random_dn`` of
 ranks 4-8 in every style at orders ``r + 1``, ``2r``, ``4r`` and 60,
 seeds 0-2, with the heuristic on: general cones (more columns than the
-rank) above the orders the pools hold at those ranks.
+rank) above the orders the pools hold at those ranks.  A third, printed
+as ``rank3_4_heuristic``, is ``random_dn`` of ranks 3 and 4 in every
+style at orders ``r + 2``, ``2r``, ``4r`` and 20, seeds 0-2, with the
+heuristic on: the cones of more than four rays that no guaranteed step
+covers.  A fourth, printed as ``near_parallel``, widens the rank factor
+``B`` of ``random_dn`` of ranks 4-6 in every style at orders ``r + 1``,
+``2r`` and ``4r``, seeds 0-2, by two copies of one column ``b_j`` turned
+by ``+-angle`` about it (angles 1.5e-6 to 1e-4 rad), and analyses the
+Gram matrix of the result at the default config: ``b_j`` is the
+midpoint of the copies, so it is no extreme ray, and an NNLS stop short
+of the optimum lists it as one.
 
 Per workload and seed the tool prints the number of instances and how many
 reports differ in meaning, split in two counts: in their decision (order,
@@ -56,11 +66,20 @@ LARGE_RANK3_SEEDS = (0, 1, 2, 3, 4)
 GENERAL_RANKS = range(4, 9)
 GENERAL_SEEDS = (0, 1, 2)
 GENERAL_MAX_ORDER = 60
+# the fixed rank 3-4 heuristic family: ranks, seeds, and the largest order
+HEURISTIC_RANKS = (3, 4)
+HEURISTIC_SEEDS = (0, 1, 2)
+HEURISTIC_MAX_ORDER = 20
+# the fixed near-parallel family: ranks, seeds, and turning angles (rad)
+NEAR_PARALLEL_RANKS = (4, 5, 6)
+NEAR_PARALLEL_SEEDS = (0, 1, 2)
+NEAR_PARALLEL_ANGLES = (1.5e-6, 3e-6, 1e-5, 1e-4)
 
 CHILD = """\
-import json, sys
+import json, math, sys
 sys.path.insert(0, {bench!r})
 import instances
+import numpy as np
 import cprank
 from cprank.fixtures import RANDOM_STYLES, random_dn
 
@@ -85,6 +104,26 @@ with open({out!r}, "w") as out:
                 for seed in {general_seeds!r}:
                     write(out, "rank4_8_general", f"{{style}}-n{{n}}-r{{r}}-s{{seed}}",
                           random_dn(n, r, seed, style), cprank.AnalysisConfig(heuristic=True))
+    for style in RANDOM_STYLES:
+        for r in {heuristic_ranks!r}:
+            for n in (r + 2, 2 * r, 4 * r, {heuristic_max_order!r}):
+                for seed in {heuristic_seeds!r}:
+                    write(out, "rank3_4_heuristic", f"{{style}}-n{{n}}-r{{r}}-s{{seed}}",
+                          random_dn(n, r, seed, style), cprank.AnalysisConfig(heuristic=True))
+    for style in RANDOM_STYLES:
+        for r in {near_ranks!r}:
+            for n in (r + 1, 2 * r, 4 * r):
+                for seed in {near_seeds!r}:
+                    B = cprank.sr_factor(random_dn(n, r, seed, style))
+                    rng = np.random.default_rng(seed)
+                    b = B[:, int(rng.integers(n))]
+                    w = rng.standard_normal(r)
+                    w -= (w @ b) / (b @ b) * b
+                    w *= np.linalg.norm(b) / np.linalg.norm(w)
+                    for angle in {near_angles!r}:
+                        F = np.column_stack([B, math.cos(angle) * b + math.sin(angle) * w,
+                                             math.cos(angle) * b - math.sin(angle) * w])
+                        write(out, "near_parallel", f"{{style}}-n{{n}}-r{{r}}-s{{seed}}-a{{angle:g}}", F.T @ F)
 """
 
 
@@ -154,7 +193,10 @@ def run_tree(tree: Path, out: Path, seeds: list[int]) -> subprocess.Popen:
         raise SystemExit(f"report_diff: no bench/instances.py under {tree}")
     code = CHILD.format(bench=str(bench), out=str(out), seeds=seeds, orders=LARGE_RANK3_ORDERS,
                         large_seeds=LARGE_RANK3_SEEDS, ranks=tuple(GENERAL_RANKS),
-                        general_seeds=GENERAL_SEEDS, max_order=GENERAL_MAX_ORDER)
+                        general_seeds=GENERAL_SEEDS, max_order=GENERAL_MAX_ORDER,
+                        heuristic_ranks=HEURISTIC_RANKS, heuristic_seeds=HEURISTIC_SEEDS,
+                        heuristic_max_order=HEURISTIC_MAX_ORDER, near_ranks=NEAR_PARALLEL_RANKS,
+                        near_seeds=NEAR_PARALLEL_SEEDS, near_angles=NEAR_PARALLEL_ANGLES)
     return subprocess.Popen([sys.executable, "-c", code])
 
 
