@@ -79,13 +79,13 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
     return Tolerances(**kwargs) if kwargs else DEFAULT_TOL
 
 
-def _config(args: argparse.Namespace) -> pipeline.AnalysisConfig:
-    return pipeline.AnalysisConfig(
-        tol=_tolerances(args),
-        seed=args.seed,
-        restarts=args.restarts,
-        heuristic=args.heuristic,
-    )
+def _analysis(args: argparse.Namespace) -> pipeline.AnalysisReport:
+    """Read the input and run the cascade, both at one ``Tolerances``."""
+    tol = _tolerances(args)
+    S = pipeline.read_matrix(args.input, args.format, tol)
+    config = pipeline.AnalysisConfig(tol=tol, seed=args.seed, restarts=args.restarts,
+                                     heuristic=args.heuristic)
+    return pipeline.analyze(S, config)
 
 
 def _emit(text: str) -> None:
@@ -95,15 +95,13 @@ def _emit(text: str) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    S = pipeline.read_matrix(args.input, args.format, _tolerances(args))
-    report = pipeline.analyze(S, _config(args))
+    report = _analysis(args)
     sys.stdout.write(pipeline.write_report(report, args.report).decode("utf-8"))
     return 2 if report.verdict == pipeline.UNDECIDED else 0
 
 
 def _cmd_factor(args) -> int:
-    S = pipeline.read_matrix(args.input, args.format, _tolerances(args))
-    report = pipeline.analyze(S, _config(args))
+    report = _analysis(args)
     cert = report.certificate
     if args.report == "json":
         doc = {"verdict": report.verdict}

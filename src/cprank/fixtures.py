@@ -4,7 +4,8 @@ The ``EX*`` matrices are the worked examples used throughout the test
 suite and the demos, keyed by opaque ids that are also part of the CLI
 ``gen`` surface.  The generators produce doubly nonnegative instances
 with a known rank, and the Soules construction produces matrices that are
-known to be completely positive with cp-rank equal to their rank.
+known to be completely positive with cp-rank equal to their rank.  Every
+matrix is built at the default tolerances.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationFailureError, InvalidInputError
-from .matcore import _SQRT_TINY, DEFAULT_TOL, SymmetricMatrix, Tolerances, frobenius_norm, psd_rank
+from .matcore import _SQRT_TINY, SymmetricMatrix, frobenius_norm, psd_rank
 from .rotate import check_counts, e_cone_threshold, random_orthogonal
 
 __all__ = [
@@ -125,7 +126,7 @@ SOULES = "SOULES"
 RANDOM_STYLES = (GRAM_NONNEG, ROTATED_NONNEG, SOULES)
 
 
-def example_matrix(fixture_id: str, tol: Tolerances = DEFAULT_TOL) -> SymmetricMatrix:
+def example_matrix(fixture_id: str) -> SymmetricMatrix:
     """Bundled reference matrix by id (see ``EXAMPLE_IDS``)."""
     try:
         entries = _MATRICES[fixture_id]
@@ -133,7 +134,7 @@ def example_matrix(fixture_id: str, tol: Tolerances = DEFAULT_TOL) -> SymmetricM
         raise InvalidInputError(
             f"unknown fixture id {fixture_id!r}; valid ids: {', '.join(EXAMPLE_IDS)}"
         ) from None
-    return SymmetricMatrix(np.array(entries, dtype=float), tol)
+    return SymmetricMatrix(np.array(entries, dtype=float))
 
 
 def example_factor(factor_id: str) -> np.ndarray:
@@ -196,11 +197,7 @@ def soules_basis(w: np.ndarray | list[float]) -> SoulesBasis:
     return SoulesBasis(S=S, w=unit)
 
 
-def soules_cp(
-    w: np.ndarray | list[float],
-    d: np.ndarray | list[float],
-    tol: Tolerances = DEFAULT_TOL,
-) -> SymmetricMatrix:
+def soules_cp(w: np.ndarray | list[float], d: np.ndarray | list[float]) -> SymmetricMatrix:
     """Known completely positive matrix ``S diag(d) S^T`` with cp-rank
     equal to its rank ``#{d_i > 0}``; requires ``d`` nonnegative and
     non-increasing."""
@@ -214,16 +211,10 @@ def soules_cp(
         raise InvalidInputError(
             f"length mismatch: {d.shape[0]} weights for order {basis.S.shape[0]}"
         )
-    return SymmetricMatrix((basis.S * d[None, :]) @ basis.S.T, tol)
+    return SymmetricMatrix((basis.S * d[None, :]) @ basis.S.T)
 
 
-def random_dn(
-    n: int,
-    r: int,
-    seed: int = 0,
-    style: str = GRAM_NONNEG,
-    tol: Tolerances = DEFAULT_TOL,
-) -> SymmetricMatrix:
+def random_dn(n: int, r: int, seed: int = 0, style: str = GRAM_NONNEG) -> SymmetricMatrix:
     """Seeded random DN instance of order ``n`` and rank ``r``.
 
     ``GRAM_NONNEG`` returns the Gram matrix of a random nonnegative
@@ -244,7 +235,7 @@ def random_dn(
     for _ in range(50):
         if style == GRAM_NONNEG:
             G = rng.uniform(0.0, 1.0, size=(r, n))
-            A = SymmetricMatrix(G.T @ G, tol)
+            A = SymmetricMatrix(G.T @ G)
         elif style == ROTATED_NONNEG:
             cos = rng.uniform(e_cone_threshold(r), 1.0, size=n)
             radius = rng.uniform(0.5, 2.0, size=n)
@@ -257,12 +248,12 @@ def random_dn(
                 y = y / norm if norm > 0.0 else np.zeros(r)
                 Z[:, i] = radius[i] * (cos[i] * axis + np.sqrt(1.0 - cos[i] ** 2) * y)
             V = random_orthogonal(r, rng) @ Z
-            A = SymmetricMatrix(V.T @ V, tol)
+            A = SymmetricMatrix(V.T @ V)
         else:
             w = rng.uniform(0.2, 2.0, size=n)
             d = np.zeros(n)
             d[:r] = np.sort(rng.uniform(0.2, 3.0, size=r))[::-1]
-            A = soules_cp(w, d, tol)
-        if psd_rank(A, tol).rank == r:
+            A = soules_cp(w, d)
+        if psd_rank(A).rank == r:
             return A
     raise ComputationFailureError(f"failed to draw a rank-{r} instance after 50 attempts")

@@ -46,18 +46,21 @@ NOT_PSD = "NOT_PSD"
 DN = "DN"
 
 
-@dataclass(frozen=True)
+# asymmetry allowed on input matrices, relative to their largest entry
+# magnitude, before they are rejected instead of symmetrized
+EPS_SYM = 1e-8
+
+
+@dataclass(frozen=True, kw_only=True)
 class Tolerances:
     """Numerical slack used by every decision in the package.
 
     Every slack is relative to the scale of what it compares, so no
     decision changes when the matrix is multiplied by a positive factor.
+    Fields are keyword-only.
 
     Attributes
     ----------
-    eps_sym : float
-        Asymmetry allowed on input matrices, relative to their largest
-        entry magnitude, before they are rejected instead of symmetrized.
     eps_psd : float
         Eigenvalue slack relative to ``|lambda|_max`` when deciding
         positive semidefiniteness.
@@ -71,14 +74,13 @@ class Tolerances:
         Relative Frobenius residual allowed for factorization certificates.
     """
 
-    eps_sym: float = 1e-8
     eps_psd: float = 1e-9
     eps_rank: float = 1e-9
     eps_nonneg: float = 1e-9
     eps_residual: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("eps_sym", "eps_psd", "eps_rank", "eps_nonneg", "eps_residual"):
+        for name in ("eps_psd", "eps_rank", "eps_nonneg", "eps_residual"):
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
                 raise InvalidInputError(f"{name} must lie strictly between 0 and 1, got {value!r}")
@@ -98,7 +100,7 @@ class SymmetricMatrix:
     """An immutable dense symmetric matrix.
 
     Construction symmetrizes the input as ``(A + A^T) / 2`` provided the
-    relative asymmetry does not exceed ``tol.eps_sym``; larger asymmetry is
+    relative asymmetry does not exceed ``EPS_SYM``; larger asymmetry is
     rejected, and so are entries above ``sqrt(max float / n^3)``, where the
     row-sum condition would overflow, and a nonzero matrix whose largest
     entry is below ``sqrt(tiny float) / eps_residual``, where the squares
@@ -134,10 +136,10 @@ class SymmetricMatrix:
             raise InvalidInputError(
                 f"the largest entry of a nonzero matrix must be at least {floor:.3e} in magnitude"
             )
-        if defect > tol.eps_sym * scale:
+        if defect > EPS_SYM * scale:
             raise InvalidInputError(
                 f"matrix is not symmetric: asymmetry {defect:.3e} exceeds "
-                f"{tol.eps_sym:.1e} * {scale:.3e}"
+                f"{EPS_SYM:.1e} * {scale:.3e}"
             )
         a.flags.writeable = False
         self._a = a

@@ -76,7 +76,7 @@ class StepRecord:
     name: str
     outcome: str
     details: dict = field(default_factory=dict)
-    elapsed: float = 0.0  # seconds, reported in text output only
+    elapsed: float = 0.0  # seconds since the previous record, text output only
 
 
 @dataclass
@@ -93,9 +93,10 @@ class AnalysisReport:
 
 
 class _Cascade:
-    """Mutable state threaded through the analysis steps."""
+    """Mutable state threaded through the analysis steps; ``clock`` is the
+    time of the last record, the analysis start before the first."""
 
-    def __init__(self, S: SymmetricMatrix, config: AnalysisConfig, dn: str, rank: int):
+    def __init__(self, S: SymmetricMatrix, config: AnalysisConfig, dn: str, rank: int, clock: float):
         self.S = S
         self.config = config
         self.tol = config.tol
@@ -107,16 +108,19 @@ class _Cascade:
         self.terminal: str | None = None
         self.certificate: CpCertificate | None = None
         self.rays: cones.ConeReport | None = None
+        self.clock = clock
 
-    def step(self, name: str, outcome: str, details: dict | None = None, t0: float | None = None):
-        elapsed = time.perf_counter() - t0 if t0 is not None else 0.0
-        self.steps.append(StepRecord(name=name, outcome=outcome, details=details or {}, elapsed=elapsed))
+    def step(self, name: str, outcome: str, details: dict | None = None):
+        now = time.perf_counter()
+        self.steps.append(StepRecord(name=name, outcome=outcome, details=details or {},
+                                     elapsed=now - self.clock))
+        self.clock = now
 
     def settle(self, verdict: str) -> None:
         if self.terminal is None:
             self.terminal = verdict
 
-    def accept(self, cert: CpCertificate, name: str, t0: float, extra: dict | None = None) -> None:
+    def accept(self, cert: CpCertificate, name: str, extra: dict | None = None) -> None:
         """Verify a step's certificate, built on the input, and fold it
         into verdict and bounds.  ``extra`` details follow the
         verification's in the step record.
@@ -131,10 +135,10 @@ class _Cascade:
             **(extra or {}),
         }
         if not check.passed:
-            self.step(name, "FAILED_VERIFICATION", details, t0)
+            self.step(name, "FAILED_VERIFICATION", details)
             return
         self.fold(cert)
-        self.step(name, f"CERTIFICATE(rows={cert.rows})", details, t0)
+        self.step(name, f"CERTIFICATE(rows={cert.rows})", details)
 
     def fold(self, cert: CpCertificate) -> None:
         """Take a verified certificate of the input into the best
@@ -164,14 +168,13 @@ def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> Analysi
     the zero rows that ``deflate_zero_rows`` lists.
     Every step is logged even after the verdict is settled.
     """
+    start = time.perf_counter()
     tol = config.tol
     S = as_symmetric(A, tol)
-
-    t0 = time.perf_counter()
     dn = classify_dn(S, tol)
     rank = dn.rank if dn.is_dn else psd_rank(S, tol).rank
-    cas = _Cascade(S, config, dn.status, rank)
-    cas.step("classify_dn", dn.status if not dn.is_dn else f"DN({rank})", {"rank": rank}, t0)
+    cas = _Cascade(S, config, dn.status, rank, start)
+    cas.step("classify_dn", dn.status if not dn.is_dn else f"DN({rank})", {"rank": rank})
 
     if not dn.is_dn:
         cas.settle(NOT_DN)
@@ -218,7 +221,6 @@ def _finish(cas: _Cascade) -> AnalysisReport:
 
 
 def _rowsum_step(cas: _Cascade) -> None:
-    t0 = time.perf_counter()
     ok, data = rotate.rowsum_condition(cas.S, cas.rank, cas.tol)
     details = {
         "holds": ok,
@@ -226,46 +228,43 @@ def _rowsum_step(cas: _Cascade) -> None:
         "total": data.total,
     }
     if not ok:
-        cas.step("rowsum", "CONDITION_FALSE", details, t0)
+        cas.step("rowsum", "CONDITION_FALSE", details)
         return
     try:
         cert = rotate._rowsum_certificate(cas.S, cas.tol)
     except CprankError as exc:
-        cas.step("rowsum", "FAILED", {**details, "error": str(exc)}, t0)
+        cas.step("rowsum", "FAILED", {**details, "error": str(exc)})
         return
-    cas.accept(cert, "rowsum", t0, details)
+    cas.accept(cert, "rowsum", details)
 
 
 def _cone_steps(cas: _Cascade) -> None:
     """The extreme-ray report and the few-rays factorization, which
     rotates the extreme block of the rank factor.  No step needs the fit
     of the columns off the rays (:func:`cones.fit_rays`)."""
-    t0 = time.perf_counter()
     report = cas.rays = cones.extreme_rays(cas.S, cas.tol)
     cas.step("extreme_rays", f"RAYS({report.m})",
-             {"m": report.m, "extreme_indices": [i + 1 for i in report.extreme_indices]}, t0)
+             {"m": report.m, "extreme_indices": [i + 1 for i in report.extreme_indices]})
 
-    t0 = time.perf_counter()
     if report.m > rotate.FEW_RAYS_MAX:
         cas.step("few_rays_factor", "NOT_APPLICABLE",
-                 {"reason": f"more than {rotate.FEW_RAYS_MAX} extreme rays"}, t0)
+                 {"reason": f"more than {rotate.FEW_RAYS_MAX} extreme rays"})
     else:
         try:
             cert = rotate.few_rays_factor(
                 cas.S, report, cas.tol, seed=cas.config.seed, restarts=cas.config.restarts
             )
         except ComputationFailureError as exc:
-            cas.step("few_rays_factor", "BUDGET_EXHAUSTED", {"error": str(exc)}, t0)
+            cas.step("few_rays_factor", "BUDGET_EXHAUSTED", {"error": str(exc)})
         else:
-            cas.accept(cert, "few_rays_factor", t0)
+            cas.accept(cert, "few_rays_factor")
 
 
 def _graph_steps(cas: _Cascade) -> None:
     tol, S = cas.tol, cas.S
 
-    t0 = time.perf_counter()
     tri = graphcond.triangle_free_criterion(S, tol)
-    cas.step("triangle_free", tri.status, {"cp_rank": tri.cp_rank}, t0)
+    cas.step("triangle_free", tri.status, {"cp_rank": tri.cp_rank})
     if tri.status == graphcond.NOT_CP:
         cas.settle(NOT_CP)
     elif tri.status == graphcond.CP:
@@ -275,36 +274,34 @@ def _graph_steps(cas: _Cascade) -> None:
         if tri.cp_rank > cas.rank:
             cas.settle(NOT_IN_CP_N_R)
 
-    t0 = time.perf_counter()
     kay = graphcond.kaykobad_factor(S, tol)
     if kay is None:
-        cas.step("kaykobad", graphcond.NOT_APPLICABLE, {}, t0)
+        cas.step("kaykobad", graphcond.NOT_APPLICABLE)
         return
     check = verify_certificate(S, kay, tol)
     if not check.passed:
-        cas.step("kaykobad", "FAILED_VERIFICATION", {"residual": check.residual}, t0)
+        cas.step("kaykobad", "FAILED_VERIFICATION", {"residual": check.residual})
         return
     cas.fold(kay)
     cas.step("kaykobad", f"CERTIFICATE(rows={kay.rows})",
-             {"rows": kay.rows, "residual": check.residual}, t0)
+             {"rows": kay.rows, "residual": check.residual})
 
 
 def _heuristic_step(cas: _Cascade) -> None:
-    t0 = time.perf_counter()
     if not cas.config.heuristic:
-        cas.step("heuristic_rotation", "DISABLED", {}, t0)
+        cas.step("heuristic_rotation", "DISABLED")
         return
     if cas.terminal is not None:  # NOT_DN never reaches the step
         reason = "already certified" if cas.terminal == CP_RANK_EQ_RANK else "negative verdict settled"
-        cas.step("heuristic_rotation", "SKIPPED", {"reason": reason}, t0)
+        cas.step("heuristic_rotation", "SKIPPED", {"reason": reason})
         return
     cert = rotate._rays_rotation(
         cas.S, cas.rays, cas.rank, "heuristic_rotation", cas.tol, cas.config.seed, cas.config.restarts
     )
     if cert is None:
-        cas.step("heuristic_rotation", "NOT_FOUND", {}, t0)
+        cas.step("heuristic_rotation", "NOT_FOUND")
         return
-    cas.accept(cert, "heuristic_rotation", t0)
+    cas.accept(cert, "heuristic_rotation")
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +314,7 @@ def read_matrix(path: str, fmt: str = "dense", tol: Tolerances = DEFAULT_TOL) ->
     ``dense``: first token is the order ``n``, followed by ``n*n``
     whitespace-separated entries in row-major order.  ``csv``: ``n`` lines
     of ``n`` comma-separated values.  Inputs are symmetrized within
-    ``eps_sym``; larger asymmetry is an error.
+    ``matcore.EPS_SYM``; larger asymmetry is an error.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

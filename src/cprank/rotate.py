@@ -284,10 +284,11 @@ def _rays_rotation(S: SymmetricMatrix, report: cones.ConeReport, d: int, method:
     columns ``B[:, ext]`` of the rank factor, padded with zero rows to
     ``d``, into the orthant, and with them every column of ``B``; ``None``
     when the search fails.  Its floor is ``eps_nonneg * sqrt(scale)`` of the
-    exactly symmetric block ``B[:, ext]^T B[:, ext]``."""
+    block ``B[:, ext]^T B[:, ext]``, whose largest entry is on its diagonal:
+    ``eps_nonneg`` times the largest column norm of ``B[:, ext]``."""
     B = sr_factor(S, tol)
     Bs = B.take(report.extreme_indices, axis=1)
-    eps = tol.eps_nonneg * math.sqrt(float(np.abs(Bs.T @ Bs).max(initial=0.0)))
+    eps = tol.eps_nonneg * float(vector_norms(Bs).max(initial=0.0))
     padded = np.concatenate([Bs, np.zeros((d - Bs.shape[0], report.m))])
     Q = orthant_rotation_search(padded, restarts=restarts, seed=seed, eps=eps)
     # Q [B; 0], without multiplying the zero rows

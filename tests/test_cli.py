@@ -174,9 +174,20 @@ class TestOtherCommands:
         assert json.loads(out)["status"] == "NONE"
 
     def test_nnq_found(self, tmp_path, capsys):
-        path = write_fixture(tmp_path, "EX2_7")
-        code, out, _ = run(capsys, ["nnq", "--input", path])
+        # EX3_9's rounded entries need the loose tolerances; its first
+        # three columns are the basis
+        path = write_fixture(tmp_path, "EX3_9")
+        loose = ["--tol-psd", "1e-4", "--tol-rank", "1e-4", "--tol-nonneg", "1e-6",
+                 "--tol-residual", "1e-4"]
+        code, out, _ = run(capsys, ["nnq", "--input", path, "--report", "json", *loose])
         assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "FOUND" and doc["indices"] == [1, 2, 3]
+        assert doc["det"] == pytest.approx(2.593e-4, rel=1e-3)
+        assert np.allclose(np.array(doc["P"])[:, :3], np.eye(3), atol=1e-12)
+        code, out, _ = run(capsys, ["nnq", "--input", path, *loose])
+        assert code == 0
+        assert out == "FOUND basis columns (1,2,3), det 0.000259309\n"
 
     def test_rays(self, tmp_path, capsys):
         path = write_fixture(tmp_path, "EX1_2")
@@ -184,6 +195,15 @@ class TestOtherCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["m"] == 4 and doc["extreme_indices"] == [1, 2, 3, 4]
+
+    def test_rays_text(self, tmp_path, capsys):
+        for fid, expected in [
+            ("EX1_2", "4 extreme rays at columns (1,2,3,4); reconstruction residual 0.000e+00\n"),
+            ("EX3_3", "5 extreme rays at columns (1,2,3,4,5); reconstruction residual 0.000e+00\n"),
+        ]:
+            code, out, _ = run(capsys, ["rays", "--input", write_fixture(tmp_path, fid)])
+            assert code == 0
+            assert out == expected
 
     # SHA-256 of ``rays --report json``: the report fits W and its residual
     # whenever they are read, whatever the number of rays
@@ -248,6 +268,25 @@ class TestOtherCommands:
             assert code == 0
             doc = json.loads(out)
             assert doc == expected and list(doc) == list(expected)
+
+    def test_graph_text(self, tmp_path, capsys):
+        # one ``key: value`` line per document key, values as Python prints them
+        code, out, _ = run(capsys, ["graph", "--input", write_fixture(tmp_path, "EX1_2")])
+        assert code == 0
+        assert out == (
+            "n: 4\n"
+            "edge_count: 4\n"
+            "edges: [[1, 2], [1, 4], [2, 3], [3, 4]]\n"
+            "is_cycle: True\n"
+            "is_triangle_free: True\n"
+            "is_tree: False\n"
+            "is_connected: True\n"
+            "dn: DN\n"
+            "cycle_check: {'status': 'PASSES', 'cprk_lower_bound': 4, 'off_diag_sum': 8.0, "
+            "'diag_sum': 8.0}\n"
+            "triangle_free_criterion: {'status': 'CP', 'cp_rank': 4}\n"
+            "kaykobad_rows: 4\n"
+        )
 
     def test_csv_input(self, tmp_path, capsys):
         path = tmp_path / "m.csv"

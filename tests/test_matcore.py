@@ -35,6 +35,14 @@ class TestSymmetricMatrix:
         with pytest.raises(InvalidInputError):
             SymmetricMatrix(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("entries, message", [
+        (np.zeros((0, 0)), "matrix order must be at least 1"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "matrix entries must be finite"),
+    ], ids=["empty", "nan"])
+    def test_rejects_empty_and_nan(self, entries, message):
+        with pytest.raises(InvalidInputError, match=message):
+            SymmetricMatrix(entries)
+
     def test_entries_read_only(self):
         S = SymmetricMatrix(np.eye(2))
         with pytest.raises(ValueError):
@@ -45,6 +53,14 @@ class TestSymmetricMatrix:
             Tolerances(eps_psd=0.0)
         with pytest.raises(InvalidInputError):
             Tolerances(eps_rank=1.5)
+
+    def test_tolerances_keyword_only(self):
+        # a positional value would land silently in whichever field is first;
+        # the symmetry slack is the constant matcore.EPS_SYM
+        with pytest.raises(TypeError):
+            Tolerances(1e-9)
+        with pytest.raises(TypeError):
+            Tolerances(eps_sym=1e-6)
 
     def test_pattern_kept_per_threshold(self):
         S = SymmetricMatrix([[4.0, 1e-6, -2.0], [1e-6, 0.0, 0.0], [-2.0, 0.0, 1.0]])

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import sys
 import time
 
@@ -938,6 +939,22 @@ class TestReportRendering:
         assert doc["certificate"]["rows"] == 2
 
 
+class TestStepTimes:
+    @pytest.mark.parametrize("A, cfg", [
+        (example_matrix("EX2_7"), AnalysisConfig()),
+        (random_dn(12, 5, seed=0, style=GRAM_NONNEG), AnalysisConfig(heuristic=True)),
+    ], ids=["default", "heuristic"])
+    def test_step_times_add_up_to_the_analysis(self, A, cfg):
+        # each record times the span since the previous one, so the step
+        # times never overlap and together stay within the whole call
+        t0 = time.perf_counter()
+        report = analyze(A, cfg)
+        wall = time.perf_counter() - t0
+        assert all(s.elapsed >= 0.0 for s in report.steps)
+        assert sum(s.elapsed for s in report.steps) <= wall
+        assert "elapsed" not in report_to_json(report)
+
+
 class TestReadMatrix:
     def test_dense(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -994,3 +1011,26 @@ class TestReadMatrix:
         path.write_text("2\n1 5\n0 1\n")
         with pytest.raises(InvalidInputError, match="not symmetric"):
             read_matrix(str(path))
+
+    @pytest.mark.parametrize("fmt, text, message", [
+        ("dense", " \n", "empty file"),
+        ("dense", "two\n1 0\n0 1\n", "first token must be the order, got 'two'"),
+        ("dense", "0\n", "order must be positive, got 0"),
+        ("dense", "2\n1 0\n0 x\n", "could not convert string to float: 'x'"),
+        ("csv", "\n \n", "empty file"),
+    ])
+    def test_rejected_file(self, tmp_path, fmt, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_matrix(str(path), fmt)
+
+    def test_unknown_formats(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("1\n1\n")
+        with pytest.raises(InvalidInputError, match="unknown matrix format 'tsv'"):
+            read_matrix(str(path), "tsv")
+        with pytest.raises(InvalidInputError, match="unknown matrix format 'tsv'"):
+            matrix_to_text(SymmetricMatrix(np.eye(2)), "tsv")
+        with pytest.raises(InvalidInputError, match="unknown report format 'xml'"):
+            write_report(analyze(np.eye(2)), "xml")
