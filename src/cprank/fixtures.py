@@ -126,26 +126,23 @@ SOULES = "SOULES"
 RANDOM_STYLES = (GRAM_NONNEG, ROTATED_NONNEG, SOULES)
 
 
-def example_matrix(fixture_id: str) -> SymmetricMatrix:
-    """Bundled reference matrix by id (see ``EXAMPLE_IDS``)."""
+def _lookup(table: dict, key: str, kind: str):
     try:
-        entries = _MATRICES[fixture_id]
+        return np.array(table[key], dtype=float)
     except KeyError:
         raise InvalidInputError(
-            f"unknown fixture id {fixture_id!r}; valid ids: {', '.join(EXAMPLE_IDS)}"
+            f"unknown {kind} id {key!r}; valid ids: {', '.join(sorted(table))}"
         ) from None
-    return SymmetricMatrix(np.array(entries, dtype=float))
+
+
+def example_matrix(fixture_id: str) -> SymmetricMatrix:
+    """Bundled reference matrix by id (see ``EXAMPLE_IDS``)."""
+    return SymmetricMatrix(_lookup(_MATRICES, fixture_id, "fixture"))
 
 
 def example_factor(factor_id: str) -> np.ndarray:
     """Published companion factor by id (see ``FACTOR_IDS``)."""
-    try:
-        entries = _FACTORS[factor_id]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown factor id {factor_id!r}; valid ids: {', '.join(FACTOR_IDS)}"
-        ) from None
-    return np.array(entries, dtype=float)
+    return _lookup(_FACTORS, factor_id, "factor")
 
 
 @dataclass(frozen=True)

@@ -309,57 +309,56 @@ def _heuristic_step(cas: _Cascade) -> None:
 
 
 def read_matrix(path: str, fmt: str = "dense", tol: Tolerances = DEFAULT_TOL) -> SymmetricMatrix:
-    """Read a matrix file.
+    """Read a matrix file: UTF-8 text, with or without a byte-order mark.
 
     ``dense``: first token is the order ``n``, followed by ``n*n``
     whitespace-separated entries in row-major order.  ``csv``: ``n`` lines
-    of ``n`` comma-separated values.  Inputs are symmetrized within
-    ``matcore.EPS_SYM``; larger asymmetry is an error.
+    of ``n`` comma-separated values.  A bad entry is named by its line in
+    the file, blank lines counted, and its column on that line.  Inputs are
+    symmetrized within ``matcore.EPS_SYM``; larger asymmetry is an error.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # not utf-8-sig, whose offsets skip the mark: a bad byte is counted from the file's start
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    # each format only cuts its text into rows of (line, column, text) cells
+    lines = list(enumerate(text.splitlines(), start=1))
     if fmt == "dense":
-        tokens = text.split()
-        if not tokens:
+        cells = [(i, j, tok) for i, line in lines for j, tok in enumerate(line.split(), start=1)]
+        if not cells:
             raise InvalidInputError(f"{path}: empty file")
         try:
-            n = int(tokens[0])
+            n = int(cells[0][2])
         except ValueError:
-            raise InvalidInputError(f"{path}: first token must be the order, got {tokens[0]!r}") from None
+            raise InvalidInputError(f"{path}: first token must be the order, got {cells[0][2]!r}") from None
         if n < 1:
             raise InvalidInputError(f"{path}: order must be positive, got {n}")
-        if len(tokens) - 1 != n * n:
+        if len(cells) - 1 != n * n:
             raise InvalidInputError(
-                f"{path}: expected {n * n} entries after the order, found {len(tokens) - 1}"
+                f"{path}: expected {n * n} entries after the order, found {len(cells) - 1}"
             )
-        try:
-            values = [float(t) for t in tokens[1:]]
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: {exc}") from None
-        entries = np.array(values).reshape(n, n)
+        rows = [cells[k:k + n] for k in range(1, len(cells), n)]
     elif fmt == "csv":
-        rows = []
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
+        rows = [[(i, j, cell) for j, cell in enumerate(line.split(","), start=1)]
+                for i, line in lines if line.strip()]
+        if not rows:
             raise InvalidInputError(f"{path}: empty file")
-        for lineno, line in enumerate(lines, start=1):
-            rows.append([])
-            for col, cell in enumerate(line.split(","), start=1):
-                try:
-                    rows[-1].append(float(cell))
-                except ValueError:
-                    raise InvalidInputError(
-                        f"{path}: line {lineno}, column {col}: not a number"
-                    ) from None
-            if len(rows[-1]) != len(lines):
-                raise InvalidInputError(
-                    f"{path}: line {lineno} has {len(rows[-1])} values, expected {len(lines)}"
-                )
-        entries = np.array(rows)
     else:
         raise InvalidInputError(f"unknown matrix format {fmt!r}")
+    values = []
+    for row in rows:
+        for i, j, cell in row:
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise InvalidInputError(f"{path}: line {i}, column {j}: not a number") from None
+        if len(row) != len(rows):
+            raise InvalidInputError(f"{path}: line {i} has {len(row)} values, expected {len(rows)}")
     try:
-        return SymmetricMatrix(entries, tol)
+        return SymmetricMatrix(np.array(values).reshape(len(rows), -1), tol)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
 

@@ -83,6 +83,13 @@ class TestAnalyze:
         assert code == 1
         assert "error:" in err
 
+    def test_undecodable_file_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1\n\xff\n")
+        code, out, err = run(capsys, ["analyze", "--input", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 2)\n"
+
     def test_entries_below_the_lower_limit_exit_one(self, tmp_path, capsys):
         # the residual's squares underflowed: the report read an infinite
         # residual and a NaN minimum entry, which is not JSON

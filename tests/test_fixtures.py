@@ -44,6 +44,19 @@ class TestExampleMatrices:
         with pytest.raises(InvalidInputError):
             example_matrix("EX9_9")
 
+    def test_unknown_ids_list_the_valid_ones(self):
+        with pytest.raises(InvalidInputError) as matrix_error:
+            example_matrix("EX9_9")
+        assert str(matrix_error.value) == (
+            "unknown fixture id 'EX9_9'; valid ids: EX1_2, EX2_7, EX2_8, EX3_3, EX3_7, EX3_9"
+        )
+        with pytest.raises(InvalidInputError) as factor_error:
+            example_factor("EX9_9_C")
+        assert str(factor_error.value) == (
+            "unknown factor id 'EX9_9_C'; valid ids: "
+            "EX3_7_B, EX3_7_C, EX3_9_B, EX3_9_C, EX3_9_P_FACTOR, EX3_9_P_GRAM"
+        )
+
     def test_published_factor_reconstructs(self):
         C = example_factor("EX3_7_C")
         assert np.array_equal(C.T @ C, example_matrix("EX3_7").a)

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cprank import (
@@ -985,15 +985,21 @@ class TestReadMatrix:
         with pytest.raises(InvalidInputError, match="column 2"):
             read_matrix(str(path), "csv")
 
-    @pytest.mark.parametrize("text, line, column", [
-        ("1, 2\n 2 ,x \n", 2, 2),
-        ("1,2\n,1\n", 2, 1),
-        ("1,2,\n2,1\n", 1, 3),
+    @pytest.mark.parametrize("fmt, text, line, column, parsed", [
+        ("csv", "1, 2\n 2 ,x \n", 2, 2, 4),
+        ("csv", "1,2\n,1\n", 2, 1, 3),
+        ("csv", "1,2,\n2,1\n", 1, 3, 3),
+        ("csv", "1,2\n\n \n2,x\n", 4, 2, 4),
+        ("dense", "2\n1 0\n0 x\n", 3, 2, 4),
+        ("dense", "2 1\n\n0 0 x\n", 3, 3, 4),
+        ("dense", "2\n1 y 0 1\n", 2, 2, 2),
+        ("dense", "1\n\n\t\n x\n", 4, 1, 1),
     ])
-    def test_each_cell_is_parsed_once(self, tmp_path, monkeypatch, text, line, column):
+    def test_each_cell_is_parsed_once(self, tmp_path, monkeypatch, fmt, text, line, column,
+                                      parsed):
         # the bad cell ends the parse: every cell before it, whitespace
         # around a number included, and the bad one are read once each
-        path = tmp_path / "bad.csv"
+        path = tmp_path / "bad.txt"
         path.write_text(text)
         cells = []
 
@@ -1002,9 +1008,64 @@ class TestReadMatrix:
             return float(cell)
 
         monkeypatch.setattr(pipeline, "float", counted, raising=False)
-        with pytest.raises(InvalidInputError, match=f"line {line}, column {column}: not a number"):
-            read_matrix(str(path), "csv")
-        assert len(cells) == 2 * (line - 1) + column
+        with pytest.raises(InvalidInputError,
+                           match=f"^{re.escape(f'{path}: line {line}, column {column}: not a number')}$"):
+            read_matrix(str(path), fmt)
+        assert len(cells) == parsed
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 6), fmt=st.sampled_from(["dense", "csv"]), data=st.data())
+    def test_every_bad_cell_is_named_where_it_is(self, tmp_path_factory, n, fmt, data):
+        entries = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n * n, max_size=n * n))
+        A = np.array(entries).reshape(n, n)
+        A = np.triu(A) + np.triu(A, 1).T
+        assume(not 0.0 < np.abs(A).max() < 1e-100)
+        text = matrix_to_text(SymmetricMatrix(A), fmt)
+        if fmt == "dense":
+            rows, sep, first = [text.split()], " ", 1
+        else:
+            rows, sep, first = [line.split(",") for line in text.splitlines()], ",", 0
+        # lay the tokens out again: blank lines anywhere, and a dense file
+        # broken over lines between any two tokens
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        blanks = st.lists(st.sampled_from(["", " ", "\t"]), max_size=2)
+        lines, places = data.draw(blanks), []
+        for row in rows:
+            line = []
+            for token in row:
+                if line and fmt == "dense" and data.draw(st.booleans()):
+                    lines += [sep.join(line), *data.draw(blanks)]
+                    line = []
+                line.append(token)
+                places.append((len(lines) + 1, len(line)))
+            lines += [sep.join(line), *data.draw(blanks)]
+        path = tmp_path_factory.mktemp("cells") / f"m.{fmt}"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        assert np.array_equal(read_matrix(str(path), fmt).a, A)
+
+        line_no, column = places[first + data.draw(st.integers(0, n * n - 1))]
+        cells = lines[line_no - 1].split(sep if fmt == "csv" else None)
+        cells[column - 1] = data.draw(st.sampled_from(["x", "1e", "0x1", "--1", "1.2.3", "\u221e"]))
+        lines[line_no - 1] = sep.join(cells)
+        path.write_bytes((newline.join(lines) + newline).encode())
+        message = f"{path}: line {line_no}, column {column}: not a number"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            read_matrix(str(path), fmt)
+
+    def test_byte_order_mark(self, tmp_path):
+        S = example_matrix("EX3_9")
+        for fmt in ("dense", "csv"):
+            path = tmp_path / f"bom.{fmt}"
+            path.write_bytes(b"\xef\xbb\xbf" + matrix_to_text(S, fmt).encode())
+            assert np.array_equal(read_matrix(str(path), fmt).a, S.a)
+
+    def test_undecodable_byte(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(prefix + b"2\n1 0\n0 \xff\n")
+            message = f"{path}: not UTF-8 text (invalid start byte at byte {len(prefix) + 8})"
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+                read_matrix(str(path))
 
     def test_asymmetric_rejected(self, tmp_path):
         path = tmp_path / "asym.txt"
@@ -1016,7 +1077,7 @@ class TestReadMatrix:
         ("dense", " \n", "empty file"),
         ("dense", "two\n1 0\n0 1\n", "first token must be the order, got 'two'"),
         ("dense", "0\n", "order must be positive, got 0"),
-        ("dense", "2\n1 0\n0 x\n", "could not convert string to float: 'x'"),
+        ("dense", "2\n1 0\n0 x\n", "line 3, column 2: not a number"),
         ("csv", "\n \n", "empty file"),
     ])
     def test_rejected_file(self, tmp_path, fmt, text, message):
