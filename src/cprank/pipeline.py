@@ -1,13 +1,15 @@
 """Decision cascade, matrix file I/O and report rendering.
 
-``analyze`` runs every test battery on a matrix, logs each step, and
-settles on a verdict: the first definitive outcome in cascade order wins,
-cheap constructive wins go before combinatorial search, and the exact
-triangle-free criterion always runs, so its negative verdicts are never
-missed.  With ``heuristic`` on, every input left unsettled, whatever its
-rank, gets one rotation search of its extreme block at rank many rows.
-``UNDECIDED`` is an honest terminal state; outside the covered cases no
-complete decision procedure exists.
+``analyze`` runs the cascade on a matrix, logs each step, and settles on
+a verdict: the first definitive outcome in cascade order wins, cheap
+constructive wins go before combinatorial search, and a search for a
+certificate runs only while the verdict is open, since no factor has
+fewer than rank many rows.  The exact triangle-free criterion always
+runs, so its negative verdicts are never missed.  With ``heuristic`` on,
+every input left unsettled, whatever its rank, gets one rotation search
+of its extreme block at rank many rows.  ``UNDECIDED`` is an honest
+terminal state; outside the covered cases no complete decision procedure
+exists.
 """
 
 from __future__ import annotations
@@ -149,6 +151,12 @@ class _Cascade:
         if cert.rows == self.rank:
             self.settle(CP_RANK_EQ_RANK)
 
+    def searching(self, name: str) -> bool:
+        """Whether search ``name`` runs; once the fewest rows, rank many, are certified it is skipped."""
+        if self.terminal == CP_RANK_EQ_RANK:
+            self.step(name, "SKIPPED", {"reason": "already certified"})
+        return self.terminal != CP_RANK_EQ_RANK
+
 
 def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> AnalysisReport:
     """Run the full decision cascade on a symmetric matrix.
@@ -166,7 +174,7 @@ def analyze(A: MatrixLike, config: AnalysisConfig = AnalysisConfig()) -> Analysi
     report carries no bounds and no certificate.
     Every step runs on the input; its rank factor is exactly zero on
     the zero rows that ``deflate_zero_rows`` lists.
-    Every step is logged even after the verdict is settled.
+    Searches run only while the verdict is open; every step is still logged.
     """
     start = time.perf_counter()
     tol = config.tol
@@ -222,11 +230,7 @@ def _finish(cas: _Cascade) -> AnalysisReport:
 
 def _rowsum_step(cas: _Cascade) -> None:
     ok, data = rotate.rowsum_condition(cas.S, cas.rank, cas.tol)
-    details = {
-        "holds": ok,
-        "row_sums": data.row_sums,
-        "total": data.total,
-    }
+    details = {"holds": ok, "row_sums": data.row_sums, "total": data.total}
     if not ok:
         cas.step("rowsum", "CONDITION_FALSE", details)
         return
@@ -246,6 +250,8 @@ def _cone_steps(cas: _Cascade) -> None:
     cas.step("extreme_rays", f"RAYS({report.m})",
              {"m": report.m, "extreme_indices": [i + 1 for i in report.extreme_indices]})
 
+    if not cas.searching("few_rays_factor"):
+        return
     if report.m > rotate.FEW_RAYS_MAX:
         cas.step("few_rays_factor", "NOT_APPLICABLE",
                  {"reason": f"more than {rotate.FEW_RAYS_MAX} extreme rays"})
@@ -274,34 +280,33 @@ def _graph_steps(cas: _Cascade) -> None:
         if tri.cp_rank > cas.rank:
             cas.settle(NOT_IN_CP_N_R)
 
+    if not cas.searching("kaykobad"):
+        return
     kay = graphcond.kaykobad_factor(S, tol)
-    if kay is None:
+    check = None if kay is None else verify_certificate(S, kay, tol)
+    if check is None:
         cas.step("kaykobad", graphcond.NOT_APPLICABLE)
-        return
-    check = verify_certificate(S, kay, tol)
-    if not check.passed:
+    elif not check.passed:
         cas.step("kaykobad", "FAILED_VERIFICATION", {"residual": check.residual})
-        return
-    cas.fold(kay)
-    cas.step("kaykobad", f"CERTIFICATE(rows={kay.rows})",
-             {"rows": kay.rows, "residual": check.residual})
+    else:
+        cas.fold(kay)
+        cas.step("kaykobad", f"CERTIFICATE(rows={kay.rows})",
+                 {"rows": kay.rows, "residual": check.residual})
 
 
 def _heuristic_step(cas: _Cascade) -> None:
     if not cas.config.heuristic:
         cas.step("heuristic_rotation", "DISABLED")
-        return
-    if cas.terminal is not None:  # NOT_DN never reaches the step
-        reason = "already certified" if cas.terminal == CP_RANK_EQ_RANK else "negative verdict settled"
-        cas.step("heuristic_rotation", "SKIPPED", {"reason": reason})
-        return
-    cert = rotate._rays_rotation(
-        cas.S, cas.rays, cas.rank, "heuristic_rotation", cas.tol, cas.config.seed, cas.config.restarts
-    )
-    if cert is None:
-        cas.step("heuristic_rotation", "NOT_FOUND")
-        return
-    cas.accept(cert, "heuristic_rotation")
+    elif cas.terminal not in (None, CP_RANK_EQ_RANK):  # NOT_DN never reaches the step
+        cas.step("heuristic_rotation", "SKIPPED", {"reason": "negative verdict settled"})
+    elif cas.searching("heuristic_rotation"):
+        cert = rotate._rays_rotation(
+            cas.S, cas.rays, cas.rank, "heuristic_rotation", cas.tol, cas.config.seed, cas.config.restarts
+        )
+        if cert is None:
+            cas.step("heuristic_rotation", "NOT_FOUND")
+        else:
+            cas.accept(cert, "heuristic_rotation")
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from cprank import (
     Tolerances,
     analyze,
     extreme_rays,
+    few_rays_factor,
     fit_rays,
     make_certificate,
     psd_rank,
@@ -68,6 +69,12 @@ def decision(report):
             report.cp_rank_lower, report.cp_rank_upper, rows)
 
 
+def skipped(report):
+    """The steps a report logs as skipped: a search once rank many rows
+    are certified, or every battery of a matrix that is not DN."""
+    return {s.name for s in report.steps if s.outcome == "SKIPPED"}
+
+
 def assert_consistent(report):
     """The rules a report of a nonzero matrix keeps; a positive rank also
     means that no negative verdict rests on rank 0."""
@@ -91,7 +98,8 @@ def assert_consistent(report):
 @given(st.one_of(fixture_cases, random_cases()), scales, st.integers(min_value=0, max_value=2**31 - 1))
 def test_decision_invariant_under_scale_and_permutation(case, c, perm_seed):
     # zero rows and columns inserted at random positions change nothing
-    # either, and get zero certificate columns
+    # either, and get zero certificate columns; the same searches are
+    # skipped on every copy
     A, config = case
     n = A.shape[0]
     rng = np.random.default_rng(perm_seed)
@@ -110,6 +118,7 @@ def test_decision_invariant_under_scale_and_permutation(case, c, perm_seed):
     assert decision(scaled) == decision(base)
     assert decision(permuted) == decision(base)
     assert decision(inflated) == decision(base)
+    assert skipped(scaled) == skipped(permuted) == skipped(inflated) == skipped(base)
     if inflated.certificate is not None:
         assert np.all(inflated.certificate.C[:, pos] == 0.0)
 
@@ -217,12 +226,15 @@ def test_outcomes_at_the_ends_of_the_accepted_scale(end, case):
 
 
 def test_tiny_nonzero_matrix_has_positive_rank():
-    report = analyze(np.diag([1e-20, 0.0]))
+    A = np.diag([1e-20, 0.0])
+    report = analyze(A)
     assert_consistent(report)
     assert report.verdict == CP_RANK_EQ_RANK
     assert (report.rank, report.cp_rank_lower, report.cp_rank_upper) == (1, 1, 1)
-    few_rays = next(s for s in report.steps if s.name == "few_rays_factor")
-    assert few_rays.outcome == "CERTIFICATE(rows=1)"
+    # the row-sum step settles the matrix; the few-rays construction,
+    # called directly, certifies rank 1 as well
+    cert = few_rays_factor(A, extreme_rays(A))
+    assert cert.rows == 1 and verify_certificate(A, cert).passed
 
 
 # factor by which every eigenvalue ratio |lambda| / |lambda|_max must stay

@@ -19,6 +19,7 @@ from cprank import (
     cycle_necessary,
     extreme_rays,
     few_rays_factor,
+    kaykobad_factor,
     nnq_from_rays,
     triangle_free_criterion,
     verify_certificate,
@@ -139,7 +140,10 @@ class TestAnalyzeVerdicts:
         assert report.verdict == CP_RANK_EQ_RANK
         assert report.rank == 3
         assert nnq_of(A, report, ROUNDED_CFG.tol).witness.indices == (0, 1, 2)
-        assert step(report, "few_rays_factor").outcome == "CERTIFICATE(rows=3)"
+        # the row-sum step settles the matrix first; the few-rays
+        # construction certifies it as well
+        cert = few_rays_factor(A, extreme_rays(A, ROUNDED_CFG.tol), ROUNDED_CFG.tol)
+        assert cert.rows == 3 and verify_certificate(A, cert, ROUNDED_CFG.tol).passed
 
     def test_rounded_example_at_default_tolerances(self):
         report = analyze(example_matrix("EX3_9"))
@@ -206,14 +210,24 @@ class TestAnalyzeVerdicts:
     def test_kaykobad_factor_that_fails_verification_is_reported(self):
         # at eps_nonneg = 1e-4 the row margins 3e-5 and 6e-5 count as
         # equality, so Kaykobad's construction applies, and its residual
-        # exceeds eps_residual; the few-rays step certifies the matrix
+        # exceeds eps_residual; the few-rays step certifies the matrix, so
+        # the analysis skips Kaykobad's step
+        tol = Tolerances(eps_nonneg=1e-4)
         A = np.array([[1.0, 0.5, 0.49997], [0.5, 1.0, 0.49997], [0.49997, 0.49997, 1.0]])
-        report = analyze(A, AnalysisConfig(tol=Tolerances(eps_nonneg=1e-4)))
+        report = analyze(A, AnalysisConfig(tol=tol))
+        check = verify_certificate(A, kaykobad_factor(A, tol), tol)
+        assert not check.passed and check.residual > DEFAULT_TOL.eps_residual
+        assert step(report, "kaykobad").outcome == "SKIPPED"
+        assert report.verdict == CP_RANK_EQ_RANK
+        assert report.certificate.method_tag == "few_rays"
+        # a 5-cycle with the same margin 5e-5 in every row: no earlier
+        # step certifies it, and the failed factor is reported
+        ring = np.roll(np.eye(5), 1, axis=1)
+        report = analyze(np.eye(5) + (0.5 - 2.5e-5) * (ring + ring.T), AnalysisConfig(tol=tol))
         kaykobad = step(report, "kaykobad")
         assert kaykobad.outcome == "FAILED_VERIFICATION"
         assert kaykobad.details["residual"] > DEFAULT_TOL.eps_residual
-        assert report.verdict == CP_RANK_EQ_RANK
-        assert report.certificate.method_tag == "few_rays"
+        assert report.verdict == UNDECIDED and report.certificate is None
 
     def test_zero_diagonal_rows_deflated(self):
         A = np.zeros((4, 4))
@@ -260,10 +274,14 @@ class TestAnalyzeVerdicts:
         assert np.all(report.certificate.C[:, 3] == 0.0)
 
     def test_zero_matrix(self):
-        report = analyze(np.zeros((3, 3)))
+        A = np.zeros((3, 3))
+        report = analyze(A)
         assert report.verdict == CP_RANK_EQ_RANK
         assert report.rank == 0 and report.certificate.rows == 0
-        assert step(report, "few_rays_factor").outcome == "CERTIFICATE(rows=0)"
+        # the row-sum step settles it; the few-rays construction, called
+        # directly, gives the empty factor as well
+        cert = few_rays_factor(A, extreme_rays(A))
+        assert cert.rows == 0 and verify_certificate(A, cert).passed
 
     def test_every_reported_certificate_verifies(self):
         for fid in EXAMPLE_IDS:
@@ -332,8 +350,11 @@ class TestConeSteps:
         if m > rotate.FEW_RAYS_MAX:
             assert step(report, "few_rays_factor").outcome == "NOT_APPLICABLE"
         else:
-            assert step(report, "few_rays_factor").outcome == f"CERTIFICATE(rows={r})"
-            assert verify_certificate(A, report.certificate).passed
+            # the row-sum step settles the input, so the analysis skips
+            # the few-rays step; called directly, it fits no W either
+            assert step(report, "few_rays_factor").outcome == "SKIPPED"
+            cert = few_rays_factor(A, extreme_rays(A))
+            assert cert.rows == r and verify_certificate(A, cert).passed
 
     def test_nnq_has_no_subset_budget(self):
         # C(80, 4) is about 1.58 million subsets; nnq is read off the rays
@@ -348,25 +369,52 @@ class TestConeSteps:
         assert result.status == ("FOUND" if m == 4 else "NONE")
         assert elapsed < 1.0
 
+    @staticmethod
+    def counted_everywhere(monkeypatch, original):
+        """The shape of the first argument of each call of ``original``,
+        through every cprank module that binds it."""
+        calls = []
+
+        def counted(first, *args, **kwargs):
+            calls.append(np.shape(first))
+            return original(first, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, original.__name__, None)
+            if name.split(".")[0] == "cprank" and bound is original:
+                monkeypatch.setattr(module, original.__name__, counted)
+        return calls
+
     @pytest.fixture
     def search_calls(self, monkeypatch):
         """The shape of the family that each call of
-        ``orthant_rotation_search`` gets, through every cprank module that
-        binds it."""
-        from cprank import rotate
+        ``orthant_rotation_search`` gets."""
+        return self.counted_everywhere(monkeypatch, rotate.orthant_rotation_search)
 
-        calls = []
-        original = rotate.orthant_rotation_search
+    @pytest.fixture
+    def kaykobad_calls(self, monkeypatch):
+        return self.counted_everywhere(monkeypatch, kaykobad_factor)
 
-        def counted(B, *args, **kwargs):
-            calls.append(np.shape(B))
-            return original(B, *args, **kwargs)
+    def test_no_search_once_rank_rows_are_certified(self, search_calls, kaykobad_calls):
+        # the row-sum step certifies EX2_7 with rank many rows, and no
+        # factor has fewer; the few-rays and Kaykobad steps are logged
+        report = analyze(example_matrix("EX2_7"))
+        assert step(report, "rowsum").outcome == "CERTIFICATE(rows=3)"
+        assert step(report, "extreme_rays").details["m"] == 4
+        assert (len(search_calls), len(kaykobad_calls)) == (0, 0)
+        for name in ("few_rays_factor", "kaykobad"):
+            assert step(report, name).outcome == "SKIPPED"
+            assert step(report, name).details == {"reason": "already certified"}
 
-        for name, module in list(sys.modules.items()):
-            bound = getattr(module, "orthant_rotation_search", None)
-            if name.split(".")[0] == "cprank" and bound is original:
-                monkeypatch.setattr(module, "orthant_rotation_search", counted)
-        return calls
+    def test_one_search_while_the_verdict_is_open(self, search_calls, kaykobad_calls):
+        # EX1_2 fails the row-sum condition and has four rays: one few-rays
+        # search, and Kaykobad's step still runs on its NOT_IN_CP_N_R report
+        report = analyze(example_matrix("EX1_2"))
+        assert step(report, "rowsum").outcome == "CONDITION_FALSE"
+        assert step(report, "extreme_rays").details["m"] == 4
+        assert (len(search_calls), len(kaykobad_calls)) == (1, 1)
+        assert report.verdict == NOT_IN_CP_N_R
+        assert step(report, "kaykobad").outcome == "CERTIFICATE(rows=4)"
 
     def test_one_rotation_search_at_full_rank_order_4(self, search_calls):
         report = analyze(random_dn(4, 4, seed=5, style=GRAM_NONNEG))
@@ -375,11 +423,14 @@ class TestConeSteps:
         assert len(search_calls) == 1
 
     def test_one_rotation_search_for_an_nnq_basis(self, search_calls):
+        # near-orthogonal basis columns fail the row-sum condition, so
+        # the few-rays step settles the input
         rng = np.random.default_rng(2)
-        N = rng.uniform(0.1, 1.0, size=(3, 3))
+        N = np.eye(3) + rng.uniform(0.0, 0.2, size=(3, 3))
         P = np.hstack([np.eye(3), rng.uniform(0.0, 1.0, size=(3, 4))])
         A = P.T @ (N.T @ N) @ P
         report = analyze(A)
+        assert step(report, "rowsum").outcome == "CONDITION_FALSE"
         assert len(search_calls) == 1
         assert nnq_of(A, report).status == "FOUND"
         assert step(report, "extreme_rays").details["m"] == 3
@@ -408,12 +459,20 @@ class TestConeSteps:
     def test_few_rays_certifies_rank_at_most_2_and_three_rays_at_rank_3(
         self, style, r, extra, seed
     ):
-        report = analyze(random_dn(r + extra, r, seed=seed, style=style))
+        A = random_dn(r + extra, r, seed=seed, style=style)
+        report = analyze(A)
         assert report.rank == r
         if r == 3 and step(report, "extreme_rays").details["m"] != 3:
             return
         assert report.verdict == CP_RANK_EQ_RANK and report.certificate.rows == r
-        assert step(report, "few_rays_factor").outcome == f"CERTIFICATE(rows={r})"
+        if step(report, "rowsum").outcome.startswith("CERTIFICATE"):
+            # the analysis skips the few-rays step; called directly, it
+            # certifies the input as well
+            assert step(report, "few_rays_factor").outcome == "SKIPPED"
+            cert = few_rays_factor(A, extreme_rays(A))
+            assert cert.rows == r and verify_certificate(A, cert).passed
+        else:
+            assert step(report, "few_rays_factor").outcome == f"CERTIFICATE(rows={r})"
 
 
 class TestHeuristicRotation:
@@ -480,7 +539,7 @@ class TestOneCertificateBuild:
         return calls
 
     @pytest.mark.parametrize("A, cfg, steps", [
-        (example_matrix("EX2_7"), AnalysisConfig(), 2),  # rowsum, few_rays_factor
+        (example_matrix("EX2_7"), AnalysisConfig(), 1),  # rowsum; later searches skipped
         (example_matrix("EX1_2"), AnalysisConfig(), 2),  # few_rays_factor, kaykobad
         (random_dn(12, 5, seed=0, style=GRAM_NONNEG), AnalysisConfig(heuristic=True), 1),
     ], ids=["EX2_7", "EX1_2", "heuristic"])

@@ -41,8 +41,11 @@ tree's largest ``certificate.residual`` over the reports that carry one,
 with how many do (the value a change to a certificate's construction
 moves); how many reports differ in each field, named by its path
 (``few_rays_factor.min_entry`` for a step's detail,
-``certificate.entries``, ``verdict``); and the first few instances that
-differ.  It exits with status 1 when any report differs in meaning.  It
+``certificate.entries``, ``verdict``); how many steps moved from each
+outcome to each other one, as ``step: old -> new`` with row counts read
+as ``rows=k`` (``few_rays_factor: CERTIFICATE(rows=k) -> SKIPPED``), so a
+change to the step records shows what kind of change it is; and the
+first few instances that differ.  It exits with status 1 when any report differs in meaning.  It
 reads ``bench/`` and writes nothing there.
 """
 
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -172,6 +176,19 @@ def changed_fields(old: str, new: str) -> list[str]:
     return [path for path in dict.fromkeys([*a, *b]) if a.get(path, absent) != b.get(path, absent)]
 
 
+def outcome_changes(old: str, new: str) -> list[str]:
+    """``step: old outcome -> new outcome`` for each step whose outcome
+    differs between two reports, row counts read as ``rows=k``; a step
+    that only one report has reads ``absent`` in the other."""
+    a, b = ({s["name"]: s["outcome"] for s in json.loads(r)["steps"]} for r in (old, new))
+
+    def kind(outcomes: dict, name: str) -> str:
+        return re.sub(r"rows=\d+", "rows=k", outcomes.get(name, "absent"))
+
+    return [f"{name}: {kind(a, name)} -> {kind(b, name)}"
+            for name in dict.fromkeys([*a, *b]) if a.get(name) != b.get(name)]
+
+
 def certificate_residual(report: str) -> float | None:
     """The ``certificate.residual`` of a report, or None when it carries
     no certificate."""
@@ -248,6 +265,9 @@ def main(argv: list[str] | None = None) -> int:
         per_field = Counter(path for key in keys for path in changed_fields(old[key], new[key]))
         if per_field:
             print("  fields:", ", ".join(f"{path} {count}" for path, count in per_field.most_common()))
+        moved = Counter(change for key in keys for change in outcome_changes(old[key], new[key]))
+        if moved:
+            print("  outcomes:", ", ".join(f"{change} {count}" for change, count in moved.most_common()))
         for label, ids in (("decision", decided), ("steps", stepped), ("bytes", byte)):
             if ids:
                 print(f"  {label}:", ", ".join(ids[:SHOWN]))
